@@ -221,8 +221,9 @@ def _lookup_config(name: Optional[str],
 
 
 def _resolve_run(data: Mapping[str, Any],
-                 configs: Mapping[str, ChipConfig], what: str):
-    """One ``[[runs]]`` entry -> RunSpec or SystemSpec."""
+                 configs: Mapping[str, ChipConfig], what: str, memo):
+    """One ``[[runs]]`` entry -> RunSpec or SystemSpec (*memo*: the
+    document's :class:`~repro.experiments.spec.KeyMemo`)."""
     from repro.core.api import PROTOCOLS
     from repro.experiments import RunSpec, SystemSpec, builder_names
 
@@ -276,7 +277,7 @@ def _resolve_run(data: Mapping[str, Any],
         workload=dict(_get(data, "workload", Mapping, what, default={})),
         max_cycles=max_cycles, label=label)
     try:
-        spec.key()          # resolves params + workload: strict checks
+        spec.key(memo)      # resolves params + workload: strict checks
     except (KeyError, ValueError) as exc:
         raise DocumentError(f"{what}: {exc}") from exc
     return spec
@@ -470,11 +471,14 @@ def experiment_from_dict(data: Mapping[str, Any],
     configs = {label: _resolve_config(table, f"{what}.configs.{label}")
                for label, table in configs_raw.items()}
 
+    from repro.experiments.spec import KeyMemo
+
     specs: List[Any] = []
+    memo = KeyMemo()     # this call only: the configs are mutable
     runs_raw = _get(data, "runs", (list, tuple), what, default=[])
     for index, entry in enumerate(runs_raw):
         specs.append(_resolve_run(entry, configs,
-                                  f"{what}.runs[{index}]"))
+                                  f"{what}.runs[{index}]", memo))
     if "matrix" in data:
         specs.extend(_resolve_matrix(data["matrix"], configs,
                                      f"{what}.matrix"))

@@ -32,7 +32,7 @@ Commands:
 * ``trace`` — run an external trace file (the Graphite-traces flow).
 * ``features`` — print the Table 1 chip feature summary.
 * ``bench`` — time the quiescence kernel on/off on fixed workloads and
-  write ``BENCH_8.json`` (``--smoke`` for the tiny CI regime).
+  write ``BENCH_9.json`` (``--smoke`` for the tiny CI regime).
 * ``litmus`` — run the sequential-consistency litmus suite.
 * ``serve`` — run the sweep-service frontend (HTTP job queue + shared
   result cache + optional spool directory; see docs/architecture.md,
@@ -207,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p = sub.add_parser(
         "bench", help="time the quiescence kernel on/off and write a "
                       "JSON report")
-    bench_p.add_argument("--output", default="BENCH_8.json",
-                         help="report path (default: BENCH_8.json)")
+    bench_p.add_argument("--output", default="BENCH_9.json",
+                         help="report path (default: BENCH_9.json)")
     bench_p.add_argument("--smoke", action="store_true",
                          help="tiny 3x3 workloads for CI: proves the "
                               "harness runs, numbers not meaningful")

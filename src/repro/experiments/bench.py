@@ -1,7 +1,7 @@
 """``repro bench`` — wall-clock benchmark of the quiescence kernel.
 
 Runs a fixed set of workloads twice each — sleep/wake scheduling on and
-off — and writes a JSON report (``BENCH_8.json``) with wall-clock time,
+off — and writes a JSON report (``BENCH_9.json``) with wall-clock time,
 simulated cycles per second and the on/off speedup, so the performance
 trajectory of the kernel has data instead of anecdotes.
 

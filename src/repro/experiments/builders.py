@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.config import ChipConfig
-from repro.experiments.spec import SPEC_SCHEMA, config_to_dict, profile_to_dict
+from repro.experiments.spec import SPEC_SCHEMA, KeyMemo
 
 # ---------------------------------------------------------------------------
 # Declarative workloads
@@ -89,7 +89,7 @@ class ResolvedWorkload:
 
 
 def resolve_workload(workload: Mapping[str, Any],
-                     ) -> ResolvedWorkload:
+                     memo: Optional[KeyMemo] = None) -> ResolvedWorkload:
     """Resolve a declarative workload dict (``{"kind": ..., ...}``).
 
     The canonical key embeds the *resolved* profile for benchmark
@@ -110,7 +110,8 @@ def resolve_workload(workload: Mapping[str, Any],
         if params["workload_scale"] != 1.0 or params["think_scale"] != 1.0:
             prof = scaled(prof, params["workload_scale"],
                           params["think_scale"])
-        key = {"kind": kind, "profile": profile_to_dict(prof),
+        key = {"kind": kind,
+               "profile": (memo or KeyMemo()).profile_dict(prof),
                "ops_per_core": params["ops_per_core"],
                "seed": params["seed"]}
         return ResolvedWorkload(
@@ -301,23 +302,25 @@ class SystemSpec:
     # Fingerprinting (same contract as RunSpec.key/fingerprint)
     # ------------------------------------------------------------------
 
-    def key(self) -> Dict[str, Any]:
+    def key(self, memo: Optional[KeyMemo] = None) -> Dict[str, Any]:
         builder = get_builder(self.builder)
+        memo = memo or KeyMemo()
         return {
             "schema": SPEC_SCHEMA,
             "kind": "system",
             "builder": self.builder,
             "params": builder.resolved_params(self.params),
-            "workload": resolve_workload(self.workload).key,
-            "config": config_to_dict(self.resolved_config()),
+            "workload": resolve_workload(self.workload, memo).key,
+            "config": memo.config_dict(self.config),
             "max_cycles": self.max_cycles,
         }
 
-    def fingerprint(self, code_version: Optional[str] = None) -> str:
+    def fingerprint(self, code_version: Optional[str] = None,
+                    memo: Optional[KeyMemo] = None) -> str:
         if code_version is None:
             from repro.experiments.cache import code_version as cv
             code_version = cv()
-        blob = json.dumps({"code": code_version, "spec": self.key()},
+        blob = json.dumps({"code": code_version, "spec": self.key(memo)},
                           sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

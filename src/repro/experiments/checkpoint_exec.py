@@ -27,10 +27,11 @@ from typing import Any, Dict, List, Optional, Union
 from repro.core.api import build_benchmark_system, collect_run_result
 from repro.experiments.builders import (SystemSpec, build_spec_system,
                                         collect_spec_outcome)
-from repro.experiments.spec import RunSpec
+from repro.experiments.spec import KeyMemo, RunSpec
 from repro.experiments.sweep import SweepResult
 from repro.sim.checkpoint import (read_checkpoint_header, restore_payload,
                                   snapshot_system)
+from repro.systems.base import record_kernel_meta
 
 
 def build_for_spec(spec: Union[RunSpec, SystemSpec]):
@@ -98,8 +99,7 @@ def _run_sliced(spec, system, checkpoint_every: Optional[int],
     # recording (meta never enters result payloads; kernel_accounting
     # is cumulative, so recording once at the end matches a straight
     # run).
-    for name, value in engine.kernel_accounting().items():
-        system.stats.set_meta(f"engine.{name}", value)
+    record_kernel_meta(system)
     return collect_for_spec(spec, system, fingerprint)
 
 
@@ -188,10 +188,11 @@ def run_experiment_checkpointed(experiment,
         os.makedirs(checkpoint_dir, exist_ok=True)
 
     version = code_version()
+    memo = KeyMemo()     # this call only: the configs are mutable
     results: List[Any] = []
     matched = False
     for spec in experiment.specs:
-        fingerprint = spec.fingerprint(code_version=version)
+        fingerprint = spec.fingerprint(version, memo)
         path = checkpoint_path_for(checkpoint_dir, fingerprint)
         if resume_fingerprint == fingerprint and not matched:
             matched = True

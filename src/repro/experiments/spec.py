@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.config import ChipConfig
 from repro.workloads.synthetic import WorkloadProfile
@@ -39,6 +39,41 @@ def config_to_dict(config: ChipConfig) -> Dict[str, Any]:
 
 def profile_to_dict(profile: WorkloadProfile) -> Dict[str, Any]:
     return asdict(profile)
+
+
+class KeyMemo:
+    """Per-call memo of the canonical dicts a spec key embeds.
+
+    The specs of one batch share a handful of :class:`ChipConfig`
+    objects and workload profiles, and expanding those with ``asdict``
+    is most of the cost of fingerprinting a point.  A function that
+    fingerprints a whole batch creates one memo and passes it to every
+    ``key``/``fingerprint`` call it makes.  ``ChipConfig`` is mutable,
+    so a memo must not outlive that call: configs are keyed by identity
+    (and held, so an id cannot be recycled meanwhile), the frozen
+    profiles by value.  The returned dicts are shared — read-only.
+    """
+
+    def __init__(self) -> None:
+        self._configs: Dict[int, Tuple[Optional[ChipConfig],
+                                       Dict[str, Any]]] = {}
+        self._profiles: Dict[WorkloadProfile, Dict[str, Any]] = {}
+
+    def config_dict(self, config: Optional[ChipConfig]) -> Dict[str, Any]:
+        """``config_to_dict`` of *config* (None = the 36-core default)."""
+        entry = self._configs.get(id(config))
+        if entry is None:
+            resolved = config if config is not None \
+                else ChipConfig.chip_36core()
+            entry = self._configs[id(config)] = (
+                config, config_to_dict(resolved))
+        return entry[1]
+
+    def profile_dict(self, profile: WorkloadProfile) -> Dict[str, Any]:
+        expanded = self._profiles.get(profile)
+        if expanded is None:
+            expanded = self._profiles[profile] = profile_to_dict(profile)
+        return expanded
 
 
 @dataclass
@@ -77,7 +112,7 @@ class RunSpec:
     # Fingerprinting
     # ------------------------------------------------------------------
 
-    def key(self) -> Dict[str, Any]:
+    def key(self, memo: Optional[KeyMemo] = None) -> Dict[str, Any]:
         """The canonical dict the fingerprint hashes.
 
         The workload is stored as the *resolved* profile, so editing a
@@ -85,11 +120,12 @@ class RunSpec:
         results for that benchmark even though the spec names it by
         string.
         """
+        memo = memo or KeyMemo()
         return {
             "schema": SPEC_SCHEMA,
             "protocol": self.protocol,
-            "workload": profile_to_dict(self.resolved_profile()),
-            "config": config_to_dict(self.resolved_config()),
+            "workload": memo.profile_dict(self.resolved_profile()),
+            "config": memo.config_dict(self.config),
             "ops_per_core": self.ops_per_core,
             "workload_scale": self.workload_scale,
             "think_scale": self.think_scale,
@@ -97,11 +133,12 @@ class RunSpec:
             "max_cycles": self.max_cycles,
         }
 
-    def fingerprint(self, code_version: Optional[str] = None) -> str:
+    def fingerprint(self, code_version: Optional[str] = None,
+                    memo: Optional[KeyMemo] = None) -> str:
         """SHA-256 over the canonical key plus the simulator version."""
         if code_version is None:
             from repro.experiments.cache import code_version as cv
             code_version = cv()
-        blob = json.dumps({"code": code_version, "spec": self.key()},
+        blob = json.dumps({"code": code_version, "spec": self.key(memo)},
                           sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()

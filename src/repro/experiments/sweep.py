@@ -40,7 +40,7 @@ from repro.experiments.builders import (SystemRunOutcome, SystemSpec,
 from repro.experiments.cache import ResultCache, as_cache, code_version
 from repro.experiments.context import get_context
 from repro.experiments.procpool import DEFAULT_RETRIES, run_points
-from repro.experiments.spec import RunSpec
+from repro.experiments.spec import KeyMemo, RunSpec
 from repro.workloads.synthetic import WorkloadProfile
 
 # 2: added the free-form "extra" dict (system-builder runs put litmus
@@ -272,18 +272,19 @@ def run_sweep(sweep: Union[Sweep, Iterable[Union[RunSpec, SystemSpec]]],
     pending: List[Tuple[int, Union[RunSpec, SystemSpec], str]] = []
     duplicates: List[Tuple[int, Union[RunSpec, SystemSpec], str]] = []
     version = code_version()
+    memo = KeyMemo()     # this call only: the configs are mutable
     if resolved_cache is None:
         # No cache to consult, but every result document still carries
         # its identity: an envelope with an elided fingerprint can never
         # be matched back to the run that produced it (or to a cached
         # rerun of the same point) after the fact.  code_version() is
         # memoized, so the cost is one hash per spec, not per call.
-        pending = [(index, spec, spec.fingerprint(code_version=version))
+        pending = [(index, spec, spec.fingerprint(version, memo))
                    for index, spec in enumerate(specs)]
     else:
         first_pending: Dict[str, int] = {}
         for index, spec in enumerate(specs):
-            fingerprint = spec.fingerprint(code_version=version)
+            fingerprint = spec.fingerprint(version, memo)
             payload = resolved_cache.get(fingerprint)
             if payload is not None:
                 recalled = SweepResult.from_payload(payload, cached=True)

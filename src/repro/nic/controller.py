@@ -75,9 +75,9 @@ class NetworkInterface(Clocked):
         self._enabled = True             # cleared by a merged stop bit
         self._sent_requests = 0          # per-source GO-REQ sequence
         # Per-sid consumed-request counts, list-indexed by sid (sids are
-        # node ids): rvc_eligible reads this once per blocked GO-REQ VC
-        # per arbitration scan mesh-wide, and a flat list beats a dict
-        # lookup + default on that path.
+        # node ids): rvc_eligible reads this for every reserved-VC
+        # question the neighbouring routers ask, and a flat list beats a
+        # dict lookup + default on that path.
         self._consumed_counts: List[int] = [0] * noc_config.n_nodes
         # Direct ref to the tracker's expansion deque (mutated in place,
         # never reassigned) — saves two attribute hops per rvc_eligible
@@ -92,9 +92,9 @@ class NetworkInterface(Clocked):
         self._resp_queue: Deque[Tuple[Packet, int]] = deque()
         self._credit_returns = EventWheel()
         # (router, outport) pairs whose reserved-VC eligibility questions
-        # this NIC answers (ours + its mesh neighbours); poked on every
-        # ordering advance so their blocked-VC memos re-ask.  Filled by
-        # attach_router when the rVC is in play.
+        # this NIC answers (ours + its mesh neighbours); told the new
+        # expected SID on every ordering advance so slots parked on it
+        # re-ask.  Filled by attach_router when the rVC is in play.
         self._rvc_watchers: List[Tuple[Router, int]] = []
         self._request_listeners: List[Callable[[Any, int, int, int], None]] = []
         self._response_listeners: List[Callable[[Any, int], None]] = []
@@ -208,19 +208,25 @@ class NetworkInterface(Clocked):
             return seq >= 0
         if seq != consumed:
             return False
-        # Inline of tracker.current_esid()'s hot path; this query runs
-        # once per blocked GO-REQ VC per arbitration scan mesh-wide.
+        # Inline of tracker.current_esid()'s hot path (the most asked
+        # question in a saturated mesh).
         expansion = self._tracker_expansion
         if expansion:
             return expansion[0] == sid
         return self.tracker.current_esid() == sid
 
     def _note_order_progress(self) -> None:
-        """Ordering advanced (tracker push or ESID consume): every
-        answer :meth:`rvc_eligible` gave may have flipped from False to
-        True, so wake the routers that may be sleeping on it."""
-        for router, port in self._rvc_watchers:
-            router.note_order_progress(port)
+        """Ordering advanced (tracker push or ESID consume).  The only
+        :meth:`rvc_eligible` answers that can have flipped from False to
+        True are those for the SID that is now expected, so tell the
+        watching routers which one it is; each wakes only if a slot of
+        its own is parked on that SID."""
+        if not self._rvc_watchers:
+            return
+        sid = self.tracker.current_esid()
+        if sid is not None:
+            for router, port in self._rvc_watchers:
+                router.note_order_progress(port, sid)
 
     # ------------------------------------------------------------------
     # Notification network hooks

@@ -30,18 +30,36 @@ Event scheduling
 ----------------
 Inbound channels (arrivals, lookaheads, credit returns) queue in
 :class:`~repro.sim.engine.EventWheel` buckets, so an awake router touches
-only the events due this cycle.  Saturated-but-blocked ports are handled
-by a *blocked-VC memo*: when a full SA-I scan of an input port proves no
-VC can be granted, the port records the proof against an *unblock
-serial* plus the earliest time-based retry (a ``ready_cycle`` or
-``port_free_at`` threshold).  The proof stands — and the scan is skipped,
-or the whole router sleeps — until the retry cycle arrives or the serial
-is bumped by an event that can flip an eligibility answer: a credit
-return, a bypass rollback, or an adjacent NIC's ordering progress
-(:meth:`Router.note_order_progress`, which re-answers ``rvc_ok``).
-Skipped scans are provably no-ops (an all-false request vector never
-rotates an arbiter), so cycle-for-cycle identity with the naive kernel
-is preserved; the differential suite enforces it.
+only the events due this cycle.  Buffered packets are arbitrated
+*wake-by-event*.  Every input VC is a *slot* — bit ``inport * stride +
+slot`` of the router-wide masks, ``stride`` VCs per port from the config
+— and SA-I scans only the slots in the *dirty* mask.  A scan that finds
+no requestable outport takes the slot out of the dirty mask and parks it
+under the one event that can lift each refusal:
+
+* outport busy (``port_free_at``) or head not through BW yet
+  (``ready_cycle``) — the retry wheel, popped at that cycle;
+* same SID still in flight on the outport — ``_sid_wait[port][sid]``,
+  released when the SID tracker retires its last entry for that SID;
+* no free downstream VC — ``_vc_wait[vnet][port]``, released by a
+  credit that is still unclaimed once this cycle's lookaheads (which
+  outrank normal buffered packets) have been served; packets sitting in
+  a reserved VC outrank lookaheads and are released as the credit lands;
+* only the reserved VC could take it and the downstream NIC does not
+  admit it — ``_rvc_wait[port][sid]`` as well; when the rVC frees, or
+  that NIC reports *sid* as its new expected source
+  (:meth:`Router.note_order_progress`), the NIC is asked once per waiter
+  and only the admitted ones are woken.
+
+A parked slot's request line is provably False until one of its events
+fires (every refusal condition is monotonic between them), and an
+all-False request vector never rotates an arbiter, so request vectors,
+grants and therefore every cycle equal the scan-everything router; the
+differential suite enforces it.  Stale registrations are harmless — a
+scan is a pure function of committed state.  A router with nothing dirty
+sleeps until its next queued event.  All ``out_credits`` traffic goes
+through :meth:`Router._consume_credit` / :meth:`Router._release_credit`,
+which own the availability flags and every credit-side wake-up.
 """
 
 from __future__ import annotations
@@ -55,7 +73,7 @@ from repro.noc.packet import Packet, VNet
 from repro.noc.routing import (DIRECTIONS, LOCAL, broadcast_outports,
                                opposite, xy_route)
 from repro.noc.sid_tracker import SidTracker
-from repro.noc.vc import CreditTracker, InputPort
+from repro.noc.vc import CreditTracker, InputPort, VCBuffer
 from repro.sim.engine import WAKE_NEVER, Clocked, EventWheel
 from repro.sim.stats import StatsRegistry
 
@@ -69,6 +87,10 @@ EJECT_DELAY = 1               # ST cycle -> packet visible at the NIC
 # hundreds of thousands of times per simulation.  Ports are small ints
 # (0..4), so per-port state lives in flat 5-element lists.
 PORTS = (*DIRECTIONS, LOCAL)
+
+# Why a parked slot was put back in front of SA-I (Router.wakeups index).
+WAKE_CAUSES = ("credit", "sid", "rvc", "order", "retry")
+WAKE_CREDIT, WAKE_SID, WAKE_RVC, WAKE_ORDER, WAKE_RETRY = range(5)
 
 
 @dataclass(slots=True)
@@ -84,6 +106,20 @@ def rvc_never(_node: int, _sid: int, _seq: int) -> bool:
     """Default reserved-VC oracle: nothing is eligible.  A module-level
     function (not a lambda) so routers stay picklable for checkpoints."""
     return False
+
+
+class _OracleQuery:
+    """An outport's reserved-VC question put to the router's ``rvc_ok``
+    oracle — what ``Router._rvc_fns`` holds until the mesh binds the
+    port straight to its downstream NIC.  A class, not a closure, so
+    routers stay picklable."""
+
+    def __init__(self, router: "Router", node: int) -> None:
+        self.router = router
+        self.node = node
+
+    def __call__(self, sid: int, seq: int) -> bool:
+        return self.router.rvc_ok(self.node, sid, seq)
 
 
 @dataclass(slots=True)
@@ -119,17 +155,22 @@ class Router(Clocked):
             InputPort(config.goreq_vcs, config.goreq_vc_depth,
                       config.uoresp_vcs, uoresp_depth, config.reserved_vc)
             for _port in PORTS]
-        # The VC population of a port never changes after construction;
-        # snapshot the non-reserved buffers SA-I arbitrates over.
-        self._normal_vcs = [
-            [vc for vc in self.inports[port].all_buffers()
-             if not vc.reserved]
-            for port in PORTS]
-        self._rvc_bufs: Optional[List] = None
-        if config.reserved_vc:
-            rvc_index = config.reserved_vc_index()
-            self._rvc_bufs = [self.inports[port].vc(VNet.GO_REQ, rvc_index)
-                              for port in PORTS]
+        # Slot table: the VC population of a port never changes, so every
+        # input VC gets a fixed slot — GO-REQ normal VCs, then UO-RESP
+        # VCs (the SA-I request-line order), then the reserved VC, which
+        # SA-I never sees.  Slot s of input port p is bit p*stride + s of
+        # the dirty / waiter masks below and index p*stride + s here.
+        self._stride = stride = (config.vc_count(VNet.GO_REQ)
+                                 + config.vc_count(VNet.UO_RESP))
+        self._goreq_nvcs = config.goreq_vcs
+        self._slot_vc: List[VCBuffer] = []
+        self._rvc_slots = 0          # mask of the reserved-VC slots
+        for port in PORTS:
+            buffers = list(self.inports[port].all_buffers())
+            self._slot_vc += [vc for vc in buffers if not vc.reserved]
+            if config.reserved_vc:
+                self._slot_vc += [vc for vc in buffers if vc.reserved]
+                self._rvc_slots |= 1 << (port * stride + stride - 1)
 
         # Downstream objects: port -> (endpoint, endpoint node id), None
         # while unconnected.  The endpoint must offer deliver_packet /
@@ -140,21 +181,18 @@ class Router(Clocked):
         self.sid_trackers: List[Optional[SidTracker]] = [None] * 5
         self._sid_counts: List[Optional[Dict[int, int]]] = [None] * 5
         self.port_free_at: List[int] = [0] * 5
-        # Per-outport VC availability, maintained incrementally at every
-        # out_credits consume/release (all of which happen in this class)
-        # so the SA-I scan never recomputes it.  Unconnected ports stay
-        # False.
-        self._goreq_free: List[bool] = [False] * 5
-        self._uoresp_free: List[bool] = [False] * 5
+        # Per-outport VC availability, [vnet][port] for a free normal VC
+        # plus the reserved VC; owned by _consume_credit/_release_credit.
+        # Unconnected ports stay False.
+        self._vc_free: List[List[bool]] = [[False] * 5, [False] * 5]
         self._rvc_free: List[bool] = [False] * 5
-        # Direct per-outport reserved-VC query functions (the downstream
-        # NIC's ``rvc_eligible``), installed by Mesh.set_rvc_oracle when
-        # the oracle exposes its NICs; None falls back to self.rvc_ok.
-        # Cuts two call layers out of the hottest VC-selection query.
+        # Per-outport reserved-VC query ``fn(sid, seq)``: self.rvc_ok
+        # about the downstream node, or — installed by
+        # Mesh.set_rvc_oracle when the oracle exposes its NICs — that
+        # node's NIC's ``rvc_eligible`` itself.
         self._rvc_fns: List[Optional[Callable[[int, int], bool]]] = [None] * 5
 
-        self._sa_i = [RotatingPriorityArbiter(self._vc_slots())
-                      for _port in PORTS]
+        self._sa_i = [RotatingPriorityArbiter(stride) for _port in PORTS]
         self._sa_o: List[Optional[RotatingPriorityArbiter]] = [None] * 5
         self._la_arb: List[Optional[RotatingPriorityArbiter]] = [None] * 5
 
@@ -163,29 +201,23 @@ class Router(Clocked):
         self._credit_returns = EventWheel()
         self._bypass_grants: Dict[int, _BypassGrant] = {}
         self._n_buffered = 0
-        self._port_buffered: List[int] = [0] * 5
-        # Unblock serials: _gser counts every event at this router that
-        # could flip a VC-eligibility answer; _pser[p] counts only the
-        # events scoped to output port p (credit returns to p, rollbacks
-        # touching p, order progress at p's downstream NIC).
-        self._gser = 0
-        self._pser: List[int] = [0] * 5
-        # Blocked-VC memo, per input port:
-        # [gser, retry_cycle, outport_mask, pser0..pser4].  Valid while
-        # the cycle is below retry_cycle AND either gser is current (fast
-        # path: nothing changed at all) or every outport in the mask —
-        # the ports whose state the blocked proof examined — still has
-        # its snapshotted serial; see the module docstring.
-        # [-1, 0, ...] = never valid.
-        self._inport_memo: List[List[int]] = [
-            [-1, 0, 0, 0, 0, 0, 0, 0] for _port in PORTS]
-        # Same proof shape per normal VC (slot order of _normal_vcs):
-        # skips one VC's outport scan inside a partially-eligible port,
-        # where the inport-level memo cannot apply.
-        self._vc_memo: List[List[List[int]]] = [
-            [[-1, 0, 0, 0, 0, 0, 0, 0] for _vc in self._normal_vcs[port]]
-            for port in PORTS]
-        self._goreq_nvcs = config.goreq_vcs
+        # Wake-by-event state (module docstring): the slots SA-I must
+        # scan, and where every other occupied slot is parked.  Plain
+        # ints and dicts, so checkpoints carry them with no extra code.
+        self._dirty = 0
+        self._retries = EventWheel()                 # due cycle -> slot masks
+        self._vc_wait: List[Dict[int, int]] = [{}, {}]   # [vnet][port]
+        self._sid_wait: List[Dict[int, int]] = [{} for _port in PORTS]
+        self._rvc_wait: List[Dict[int, int]] = [{} for _port in PORTS]
+        # (vnet, port) of normal VCs freed this step; their waiters are
+        # released once the step's lookaheads have had first pick.
+        self._freed: List[Tuple[int, int]] = []
+        # Kernel counters for the stats meta channel (never in payloads):
+        # slot scans, scans that found the slot blocked, and slots woken
+        # per cause, indexed by WAKE_CAUSES.
+        self.scans = 0
+        self.blocked_scans = 0
+        self.wakeups: List[int] = [0] * len(WAKE_CAUSES)
         # Optional INCF broadcast filter (repro.noc.filtering); installed
         # by Mesh.set_broadcast_filter on unordered-broadcast systems.
         self.broadcast_filter = None
@@ -193,10 +225,6 @@ class Router(Clocked):
     # ------------------------------------------------------------------
     # Topology wiring
     # ------------------------------------------------------------------
-
-    def _vc_slots(self) -> int:
-        return (self.config.vc_count(VNet.GO_REQ)
-                + self.config.vc_count(VNet.UO_RESP))
 
     def connect(self, port: int, endpoint: object, endpoint_node: int) -> None:
         """Attach *endpoint* (router or NIC) downstream of *port*."""
@@ -213,19 +241,9 @@ class Router(Clocked):
         self.port_free_at[port] = 0
         self._sa_o[port] = RotatingPriorityArbiter(5)
         self._la_arb[port] = RotatingPriorityArbiter(5)
-        self._refresh_avail(port)
-
-    def _refresh_avail(self, port: int) -> None:
-        """Re-derive the cached availability booleans of *port* from its
-        credit tracker (call after any consume/release on it)."""
-        credits = self.out_credits[port]
-        free_mask = credits._free_mask
-        self._goreq_free[port] = free_mask[0] != 0
-        self._uoresp_free[port] = free_mask[1] != 0
-        reserved = credits._reserved_index
-        if reserved is not None:
-            self._rvc_free[port] = (credits._credits[0][reserved]
-                                    == credits._depth[0])
+        self._rvc_fns[port] = _OracleQuery(self, endpoint_node)
+        self._vc_free[0][port] = self._vc_free[1][port] = True
+        self._rvc_free[port] = self.config.reserved_vc
 
     def bind_rvc_direct(self, nics) -> None:
         """Bind each connected outport's rVC eligibility query straight to
@@ -268,154 +286,128 @@ class Router(Clocked):
         self._credit_returns.push(cycle, (cycle, outport, vnet, vc, flits))
         self.wake(cycle)
 
-    def note_order_progress(self, port: int) -> None:
-        """The NIC downstream of *port* advanced its global ordering, so
-        ``rvc_ok`` answers for that outport may flip from False to True:
-        invalidate blocked-VC proofs that examined it and re-arbitrate
-        next cycle."""
-        self._gser += 1
-        self._pser[port] += 1
-        self.wake()
+    def note_order_progress(self, port: int, sid: int) -> None:
+        """The NIC downstream of *port* now expects *sid*: the only
+        ``rvc_ok`` answers that can have flipped to True are that
+        source's.  Wake (and re-arbitrate next cycle) only if a slot
+        parked on it is admitted to a free reserved VC."""
+        if self._rvc_free[port] and sid in self._rvc_wait[port] \
+                and self._admit_rvc_waiters(port, (sid,), WAKE_ORDER):
+            self.wake()
 
     # ------------------------------------------------------------------
     # Per-cycle behaviour
     # ------------------------------------------------------------------
 
     def step(self, cycle: int) -> None:
-        arrivals = self._arrivals
-        lookaheads = self._lookaheads
-        credit_returns = self._credit_returns
-        if not (self._n_buffered or arrivals._count or lookaheads._count
-                or credit_returns._count):
-            # Completely idle: sleep until something is delivered (every
-            # inbound channel wakes us with its due cycle).
-            self.idle_until(None)
-            return
-        if credit_returns.min_due <= cycle:
-            self._apply_credit_returns(cycle)
-        if arrivals.min_due <= cycle:
+        if self._credit_returns.min_due <= cycle:
+            for _cycle, outport, vnet, vc, flits in \
+                    self._credit_returns.pop_due(cycle):
+                self._release_credit(outport, vnet, vc, flits)
+        if self._arrivals.min_due <= cycle:
             self._process_arrivals(cycle)
-        run_arb = self._n_buffered > 0
-        if run_arb:
-            gser = self._gser
-            memo = self._inport_memo
-            pser = self._pser
-            # A port's memo proves every VC scan up to its retry cycle is
-            # a no-op — unless an unblock event touched an outport the
-            # proof examined.  The revalidation walk is inlined (see the
-            # note above _plan_sleep): this loop runs every arbitration
-            # cycle mesh-wide and the call overhead is measurable.
-            skip = [False] * 5
-            port_buffered = self._port_buffered
-            for inport in PORTS:
-                if port_buffered[inport]:
-                    m = memo[inport]
-                    if cycle < m[1]:
-                        if m[0] == gser:
-                            skip[inport] = True
-                        else:
-                            mask = m[2]
-                            port = 3
-                            while mask:
-                                if (mask & 1) and pser[port - 3] != m[port]:
-                                    break
-                                mask >>= 1
-                                port += 1
-                            else:
-                                m[0] = gser
-                                skip[inport] = True
-            retry = [WAKE_NEVER] * 5
-            elig = [False] * 5
-            masks = [0] * 5
-            self._arbitrate_reserved(cycle, skip, retry, elig, masks)
-        if lookaheads.min_due <= cycle:
+        if self._retries.min_due <= cycle:
+            slots = 0
+            for retry in self._retries.pop_due(cycle):
+                slots |= retry
+            self._wake_slots(slots, WAKE_RETRY)
+        if self._dirty & self._rvc_slots:
+            self._arbitrate_reserved(cycle)
+        if self._lookaheads.min_due <= cycle:
             self._process_lookaheads(cycle)
-        if run_arb and self._n_buffered:
-            self._arbitrate_buffered(cycle, skip, retry, elig, masks)
-            port_buffered = self._port_buffered
-            pser = self._pser
-            for inport in PORTS:
-                if (not skip[inport] and not elig[inport]
-                        and port_buffered[inport]):
-                    m = memo[inport]
-                    m[0] = gser
-                    m[1] = retry[inport]
-                    m[2] = masks[inport]
-                    m[3:8] = pser
-        self._plan_sleep(cycle)
+        if self._freed:
+            # Normal buffered packets rank below lookaheads: a credit a
+            # lookahead just claimed must wake nobody.
+            for vnet, port in self._freed:
+                if self._vc_free[vnet][port]:
+                    self._wake_slots(self._vc_wait[vnet].pop(port, 0),
+                                     WAKE_CREDIT)
+            self._freed.clear()
+        if self._dirty:
+            self._arbitrate_buffered(cycle)
+            if self._dirty:
+                return      # a slot may still win: arbitrate next cycle
+        # Every occupied slot is parked, so the next thing that can
+        # happen here is a queued event (each push already woke us for
+        # its due cycle; the retry wheel is ours alone, and both kernels
+        # must pop it on the same cycle).
+        due = min(self._arrivals.min_due, self._lookaheads.min_due,
+                  self._credit_returns.min_due, self._retries.min_due)
+        self.idle_until(None if due >= WAKE_NEVER else due)
 
-    # Blocked-proof revalidation (inlined at its three call sites —
-    # step(), _plan_sleep(), _arbitrate_buffered() — the call overhead
-    # was measurable on the saturated path): a memo [gser, retry, mask,
-    # pser0..4] is current when no event fired since it was written
-    # (m[0] == gser), or when events fired but none touched an outport
-    # the proof examined (every mask bit's per-port serial unchanged) —
-    # in which case the proof's gser is refreshed so the fast path
-    # works again.
+    # -- wake-by-event ---------------------------------------------------
 
-    def _plan_sleep(self, cycle: int) -> None:
-        if not self._n_buffered:
-            # Nothing buffered: the only work before the next queued due
-            # cycle is popping not-yet-due buckets — a no-op.
-            self.idle_until(self._next_due_cycle())
-            return
-        # Busy but possibly fully blocked: sleep until the earliest queued
-        # event or memoized retry, provided every occupied port's blocked
-        # proof is current.  Credit returns, new arrivals/lookaheads and
-        # NIC order progress all wake us before anything can change.
-        wake_at = self._arrivals.min_due
-        due = self._lookaheads.min_due
-        if due < wake_at:
-            wake_at = due
-        due = self._credit_returns.min_due
-        if due < wake_at:
-            wake_at = due
-        gser = self._gser
-        memo = self._inport_memo
-        pser = self._pser
-        for inport in PORTS:
-            if self._port_buffered[inport]:
-                m = memo[inport]
-                if cycle >= m[1]:
-                    return          # no current proof: arbitrate next cycle
-                if m[0] != gser:
-                    # Inlined revalidation walk (see note above).
-                    mask = m[2]
-                    port = 3
-                    while mask:
-                        if (mask & 1) and pser[port - 3] != m[port]:
-                            return
-                        mask >>= 1
-                        port += 1
-                    m[0] = gser
-                if m[1] < wake_at:
-                    wake_at = m[1]
-        self.idle_until(None if wake_at >= WAKE_NEVER else wake_at)
+    def _wake_slots(self, slots: int, cause: int) -> None:
+        """Put *slots* back in front of SA-I."""
+        if slots:
+            self._dirty |= slots
+            self.wakeups[cause] += bin(slots).count("1")
 
-    def _next_due_cycle(self) -> Optional[int]:
-        """Earliest due cycle across the inbound queues (None if empty)."""
-        nxt = min(self._arrivals.min_due, self._lookaheads.min_due,
-                  self._credit_returns.min_due)
-        return None if nxt >= WAKE_NEVER else nxt
+    def _admit_rvc_waiters(self, port: int, sids, cause: int) -> int:
+        """The reserved VC of *port* is free: ask the downstream NIC once
+        per slot parked there under one of *sids*; wake the admitted
+        ones (returned as a mask), keep the rest parked."""
+        waiting = self._rvc_wait[port]
+        admits = self._rvc_fns[port]
+        admitted = 0
+        for sid in sids:
+            slots = waiting.pop(sid)
+            refused = 0
+            while slots:
+                bit = slots & -slots
+                slots ^= bit
+                packet = self._slot_vc[bit.bit_length() - 1].packet
+                if packet is None or packet.sid != sid:
+                    continue         # stale: the parked packet has left
+                if admits(sid, packet.seq):
+                    admitted |= bit
+                else:
+                    refused |= bit
+            if refused:
+                waiting[sid] = refused
+        self._wake_slots(admitted, cause)
+        return admitted
 
     # -- credits --------------------------------------------------------
 
-    def _apply_credit_returns(self, cycle: int) -> None:
-        due = self._credit_returns.pop_due(cycle)
-        if not due:
-            return
-        # Fresh credits can unblock VC scans that examined their port.
-        self._gser += 1
-        pser = self._pser
-        out_credits = self.out_credits
-        sid_trackers = self.sid_trackers
-        for _cycle, outport, vnet, vc, flits in due:
-            pser[outport] += 1
-            credits = out_credits[outport]
-            credits.release(vnet, vc, flits)
-            if vnet == VNet.GO_REQ and credits.vc_free(vnet, vc):
-                sid_trackers[outport].clear_vc(vc)
-            self._refresh_avail(outport)
+    def _consume_credit(self, port: int, packet: Packet, vc: int) -> None:
+        """*packet* was granted downstream *vc* of *port* (VS)."""
+        vnet = packet.vnet
+        credits = self.out_credits[port]
+        credits.consume(vnet, vc, packet.size_flits)
+        if vnet == VNet.GO_REQ:
+            self.sid_trackers[port].record(vc, packet.sid)
+            if vc == credits._reserved_index:
+                self._rvc_free[port] = False
+                return
+        self._vc_free[vnet][port] = credits._free_mask[vnet] != 0
+
+    def _release_credit(self, port: int, vnet: VNet, vc: int,
+                        flits: int) -> None:
+        """Downstream *vc* of *port* drained (credit return) or its
+        pre-allocation was undone: release every slot parked on it."""
+        credits = self.out_credits[port]
+        credits.release(vnet, vc, flits)
+        if vnet == VNet.GO_REQ:
+            sid = self.sid_trackers[port].clear_vc(vc)
+            if sid is not None and sid not in self._sid_counts[port]:
+                self._wake_slots(self._sid_wait[port].pop(sid, 0), WAKE_SID)
+            if vc == credits._reserved_index:
+                self._rvc_free[port] = credits.reserved_vc_free()
+                if self._rvc_free[port]:
+                    self._admit_rvc_waiters(
+                        port, list(self._rvc_wait[port]), WAKE_RVC)
+                return
+        self._vc_free[vnet][port] = credits._free_mask[vnet] != 0
+        waiters = self._vc_wait[vnet]
+        slots = waiters.get(port)
+        if slots:
+            # Packets in a reserved VC outrank lookaheads: wake them now.
+            early = slots & self._rvc_slots
+            if early:
+                self._wake_slots(early, WAKE_CREDIT)
+                waiters[port] = slots ^ early
+            self._freed.append((vnet, port))
 
     # -- arrivals -------------------------------------------------------
 
@@ -435,7 +427,9 @@ class Router(Clocked):
                     # change broke that contract: roll the crossbar and
                     # credits back, buffer normally, and count it so the
                     # drift is visible in stats rather than silent.
-                    self._rollback_grant(cycle, vnet, packet, grant)
+                    for outport, vc in grant.granted_vcs.items():
+                        self._release_credit(outport, vnet, vc,
+                                             packet.size_flits)
                     self.stats.incr("router.grants.stale")
                 outports = self._route(packet, inport)
                 if not outports:
@@ -446,18 +440,18 @@ class Router(Clocked):
                                            vc_index)
                     self.stats.incr("incf.copies_killed")
                     continue
-                self.inports[inport].vc(vnet, vc_index).accept(
-                    packet, outports, cycle, BUFFERED_PIPELINE_DELAY)
-                self._n_buffered += 1
-                self._port_buffered[inport] += 1
-                m = self._inport_memo[inport]    # new VC to consider
-                m[0] = -1
-                m[1] = 0
-                # The slot's per-VC proof belongs to the previous packet.
                 if vnet == VNet.UO_RESP:
-                    self._vc_memo[inport][self._goreq_nvcs + vc_index][1] = 0
+                    slot = self._goreq_nvcs + vc_index
                 elif vc_index < self._goreq_nvcs:
-                    self._vc_memo[inport][vc_index][1] = 0
+                    slot = vc_index
+                else:
+                    slot = self._stride - 1                  # the rVC
+                slot += inport * self._stride
+                vc = self._slot_vc[slot]
+                vc.accept(packet, outports, cycle, BUFFERED_PIPELINE_DELAY)
+                self._n_buffered += 1
+                # First SA-I request once the head is through BW.
+                self._retries.push(vc.ready_cycle, 1 << slot)
                 self.stats.incr("noc.router.buffered")
                 journal = self.journal
                 if journal is not None:
@@ -480,17 +474,6 @@ class Router(Clocked):
         if journal is not None:
             journal.record(cycle, f"router.{self.node}", "ST", "bypassed",
                            f"pid={packet.pid} inport={inport}")
-
-    def _rollback_grant(self, cycle: int, vnet: VNet, packet: Packet,
-                        grant: _BypassGrant) -> None:
-        # Returning the pre-allocated credits can unblock VC scans.
-        self._gser += 1
-        for outport, vc in grant.granted_vcs.items():
-            self._pser[outport] += 1
-            self.out_credits[outport].release(vnet, vc, packet.size_flits)
-            if vnet == VNet.GO_REQ:
-                self.sid_trackers[outport].clear_vc(vc)
-            self._refresh_avail(outport)
 
     def _release_upstream(self, cycle: int, packet: Packet, inport: int,
                           vnet: VNet, vc_index: int) -> None:
@@ -529,45 +512,19 @@ class Router(Clocked):
 
     # -- reserved-VC packets (highest priority) -------------------------
 
-    def _arbitrate_reserved(self, cycle: int, skip: List[bool],
-                            retry: List[int], elig: List[bool],
-                            masks: List[int]) -> None:
-        rvc_bufs = self._rvc_bufs
-        if rvc_bufs is None:
-            return
-        port_free_at = self.port_free_at
-        for inport in PORTS:
-            if skip[inport]:
-                continue
-            vc = rvc_bufs[inport]
-            if vc.packet is None:
-                continue
-            if vc.ready_cycle > cycle:
-                if vc.ready_cycle < retry[inport]:
-                    retry[inport] = vc.ready_cycle
-                continue
-            ports = self._requestable_outports(cycle, vc)
-            if ports:
-                elig[inport] = True
+    def _arbitrate_reserved(self, cycle: int) -> None:
+        # One slot at a time, in input-port order: each forward must see
+        # the outports and credits the previous one took.
+        pending = self._dirty & self._rvc_slots
+        while pending:
+            bit = pending & -pending
+            pending ^= bit
+            for slot, (vc, ports, _bit) in self._scan(cycle, bit).items():
                 for port in ports:
                     if vc.packet is None:
                         break
-                    self._forward_through(cycle, inport, vc, port)
-            else:
-                # Classify for the memo: time-gated ports feed the retry
-                # cycle; ports checked and refused feed the mask (their
-                # answers only flip via that port's own serial).
-                min_retry = retry[inport]
-                mask = masks[inport]
-                for port in vc.pending_outports:
-                    free_at = port_free_at[port]
-                    if free_at > cycle:
-                        if free_at < min_retry:
-                            min_retry = free_at
-                    else:
-                        mask |= 1 << port
-                retry[inport] = min_retry
-                masks[inport] = mask
+                    self._forward_through(cycle, slot // self._stride, vc,
+                                          port, bit)
 
     # -- lookahead processing -------------------------------------------
 
@@ -633,20 +590,14 @@ class Router(Clocked):
         for port in outports:
             vc = self._select_downstream_vc(port, packet)
             if vc is None:
-                # Undo this call's own consumptions — net-zero credit
-                # motion, so no memo invalidation is needed.
+                # Undo this call's own consumptions (net-zero credit
+                # motion: whoever it wakes just re-parks).
                 for done_port, done_vc in granted_vcs.items():
-                    self.out_credits[done_port].release(
-                        vnet, done_vc, packet.size_flits)
-                    if vnet == VNet.GO_REQ:
-                        self.sid_trackers[done_port].clear_vc(done_vc)
-                    self._refresh_avail(done_port)
+                    self._release_credit(done_port, vnet, done_vc,
+                                         packet.size_flits)
                 return False
             granted_vcs[port] = vc
-            self.out_credits[port].consume(vnet, vc, packet.size_flits)
-            if vnet == VNet.GO_REQ:
-                self.sid_trackers[port].record(vc, packet.sid)
-            self._refresh_avail(port)
+            self._consume_credit(port, packet, vc)
         for port in outports:
             self.port_free_at[port] = arrival + packet.size_flits
         self._bypass_grants[packet.pid] = _BypassGrant(
@@ -665,210 +616,118 @@ class Router(Clocked):
 
     # -- buffered arbitration (normal VCs) -------------------------------
 
-    def _arbitrate_buffered(self, cycle: int, skip: List[bool],
-                            retry: List[int], elig: List[bool],
-                            masks: List[int]) -> None:
-        # SA-I: one candidate VC per input port.  Ports with a standing
-        # blocked proof are skipped outright; for the rest, requestable
-        # outports are computed once per VC and reused by SA-O (nothing
-        # that feeds the answer changes between the two passes).
-        #
-        # The scan is fully inlined (no _requestable_outports /
-        # _select_downstream_vc calls): per-outport VC availability comes
-        # from the incrementally-maintained _goreq_free/_uoresp_free/
-        # _rvc_free caches — exact, because SA-I itself consumes nothing,
-        # and SA-O grants re-validate through _select_downstream_vc
-        # before forwarding.
-        candidates: List[Optional[Tuple[object, List[int]]]] = [None] * 5
-        n_candidates = 0
-        port_buffered = self._port_buffered
-        port_free_at = self.port_free_at
-        sid_counts = self._sid_counts
-        rvc_fns = self._rvc_fns
-        goreq_free = self._goreq_free
-        uoresp_free = self._uoresp_free
-        rvc_free = self._rvc_free
-        gser = self._gser
-        pser = self._pser
-        vc_memo = self._vc_memo
-        for inport in PORTS:
-            if skip[inport] or not port_buffered[inport]:
-                continue
-            arb = self._sa_i[inport]
-            lines = [False] * arb.n
-            eligible: List[Optional[Tuple[object, List[int]]]] = [None] * arb.n
-            any_eligible = False
-            min_retry = retry[inport]
-            mask = masks[inport]
-            vc_memos = vc_memo[inport]
-            for slot, vc in enumerate(self._normal_vcs[inport]):
-                packet = vc.packet
-                if packet is None:
-                    continue
-                ready = vc.ready_cycle
-                if ready > cycle:
-                    if ready < min_retry:
-                        min_retry = ready
-                    continue
-                # Per-VC blocked proof: serials are monotonic, so a memo
-                # whose mask port bumped (or whose retry passed) can never
-                # revalidate — a once-eligible VC always rescans fresh.
-                # The revalidation walk is inlined (see step()).
-                vm = vc_memos[slot]
-                if cycle < vm[1]:
-                    if vm[0] != gser:
-                        vmask = vm[2]
-                        vport = 3
-                        while vmask:
-                            if (vmask & 1) and pser[vport - 3] != vm[vport]:
-                                break
-                            vmask >>= 1
-                            vport += 1
-                        else:
-                            vm[0] = gser
-                    if vm[0] == gser:
-                        if vm[1] < min_retry:
-                            min_retry = vm[1]
-                        mask |= vm[2]
-                        continue
-                is_goreq = packet.vnet == VNet.GO_REQ
-                sid = packet.sid
-                vc_retry = WAKE_NEVER
-                vc_mask = 0
-                ports: List[int] = []
-                for port in vc.pending_outports:
-                    free_at = port_free_at[port]
-                    if free_at > cycle:
-                        # Time-gated; only relevant to the retry estimate
-                        # when the whole inport ends up blocked (an
-                        # eligible VC discards min_retry and the mask).
-                        if free_at < vc_retry:
-                            vc_retry = free_at
-                        continue
-                    if is_goreq:
-                        if sid_counts[port].get(sid, 0):
-                            vc_mask |= 1 << port
-                            continue
-                        if not goreq_free[port]:
-                            if not rvc_free[port]:
-                                vc_mask |= 1 << port
-                                continue
-                            fn = rvc_fns[port]
-                            if fn is not None:
-                                if not fn(sid, packet.seq):
-                                    vc_mask |= 1 << port
-                                    continue
-                            elif not self.rvc_ok(self.downstream[port][1],
-                                                 sid, packet.seq):
-                                vc_mask |= 1 << port
-                                continue
-                    elif not uoresp_free[port]:
-                        vc_mask |= 1 << port
-                        continue
-                    ports.append(port)
-                if ports:
-                    lines[slot] = True
-                    eligible[slot] = (vc, ports)
-                    any_eligible = True
-                else:
-                    vm[0] = gser
-                    vm[1] = vc_retry
-                    vm[2] = vc_mask
-                    vm[3:8] = pser
-                    if vc_retry < min_retry:
-                        min_retry = vc_retry
-                    mask |= vc_mask
-            if any_eligible:
-                elig[inport] = True
-                winner = arb.grant(lines)
-                candidates[inport] = eligible[winner]
-                n_candidates += 1
-            else:
-                retry[inport] = min_retry
-                masks[inport] = mask
-
-        if not n_candidates:
+    def _arbitrate_buffered(self, cycle: int) -> None:
+        # SA-I: one candidate VC per input port, over the dirty slots
+        # only (every parked slot's request line is False).  Requestable
+        # outports are computed once per slot and reused by SA-O —
+        # nothing that feeds the answer changes between the two passes,
+        # and SA-O grants re-validate through _select_downstream_vc.
+        eligible = self._scan(cycle, self._dirty & ~self._rvc_slots)
+        if not eligible:
             return
+        stride = self._stride
+        lines: List[Optional[List[bool]]] = [None] * 5
+        for slot in eligible:
+            inport = slot // stride
+            if lines[inport] is None:
+                lines[inport] = [False] * stride
+            lines[inport][slot - inport * stride] = True
 
-        # SA-O: per output port, rotating priority over input ports
-        # (ascending port order, matching the old sorted() walk).
+        # SA-O: per output port, rotating priority over input ports.
+        candidates: List[Optional[Tuple[VCBuffer, List[int], int]]] = [None] * 5
         req_lines: List[Optional[List[bool]]] = [None] * 5
         for inport in PORTS:
-            cand = candidates[inport]
-            if cand is None:
+            if lines[inport] is None:
                 continue
+            winner = self._sa_i[inport].grant(lines[inport])
+            cand = candidates[inport] = eligible[inport * stride + winner]
             for port in cand[1]:
-                lines = req_lines[port]
-                if lines is None:
-                    req_lines[port] = lines = [False] * 5
-                lines[inport] = True
-        sa_o = self._sa_o
-        for port in range(5):
-            lines = req_lines[port]
-            if lines is None:
+                if req_lines[port] is None:
+                    req_lines[port] = [False] * 5
+                req_lines[port][inport] = True
+        for port in PORTS:
+            if req_lines[port] is None:
                 continue
-            winner = sa_o[port].grant(lines)
-            if winner is None:
-                continue
-            vc, _ports = candidates[winner]
+            winner = self._sa_o[port].grant(req_lines[port])
+            vc, _ports, bit = candidates[winner]
             if vc.packet is None:
                 continue  # already fully forwarded through other ports
-            self._forward_through(cycle, winner, vc, port)
+            self._forward_through(cycle, winner, vc, port, bit)
 
-    def _requestable_outports(self, cycle: int, vc) -> List[int]:
-        """Pending outports this packet may legally request right now."""
-        packet = vc.packet
-        out = []
+    def _scan(self, cycle: int, pending: int,
+              ) -> Dict[int, Tuple[VCBuffer, List[int], int]]:
+        """The SA-I request lines of the dirty slots in *pending*:
+        ``{slot: (vc, requestable pending outports, slot bit)}``.  A slot
+        with no requestable outport leaves the dirty mask, parked under
+        the event that can lift each refusal."""
+        eligible: Dict[int, Tuple[VCBuffer, List[int], int]] = {}
+        slot_vc = self._slot_vc
         port_free_at = self.port_free_at
-        is_goreq = packet.vnet == VNet.GO_REQ
-        for port in vc.pending_outports:
-            if port_free_at[port] > cycle:
+        sid_counts = self._sid_counts
+        rvc_free = self._rvc_free
+        has_rvc = self.config.reserved_vc
+        scans = blocked = 0
+        while pending:
+            bit = pending & -pending
+            pending ^= bit
+            slot = bit.bit_length() - 1
+            vc = slot_vc[slot]
+            packet = vc.packet
+            if packet is None or vc.ready_cycle > cycle:
+                # Stale wake-up: the slot emptied, or holds a newer
+                # packet whose ready_cycle retry is already queued.
+                self._dirty &= ~bit
                 continue
-            if is_goreq and self.sid_trackers[port].blocks(packet.sid):
+            scans += 1
+            vnet = packet.vnet
+            is_goreq = vnet == VNet.GO_REQ
+            use_rvc = is_goreq and has_rvc
+            sid = packet.sid
+            vc_free = self._vc_free[vnet]
+            ports: List[int] = []
+            retry = WAKE_NEVER
+            parked: List[Tuple[Dict[int, int], int]] = []  # (registry, key)
+            for port in vc.pending_outports:
+                free_at = port_free_at[port]
+                if free_at > cycle:
+                    if free_at < retry:
+                        retry = free_at
+                elif is_goreq and sid in sid_counts[port]:
+                    parked.append((self._sid_wait[port], sid))
+                elif vc_free[port] or (
+                        use_rvc and rvc_free[port]
+                        and self._rvc_fns[port](sid, packet.seq)):
+                    ports.append(port)
+                else:
+                    parked.append((self._vc_wait[vnet], port))
+                    if use_rvc:
+                        parked.append((self._rvc_wait[port], sid))
+            if ports:
+                eligible[slot] = (vc, ports, bit)
                 continue
-            if self._select_downstream_vc(port, packet) is None:
-                continue
-            out.append(port)
-        return out
+            blocked += 1
+            self._dirty &= ~bit
+            if retry < WAKE_NEVER:
+                self._retries.push(retry, bit)
+            for registry, key in parked:
+                registry[key] = registry.get(key, 0) | bit
+        self.scans += scans
+        self.blocked_scans += blocked
+        return eligible
 
-    def _blocked_retry(self, cycle: int, vc) -> int:
-        """Earliest cycle a ready-but-blocked VC's answer can change *by
-        time alone* (a ``port_free_at`` expiring); WAKE_NEVER when only
-        serial-bumping events (credits, sid clears, rvc flips) can."""
-        retry = WAKE_NEVER
-        port_free_at = self.port_free_at
-        for port in vc.pending_outports:
-            free_at = port_free_at[port]
-            if cycle < free_at < retry:
-                retry = free_at
-        return retry
-
-    def _try_forward(self, cycle: int, inport: int, vnet: VNet, vc) -> None:
-        """Forward *vc*'s packet through any currently available ports."""
-        for port in self._requestable_outports(cycle, vc):
-            if vc.packet is None:
-                break
-            self._forward_through(cycle, inport, vc, port)
-
-    def _forward_through(self, cycle: int, inport: int, vc, port: int) -> None:
+    def _forward_through(self, cycle: int, inport: int, vc: VCBuffer,
+                         port: int, bit: int) -> None:
         packet = vc.packet
         vnet = packet.vnet
         downstream_vc = self._select_downstream_vc(port, packet)
         if downstream_vc is None:
             return
-        self.out_credits[port].consume(vnet, downstream_vc, packet.size_flits)
-        if vnet == VNet.GO_REQ:
-            self.sid_trackers[port].record(downstream_vc, packet.sid)
-        self._refresh_avail(port)
+        self._consume_credit(port, packet, downstream_vc)
         self.port_free_at[port] = cycle + packet.size_flits
         self._transmit(cycle, packet, port, vnet, downstream_vc)
-        m = self._inport_memo[inport]       # occupancy changed: re-scan
-        m[0] = -1
-        m[1] = 0
-        fully_left = vc.complete_outport(port)
-        if fully_left:
+        if vc.complete_outport(port):
             self._n_buffered -= 1
-            self._port_buffered[inport] -= 1
+            self._dirty &= ~bit
             self._release_upstream(cycle, packet, inport, vnet, vc.index)
 
     def _select_downstream_vc(self, port: int,
@@ -885,14 +744,9 @@ class Router(Clocked):
         if free is not None:
             return free
         if vnet == VNet.GO_REQ and self.config.reserved_vc \
-                and credits.reserved_vc_free():
-            fn = self._rvc_fns[port]
-            if fn is not None:
-                if fn(packet.sid, packet.seq):
-                    return credits.reserved_index
-            elif self.rvc_ok(self.downstream[port][1], packet.sid,
-                             packet.seq):
-                return credits.reserved_index
+                and credits.reserved_vc_free() \
+                and self._rvc_fns[port](packet.sid, packet.seq):
+            return credits.reserved_index
         return None
 
     def _transmit(self, cycle: int, packet: Packet, port: int, vnet: VNet,
@@ -924,6 +778,14 @@ class Router(Clocked):
     # ------------------------------------------------------------------
     # Introspection (tests / invariant checks)
     # ------------------------------------------------------------------
+
+    def kernel_counters(self) -> Dict[str, int]:
+        """Wake-by-event accounting for the stats *meta* channel: how the
+        kernel ran, never part of a result payload."""
+        counters = {"scans": self.scans, "blocked_scans": self.blocked_scans}
+        for cause, count in zip(WAKE_CAUSES, self.wakeups):
+            counters[f"wake_{cause}"] = count
+        return counters
 
     def occupancy(self) -> int:
         """Total packets currently buffered at this router."""

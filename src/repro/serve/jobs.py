@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Optional
 from repro.api.document import (ExperimentSpec, collect_experiment_result,
                                 envelope_bytes)
 from repro.experiments.cache import CacheBackend, code_version
+from repro.experiments.spec import KeyMemo
 from repro.experiments.sweep import SweepResult
 from repro.serve.scheduler import PointScheduler
 
@@ -106,8 +107,9 @@ class JobManager:
             self._jobs[job_id] = job
 
         version = code_version()
+        memo = KeyMemo()     # this call only: the configs are mutable
         for index, spec in enumerate(experiment.specs):
-            fingerprint = spec.fingerprint(code_version=version)
+            fingerprint = spec.fingerprint(version, memo)
             if fingerprint in job.pending:
                 # Duplicate of a point already pending in *this* job:
                 # its own miss (matching run_sweep's accounting), but

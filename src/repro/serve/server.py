@@ -125,8 +125,12 @@ class SweepService:
             tmp.write_bytes(job.envelope)
             os.replace(tmp, out)
         except Exception as exc:
+            # Write-then-rename, like the result: a poller must never
+            # read the file empty.
             error_path = original.with_name(original.stem + ".error.txt")
-            error_path.write_text(f"{exc}\n", encoding="utf-8")
+            tmp = error_path.with_suffix(".txt.tmp")
+            tmp.write_text(f"{exc}\n", encoding="utf-8")
+            os.replace(tmp, error_path)
         finally:
             try:
                 claimed.unlink()

@@ -9,6 +9,7 @@ LPD-D / HT-D baselines.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
 from repro.coherence.l2_controller import CacheConfig
@@ -20,6 +21,7 @@ from repro.noc.config import NocConfig, NotificationConfig
 from repro.noc.mesh import Mesh, NicRvcOracle
 from repro.notification.network import NotificationNetwork
 from repro.sim.engine import Engine
+from repro.sim.journal import system_routers
 from repro.sim.stats import StatsRegistry
 
 
@@ -29,6 +31,23 @@ def default_mc_nodes(width: int, height: int) -> List[int]:
     bottom = width // 2
     top = (height - 1) * width + width // 2
     return [bottom, top]
+
+
+def record_kernel_meta(system) -> None:
+    """Copy kernel accounting into the stats *meta* channel: the engine's
+    quiescence counters (``engine.*`` — how many ticks actually executed;
+    cycle counts across fast-forwarded gaps are already in
+    ``engine.cycle``) and the routers' wake-by-event counters
+    (``router.*`` — slot scans, blocked scans, wake-ups by cause).
+    Diagnostics only, never part of result payloads."""
+    stats = system.stats
+    for name, value in system.engine.kernel_accounting().items():
+        stats.set_meta(f"engine.{name}", value)
+    totals: Counter = Counter()
+    for router in system_routers(system):
+        totals.update(router.kernel_counters())
+    for name, value in totals.items():
+        stats.set_meta(f"router.{name}", value)
 
 
 class BaseSystem:
@@ -120,12 +139,7 @@ class BaseSystem:
         return self.engine.cycle
 
     def _record_kernel_meta(self) -> None:
-        """Copy the engine's quiescence accounting into the stats *meta*
-        channel — diagnostics only, never part of result payloads (cycle
-        counts across fast-forwarded gaps are already reflected in
-        ``engine.cycle``; these say how many ticks actually executed)."""
-        for name, value in self.engine.kernel_accounting().items():
-            self.stats.set_meta(f"engine.{name}", value)
+        record_kernel_meta(self)
         # Journal accounting rides the same side channel: present only
         # when observability is attached, and never in a payload either
         # way — payload bytes are identical with the journal on or off.

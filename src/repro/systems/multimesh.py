@@ -14,7 +14,7 @@ from repro.noc.multimesh import MultiMeshInterface
 from repro.notification.network import NotificationNetwork
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
-from repro.systems.base import default_mc_nodes
+from repro.systems.base import default_mc_nodes, record_kernel_meta
 from repro.memory.controller import OwnsMappedAddr, make_memory_map
 
 
@@ -107,8 +107,7 @@ class MultiMeshScorpioSystem:
 
     def run_until_done(self, max_cycles: int = 1_000_000) -> int:
         self.engine.run(max_cycles, until=self.all_cores_finished)
-        for name, value in self.engine.kernel_accounting().items():
-            self.stats.set_meta(f"engine.{name}", value)
+        record_kernel_meta(self)
         return self.engine.cycle
 
     def total_completed_ops(self) -> int:

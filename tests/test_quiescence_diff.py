@@ -153,8 +153,8 @@ def test_quiescence_actually_engages():
 
 # High injection, almost no think time: switch allocation loses, lookaheads
 # get denied, VCs sit blocked behind exhausted credits.  This is the regime
-# the batched VC/credit bookkeeping (blocked-VC memos, unblock serials,
-# availability caches, the lookahead fast path) actually exercises — the
+# the batched VC/credit bookkeeping (wake-by-event slot parking, the
+# credit helpers, the lookahead fast path) actually exercises — the
 # quiet-mesh cases above barely touch those branches.
 SATURATED = {"kind": "benchmark", "name": "fft", "ops_per_core": 16,
              "workload_scale": 0.05, "think_scale": 0.5, "seed": 0}
@@ -182,9 +182,9 @@ class TestSaturatedRegime:
         with forced_quiescence(False):
             off = _payload_bytes(spec)
         assert on == off, (
-            f"{case!r}: quiescence changed a saturated run — a blocked-VC "
-            "memo, availability cache, or unblock serial diverged between "
-            "the event-scheduled and always-scan paths")
+            f"{case!r}: quiescence changed a saturated run — a parked "
+            "slot missed its wake-up event, or router state diverged "
+            "between the sleeping and always-ticking kernels")
 
     @pytest.mark.parametrize("case", ["scorpio", "uncorq", "multimesh"])
     def test_saturation_actually_engages(self, case):

@@ -252,10 +252,7 @@ class TestStaleBypassGrant:
         vnet = packet.vnet
         vc = router._select_downstream_vc(outport, packet)
         assert vc is not None
-        router.out_credits[outport].consume(vnet, vc, packet.size_flits)
-        if vnet == VNet.GO_REQ:
-            router.sid_trackers[outport].record(vc, packet.sid)
-        router._refresh_avail(outport)
+        router._consume_credit(outport, packet, vc)
         router._bypass_grants[packet.pid] = _BypassGrant(
             arrival_cycle=arrival_cycle, outports=frozenset({outport}),
             granted_vcs={outport: vc}, inport=LOCAL)

@@ -119,6 +119,27 @@ class TestFingerprint:
         assert tiny_system(label="a").fingerprint(code_version="x") \
             == tiny_system().fingerprint(code_version="x")
 
+    def test_config_mutation_between_calls_is_seen(self):
+        # ChipConfig is mutable, so nothing may remember its expansion
+        # from one fingerprint() call to the next.
+        spec = tiny_system()
+        before = spec.fingerprint(code_version="x")
+        spec.config.noc.goreq_vcs += 2
+        assert spec.fingerprint(code_version="x") != before
+
+    def test_memo_shares_expansions_without_changing_the_key(self):
+        from repro.experiments.spec import KeyMemo
+        config = ChipConfig.variant(3, 3)
+        specs = [tiny_system(config=config),
+                 tiny_system(config=config, builder="tokenb"),
+                 RunSpec(benchmark="fft", config=config),
+                 RunSpec(benchmark="fft")]           # default config
+        memo = KeyMemo()
+        for spec in specs:
+            assert spec.key(memo) == spec.key()
+            assert spec.fingerprint("x", memo) == spec.fingerprint("x")
+        assert specs[0].key(memo)["config"] is specs[1].key(memo)["config"]
+
 
 class TestSweepIntegration:
     def test_cache_hit_is_byte_identical_and_runs_nothing(self, tmp_path):
