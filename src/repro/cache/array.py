@@ -46,8 +46,10 @@ class CacheArray:
         if not is_pow2(self.n_sets):
             raise ValueError("set count must be a power of two")
         self.invalid_state = invalid_state
-        self._sets: List[List[Optional[CacheLine]]] = [
-            [None] * ways for _ in range(self.n_sets)]
+        # A set's way list is allocated by its first fill; until then
+        # the set is None and reads as empty.
+        self._sets: List[Optional[List[Optional[CacheLine]]]] = \
+            [None] * self.n_sets
         self._lru_clock = 0
 
     # -- address helpers -------------------------------------------------
@@ -66,7 +68,7 @@ class CacheArray:
     def lookup(self, addr: int, touch: bool = True) -> Optional[CacheLine]:
         """Return the line holding *addr* (any non-invalid state)."""
         tag = self.tag_of(addr)
-        for line in self._sets[self.set_index(addr)]:
+        for line in self._sets[self.set_index(addr)] or ():
             if line is not None and line.tag == tag \
                     and line.state != self.invalid_state:
                 if touch:
@@ -91,6 +93,8 @@ class CacheArray:
         None)`` is returned and the caller must stall.
         """
         cache_set = self._sets[self.set_index(addr)]
+        if cache_set is None:
+            return 0, None
         for way, line in enumerate(cache_set):
             if line is None or line.state == self.invalid_state:
                 return way, None
@@ -104,26 +108,30 @@ class CacheArray:
     def fill(self, addr: int, state: Any, way: Optional[int] = None,
              **meta: Any) -> CacheLine:
         """Install *addr* in *way* (or a victim way) with *state*."""
+        index = self.set_index(addr)
+        cache_set = self._sets[index]
+        if cache_set is None:
+            cache_set = self._sets[index] = [None] * self.ways
         if way is None:
             way, occupant = self.victim(addr)
             if way is None:
                 raise RuntimeError("no evictable way for fill")
         else:
-            occupant = self._sets[self.set_index(addr)][way]
+            occupant = cache_set[way]
         if occupant is not None and occupant.state != self.invalid_state:
             raise RuntimeError(
                 "fill would silently drop a live line; evict first")
         self._lru_clock += 1
         line = CacheLine(tag=self.tag_of(addr), state=state,
                          lru=self._lru_clock, meta=dict(meta))
-        self._sets[self.set_index(addr)][way] = line
+        cache_set[way] = line
         return line
 
     def evict(self, addr: int) -> Optional[CacheLine]:
         """Remove *addr*'s line (returns it, or None if absent)."""
         tag = self.tag_of(addr)
         cache_set = self._sets[self.set_index(addr)]
-        for way, line in enumerate(cache_set):
+        for way, line in enumerate(cache_set or ()):
             if line is not None and line.tag == tag:
                 cache_set[way] = None
                 return line
@@ -141,7 +149,7 @@ class CacheArray:
     def lines(self) -> Iterator[Tuple[int, CacheLine]]:
         """Yield (set_index, line) for all valid lines."""
         for idx, cache_set in enumerate(self._sets):
-            for line in cache_set:
+            for line in cache_set or ():
                 if line is not None and line.state != self.invalid_state:
                     yield idx, line
 

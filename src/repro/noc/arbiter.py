@@ -45,6 +45,12 @@ class RotatingPriorityArbiter:
                 return idx
         return None
 
+    def grant_sole(self, idx: int) -> int:
+        """Grant request line *idx*, the only one asserted: ``grant`` of
+        the one-hot vector, without building or scanning it."""
+        self._pointer = (idx + 1) % self.n
+        return idx
+
     def order(self, requests: Sequence[bool]) -> List[int]:
         """Full priority order of the asserted requesters (no rotation).
 

@@ -26,6 +26,24 @@ trackers, and deadlock avoidance uses one reserved VC (rVC) per input
 port, assignable only to the request whose SID equals the ESID of the NIC
 attached to the downstream router.
 
+One lookahead per flit-hop
+--------------------------
+A hop's lookahead has one sender: ``_transmit`` (ST) pushes it next to
+the flit it announces, due a cycle before it (the NIC does the same at
+injection); the bypass grant sends nothing.  A lone lookahead is the
+common case and runs table-driven: ``_unicast_route[dst]`` /
+``_bcast_route[inport]``, ``downstream[port]`` for both directions of a
+link, and a sole-requester rotation per arbiter.
+
+The pinned outcomes come from a model that sent a bypassing flit's
+lookahead twice.  The extra copy named the same inport, so the other
+overwrote it: it never won or moved an arbiter, and left one
+``noc.la.lost_arbitration`` tick where its route was non-empty (on an
+INCF mesh, one more filter evaluation too).  So a lookahead sent by a
+bypass transit carries ``echo=True`` and its receiver books both without
+simulating the copy; ``la_echoes`` (stats *meta* channel) counts them:
+``noc.la.lost_arbitration - router.la_echoes`` are the real conflicts.
+
 Event scheduling
 ----------------
 Inbound channels (arrivals, lookaheads, credit returns) queue in
@@ -70,8 +88,8 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 from repro.noc.arbiter import RotatingPriorityArbiter
 from repro.noc.config import NocConfig
 from repro.noc.packet import Packet, VNet
-from repro.noc.routing import (DIRECTIONS, LOCAL, broadcast_outports,
-                               opposite, xy_route)
+from repro.noc.routing import (DIRECTIONS, LOCAL, broadcast_route_table,
+                               opposite, unicast_route_table)
 from repro.noc.sid_tracker import SidTracker
 from repro.noc.vc import CreditTracker, InputPort, VCBuffer
 from repro.sim.engine import WAKE_NEVER, Clocked, EventWheel
@@ -100,6 +118,7 @@ class Lookahead:
 
     packet: Packet
     inport: int          # input port the packet will arrive on
+    echo: bool = False   # the sender bypassed the packet (module docstring)
 
 
 def rvc_never(_node: int, _sid: int, _seq: int) -> bool:
@@ -172,11 +191,17 @@ class Router(Clocked):
                 self._slot_vc += [vc for vc in buffers if vc.reserved]
                 self._rvc_slots |= 1 << (port * stride + stride - 1)
 
-        # Downstream objects: port -> (endpoint, endpoint node id), None
-        # while unconnected.  The endpoint must offer deliver_packet /
-        # deliver_lookahead / queue_credit_release; LOCAL's endpoint is
-        # the NIC.
-        self.downstream: List[Optional[Tuple[object, int]]] = [None] * 5
+        # Links: port -> (endpoint, its port facing us, its node id),
+        # None while unconnected.  One entry serves both directions:
+        # outport p's flits arrive there on that port, and inport p's
+        # credits return to it.  The endpoint must offer deliver_packet /
+        # deliver_lookahead / queue_credit_release; LOCAL's is the NIC.
+        self.downstream: List[Optional[Tuple[object, int, int]]] = [None] * 5
+        # Route tables: dst -> outports (XY) and inport -> outports (tree).
+        self._unicast_route = unicast_route_table(node, config.width,
+                                                  config.height)
+        self._bcast_route = broadcast_route_table(node, config.width,
+                                                  config.height)
         self.out_credits: List[Optional[CreditTracker]] = [None] * 5
         self.sid_trackers: List[Optional[SidTracker]] = [None] * 5
         self._sid_counts: List[Optional[Dict[int, int]]] = [None] * 5
@@ -213,11 +238,12 @@ class Router(Clocked):
         # released once the step's lookaheads have had first pick.
         self._freed: List[Tuple[int, int]] = []
         # Kernel counters for the stats meta channel (never in payloads):
-        # slot scans, scans that found the slot blocked, and slots woken
-        # per cause, indexed by WAKE_CAUSES.
+        # slot scans, scans that found the slot blocked, slots woken per
+        # cause (indexed by WAKE_CAUSES), and echo ticks booked.
         self.scans = 0
         self.blocked_scans = 0
         self.wakeups: List[int] = [0] * len(WAKE_CAUSES)
+        self.la_echoes = 0
         # Optional INCF broadcast filter (repro.noc.filtering); installed
         # by Mesh.set_broadcast_filter on unordered-broadcast systems.
         self.broadcast_filter = None
@@ -228,7 +254,7 @@ class Router(Clocked):
 
     def connect(self, port: int, endpoint: object, endpoint_node: int) -> None:
         """Attach *endpoint* (router or NIC) downstream of *port*."""
-        self.downstream[port] = (endpoint, endpoint_node)
+        self.downstream[port] = (endpoint, opposite(port), endpoint_node)
         self.out_credits[port] = CreditTracker(
             self.config.goreq_vcs, self.config.goreq_vc_depth,
             self.config.uoresp_vcs, self._uoresp_depth,
@@ -251,19 +277,16 @@ class Router(Clocked):
         for port in PORTS:
             entry = self.downstream[port]
             if entry is not None:
-                self._rvc_fns[port] = nics[entry[1]].rvc_eligible
+                self._rvc_fns[port] = nics[entry[2]].rvc_eligible
 
     def rvc_watchers(self) -> List[Tuple["Router", int]]:
         """(router, outport) pairs whose rVC eligibility questions this
         node's NIC answers: this router's LOCAL outport plus every mesh
         neighbour's outport pointing here.  The NIC pokes each via
         :meth:`note_order_progress` when its ordering advances."""
-        watchers: List[Tuple[Router, int]] = [(self, LOCAL)]
-        for port in DIRECTIONS:
-            entry = self.downstream[port]
-            if entry is not None:
-                watchers.append((entry[0], opposite(port)))
-        return watchers
+        return [(self, LOCAL)] + [
+            self.downstream[port][:2] for port in DIRECTIONS
+            if self.downstream[port] is not None]
 
     # ------------------------------------------------------------------
     # Interface used by upstream routers / the local NIC
@@ -276,8 +299,7 @@ class Router(Clocked):
         self.wake(arrive_cycle)
 
     def deliver_lookahead(self, la: Lookahead, process_cycle: int) -> None:
-        if not self.config.lookahead_bypass:
-            return
+        """Senders emit lookaheads only when ``lookahead_bypass`` is on."""
         self._lookaheads.push(process_cycle, (process_cycle, la))
         self.wake(process_cycle)
 
@@ -465,7 +487,7 @@ class Router(Clocked):
         """The pre-allocated single-cycle path: ST now, skip buffering."""
         for outport in grant.outports:
             self._transmit(cycle, packet, outport, vnet,
-                           grant.granted_vcs.get(outport))
+                           grant.granted_vcs.get(outport), echo=True)
         # The input VC the upstream reserved is never occupied; return its
         # credits right away.
         self._release_upstream(cycle, packet, inport, vnet, vc_index)
@@ -477,21 +499,10 @@ class Router(Clocked):
 
     def _release_upstream(self, cycle: int, packet: Packet, inport: int,
                           vnet: VNet, vc_index: int) -> None:
-        endpoint = self._upstream_endpoint(inport)
-        if endpoint is None:
-            return
-        upstream, upstream_port = endpoint
-        upstream.queue_credit_release(upstream_port, vnet, vc_index,
-                                      packet.size_flits, cycle + 1)
-
-    def _upstream_endpoint(self, inport: int) -> Optional[Tuple[object, int]]:
-        """The (endpoint, its outport) feeding our *inport*."""
-        entry = self.downstream[LOCAL if inport == LOCAL else inport]
-        if entry is None:
-            return None
-        if inport == LOCAL:
-            return entry[0], LOCAL
-        return entry[0], opposite(inport)
+        link = self.downstream[inport]
+        if link is not None:
+            link[0].queue_credit_release(link[1], vnet, vc_index,
+                                         packet.size_flits, cycle + 1)
 
     # -- routing --------------------------------------------------------
 
@@ -501,14 +512,12 @@ class Router(Clocked):
                 # Without hardware multicast the NIC serializes unicasts,
                 # so a "broadcast" packet here is a plain unicast.
                 raise RuntimeError("broadcast packet in a unicast-only mesh")
-            outports = broadcast_outports(self.node, inport,
-                                          self.config.width,
-                                          self.config.height)
+            outports = self._bcast_route[inport]
             if self.broadcast_filter is not None:
                 outports = self.broadcast_filter.prune(self.node, outports,
                                                        packet.payload)
             return outports
-        return frozenset({xy_route(self.node, packet.dst, self.config.width)})
+        return self._unicast_route[packet.dst]
 
     # -- reserved-VC packets (highest priority) -------------------------
 
@@ -529,51 +538,51 @@ class Router(Clocked):
     # -- lookahead processing -------------------------------------------
 
     def _process_lookaheads(self, cycle: int) -> None:
-        due = self._lookaheads.pop_due(cycle)
-        if not due:
-            return
-        if len(due) == 1:
-            # Lone lookahead: it wins every arbiter it requests (the
-            # pointers still rotate, identically to the general path).
-            la = due[0][1]
-            outports = self._route(la.packet, la.inport)
-            if not outports:
-                return
-            lines = [False] * 5
-            lines[la.inport] = True
-            for port in outports:
-                self._la_arb[port].grant(lines)
-            if not self._grant_bypass(cycle, la, outports):
-                self.stats.incr("noc.la.denied")
-            return
-        # Resolve conflicts between lookaheads per output port with
-        # rotating priority over input ports; grants are all-or-nothing
-        # per lookahead (a partially-granted bypass is a failed bypass).
-        requests: Dict[int, List[Tuple[int, Lookahead]]] = {}
         routed: List[Tuple[Lookahead, FrozenSet[int]]] = []
-        for _c, la in due:
+        echoes = 0
+        for _cycle, la in self._lookaheads.pop_due(cycle):
             outports = self._route(la.packet, la.inport)
+            if la.echo and self.broadcast_filter is not None:
+                # The second copy was routed too: INCF counts (and a
+                # FilterTable learns from) every evaluation.
+                outports = self._route(la.packet, la.inport)
             if not outports:
                 continue   # fully filtered: the arriving flit is dropped
             routed.append((la, outports))
+            echoes += la.echo
+        if echoes:
+            # The senders' second copies (module docstring): same inport
+            # as the first, so each lost to it and moved no arbiter.
+            self.la_echoes += echoes
+            self.stats.incr("noc.la.lost_arbitration", echoes)
+        if len(routed) == 1:
+            # Lone lookahead, the common case: it wins every arbiter it
+            # requests, rotating each pointer past its inport.
+            la, outports = routed[0]
             for port in outports:
-                requests.setdefault(port, []).append((la.inport, la))
-        winners_per_port: Dict[int, Lookahead] = {}
-        for port, entries in requests.items():
-            lines = [False] * 5
-            by_inport = {}
-            for inport, la in entries:
-                lines[inport] = True
-                by_inport[inport] = la
-            granted = self._la_arb[port].grant(lines)
-            if granted is not None:
-                winners_per_port[port] = by_inport[granted]
-        for la, outports in routed:
-            if all(winners_per_port.get(p) is la for p in outports):
-                if not self._grant_bypass(cycle, la, outports):
-                    self.stats.incr("noc.la.denied")
-            else:
-                self.stats.incr("noc.la.lost_arbitration")
+                self._la_arb[port].grant_sole(la.inport)
+            if not self._grant_bypass(cycle, la, outports):
+                self.stats.incr("noc.la.denied")
+        elif routed:
+            # Resolve conflicts per output port with rotating priority
+            # over input ports; grants are all-or-nothing per lookahead
+            # (a partially-granted bypass is a failed bypass).
+            requests: Dict[int, Dict[int, Lookahead]] = {}
+            for la, outports in routed:
+                for port in outports:
+                    requests.setdefault(port, {})[la.inport] = la
+            winners: Dict[int, Lookahead] = {}
+            for port, by_inport in requests.items():
+                lines = [False] * 5
+                for inport in by_inport:
+                    lines[inport] = True
+                winners[port] = by_inport[self._la_arb[port].grant(lines)]
+            for la, outports in routed:
+                if all(winners[port] is la for port in outports):
+                    if not self._grant_bypass(cycle, la, outports):
+                        self.stats.incr("noc.la.denied")
+                else:
+                    self.stats.incr("noc.la.lost_arbitration")
 
     def _grant_bypass(self, cycle: int, la: Lookahead,
                       outports: FrozenSet[int]) -> bool:
@@ -603,14 +612,6 @@ class Router(Clocked):
         self._bypass_grants[packet.pid] = _BypassGrant(
             arrival_cycle=arrival, outports=outports,
             granted_vcs=granted_vcs, inport=la.inport)
-        # Chain the lookahead one hop further for every mesh-bound copy.
-        for port in outports:
-            if port == LOCAL:
-                continue
-            endpoint, _node = self.downstream[port]
-            endpoint.deliver_lookahead(
-                Lookahead(packet=packet, inport=opposite(port)),
-                process_cycle=cycle + 2)
         self.stats.incr("noc.la.granted")
         return True
 
@@ -750,9 +751,10 @@ class Router(Clocked):
         return None
 
     def _transmit(self, cycle: int, packet: Packet, port: int, vnet: VNet,
-                  downstream_vc: int) -> None:
-        """ST: hand the packet to the link (and emit a lookahead)."""
-        endpoint, _node = self.downstream[port]
+                  downstream_vc: int, echo: bool = False) -> None:
+        """ST: hand the packet to the link and, one cycle ahead of it,
+        the hop's one lookahead (*echo*: this is a bypass transit)."""
+        endpoint, far_port, _node = self.downstream[port]
         if port == LOCAL:
             # Cut-through: the serialization penalty of a multi-flit
             # packet is paid once, when the tail drains at the ejection
@@ -761,13 +763,12 @@ class Router(Clocked):
                                     cycle + EJECT_DELAY
                                     + packet.size_flits - 1)
         else:
-            endpoint.deliver_packet(packet, opposite(port), vnet,
-                                    downstream_vc,
+            endpoint.deliver_packet(packet, far_port, vnet, downstream_vc,
                                     cycle + ROUTER_TO_ROUTER_DELAY)
             if self.config.lookahead_bypass:
                 endpoint.deliver_lookahead(
-                    Lookahead(packet=packet, inport=opposite(port)),
-                    process_cycle=cycle + LOOKAHEAD_DELAY)
+                    Lookahead(packet, far_port, echo),
+                    cycle + LOOKAHEAD_DELAY)
         self.stats.incr("noc.flits.transmitted", packet.size_flits)
         journal = self.journal
         if journal is not None:
@@ -780,9 +781,10 @@ class Router(Clocked):
     # ------------------------------------------------------------------
 
     def kernel_counters(self) -> Dict[str, int]:
-        """Wake-by-event accounting for the stats *meta* channel: how the
-        kernel ran, never part of a result payload."""
-        counters = {"scans": self.scans, "blocked_scans": self.blocked_scans}
+        """Scan, wake-up and echo accounting for the stats *meta* channel:
+        how the kernel ran, never part of a result payload."""
+        counters = {"scans": self.scans, "blocked_scans": self.blocked_scans,
+                    "la_echoes": self.la_echoes}
         for cause, count in zip(WAKE_CAUSES, self.wakeups):
             counters[f"wake_{cause}"] = count
         return counters

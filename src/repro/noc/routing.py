@@ -111,6 +111,25 @@ def broadcast_outports(current: int, inport: int, width: int,
     return frozenset(ports)
 
 
+# One shared frozenset per single-outport route: every unicast entry of
+# every router's table is one of these five.
+PORT_SETS = tuple(frozenset({port}) for port in range(5))
+
+
+def unicast_route_table(node: int, width: int,
+                        height: int) -> Tuple[FrozenSet[int], ...]:
+    """``table[dst]``: the XY outport (as a set) at *node* toward *dst*."""
+    return tuple(PORT_SETS[xy_route(node, dst, width)]
+                 for dst in range(width * height))
+
+
+def broadcast_route_table(node: int, width: int,
+                          height: int) -> Tuple[FrozenSet[int], ...]:
+    """``table[inport]``: the broadcast fork at *node* per input port."""
+    return tuple(broadcast_outports(node, inport, width, height)
+                 for inport in range(5))
+
+
 def hop_count(a: int, b: int, width: int) -> int:
     """Manhattan hop distance between nodes *a* and *b*."""
     ax, ay = coords(a, width)

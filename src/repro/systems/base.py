@@ -37,8 +37,9 @@ def record_kernel_meta(system) -> None:
     """Copy kernel accounting into the stats *meta* channel: the engine's
     quiescence counters (``engine.*`` — how many ticks actually executed;
     cycle counts across fast-forwarded gaps are already in
-    ``engine.cycle``) and the routers' wake-by-event counters
-    (``router.*`` — slot scans, blocked scans, wake-ups by cause).
+    ``engine.cycle``) and the routers' kernel counters (``router.*`` —
+    slot scans, blocked scans, wake-ups by cause, and ``la_echoes``, the
+    share of ``noc.la.lost_arbitration`` that is no real conflict).
     Diagnostics only, never part of result payloads."""
     stats = system.stats
     for name, value in system.engine.kernel_accounting().items():
@@ -48,6 +49,19 @@ def record_kernel_meta(system) -> None:
         totals.update(router.kernel_counters())
     for name, value in totals.items():
         stats.set_meta(f"router.{name}", value)
+
+
+def all_cores_finished(system) -> bool:
+    """Whether every core of *system* has finished — the ``until``
+    predicate of ``run_until_done``, asked after every simulated cycle.
+    Cores never un-finish, so ``system._cores_left`` (plain state: a
+    checkpoint carries it) keeps only those not yet seen finished."""
+    left = system._cores_left
+    if not left:
+        left.extend(system.cores.values())
+    while left and left[-1].finished:
+        left.pop()
+    return not left
 
 
 class BaseSystem:
@@ -110,6 +124,7 @@ class BaseSystem:
                     nic.receive_merged_notification)
 
         self.cores: Dict[int, TraceCore] = {}
+        self._cores_left: List[TraceCore] = []
 
     # ------------------------------------------------------------------
 
@@ -129,7 +144,7 @@ class BaseSystem:
         return ran
 
     def all_cores_finished(self) -> bool:
-        return all(core.finished for core in self.cores.values())
+        return all_cores_finished(self)
 
     def run_until_done(self, max_cycles: int = 1_000_000) -> int:
         """Run until every core finished its trace; returns the cycle

@@ -14,7 +14,8 @@ from repro.noc.multimesh import MultiMeshInterface
 from repro.notification.network import NotificationNetwork
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
-from repro.systems.base import default_mc_nodes, record_kernel_meta
+from repro.systems.base import (all_cores_finished, default_mc_nodes,
+                                record_kernel_meta)
 from repro.memory.controller import OwnsMappedAddr, make_memory_map
 
 
@@ -92,6 +93,7 @@ class MultiMeshScorpioSystem:
             self.memory_controllers.append(mc)
 
         self.cores = {}
+        self._cores_left = []
         if traces is not None:
             if len(traces) != self.n_nodes:
                 raise ValueError(f"need {self.n_nodes} traces")
@@ -103,7 +105,7 @@ class MultiMeshScorpioSystem:
                 self.cores[node] = core
 
     def all_cores_finished(self) -> bool:
-        return all(core.finished for core in self.cores.values())
+        return all_cores_finished(self)
 
     def run_until_done(self, max_cycles: int = 1_000_000) -> int:
         self.engine.run(max_cycles, until=self.all_cores_finished)

@@ -41,6 +41,17 @@ class TestRotatingArbiter:
         with pytest.raises(ValueError):
             arb.grant([True])
 
+    @given(n=st.integers(1, 64), pointer=st.integers(0, 63),
+           idx=st.integers(0, 63))
+    def test_grant_sole_is_grant_of_the_one_hot_vector(self, n, pointer,
+                                                       idx):
+        idx %= n
+        sole = RotatingPriorityArbiter(n, start=pointer)
+        scan = RotatingPriorityArbiter(n, start=pointer)
+        assert sole.grant_sole(idx) \
+            == scan.grant([line == idx for line in range(n)]) == idx
+        assert sole.pointer == scan.pointer
+
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             RotatingPriorityArbiter(0)

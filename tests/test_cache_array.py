@@ -33,6 +33,26 @@ class TestGeometry:
             array.evict(addr)
 
 
+class TestLazySets:
+    def test_a_set_is_allocated_by_its_first_fill(self):
+        array = CacheArray(128 * 1024, 4, 32)
+        assert array._sets == [None] * 1024
+        assert array.lookup(0x40) is None and array.evict(0x40) is None
+        assert array.victim(0x40) == (0, None)
+        assert list(array.lines()) == [] and array._sets == [None] * 1024
+        array.fill(0x40, "S", way=3)
+        assert [s is not None for s in array._sets].count(True) == 1
+        assert array._sets[array.set_index(0x40)] \
+            == [None, None, None, array.lookup(0x40)]
+
+    def test_lines_come_in_set_order(self):
+        array = CacheArray(1024, 2, 32)
+        for addr in (0x1e0, 0x20, 0x420, 0x0):
+            array.fill(addr, "S")
+        assert [(idx, line.tag) for idx, line in array.lines()] \
+            == [(0, 0), (1, 0), (1, 2), (15, 0)]
+
+
 class TestLookupFill:
     def test_miss_returns_none(self):
         array = CacheArray(1024, 2, 32)

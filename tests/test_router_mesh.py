@@ -12,9 +12,10 @@ import pytest
 from repro.noc.config import NocConfig
 from repro.noc.mesh import Mesh, zero_load_latency
 from repro.noc.packet import Packet, VNet
-from repro.noc.router import LOOKAHEAD_DELAY, Lookahead
-from repro.noc.routing import LOCAL
+from repro.noc.router import LOOKAHEAD_DELAY, Lookahead, Router
+from repro.noc.routing import LOCAL, WEST
 from repro.noc.sid_tracker import SidTracker
+from repro.noc.tester import NetworkTester, TrafficConfig
 from repro.noc.vc import CreditTracker
 from repro.sim.engine import Engine
 
@@ -227,6 +228,100 @@ class TestBroadcast:
         fabric.endpoints[0].inject(broadcast(0), cycle=0)
         fabric.run(100)
         assert fabric.mesh.quiescent()
+
+
+class TestOneLookaheadPerHop:
+    def test_two_bypasses_in_a_row_send_one_lookahead_per_hop(self):
+        fabric = Fabric()
+        routers = fabric.mesh.routers
+        delivered = {node: [] for node in range(len(routers))}
+        for node, router in enumerate(routers):
+            def record(la, process_cycle, router=router,
+                       real=router.deliver_lookahead):
+                real(la, process_cycle)
+                assert len(router._lookaheads) == 1     # alone in the wheel
+                delivered[router.node].append(
+                    (la.packet.pid, la.inport, la.echo, process_cycle))
+            router.deliver_lookahead = record
+        packet = unicast(0, 3)
+        fabric.endpoints[0].inject(packet, cycle=0)
+        fabric.run(20)
+        stats = fabric.mesh.stats
+        assert stats.counter("noc.router.bypassed") == 4      # routers 0..3
+        assert stats.counter("noc.router.buffered") == 0
+        pid = packet.pid
+        # The NIC's lookahead, then one per hop, each due one cycle ahead
+        # of the flit and marked as sent by a bypass transit.
+        assert delivered.pop(0) == [(pid, LOCAL, False, 1)]
+        assert [delivered.pop(node) for node in (1, 2, 3)] == [
+            [(pid, WEST, True, 3)], [(pid, WEST, True, 5)],
+            [(pid, WEST, True, 7)]]
+        assert not any(delivered.values())
+        # Each of them books the tick the second copy used to leave.
+        assert stats.counter("noc.la.granted") == 4
+        assert stats.counter("noc.la.lost_arbitration") == 3
+        assert sum(router.la_echoes for router in routers) == 3
+
+    # (granted, denied, lost_arbitration) of a 3x3 mesh, 600 cycles,
+    # seed 1 — taken from the model that sent a bypassing flit's
+    # lookahead twice; sending it once must not move them.
+    PINNED = {("uniform", 0.2): (2674, 470, 1746),
+              ("broadcast", 0.05): (2051, 114, 2017)}
+
+    @pytest.mark.parametrize("pattern,rate", sorted(PINNED))
+    def test_pinned_counts_hold_and_echoes_split_out_the_real_conflicts(
+            self, monkeypatch, pattern, rate):
+        """``lost_arbitration - la_echoes`` is the number of lookaheads
+        that were refused a crossbar port by a lookahead from another
+        input port."""
+        routers, tried, losers = set(), set(), []
+        real_process = Router._process_lookaheads
+        real_grant = Router._grant_bypass
+
+        def grant(router, cycle, la, outports):
+            tried.add(id(la))
+            return real_grant(router, cycle, la, outports)
+
+        def process(router, cycle):
+            routers.add(router)
+            due = [la for _cycle, la in router._lookaheads._buckets[cycle]]
+            tried.clear()
+            real_process(router, cycle)
+            routes = {id(la): router._route(la.packet, la.inport)
+                      for la in due}
+            for la in due:
+                if id(la) not in tried:
+                    assert any(other.inport != la.inport
+                               and routes[id(other)] & routes[id(la)]
+                               for other in due)
+                    losers.append(la)
+
+        monkeypatch.setattr(Router, "_grant_bypass", grant)
+        monkeypatch.setattr(Router, "_process_lookaheads", process)
+        NetworkTester(NocConfig(width=3, height=3)).run(
+            TrafficConfig(pattern, rate, seed=1), cycles=600)
+        stats = next(iter(routers)).stats
+        assert tuple(stats.counter(f"noc.la.{name}") for name in
+                     ("granted", "denied", "lost_arbitration")) \
+            == self.PINNED[pattern, rate]
+        echoes = sum(router.la_echoes for router in routers)
+        assert 0 < len(losers) \
+            == stats.counter("noc.la.lost_arbitration") - echoes
+
+
+class TestRouteTables:
+    @pytest.mark.parametrize("size", [3, 6, 8])
+    def test_router_routes_like_the_routing_functions(self, size):
+        from repro.noc.routing import broadcast_outports, xy_route
+        config = NocConfig(width=size, height=size)
+        for node in range(config.n_nodes):
+            router = Router(node, config)
+            for dst in range(config.n_nodes):
+                assert router._route(unicast(0, dst), LOCAL) \
+                    == frozenset({xy_route(node, dst, size)})
+            for inport in range(5):
+                assert router._route(broadcast(0), inport) \
+                    == broadcast_outports(node, inport, size, size)
 
 
 class TestMeshMisc:

@@ -34,13 +34,14 @@ class Sink:
 
     def __init__(self):
         self.packets = []
+        self.lookaheads = []
         self.credits = []
 
     def deliver_packet(self, packet, inport, vnet, vc_index, arrive_cycle):
         self.packets.append((packet, vnet, vc_index))
 
     def deliver_lookahead(self, la, process_cycle):
-        pass
+        self.lookaheads.append((la.packet, la.inport, la.echo, process_cycle))
 
     def queue_credit_release(self, outport, vnet, vc, flits, cycle):
         self.credits.append((vnet, vc, flits))
@@ -283,6 +284,44 @@ class TestReservedVcWakes:
         assert b.router.stats.counter("noc.la.granted") == 0
 
 
+class TestOneLookaheadPerHop:
+    def test_the_grant_sends_nothing_and_the_transit_one_echo(self):
+        b = Bench()
+        packet = b.goreq(2, b.node + 1)
+        b.router.deliver_lookahead(Lookahead(packet, NORTH), b.cycle)
+        b.router.deliver_packet(packet, NORTH, GO_REQ, 0, b.cycle + 1)
+        b.scans()
+        assert b.router.stats.counter("noc.la.granted") == 1
+        assert b.sinks[EAST].lookaheads == []
+        b.scans()                                   # ST of the bypass
+        assert b.sent(EAST) == [(2, 0)]
+        assert b.sinks[EAST].lookaheads == [(packet, WEST, True, b.cycle)]
+
+    def test_a_buffered_forward_sends_one_plain_lookahead(self):
+        b = Bench()
+        packet = b.goreq(2, b.node + 1)
+        b.router.deliver_packet(packet, NORTH, GO_REQ, 0, b.cycle)
+        for _ in range(3):
+            b.scans()
+        assert b.sent(EAST) == [(2, 0)]
+        assert b.sinks[EAST].lookaheads == [(packet, WEST, False, b.cycle)]
+
+    def test_an_echo_books_one_lost_arbitration_tick(self):
+        b = Bench()
+        stats = b.router.stats
+        b.router.deliver_lookahead(
+            Lookahead(b.goreq(2, b.node + 1), NORTH), b.cycle)
+        b.scans()
+        assert stats.counter("noc.la.granted") == 1
+        assert "noc.la.lost_arbitration" not in stats.snapshot()
+        b.router.deliver_lookahead(
+            Lookahead(b.goreq(3, b.node - 1), NORTH, echo=True), b.cycle)
+        b.scans()
+        assert stats.counter("noc.la.granted") == 2     # it still wins
+        assert stats.counter("noc.la.lost_arbitration") == 1
+        assert b.router.kernel_counters()["la_echoes"] == 1
+
+
 class TestSlotKeyWidth:
     def test_sixteen_vc_ports_get_distinct_slots(self):
         """``chip_64core`` has 16 GO-REQ VCs: 19 slots per port, so slot
@@ -373,9 +412,11 @@ def test_kernel_counters_are_mode_invariant_and_stay_out_of_payloads():
         assert not any(name.startswith("router.")
                        for name in system.stats.snapshot())
     assert totals[True] == totals[False]
-    assert set(totals[True]) == {"scans", "blocked_scans", "wake_credit",
-                                 "wake_sid", "wake_rvc", "wake_order",
-                                 "wake_retry"}
+    assert set(totals[True]) == {"scans", "blocked_scans", "la_echoes",
+                                 "wake_credit", "wake_sid", "wake_rvc",
+                                 "wake_order", "wake_retry"}
+    assert 0 < totals[True]["la_echoes"] \
+        <= system.stats.counter("noc.la.lost_arbitration")
 
 
 def test_blocked_scans_stay_near_eligible_scans():

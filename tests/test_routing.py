@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.noc.routing import (EAST, LOCAL, NORTH, SOUTH, WEST,
-                               broadcast_outports, coords, hop_count,
-                               neighbor, node_at, opposite, xy_route)
+from repro.noc.routing import (EAST, LOCAL, NORTH, PORT_SETS, SOUTH, WEST,
+                               broadcast_outports, broadcast_route_table,
+                               coords, hop_count, neighbor, node_at,
+                               opposite, unicast_route_table, xy_route)
 
 
 class TestCoordinates:
@@ -100,3 +101,21 @@ class TestBroadcastTree:
     def test_invalid_inport_raises(self):
         with pytest.raises(ValueError):
             broadcast_outports(0, 9, 3, 3)
+
+
+class TestRouteTables:
+    """The per-router tables are the routing functions, tabulated."""
+
+    @pytest.mark.parametrize("width,height", [(6, 6), (3, 5)])
+    def test_tables_equal_the_functions_everywhere(self, width, height):
+        for node in range(width * height):
+            unicast = unicast_route_table(node, width, height)
+            assert len(unicast) == width * height
+            for dst, ports in enumerate(unicast):
+                assert ports is PORT_SETS[xy_route(node, dst, width)]
+            assert broadcast_route_table(node, width, height) == tuple(
+                broadcast_outports(node, inport, width, height)
+                for inport in (NORTH, EAST, SOUTH, WEST, LOCAL))
+
+    def test_port_sets_are_the_five_singletons(self):
+        assert PORT_SETS == tuple(frozenset({port}) for port in range(5))

@@ -181,3 +181,41 @@ class TestConfigurationErrors:
         with pytest.raises(ValueError):
             ScorpioSystem(traces=[Trace([])],
                           noc=NocConfig(width=3, height=3))
+
+
+class TestAllCoresFinished:
+    def test_asks_only_cores_not_yet_seen_finished(self):
+        from types import SimpleNamespace
+        from repro.systems.base import all_cores_finished
+        asked = []
+
+        class Core:
+            done = False
+
+            def __init__(self, node):
+                self.node = node
+
+            @property
+            def finished(self):
+                asked.append(self.node)
+                return self.done
+
+        cores = {node: Core(node) for node in range(4)}
+        system = SimpleNamespace(cores=cores, _cores_left=[])
+        assert not all_cores_finished(system)
+        cores[3].done = cores[1].done = True
+        assert not all_cores_finished(system)       # 3 retires, 2 holds
+        asked.clear()
+        cores[2].done = True
+        assert not all_cores_finished(system)       # 2 and 1 retire
+        assert asked == [2, 1, 0]
+        cores[0].done = True
+        assert all_cores_finished(system) and all_cores_finished(system)
+
+    def test_cores_attached_after_construction_are_seen(self):
+        system = small_system()
+        assert system.all_cores_finished()          # no cores yet
+        system.attach_cores([Trace([TraceOp("R", ADDR, 1)])],
+                            lambda node: system.l2s[node])
+        assert not system.all_cores_finished()
+        run_done(system)
