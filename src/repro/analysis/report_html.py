@@ -99,34 +99,18 @@ def _observe_spec(spec, journal: EventJournal,
                   sample_interval: int):
     """Build, instrument and run one spec; returns
     ``(sweep_result, sampler, (width, height))``."""
-    from repro.experiments import RunSpec, SweepResult
-    from repro.experiments.builders import (SystemSpec, build_spec_system,
-                                            collect_spec_outcome)
+    from repro.experiments import execute_point
 
-    if isinstance(spec, RunSpec):
-        from repro.core.api import build_benchmark_system, collect_run_result
-        system = build_benchmark_system(
-            spec.benchmark, protocol=spec.protocol, config=spec.config,
-            ops_per_core=spec.ops_per_core,
-            workload_scale=spec.workload_scale,
-            think_scale=spec.think_scale, seed=spec.seed)
+    observed = []
+
+    def instrument(system) -> None:
         sampler = MeshSampler(system_routers(system),
                               interval=sample_interval)
         attach_observability(system, journal, sampler)
-        system.run_until_done(spec.max_cycles)
-        result = SweepResult.from_run(spec, spec.fingerprint(),
-                                      collect_run_result(system,
-                                                         spec.protocol))
-    elif isinstance(spec, SystemSpec):
-        system = build_spec_system(spec)
-        sampler = MeshSampler(system_routers(system),
-                              interval=sample_interval)
-        attach_observability(system, journal, sampler)
-        system.run_until_done(spec.max_cycles)
-        result = SweepResult.from_outcome(spec, spec.fingerprint(),
-                                          collect_spec_outcome(spec, system))
-    else:
-        raise TypeError(f"cannot observe spec of type {type(spec)!r}")
+        observed.append((system, sampler))
+
+    result = execute_point(spec, spec.fingerprint(), instrument=instrument)
+    system, sampler = observed[0]
 
     # One extra sample of the final committed state: the last interval
     # boundary rarely coincides with the finish cycle, and the drained

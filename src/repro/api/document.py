@@ -423,14 +423,11 @@ class ExperimentSpec:
         (config, workload, params), ready to print or diff.  With
         ``fingerprints=True`` each run also carries its content hash
         (this reads and hashes the simulator sources once)."""
-        from repro.experiments import RunSpec
         from repro.experiments.cache import code_version
         version = code_version() if fingerprints else None
         runs = []
         for spec in self.specs:
-            entry = {"kind": ("benchmark" if isinstance(spec, RunSpec)
-                              else "system"),
-                     "label": spec.label, **spec.key()}
+            entry = {"kind": spec.kind, "label": spec.label, **spec.key()}
             if fingerprints:
                 entry["fingerprint"] = spec.fingerprint(
                     code_version=version)
@@ -624,23 +621,15 @@ def run_experiment(experiment: Union[ExperimentSpec, str, Path],
     """Execute an experiment document (or its path) through the sweep
     runner; ``jobs``/``cache`` default to the process execution context
     exactly like :func:`~repro.experiments.sweep.run_sweep`.  Cached
-    executions record this job's hit/miss delta in ``cache_stats`` (and
+    executions record the plan's hit/miss counts in ``cache_stats`` (and
     hence the envelope), so cache effectiveness is observable per job
     even when the ``ResultCache`` object is shared across jobs."""
-    from repro.experiments import run_sweep
-    from repro.experiments.cache import as_cache
-    from repro.experiments.context import get_context
+    from repro.experiments import run_plan
     if not isinstance(experiment, ExperimentSpec):
         experiment = load_experiment(experiment)
-    resolved = get_context().cache if cache is None else as_cache(cache)
-    before = (resolved.hits, resolved.misses) if resolved else (0, 0)
-    results = run_sweep(experiment.specs, jobs=jobs,
-                        cache=resolved if resolved is not None else False) \
-        if experiment.specs else []
-    collected = collect_experiment_result(experiment, results)
-    if resolved is not None:
-        collected.cache_stats = {"hits": resolved.hits - before[0],
-                                 "misses": resolved.misses - before[1]}
+    plan = run_plan(experiment.specs, jobs=jobs, cache=cache)
+    collected = collect_experiment_result(experiment, plan.results)
+    collected.cache_stats = plan.cache_stats
     return collected
 
 

@@ -69,6 +69,13 @@ def _chip(args) -> ChipConfig:
     return config
 
 
+def _cache(args):
+    """The ``--cache-dir`` cache, else the execution context's."""
+    from repro.experiments import as_cache, get_context
+    return as_cache(args.cache_dir) if args.cache_dir \
+        else get_context().cache
+
+
 def _mesh(text: str):
     try:
         width, height = (int(part) for part in text.lower().split("x"))
@@ -324,7 +331,7 @@ def cmd_compare(args, out) -> int:
 
 
 def cmd_sweep(args, out) -> int:
-    from repro.experiments import Sweep, as_cache, get_context, run_sweep
+    from repro.experiments import Sweep, run_sweep
     if args.list_builders:
         from repro.experiments import list_builders, workload_kinds
 
@@ -356,8 +363,7 @@ def cmd_sweep(args, out) -> int:
                   configs=_chip(args), seeds=tuple(args.seeds),
                   ops_per_core=args.ops, workload_scale=args.scale,
                   think_scale=args.think_scale, max_cycles=args.max_cycles)
-    cache = as_cache(args.cache_dir) if args.cache_dir \
-        else get_context().cache
+    cache = _cache(args)
     results = run_sweep(sweep, jobs=args.jobs, cache=cache)
     print(f"{len(results)} runs ({width}x{height} mesh, "
           f"{len(args.benchmarks)} benchmarks x "
@@ -376,13 +382,12 @@ def cmd_sweep(args, out) -> int:
               f"{'cache' if res.cached else 'run'}", file=out)
     if cache is not None:
         print(f"cache: {cache.hits} hits, {cache.misses} misses "
-              f"({cache.directory})", file=out)
+              f"({cache.backend.location})", file=out)
     return 0 if incomplete == 0 else 1
 
 
 def cmd_run_file(args, out) -> int:
     from repro.api import DocumentError, load_experiment, run_experiment
-    from repro.experiments import as_cache, get_context
     try:
         experiment = load_experiment(args.path)
     except DocumentError as exc:
@@ -405,8 +410,7 @@ def cmd_run_file(args, out) -> int:
             print(f"checkpoints: every {args.checkpoint_every} cycles "
                   f"-> {args.checkpoint_dir}", file=out)
     else:
-        cache = as_cache(args.cache_dir) if args.cache_dir \
-            else get_context().cache
+        cache = _cache(args)
         outcome = run_experiment(experiment, jobs=args.jobs, cache=cache)
     print(f"experiment: {experiment.name} "
           f"({len(outcome.results)} runs)", file=out)
@@ -429,8 +433,9 @@ def cmd_run_file(args, out) -> int:
               f"{'ok' if passed else 'FORBIDDEN OUTCOME OBSERVED'}",
               file=out)
     if cache is not None:
-        print(f"cache: {cache.hits} hits, {cache.misses} misses "
-              f"({cache.directory})", file=out)
+        stats = outcome.cache_stats
+        print(f"cache: {stats['hits']} hits, {stats['misses']} misses "
+              f"({cache.backend.location})", file=out)
     if args.output:
         from repro.api import envelope_bytes
         with open(args.output, "wb") as handle:
@@ -453,15 +458,12 @@ def cmd_report_html(args, out) -> int:
     from repro.analysis.report_html import (ObservabilityDriftError,
                                             write_html_report)
     from repro.api import DocumentError, load_experiment, run_experiment
-    from repro.experiments import as_cache, get_context
     try:
         experiment = load_experiment(args.path)
     except DocumentError as exc:
         print(f"error: {exc}", file=out)
         return 2
-    cache = as_cache(args.cache_dir) if args.cache_dir \
-        else get_context().cache
-    outcome = run_experiment(experiment, jobs=args.jobs, cache=cache)
+    outcome = run_experiment(experiment, jobs=args.jobs, cache=_cache(args))
     try:
         path = write_html_report(args.output, experiment, outcome.results)
     except ObservabilityDriftError as exc:
@@ -504,11 +506,8 @@ def cmd_figure(args, out) -> int:
 
 
 def cmd_trace(args, out) -> int:
-    width, height = args.mesh
-    config = ChipConfig.chip_36core() if (width, height) == (6, 6) \
-        else ChipConfig.variant(width, height)
     result = run_trace_file(args.path, protocol=args.protocol,
-                            config=config, max_cycles=args.max_cycles)
+                            config=_chip(args), max_cycles=args.max_cycles)
     _print_result(result, out)
     return 0 if result.progress == 1.0 else 1
 
@@ -556,12 +555,9 @@ def cmd_features(args, out) -> int:
 
 
 def cmd_litmus(args, out) -> int:
-    from repro.experiments import as_cache, get_context
     from repro.verification.litmus import run_suite
-    cache = as_cache(args.cache_dir) if args.cache_dir \
-        else get_context().cache
     results = run_suite(protocol=args.protocol, jobs=args.jobs,
-                        cache=cache)
+                        cache=_cache(args))
     failures = 0
     for name, passed in sorted(results.items()):
         status = "ok" if passed else "FORBIDDEN OUTCOME OBSERVED"
@@ -574,18 +570,13 @@ def cmd_litmus(args, out) -> int:
 
 
 def cmd_serve(args, out) -> int:
-    from repro.experiments import get_context
     from repro.serve.server import serve
-    cache = args.cache_dir
-    if cache is None:
-        context_cache = get_context().cache
-        if context_cache is not None:
-            cache = context_cache.directory
+    cache = _cache(args)
     if cache is None:
         print("error: serve needs a shared cache (--cache-dir or "
               "REPRO_CACHE_DIR)", file=out)
         return 2
-    server = serve(cache, host=args.host, port=args.port,
+    server = serve(cache.backend, host=args.host, port=args.port,
                    workers=args.workers, retries=args.retries,
                    point_timeout=args.point_timeout, spool=args.spool,
                    quiet=not args.verbose)

@@ -14,12 +14,10 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from repro.core.config import ChipConfig
 from repro.sim.statsframe import StatsFrame
-from repro.systems.directory import DirectorySystem
-from repro.systems.scorpio import ScorpioSystem
 from repro.workloads.suites import profile as lookup_profile
 from repro.workloads.synthetic import (WorkloadProfile,
                                        generate_system_traces, scaled)
@@ -73,29 +71,20 @@ class RunResult:
         return self.frame.relative_to(f"l2.breakdown.{served}.").mean
 
 
-def build_system(protocol: str, traces, config: Optional[ChipConfig] = None
-                 ) -> Union[ScorpioSystem, DirectorySystem]:
-    """Instantiate a full system of the given *protocol*."""
-    config = config or ChipConfig.chip_36core()
+def build_system(protocol: str, traces, config: Optional[ChipConfig] = None):
+    """Instantiate a full system of the given *protocol* through the
+    builder registry (:mod:`repro.experiments.builders`), where each
+    system's constructor arguments are spelled once."""
+    from repro.experiments.builders import get_builder
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}; expected one of "
+                         f"{PROTOCOLS}")
     if protocol == "scorpio":
-        return ScorpioSystem(traces=traces, noc=config.noc,
-                             notification=config.notification,
-                             cache=config.cache, memory=config.memory,
-                             core=config.core, mc_nodes=config.mc_nodes,
-                             seed=config.seed)
-    if protocol in ("lpd", "ht", "fullbit"):
-        from repro.coherence.directory import DirectoryConfig
-        dir_config = DirectoryConfig(
-            scheme=protocol.upper(), n_nodes=config.noc.n_nodes,
-            total_cache_bytes=config.directory_cache_bytes,
-            line_size=config.noc.line_size_bytes)
-        return DirectorySystem(scheme=protocol.upper(), traces=traces,
-                               noc=config.noc, cache=config.cache,
-                               memory=config.memory, core=config.core,
-                               directory=dir_config,
-                               mc_nodes=config.mc_nodes, seed=config.seed)
-    raise ValueError(f"unknown protocol {protocol!r}; expected one of "
-                     f"{PROTOCOLS}")
+        builder, given = get_builder("scorpio"), {}
+    else:
+        builder, given = get_builder("directory"), {"scheme": protocol.upper()}
+    return builder.construct(config or ChipConfig.chip_36core(),
+                             builder.resolved_params(given), traces)
 
 
 def build_benchmark_system(benchmark: Union[str, WorkloadProfile],
@@ -173,16 +162,8 @@ def run_trace_file(path, protocol: str = "scorpio",
     config = config or ChipConfig.chip_36core()
     traces = load_traces(path, expect_cores=config.n_cores)
     system = build_system(protocol, traces, config)
-    runtime = system.run_until_done(max_cycles)
-    return RunResult(
-        protocol=protocol,
-        benchmark=str(path),
-        n_cores=config.n_cores,
-        runtime=runtime,
-        completed_ops=system.total_completed_ops(),
-        progress=system.progress(),
-        stats=system.stats.snapshot(),
-    )
+    system.run_until_done(max_cycles)
+    return collect_run_result(system, protocol, benchmark_name=str(path))
 
 
 def compare_protocols(benchmark: str,

@@ -14,37 +14,33 @@ See EXPERIMENTS.md for how sweeps relate to the paper's evaluation
 regime, and ``repro sweep --help`` for the CLI front-end.
 """
 
-from repro.experiments.builders import (SystemBuilder, SystemRunOutcome,
-                                        SystemSpec, builder_names,
-                                        execute_system_spec, get_builder,
-                                        list_builders, register_builder,
-                                        resolve_workload, workload_kinds)
+from repro.experiments.builders import (SystemBuilder, SystemSpec,
+                                        builder_names, execute_system_spec,
+                                        get_builder, list_builders,
+                                        register_builder, resolve_workload,
+                                        workload_kinds)
 from repro.experiments.cache import (CacheBackend, LocalDirBackend,
                                      ResultCache, as_backend, as_cache,
                                      code_version)
-from repro.experiments.checkpoint_exec import (build_for_spec,
-                                               collect_for_spec,
-                                               execute_spec_checkpointed,
-                                               resume_spec,
-                                               run_experiment_checkpointed,
-                                               snapshot_spec)
+from repro.experiments.checkpoint_exec import (resume_spec,
+                                               run_experiment_checkpointed)
 from repro.experiments.context import (ExecutionContext, configure,
                                        executing, get_context)
-from repro.experiments.spec import RunSpec, config_to_dict, profile_to_dict
-from repro.experiments.sweep import (Sweep, SweepPointError, SweepResult,
-                                     execute_spec, run_grid, run_sweep,
-                                     sweep_compare)
+from repro.experiments.spec import (PointSpec, RunSpec, SystemRunOutcome,
+                                    config_to_dict, profile_to_dict)
+from repro.experiments.sweep import (Plan, Sweep, SweepPointError,
+                                     SweepResult, execute_point, plan_points,
+                                     run_grid, run_plan, run_sweep,
+                                     snapshot_spec, sweep_compare)
 
 __all__ = [
-    "CacheBackend", "ExecutionContext", "LocalDirBackend", "ResultCache",
-    "RunSpec", "Sweep", "SweepPointError", "SweepResult",
-    "SystemBuilder", "SystemRunOutcome", "SystemSpec", "as_backend",
-    "as_cache",
-    "build_for_spec", "builder_names", "code_version", "collect_for_spec",
-    "configure", "config_to_dict", "executing", "execute_spec",
-    "execute_spec_checkpointed", "execute_system_spec", "get_builder",
-    "get_context", "list_builders", "profile_to_dict", "register_builder",
-    "resolve_workload", "resume_spec", "run_experiment_checkpointed",
-    "run_grid", "run_sweep", "snapshot_spec", "sweep_compare",
-    "workload_kinds",
+    "CacheBackend", "ExecutionContext", "LocalDirBackend", "Plan",
+    "PointSpec", "ResultCache", "RunSpec", "Sweep", "SweepPointError",
+    "SweepResult", "SystemBuilder", "SystemRunOutcome", "SystemSpec",
+    "as_backend", "as_cache", "builder_names", "code_version", "configure",
+    "config_to_dict", "executing", "execute_point", "execute_system_spec",
+    "get_builder", "get_context", "list_builders", "plan_points",
+    "profile_to_dict", "register_builder", "resolve_workload",
+    "resume_spec", "run_experiment_checkpointed", "run_grid", "run_plan",
+    "run_sweep", "snapshot_spec", "sweep_compare", "workload_kinds",
 ]

@@ -24,13 +24,12 @@ regression lock on the underlying cycle-level behaviour).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.config import ChipConfig
-from repro.experiments.spec import SPEC_SCHEMA, KeyMemo
+from repro.experiments.spec import (SPEC_SCHEMA, KeyMemo, PointSpec,
+                                    SystemRunOutcome)
 
 # ---------------------------------------------------------------------------
 # Declarative workloads
@@ -167,17 +166,6 @@ def resolve_workload(workload: Mapping[str, Any],
 # The registry
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SystemRunOutcome:
-    """What a builder run produces (the JSON-able subset of a system)."""
-
-    runtime: int
-    completed_ops: int
-    progress: float
-    stats: Dict[str, float]
-    extra: Dict[str, Any] = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class SystemBuilder:
     """One registered way to assemble (and run) a full system.
@@ -256,7 +244,7 @@ def workload_kinds() -> List[Tuple[str, Dict[str, Any]]]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SystemSpec:
+class SystemSpec(PointSpec):
     """One (builder, params, config, workload) simulation point.
 
     The sweep-layer sibling of :class:`RunSpec` for systems outside the
@@ -272,9 +260,12 @@ class SystemSpec:
     # Display bookkeeping, not part of the fingerprint.
     label: str = ""
 
-    def resolved_config(self) -> ChipConfig:
-        return self.config if self.config is not None \
-            else ChipConfig.chip_36core()
+    kind = "system"
+
+    @property
+    def protocol_name(self) -> str:
+        """The result row's ``protocol`` column: the builder name."""
+        return self.builder
 
     @property
     def benchmark_name(self) -> str:
@@ -298,10 +289,6 @@ class SystemSpec:
                 return int(source["seed"])
         return 0
 
-    # ------------------------------------------------------------------
-    # Fingerprinting (same contract as RunSpec.key/fingerprint)
-    # ------------------------------------------------------------------
-
     def key(self, memo: Optional[KeyMemo] = None) -> Dict[str, Any]:
         builder = get_builder(self.builder)
         memo = memo or KeyMemo()
@@ -315,14 +302,11 @@ class SystemSpec:
             "max_cycles": self.max_cycles,
         }
 
-    def fingerprint(self, code_version: Optional[str] = None,
-                    memo: Optional[KeyMemo] = None) -> str:
-        if code_version is None:
-            from repro.experiments.cache import code_version as cv
-            code_version = cv()
-        blob = json.dumps({"code": code_version, "spec": self.key(memo)},
-                          sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    def build(self):
+        return build_spec_system(self)
+
+    def harvest(self, system) -> SystemRunOutcome:
+        return collect_spec_outcome(self, system)
 
 
 def build_spec_system(spec: SystemSpec):
@@ -348,32 +332,31 @@ def collect_spec_outcome(spec: SystemSpec, system) -> SystemRunOutcome:
     builder = get_builder(spec.builder)
     if builder.collect is not None:
         return builder.collect(spec, system)
-    stats = system.stats.snapshot()
+    outcome = PointSpec.harvest(spec, system)
     if builder.metrics is not None:
         for name, value in builder.metrics(system).items():
-            stats[f"system.{name}"] = float(value)
-    return SystemRunOutcome(runtime=system.engine.cycle,
-                            completed_ops=system.total_completed_ops(),
-                            progress=system.progress(),
-                            stats=stats)
+            outcome.stats[f"system.{name}"] = float(value)
+    return outcome
 
 
 def execute_system_spec(spec: SystemSpec,
                         instrument=None) -> SystemRunOutcome:
-    """Run one system spec in this process (the cache/pool-free core).
+    """Run one system spec in this process and return the bare outcome
+    (:func:`~repro.experiments.sweep.execute_point` without the result
+    row around it).
 
     *instrument*, when given, is called with the freshly built system
     before it runs — the hook the observability layer uses to attach a
-    journal and sampler without duplicating the build/run/collect
-    sequence.  Instrumentation must not change simulated behaviour; the
-    report path cross-checks the instrumented outcome against the
-    uninstrumented envelope to enforce that.
+    journal and sampler.  Instrumentation must not change simulated
+    behaviour; the report path cross-checks the instrumented outcome
+    against the uninstrumented envelope to enforce that.
     """
-    system = build_spec_system(spec)
-    if instrument is not None:
-        instrument(system)
-    system.run_until_done(spec.max_cycles)
-    return collect_spec_outcome(spec, system)
+    from repro.experiments.sweep import execute_point
+    result = execute_point(spec, instrument=instrument)
+    return SystemRunOutcome(runtime=result.runtime,
+                            completed_ops=result.completed_ops,
+                            progress=result.progress, stats=result.stats,
+                            extra=result.extra)
 
 
 # ---------------------------------------------------------------------------

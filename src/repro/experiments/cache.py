@@ -32,11 +32,21 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 _CODE_VERSION: Optional[str] = None
+
+# Entry names become file names below the cache directory, and they
+# arrive from the network (``PUT /v1/cache/<name>``).
+_ENTRY_NAME = re.compile(r"[0-9A-Za-z_-]{1,128}")
+
+
+class CacheNameError(ValueError):
+    """A cache entry name that is not a plain token (it could address a
+    file outside the store)."""
 
 
 def code_version() -> str:
@@ -97,6 +107,10 @@ class LocalDirBackend(CacheBackend):
         return str(self.directory)
 
     def _path(self, fingerprint: str) -> Path:
+        if not _ENTRY_NAME.fullmatch(fingerprint):
+            raise CacheNameError(
+                f"invalid cache entry name {fingerprint!r} (expected "
+                f"1-128 characters of [0-9A-Za-z_-])")
         return self.directory / fingerprint[:2] / f"{fingerprint}.json"
 
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
@@ -151,20 +165,6 @@ class ResultCache:
             self.backend = LocalDirBackend(store)
         self.hits = 0
         self.misses = 0
-
-    @property
-    def directory(self):
-        """The local backend's directory ``Path`` (kept for callers and
-        log lines that predate the backend split); for non-local
-        backends this is the backend's location string."""
-        backend = self.backend
-        if isinstance(backend, LocalDirBackend):
-            return backend.directory
-        return backend.location
-
-    def _path(self, fingerprint: str) -> Path:
-        """Local-backend entry path (test/debugging hook)."""
-        return self.backend._path(fingerprint)  # type: ignore[attr-defined]
 
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         payload = self.backend.get(fingerprint)

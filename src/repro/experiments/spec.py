@@ -12,15 +12,17 @@ guaranteed (modulo hash collisions) to produce identical results.
 Runs outside the ``run_benchmark`` shape (ordered-network baselines,
 INCF ablations, lock workloads, litmus programs) are described by the
 sibling :class:`~repro.experiments.builders.SystemSpec`, which names a
-registered system builder and fingerprints under the same contract;
-:func:`~repro.experiments.sweep.run_sweep` accepts both kinds mixed.
+registered system builder.  Both kinds are a :class:`PointSpec`: the
+execution pipeline (:mod:`repro.experiments.sweep`) asks a spec for its
+``key``, to ``build`` its system and to ``harvest`` the finished one,
+and never asks which kind it is.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.config import ChipConfig
@@ -77,7 +79,51 @@ class KeyMemo:
 
 
 @dataclass
-class RunSpec:
+class SystemRunOutcome:
+    """What harvesting a finished system produces (its JSON-able
+    subset)."""
+
+    runtime: int
+    completed_ops: int
+    progress: float
+    stats: Dict[str, float]
+    extra: Dict[str, Any] = field(default_factory=dict)
+
+
+class PointSpec:
+    """What the execution pipeline needs of one simulation point.
+
+    A concrete spec supplies ``config``, ``label``, ``max_cycles``,
+    ``kind``, ``protocol_name``, ``benchmark_name``, ``seed_value()``,
+    ``key(memo)`` and ``build()``, and may override ``harvest(system)``.
+    """
+
+    config: Optional[ChipConfig]
+
+    def resolved_config(self) -> ChipConfig:
+        return self.config if self.config is not None \
+            else ChipConfig.chip_36core()
+
+    def harvest(self, system) -> SystemRunOutcome:
+        """The outcome of a finished (or cycle-capped) *system*."""
+        return SystemRunOutcome(runtime=system.engine.cycle,
+                                completed_ops=system.total_completed_ops(),
+                                progress=system.progress(),
+                                stats=system.stats.snapshot())
+
+    def fingerprint(self, code_version: Optional[str] = None,
+                    memo: Optional[KeyMemo] = None) -> str:
+        """SHA-256 over the canonical key plus the simulator version."""
+        if code_version is None:
+            from repro.experiments.cache import code_version as cv
+            code_version = cv()
+        blob = json.dumps({"code": code_version, "spec": self.key(memo)},
+                          sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@dataclass
+class RunSpec(PointSpec):
     """One (protocol, config, workload, seed) simulation point."""
 
     benchmark: Union[str, WorkloadProfile]
@@ -92,9 +138,7 @@ class RunSpec:
     # the fingerprint because it does not affect the simulation.
     label: str = ""
 
-    def resolved_config(self) -> ChipConfig:
-        return self.config if self.config is not None \
-            else ChipConfig.chip_36core()
+    kind = "benchmark"
 
     def resolved_profile(self) -> WorkloadProfile:
         if isinstance(self.benchmark, WorkloadProfile):
@@ -108,9 +152,12 @@ class RunSpec:
             return self.benchmark.name
         return self.benchmark
 
-    # ------------------------------------------------------------------
-    # Fingerprinting
-    # ------------------------------------------------------------------
+    @property
+    def protocol_name(self) -> str:
+        return self.protocol
+
+    def seed_value(self) -> int:
+        return self.seed
 
     def key(self, memo: Optional[KeyMemo] = None) -> Dict[str, Any]:
         """The canonical dict the fingerprint hashes.
@@ -133,12 +180,12 @@ class RunSpec:
             "max_cycles": self.max_cycles,
         }
 
-    def fingerprint(self, code_version: Optional[str] = None,
-                    memo: Optional[KeyMemo] = None) -> str:
-        """SHA-256 over the canonical key plus the simulator version."""
-        if code_version is None:
-            from repro.experiments.cache import code_version as cv
-            code_version = cv()
-        blob = json.dumps({"code": code_version, "spec": self.key(memo)},
-                          sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    def build(self):
+        """Construct — but do not run — this point's system."""
+        from repro.core.api import build_benchmark_system
+        return build_benchmark_system(
+            self.benchmark, protocol=self.protocol, config=self.config,
+            ops_per_core=self.ops_per_core,
+            workload_scale=self.workload_scale,
+            think_scale=self.think_scale, seed=self.seed)
+

@@ -1,46 +1,45 @@
-"""Sweep expansion and the (optionally parallel, optionally cached) runner.
+"""The execution pipeline: plan -> execute -> collect.
 
-A :class:`Sweep` expands a (config × benchmark × protocol × seed) matrix
-into :class:`~repro.experiments.spec.RunSpec` points; :func:`run_sweep`
-executes any iterable of specs and returns one structured
-:class:`SweepResult` per spec, in spec order.
+Every door that turns specs into results — :func:`run_sweep`, experiment
+documents (``run-file``, checkpointed or not), the HTML report's
+instrumented re-runs, ``repro serve`` — runs the same two functions:
 
-Execution strategy:
+* :func:`plan_points` fingerprints a batch (config + workload + knobs +
+  simulator source version), probes a cache backend once per distinct
+  fingerprint, fills in the hits, and groups the misses by fingerprint:
+  a point requested twice simulates once and the repeat is an alias.
+* :func:`execute_point` is the one build -> instrument -> run ->
+  record-meta -> harvest sequence, with optional snapshots on a cycle
+  cadence (see :mod:`repro.experiments.checkpoint_exec`).
 
-1. every spec is fingerprinted (config + workload + knobs + simulator
-   source version) and looked up in the result cache, if one is active;
-2. the misses run — serially for ``jobs=1``, otherwise fanned out over
-   per-point worker processes (:mod:`repro.experiments.procpool`).
-   Simulations are deterministic in the spec (engine RNG and trace
-   generation are seeded; see ``tests/test_determinism.py``), so runs
-   are embarrassingly parallel and a parallel sweep is bit-identical to
-   a serial one.  A worker that dies mid-point (crash, OOM kill,
-   timeout) does not lose the point: it retries up to ``retries`` times
-   (default 1) and a point that keeps failing raises a loud
-   :class:`SweepPointError` naming every failed fingerprint — never a
-   hang, never a silent gap in the results;
-3. fresh results are written back to the cache.
-
-``SweepResult.payload()`` is the canonical serialized form: it is what
-the cache stores, and byte-for-byte what a cache hit returns.
+:func:`run_sweep` puts the local driver between them: the misses run
+serially for ``jobs=1``, otherwise in per-point worker processes
+(:mod:`repro.experiments.procpool`; a dying worker retries its point, a
+point that keeps failing raises :class:`SweepPointError`), and fresh
+results are written back to the cache.  Simulations are deterministic
+in the spec (engine RNG and trace generation are seeded; see
+``tests/test_determinism.py``), so a parallel sweep is bit-identical to
+a serial one.  ``SweepResult.payload()`` is the canonical serialized
+form: what the cache stores, and byte-for-byte what a hit returns.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
-from repro.core.api import RunResult, run_benchmark
+from repro.core.api import RunResult
 from repro.core.config import ChipConfig
+from repro.sim.checkpoint import snapshot_system
 from repro.sim.statsframe import StatsFrame
-from repro.experiments.builders import (SystemRunOutcome, SystemSpec,
-                                        execute_system_spec)
 from repro.experiments.cache import ResultCache, as_cache, code_version
 from repro.experiments.context import get_context
 from repro.experiments.procpool import DEFAULT_RETRIES, run_points
-from repro.experiments.spec import KeyMemo, RunSpec
+from repro.experiments.spec import (KeyMemo, PointSpec, RunSpec,
+                                    SystemRunOutcome)
+from repro.systems.base import record_kernel_meta
 from repro.workloads.synthetic import WorkloadProfile
 
 # 2: added the free-form "extra" dict (system-builder runs put litmus
@@ -122,27 +121,14 @@ class SweepResult:
                    cached=cached)
 
     @classmethod
-    def from_run(cls, spec: RunSpec, fingerprint: str,
-                 result: RunResult) -> "SweepResult":
-        return cls(fingerprint=fingerprint,
-                   benchmark=result.benchmark,
-                   protocol=result.protocol,
-                   n_cores=result.n_cores,
-                   seed=spec.seed,
-                   runtime=result.runtime,
-                   completed_ops=result.completed_ops,
-                   progress=result.progress,
-                   stats=dict(result.stats),
-                   label=spec.label)
-
-    @classmethod
-    def from_outcome(cls, spec: SystemSpec, fingerprint: str,
+    def from_outcome(cls, spec: PointSpec, fingerprint: str,
                      outcome: SystemRunOutcome) -> "SweepResult":
-        """Adapt a system-builder run (``protocol`` carries the builder
-        name, ``benchmark`` the workload's display name)."""
+        """The result row of *spec*'s harvested *outcome* (for a system-
+        builder run ``protocol`` carries the builder name, ``benchmark``
+        the workload's display name)."""
         return cls(fingerprint=fingerprint,
                    benchmark=spec.benchmark_name,
-                   protocol=spec.builder,
+                   protocol=spec.protocol_name,
                    n_cores=spec.resolved_config().n_cores,
                    seed=spec.seed_value(),
                    runtime=outcome.runtime,
@@ -207,25 +193,139 @@ class Sweep:
                 * len(self.protocols) * len(self.seeds))
 
 
-def execute_spec(spec: RunSpec) -> RunResult:
-    """Run one spec in this process (the cache/pool-free core)."""
-    return run_benchmark(spec.benchmark, protocol=spec.protocol,
-                         config=spec.config,
-                         ops_per_core=spec.ops_per_core,
-                         max_cycles=spec.max_cycles,
-                         workload_scale=spec.workload_scale,
-                         think_scale=spec.think_scale, seed=spec.seed)
+def snapshot_spec(spec: PointSpec, system, path: str,
+                  fingerprint: str = "") -> None:
+    """Snapshot a (spec, system) pair mid-run so
+    :func:`~repro.experiments.checkpoint_exec.resume_spec` can finish it
+    in a fresh process."""
+    snapshot_system(
+        system, path,
+        meta={"kind": spec.kind,
+              "fingerprint": fingerprint,
+              "label": spec.label,
+              "max_cycles": spec.max_cycles,
+              "finished": bool(system.all_cores_finished())},
+        extra={"spec": spec, "fingerprint": fingerprint})
 
 
-def _pool_worker(item: Tuple[Union[RunSpec, SystemSpec], str]
-                 ) -> Dict[str, Any]:
+def execute_point(spec: PointSpec, fingerprint: str = "", *,
+                  instrument: Optional[Callable[[Any], None]] = None,
+                  checkpoint_every: Optional[int] = None,
+                  checkpoint_path: Optional[str] = None,
+                  system=None) -> SweepResult:
+    """Run one spec in this process: build (or continue *system*, a
+    restored snapshot), instrument, run to completion or to
+    ``spec.max_cycles``, record kernel meta, harvest.
+
+    *instrument* is called with the system before it runs (the
+    observability hook; it must not change simulated behaviour).  With
+    *checkpoint_every* the run is sliced and snapshots to
+    *checkpoint_path* at every boundary, completion included; a sliced
+    run is cycle-identical to a straight one.
+    """
+    if system is None:
+        system = spec.build()
+    if instrument is not None:
+        instrument(system)
+    engine = system.engine
+    # Finished-ness must gate *before* Engine.run: run always advances
+    # at least one cycle, which would shift the runtime of a system
+    # restored exactly at its completion boundary.
+    while not system.all_cores_finished() and engine.cycle < spec.max_cycles:
+        budget = spec.max_cycles - engine.cycle
+        if checkpoint_every is not None:
+            budget = min(budget, checkpoint_every)
+        engine.run(budget, until=system.all_cores_finished)
+        if checkpoint_path is not None and checkpoint_every is not None:
+            snapshot_spec(spec, system, checkpoint_path, fingerprint)
+    # kernel_accounting is cumulative, so recording once at the end of
+    # a sliced or resumed run matches a straight one.
+    record_kernel_meta(system)
+    return SweepResult.from_outcome(spec, fingerprint, spec.harvest(system))
+
+
+def _pool_worker(item: Tuple[PointSpec, str]) -> Dict[str, Any]:
     """Top-level (hence picklable) pool target: spec -> payload dict."""
     spec, fingerprint = item
-    if isinstance(spec, SystemSpec):
-        outcome = execute_system_spec(spec)
-        return SweepResult.from_outcome(spec, fingerprint, outcome).payload()
-    result = execute_spec(spec)
-    return SweepResult.from_run(spec, fingerprint, result).payload()
+    return execute_point(spec, fingerprint).payload()
+
+
+@dataclass
+class Plan:
+    """What :func:`plan_points` decided for one batch of specs.
+
+    ``results`` is in spec order with the cache hits filled in;
+    ``pending`` maps each missing fingerprint to the spec indices it
+    answers (the first simulates, the rest alias), insertion-ordered.
+    ``hits``/``misses`` count one per *requested* point (a repeat of a
+    pending point is its own miss); ``probed``: was there a cache to ask.
+    """
+
+    specs: List[PointSpec]
+    results: List[Optional[SweepResult]]
+    probed: bool
+    pending: Dict[str, List[int]] = field(default_factory=dict)
+    hits: int = 0
+    misses: int = 0
+
+    @property
+    def cache_stats(self) -> Optional[Dict[str, int]]:
+        """``{"hits", "misses"}`` as envelopes and job summaries carry
+        them; None for an uncached batch."""
+        if not self.probed:
+            return None
+        return {"hits": self.hits, "misses": self.misses}
+
+    def to_run(self) -> List[Tuple[str, PointSpec]]:
+        """``(fingerprint, spec)`` of every point left to simulate."""
+        return [(fingerprint, self.specs[indices[0]])
+                for fingerprint, indices in self.pending.items()]
+
+    def _fill(self, index: int, payload: Dict[str, Any],
+              cached: bool) -> None:
+        result = SweepResult.from_payload(payload, cached=cached)
+        result.label = self.specs[index].label
+        self.results[index] = result
+
+    def resolve(self, fingerprint: str,
+                payload: Dict[str, Any]) -> List[int]:
+        """Fill every result *fingerprint* answers from its fresh
+        *payload* (aliases of the simulated point are marked
+        ``cached``); returns their spec indices."""
+        indices = self.pending[fingerprint]
+        for position, index in enumerate(indices):
+            self._fill(index, payload, cached=position > 0)
+        return indices
+
+
+def plan_points(specs: Iterable[PointSpec],
+                lookup: Optional[Callable[[str], Optional[Dict[str, Any]]]]
+                = None) -> Plan:
+    """Fingerprint *specs* and sort them into hits and pending points.
+
+    *lookup* (a cache backend's ``get``) is asked once per distinct
+    fingerprint; without one every point is pending — still
+    fingerprinted, because a result that cannot be matched back to the
+    run that produced it is useless.  Hits carry the *requesting*
+    spec's label.
+    """
+    specs = list(specs)
+    plan = Plan(specs, [None] * len(specs), probed=lookup is not None)
+    version = code_version()
+    memo = KeyMemo()     # this call only: the configs are mutable
+    answers: Dict[str, Optional[Dict[str, Any]]] = {}
+    for index, spec in enumerate(specs):
+        fingerprint = spec.fingerprint(version, memo)
+        if fingerprint not in answers:
+            answers[fingerprint] = lookup(fingerprint) if lookup else None
+        payload = answers[fingerprint]
+        if payload is None:
+            plan.pending.setdefault(fingerprint, []).append(index)
+            plan.misses += 1
+        else:
+            plan._fill(index, payload, cached=True)
+            plan.hits += 1
+    return plan
 
 
 class SweepPointError(RuntimeError):
@@ -244,7 +344,54 @@ class SweepPointError(RuntimeError):
                          f"permanently:{lines}")
 
 
-def run_sweep(sweep: Union[Sweep, Iterable[Union[RunSpec, SystemSpec]]],
+def _report_retry(event) -> None:
+    if event[0] == "retry":
+        print(f"warning: sweep point {event[1][:12]} attempt {event[2]} "
+              f"failed ({event[3]}); retrying", file=sys.stderr)
+
+
+def run_plan(specs: Iterable[PointSpec],
+             jobs: Optional[int] = None,
+             cache: Union[None, bool, str, ResultCache] = None,
+             retries: int = DEFAULT_RETRIES,
+             point_timeout: Optional[float] = None) -> Plan:
+    """Plan *specs* against the cache, simulate the pending points here
+    (serially, or in up to *jobs* worker processes), write them back and
+    return the resolved :class:`Plan` — :func:`run_sweep` for callers
+    that also want the hit/miss counts."""
+    ctx = get_context()
+    if jobs is None:
+        jobs = ctx.jobs
+    resolved_cache = ctx.cache if cache is None else as_cache(cache)
+    plan = plan_points(
+        specs, resolved_cache.get if resolved_cache is not None else None)
+
+    items = [(fingerprint, (spec, fingerprint))
+             for fingerprint, spec in plan.to_run()]
+    if jobs > 1 and len(items) > 1:
+        payloads, failed = run_points(items, _pool_worker,
+                                      jobs=min(jobs, len(items)),
+                                      retries=retries,
+                                      timeout=point_timeout,
+                                      on_event=_report_retry)
+        if failed:
+            failures = {fp: failed[fp] for fp in plan.pending
+                        if fp in failed}
+            for fp, error in failures.items():
+                print(f"error: sweep point {fp} failed permanently: "
+                      f"{error}", file=sys.stderr)
+            raise SweepPointError(failures)
+    else:
+        payloads = {fingerprint: _pool_worker(item)
+                    for fingerprint, item in items}
+    for fingerprint in plan.pending:
+        if resolved_cache is not None:
+            resolved_cache.put(fingerprint, payloads[fingerprint])
+        plan.resolve(fingerprint, payloads[fingerprint])
+    return plan
+
+
+def run_sweep(sweep: Union[Sweep, Iterable[PointSpec]],
               jobs: Optional[int] = None,
               cache: Union[None, bool, str, ResultCache] = None,
               retries: int = DEFAULT_RETRIES,
@@ -262,88 +409,9 @@ def run_sweep(sweep: Union[Sweep, Iterable[Union[RunSpec, SystemSpec]]],
     *retries* times; points that still fail raise
     :class:`SweepPointError` listing every failed fingerprint.
     """
-    specs = sweep.expand() if isinstance(sweep, Sweep) else list(sweep)
-    ctx = get_context()
-    if jobs is None:
-        jobs = ctx.jobs
-    resolved_cache = ctx.cache if cache is None else as_cache(cache)
-
-    results: List[Optional[SweepResult]] = [None] * len(specs)
-    pending: List[Tuple[int, Union[RunSpec, SystemSpec], str]] = []
-    duplicates: List[Tuple[int, Union[RunSpec, SystemSpec], str]] = []
-    version = code_version()
-    memo = KeyMemo()     # this call only: the configs are mutable
-    if resolved_cache is None:
-        # No cache to consult, but every result document still carries
-        # its identity: an envelope with an elided fingerprint can never
-        # be matched back to the run that produced it (or to a cached
-        # rerun of the same point) after the fact.  code_version() is
-        # memoized, so the cost is one hash per spec, not per call.
-        pending = [(index, spec, spec.fingerprint(version, memo))
-                   for index, spec in enumerate(specs)]
-    else:
-        first_pending: Dict[str, int] = {}
-        for index, spec in enumerate(specs):
-            fingerprint = spec.fingerprint(version, memo)
-            payload = resolved_cache.get(fingerprint)
-            if payload is not None:
-                recalled = SweepResult.from_payload(payload, cached=True)
-                recalled.label = spec.label
-                results[index] = recalled
-            elif fingerprint in first_pending:
-                # Same point requested twice in one batch: simulate once,
-                # alias the second occurrence to the first result.
-                duplicates.append((index, spec, fingerprint))
-            else:
-                first_pending[fingerprint] = index
-                pending.append((index, spec, fingerprint))
-
-    if pending:
-        if jobs > 1 and len(pending) > 1:
-            # Keys are queue positions, not fingerprints: without a
-            # cache, duplicate specs are not deduplicated and would
-            # collide on the fingerprint.
-            items = [(seq, (spec, fp))
-                     for seq, (_i, spec, fp) in enumerate(pending)]
-
-            def _report(event) -> None:
-                if event[0] == "retry":
-                    fp = pending[event[1]][2]
-                    print(f"warning: sweep point {fp[:12]} attempt "
-                          f"{event[2]} failed ({event[3]}); retrying",
-                          file=sys.stderr)
-
-            by_seq, failed = run_points(items, _pool_worker,
-                                        jobs=min(jobs, len(pending)),
-                                        retries=retries,
-                                        timeout=point_timeout,
-                                        on_event=_report)
-            if failed:
-                failures = {pending[seq][2]: error
-                            for seq, error in sorted(failed.items())}
-                for fp, error in failures.items():
-                    print(f"error: sweep point {fp} failed permanently: "
-                          f"{error}", file=sys.stderr)
-                raise SweepPointError(failures)
-            payloads = [by_seq[seq] for seq in range(len(pending))]
-        else:
-            payloads = [_pool_worker((spec, fp))
-                        for _i, spec, fp in pending]
-        computed: Dict[str, Dict[str, Any]] = {}
-        for (index, spec, fingerprint), payload in zip(pending, payloads):
-            fresh = SweepResult.from_payload(payload)
-            fresh.label = spec.label
-            results[index] = fresh
-            if resolved_cache is not None:
-                resolved_cache.put(fingerprint, payload)
-                computed[fingerprint] = payload
-        for index, spec, fingerprint in duplicates:
-            alias = SweepResult.from_payload(computed[fingerprint],
-                                             cached=True)
-            alias.label = spec.label
-            results[index] = alias
-
-    return results  # type: ignore[return-value]
+    specs = sweep.expand() if isinstance(sweep, Sweep) else sweep
+    return run_plan(specs, jobs=jobs, cache=cache, retries=retries,
+                    point_timeout=point_timeout).results
 
 
 def run_grid(benchmarks: Sequence[Union[str, WorkloadProfile]],

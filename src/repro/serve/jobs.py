@@ -1,14 +1,15 @@
 """Job bookkeeping for the sweep service.
 
-A *job* is one submitted experiment document.  :class:`JobManager`
-mirrors the local ``run_experiment`` execution exactly — same
-fingerprinting, same one-lookup-per-spec cache accounting (a duplicate
-of a pending point is its own miss), same label handling, same
+A *job* is one submitted experiment document.  A job holds the same
+:class:`~repro.experiments.sweep.Plan` the local ``run_experiment``
+executes — :func:`~repro.experiments.sweep.plan_points` against the
+shared backend, ``plan.resolve`` as points complete, the same
 :func:`collect_experiment_result` tail — so the envelope a job produces
 is **byte-identical** to ``repro run-file`` on the same document
 against the same cache state.  That is the contract that makes a shared
 service safe: a result is a result, regardless of which door it came
-through (``tests/test_serve.py`` locks it).
+through (``tests/test_serve.py`` and ``tests/test_one_pipeline.py``
+lock it).
 
 Points that miss the cache go to the host's
 :class:`~repro.serve.scheduler.PointScheduler`; everything else is
@@ -24,27 +25,21 @@ from typing import Any, Dict, List, Optional
 
 from repro.api.document import (ExperimentSpec, collect_experiment_result,
                                 envelope_bytes)
-from repro.experiments.cache import CacheBackend, code_version
-from repro.experiments.spec import KeyMemo
-from repro.experiments.sweep import SweepResult
+from repro.experiments.cache import CacheBackend
+from repro.experiments.sweep import Plan, SweepPointError, plan_points
 from repro.serve.scheduler import PointScheduler
 
 
 class Job:
     """One submitted document and everything it has produced so far."""
 
-    def __init__(self, job_id: str, experiment: ExperimentSpec) -> None:
+    def __init__(self, job_id: str, experiment: ExperimentSpec,
+                 plan: Plan) -> None:
         self.id = job_id
         self.experiment = experiment
+        self.plan = plan
         self.state = "running"          # running | done | failed
-        self.results: List[Optional[SweepResult]] = \
-            [None] * len(experiment.specs)
-        self.hits = 0
-        self.misses = 0
-        # fingerprint -> spec indices it resolves (first index computes,
-        # the rest alias), insertion-ordered.
-        self.pending: Dict[str, List[int]] = {}
-        self.remaining = 0
+        self.remaining = len(plan.pending)
         self.failures: Dict[str, str] = {}
         self.retries = 0
         self.envelope: Optional[bytes] = None
@@ -60,10 +55,10 @@ class Job:
                 "job": self.id,
                 "experiment": self.experiment.name,
                 "state": self.state,
-                "points": len(self.results),
+                "points": len(self.plan.results),
                 "pending": self.remaining,
                 "retries": self.retries,
-                "cache": {"hits": self.hits, "misses": self.misses},
+                "cache": self.plan.cache_stats,
                 "failures": dict(self.failures),
                 "error": self.error,
             }
@@ -100,44 +95,18 @@ class JobManager:
         """Accept a validated document: resolve every point against the
         cache (submit-time short-circuit), queue only the unique misses.
         """
+        plan = plan_points(experiment.specs, self.backend.get)
         with self._lock:
             self._counter += 1
-            job_id = f"job-{self._counter:04d}"
-            job = Job(job_id, experiment)
-            self._jobs[job_id] = job
-
-        version = code_version()
-        memo = KeyMemo()     # this call only: the configs are mutable
-        for index, spec in enumerate(experiment.specs):
-            fingerprint = spec.fingerprint(version, memo)
-            if fingerprint in job.pending:
-                # Duplicate of a point already pending in *this* job:
-                # its own miss (matching run_sweep's accounting), but
-                # simulated once.
-                job.misses += 1
-                job.pending[fingerprint].append(index)
-                continue
-            payload = self.backend.get(fingerprint)
-            if payload is not None:
-                job.hits += 1
-                recalled = SweepResult.from_payload(payload, cached=True)
-                recalled.label = spec.label
-                job.results[index] = recalled
-            else:
-                job.misses += 1
-                job.pending[fingerprint] = [index]
-
-        job.remaining = len(job.pending)
+            job = Job(f"job-{self._counter:04d}", experiment, plan)
+            self._jobs[job.id] = job
         with job.condition:
-            job._emit({"event": "queued", "points": len(job.results),
-                       "hits": job.hits, "misses": job.misses,
-                       "pending": job.remaining})
+            job._emit({"event": "queued", "points": len(plan.results),
+                       "pending": job.remaining, **plan.cache_stats})
         if job.remaining == 0:
             self._finalize(job)
             return job
-        for fingerprint in job.pending:
-            first = job.pending[fingerprint][0]
-            spec = experiment.specs[first]
+        for fingerprint, spec in plan.to_run():
             self.scheduler.submit(
                 fingerprint, spec,
                 lambda kind, fp, payload, error, _job=job:
@@ -169,15 +138,9 @@ class JobManager:
                 job._emit({"event": "retry", "fingerprint": fingerprint,
                            "error": error})
             return
-        finished = False
         with job.condition:
-            indices = job.pending.get(fingerprint, [])
             if kind == "done" and payload is not None:
-                for position, index in enumerate(indices):
-                    result = SweepResult.from_payload(
-                        payload, cached=position > 0)
-                    result.label = job.experiment.specs[index].label
-                    job.results[index] = result
+                indices = job.plan.resolve(fingerprint, payload)
                 job._emit({"event": "point", "fingerprint": fingerprint,
                            "indices": list(indices)})
             else:
@@ -193,20 +156,16 @@ class JobManager:
         """Assemble the terminal state: the byte-canonical envelope on
         success, a loud per-fingerprint failure list otherwise."""
         if job.failures:
-            lines = "".join(f"\n  {fp}: {error}"
-                            for fp, error in job.failures.items())
             with job.condition:
                 job.state = "failed"
-                job.error = (f"{len(job.failures)} point(s) failed "
-                             f"permanently:{lines}")
+                job.error = str(SweepPointError(job.failures))
                 job._emit({"event": "failed", "error": job.error,
                            "failures": dict(job.failures)})
             return
         try:
             collected = collect_experiment_result(job.experiment,
-                                                  job.results)
-            collected.cache_stats = {"hits": job.hits,
-                                     "misses": job.misses}
+                                                  job.plan.results)
+            collected.cache_stats = job.plan.cache_stats
             envelope = envelope_bytes(collected.payload())
         except Exception as exc:  # bench/litmus collection failure
             with job.condition:
@@ -217,6 +176,5 @@ class JobManager:
         with job.condition:
             job.envelope = envelope
             job.state = "done"
-            job._emit({"event": "done",
-                       "cache": {"hits": job.hits, "misses": job.misses},
+            job._emit({"event": "done", "cache": job.plan.cache_stats,
                        "bytes": len(envelope)})

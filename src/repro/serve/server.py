@@ -18,7 +18,9 @@ GET         /v1/jobs/<id>/result           the results envelope (bytes are
                                            job is done, 410 if it failed
 GET         /v1/jobs/<id>/events           NDJSON progress stream; stays
                                            open until the job is terminal
-GET/HEAD    /v1/cache/<fingerprint>        shared cache read/probe (404=miss)
+GET/HEAD    /v1/cache/<fingerprint>        shared cache read/probe (404=miss;
+                                           400 for a name outside
+                                           ``[0-9A-Za-z_-]{1,128}``)
 PUT         /v1/cache/<fingerprint>        shared cache write (payload JSON)
 GET         /v1/cache                      cache summary (entry count)
 ==========  =============================  ==================================
@@ -43,7 +45,8 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.api.document import (DocumentError, experiment_from_dict,
                                 load_experiment)
-from repro.experiments.cache import CacheBackend, as_backend
+from repro.experiments.cache import (CacheBackend, CacheNameError,
+                                     as_backend)
 from repro.serve.jobs import JobManager
 from repro.serve.scheduler import PointScheduler
 
@@ -138,6 +141,16 @@ class SweepService:
                 pass
 
 
+def _bad_name_is_400(method):
+    """Answer 400 when the backend refuses a cache entry name."""
+    def guarded(self) -> None:
+        try:
+            method(self)
+        except CacheNameError as exc:
+            self._error(400, str(exc))
+    return guarded
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = SERVER_NAME
     service: SweepService        # injected by serve()
@@ -184,6 +197,7 @@ class _Handler(BaseHTTPRequestHandler):
     # Routes
     # ------------------------------------------------------------------
 
+    @_bad_name_is_400
     def do_GET(self) -> None:            # noqa: N802 (http.server API)
         route = self._route()
         service = self.service
@@ -259,6 +273,7 @@ class _Handler(BaseHTTPRequestHandler):
             if terminal and cursor >= len(job.events):
                 return
 
+    @_bad_name_is_400
     def do_HEAD(self) -> None:           # noqa: N802
         route = self._route()
         if len(route) == 3 and route[:2] == ("v1", "cache"):
@@ -291,6 +306,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         self._send_json(202, job.summary())
 
+    @_bad_name_is_400
     def do_PUT(self) -> None:            # noqa: N802
         route = self._route()
         if len(route) != 3 or route[:2] != ("v1", "cache"):

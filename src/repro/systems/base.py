@@ -40,7 +40,9 @@ def record_kernel_meta(system) -> None:
     ``engine.cycle``) and the routers' kernel counters (``router.*`` —
     slot scans, blocked scans, wake-ups by cause, and ``la_echoes``, the
     share of ``noc.la.lost_arbitration`` that is no real conflict).
-    Diagnostics only, never part of result payloads."""
+    Journal accounting (``journal.*``) rides the same channel when
+    observability is attached.  Diagnostics only, never part of result
+    payloads — payload bytes are identical with the journal on or off."""
     stats = system.stats
     for name, value in system.engine.kernel_accounting().items():
         stats.set_meta(f"engine.{name}", value)
@@ -49,6 +51,13 @@ def record_kernel_meta(system) -> None:
         totals.update(router.kernel_counters())
     for name, value in totals.items():
         stats.set_meta(f"router.{name}", value)
+    journal = system.engine.journal
+    if journal is not None:
+        stats.set_meta("journal.records", len(journal))
+        stats.set_meta("journal.dropped", journal.dropped)
+    sampler = system.engine._sampler
+    if sampler is not None:
+        stats.set_meta("journal.samples", len(sampler))
 
 
 def all_cores_finished(system) -> bool:
@@ -140,7 +149,7 @@ class BaseSystem:
 
     def run(self, cycles: int) -> int:
         ran = self.engine.run(cycles)
-        self._record_kernel_meta()
+        record_kernel_meta(self)
         return ran
 
     def all_cores_finished(self) -> bool:
@@ -150,21 +159,8 @@ class BaseSystem:
         """Run until every core finished its trace; returns the cycle
         count reached (the 'runtime' of the workload)."""
         self.engine.run(max_cycles, until=self.all_cores_finished)
-        self._record_kernel_meta()
-        return self.engine.cycle
-
-    def _record_kernel_meta(self) -> None:
         record_kernel_meta(self)
-        # Journal accounting rides the same side channel: present only
-        # when observability is attached, and never in a payload either
-        # way — payload bytes are identical with the journal on or off.
-        journal = self.engine.journal
-        if journal is not None:
-            self.stats.set_meta("journal.records", len(journal))
-            self.stats.set_meta("journal.dropped", journal.dropped)
-        sampler = self.engine._sampler
-        if sampler is not None:
-            self.stats.set_meta("journal.samples", len(sampler))
+        return self.engine.cycle
 
     def total_completed_ops(self) -> int:
         return sum(core.completed_ops for core in self.cores.values())

@@ -32,9 +32,8 @@ import repro
 from repro.core.config import ChipConfig
 from repro.experiments import (SystemSpec, builder_names,
                                execute_system_spec)
-from repro.experiments.checkpoint_exec import (build_for_spec, resume_spec,
-                                               snapshot_spec)
-from repro.experiments.sweep import SweepResult
+from repro.experiments.checkpoint_exec import resume_spec
+from repro.experiments.sweep import SweepResult, snapshot_spec
 from repro.sim.checkpoint import restore_system
 
 BENCH = {"kind": "benchmark", "name": "fft", "ops_per_core": 8,
@@ -108,7 +107,7 @@ def _payload_bytes(spec: SystemSpec) -> bytes:
 def _snapshot_at(spec: SystemSpec, cut: int, path) -> None:
     """Build the spec's system, run it *cut* cycles, snapshot to
     *path*."""
-    system = build_for_spec(spec)
+    system = spec.build()
     if cut > 0 and not system.all_cores_finished():
         system.engine.run(min(cut, spec.max_cycles),
                           until=system.all_cores_finished)
@@ -193,7 +192,7 @@ def test_litmus_observations_survive_fresh_process(tmp_path):
 def _roundtrip_bytes(spec: SystemSpec, cuts, tmp_path) -> bytes:
     """Snapshot/restore at each cut in turn (chained), then finish."""
     path = tmp_path / "cut.ckpt"
-    system = build_for_spec(spec)
+    system = spec.build()
     for cut in sorted(cuts):
         remaining = cut - system.engine.cycle
         if remaining > 0 and not system.all_cores_finished():

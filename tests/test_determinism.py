@@ -58,11 +58,11 @@ _SUBPROCESS_SNIPPET = """
 import sys, json
 from repro.core.config import ChipConfig
 from repro.experiments import RunSpec
-from repro.experiments.checkpoint_exec import execute_spec_checkpointed
+from repro.experiments import execute_point
 spec = RunSpec("lu", protocol=sys.argv[1],
                config=ChipConfig.variant(3, 3), ops_per_core=15,
                workload_scale=0.02, think_scale=10.0, seed=3)
-result = execute_spec_checkpointed(spec)
+result = execute_point(spec)
 sys.stdout.write(json.dumps(result.payload(), sort_keys=True,
                             separators=(",", ":")))
 """
@@ -102,12 +102,11 @@ def test_in_process_matches_fresh_process():
     payloads."""
     import json
 
-    from repro.experiments import RunSpec
-    from repro.experiments.checkpoint_exec import execute_spec_checkpointed
+    from repro.experiments import RunSpec, execute_point
 
     spec = RunSpec("lu", protocol="scorpio",
                    config=ChipConfig.variant(3, 3), ops_per_core=15,
                    workload_scale=0.02, think_scale=10.0, seed=3)
-    local = json.dumps(execute_spec_checkpointed(spec).payload(),
+    local = json.dumps(execute_point(spec).payload(),
                        sort_keys=True, separators=(",", ":")).encode()
     assert local == _payload_in_subprocess("scorpio")

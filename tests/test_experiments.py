@@ -80,7 +80,8 @@ class TestResultCache:
     def test_corrupt_file_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("cd" * 32, {"x": 1})
-        cache._path("cd" * 32).write_text("{truncated", encoding="utf-8")
+        cache.backend._path("cd" * 32).write_text("{truncated",
+                                                  encoding="utf-8")
         assert cache.get("cd" * 32) is None
 
     def test_empty_cache_is_not_falsy(self, tmp_path):
@@ -94,7 +95,7 @@ class TestResultCache:
         assert as_cache(False) is None
         cache = ResultCache(tmp_path)
         assert as_cache(cache) is cache
-        assert as_cache(str(tmp_path)).directory == tmp_path
+        assert as_cache(str(tmp_path)).backend.directory == tmp_path
 
 
 class TestSweepExpansion:
@@ -165,15 +166,36 @@ class TestRunSweep:
         recalled = run_sweep(sweep, jobs=1, cache=tmp_path)
         assert all(r.cached for r in recalled)
 
-    def test_duplicate_specs_simulate_once_within_a_batch(self, tmp_path):
+    def test_duplicate_specs_simulate_once_within_a_batch(self, tmp_path,
+                                                          monkeypatch):
         cache = ResultCache(tmp_path)
         results = run_sweep([tiny_spec(label="a"), tiny_spec(label="b")],
                             cache=cache)
-        # one simulation, second occurrence aliased to it
-        assert cache.misses == 2 and cache.stats()["entries"] == 1
+        # one lookup, one simulation, second occurrence aliased to it
+        assert cache.misses == 1 and cache.stats()["entries"] == 1
         assert [r.cached for r in results] == [False, True]
         assert results[0].payload() == results[1].payload()
         assert (results[0].label, results[1].label) == ("a", "b")
+
+        # ... and the same without a cache, serial or pooled: the plan
+        # deduplicates by fingerprint, not the cache.
+        import repro.experiments.sweep as sweep_mod
+        real_worker = sweep_mod._pool_worker
+        simulated = []
+        monkeypatch.setattr(
+            sweep_mod, "_pool_worker",
+            lambda item: simulated.append(item[1]) or real_worker(item))
+        specs = [tiny_spec(label="a"), tiny_spec(seed=1),
+                 tiny_spec(label="b")]
+        for jobs in (1, 2):
+            uncached = run_sweep(specs, jobs=jobs, cache=False)
+            assert [r.cached for r in uncached] == [False, False, True]
+            assert uncached[0].payload() == uncached[2].payload() \
+                == results[0].payload()
+            assert [r.label for r in uncached] == ["a", "", "b"]
+        # (counted in the serial pass only: pooled points run in worker
+        # processes, where the recorder's list is a copy)
+        assert len(simulated) == 2
 
     def test_cache_hit_carries_the_requesting_label(self, tmp_path):
         # label is display bookkeeping, not part of the fingerprint: a
@@ -234,7 +256,7 @@ class TestContext:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         ctx = ExecutionContext.from_environment()
         assert ctx.jobs == 5
-        assert ctx.cache.directory == tmp_path
+        assert ctx.cache.backend.directory == tmp_path
 
     def test_executing_restores_previous_context(self):
         from repro.experiments import get_context

@@ -21,7 +21,8 @@ import json
 import pytest
 
 from repro.core.config import ChipConfig
-from repro.experiments import SystemSpec, builder_names, execute_system_spec
+from repro.experiments import (SystemSpec, builder_names, execute_point,
+                               execute_system_spec)
 from repro.experiments.sweep import SweepResult
 from repro.noc import reset_packet_ids
 from repro.sim.engine import forced_quiescence
@@ -68,31 +69,52 @@ def test_every_registered_builder_is_covered():
         f"{sorted(set(builder_names()) - covered)}")
 
 
-def _payload_bytes(spec, journal=None, sampler_interval=None) -> bytes:
+def _payload_bytes(spec, journal=None, sampler_interval=None,
+                   checkpoint_every=None) -> bytes:
+    """Payload bytes of one run (sliced with *checkpoint_every*), after
+    checking that the journal's accounting reached the stats meta
+    channel and nothing of it the payload."""
+    systems = []
+
     def instrument(system):
         sampler = None
         if sampler_interval is not None:
             sampler = MeshSampler(system_routers(system),
                                   interval=sampler_interval)
         attach_observability(system, journal, sampler)
+        systems.append(system)
 
-    outcome = execute_system_spec(
-        spec, instrument=instrument if (journal is not None
-                                        or sampler_interval) else None)
-    result = SweepResult.from_outcome(spec, "fingerprint-elided", outcome)
+    result = execute_point(spec, "fingerprint-elided",
+                           instrument=instrument,
+                           checkpoint_every=checkpoint_every)
+    expected = set()
+    if journal is not None:
+        expected |= {"journal.records", "journal.dropped"}
+    if sampler_interval is not None:
+        expected.add("journal.samples")
+    meta = systems[0].stats.meta
+    assert {name for name in meta if name.startswith("journal.")} \
+        == expected
+    if journal is not None:
+        assert meta["journal.records"] == len(journal)
+    assert not any(name.startswith("journal.") for name in result.stats)
     return json.dumps(result.payload(), sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
 
 
 @pytest.mark.parametrize("case", sorted(_specs()))
 def test_journal_payload_identity(case):
-    """Journal off / on / tiny capacity / with sampler — one payload."""
+    """Journal off / on / tiny capacity with sampler / sliced — one
+    payload, and ``journal.*`` meta on every run path (every builder,
+    multimesh included; straight and sliced)."""
     spec = _specs()[case]
     plain = _payload_bytes(spec)
     journaled = _payload_bytes(spec, journal=EventJournal())
     tiny = _payload_bytes(spec, journal=EventJournal(capacity=4),
                           sampler_interval=32)
-    assert plain == journaled == tiny, (
+    sliced = _payload_bytes(spec, journal=EventJournal(),
+                            sampler_interval=32, checkpoint_every=64)
+    assert plain == journaled == tiny == sliced, (
         f"{case!r}: attaching the journal/sampler changed the simulated "
         "outcome — observability must be side-channel only")
 

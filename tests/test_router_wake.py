@@ -15,9 +15,8 @@ import json
 
 from repro.core.config import ChipConfig
 from repro.experiments import SystemSpec, execute_system_spec
-from repro.experiments.checkpoint_exec import (build_for_spec, resume_spec,
-                                               snapshot_spec)
-from repro.experiments.sweep import SweepResult
+from repro.experiments.checkpoint_exec import resume_spec
+from repro.experiments.sweep import SweepResult, snapshot_spec
 from repro.noc.config import NocConfig
 from repro.noc.packet import Packet, VNet
 from repro.noc.router import (PORTS, WAKE_CREDIT, WAKE_ORDER, WAKE_RETRY,
@@ -387,7 +386,7 @@ def test_snapshot_with_parked_slots_restores_identically(tmp_path):
     straight = _payload_bytes(SweepResult.from_outcome(
         spec, "fp", execute_system_spec(spec)))
 
-    system = build_for_spec(spec)
+    system = spec.build()
     system.engine.run(150)
     while not any(_parked(r) and r._n_buffered for r in system.mesh.routers):
         assert not system.all_cores_finished(), "never saturated"
@@ -404,7 +403,7 @@ def test_kernel_counters_are_mode_invariant_and_stay_out_of_payloads():
     totals = {}
     for mode in (True, False):
         with forced_quiescence(mode):
-            system = build_for_spec(_spec())
+            system = _spec().build()
             system.run_until_done(_spec().max_cycles)
         totals[mode] = _router_meta(system)
         assert totals[mode]["scans"] == sum(
@@ -424,7 +423,7 @@ def test_blocked_scans_stay_near_eligible_scans():
     it waits on fires, so blocked scans stay within a small multiple of
     the eligible ones (re-scanning every blocked VC every cycle reads
     about 5x on saturated broadcast)."""
-    system = build_for_spec(_spec())
+    system = _spec().build()
     system.run_until_done(_spec().max_cycles)
     counters = _router_meta(system)
     eligible = counters["scans"] - counters["blocked_scans"]

@@ -163,6 +163,32 @@ class TestRemoteCacheBackend:
         local = frontend.service.backend
         assert local.get(fp) == {"answer": 42}
 
+    @pytest.mark.parametrize("name", ["..", "a%2Fb", "ab.json", "a" * 129])
+    def test_entry_names_cannot_escape_the_cache_dir(self, frontend,
+                                                     tmp_path, name):
+        """A cache entry name is a plain token: anything else is refused
+        by the local backend and is HTTP 400 on GET, HEAD and PUT, and
+        nothing is written — inside the cache directory or next to it."""
+        import urllib.error
+        import urllib.request
+
+        from repro.experiments.cache import CacheNameError
+
+        local = frontend.service.backend
+        for call in (local.get, local.contains,
+                     lambda fp: local.put(fp, {"x": 1})):
+            with pytest.raises(CacheNameError):
+                call(name)
+        for method, data in (("GET", None), ("HEAD", None),
+                             ("PUT", b'{"x": 1}')):
+            request = urllib.request.Request(
+                f"{frontend.url}/v1/cache/{name}", data=data, method=method)
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=10.0)
+            assert excinfo.value.code == 400
+        assert local.entries() == 0
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
     def test_unreachable_frontend_is_loud(self):
         remote = RemoteCacheBackend("http://127.0.0.1:1", timeout=0.5)
         with pytest.raises(CacheUnavailableError):
