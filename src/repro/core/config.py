@@ -9,7 +9,7 @@ exploration (Sec. 5.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.coherence.l2_controller import CacheConfig
 from repro.core.serialize import SerializableConfig
@@ -78,6 +78,15 @@ class ChipConfig(SerializableConfig):
     @property
     def n_cores(self) -> int:
         return self.noc.n_nodes
+
+    def system_kwargs(self) -> Dict[str, Any]:
+        """The constructor arguments every system class takes.
+        ``notification`` is left out on purpose: only the systems that
+        run the notification network (scorpio, multimesh) are handed it;
+        the ordered-network baselines keep the default window."""
+        return {"noc": self.noc, "cache": self.cache,
+                "memory": self.memory, "core": self.core,
+                "mc_nodes": self.mc_nodes, "seed": self.seed}
 
     # ------------------------------------------------------------------
     # Factory methods

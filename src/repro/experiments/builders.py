@@ -174,8 +174,7 @@ class SystemBuilder:
     :class:`~repro.systems.base.BaseSystem` run interface; ``metrics``
     optionally harvests system-level numbers that live outside the stats
     registry (reorder-buffer peaks, ring latencies) into the result's
-    stats under ``system.<name>`` keys.  Builders with a fundamentally
-    different run shape (litmus) override ``execute`` wholesale.
+    stats under ``system.<name>`` keys.
     """
 
     name: str
@@ -184,8 +183,8 @@ class SystemBuilder:
     construct: Optional[Callable[..., Any]] = None
     metrics: Optional[Callable[[Any], Dict[str, float]]] = None
     # Builders with a fundamentally different construction/harvest shape
-    # (litmus) override these; the run phase itself is always
-    # ``system.run_until_done`` so every builder can checkpoint.
+    # (litmus) supply these instead of ``construct``; the run phase is
+    # always ``system.run_until_done`` so every builder can checkpoint.
     build: Optional[Callable[..., Any]] = None
     collect: Optional[Callable[..., SystemRunOutcome]] = None
 
@@ -201,16 +200,21 @@ def register_builder(name: str, description: str,
                      metrics: Optional[Callable] = None,
                      build: Optional[Callable] = None,
                      collect: Optional[Callable] = None):
-    """Decorator registering ``fn`` as the constructor for *name*."""
+    """Register builder *name*.  Used as a decorator, the decorated
+    function is its trace-driven constructor.  Given ``build`` (and
+    ``collect``) instead, the builder has no constructor and the call
+    registers it outright — there is nothing to decorate."""
 
-    def decorate(fn):
+    def register(construct=None):
         BUILDERS[name] = SystemBuilder(
             name=name, description=description, defaults=dict(defaults or {}),
-            construct=None if build else fn, metrics=metrics,
-            build=build, collect=collect)
-        return fn
+            construct=construct, metrics=metrics, build=build,
+            collect=collect)
+        return construct
 
-    return decorate
+    if build is None:
+        return register
+    register()
 
 
 def get_builder(name: str) -> SystemBuilder:
@@ -371,11 +375,8 @@ def execute_system_spec(spec: SystemSpec,
     "SCORPIO ordered-mesh snoopy MOSI (the paper's fabricated design)")
 def _build_scorpio(config: ChipConfig, params, traces):
     from repro.systems.scorpio import ScorpioSystem
-    return ScorpioSystem(traces=traces, noc=config.noc,
-                         notification=config.notification,
-                         cache=config.cache, memory=config.memory,
-                         core=config.core, mc_nodes=config.mc_nodes,
-                         seed=config.seed)
+    return ScorpioSystem(traces=traces, notification=config.notification,
+                         **config.system_kwargs())
 
 
 @register_builder(
@@ -391,12 +392,10 @@ def _build_directory(config: ChipConfig, params, traces):
         scheme=scheme, n_nodes=config.noc.n_nodes,
         total_cache_bytes=config.directory_cache_bytes,
         line_size=config.noc.line_size_bytes)
-    return DirectorySystem(scheme=scheme, traces=traces, noc=config.noc,
-                           cache=config.cache, memory=config.memory,
-                           core=config.core, directory=dir_config,
-                           mc_nodes=config.mc_nodes, incf=params["incf"],
+    return DirectorySystem(scheme=scheme, traces=traces,
+                           directory=dir_config, incf=params["incf"],
                            incf_table_capacity=params["incf_table_capacity"],
-                           seed=config.seed)
+                           **config.system_kwargs())
 
 
 @register_builder(
@@ -407,12 +406,8 @@ def _build_multimesh(config: ChipConfig, params, traces):
     from repro.systems.multimesh import MultiMeshScorpioSystem
     return MultiMeshScorpioSystem(traces=traces,
                                   n_meshes=params["n_meshes"],
-                                  noc=config.noc,
                                   notification=config.notification,
-                                  cache=config.cache, memory=config.memory,
-                                  core=config.core,
-                                  mc_nodes=config.mc_nodes,
-                                  seed=config.seed)
+                                  **config.system_kwargs())
 
 
 @register_builder(
@@ -421,11 +416,9 @@ def _build_multimesh(config: ChipConfig, params, traces):
     defaults={"retry_timeout": 400, "incf": False})
 def _build_tokenb(config: ChipConfig, params, traces):
     from repro.ordering_baselines.systems import TokenBSystem
-    return TokenBSystem(traces=traces, noc=config.noc, cache=config.cache,
-                        memory=config.memory, core=config.core,
-                        mc_nodes=config.mc_nodes,
+    return TokenBSystem(traces=traces,
                         retry_timeout=params["retry_timeout"],
-                        incf=params["incf"], seed=config.seed)
+                        incf=params["incf"], **config.system_kwargs())
 
 
 @register_builder(
@@ -436,9 +429,7 @@ def _build_inso(config: ChipConfig, params, traces):
     from repro.ordering_baselines.systems import InsoSystem
     return InsoSystem(traces=traces,
                       expiration_window=params["expiration_window"],
-                      noc=config.noc, cache=config.cache,
-                      memory=config.memory, core=config.core,
-                      mc_nodes=config.mc_nodes, seed=config.seed)
+                      **config.system_kwargs())
 
 
 def _timestamp_metrics(system) -> Dict[str, float]:
@@ -453,9 +444,7 @@ def _timestamp_metrics(system) -> Dict[str, float]:
 def _build_timestamp(config: ChipConfig, params, traces):
     from repro.ordering_baselines.systems import TimestampSystem
     return TimestampSystem(traces=traces, slack=params["slack"],
-                           noc=config.noc, cache=config.cache,
-                           memory=config.memory, core=config.core,
-                           mc_nodes=config.mc_nodes, seed=config.seed)
+                           **config.system_kwargs())
 
 
 def _uncorq_metrics(system) -> Dict[str, float]:
@@ -472,11 +461,8 @@ def _build_uncorq(config: ChipConfig, params, traces):
     from repro.ordering_baselines.systems import UncorqSystem
     return UncorqSystem(traces=traces,
                         ring_hop_latency=params["ring_hop_latency"],
-                        noc=config.noc, cache=config.cache,
-                        memory=config.memory, core=config.core,
-                        mc_nodes=config.mc_nodes,
                         retry_timeout=params["retry_timeout"],
-                        seed=config.seed)
+                        **config.system_kwargs())
 
 
 def _litmus_build(spec: SystemSpec, config: ChipConfig,
@@ -506,14 +492,10 @@ def _litmus_collect(spec: SystemSpec, system) -> SystemRunOutcome:
                                 for o in observations]})
 
 
-# The dummy constructor is never called (build/collect override the
-# generic trace-driven construction and harvest).
-@register_builder(
+register_builder(
     "litmus",
     "memory-consistency litmus program on a live system (SC checker runs "
     "on the collected observations)",
     defaults={"name": REQUIRED, "threads": REQUIRED, "protocol": "scorpio",
               "seed": 0},
     build=_litmus_build, collect=_litmus_collect)
-def _build_litmus(config, params, traces):   # pragma: no cover
-    raise RuntimeError("litmus builds through its build override")

@@ -378,7 +378,7 @@ class NetworkInterface(Clocked):
             if vnet == VNet.GO_REQ \
                     and self._inject_sid_tracker.blocks(packet.sid):
                 continue
-            if self._free_inject_vc(vnet) is None:
+            if self._inject_credits.first_free_normal_vc(vnet) is None:
                 continue
             return False             # head could go next cycle
         return True
@@ -476,32 +476,46 @@ class NetworkInterface(Clocked):
         self.router.queue_credit_release(LOCAL, vnet, vc_index,
                                          packet.size_flits, cycle + 1)
 
+    # The hook a NIC on several main networks overrides with a method
+    # ``packet -> (credit tracker, SID tracker, router)`` choosing the
+    # port *packet* injects through.  Asked once per non-empty vnet
+    # queue per :meth:`_inject` visit, whether or not the head then goes
+    # (the multi-mesh response round-robin advances per ask).  None —
+    # one network, nothing to ask — keeps a call off the injection path.
+    _pick_lane = None
+
     def _inject(self, cycle: int) -> None:
+        pick_lane = self._pick_lane
         for vnet in (VNet.GO_REQ, VNet.UO_RESP):
             queue = self._inject_queues[vnet]
             if not queue:
                 continue
             packet = queue[0]
-            if vnet == VNet.GO_REQ \
-                    and self._inject_sid_tracker.blocks(packet.sid):
+            if pick_lane is None:
+                credits, sid_tracker, router = (
+                    self._inject_credits, self._inject_sid_tracker,
+                    self.router)
+            else:
+                credits, sid_tracker, router = pick_lane(packet)
+            if vnet == VNet.GO_REQ and sid_tracker.blocks(packet.sid):
                 continue  # point-to-point ordering at the injection port
-            vc = self._free_inject_vc(vnet)
+            vc = credits.first_free_normal_vc(vnet)
             if vc is None:
                 continue
             queue.popleft()
             packet.inject_cycle = cycle
             if hasattr(packet.payload, "stamp"):
                 packet.payload.stamp("inject", cycle)
-            self._inject_credits.consume(vnet, vc, packet.size_flits)
+            credits.consume(vnet, vc, packet.size_flits)
             if vnet == VNet.GO_REQ:
-                self._inject_sid_tracker.record(vc, packet.sid)
+                sid_tracker.record(vc, packet.sid)
                 if self.ordering_enabled:
                     self.pending_notifications += 1
             if self.noc_config.lookahead_bypass:
-                self.router.deliver_lookahead(
+                router.deliver_lookahead(
                     Lookahead(packet=packet, inport=LOCAL),
                     process_cycle=cycle + LOOKAHEAD_DELAY)
-            self.router.deliver_packet(
+            router.deliver_packet(
                 packet, LOCAL, vnet, vc,
                 arrive_cycle=cycle + INJECT_TO_ROUTER_DELAY)
             self.stats.incr("nic.packets_injected")
@@ -510,9 +524,6 @@ class NetworkInterface(Clocked):
                 journal.record(cycle, f"nic.{self.node}", "inject",
                                vnet.name,
                                f"pid={packet.pid} dst={packet.dst}")
-
-    def _free_inject_vc(self, vnet: VNet) -> Optional[int]:
-        return self._inject_credits.first_free_normal_vc(vnet)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.nic.controller import (INJECT_TO_ROUTER_DELAY, NetworkInterface)
+from repro.nic.controller import NetworkInterface
 from repro.noc.config import NocConfig, NotificationConfig
 from repro.noc.packet import Packet, VNet
-from repro.noc.router import LOOKAHEAD_DELAY, Lookahead, Router
+from repro.noc.router import Router
 from repro.noc.routing import LOCAL
 from repro.noc.sid_tracker import SidTracker
 from repro.noc.vc import CreditTracker
@@ -107,6 +107,11 @@ class MultiMeshInterface(NetworkInterface):
         self._resp_rr = (self._resp_rr + 1) % self.n_meshes
         return self._resp_rr
 
+    def _pick_lane(self, packet: Packet):
+        mesh = self._mesh_for(packet)
+        return (self._mesh_credits[mesh], self._mesh_sid_trackers[mesh],
+                self.routers[mesh])
+
     # -- overridden plumbing ----------------------------------------------
 
     def _quiet(self) -> bool:
@@ -138,36 +143,3 @@ class MultiMeshInterface(NetworkInterface):
         mesh = self._router_of_pid.pop(packet.pid, 0)
         self.routers[mesh].queue_credit_release(
             LOCAL, vnet, vc_index, packet.size_flits, cycle + 1)
-
-    def _inject(self, cycle: int) -> None:
-        for vnet in (VNet.GO_REQ, VNet.UO_RESP):
-            queue = self._inject_queues[vnet]
-            if not queue:
-                continue
-            packet = queue[0]
-            mesh = self._mesh_for(packet)
-            credits = self._mesh_credits[mesh]
-            sid_tracker = self._mesh_sid_trackers[mesh]
-            if vnet == VNet.GO_REQ and sid_tracker.blocks(packet.sid):
-                continue
-            vc = credits.first_free_normal_vc(vnet)
-            if vc is None:
-                continue
-            queue.popleft()
-            packet.inject_cycle = cycle
-            if hasattr(packet.payload, "stamp"):
-                packet.payload.stamp("inject", cycle)
-            credits.consume(vnet, vc, packet.size_flits)
-            if vnet == VNet.GO_REQ:
-                sid_tracker.record(vc, packet.sid)
-                if self.ordering_enabled:
-                    self.pending_notifications += 1
-            router = self.routers[mesh]
-            if self.noc_config.lookahead_bypass:
-                router.deliver_lookahead(
-                    Lookahead(packet=packet, inport=LOCAL),
-                    process_cycle=cycle + LOOKAHEAD_DELAY)
-            router.deliver_packet(packet, LOCAL, vnet, vc,
-                                  arrive_cycle=cycle
-                                  + INJECT_TO_ROUTER_DELAY)
-            self.stats.incr("nic.packets_injected")

@@ -1,40 +1,24 @@
-"""Full systems for the ordered-network baselines of Figure 7.
+"""Full systems for the ordered-network baselines (Fig. 7 and Sec. 2).
 
-Both reuse the snoopy MOSI stack end to end and change only how the
+All four reuse the snoopy MOSI stack end to end and change only how the
 interconnect orders requests — the paper's "all conditions equal besides
-the ordered network" methodology:
-
-* :class:`TokenBSystem` — requests broadcast with no ordering wait at
-  all; every NIC delivers them in local arrival order.  Races that a real
-  TokenB would resolve with retries are resolved with retries here too,
-  but (like the paper) no persistent requests are modelled, so TokenB
-  performs close to SCORPIO.
-* :class:`InsoSystem` — requests carry pre-assigned snoop-order slots and
-  idle slots must be expired, parameterized by the expiration window
-  (20/40/80 in Figure 7).
-* :class:`TimestampSystem` — Timestamp Snooping (Sec. 2): requests carry
-  ordering times and destinations reorder; performance tracks SCORPIO but
-  the destination reorder buffers grow with cores x outstanding requests,
-  the overhead the paper's Sec. 2 critique quantifies (72 buffers/node at
-  36 cores).
-* :class:`UncorqSystem` — Uncorq (Sec. 2): requests deliver unordered and
-  a response message circles a logical ring embedded in the mesh; writes
-  wait for the full ring traversal, so write latency scales linearly with
-  core count.
+the ordered network" methodology.  In code that is literal: each class
+is its constructor signature plus the NIC it hands
+:meth:`~repro.systems.base.BaseSystem.make_nic`; fabric, snoopy stack
+and run helpers are :class:`~repro.systems.base.BaseSystem`'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.coherence.l2_controller import CacheConfig, L2Controller
+from repro.coherence.l2_controller import CacheConfig
 from repro.cpu.core import CoreConfig
 from repro.cpu.trace import Trace
-from repro.memory.controller import (MemoryConfig, MemoryController,
-                                     OwnsMappedAddr)
+from repro.memory.controller import MemoryConfig
 from repro.nic.controller import NetworkInterface
-from repro.noc.config import NocConfig, NotificationConfig
+from repro.noc.config import NocConfig
 from repro.ordering_baselines.inso import InsoNetworkInterface
 from repro.ordering_baselines.timestamp import TimestampNetworkInterface
 from repro.ordering_baselines.uncorq import (LogicalRing,
@@ -43,41 +27,27 @@ from repro.systems.base import BaseSystem
 
 
 class _SnoopyBaselineSystem(BaseSystem):
-    """Shared assembly: snoopy L2s + snooping MCs over a custom NIC."""
+    """The snoopy stack over an unordered fabric: no notification
+    network, and — deliberately — no ``notification`` config either, so
+    ``self.notif_config`` is the default-window one on every chip."""
 
     def __init__(self, traces: Optional[Sequence[Trace]],
-                 noc: Optional[NocConfig],
-                 cache: Optional[CacheConfig],
-                 memory: Optional[MemoryConfig],
-                 core: Optional[CoreConfig],
-                 mc_nodes: Optional[Sequence[int]],
-                 seed: int, nic_factory) -> None:
-        super().__init__(noc=noc, cache=cache, memory=memory, core=core,
-                         mc_nodes=mc_nodes, ordered=False, seed=seed,
-                         nic_factory=nic_factory)
-        self.l2s: List[L2Controller] = []
-        for node in range(self.n_nodes):
-            l2 = L2Controller(node, self.nics[node], self.memory_map,
-                              self.cache_config, self.stats)
-            self.engine.register(l2)
-            self.l2s.append(l2)
-        self.memory_controllers: List[MemoryController] = []
-        for mc_node in self.mc_nodes:
-            mc = MemoryController(
-                mc_node, self.nics[mc_node],
-                owns_addr=OwnsMappedAddr(self.memory_map, mc_node),
-                config=self.memory_config, stats=self.stats, snoopy=True)
-            self.engine.register(mc)
-            self.memory_controllers.append(mc)
-        if traces is not None:
-            if len(traces) != self.n_nodes:
-                raise ValueError(f"need {self.n_nodes} traces, "
-                                 f"got {len(traces)}")
-            self.attach_cores(traces, lambda node: self.l2s[node])
+                 retry_timeout: Optional[int] = None, **config) -> None:
+        super().__init__(ordered=False, **config)
+        if retry_timeout is not None:
+            # Requests delivered unordered race; the L2s resolve races
+            # by timed retries plus the memory rescue.
+            self.cache_config = replace(self.cache_config,
+                                        retry_timeout=retry_timeout)
+        self.build_snoopy_stack(traces)
 
 
 class TokenBSystem(_SnoopyBaselineSystem):
-    """TokenB-like broadcast coherence (no ordering wait, retry on race)."""
+    """TokenB-like broadcast coherence: no ordering wait at all — every
+    NIC delivers requests in local arrival order (the default
+    ``make_nic`` with ordering off) and races are resolved by retries.
+    Like the paper, no persistent requests are modelled, so TokenB
+    performs close to SCORPIO."""
 
     def __init__(self, traces: Optional[Sequence[Trace]] = None,
                  noc: Optional[NocConfig] = None,
@@ -88,40 +58,19 @@ class TokenBSystem(_SnoopyBaselineSystem):
                  retry_timeout: int = 400,
                  incf: bool = False,
                  seed: int = 0) -> None:
-        noc = noc or NocConfig()
-        cache = cache or CacheConfig(line_size=noc.line_size_bytes)
-        cache = replace(cache, retry_timeout=retry_timeout)
-        stats_holder = {}
-
-        def factory(node: int) -> NetworkInterface:
-            return NetworkInterface(node, noc, NotificationConfig(
-                window=max(13, NotificationConfig.minimum_window(
-                    noc.width, noc.height))),
-                stats_holder["stats"], ordering_enabled=False)
-
-        # BaseSystem builds stats before NICs; thread it via the holder.
-        self._factory_holder = stats_holder
-
-        def wrapped_factory(node: int) -> NetworkInterface:
-            stats_holder.setdefault("stats", self.stats)
-            return factory(node)
-
-        super().__init__(traces, noc, cache, memory, core, mc_nodes, seed,
-                         wrapped_factory)
+        super().__init__(traces, retry_timeout, noc=noc, cache=cache,
+                         memory=memory, core=core, mc_nodes=mc_nodes,
+                         seed=seed)
         # INCF: snoopy-mode memory controllers keep the owner bits, so
         # they must observe every snoop — they are always interested.
-        self.broadcast_filter = None
         if incf:
-            from repro.noc.filtering import (BroadcastFilter,
-                                             l2_interest_oracle)
-            self.broadcast_filter = BroadcastFilter(
-                noc.width, noc.height, l2_interest_oracle(self.l2s),
-                always_interested=self.mc_nodes, stats=self.stats)
-            self.mesh.set_broadcast_filter(self.broadcast_filter)
+            self.install_incf(always_interested=self.mc_nodes)
 
 
 class InsoSystem(_SnoopyBaselineSystem):
-    """INSO snoopy coherence with a configurable expiration window."""
+    """INSO snoopy coherence: requests carry pre-assigned snoop-order
+    slots, and idle slots must be expired every ``expiration_window``
+    cycles (20/40/80 in Figure 7)."""
 
     def __init__(self, traces: Optional[Sequence[Trace]] = None,
                  expiration_window: int = 20,
@@ -131,25 +80,18 @@ class InsoSystem(_SnoopyBaselineSystem):
                  core: Optional[CoreConfig] = None,
                  mc_nodes: Optional[Sequence[int]] = None,
                  seed: int = 0) -> None:
-        noc = noc or NocConfig()
-        self.expiration_window = expiration_window
-        stats_holder = {}
-
-        def factory(node: int) -> NetworkInterface:
-            stats_holder.setdefault("stats", self.stats)
-            return InsoNetworkInterface(
-                node, noc,
-                NotificationConfig(window=max(
-                    13, NotificationConfig.minimum_window(noc.width,
-                                                          noc.height))),
-                stats_holder["stats"], expiration_window=expiration_window)
-
-        super().__init__(traces, noc, cache, memory, core, mc_nodes, seed,
-                         factory)
+        self.expiration_window = expiration_window   # read by make_nic
+        super().__init__(traces, noc=noc, cache=cache, memory=memory,
+                         core=core, mc_nodes=mc_nodes, seed=seed)
         # In-network expiry: every NIC sees every frontier update after a
         # diameter-bounded latency.
         for nic in self.nics:
             nic.peers = list(self.nics)
+
+    def make_nic(self, node: int) -> NetworkInterface:
+        return InsoNetworkInterface(
+            node, self.noc_config, self.notif_config, self.stats,
+            expiration_window=self.expiration_window)
 
     def expiry_overhead(self) -> float:
         """Ratio of expiry messages to real coherence requests."""
@@ -159,7 +101,10 @@ class InsoSystem(_SnoopyBaselineSystem):
 
 
 class TimestampSystem(_SnoopyBaselineSystem):
-    """Timestamp Snooping with destination reorder buffers.
+    """Timestamp Snooping (Sec. 2): requests carry ordering times and
+    destinations reorder.  Performance tracks SCORPIO, but the reorder
+    buffers grow with cores x outstanding requests (72 buffers/node at
+    36 cores — the overhead the Sec. 2 critique quantifies).
 
     ``slack`` is the OT headroom; the default covers the mesh diameter
     plus router pipeline plus a queueing allowance, matching TS's
@@ -174,25 +119,19 @@ class TimestampSystem(_SnoopyBaselineSystem):
                  core: Optional[CoreConfig] = None,
                  mc_nodes: Optional[Sequence[int]] = None,
                  seed: int = 0) -> None:
-        noc = noc or NocConfig()
         if slack is None:
             # Diameter x (router + link) + injection + a queueing margin.
+            noc = noc or NocConfig()
             diameter = (noc.width - 1) + (noc.height - 1)
             slack = 4 * diameter + 40
-        self.slack = slack
-        stats_holder = {}
+        self.slack = slack                            # read by make_nic
+        super().__init__(traces, noc=noc, cache=cache, memory=memory,
+                         core=core, mc_nodes=mc_nodes, seed=seed)
 
-        def factory(node: int) -> NetworkInterface:
-            stats_holder.setdefault("stats", self.stats)
-            return TimestampNetworkInterface(
-                node, noc,
-                NotificationConfig(window=max(
-                    13, NotificationConfig.minimum_window(noc.width,
-                                                          noc.height))),
-                stats_holder["stats"], slack=slack)
-
-        super().__init__(traces, noc, cache, memory, core, mc_nodes, seed,
-                         factory)
+    def make_nic(self, node: int) -> NetworkInterface:
+        return TimestampNetworkInterface(
+            node, self.noc_config, self.notif_config, self.stats,
+            slack=self.slack)
 
     def reorder_buffer_peak(self) -> int:
         """Worst per-node reorder-buffer occupancy (the Sec. 2 metric)."""
@@ -204,7 +143,8 @@ class TimestampSystem(_SnoopyBaselineSystem):
 
 
 class UncorqSystem(_SnoopyBaselineSystem):
-    """Uncorq: unordered snoop broadcast + ring-collected responses.
+    """Uncorq (Sec. 2): unordered snoop broadcast + responses collected
+    by a message circling a logical ring embedded in the mesh.
 
     Writes complete only when their token finishes a full circle of the
     embedded logical ring, so the write wait grows linearly with core
@@ -220,30 +160,21 @@ class UncorqSystem(_SnoopyBaselineSystem):
                  mc_nodes: Optional[Sequence[int]] = None,
                  retry_timeout: int = 400,
                  seed: int = 0) -> None:
-        noc = noc or NocConfig()
-        # Requests deliver unordered, so (like the TokenB model) races are
-        # resolved by timed retries plus the memory rescue.
-        cache = cache or CacheConfig(line_size=noc.line_size_bytes)
-        cache = replace(cache, retry_timeout=retry_timeout)
-        stats_holder = {}
-        ring_holder = {}
+        self.ring_hop_latency = ring_hop_latency      # read by build_fabric
+        super().__init__(traces, retry_timeout, noc=noc, cache=cache,
+                         memory=memory, core=core, mc_nodes=mc_nodes,
+                         seed=seed)
+        self.engine.register(self.ring)      # ticks last, after the cores
 
-        def factory(node: int) -> NetworkInterface:
-            stats_holder.setdefault("stats", self.stats)
-            ring_holder.setdefault(
-                "ring", LogicalRing(noc, stats_holder["stats"],
-                                    hop_latency=ring_hop_latency))
-            return UncorqNetworkInterface(
-                node, noc,
-                NotificationConfig(window=max(
-                    13, NotificationConfig.minimum_window(noc.width,
-                                                          noc.height))),
-                stats_holder["stats"], ring=ring_holder["ring"])
+    def build_fabric(self) -> None:
+        self.ring = LogicalRing(self.noc_config, self.stats,
+                                hop_latency=self.ring_hop_latency)
+        super().build_fabric()
 
-        super().__init__(traces, noc, cache, memory, core, mc_nodes, seed,
-                         factory)
-        self.ring: LogicalRing = ring_holder["ring"]
-        self.engine.register(self.ring)
+    def make_nic(self, node: int) -> NetworkInterface:
+        return UncorqNetworkInterface(
+            node, self.noc_config, self.notif_config, self.stats,
+            ring=self.ring)
 
     def ring_traversal_latency(self) -> int:
         """Full-circle ring latency — the write-wait lower bound."""

@@ -199,14 +199,8 @@ class MeshSampler:
 
 
 def system_routers(system) -> list:
-    """Every main-network router of *system*, node-major.
-
-    Single-mesh systems expose ``system.mesh``; the multi-mesh variant
-    exposes ``system.meshes`` (routers concatenate mesh-major, so node
-    ``n`` of mesh ``m`` sits at index ``m * n_nodes + n``)."""
-    mesh = getattr(system, "mesh", None)
-    if mesh is not None:
-        return list(mesh.routers)
+    """Every main-network router of *system*, mesh-major: node ``n`` of
+    mesh ``m`` sits at index ``m * n_nodes + n``."""
     return [router for mesh in system.meshes for router in mesh.routers]
 
 
@@ -226,7 +220,7 @@ def attach_observability(system, journal: Optional[EventJournal] = None,
             router.journal = journal
         for nic in system.nics:
             nic.journal = journal
-        if getattr(system, "notification_network", None) is not None:
+        if system.notification_network is not None:
             system.notification_network.journal = journal
     if sampler is not None:
         system.engine.attach_sampler(sampler)

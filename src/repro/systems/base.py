@@ -1,10 +1,17 @@
-"""Common assembly for full-system simulations.
+"""System assembly, spelled once.
 
-A *system* wires together the engine, the main-network mesh, one NIC per
-node, and (for ordered systems) the notification network.  Subclasses add
-the protocol stack: snoopy L2s + snooping memory controllers for SCORPIO,
-directory L2s + home-directory slices + dumb memory controllers for the
-LPD-D / HT-D baselines.
+:class:`BaseSystem` defaults the configs, creates ``stats`` / ``engine`` /
+``memory_map``, builds the fabric (:meth:`~BaseSystem.build_fabric`: one
+mesh, one NIC per node from :meth:`~BaseSystem.make_nic`) and, for
+ordered systems, the notification network.  Subclasses stack a protocol
+on the NICs: :meth:`~BaseSystem.build_snoopy_stack` for SCORPIO, its
+multi-mesh variant and the ordered-network baselines; directory L2s +
+home slices + dumb memory controllers for LPD / HT / FULLBIT.
+
+**Registration order is tick order**: routers (mesh-major) → NICs →
+notification network → L2s → directories → memory controllers → cores →
+(Uncorq) the ring.  It is simulated behaviour and must not move;
+``tests/test_system_assembly.py`` pins it.
 """
 
 from __future__ import annotations
@@ -12,12 +19,15 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
-from repro.coherence.l2_controller import CacheConfig
+from repro.coherence.l2_controller import CacheConfig, L2Controller
 from repro.cpu.core import CoreConfig, TraceCore
 from repro.cpu.trace import Trace
-from repro.memory.controller import MemoryConfig, make_memory_map
+from repro.memory.controller import (MemoryConfig, MemoryController,
+                                     OwnsMappedAddr, make_memory_map)
 from repro.nic.controller import NetworkInterface
 from repro.noc.config import NocConfig, NotificationConfig
+from repro.noc.filtering import (BroadcastFilter, FilterTable,
+                                 l2_interest_oracle)
 from repro.noc.mesh import Mesh, NicRvcOracle
 from repro.notification.network import NotificationNetwork
 from repro.sim.engine import Engine
@@ -74,7 +84,10 @@ def all_cores_finished(system) -> bool:
 
 
 class BaseSystem:
-    """Shared plumbing: engine + mesh + NICs (+ notification network)."""
+    """Engine + fabric (+ notification network), and the steps that stack
+    a protocol on it."""
+
+    broadcast_filter = None     # set by install_incf
 
     def __init__(self, noc: Optional[NocConfig] = None,
                  notification: Optional[NotificationConfig] = None,
@@ -83,14 +96,12 @@ class BaseSystem:
                  core: Optional[CoreConfig] = None,
                  mc_nodes: Optional[Sequence[int]] = None,
                  ordered: bool = True,
-                 seed: int = 0,
-                 nic_factory=None) -> None:
+                 seed: int = 0) -> None:
         self.noc_config = noc or NocConfig()
         width, height = self.noc_config.width, self.noc_config.height
         min_window = NotificationConfig.minimum_window(width, height)
         if notification is None:
-            notification = NotificationConfig(
-                window=max(13, min_window))
+            notification = NotificationConfig(window=max(13, min_window))
         elif notification.window < min_window:
             raise ValueError("notification window below the latency bound")
         self.notif_config = notification
@@ -104,24 +115,13 @@ class BaseSystem:
         self.ordered = ordered
         self.stats = StatsRegistry()
         self.engine = Engine(seed=seed)
-        self.mesh = Mesh(self.noc_config, self.engine, self.stats)
         self.n_nodes = self.noc_config.n_nodes
         self.memory_map = make_memory_map(self.mc_nodes,
                                           self.noc_config.line_size_bytes)
 
+        self.meshes: List[Mesh] = []
         self.nics: List[NetworkInterface] = []
-        for node in range(self.n_nodes):
-            if nic_factory is not None:
-                nic = nic_factory(node)
-            else:
-                nic = NetworkInterface(node, self.noc_config,
-                                       self.notif_config, self.stats,
-                                       ordering_enabled=ordered)
-            router = self.mesh.attach(node, nic)
-            nic.attach_router(router)
-            self.engine.register(nic)
-            self.nics.append(nic)
-        self.mesh.set_rvc_oracle(NicRvcOracle(self.nics))
+        self.build_fabric()
 
         self.notification_network: Optional[NotificationNetwork] = None
         if ordered:
@@ -136,9 +136,60 @@ class BaseSystem:
         self._cores_left: List[TraceCore] = []
 
     # ------------------------------------------------------------------
+    # Assembly steps
+    # ------------------------------------------------------------------
 
-    def attach_cores(self, traces: Sequence[Trace],
-                     l2_of) -> None:
+    def build_fabric(self) -> None:
+        """Fill ``meshes`` and ``nics``; every router registers before
+        any NIC.  Runs inside ``__init__``: whatever an override (or
+        ``make_nic``) reads of ``self`` must be set before
+        ``BaseSystem.__init__`` is called."""
+        mesh = Mesh(self.noc_config, self.engine, self.stats)
+        self.meshes.append(mesh)
+        for node in range(self.n_nodes):
+            nic = self.make_nic(node)
+            nic.attach_router(mesh.attach(node, nic))
+            self.engine.register(nic)
+            self.nics.append(nic)
+        mesh.set_rvc_oracle(NicRvcOracle(self.nics))
+
+    def make_nic(self, node: int) -> NetworkInterface:
+        """The NIC of *node* — the one thing an ordered-network baseline
+        changes.  The baselines pass ``__init__`` no ``notification``, so
+        ``notif_config`` is the default-window one on every chip."""
+        return NetworkInterface(node, self.noc_config, self.notif_config,
+                                self.stats, ordering_enabled=self.ordered)
+
+    @property
+    def mesh(self) -> Mesh:
+        return self.meshes[0]
+
+    def build_snoopy_stack(self, traces: Optional[Sequence[Trace]]) -> None:
+        """Snoopy MOSI over the NICs: one L2 per node, the owner-bit
+        memory controllers at ``mc_nodes``, then the trace cores."""
+        register = self.engine.register
+        self.l2s = [
+            register(L2Controller(node, self.nics[node], self.memory_map,
+                                  self.cache_config, self.stats))
+            for node in range(self.n_nodes)]
+        self.memory_controllers = [
+            register(MemoryController(
+                mc_node, self.nics[mc_node],
+                owns_addr=OwnsMappedAddr(self.memory_map, mc_node),
+                config=self.memory_config, stats=self.stats, snoopy=True))
+            for mc_node in self.mc_nodes]
+        self.attach_traces(traces)
+
+    def attach_traces(self, traces: Optional[Sequence[Trace]]) -> None:
+        """One trace core per node on ``self.l2s`` (None: no cores)."""
+        if traces is None:
+            return
+        if len(traces) != self.n_nodes:
+            raise ValueError(f"need {self.n_nodes} traces, "
+                             f"got {len(traces)}")
+        self.attach_cores(traces, self.l2s.__getitem__)
+
+    def attach_cores(self, traces: Sequence[Trace], l2_of) -> None:
         """Create one trace core per trace; ``l2_of(node)`` supplies the
         node's cache controller."""
         for node, trace in enumerate(traces):
@@ -146,6 +197,27 @@ class BaseSystem:
                              self.stats)
             self.engine.register(core)
             self.cores[node] = core
+
+    def install_incf(self, always_interested: Sequence[int] = (),
+                     table_capacity: Optional[int] = None) -> None:
+        """INCF (Sec. 5.3 future work): prune snoop-broadcast branches
+        whose subtrees provably hold no interested L2 (nodes in
+        *always_interested* see every snoop), through a finite
+        :class:`FilterTable` when *table_capacity* is given."""
+        interest = l2_interest_oracle(self.l2s)
+        if table_capacity is not None:
+            interest = FilterTable(
+                interest, capacity=table_capacity,
+                region_bytes=self.cache_config.region_bytes)
+        self.broadcast_filter = BroadcastFilter(
+            self.noc_config.width, self.noc_config.height, interest,
+            always_interested=always_interested, stats=self.stats)
+        for mesh in self.meshes:
+            mesh.set_broadcast_filter(self.broadcast_filter)
+
+    # ------------------------------------------------------------------
+    # Running
+    # ------------------------------------------------------------------
 
     def run(self, cycles: int) -> int:
         ran = self.engine.run(cycles)
@@ -170,3 +242,10 @@ class BaseSystem:
             return 1.0
         return (sum(core.progress() for core in self.cores.values())
                 / len(self.cores))
+
+    def quiesced(self) -> bool:
+        """Nothing in flight in the fabric or the memory controllers
+        (end-of-run sanity; subclasses add their own controllers)."""
+        return (all(mesh.quiescent() for mesh in self.meshes)
+                and all(nic.idle() for nic in self.nics)
+                and all(mc.idle() for mc in self.memory_controllers))

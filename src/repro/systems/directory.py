@@ -9,7 +9,7 @@ fixed at 256 KB.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.coherence.dir_l2 import DirectoryL2Controller
 from repro.coherence.directory import DirectoryConfig, DirectoryController
@@ -18,7 +18,7 @@ from repro.cpu.core import CoreConfig
 from repro.cpu.trace import Trace
 from repro.memory.controller import (MemoryConfig, MemoryController,
                                      owns_every_addr)
-from repro.noc.config import NocConfig, NotificationConfig
+from repro.noc.config import NocConfig
 from repro.systems.base import BaseSystem
 
 
@@ -63,58 +63,31 @@ class DirectorySystem(BaseSystem):
         self.home_map = LineInterleavedHomeMap(
             self.noc_config.line_size_bytes, self.n_nodes)
 
-        self.l2s: List[DirectoryL2Controller] = []
-        for node in range(self.n_nodes):
-            l2 = DirectoryL2Controller(node, self.nics[node],
-                                       self.memory_map, self.home_map,
-                                       self.cache_config, self.stats,
-                                       requires_marker=(scheme == "HT"))
-            self.engine.register(l2)
-            self.l2s.append(l2)
-
-        self.directories: List[DirectoryController] = []
-        for node in range(self.n_nodes):
-            dir_ctrl = DirectoryController(node, self.nics[node],
-                                           self.dir_config, self.memory_map,
-                                           self.stats)
-            self.engine.register(dir_ctrl)
-            self.directories.append(dir_ctrl)
-
-        self.memory_controllers: List[MemoryController] = []
-        for mc_node in self.mc_nodes:
-            mc = MemoryController(
+        register = self.engine.register
+        self.l2s = [
+            register(DirectoryL2Controller(
+                node, self.nics[node], self.memory_map, self.home_map,
+                self.cache_config, self.stats,
+                requires_marker=(scheme == "HT")))
+            for node in range(self.n_nodes)]
+        self.directories = [
+            register(DirectoryController(node, self.nics[node],
+                                         self.dir_config, self.memory_map,
+                                         self.stats))
+            for node in range(self.n_nodes)]
+        self.memory_controllers = [
+            register(MemoryController(
                 mc_node, self.nics[mc_node],
                 owns_addr=owns_every_addr,  # MemReads are pre-routed
-                config=self.memory_config, stats=self.stats, snoopy=False)
-            self.engine.register(mc)
-            self.memory_controllers.append(mc)
+                config=self.memory_config, stats=self.stats, snoopy=False))
+            for mc_node in self.mc_nodes]
 
-        # INCF (Sec. 5.3 future work): prune HT snoop-broadcast branches
-        # whose subtrees provably hold no interested cache.  Directory-
-        # mode memory controllers never snoop, so no node is
+        # Directory-mode memory controllers never snoop, so no node is
         # always-interested.
-        self.broadcast_filter = None
         if incf:
-            from repro.noc.filtering import (BroadcastFilter, FilterTable,
-                                             l2_interest_oracle)
-            interest = l2_interest_oracle(self.l2s)
-            if incf_table_capacity is not None:
-                interest = FilterTable(
-                    interest, capacity=incf_table_capacity,
-                    region_bytes=self.cache_config.region_bytes)
-            self.broadcast_filter = BroadcastFilter(
-                self.noc_config.width, self.noc_config.height,
-                interest, stats=self.stats)
-            self.mesh.set_broadcast_filter(self.broadcast_filter)
-
-        if traces is not None:
-            if len(traces) != self.n_nodes:
-                raise ValueError(f"need {self.n_nodes} traces, "
-                                 f"got {len(traces)}")
-            self.attach_cores(traces, lambda node: self.l2s[node])
+            self.install_incf(table_capacity=incf_table_capacity)
+        self.attach_traces(traces)
 
     def quiesced(self) -> bool:
-        return (self.mesh.quiescent()
-                and all(nic.idle() for nic in self.nics)
-                and all(d.idle() for d in self.directories)
-                and all(mc.idle() for mc in self.memory_controllers))
+        return (super().quiesced()
+                and all(d.idle() for d in self.directories))

@@ -8,13 +8,12 @@ the chip edge.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.coherence.l2_controller import CacheConfig, L2Controller
+from repro.coherence.l2_controller import CacheConfig
 from repro.cpu.core import CoreConfig
 from repro.cpu.trace import Trace
-from repro.memory.controller import (MemoryConfig, MemoryController,
-                                     OwnsMappedAddr)
+from repro.memory.controller import MemoryConfig
 from repro.noc.config import NocConfig, NotificationConfig
 from repro.systems.base import BaseSystem
 
@@ -33,28 +32,7 @@ class ScorpioSystem(BaseSystem):
         super().__init__(noc=noc, notification=notification, cache=cache,
                          memory=memory, core=core, mc_nodes=mc_nodes,
                          ordered=True, seed=seed)
-        self.l2s: List[L2Controller] = []
-        for node in range(self.n_nodes):
-            l2 = L2Controller(node, self.nics[node], self.memory_map,
-                              self.cache_config, self.stats)
-            self.engine.register(l2)
-            self.l2s.append(l2)
-        self.memory_controllers: List[MemoryController] = []
-        for mc_node in self.mc_nodes:
-            mc = MemoryController(
-                mc_node, self.nics[mc_node],
-                owns_addr=self._owns_addr_fn(mc_node),
-                config=self.memory_config, stats=self.stats, snoopy=True)
-            self.engine.register(mc)
-            self.memory_controllers.append(mc)
-        if traces is not None:
-            if len(traces) != self.n_nodes:
-                raise ValueError(f"need {self.n_nodes} traces, "
-                                 f"got {len(traces)}")
-            self.attach_cores(traces, lambda node: self.l2s[node])
-
-    def _owns_addr_fn(self, mc_node: int):
-        return OwnsMappedAddr(self.memory_map, mc_node)
+        self.build_snoopy_stack(traces)
 
     # ------------------------------------------------------------------
     # Invariant checks (used by tests)
@@ -79,7 +57,4 @@ class ScorpioSystem(BaseSystem):
 
     def quiesced(self) -> bool:
         """Nothing in flight anywhere (end-of-run sanity)."""
-        return (self.mesh.quiescent()
-                and all(nic.idle() for nic in self.nics)
-                and all(l2.idle() for l2 in self.l2s)
-                and all(mc.idle() for mc in self.memory_controllers))
+        return super().quiesced() and all(l2.idle() for l2 in self.l2s)

@@ -18,14 +18,12 @@ sequentially consistent interleaving explains every observed value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cpu.trace import Trace
-from repro.noc.config import NocConfig
 from repro.sim.engine import Clocked
-from repro.systems.scorpio import ScorpioSystem
 
 LINE = 32
 VAR_BASE = 0x5000_0000
@@ -95,18 +93,6 @@ class LitmusProgram:
     description: str = ""
 
 
-def _build_system(protocol: str, width: int, height: int, seed: int):
-    noc = NocConfig(width=width, height=height)
-    traces = [Trace([]) for _ in range(width * height)]
-    if protocol == "scorpio":
-        return ScorpioSystem(traces=traces, noc=noc, seed=seed)
-    if protocol in ("lpd", "ht", "fullbit"):
-        from repro.systems.directory import DirectorySystem
-        return DirectorySystem(scheme=protocol.upper(), traces=traces,
-                               noc=noc, seed=seed)
-    raise ValueError(f"unknown protocol {protocol!r}")
-
-
 def build_litmus_system(program: LitmusProgram, width: int = 3,
                         height: int = 3, seed: int = 0,
                         protocol: str = "scorpio"):
@@ -118,10 +104,13 @@ def build_litmus_system(program: LitmusProgram, width: int = 3,
     every thread retires) and, in program order, in
     ``system.litmus_cores`` (so observations can be collected after a
     restore in a fresh process)."""
-    n_nodes = width * height
-    if len(program.threads) > n_nodes:
+    from repro.core.api import build_system
+    from repro.core.config import ChipConfig
+    config = replace(ChipConfig.variant(width, height), seed=seed)
+    if len(program.threads) > config.n_cores:
         raise ValueError("more threads than nodes")
-    system = _build_system(protocol, width, height, seed)
+    system = build_system(
+        protocol, [Trace([]) for _ in range(config.n_cores)], config)
     cores = []
     for node, thread in enumerate(program.threads):
         core = LitmusCore(node, system.l2s[node], thread)

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.noc.packet import VNet
 from repro.sim.engine import Clocked
+from repro.sim.journal import system_routers
 
 
 class InvariantViolation(AssertionError):
@@ -126,10 +127,7 @@ class SystemMonitor(Clocked):
         return owned
 
     def check_sid_uniqueness(self, cycle: int = -1) -> None:
-        mesh = getattr(self.system, "mesh", None)
-        if mesh is None:
-            return
-        for router in mesh.routers:
+        for router in system_routers(self.system):
             if not router.sid_invariant_holds():
                 self._fail(f"cycle {cycle}: router {router.node} buffers "
                            f"two GO-REQ packets with one SID")
@@ -157,14 +155,11 @@ class SystemMonitor(Clocked):
                            f"NIC and SID {esid} by another")
 
     def check_occupancy_bounds(self, cycle: int = -1) -> None:
-        mesh = getattr(self.system, "mesh", None)
-        if mesh is None:
-            return
         config = self.system.noc_config
         per_port = (config.vc_count(VNet.GO_REQ)
                     + config.vc_count(VNet.UO_RESP))
         limit = 5 * per_port
-        for router in mesh.routers:
+        for router in system_routers(self.system):
             occupancy = router.occupancy()
             self.report.max_router_occupancy = max(
                 self.report.max_router_occupancy, occupancy)

@@ -119,6 +119,20 @@ def test_journal_payload_identity(case):
         "outcome — observability must be side-channel only")
 
 
+def test_multimesh_journal_records_every_injection():
+    """The multi-mesh NIC injects through the one ``_inject`` body, so
+    its injections reach the journal like any other NIC's (its own copy
+    of that body once predated the hook and recorded none)."""
+    journal = EventJournal(capacity=100_000)
+    result = execute_point(
+        _specs()["multimesh"],
+        instrument=lambda s: attach_observability(s, journal))
+    injects = [record for record in journal.records()
+               if record[1].startswith("nic.") and record[2] == "inject"]
+    assert journal.dropped == 0
+    assert len(injects) == result.stats["nic.packets_injected"] > 0
+
+
 def _journal_records(spec, quiescence: bool):
     reset_packet_ids()
     journal = EventJournal(capacity=100_000)

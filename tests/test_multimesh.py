@@ -4,8 +4,9 @@ import pytest
 
 from repro.coherence.mosi import State
 from repro.cpu.trace import Trace, TraceOp
-from repro.noc.config import NocConfig
+from repro.noc.config import NocConfig, NotificationConfig
 from repro.systems.multimesh import MultiMeshScorpioSystem
+from repro.systems.scorpio import ScorpioSystem
 from repro.workloads.synthetic import uniform_random_trace
 
 ADDR = 0x4000_0000
@@ -67,6 +68,58 @@ class TestBasics:
         owners = [l2.node for l2 in system.l2s
                   if l2.state_of(ADDR).is_owner]
         assert len(owners) == 1
+
+
+class TestInheritedFromScorpioSystem:
+    """What the multi-mesh system gets by being a ScorpioSystem that
+    overrides only the fabric step."""
+
+    def _finished(self, n_meshes=2):
+        traces = [uniform_random_trace(c, 10, 8, write_fraction=0.5,
+                                       think=3, seed=5) for c in range(9)]
+        system = build(traces, n_meshes=n_meshes)
+        system.run_until_done(120_000)
+        assert system.all_cores_finished()
+        return system
+
+    def test_quiesced_after_a_finished_run(self):
+        system = self._finished(n_meshes=3)
+        system.run(200)     # let the last writebacks and credits drain
+        assert system.quiesced()
+
+    def test_quiesced_sees_every_mesh(self):
+        system = self._finished()
+        system.run(200)
+        system.meshes[1].routers[4]._arrivals.push(10 ** 9, None)
+        assert not system.quiesced()
+
+    def test_single_owner_invariant(self):
+        assert self._finished().single_owner_invariant()
+
+    def test_window_below_the_latency_bound_rejected(self):
+        # BaseSystem's check, before anything is built.
+        with pytest.raises(ValueError, match="^notification window below"):
+            MultiMeshScorpioSystem(
+                noc=NocConfig(width=6, height=6),
+                notification=NotificationConfig(window=10))
+
+    def test_trace_count_error_names_both_numbers(self):
+        with pytest.raises(ValueError, match="need 9 traces, got 1"):
+            MultiMeshScorpioSystem(traces=[Trace([])],
+                                   noc=NocConfig(width=3, height=3))
+
+    def test_one_mesh_is_cycle_for_cycle_scorpio(self):
+        def traces():
+            return [uniform_random_trace(c, 12, 16, write_fraction=0.5,
+                                         think=2, seed=7) for c in range(9)]
+
+        noc = NocConfig(width=3, height=3)
+        plain = ScorpioSystem(traces=traces(), noc=noc, seed=3)
+        single = MultiMeshScorpioSystem(traces=traces(), n_meshes=1,
+                                        noc=noc, seed=3)
+        assert plain.run_until_done(200_000) \
+            == single.run_until_done(200_000)
+        assert plain.stats.snapshot() == single.stats.snapshot()
 
 
 class TestThroughputBenefit:
