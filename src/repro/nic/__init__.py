@@ -1,6 +1,9 @@
-"""Network interface controllers bridging cache controllers and the two
-SCORPIO networks."""
+"""Network interface controllers bridging cache controllers and the
+main network(s): the arrival-order delivery base and SCORPIO's ordered
+NIC on top of it."""
 
-from repro.nic.controller import INJECT_TO_ROUTER_DELAY, NetworkInterface
+from repro.nic.controller import (INJECT_TO_ROUTER_DELAY, NetworkInterface,
+                                  OrderedNetworkInterface)
 
-__all__ = ["NetworkInterface", "INJECT_TO_ROUTER_DELAY"]
+__all__ = ["NetworkInterface", "OrderedNetworkInterface",
+           "INJECT_TO_ROUTER_DELAY"]

@@ -13,7 +13,10 @@ SCORPIO beats INSO at practical window sizes).
 This implementation swaps SCORPIO's notification-network ordering for
 slot ordering inside the NIC; the main network, caches and protocol are
 untouched, matching the paper's "all conditions equal besides the ordered
-network" methodology.
+network" methodology.  :class:`InsoNetworkInterface` is the arrival-order
+:class:`~repro.nic.controller.NetworkInterface` with the three request
+seams overridden: requests are sent wrapped with their slot, parked by
+slot on arrival, and released in ascending slot order.
 """
 
 from __future__ import annotations
@@ -25,20 +28,6 @@ from repro.nic.controller import _STAY_AWAKE, NetworkInterface
 from repro.noc.config import NocConfig, NotificationConfig
 from repro.noc.packet import Packet, VNet
 from repro.sim.stats import StatsRegistry
-
-
-@dataclass
-class ExpiryNotice:
-    """Broadcast by a node to expire its unused snoop-order slots.
-
-    ``used_slots`` lists the slots at or below ``through_slot`` that the
-    node *did* assign to requests which may still be in flight — receivers
-    must wait for those instead of skipping them.
-    """
-
-    node: int
-    through_slot: int     # this node's *unused* slots <= through expire
-    used_slots: Tuple[int, ...] = ()
 
 
 @dataclass
@@ -61,8 +50,7 @@ class InsoNetworkInterface(NetworkInterface):
                  stats: Optional[StatsRegistry] = None,
                  expiration_window: int = 20,
                  expiry_batch: int = 2) -> None:
-        super().__init__(node, noc_config, notif_config, stats,
-                         ordering_enabled=False)
+        super().__init__(node, noc_config, notif_config, stats)
         self.expiration_window = expiration_window
         # How many rounds of own slots one expiry message covers.  INSO
         # expires unused snoop orders lazily; small batches model the
@@ -83,6 +71,8 @@ class InsoNetworkInterface(NetworkInterface):
         self.expiry_latency = (noc_config.width - 1) + (noc_config.height - 1) + 1
         self._future_frontiers: list = []
         self._recent_used: list = []          # own slots not yet expired-past
+        # Per owner, the slots at or above the delivery frontier known
+        # to carry a request: wait for those instead of skipping them.
         self._known_used: Dict[int, set] = {n: set()
                                             for n in range(self.n_nodes)}
 
@@ -93,17 +83,10 @@ class InsoNetworkInterface(NetworkInterface):
     def send_request(self, payload: Any, dst: Optional[int] = None) -> None:
         if dst is not None:
             raise ValueError("INSO requests are always broadcast")
-        if not self.can_send_request():
-            raise RuntimeError(f"NIC {self.node} request queue full")
         slot = self._my_next_slot
+        self._enqueue_request(OrderedPayload(slot=slot, inner=payload))
         self._my_next_slot += self.n_nodes
         self._recent_used.append(slot)
-        wrapped = OrderedPayload(slot=slot, inner=payload)
-        packet = Packet(vnet=VNet.GO_REQ, src=self.node, dst=None,
-                        sid=self.node, size_flits=1, payload=wrapped)
-        self._inject_queues[VNet.GO_REQ].append(packet)
-        self.wake()
-        self.stats.incr("nic.requests_sent")
 
     def _broadcast_expiry(self, cycle: int) -> None:
         # Expire every own slot up to a horizon ahead of the local
@@ -126,23 +109,14 @@ class InsoNetworkInterface(NetworkInterface):
     # Receive side: deliver strictly by ascending snoop order
     # ------------------------------------------------------------------
 
-    def _accept_one(self, cycle: int, arrive_cycle: int, packet, vnet,
-                    vc_index: int) -> None:
-        if vnet == VNet.GO_REQ:
-            payload = packet.payload
-            # INSO destinations need buffers proportional to the
-            # reorder window (the very overhead Sec. 2 criticizes);
-            # we model them as unbounded and return network credits
-            # immediately, which if anything favours INSO.
-            self._return_eject_credit(cycle, packet, vnet, vc_index)
-            if isinstance(payload, ExpiryNotice):
-                frontier = self._expiry_frontier[payload.node]
-                self._expiry_frontier[payload.node] = max(
-                    frontier, payload.through_slot)
-            else:
-                self._held_by_slot[payload.slot] = (packet, arrive_cycle)
-        else:
-            self._resp_queue.append((packet, vc_index))
+    def _accept_request(self, cycle: int, arrive_cycle: int, packet,
+                        vc_index: int) -> None:
+        # INSO destinations need buffers proportional to the reorder
+        # window (the very overhead Sec. 2 criticizes); we model them as
+        # unbounded and return network credits immediately, which if
+        # anything favours INSO.
+        self._return_eject_credit(cycle, packet, VNet.GO_REQ, vc_index)
+        self._held_by_slot[packet.payload.slot] = (packet, arrive_cycle)
 
     def _deliver_ordered(self, cycle: int) -> None:
         while True:
@@ -150,20 +124,17 @@ class InsoNetworkInterface(NetworkInterface):
                 return
             slot = self._expected_slot
             held = self._held_by_slot.get(slot)
+            owner = slot % self.n_nodes
             if held is not None:
-                if self.accept_gate is not None and not self.accept_gate():
-                    self.stats.incr("nic.backpressure_stalls")
+                if not self._gate_open():
                     return
                 packet, arrive_cycle = self._held_by_slot.pop(slot)
-                inner = packet.payload.inner
-                for listener in self._request_listeners:
-                    listener(inner, packet.sid, cycle, arrive_cycle)
-                self.stats.incr("nic.requests_delivered")
+                self._known_used[owner].discard(slot)
+                self._hand_over(cycle, packet, packet.payload.inner,
+                                arrive_cycle)
                 self.stats.observe("nic.ordering_wait", cycle - arrive_cycle)
-                self._next_service_cycle = cycle + self.service_interval
                 self._expected_slot += 1
                 continue
-            owner = slot % self.n_nodes
             if self._expiry_frontier[owner] >= slot \
                     and slot not in self._known_used[owner]:
                 self._expected_slot += 1   # expired slot: skip for free
@@ -209,7 +180,10 @@ class InsoNetworkInterface(NetworkInterface):
                 for _when, node, through, used in due:
                     if through > self._expiry_frontier[node]:
                         self._expiry_frontier[node] = through
-                    self._known_used[node].update(used)
+                    # Only the expected slot is ever looked up, and
+                    # the frontier only rises.
+                    self._known_used[node].update(
+                        s for s in used if s >= self._expected_slot)
         super().step(cycle)
 
     def idle(self) -> bool:

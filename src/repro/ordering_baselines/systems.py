@@ -45,9 +45,9 @@ class _SnoopyBaselineSystem(BaseSystem):
 class TokenBSystem(_SnoopyBaselineSystem):
     """TokenB-like broadcast coherence: no ordering wait at all — every
     NIC delivers requests in local arrival order (the default
-    ``make_nic`` with ordering off) and races are resolved by retries.
-    Like the paper, no persistent requests are modelled, so TokenB
-    performs close to SCORPIO."""
+    ``make_nic`` of an unordered system) and races are resolved by
+    retries.  Like the paper, no persistent requests are modelled, so
+    TokenB performs close to SCORPIO."""
 
     def __init__(self, traces: Optional[Sequence[Trace]] = None,
                  noc: Optional[NocConfig] = None,

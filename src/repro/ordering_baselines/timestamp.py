@@ -23,6 +23,12 @@ current OT window — it "linearly scales with the number of cores and
 maximum outstanding requests per core" (36 cores x 2 outstanding = 72
 buffers per node).  This model keeps per-node peak-occupancy statistics
 (``ts.reorder_peak``) so that the critique is measurable, not just cited.
+
+:class:`TimestampNetworkInterface` is the arrival-order
+:class:`~repro.nic.controller.NetworkInterface` with the three request
+seams overridden: requests are sent wrapped with their OT, parked in the
+reorder buffer on arrival, and released in ascending (OT, SID) order
+once GT has passed them.
 """
 
 from __future__ import annotations
@@ -64,8 +70,7 @@ class TimestampNetworkInterface(NetworkInterface):
                  slack: int = 60) -> None:
         if slack <= 0:
             raise ValueError("slack must be positive")
-        super().__init__(node, noc_config, notif_config, stats,
-                         ordering_enabled=False)
+        super().__init__(node, noc_config, notif_config, stats)
         self.slack = slack
         self.n_nodes = noc_config.n_nodes
         self._seq = 0
@@ -81,40 +86,29 @@ class TimestampNetworkInterface(NetworkInterface):
     def send_request(self, payload: Any, dst: Optional[int] = None) -> None:
         if dst is not None:
             raise ValueError("TS requests are always broadcast")
-        if not self.can_send_request():
-            raise RuntimeError(f"NIC {self.node} request queue full")
-        wrapped = TimestampedPayload(ot=self._clock() + self.slack,
-                                     seq=self._seq, inner=payload)
+        self._enqueue_request(TimestampedPayload(
+            ot=self._clock() + self.slack, seq=self._seq, inner=payload))
         self._seq += 1
-        packet = Packet(vnet=VNet.GO_REQ, src=self.node, dst=None,
-                        sid=self.node, size_flits=1, payload=wrapped)
-        self._inject_queues[VNet.GO_REQ].append(packet)
-        self.wake()
-        self.stats.incr("nic.requests_sent")
 
     # ------------------------------------------------------------------
     # Receive side: reorder buffer drained in ascending (OT, SID) order
     # ------------------------------------------------------------------
 
-    def _accept_one(self, cycle: int, arrive_cycle: int, packet, vnet,
-                    vc_index: int) -> None:
-        if vnet == VNet.GO_REQ:
-            payload = packet.payload
-            # Like the INSO model, destination buffers are the very
-            # overhead under study: hold the packet outside the
-            # network and return the credit immediately, then count
-            # how many are held.
-            self._return_eject_credit(cycle, packet, vnet, vc_index)
-            if payload.ot < cycle:
-                self.stats.incr("ts.late_arrivals")
-            key = (payload.ot, packet.sid, payload.seq)
-            self._reorder[key] = (packet, arrive_cycle)
-            if len(self._reorder) > self._reorder_peak:
-                self._reorder_peak = len(self._reorder)
-                self.stats.set_gauge(f"ts.reorder_peak.node{self.node}",
-                                     self._reorder_peak)
-        else:
-            self._resp_queue.append((packet, vc_index))
+    def _accept_request(self, cycle: int, arrive_cycle: int, packet,
+                        vc_index: int) -> None:
+        payload = packet.payload
+        # Like the INSO model, destination buffers are the very overhead
+        # under study: hold the packet outside the network and return
+        # the credit immediately, then count how many are held.
+        self._return_eject_credit(cycle, packet, VNet.GO_REQ, vc_index)
+        if payload.ot < cycle:
+            self.stats.incr("ts.late_arrivals")
+        key = (payload.ot, packet.sid, payload.seq)
+        self._reorder[key] = (packet, arrive_cycle)
+        if len(self._reorder) > self._reorder_peak:
+            self._reorder_peak = len(self._reorder)
+            self.stats.set_gauge(f"ts.reorder_peak.node{self.node}",
+                                 self._reorder_peak)
 
     def _deliver_ordered(self, cycle: int) -> None:
         while self._reorder:
@@ -124,16 +118,12 @@ class TimestampNetworkInterface(NetworkInterface):
             ot, _sid, _seq = key
             if ot >= cycle:
                 return   # a smaller-OT request could still arrive
-            if self.accept_gate is not None and not self.accept_gate():
-                self.stats.incr("nic.backpressure_stalls")
+            if not self._gate_open():
                 return
             packet, arrive_cycle = self._reorder.pop(key)
-            for listener in self._request_listeners:
-                listener(packet.payload.inner, packet.sid, cycle,
-                         arrive_cycle)
-            self.stats.incr("nic.requests_delivered")
+            self._hand_over(cycle, packet, packet.payload.inner,
+                            arrive_cycle)
             self.stats.observe("nic.ordering_wait", cycle - arrive_cycle)
-            self._next_service_cycle = cycle + self.service_interval
 
     # ------------------------------------------------------------------
 

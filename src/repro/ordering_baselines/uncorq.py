@@ -16,6 +16,10 @@ Requests deliver in local arrival order (races fall back to the memory
 retry rescue, exactly as the TokenB model does) and every write request
 additionally launches a token on :class:`LogicalRing`; the write's
 response is held at the requester's NIC until its token returns.
+:class:`UncorqNetworkInterface` is therefore the arrival-order
+:class:`~repro.nic.controller.NetworkInterface` with two seams
+overridden — ``send_request`` launches the token, ``_accept_response``
+diverts the held responses — and the request hand-over left alone.
 """
 
 from __future__ import annotations
@@ -163,8 +167,7 @@ class UncorqNetworkInterface(NetworkInterface):
                  notif_config: NotificationConfig,
                  stats: Optional[StatsRegistry] = None,
                  ring: Optional[LogicalRing] = None) -> None:
-        super().__init__(node, noc_config, notif_config, stats,
-                         ordering_enabled=False)
+        super().__init__(node, noc_config, notif_config, stats)
         self.ring = ring
         self._ring_pending: Dict[int, bool] = {}   # req_id -> done?
         self._held_responses: List[Tuple[Packet, int]] = []
@@ -192,8 +195,8 @@ class UncorqNetworkInterface(NetworkInterface):
             return False
         return not self._ring_pending[req_id]
 
-    def _accept_one(self, cycle: int, arrive_cycle: int, packet, vnet,
-                    vc_index: int) -> None:
+    def _accept_response(self, cycle: int, arrive_cycle: int, packet,
+                         vc_index: int) -> None:
         """Divert responses for ring-pending writes into a side buffer.
 
         Their network credit returns immediately (the wait happens in the
@@ -203,12 +206,12 @@ class UncorqNetworkInterface(NetworkInterface):
         per-item instead of in a separate pre-pass leaves every queue and
         credit push in the same relative order as before.
         """
-        if vnet == VNet.UO_RESP and self._response_blocked(packet):
-            self._return_eject_credit(cycle, packet, vnet, vc_index)
+        if self._response_blocked(packet):
+            self._return_eject_credit(cycle, packet, VNet.UO_RESP, vc_index)
             self._held_responses.append(packet)
             self.stats.incr("uncorq.write_waits")
             return
-        super()._accept_one(cycle, arrive_cycle, packet, vnet, vc_index)
+        super()._accept_response(cycle, arrive_cycle, packet, vc_index)
 
     def _release_ring_completions(self, cycle: int) -> None:
         if not self._held_responses:

@@ -24,7 +24,8 @@ from repro.cpu.core import CoreConfig, TraceCore
 from repro.cpu.trace import Trace
 from repro.memory.controller import (MemoryConfig, MemoryController,
                                      OwnsMappedAddr, make_memory_map)
-from repro.nic.controller import NetworkInterface
+from repro.nic.controller import (NetworkInterface,
+                                  OrderedNetworkInterface)
 from repro.noc.config import NocConfig, NotificationConfig
 from repro.noc.filtering import (BroadcastFilter, FilterTable,
                                  l2_interest_oracle)
@@ -155,10 +156,14 @@ class BaseSystem:
 
     def make_nic(self, node: int) -> NetworkInterface:
         """The NIC of *node* — the one thing an ordered-network baseline
-        changes.  The baselines pass ``__init__`` no ``notification``, so
-        ``notif_config`` is the default-window one on every chip."""
-        return NetworkInterface(node, self.noc_config, self.notif_config,
-                                self.stats, ordering_enabled=self.ordered)
+        changes: SCORPIO's when the system is ordered, else the
+        arrival-order one.  The baselines pass ``__init__`` no
+        ``notification``, so ``notif_config`` is the default-window one
+        on every chip."""
+        nic_class = OrderedNetworkInterface if self.ordered \
+            else NetworkInterface
+        return nic_class(node, self.noc_config, self.notif_config,
+                         self.stats)
 
     @property
     def mesh(self) -> Mesh:

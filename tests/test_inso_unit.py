@@ -3,9 +3,14 @@
 import pytest
 
 from repro.noc.config import NocConfig, NotificationConfig
-from repro.ordering_baselines.inso import (ExpiryNotice,
-                                           InsoNetworkInterface,
+from repro.noc.packet import VNet
+from repro.ordering_baselines.inso import (InsoNetworkInterface,
                                            OrderedPayload)
+
+
+class StubRouter:
+    def queue_credit_release(self, *args):
+        pass
 
 
 def make_nic(node=0, n=9, window=20):
@@ -86,6 +91,33 @@ class TestDelivery:
         nic._known_used[4].add(4)           # slot 4 carries a request
         nic._deliver_ordered(cycle=50)
         assert nic._expected_slot == 4      # stopped at the used slot
+
+    def test_known_used_drops_slots_behind_the_frontier(self):
+        # Node 0 uses slots 0 and 9 and announces them; once both are
+        # delivered (and everything else expired) no NIC state remembers
+        # a slot the frontier has passed, and a late notice adds none.
+        nic = make_nic(node=0)
+        nic.peers = [nic]
+        nic.attach_router(StubRouter())
+        nic.send_request("a")
+        nic.send_request("b")
+        packets = list(nic._inject_queues[VNet.GO_REQ])
+        nic._inject_queues[VNet.GO_REQ].clear()
+        nic._broadcast_expiry(cycle=0)
+        nic.step(nic.expiry_latency)            # the notice lands
+        assert nic._known_used[0] == {0, 9}
+        for owner in range(1, nic.n_nodes):
+            nic._expiry_frontier[owner] = 17
+        for packet in packets:
+            nic.deliver_packet(packet, 0, VNet.GO_REQ, 0, arrive_cycle=10)
+        for cycle in range(10, 20):
+            nic.step(cycle)
+        assert nic._expected_slot > 9
+        nic._future_frontiers.append((20, 0, 17, (0, 9)))   # stale notice
+        nic.step(20)
+        for used in nic._known_used.values():
+            assert all(slot >= nic._expected_slot for slot in used)
+        assert not nic._known_used[0]
 
     def test_ordered_payload_stamp_passthrough(self):
         class Inner:

@@ -119,18 +119,25 @@ def test_journal_payload_identity(case):
         "outcome — observability must be side-channel only")
 
 
-def test_multimesh_journal_records_every_injection():
-    """The multi-mesh NIC injects through the one ``_inject`` body, so
-    its injections reach the journal like any other NIC's (its own copy
-    of that body once predated the hook and recorded none)."""
+TRACE_DRIVEN = sorted(set(_specs()) - {"litmus-mp"})
+
+
+@pytest.mark.parametrize("case", TRACE_DRIVEN)
+def test_journal_records_every_injection_and_delivery(case):
+    """Every NIC variant injects through the one ``_inject`` body and
+    hands requests over through the one ``_hand_over`` body, so both
+    reach the journal whatever the ordering discipline."""
     journal = EventJournal(capacity=100_000)
     result = execute_point(
-        _specs()["multimesh"],
+        _specs()[case],
         instrument=lambda s: attach_observability(s, journal))
-    injects = [record for record in journal.records()
-               if record[1].startswith("nic.") and record[2] == "inject"]
+    nic_records = [record for record in journal.records()
+                   if record[1].startswith("nic.")]
+    injects = [r for r in nic_records if r[2] == "inject"]
+    delivered = [r for r in nic_records if r[2:4] == ("order", "delivered")]
     assert journal.dropped == 0
     assert len(injects) == result.stats["nic.packets_injected"] > 0
+    assert len(delivered) == result.stats["nic.requests_delivered"] > 0
 
 
 def _journal_records(spec, quiescence: bool):

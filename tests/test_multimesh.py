@@ -70,6 +70,23 @@ class TestBasics:
         assert len(owners) == 1
 
 
+class TestLanes:
+    def test_credit_returned_through_tap_k_reaches_lane_k_only(self):
+        # Hold GO-REQ VC 0 (one flit, from SID 4) on every lane, then
+        # return the credit through the tap of mesh 1 alone.
+        from repro.noc.packet import VNet
+        nic = build([]).nics[4]
+        for credits, sid_tracker, _router in nic._lanes:
+            credits.consume(VNet.GO_REQ, 0, 1)
+            sid_tracker.record(0, 4)
+        nic.tap(1).queue_credit_release(0, VNet.GO_REQ, 0, 1, cycle=7)
+        nic.step(7)
+        assert [credits.vc_free(VNet.GO_REQ, 0)
+                for credits, _sids, _router in nic._lanes] == [False, True]
+        assert [sids.live_entries()
+                for _credits, sids, _router in nic._lanes] == [{0: 4}, {}]
+
+
 class TestInheritedFromScorpioSystem:
     """What the multi-mesh system gets by being a ScorpioSystem that
     overrides only the fabric step."""

@@ -3,7 +3,7 @@ back-pressure, and the reserved-VC eligibility oracle."""
 
 import pytest
 
-from repro.nic.controller import NetworkInterface
+from repro.nic.controller import NetworkInterface, OrderedNetworkInterface
 from repro.noc.config import NocConfig, NotificationConfig
 
 
@@ -13,7 +13,8 @@ def make_nic(node=0, ordered=True, **notif_overrides):
                     tracker_queue_depth=4)
     defaults.update(notif_overrides)
     notif = NotificationConfig(**defaults)
-    return NetworkInterface(node, noc, notif, ordering_enabled=ordered)
+    nic_class = OrderedNetworkInterface if ordered else NetworkInterface
+    return nic_class(node, noc, notif)
 
 
 class TestNotificationComposition:
@@ -42,9 +43,11 @@ class TestNotificationComposition:
         assert nic.pending_notifications == 0
 
     def test_unordered_nic_is_silent(self):
+        # The arrival-order NIC has no notification side at all.
         nic = make_nic(ordered=False)
-        nic.pending_notifications = 2
-        assert nic.compose_notification() == 0
+        for name in ("compose_notification", "receive_merged_notification",
+                     "pending_notifications", "current_esid"):
+            assert not hasattr(nic, name)
 
 
 class TestStopBit:
@@ -128,3 +131,76 @@ class TestRvcEligibility:
     def test_unordered_never_eligible(self):
         nic = make_nic(ordered=False)
         assert not nic.rvc_eligible(sid=0, seq=0)
+
+
+class _StubRouter:
+    """What a NIC asks of the router it is attached to."""
+
+    def __init__(self):
+        self.credits = []
+
+    def rvc_watchers(self):
+        return []
+
+    def queue_credit_release(self, *args):
+        self.credits.append(args)
+
+
+def _seam_cases():
+    from repro.ordering_baselines import (InsoNetworkInterface,
+                                          OrderedPayload,
+                                          TimestampNetworkInterface,
+                                          TimestampedPayload,
+                                          UncorqNetworkInterface)
+    plain = lambda inner: inner
+    return {
+        "arrival-order": (NetworkInterface, plain),
+        "scorpio": (OrderedNetworkInterface, plain),
+        "inso": (InsoNetworkInterface,
+                 lambda inner: OrderedPayload(slot=0, inner=inner)),
+        "timestamp": (TimestampNetworkInterface,
+                      lambda inner: TimestampedPayload(ot=0, seq=0,
+                                                       inner=inner)),
+        "uncorq": (UncorqNetworkInterface, plain),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_seam_cases()))
+def test_hand_over_seam(case):
+    """Every discipline releases a request through the one gate and the
+    one hand-over: a closed ``accept_gate`` costs exactly one stall per
+    blocked cycle and delivers nothing; once open, the listeners see the
+    inner payload once and the service interval restarts."""
+    from repro.noc.packet import Packet, VNet
+    from repro.noc.routing import LOCAL
+
+    nic_class, wrap = _seam_cases()[case]
+    nic = nic_class(1, NocConfig(width=3, height=3),
+                    NotificationConfig(window=13))
+    nic.attach_router(_StubRouter())
+    calls = []
+    nic.add_request_listener(lambda *args: calls.append(args))
+    gate = [False]
+    nic.accept_gate = lambda: gate[0]
+
+    inner = object()
+    packet = Packet(vnet=VNet.GO_REQ, src=0, dst=None, sid=0, size_flits=1,
+                    payload=wrap(inner), seq=0)
+    nic.deliver_packet(packet, LOCAL, VNet.GO_REQ, 0, arrive_cycle=5)
+    if nic_class is OrderedNetworkInterface:
+        nic.receive_merged_notification(1 << 0)     # sid 0 is expected
+
+    for cycle in (5, 6, 7):
+        nic.step(cycle)
+    assert nic.stats.counter("nic.backpressure_stalls") == 3
+    assert nic.stats.counter("nic.requests_delivered") == 0
+    assert not calls
+
+    gate[0] = True
+    nic.step(8)
+    assert calls == [(inner, 0, 8, 5)]
+    assert nic.stats.counter("nic.requests_delivered") == 1
+    assert nic.stats.counter("nic.backpressure_stalls") == 3
+    assert nic._next_service_cycle == 8 + nic.service_interval
+    nic.step(9)
+    assert len(calls) == 1

@@ -22,7 +22,7 @@ def _order(nic: str, routers: int = 9, ordered: bool = True, tail=()):
 
 
 TICK_ORDER = {
-    "scorpio": _order("NetworkInterface"),
+    "scorpio": _order("OrderedNetworkInterface"),
     "multimesh": _order("MultiMeshInterface", routers=18),
     "directory": ["Router×9", "NetworkInterface×9",
                   "DirectoryL2Controller×9", "DirectoryController×9",
