@@ -81,7 +81,7 @@ def sweep_run(name, protocol, config, **regime):
     RunResult out, but cache-aware (``REPRO_CACHE_DIR``)."""
     spec = RunSpec(benchmark=name, protocol=protocol, config=config,
                    **regime)
-    return run_sweep([spec])[0].to_run_result()
+    return run_sweep([spec])[0]
 
 
 def sweep_grid(benchmarks, protocols, config, **regime):

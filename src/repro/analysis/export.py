@@ -106,20 +106,6 @@ def export_stats(stats: Mapping[str, float], path: PathLike,
     return path
 
 
-def export_stats_json(stats: Mapping[str, float], path: PathLike,
-                      prefixes: Sequence[str] = ()) -> Path:
-    """Write a statistics snapshot as stable (sorted-key) JSON —
-    byte-identical output for equal snapshots, diff-friendly."""
-    from repro.sim.statsframe import StatsFrame
-    frame = stats if isinstance(stats, StatsFrame) else StatsFrame(stats)
-    if prefixes:
-        frame = frame.select(*(f"{prefix}*" for prefix in prefixes))
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(frame.to_json(indent=2) + "\n", encoding="ascii")
-    return path
-
-
 def normalized_series(figure_id: str, x_label: str,
                       rows: Mapping[str, Mapping[str, float]],
                       baseline: str) -> FigureData:

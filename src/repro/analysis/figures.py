@@ -14,7 +14,7 @@ the reproduction target.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.core.api import normalized_runtimes
 from repro.core.config import CHIP_FEATURES, ChipConfig
@@ -281,7 +281,7 @@ def fig10(quick: bool = True, seed: int = 0) -> str:
                      config=ChipConfig.variant(*mesh)
                      .with_pipelining(pipelined), seed=seed, **QUICK)
              for mesh, name, pipelined in axes]
-    latency = {axis: result.to_run_result().avg_l2_service_latency
+    latency = {axis: result.avg_l2_service_latency
                for axis, result in zip(axes, run_sweep(specs))}
     rows = []
     for width, height in meshes:

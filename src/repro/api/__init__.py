@@ -14,9 +14,11 @@ Everything re-exported here follows the v1 compatibility contract:
   runner and :func:`describe_experiment` prints the resolved form.
   The CLI front-ends are ``repro run-file`` and ``repro describe``.
 * **Results are queryable.**  :class:`StatsFrame` is the structured
-  view over any flat stats snapshot (``RunResult.frame``,
-  ``SweepResult.frame``): wildcard selection, histogram accessors,
-  grouped tables and stable JSON export — no string-prefix slicing.
+  view over any flat stats snapshot (``RunResult.frame``): wildcard
+  selection, histogram accessors, grouped tables and stable JSON
+  export — no string-prefix slicing.  Every door returns the same row
+  class: ``SweepResult`` is ``RunResult`` under its experiment-layer
+  name.
 
 Modules outside this façade (`repro.noc`, `repro.coherence`, the system
 classes, ...) are internals: importable and documented, but free to

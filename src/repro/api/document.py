@@ -78,7 +78,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.config import ChipConfig
 from repro.core.serialize import ConfigFormatError
-from repro.core.serialize import from_dict as _config_from_dict
 from repro.core.serialize import to_dict as _config_to_dict
 
 # Version of the experiment-document format (see the module docstring
@@ -115,9 +114,10 @@ def _get(data: Mapping[str, Any], key: str, types, what: str,
         _require(not required, f"{what}: missing required key {key!r}")
         return default
     value = data[key]
-    if types is int and isinstance(value, bool):
-        raise DocumentError(f"{what}.{key} must be an int, got {value!r}")
-    _require(isinstance(value, types),
+    # bool is an int subclass: it passes only where bool is asked for.
+    _require(isinstance(value, types)
+             and (type(value) is not bool or bool in
+                  (types if isinstance(types, tuple) else (types,))),
              f"{what}.{key} has the wrong type: {value!r}")
     return value
 
@@ -205,9 +205,28 @@ def _resolve_config(data: Mapping[str, Any], what: str) -> ChipConfig:
 # Run entries
 # ---------------------------------------------------------------------------
 
+# The benchmark knobs a run or matrix may give, with the types a
+# document may spell them in.  Their defaults are RunSpec's / Sweep's /
+# SystemSpec's: _knobs forwards only the keys a document gives.
+_KNOB_TYPES = {"ops_per_core": int, "workload_scale": (int, float),
+               "think_scale": (int, float), "seed": int, "max_cycles": int}
 _RUN_KEYS = ("benchmark", "protocol", "builder", "params", "workload",
-             "config", "ops_per_core", "workload_scale", "think_scale",
-             "seed", "max_cycles", "label")
+             "config", "label", *_KNOB_TYPES)
+
+
+def _knobs(data: Mapping[str, Any], keys: Sequence[str],
+           what: str) -> Dict[str, Any]:
+    """The typed benchmark knobs *data* gives among *keys*, as spec
+    keyword arguments."""
+    knobs: Dict[str, Any] = {}
+    for key in keys:
+        if key not in data:
+            continue
+        value = _get(data, key, _KNOB_TYPES[key], what)
+        if key in ("ops_per_core", "max_cycles"):
+            _require(value >= 0, f"{what}.{key} must be >= 0, got {value!r}")
+        knobs[key] = value if _KNOB_TYPES[key] is int else float(value)
+    return knobs
 
 
 def _lookup_config(name: Optional[str],
@@ -235,7 +254,6 @@ def _resolve_run(data: Mapping[str, Any],
              f"'builder' (system run) is required")
     config = _lookup_config(_get(data, "config", str, what), configs, what)
     label = _get(data, "label", str, what, default="")
-    max_cycles = _get(data, "max_cycles", int, what, default=400_000)
 
     if is_benchmark:
         for key in ("params", "workload"):
@@ -247,15 +265,8 @@ def _resolve_run(data: Mapping[str, Any],
                  f"{list(PROTOCOLS)}")
         spec = RunSpec(
             benchmark=_get(data, "benchmark", str, what, required=True),
-            protocol=protocol,
-            config=config,
-            ops_per_core=_get(data, "ops_per_core", int, what, default=150),
-            workload_scale=float(_get(data, "workload_scale", (int, float),
-                                      what, default=1.0)),
-            think_scale=float(_get(data, "think_scale", (int, float),
-                                   what, default=1.0)),
-            seed=_get(data, "seed", int, what, default=0),
-            max_cycles=max_cycles, label=label)
+            protocol=protocol, config=config, label=label,
+            **_knobs(data, _KNOB_TYPES, what))
         try:
             spec.resolved_profile()
         except KeyError as exc:
@@ -275,7 +286,7 @@ def _resolve_run(data: Mapping[str, Any],
         builder=builder, config=config,
         params=dict(_get(data, "params", Mapping, what, default={})),
         workload=dict(_get(data, "workload", Mapping, what, default={})),
-        max_cycles=max_cycles, label=label)
+        label=label, **_knobs(data, ("max_cycles",), what))
     try:
         spec.key(memo)      # resolves params + workload: strict checks
     except (KeyError, ValueError) as exc:
@@ -283,9 +294,9 @@ def _resolve_run(data: Mapping[str, Any],
     return spec
 
 
+_MATRIX_KNOBS = tuple(key for key in _KNOB_TYPES if key != "seed")
 _MATRIX_KEYS = ("benchmarks", "protocols", "seeds", "config", "configs",
-                "ops_per_core", "workload_scale", "think_scale",
-                "max_cycles")
+                *_MATRIX_KNOBS)
 
 
 def _resolve_matrix(data: Mapping[str, Any],
@@ -314,12 +325,7 @@ def _resolve_matrix(data: Mapping[str, Any],
         benchmarks=benchmarks, protocols=tuple(protocols),
         configs=matrix_configs,
         seeds=tuple(_int_list(data, "seeds", what, default=(0,))),
-        ops_per_core=_get(data, "ops_per_core", int, what, default=150),
-        workload_scale=float(_get(data, "workload_scale", (int, float),
-                                  what, default=1.0)),
-        think_scale=float(_get(data, "think_scale", (int, float), what,
-                               default=1.0)),
-        max_cycles=_get(data, "max_cycles", int, what, default=400_000))
+        **_knobs(data, _MATRIX_KNOBS, what))
     specs = sweep.expand()
     for spec in specs:
         try:

@@ -303,22 +303,25 @@ def _print_result(result, out) -> None:
               f"(mean)", file=out)
 
 
+def _regime(args) -> dict:
+    """The regime options as benchmark knobs (``RunSpec``/``Sweep``
+    keywords)."""
+    return dict(ops_per_core=args.ops, workload_scale=args.scale,
+                think_scale=args.think_scale, max_cycles=args.max_cycles)
+
+
 def cmd_run(args, out) -> int:
     result = run_benchmark(args.benchmark, protocol=args.protocol,
-                           config=_chip(args), ops_per_core=args.ops,
-                           max_cycles=args.max_cycles,
-                           workload_scale=args.scale,
-                           think_scale=args.think_scale, seed=args.seed)
+                           config=_chip(args), seed=args.seed,
+                           **_regime(args))
     _print_result(result, out)
     return 0 if result.progress == 1.0 else 1
 
 
 def cmd_compare(args, out) -> int:
     results = compare_protocols(args.benchmark, tuple(args.protocols),
-                                config=_chip(args), ops_per_core=args.ops,
-                                workload_scale=args.scale,
-                                think_scale=args.think_scale,
-                                seed=args.seed, max_cycles=args.max_cycles)
+                                config=_chip(args), seed=args.seed,
+                                **_regime(args))
     baseline = "lpd" if "lpd" in results else args.protocols[0]
     norm = normalized_runtimes(results, baseline=baseline)
     print(f"{args.benchmark}: runtime normalized to {baseline.upper()}",
@@ -361,8 +364,7 @@ def cmd_sweep(args, out) -> int:
     sweep = Sweep(benchmarks=list(args.benchmarks),
                   protocols=tuple(args.protocols),
                   configs=_chip(args), seeds=tuple(args.seeds),
-                  ops_per_core=args.ops, workload_scale=args.scale,
-                  think_scale=args.think_scale, max_cycles=args.max_cycles)
+                  **_regime(args))
     cache = _cache(args)
     results = run_sweep(sweep, jobs=args.jobs, cache=cache)
     print(f"{len(results)} runs ({width}x{height} mesh, "

@@ -1,4 +1,5 @@
-"""High-level API: build and run full-system experiments in a few lines.
+"""High-level API: run full-system experiments in a few lines, and the
+one result row every door returns.
 
     from repro.core import ChipConfig, run_benchmark
 
@@ -8,46 +9,66 @@
     print(result.runtime, result.avg_l2_service_latency)
 
 This is the layer the examples and the benchmark harness are written
-against.
+against.  :func:`run_benchmark` and :func:`compare_protocols` are thin
+constructors over the execution pipeline (:mod:`repro.experiments.sweep`:
+a ``RunSpec`` through ``execute_point`` / ``run_grid``); only
+:func:`run_trace_file`, which has no spec, runs its system itself.
+:class:`RunResult` lives here, below the experiment layer, so that
+layer, the analysis code and the public API share one row class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 from repro.core.config import ChipConfig
 from repro.sim.statsframe import StatsFrame
-from repro.workloads.suites import profile as lookup_profile
-from repro.workloads.synthetic import (WorkloadProfile,
-                                       generate_system_traces, scaled)
+from repro.workloads.synthetic import WorkloadProfile
+
+if TYPE_CHECKING:
+    from repro.experiments.spec import PointSpec, SystemRunOutcome
 
 PROTOCOLS = ("scorpio", "lpd", "ht", "fullbit")
+
+# 2: added the free-form "extra" dict (system-builder runs put litmus
+# observations and similar non-scalar outcomes there).
+PAYLOAD_SCHEMA = 2
 
 
 @dataclass
 class RunResult:
-    """Outcome of one full-system run.
+    """One executed (or cache-recalled) simulation point — the result
+    row of every door (``repro.experiments.SweepResult`` is this class).
 
-    ``stats`` is the raw flat snapshot (kept for payload compatibility);
-    :attr:`frame` is the structured query interface over it — new code
-    should read stats through the frame rather than prefix-slicing the
-    dict.  The named latency properties and :meth:`breakdown` remain as
-    stable shims, themselves implemented on the frame.
+    Contains no wall-clock or host-specific fields, so a fresh run and a
+    cache hit of the same spec serialize identically and compare equal
+    (``cached`` is bookkeeping: not in the payload, not compared).
+    ``stats`` is the raw flat snapshot; :attr:`frame` is the structured
+    query interface over it, and the named latency properties and
+    :meth:`breakdown` are readers on the frame.
     """
 
-    protocol: str
+    protocol: str                 # a system-builder run: the builder name
     benchmark: str
     n_cores: int
     runtime: int                  # cycles until every core finished
     completed_ops: int
     progress: float               # 1.0 when every trace fully ran
     stats: Dict[str, float] = field(default_factory=dict)
+    # Free-form JSON-able outcome data beyond scalar stats (litmus
+    # observations, per-run artifacts); part of the cached payload.
+    extra: Dict[str, Any] = field(default_factory=dict)
+    fingerprint: str = ""
+    seed: int = 0
+    label: str = ""
+    cached: bool = field(default=False, compare=False)
 
     @property
     def frame(self) -> StatsFrame:
         """Queryable :class:`~repro.sim.statsframe.StatsFrame` over
-        :attr:`stats` (cached; rebuilt if ``stats`` is reassigned)."""
+        :attr:`stats` — the structured alternative to prefix-slicing
+        (cached; rebuilt if ``stats`` is reassigned)."""
         frame = self.__dict__.get("_frame")
         if frame is None or frame._stats is not self.stats:
             frame = StatsFrame(self.stats)
@@ -70,6 +91,62 @@ class RunResult:
         """Latency decomposition (Fig. 6b/6c categories) in mean cycles."""
         return self.frame.relative_to(f"l2.breakdown.{served}.").mean
 
+    def payload(self) -> Dict[str, Any]:
+        """The canonical cacheable form.
+
+        Excludes ``cached`` *and* ``label``: neither is part of the
+        simulation outcome (label is display bookkeeping, set from the
+        requesting spec on both the fresh and the cache-hit path), so a
+        recalled result serializes byte-identically to a fresh one.
+        """
+        return {
+            "schema": PAYLOAD_SCHEMA,
+            "fingerprint": self.fingerprint,
+            "benchmark": self.benchmark,
+            "protocol": self.protocol,
+            "n_cores": self.n_cores,
+            "seed": self.seed,
+            "runtime": self.runtime,
+            "completed_ops": self.completed_ops,
+            "progress": self.progress,
+            "stats": self.stats,
+            "extra": self.extra,
+        }
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any],
+                     cached: bool = False) -> "RunResult":
+        return cls(fingerprint=payload["fingerprint"],
+                   benchmark=payload["benchmark"],
+                   protocol=payload["protocol"],
+                   n_cores=payload["n_cores"],
+                   seed=payload["seed"],
+                   runtime=payload["runtime"],
+                   completed_ops=payload["completed_ops"],
+                   progress=payload["progress"],
+                   stats=dict(payload["stats"]),
+                   extra=dict(payload.get("extra", {})),
+                   label=payload.get("label", ""),
+                   cached=cached)
+
+    @classmethod
+    def from_outcome(cls, spec: "PointSpec", fingerprint: str,
+                     outcome: "SystemRunOutcome") -> "RunResult":
+        """The result row of *spec*'s harvested *outcome* (for a system-
+        builder run ``protocol`` carries the builder name, ``benchmark``
+        the workload's display name)."""
+        return cls(fingerprint=fingerprint,
+                   benchmark=spec.benchmark_name,
+                   protocol=spec.protocol_name,
+                   n_cores=spec.resolved_config().n_cores,
+                   seed=spec.seed_value(),
+                   runtime=outcome.runtime,
+                   completed_ops=outcome.completed_ops,
+                   progress=outcome.progress,
+                   stats=dict(outcome.stats),
+                   extra=dict(outcome.extra),
+                   label=spec.label)
+
 
 def build_system(protocol: str, traces, config: Optional[ChipConfig] = None):
     """Instantiate a full system of the given *protocol* through the
@@ -87,49 +164,6 @@ def build_system(protocol: str, traces, config: Optional[ChipConfig] = None):
                              builder.resolved_params(given), traces)
 
 
-def build_benchmark_system(benchmark: Union[str, WorkloadProfile],
-                           protocol: str = "scorpio",
-                           config: Optional[ChipConfig] = None,
-                           ops_per_core: int = 150,
-                           workload_scale: float = 1.0,
-                           think_scale: float = 1.0,
-                           seed: int = 0):
-    """Construct — but do not run — the system for one benchmark run.
-
-    The checkpointable form of :func:`run_benchmark`: snapshot the
-    returned system at any point between runs, restore it elsewhere, and
-    :func:`collect_run_result` harvests the same :class:`RunResult` a
-    straight run would have produced."""
-    config = config or ChipConfig.chip_36core()
-    if isinstance(benchmark, str):
-        prof = lookup_profile(benchmark)
-    else:
-        prof = benchmark
-    if workload_scale != 1.0 or think_scale != 1.0:
-        prof = scaled(prof, workload_scale, think_scale)
-    traces = generate_system_traces(prof, config.n_cores, ops_per_core,
-                                    seed=seed)
-    system = build_system(protocol, traces, config)
-    system.benchmark_name = prof.name
-    return system
-
-
-def collect_run_result(system, protocol: str,
-                       benchmark_name: Optional[str] = None) -> RunResult:
-    """Harvest the :class:`RunResult` from a finished system (built by
-    :func:`build_benchmark_system`, possibly restored from a checkpoint)."""
-    return RunResult(
-        protocol=protocol,
-        benchmark=(benchmark_name if benchmark_name is not None
-                   else getattr(system, "benchmark_name", "")),
-        n_cores=system.n_nodes,
-        runtime=system.engine.cycle,
-        completed_ops=system.total_completed_ops(),
-        progress=system.progress(),
-        stats=system.stats.snapshot(),
-    )
-
-
 def run_benchmark(benchmark: Union[str, WorkloadProfile],
                   protocol: str = "scorpio",
                   config: Optional[ChipConfig] = None,
@@ -138,18 +172,21 @@ def run_benchmark(benchmark: Union[str, WorkloadProfile],
                   workload_scale: float = 1.0,
                   think_scale: float = 1.0,
                   seed: int = 0) -> RunResult:
-    """Run one benchmark under one protocol and collect the statistics.
+    """Run one benchmark under one protocol and collect the statistics:
+    :func:`~repro.experiments.sweep.execute_point` of the equivalent
+    :class:`~repro.experiments.spec.RunSpec`, in this process, uncached
+    (the row's ``fingerprint`` stays empty).
 
     ``max_cycles`` mirrors the paper's 400 K-cycle trace-driven windows;
     runs normally finish far earlier.  ``workload_scale`` shrinks the
     synthetic footprints for quick runs.
     """
-    system = build_benchmark_system(benchmark, protocol=protocol,
-                                    config=config, ops_per_core=ops_per_core,
-                                    workload_scale=workload_scale,
-                                    think_scale=think_scale, seed=seed)
-    system.run_until_done(max_cycles)
-    return collect_run_result(system, protocol)
+    from repro.experiments.spec import RunSpec
+    from repro.experiments.sweep import execute_point
+    return execute_point(RunSpec(
+        benchmark, protocol=protocol, config=config,
+        ops_per_core=ops_per_core, workload_scale=workload_scale,
+        think_scale=think_scale, seed=seed, max_cycles=max_cycles))
 
 
 def run_trace_file(path, protocol: str = "scorpio",
@@ -157,37 +194,36 @@ def run_trace_file(path, protocol: str = "scorpio",
                    max_cycles: int = 400_000) -> RunResult:
     """Run an externally produced trace file (see
     :mod:`repro.cpu.tracefile`) under one protocol — the equivalent of
-    the paper's Graphite-traces-into-RTL flow."""
+    the paper's Graphite-traces-into-RTL flow.  A trace file has no
+    spec, so this is the one run outside ``execute_point``."""
     from repro.cpu.tracefile import load_traces
     config = config or ChipConfig.chip_36core()
     traces = load_traces(path, expect_cores=config.n_cores)
     system = build_system(protocol, traces, config)
     system.run_until_done(max_cycles)
-    return collect_run_result(system, protocol, benchmark_name=str(path))
+    return RunResult(protocol=protocol, benchmark=str(path),
+                     n_cores=system.n_nodes, runtime=system.engine.cycle,
+                     completed_ops=system.total_completed_ops(),
+                     progress=system.progress(),
+                     stats=system.stats.snapshot())
 
 
-def compare_protocols(benchmark: str,
+def compare_protocols(benchmark: Union[str, WorkloadProfile],
                       protocols=PROTOCOLS,
                       config: Optional[ChipConfig] = None,
-                      ops_per_core: int = 150,
-                      workload_scale: float = 1.0,
-                      think_scale: float = 1.0,
-                      seed: int = 0,
-                      max_cycles: int = 400_000) -> Dict[str, RunResult]:
-    """Run the same workload under several protocols (Fig. 6a rows).
+                      **knobs) -> Dict[str, RunResult]:
+    """Run the same workload under several protocols (Fig. 6a rows):
+    one row of :func:`~repro.experiments.sweep.run_grid`; *knobs* are
+    :func:`run_benchmark`'s (``ops_per_core``, ``seed``, ...).
 
-    Routed through the sweep runner (:mod:`repro.experiments`), so it
-    honours the process execution context: with ``REPRO_JOBS``/
+    It honours the process execution context: with ``REPRO_JOBS``/
     ``REPRO_CACHE_DIR`` set (or :func:`repro.experiments.configure`
     called), the per-protocol runs fan out across workers and recall
     cached results.  Defaults reproduce the historical serial behaviour.
     """
-    from repro.experiments.sweep import sweep_compare
-    return sweep_compare(benchmark, tuple(protocols), config=config,
-                         ops_per_core=ops_per_core,
-                         workload_scale=workload_scale,
-                         think_scale=think_scale, seed=seed,
-                         max_cycles=max_cycles)
+    from repro.experiments.sweep import run_grid
+    return run_grid([benchmark], tuple(protocols), config=config,
+                    **knobs)[benchmark]
 
 
 def normalized_runtimes(results: Dict[str, RunResult],

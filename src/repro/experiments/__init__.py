@@ -31,7 +31,7 @@ from repro.experiments.spec import (PointSpec, RunSpec, SystemRunOutcome,
 from repro.experiments.sweep import (Plan, Sweep, SweepPointError,
                                      SweepResult, execute_point, plan_points,
                                      run_grid, run_plan, run_sweep,
-                                     snapshot_spec, sweep_compare)
+                                     snapshot_spec)
 
 __all__ = [
     "CacheBackend", "ExecutionContext", "LocalDirBackend", "Plan",
@@ -42,5 +42,5 @@ __all__ = [
     "get_builder", "get_context", "list_builders", "plan_points",
     "profile_to_dict", "register_builder", "resolve_workload",
     "resume_spec", "run_experiment_checkpointed", "run_grid", "run_plan",
-    "run_sweep", "snapshot_spec", "sweep_compare", "workload_kinds",
+    "run_sweep", "snapshot_spec", "workload_kinds",
 ]

@@ -69,6 +69,17 @@ def _merge_params(kind: str, given: Mapping[str, Any],
     if unknown:
         raise ValueError(f"unknown {what} parameter(s) {unknown} for "
                          f"{kind!r}; known: {sorted(defaults)}")
+    # A given value has exactly its default's type (so a bool is not an
+    # int), or is an int where the default is a float; None and REQUIRED
+    # defaults name no type.
+    for name, value in given.items():
+        default = defaults[name]
+        if type(value) is type(default) or default is None \
+                or (type(default) is float and type(value) is int) \
+                or isinstance(default, _Required):
+            continue
+        raise ValueError(f"{what} parameter {name!r} of {kind!r} must be "
+                         f"{type(default).__name__}, got {value!r}")
     merged = {**defaults, **given}
     missing = sorted(name for name, value in merged.items()
                      if isinstance(value, _Required))
@@ -103,20 +114,16 @@ def resolve_workload(workload: Mapping[str, Any],
     params = _merge_params(kind, workload, WORKLOAD_KINDS[kind], "workload")
 
     if kind == "benchmark":
-        from repro.workloads.suites import profile as lookup_profile
-        from repro.workloads.synthetic import generate_system_traces, scaled
-        prof = lookup_profile(params["name"])
-        if params["workload_scale"] != 1.0 or params["think_scale"] != 1.0:
-            prof = scaled(prof, params["workload_scale"],
-                          params["think_scale"])
+        from repro.workloads.suites import benchmark_workload
+        prof, build_traces = benchmark_workload(
+            params["name"], params["ops_per_core"],
+            params["workload_scale"], params["think_scale"], params["seed"])
         key = {"kind": kind,
                "profile": (memo or KeyMemo()).profile_dict(prof),
                "ops_per_core": params["ops_per_core"],
                "seed": params["seed"]}
-        return ResolvedWorkload(
-            name=prof.name, key=key,
-            build_traces=lambda n: generate_system_traces(
-                prof, n, params["ops_per_core"], seed=params["seed"]))
+        return ResolvedWorkload(name=prof.name, key=key,
+                                build_traces=build_traces)
 
     if kind == "locks":
         from repro.workloads.locks import lock_contention_traces
@@ -343,11 +350,10 @@ def collect_spec_outcome(spec: SystemSpec, system) -> SystemRunOutcome:
     return outcome
 
 
-def execute_system_spec(spec: SystemSpec,
-                        instrument=None) -> SystemRunOutcome:
-    """Run one system spec in this process and return the bare outcome
-    (:func:`~repro.experiments.sweep.execute_point` without the result
-    row around it).
+def execute_system_spec(spec: SystemSpec, instrument=None):
+    """Run one system spec in this process, uncached:
+    :func:`~repro.experiments.sweep.execute_point` and the result row it
+    makes (``fingerprint`` left empty).
 
     *instrument*, when given, is called with the freshly built system
     before it runs — the hook the observability layer uses to attach a
@@ -356,11 +362,7 @@ def execute_system_spec(spec: SystemSpec,
     against the uninstrumented envelope to enforce that.
     """
     from repro.experiments.sweep import execute_point
-    result = execute_point(spec, instrument=instrument)
-    return SystemRunOutcome(runtime=result.runtime,
-                            completed_ops=result.completed_ops,
-                            progress=result.progress, stats=result.stats,
-                            extra=result.extra)
+    return execute_point(spec, instrument=instrument)
 
 
 # ---------------------------------------------------------------------------

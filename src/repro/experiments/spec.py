@@ -9,6 +9,12 @@ the run knobs, and the version of the simulator source — so it can key
 an on-disk result cache: two specs with the same fingerprint are
 guaranteed (modulo hash collisions) to produce identical results.
 
+``repro.core.api.run_benchmark`` is ``execute_point`` of a ``RunSpec``,
+and the five benchmark knobs (``ops_per_core``, ``workload_scale``,
+``think_scale``, ``seed``, ``max_cycles``) have their defaults here, on
+``Sweep``, in ``WORKLOAD_KINDS`` and on that one documented signature —
+everything else passes them through.
+
 Runs outside the ``run_benchmark`` shape (ordered-network baselines,
 INCF ablations, lock workloads, litmus programs) are described by the
 sibling :class:`~repro.experiments.builders.SystemSpec`, which names a
@@ -26,6 +32,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.config import ChipConfig
+from repro.workloads.suites import benchmark_workload
+from repro.workloads.suites import profile as lookup_profile
 from repro.workloads.synthetic import WorkloadProfile
 
 # Bump when the meaning of a cached payload changes (new fields, changed
@@ -80,8 +88,9 @@ class KeyMemo:
 
 @dataclass
 class SystemRunOutcome:
-    """What harvesting a finished system produces (its JSON-able
-    subset)."""
+    """What harvesting a finished *system* produces (its JSON-able
+    subset) — the builders' ``collect`` contract.  The result row is
+    ``RunResult.from_outcome(spec, fingerprint, outcome)``."""
 
     runtime: int
     completed_ops: int
@@ -141,9 +150,6 @@ class RunSpec(PointSpec):
     kind = "benchmark"
 
     def resolved_profile(self) -> WorkloadProfile:
-        if isinstance(self.benchmark, WorkloadProfile):
-            return self.benchmark
-        from repro.workloads.suites import profile as lookup_profile
         return lookup_profile(self.benchmark)
 
     @property
@@ -182,10 +188,10 @@ class RunSpec(PointSpec):
 
     def build(self):
         """Construct — but do not run — this point's system."""
-        from repro.core.api import build_benchmark_system
-        return build_benchmark_system(
-            self.benchmark, protocol=self.protocol, config=self.config,
-            ops_per_core=self.ops_per_core,
-            workload_scale=self.workload_scale,
-            think_scale=self.think_scale, seed=self.seed)
-
+        from repro.core.api import build_system
+        config = self.resolved_config()
+        _, build_traces = benchmark_workload(
+            self.benchmark, self.ops_per_core, self.workload_scale,
+            self.think_scale, self.seed)
+        return build_system(self.protocol, build_traces(config.n_cores),
+                            config)

@@ -19,8 +19,10 @@ point that keeps failing raises :class:`SweepPointError`), and fresh
 results are written back to the cache.  Simulations are deterministic
 in the spec (engine RNG and trace generation are seeded; see
 ``tests/test_determinism.py``), so a parallel sweep is bit-identical to
-a serial one.  ``SweepResult.payload()`` is the canonical serialized
-form: what the cache stores, and byte-for-byte what a hit returns.
+a serial one.  The result row is :class:`repro.core.api.RunResult`
+(``SweepResult`` here is the same class); its ``payload()`` is the
+canonical serialized form: what the cache stores, and byte-for-byte
+what a hit returns.
 """
 
 from __future__ import annotations
@@ -33,118 +35,16 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
 from repro.core.api import RunResult
 from repro.core.config import ChipConfig
 from repro.sim.checkpoint import snapshot_system
-from repro.sim.statsframe import StatsFrame
 from repro.experiments.cache import ResultCache, as_cache, code_version
 from repro.experiments.context import get_context
 from repro.experiments.procpool import DEFAULT_RETRIES, run_points
-from repro.experiments.spec import (KeyMemo, PointSpec, RunSpec,
-                                    SystemRunOutcome)
+from repro.experiments.spec import KeyMemo, PointSpec, RunSpec
 from repro.systems.base import record_kernel_meta
 from repro.workloads.synthetic import WorkloadProfile
 
-# 2: added the free-form "extra" dict (system-builder runs put litmus
-# observations and similar non-scalar outcomes there).
-PAYLOAD_SCHEMA = 2
-
-
-@dataclass
-class SweepResult:
-    """One executed (or cache-recalled) sweep point.
-
-    Contains no wall-clock or host-specific fields, so a fresh run and a
-    cache hit of the same spec serialize identically (``cached`` is
-    bookkeeping, not part of the payload).
-    """
-
-    fingerprint: str
-    benchmark: str
-    protocol: str
-    n_cores: int
-    seed: int
-    runtime: int
-    completed_ops: int
-    progress: float
-    stats: Dict[str, float] = field(default_factory=dict)
-    # Free-form JSON-able outcome data beyond scalar stats (litmus
-    # observations, per-run artifacts); part of the cached payload.
-    extra: Dict[str, Any] = field(default_factory=dict)
-    label: str = ""
-    cached: bool = False
-
-    @property
-    def frame(self) -> StatsFrame:
-        """Queryable :class:`~repro.sim.statsframe.StatsFrame` over
-        :attr:`stats` — the structured alternative to prefix-slicing
-        (cached; rebuilt if ``stats`` is reassigned)."""
-        frame = self.__dict__.get("_frame")
-        if frame is None or frame._stats is not self.stats:
-            frame = StatsFrame(self.stats)
-            self.__dict__["_frame"] = frame
-        return frame
-
-    def payload(self) -> Dict[str, Any]:
-        """The canonical cacheable form.
-
-        Excludes ``cached`` *and* ``label``: neither is part of the
-        simulation outcome (label is display bookkeeping, set from the
-        requesting spec on both the fresh and the cache-hit path), so a
-        recalled result serializes byte-identically to a fresh one.
-        """
-        return {
-            "schema": PAYLOAD_SCHEMA,
-            "fingerprint": self.fingerprint,
-            "benchmark": self.benchmark,
-            "protocol": self.protocol,
-            "n_cores": self.n_cores,
-            "seed": self.seed,
-            "runtime": self.runtime,
-            "completed_ops": self.completed_ops,
-            "progress": self.progress,
-            "stats": self.stats,
-            "extra": self.extra,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any],
-                     cached: bool = False) -> "SweepResult":
-        return cls(fingerprint=payload["fingerprint"],
-                   benchmark=payload["benchmark"],
-                   protocol=payload["protocol"],
-                   n_cores=payload["n_cores"],
-                   seed=payload["seed"],
-                   runtime=payload["runtime"],
-                   completed_ops=payload["completed_ops"],
-                   progress=payload["progress"],
-                   stats=dict(payload["stats"]),
-                   extra=dict(payload.get("extra", {})),
-                   label=payload.get("label", ""),
-                   cached=cached)
-
-    @classmethod
-    def from_outcome(cls, spec: PointSpec, fingerprint: str,
-                     outcome: SystemRunOutcome) -> "SweepResult":
-        """The result row of *spec*'s harvested *outcome* (for a system-
-        builder run ``protocol`` carries the builder name, ``benchmark``
-        the workload's display name)."""
-        return cls(fingerprint=fingerprint,
-                   benchmark=spec.benchmark_name,
-                   protocol=spec.protocol_name,
-                   n_cores=spec.resolved_config().n_cores,
-                   seed=spec.seed_value(),
-                   runtime=outcome.runtime,
-                   completed_ops=outcome.completed_ops,
-                   progress=outcome.progress,
-                   stats=dict(outcome.stats),
-                   extra=dict(outcome.extra),
-                   label=spec.label)
-
-    def to_run_result(self) -> RunResult:
-        """Adapt to the :class:`~repro.core.api.RunResult` interface the
-        figure/analysis code is written against."""
-        return RunResult(protocol=self.protocol, benchmark=self.benchmark,
-                         n_cores=self.n_cores, runtime=self.runtime,
-                         completed_ops=self.completed_ops,
-                         progress=self.progress, stats=dict(self.stats))
+# One result-row class; the experiment layer, the tests and the docs
+# know it by this name.
+SweepResult = RunResult
 
 
 @dataclass
@@ -425,7 +325,8 @@ def run_grid(benchmarks: Sequence[Union[str, WorkloadProfile]],
     ``{benchmark: {protocol: RunResult}}``.
 
     The shared backend for the figure generators, the benchmark
-    harness's ``sweep_grid``, and :func:`sweep_compare`; extra *knobs*
+    harness's ``sweep_grid`` and
+    :func:`repro.core.api.compare_protocols`; extra *knobs*
     (``ops_per_core``, ``seed``, ...) pass straight into each
     :class:`~repro.experiments.spec.RunSpec`.
     """
@@ -433,27 +334,5 @@ def run_grid(benchmarks: Sequence[Union[str, WorkloadProfile]],
                      **knobs)
              for benchmark in benchmarks for protocol in protocols]
     results = iter(run_sweep(specs, jobs=jobs, cache=cache))
-    return {benchmark: {protocol: next(results).to_run_result()
-                        for protocol in protocols}
+    return {benchmark: {protocol: next(results) for protocol in protocols}
             for benchmark in benchmarks}
-
-
-def sweep_compare(benchmark: Union[str, WorkloadProfile],
-                  protocols: Sequence[str],
-                  config: Optional[ChipConfig] = None,
-                  ops_per_core: int = 150,
-                  workload_scale: float = 1.0,
-                  think_scale: float = 1.0,
-                  seed: int = 0,
-                  max_cycles: int = 400_000,
-                  jobs: Optional[int] = None,
-                  cache: Union[None, bool, str, ResultCache] = None,
-                  ) -> Dict[str, RunResult]:
-    """One benchmark under several protocols via the sweep runner — the
-    engine behind :func:`repro.core.api.compare_protocols`."""
-    grid = run_grid([benchmark], tuple(protocols), config=config,
-                    jobs=jobs, cache=cache, ops_per_core=ops_per_core,
-                    workload_scale=workload_scale,
-                    think_scale=think_scale, seed=seed,
-                    max_cycles=max_cycles)
-    return grid[benchmark]

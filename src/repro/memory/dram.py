@@ -21,7 +21,7 @@ controller share one data bus that serializes the line burst transfers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.serialize import SerializableConfig
 from repro.sim.stats import StatsRegistry
@@ -116,10 +116,6 @@ class DramModel:
         return done
 
     # ------------------------------------------------------------------
-
-    def open_rows(self) -> Dict[int, Optional[int]]:
-        """bank index -> open row (introspection for tests)."""
-        return {i: b.open_row for i, b in enumerate(self._banks)}
 
     def idle_at(self, cycle: int) -> bool:
         return (self._bus_busy_until <= cycle

@@ -58,10 +58,6 @@ class NocConfig(SerializableConfig):
             return self.goreq_vcs + (1 if self.reserved_vc else 0)
         return self.uoresp_vcs
 
-    def vc_depth(self, vnet: int) -> int:
-        from repro.noc.packet import VNet
-        return self.goreq_vc_depth if vnet == VNet.GO_REQ else self.uoresp_vc_depth
-
     def reserved_vc_index(self) -> int:
         """VC index of the rVC within GO-REQ (the last VC)."""
         if not self.reserved_vc:

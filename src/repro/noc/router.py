@@ -793,16 +793,6 @@ class Router(Clocked):
         """Total packets currently buffered at this router."""
         return sum(self.inports[p].occupied_buffers() for p in PORTS)
 
-    def vc_occupancy(self) -> Tuple[int, int]:
-        """(occupied, total) input VC buffers across all five ports."""
-        occupied = 0
-        total = 0
-        for port in PORTS:
-            occ, tot = self.inports[port].occupancy_profile()
-            occupied += occ
-            total += tot
-        return occupied, total
-
     def utilization_sample(self) -> Tuple[int, int]:
         """(buffered packets, in-flight flits toward downstream ports):
         the passive reading :class:`~repro.sim.journal.MeshSampler`

@@ -14,7 +14,7 @@ its virtual network).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.noc.packet import Packet, VNet
 
@@ -93,16 +93,6 @@ class InputPort:
     def occupied_buffers(self) -> int:
         return sum(1 for vcs in self._vcs.values() for vc in vcs if vc.occupied)
 
-    def occupancy_profile(self) -> Tuple[int, int]:
-        """(occupied, total) VC buffers across both vnets — the passive
-        VC-occupancy reading used by the observability sampler."""
-        occupied = 0
-        total = 0
-        for vcs in self._vcs.values():
-            total += len(vcs)
-            occupied += sum(1 for vc in vcs if vc.occupied)
-        return occupied, total
-
     def all_buffers(self):
         for vcs in self._vcs.values():
             yield from vcs
@@ -138,9 +128,6 @@ class CreditTracker:
             (1 << goreq_vcs) - 1,
             (1 << uoresp_vcs) - 1,
         ]
-
-    def is_reserved(self, vnet: VNet, vc: int) -> bool:
-        return vnet == VNet.GO_REQ and vc == self._reserved_index
 
     @property
     def reserved_index(self) -> Optional[int]:
@@ -200,10 +187,6 @@ class CreditTracker:
         if mask == 0:
             return None
         return (mask & -mask).bit_length() - 1
-
-    def has_free_normal_vc(self, vnet: VNet) -> bool:
-        """O(1) VS-stage predicate: any normal VC fully free?"""
-        return self._free_mask[vnet] != 0
 
     def reserved_vc_free(self) -> bool:
         if self._reserved_index is None:

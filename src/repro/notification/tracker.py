@@ -38,10 +38,6 @@ class NotificationTracker:
     def queue_full(self) -> bool:
         return len(self._queue) >= self.queue_depth
 
-    @property
-    def queue_len(self) -> int:
-        return len(self._queue)
-
     def push(self, vector: int) -> None:
         """Enqueue a merged vector received at a window end."""
         if self.queue_full:

@@ -126,10 +126,6 @@ class EventWheel:
         self._count -= len(items)
         return items
 
-    def next_due(self) -> Optional[int]:
-        """Earliest queued due cycle, or None when empty."""
-        return None if self._count == 0 else self.min_due
-
     def __len__(self) -> int:
         return self._count
 

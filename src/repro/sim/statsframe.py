@@ -1,12 +1,13 @@
 """StatsFrame: a typed, queryable view over a flat stats snapshot.
 
-:meth:`StatsRegistry.snapshot` (and therefore every ``RunResult.stats``
-and cached ``SweepResult.stats``) is a flat ``{name: float}`` dict in
+:meth:`StatsRegistry.snapshot` (and therefore the ``stats`` of every
+result row — :class:`repro.core.api.RunResult`, fresh or recalled from
+the cache) is a flat ``{name: float}`` dict in
 which histograms appear as ``<stem>.mean`` / ``<stem>.count`` pairs.
 Consumers used to scrape it with string-prefix slicing; a
 :class:`StatsFrame` replaces that with structured queries::
 
-    frame = result.frame                      # RunResult / SweepResult
+    frame = result.frame                      # any RunResult
     frame["noc.flits.transmitted"]            # exact key -> float
     frame["l2.breakdown.cache.*"].mean        # wildcard -> {stem: mean}
     frame.value("nic.requests_sent", 0.0)     # .get() equivalent

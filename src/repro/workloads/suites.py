@@ -10,9 +10,11 @@ delay) are exercised with the right relative weights per benchmark.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Callable, Dict, List, Tuple, Union
 
-from repro.workloads.synthetic import WorkloadProfile
+from repro.cpu.trace import Trace
+from repro.workloads.synthetic import (WorkloadProfile,
+                                       generate_system_traces, scaled)
 
 # ---------------------------------------------------------------------------
 # SPLASH-2
@@ -106,10 +108,29 @@ FIG10_BENCHMARKS: List[str] = [
 ]
 
 
-def profile(name: str) -> WorkloadProfile:
-    """Look up a benchmark profile by name."""
+def profile(name: Union[str, WorkloadProfile]) -> WorkloadProfile:
+    """Look up a benchmark profile by name (a profile object passes
+    through)."""
+    if isinstance(name, WorkloadProfile):
+        return name
     try:
         return ALL_PROFILES[name]
     except KeyError:
         raise KeyError(f"unknown benchmark {name!r}; known: "
                        f"{sorted(ALL_PROFILES)}") from None
+
+
+def benchmark_workload(benchmark: Union[str, WorkloadProfile],
+                       ops_per_core: int, workload_scale: float,
+                       think_scale: float, seed: int,
+                       ) -> Tuple[WorkloadProfile,
+                                  Callable[[int], List[Trace]]]:
+    """The one benchmark-workload recipe: look *benchmark* up, scale it
+    iff a scale is not 1 (``scaled`` clamps, so it is not an identity at
+    1), and return ``(profile, build_traces)`` where
+    ``build_traces(n_cores)`` generates the per-core traces."""
+    prof = profile(benchmark)
+    if workload_scale != 1.0 or think_scale != 1.0:
+        prof = scaled(prof, workload_scale, think_scale)
+    return prof, lambda n_cores: generate_system_traces(
+        prof, n_cores, ops_per_core, seed=seed)

@@ -342,3 +342,78 @@ def test_report_table_does_not_change_spec_expansion():
     with_report = experiment_from_dict(_minimal(report={}))
     assert [spec.key() for spec in plain.specs] == \
         [spec.key() for spec in with_report.specs]
+
+
+# ---------------------------------------------------------------------------
+# Typed knobs and builder/workload values
+# ---------------------------------------------------------------------------
+
+def _run(**entry):
+    return {"schema": 1, "name": "x", "runs": [entry]}
+
+
+@pytest.mark.parametrize("key", ["ops_per_core", "workload_scale",
+                                 "think_scale", "seed", "max_cycles"])
+def test_rejects_bool_where_a_number_is_asked_for(key):
+    with pytest.raises(DocumentError, match=rf"runs\[0\]\.{key} "):
+        experiment_from_dict(_run(benchmark="fft", **{key: True}))
+    if key != "seed":
+        with pytest.raises(DocumentError, match=rf"matrix\.{key} "):
+            experiment_from_dict({"schema": 1, "name": "x",
+                                  "matrix": {"benchmarks": ["fft"],
+                                             key: True}})
+
+
+@pytest.mark.parametrize("key", ["ops_per_core", "max_cycles"])
+def test_rejects_negative_ops_per_core_and_max_cycles(key):
+    with pytest.raises(DocumentError, match=f"{key} must be >= 0"):
+        experiment_from_dict(_run(benchmark="fft", **{key: -3}))
+    with pytest.raises(DocumentError, match=f"{key} must be >= 0"):
+        experiment_from_dict({"schema": 1, "name": "x",
+                              "matrix": {"benchmarks": ["fft"], key: -1}})
+    assert experiment_from_dict(_run(benchmark="fft", **{key: 0}))
+    with pytest.raises(DocumentError, match="max_cycles must be >= 0"):
+        experiment_from_dict(_run(builder="scorpio", max_cycles=-1))
+
+
+def test_knobs_a_document_omits_take_the_spec_defaults():
+    [spec] = experiment_from_dict(_run(benchmark="fft",
+                                       workload_scale=2)).specs
+    assert spec == RunSpec("fft", workload_scale=2.0)
+    assert isinstance(spec.workload_scale, float)
+    [system] = experiment_from_dict(_run(builder="scorpio")).specs
+    assert system.max_cycles == 400_000
+
+
+@pytest.mark.parametrize("entry, complaint", [
+    (dict(builder="scorpio",
+          workload={"kind": "benchmark", "name": "fft",
+                    "ops_per_core": "8"}),
+     "workload parameter 'ops_per_core' of 'benchmark' must be int"),
+    (dict(builder="scorpio",
+          workload={"kind": "benchmark", "name": "fft", "seed": True}),
+     "workload parameter 'seed' of 'benchmark' must be int"),
+    (dict(builder="scorpio",
+          workload={"kind": "benchmark", "name": "fft",
+                    "think_scale": "10"}),
+     "workload parameter 'think_scale' of 'benchmark' must be float"),
+    (dict(builder="directory", params={"incf": 1}),
+     "builder parameter 'incf' of 'directory' must be bool"),
+    (dict(builder="inso", params={"expiration_window": 20.5}),
+     "builder parameter 'expiration_window' of 'inso' must be int"),
+])
+def test_rejects_mistyped_builder_and_workload_values(entry, complaint):
+    with pytest.raises(DocumentError, match=complaint):
+        experiment_from_dict(_run(**entry))
+
+
+def test_accepts_an_int_for_a_float_and_anything_for_an_untyped_default():
+    experiment = experiment_from_dict({
+        "schema": 1, "name": "x",
+        "runs": [dict(builder="scorpio",
+                      workload={"kind": "benchmark", "name": "fft",
+                                "think_scale": 10}),
+                 dict(builder="timestamp", params={"slack": 30}),
+                 dict(builder="directory",
+                      params={"incf": True, "incf_table_capacity": 8})]})
+    assert len(experiment) == 3

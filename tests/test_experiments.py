@@ -7,8 +7,7 @@ import pytest
 from repro.core.api import compare_protocols, run_benchmark
 from repro.core.config import ChipConfig
 from repro.experiments import (ResultCache, RunSpec, Sweep, as_cache,
-                               code_version, executing, run_sweep,
-                               sweep_compare)
+                               code_version, executing, run_sweep)
 
 # A deliberately tiny regime so every test runs in well under a second
 # per simulation.
@@ -122,7 +121,7 @@ class TestRunSweep:
         [swept] = run_sweep([spec], cache=False)
         assert swept.runtime == direct.runtime
         assert swept.stats == direct.stats
-        assert swept.to_run_result().breakdown() == direct.breakdown()
+        assert swept.breakdown() == direct.breakdown()
 
     def test_uncached_results_still_carry_fingerprints(self):
         # Regression: the uncached path used to elide fingerprints as "",

@@ -10,8 +10,11 @@ the same bytes once the ``cache`` key is set aside, and the ``cache``
 key itself must agree between ``run_experiment`` and ``serve`` on equal
 cache state.
 
-The second half pins :func:`repro.experiments.plan_points` directly,
-with a recording ``lookup`` in place of a cache.
+The second part pins :func:`repro.experiments.plan_points` directly,
+with a recording ``lookup`` in place of a cache; the third pins the
+front door — ``run_benchmark``, ``compare_protocols``, ``run_sweep`` of
+a ``RunSpec`` and the equivalent ``SystemSpec`` return the same row of
+the one result class.
 """
 
 import json
@@ -25,9 +28,11 @@ import repro
 from repro.api import envelope_bytes, run_experiment
 from repro.api.client import ServeClient
 from repro.api.document import experiment_from_dict
+from repro.core.api import RunResult, compare_protocols, run_benchmark
 from repro.core.config import ChipConfig
 from repro.experiments import (RunSpec, SweepResult, SystemSpec, plan_points,
-                               run_experiment_checkpointed, snapshot_spec)
+                               run_experiment_checkpointed, run_sweep,
+                               snapshot_spec)
 from repro.serve import serve
 
 KNOBS = dict(ops_per_core=8, workload_scale=0.02, think_scale=10.0)
@@ -202,3 +207,68 @@ def test_plan_without_a_lookup_still_deduplicates():
     assert (plan.hits, plan.misses) == (0, 3)
     assert list(plan.pending.values()) == [[0, 1], [2]]
     assert plan.results == [None, None, None]
+
+
+# ---------------------------------------------------------------------------
+# The front door
+# ---------------------------------------------------------------------------
+
+def without(payload, *keys):
+    return json.dumps({key: value for key, value in payload.items()
+                       if key not in keys})
+
+
+def test_one_result_class():
+    assert RunResult is SweepResult
+
+
+@pytest.mark.parametrize("protocol", ["scorpio", "lpd", "ht", "fullbit"])
+def test_front_doors_return_the_same_row(protocol):
+    config = ChipConfig.variant(3, 3)
+    direct = run_benchmark("fft", protocol=protocol, config=config, **KNOBS)
+    [swept] = run_sweep([RunSpec("fft", protocol, config, **KNOBS)],
+                        cache=False)
+    compared = compare_protocols("fft", (protocol,), config=config,
+                                 **KNOBS)[protocol]
+    builder, params = ("scorpio", {}) if protocol == "scorpio" \
+        else ("directory", {"scheme": protocol.upper()})
+    [system] = run_sweep([SystemSpec(
+        builder, config, params=params,
+        workload={"kind": "benchmark", "name": "fft", "seed": 0, **KNOBS})],
+        cache=False)
+
+    assert direct.fingerprint == "" and len(swept.fingerprint) == 64
+    assert swept == compared
+    reference = without(direct.payload(), "fingerprint")
+    assert without(swept.payload(), "fingerprint") == reference
+    assert without(system.payload(), "fingerprint", "protocol") \
+        == without(direct.payload(), "fingerprint", "protocol")
+    assert system.protocol == builder
+    # the row is its own (de)serialisation, readers included
+    recalled = RunResult.from_payload(swept.payload())
+    assert recalled == swept and recalled.payload() == swept.payload()
+    assert recalled.breakdown() == direct.breakdown()
+    assert recalled.avg_l2_service_latency == direct.avg_l2_service_latency
+
+
+def test_cache_recall_equals_the_fresh_row(tmp_path):
+    spec = run_spec()
+    [fresh] = run_sweep([spec], cache=tmp_path)
+    [recalled] = run_sweep([spec], cache=tmp_path)
+    assert (fresh.cached, recalled.cached) == (False, True)
+    assert recalled == fresh
+
+
+def test_profile_object_goes_through_every_front_door():
+    from repro.workloads.synthetic import WorkloadProfile
+    profile = WorkloadProfile(name="custom", private_lines=64,
+                              shared_lines=16, think_mean=40)
+    config = ChipConfig.variant(3, 3)
+    direct = run_benchmark(profile, config=config, ops_per_core=8)
+    pooled = run_sweep([RunSpec(profile, "scorpio", config, ops_per_core=8,
+                                seed=seed) for seed in (0, 1)],
+                       jobs=2, cache=False)
+    assert direct.benchmark == "custom" and direct.progress == 1.0
+    assert [row.benchmark for row in pooled] == ["custom", "custom"]
+    assert without(pooled[0].payload(), "fingerprint") \
+        == without(direct.payload(), "fingerprint")

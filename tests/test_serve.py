@@ -96,6 +96,17 @@ class TestFrontend:
         with pytest.raises(ServeError, match="HTTP 422.*protocol"):
             client.submit_document(bad)
 
+    def test_mistyped_workload_value_is_refused_at_submit(self, client):
+        # Used to validate, then die in a forked worker after the retries.
+        bad = {"schema": 1, "name": "bad",
+               "runs": [{"builder": "scorpio",
+                         "workload": {"kind": "benchmark", "name": "fft",
+                                      "ops_per_core": "8"}}]}
+        with pytest.raises(ServeError,
+                           match="HTTP 422.*'ops_per_core'.*must be int"):
+            client.submit_document(bad)
+        assert client.jobs() == []
+
 
 class TestByteIdentity:
     def test_http_envelope_identical_to_run_file(self, tmp_path, client):
