@@ -12,14 +12,22 @@ argues for — each ablated to show it earns its keep:
 
 from dataclasses import replace
 
+from repro.analysis.figures import FULL
 from repro.core import ChipConfig
 from repro.cpu.trace import Trace, TraceOp
+from repro.experiments import RunSpec, run_sweep
 from repro.noc.config import NocConfig
 from repro.systems.scorpio import ScorpioSystem
 
-from conftest import run_once, sweep_run
+from conftest import run_once
 
-REGIME = dict(ops_per_core=80, workload_scale=0.05, think_scale=20.0)
+REGIME = FULL.knobs(ops_per_core=80)
+
+
+def scorpio_runs(benchmark_name, *configs):
+    """SCORPIO on *benchmark_name* under each config, as one batch."""
+    return run_sweep([RunSpec(benchmark_name, "scorpio", config, **REGIME)
+                      for config in configs])
 
 
 def test_ablation_lookahead_bypass(benchmark):
@@ -27,9 +35,7 @@ def test_ablation_lookahead_bypass(benchmark):
         base = ChipConfig.chip_36core()
         no_bypass = replace(base, noc=replace(base.noc,
                                               lookahead_bypass=False))
-        with_la = sweep_run("lu", "scorpio", base, **REGIME)
-        without = sweep_run("lu", "scorpio", no_bypass, **REGIME)
-        return with_la, without
+        return scorpio_runs("lu", base, no_bypass)
 
     with_la, without = run_once(benchmark, run)
     print(f"\nAblation: lookahead bypassing")
@@ -75,9 +81,7 @@ def test_ablation_region_tracker(benchmark):
         base = ChipConfig.chip_36core()
         off = replace(base, cache=replace(base.cache,
                                           use_region_tracker=False))
-        with_rt = sweep_run("blackscholes", "scorpio", base, **REGIME)
-        without = sweep_run("blackscholes", "scorpio", off, **REGIME)
-        return with_rt, without
+        return scorpio_runs("blackscholes", base, off)
 
     with_rt, without = run_once(benchmark, run)
     filtered = with_rt.stats.get("l2.snoops.filtered", 0)
@@ -125,14 +129,12 @@ def test_extension_multiple_main_networks(benchmark):
 
 def test_ablation_notification_window(benchmark):
     def run():
-        out = {}
-        for window in (13, 26, 52):
-            base = ChipConfig.chip_36core()
-            config = replace(base, notification=replace(
-                base.notification, window=window))
-            result = sweep_run("lu", "scorpio", config, **REGIME)
-            out[window] = result.stats.get("nic.order_latency.mean", 0.0)
-        return out
+        base = ChipConfig.chip_36core()
+        windows = (13, 26, 52)
+        results = scorpio_runs("lu", *(replace(base, notification=replace(
+            base.notification, window=window)) for window in windows))
+        return {window: result.stats.get("nic.order_latency.mean", 0.0)
+                for window, result in zip(windows, results)}
 
     latencies = run_once(benchmark, run)
     print("\nAblation: notification time-window length")

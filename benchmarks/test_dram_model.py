@@ -16,22 +16,22 @@ substitution assumes:
   True)``.
 """
 
+from repro.analysis.figures import FULL, chip
 from repro.memory.controller import MemoryConfig
 from repro.systems.scorpio import ScorpioSystem
 from repro.workloads.suites import profile
 from repro.workloads.synthetic import generate_system_traces, scaled
 
-from conftest import (MAX_CYCLES, OPS_PER_CORE, SEED, THINK_SCALE,
-                      WORKLOAD_SCALE, chip36, run_once)
+from conftest import MAX_CYCLES, SEED, run_once
 
-REGIMES = {"heavy": THINK_SCALE, "light": 4 * THINK_SCALE}
+REGIMES = {"heavy": FULL.think_scale, "light": 4 * FULL.think_scale}
 
 
 def _run(name, banked, think_scale):
-    config = chip36()
-    prof = scaled(profile(name), WORKLOAD_SCALE, think_scale)
-    traces = generate_system_traces(prof, config.n_cores, OPS_PER_CORE,
-                                    seed=SEED)
+    config = chip(6, 6)
+    prof = scaled(profile(name), FULL.workload_scale, think_scale)
+    traces = generate_system_traces(prof, config.n_cores,
+                                    FULL.ops_per_core, seed=SEED)
     system = ScorpioSystem(traces=traces, noc=config.noc,
                            notification=config.notification,
                            memory=MemoryConfig(banked=banked))

@@ -1,7 +1,8 @@
 """The paper's reported results as structured data.
 
-Every number the evaluation section states, transcribed once, so the
-harness and notebooks can print paper-vs-measured side by side instead
+Every number the evaluation section states, transcribed once; the figure
+registry (:mod:`repro.analysis.figures`) takes each claim's paper value
+from here, so the harness prints paper vs measured side by side instead
 of scattering magic constants through the benches.  Values are exactly
 as printed in the paper; derived quantities (e.g. the implied HT-vs-LPD
 ratio) are computed, not transcribed.
@@ -9,8 +10,8 @@ ratio) are computed, not transcribed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping, Optional
 
 # ---------------------------------------------------------------------------
 # Headline results (abstract / Sec. 5.1)
@@ -59,6 +60,25 @@ NIC_ROUTER_POWER_PCT = 19.0
 NIC_ROUTER_AREA_PCT = 10.0
 L2_AREA_PCT = 46.0
 CORE_POWER_PCT = 54.0
+CORE_L1_POWER_PCT = 62.0              # core plus both L1s
+NOTIFICATION_POWER_PCT_MAX = 1.0      # "<1 %" of tile power
+
+# Table 1, the rows the simulator models, each keyed by the ChipConfig
+# field that holds it (flags as 0/1).
+TABLE1 = {
+    "noc.width": 6, "noc.height": 6, "n_cores": 36,
+    "noc.channel_width_bytes": 16, "data_packet_flits": 3,
+    "noc.goreq_vcs": 4, "noc.goreq_vc_depth": 1,
+    "noc.uoresp_vcs": 2, "noc.uoresp_vc_depth": 3, "noc.reserved_vc": 1,
+    "noc.multicast": 1, "noc.lookahead_bypass": 1,
+    "noc.router_pipeline_stages": 3, "noc.link_stages": 1,
+    "notification.bits_per_core": 1, "notification.window": 13,
+    "notification.max_pending": 4,
+    "cache.l2_size": 128 * 1024, "cache.l2_ways": 4, "cache.line_size": 32,
+    "cache.region_bytes": 4096, "cache.region_entries": 128,
+    "core.max_outstanding": 2, "memory_controllers": 2,
+}
+TABLE2_PROCESSORS = 6                 # columns of Table 2, SCORPIO included
 
 
 def ht_vs_lpd_runtime() -> float:
@@ -68,18 +88,30 @@ def ht_vs_lpd_runtime() -> float:
 
 
 # ---------------------------------------------------------------------------
-# Side-by-side rendering
+# Claims and side-by-side rendering
 # ---------------------------------------------------------------------------
 
 @dataclass
 class Claim:
-    """One paper claim paired with a measured value."""
+    """One paper claim paired with a measured value.
+
+    *paper* is the number the paper prints (None where it states a shape
+    and no number).  A figure's claims (:mod:`repro.analysis.figures`)
+    also carry the shape the reproduction asserts: *holds*, a predicate
+    over that figure's measured values, and *shape*, the same in words.
+    *key* names the measured value reported next to the paper's
+    (default: the claim's own name).
+    """
 
     name: str
-    paper: float
+    paper: Optional[float]
     measured: Optional[float] = None
     unit: str = ""
     higher_is_better: bool = False
+    shape: str = ""
+    holds: Optional[Callable[[Mapping[str, float]], bool]] = None
+    key: str = ""
+    verdict: Optional[bool] = None
 
     @property
     def ratio(self) -> Optional[float]:
@@ -88,16 +120,32 @@ class Claim:
             return None
         return self.measured / self.paper
 
+    def judge(self, values: Mapping[str, float]) -> Optional["Claim"]:
+        """This claim with ``measured`` and ``verdict`` filled in from a
+        figure's measured *values*; None when they do not include its
+        key (the regime that produced them did not run that leg)."""
+        key = self.key or self.name
+        if key not in values:
+            return None
+        return replace(self, measured=values[key],
+                       verdict=bool(self.holds(values)))
+
 
 def comparison_table(claims: Mapping[str, tuple],
                      title: str = "paper vs measured") -> str:
-    """Render {name: (paper, measured)} as an aligned text table."""
+    """Render {name: (paper, measured, *notes)} as an aligned text
+    table; a missing paper or measured value prints as a dash."""
+    def number(value) -> str:
+        return f"{'—':>10}" if value is None else f"{value:>10.3f}"
+
     lines = [title, ""]
     width = max((len(name) for name in claims), default=4)
+    notes = [max(map(len, column)) for column in
+             zip(*(row[2:] for row in claims.values()))]
     lines.append(f"{'claim':<{width}}  {'paper':>10}  {'measured':>10}")
     lines.append("-" * (width + 26))
-    for name, (paper, measured) in claims.items():
-        measured_s = f"{measured:>10.3f}" if measured is not None \
-            else f"{'—':>10}"
-        lines.append(f"{name:<{width}}  {paper:>10.3f}  {measured_s}")
+    for name, (paper, measured, *rest) in claims.items():
+        lines.append("  ".join(
+            [f"{name:<{width}}", number(paper), number(measured)]
+            + [note.ljust(notes[i]) for i, note in enumerate(rest)]))
     return "\n".join(lines) + "\n"

@@ -8,9 +8,9 @@ EXPERIMENTS.md by hand:
     from repro.analysis.report import build_report
     build_report("results/", figures=["table1", "fig9", "fig8d"])
 
-The heavyweight simulation figures default to the quick regime; the
-benchmark harness under ``benchmarks/`` remains the authoritative
-full-regime reproduction (it also asserts the shapes).
+Figures render in the quick regime unless told otherwise;
+``benchmarks/test_figures.py`` is the full-regime reproduction that also
+asserts every claim.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.analysis.figures import figure_ids, generate
+from repro.analysis.figures import QUICK, Regime, generate, lookup
 
 # Figures cheap enough to render by default (< a few seconds each).
 DEFAULT_FIGURES = ("table1", "table2", "fig9")
@@ -27,11 +27,11 @@ DEFAULT_FIGURES = ("table1", "table2", "fig9")
 
 def build_report(directory: Union[str, Path],
                  figures: Optional[Sequence[str]] = None,
-                 quick: bool = True,
+                 regime: Regime = QUICK,
                  seed: int = 0,
                  jobs: Optional[int] = None,
                  cache_dir: Union[None, str, Path] = None) -> Dict[str, Path]:
-    """Render *figures* (ids from :func:`figure_ids`) into *directory*.
+    """Render *figures* (registry ids) into *directory*.
 
     Returns {figure id -> artifact path}.  Unknown ids raise before any
     work happens, so a typo cannot waste a long render.
@@ -44,11 +44,7 @@ def build_report(directory: Union[str, Path],
     from repro.experiments import executing
     requested: List[str] = list(figures) if figures is not None \
         else list(DEFAULT_FIGURES)
-    known = set(figure_ids())
-    unknown = [fig for fig in requested if fig not in known]
-    if unknown:
-        raise KeyError(f"unknown figures {unknown}; known: "
-                       f"{sorted(known)}")
+    lookup(requested)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
@@ -57,7 +53,7 @@ def build_report(directory: Union[str, Path],
     with executing(jobs=jobs, cache=cache_dir):
         for fig_id in requested:
             started = time.perf_counter()
-            text = generate(fig_id, quick=quick, seed=seed)
+            text = generate(fig_id, regime, seed)
             timings[fig_id] = time.perf_counter() - started
             path = directory / f"{fig_id}.txt"
             path.write_text(text, encoding="utf-8")
@@ -65,7 +61,7 @@ def build_report(directory: Union[str, Path],
 
     index = directory / "index.md"
     lines = ["# SCORPIO reproduction report", "",
-             f"Regime: {'quick' if quick else 'full'}; seed {seed}.  "
+             f"Regime: {regime.name}; seed {seed}.  "
              "See EXPERIMENTS.md for the paper-vs-measured record.", "",
              "| figure | artifact | render time |", "|---|---|---|"]
     for fig_id in requested:

@@ -54,6 +54,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.analysis.figures import FIGURES, FULL, QUICK, generate, lookup
 from repro.core.api import (PROTOCOLS, compare_protocols,
                             normalized_runtimes, run_benchmark,
                             run_trace_file)
@@ -94,15 +95,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="SCORPIO (ISCA 2014) reproduction: ordered-mesh "
                     "snoopy coherence simulator")
     sub = parser.add_subparsers(dest="command", required=True)
+    full_help = (f"the regime the benchmark harness asserts "
+                 f"({FULL.ops_per_core} ops/core, the 36- and 64-core "
+                 f"legs; slow) instead of the quick one "
+                 f"({QUICK.ops_per_core} ops/core, 4x4 meshes)")
 
     def add_regime_options(p):
         p.add_argument("--mesh", type=_mesh, default=(6, 6),
                        help="mesh dimensions, e.g. 6x6 (default)")
-        p.add_argument("--ops", type=int, default=100,
+        p.add_argument("--ops", type=int, default=FULL.ops_per_core,
                        help="memory operations per core")
-        p.add_argument("--scale", type=float, default=0.05,
+        p.add_argument("--scale", type=float, default=FULL.workload_scale,
                        help="workload footprint scale")
-        p.add_argument("--think-scale", type=float, default=20.0,
+        p.add_argument("--think-scale", type=float,
+                       default=FULL.think_scale,
                        help="think-time stretch factor")
         p.add_argument("--max-cycles", type=int, default=400_000)
 
@@ -189,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p.add_argument("--list", action="store_true",
                        help="list available figure ids")
     fig_p.add_argument("--full", action="store_true",
-                       help="full 36-core regime (slow) instead of quick")
+                       help=full_help)
     fig_p.add_argument("--seed", type=int, default=0)
     add_executor_options(fig_p)
 
@@ -205,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("directory")
     report_p.add_argument("--figures", nargs="+", default=None,
                           help="figure ids (default: the static set)")
-    report_p.add_argument("--full", action="store_true")
+    report_p.add_argument("--full", action="store_true", help=full_help)
     report_p.add_argument("--seed", type=int, default=0)
     add_executor_options(report_p)
 
@@ -489,20 +495,29 @@ def cmd_describe(args, out) -> int:
     return 0
 
 
+def _unknown_figures(ids, out) -> bool:
+    """Report ids the registry does not know.  Checked before any work,
+    so that a ``KeyError`` raised later, inside a simulation or a
+    reducer, stays a traceback and not a usage error."""
+    try:
+        lookup(ids)
+    except KeyError as exc:
+        print(f"error: {exc}", file=out)
+        return True
+    return False
+
+
 def cmd_figure(args, out) -> int:
-    from repro.analysis.figures import figure_ids, generate
     from repro.experiments import executing
     if args.list or not args.id:
         print("available figures:", file=out)
-        for fig_id in figure_ids():
-            print(f"  {fig_id}", file=out)
+        for fig_id, figure in sorted(FIGURES.items()):
+            print(f"  {fig_id:<8} {figure.title}", file=out)
         return 0
-    try:
-        with executing(jobs=args.jobs, cache=args.cache_dir):
-            text = generate(args.id, quick=not args.full, seed=args.seed)
-    except KeyError as exc:
-        print(f"error: {exc}", file=out)
+    if _unknown_figures([args.id], out):
         return 2
+    with executing(jobs=args.jobs, cache=args.cache_dir):
+        text = generate(args.id, FULL if args.full else QUICK, args.seed)
     print(text, file=out)
     return 0
 
@@ -516,13 +531,12 @@ def cmd_trace(args, out) -> int:
 
 def cmd_report(args, out) -> int:
     from repro.analysis.report import build_report
-    try:
-        artifacts = build_report(args.directory, figures=args.figures,
-                                 quick=not args.full, seed=args.seed,
-                                 jobs=args.jobs, cache_dir=args.cache_dir)
-    except KeyError as exc:
-        print(f"error: {exc}", file=out)
+    if _unknown_figures(args.figures or (), out):
         return 2
+    artifacts = build_report(args.directory, figures=args.figures,
+                             regime=FULL if args.full else QUICK,
+                             seed=args.seed, jobs=args.jobs,
+                             cache_dir=args.cache_dir)
     for fig_id, path in sorted(artifacts.items()):
         print(f"  {fig_id:<10} -> {path}", file=out)
     return 0

@@ -306,6 +306,26 @@ class TestFigureCommand:
         assert code == 2
         assert "unknown figure" in text
 
+    def test_keyerror_inside_a_reducer_is_not_an_unknown_id(
+            self, monkeypatch, tmp_path):
+        """``figure`` / ``report`` exit 2 for a mistyped id only; a
+        KeyError raised by a registered figure's own reducer (a stat
+        some builder stopped exporting) propagates, traceback and all."""
+        from repro.analysis.figures import FIGURES, Figure
+        from repro.analysis.report import build_report
+
+        def reduce(results):
+            return {}["system.reorder_buffer_peak"]
+
+        monkeypatch.setitem(FIGURES, "broken",
+                            Figure("broken", "a broken reducer", reduce))
+        for call in (lambda: run_cli("figure", "broken"),
+                     lambda: run_cli("report", str(tmp_path), "--figures",
+                                     "broken"),
+                     lambda: build_report(tmp_path, figures=["broken"])):
+            with pytest.raises(KeyError, match="reorder_buffer_peak"):
+                call()
+
     def test_table1_renders(self):
         code, text = run_cli("figure", "table1")
         assert code == 0

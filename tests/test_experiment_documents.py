@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import figures
+from repro.analysis.figures import FIGURES, QUICK
 from repro.api import (DOCUMENT_SCHEMA, RESULTS_SCHEMA, DocumentError,
                        describe_experiment, experiment_from_dict,
                        load_experiment, run_experiment)
@@ -38,12 +38,8 @@ except ImportError:   # pragma: no cover - Python < 3.11
 needs_toml = pytest.mark.skipif(
     not HAS_TOML, reason="TOML documents need tomllib (3.11+) or tomli")
 
-CASES = {
-    "fig7": lambda: figures.fig7_specs(True, 0)[2],
-    "sec2": lambda: figures.sec2_specs(True, 0),
-    "incf": lambda: figures.incf_specs(True, 0)[2],
-    "locks": lambda: figures.locks_specs(True, 0),
-}
+CASES = {fig_id: lambda fig_id=fig_id: FIGURES[fig_id].points(QUICK, 0)
+         for fig_id in ("fig7", "sec2", "incf", "locks")}
 
 
 def _minimal(**extra):

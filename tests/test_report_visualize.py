@@ -9,6 +9,7 @@ from repro.noc.visualize import (compact_number, hotspot_nodes,
                                  render_heatmap, traffic_map)
 
 
+@pytest.mark.usefixtures("cached_figures")
 class TestBuildReport:
     def test_default_report(self, tmp_path):
         artifacts = build_report(tmp_path / "results")
@@ -29,10 +30,12 @@ class TestBuildReport:
                                  figures=["table1"])
         assert artifacts["table1"].exists()
 
-    def test_simulated_figure_in_report(self, tmp_path):
-        artifacts = build_report(tmp_path, figures=["fig8d"])
+    def test_simulated_figure_in_report(self, tmp_path, tiny_regime):
+        artifacts = build_report(tmp_path, figures=["fig8d"],
+                                 regime=tiny_regime)
         text = artifacts["fig8d"].read_text()
         assert "1.000" in text
+        assert "Regime: quick" in artifacts["index"].read_text()
 
 
 class TestRenderGrid:

@@ -232,24 +232,18 @@ class TestFigureConsumers:
     """The rewired figures: parallel == serial byte-identity and a warm
     cache rerun that performs zero simulation runs."""
 
-    @pytest.fixture(autouse=True)
-    def shrink_quick_regime(self, monkeypatch):
-        import repro.analysis.figures as figures
-        monkeypatch.setattr(figures, "QUICK",
-                            dict(ops_per_core=10, workload_scale=0.02,
-                                 think_scale=10.0))
-
     @pytest.mark.parametrize("fig_id", ["fig7", "incf", "locks", "sec2"])
-    def test_parallel_and_cached_match_serial(self, fig_id, tmp_path):
+    def test_parallel_and_cached_match_serial(self, fig_id, tmp_path,
+                                              tiny_regime):
         from repro.analysis.figures import generate
-        serial = generate(fig_id)
+        serial = generate(fig_id, tiny_regime)
         with executing(jobs=3):
-            parallel = generate(fig_id)
+            parallel = generate(fig_id, tiny_regime)
         assert parallel == serial
         with executing(cache=str(tmp_path)) as ctx:
-            cold = generate(fig_id)
+            cold = generate(fig_id, tiny_regime)
             hits_after_cold = ctx.cache.hits
-            warm = generate(fig_id)
+            warm = generate(fig_id, tiny_regime)
             assert cold == warm == serial
             # The warm pass answered every point from the cache: no new
             # misses, one hit per point.
