@@ -77,4 +77,20 @@ forbid "per-figure spec exporter / regime flag" \
     'fig7_specs|sec2_specs|incf_specs|locks_specs|_quick_chip|quick: bool' \
     src tests benchmarks examples
 
+# PR 22 - one coherence endpoint: timed callbacks live in an EventWheel
+# (no flat _delayed list, no list-comprehension partition); the directory
+# L2 overrides seams, not step / _issue; a line leaves the array through
+# L2Controller._drop_line and meets the MOSI table in _snoop_array alone;
+# data-bearing responses are built by CoherenceRequest.reply.
+forbid "flat timed-callback list" '_delayed|\[d for d in' src/repro
+forbid "directory L2 copy of step / _issue" \
+    'def (step|_issue)\(' src/repro/coherence/dir_l2.py
+only_in "line drop outside L2Controller._drop_line" \
+    'region_tracker\.line_evicted' "src/repro/coherence/l2_controller.py"
+only_in "second MOSI snoop apply" 'on_remote_request\(' \
+    "src/repro/coherence/l2_controller.py
+src/repro/coherence/mosi.py"
+only_in "hand-built CoherenceResponse" 'CoherenceResponse\(' \
+    "src/repro/coherence/messages.py"
+
 exit $status

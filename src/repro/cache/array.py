@@ -16,6 +16,11 @@ def is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
+def line_addr(addr: int, line_size: int) -> int:
+    """Base address of the *line_size*-byte line holding *addr*."""
+    return addr & ~(line_size - 1)
+
+
 @dataclass
 class CacheLine:
     """One tag-array entry."""
@@ -55,7 +60,7 @@ class CacheArray:
     # -- address helpers -------------------------------------------------
 
     def line_addr(self, addr: int) -> int:
-        return addr & ~(self.line_size - 1)
+        return line_addr(addr, self.line_size)
 
     def set_index(self, addr: int) -> int:
         return (addr // self.line_size) % self.n_sets

@@ -1,29 +1,34 @@
 """L2 cache controller variant for the directory baselines (LPD-D, HT-D).
 
-Shares the array/MSHR/writeback machinery of the snoopy
-:class:`~repro.coherence.l2_controller.L2Controller` but changes the
-protocol plumbing:
+The array, MSHRs, writeback buffer, ``step``, issue path and snoop apply
+are :class:`~repro.coherence.l2_controller.L2Controller`'s; this class
+overrides only the seams where a directory protocol differs:
 
-* misses are **unicast** to the line's home directory slice instead of
-  broadcast — the indirection the paper's evaluation isolates;
-* there is no global order: a request completes when its data (or a
-  directory ACK, for owner upgrades) arrives;
-* the inbound stream carries :class:`DirForward` messages — data-forward
-  and invalidation requests from home directories, plus the HT-style
-  broadcast snoops — rather than ordered peer requests;
-* dirty evictions unicast their PUT to the home slice (data goes straight
-  to the memory controller), and the writeback buffer entry lives until
-  the home acknowledges.
+* ``_send_request`` — misses and PUTs are **unicast** to the line's home
+  directory slice instead of broadcast (the indirection the paper's
+  evaluation isolates);
+* ``_init_mshr`` / ``_maybe_complete`` — there is no global order: a
+  request completes when its data (or a directory ACK, for owner
+  upgrades) arrives, and under HT only after its own broadcast returned;
+* ``_is_filtered`` / ``_process_ordered`` / ``_service_deferred`` — the
+  inbound stream carries :class:`DirForward` messages (data-forward and
+  invalidation requests from home directories, plus the HT-style
+  broadcast snoops) rather than ordered peer requests; ``snoop`` and
+  ``fwd_data`` end in the shared snoop apply;
+* ``_reply_stamps`` — a data reply carries the home's stamps and the
+  home-to-sharer leg instead of broadcast flight and ordering wait;
+* ``_evict`` — a dirty eviction's data goes straight to the memory
+  controller while its PUT travels to the home slice, and the writeback
+  buffer entry lives until the home acknowledges.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.coherence.l2_controller import CacheConfig, L2Controller, Mshr
-from repro.coherence.messages import (CoherenceRequest, CoherenceResponse,
-                                      DirForward, ReqKind, RespKind)
-from repro.coherence.mosi import Action, State, on_remote_request
+from repro.coherence.messages import CoherenceRequest, DirForward, ReqKind
+from repro.coherence.mosi import State
 from repro.nic.controller import NetworkInterface
 from repro.sim.stats import StatsRegistry
 
@@ -56,31 +61,9 @@ class DirectoryL2Controller(L2Controller):
         mshr.needs_data = True
         mshr.req.stamp("ordered", mshr.req.issue_cycle)
 
-    def _issue(self, req: CoherenceRequest) -> None:
+    def _send_request(self, req: CoherenceRequest) -> None:
         req.home_node = self.home_map(req.addr)
-        if self.nic.can_send_request():
-            self.nic.send_request(req, dst=req.home_node)
-        else:
-            self._pending_issue.append(req)
-
-    def step(self, cycle: int) -> None:
-        if not (self._delayed or self._pending_issue or self._ordered_queue):
-            # Same quiescence condition as the snoopy L2 minus the retry
-            # timer (the directory variants never rebroadcast).
-            self.idle_until(None)
-            return
-        # Re-send queued unicasts with their home node preserved.
-        if self._delayed:
-            due = [d for d in self._delayed if d[0] <= cycle]
-            if due:
-                self._delayed = [d for d in self._delayed if d[0] > cycle]
-                for _c, fn, args in due:
-                    fn(*args)
-        while self._pending_issue and self.nic.can_send_request():
-            req = self._pending_issue.popleft()
-            self.nic.send_request(req, dst=req.home_node)
-        self._drain_ordered(cycle)
-        self._plan_sleep(cycle)
+        self.nic.send_request(req, dst=req.home_node)
 
     # ------------------------------------------------------------------
     # Inbound: directory forwards instead of an ordered peer stream
@@ -93,11 +76,8 @@ class DirectoryL2Controller(L2Controller):
             return False  # unicast forwards always concern this node
         if req.request.requester == self.node:
             return False  # our own broadcast returning (upgrade signal)
-        if self.region_tracker is None:
-            return False
-        return (not self.region_tracker.may_cache(req.addr)
-                and req.addr not in self.wb_buffer
-                and req.addr not in self._mshr_by_addr)
+        return (self.region_tracker is not None
+                and self._region_rules_out(req.addr))
 
     def _process_ordered(self, payload: Any, sid: int, cycle: int,
                          arrival_cycle: int) -> None:
@@ -187,36 +167,21 @@ class DirectoryL2Controller(L2Controller):
         handler(payload, cycle, arrival_cycle)
 
     def _stable_owner(self, line: int) -> bool:
-        entry = self.wb_buffer.get(line)
-        if entry is not None and not entry.lost_ownership:
-            return True
-        return self.array.state_of(line).is_owner
+        return (self._owned_wb_entry(line) is not None
+                or self.array.state_of(line).is_owner)
 
     def _handle_fwd_data(self, fwd: DirForward, cycle: int,
                          arrival_cycle: int) -> None:
-        """Home says: you own this line, send data to the requester."""
+        """Home says: you own this line, send data to the requester — a
+        snoop directed at one node, which answers even when it is not
+        the owner."""
         req = fwd.request
-        entry = self.wb_buffer.get(req.addr)
-        if entry is not None and not entry.lost_ownership:
-            self._send_dir_data(fwd, cycle, arrival_cycle)
-            if req.kind is ReqKind.GETX:
-                entry.lost_ownership = True
-            return
-        state = self.array.state_of(req.addr)
-        if not state.is_owner:
+        if not self._stable_owner(req.addr):
             # Lost race the home could not see; answer anyway so the
             # requester never hangs (functional model, no data payloads).
             self.stats.incr("l2.dir.forward_misses")
-        self._send_dir_data(fwd, cycle, arrival_cycle)
-        if req.kind is ReqKind.GETX:
-            if state is not State.I:
-                self.array.evict(req.addr)
-                if self.region_tracker is not None:
-                    self.region_tracker.line_evicted(req.addr)
-                if self._l1_invalidate is not None:
-                    self._l1_invalidate(req.addr)
-        elif state is State.M:
-            self.array.set_state(req.addr, State.O)
+            self._send_data(req, cycle, arrival_cycle, fwd)
+        self._snoop_line(req, cycle, arrival_cycle, fwd, counted=False)
 
     def _handle_upgrade_ack(self, fwd: DirForward, cycle: int,
                             arrival_cycle: int) -> None:
@@ -240,13 +205,8 @@ class DirectoryL2Controller(L2Controller):
 
     def _handle_invalidate(self, fwd: DirForward, cycle: int,
                            arrival_cycle: int) -> None:
-        state = self.array.state_of(fwd.addr)
-        if state is not State.I:
-            self.array.evict(fwd.addr)
-            if self.region_tracker is not None:
-                self.region_tracker.line_evicted(fwd.addr)
-            if self._l1_invalidate is not None:
-                self._l1_invalidate(fwd.addr)
+        if self.array.state_of(fwd.addr) is not State.I:
+            self._drop_line(fwd.addr)
             self.stats.incr("l2.invalidations")
 
     def _handle_snoop(self, fwd: DirForward, cycle: int,
@@ -279,61 +239,23 @@ class DirectoryL2Controller(L2Controller):
                 mshr.served_by = mshr.served_by or "directory"
             self._maybe_complete(mshr, cycle)
             return
-        entry = self.wb_buffer.get(req.addr)
-        if entry is not None and not entry.lost_ownership:
-            self._send_dir_data(fwd, cycle, arrival_cycle)
-            if req.kind is ReqKind.GETX:
-                entry.lost_ownership = True
-            else:
-                entry.state = State.O
-            return
-        state = self.array.state_of(req.addr)
-        transition = on_remote_request(state, req.kind)
-        if Action.SEND_DATA in transition.actions:
-            self._send_dir_data(fwd, cycle, arrival_cycle)
-        if Action.INVALIDATE_L1 in transition.actions \
-                and self._l1_invalidate is not None:
-            self._l1_invalidate(req.addr)
-        if state is not State.I and transition.next_state is State.I:
-            self.array.evict(req.addr)
-            if self.region_tracker is not None:
-                self.region_tracker.line_evicted(req.addr)
-            self.stats.incr("l2.invalidations")
-        elif transition.next_state is not state and state is not State.I:
-            self.array.set_state(req.addr, transition.next_state)
+        self._snoop_line(req, cycle, arrival_cycle, fwd)
 
     def _maybe_complete(self, mshr, cycle: int) -> None:
         if self.requires_marker and not mshr.marker_seen:
             return
         super()._maybe_complete(mshr, cycle)
 
-    def _service_deferred(self, deferred: Any, cycle: int) -> None:
-        if isinstance(deferred, DirForward):
-            self._process_ordered(deferred, deferred.request.requester,
-                                  cycle, cycle)
-        else:  # pragma: no cover - defensive
-            super()._service_deferred(deferred, cycle)
+    def _service_deferred(self, deferred: DirForward, cycle: int) -> None:
+        self._process_ordered(deferred, deferred.request.requester,
+                              cycle, cycle)
 
-    def _send_dir_data(self, fwd: DirForward, cycle: int,
-                       arrival_cycle: int) -> None:
-        req = fwd.request
-        send_cycle = cycle + self.config.l2_latency
-        resp = CoherenceResponse(kind=RespKind.DATA, addr=req.addr,
-                                 dest=req.requester, requester=req.requester,
-                                 req_id=req.req_id, src=self.node,
-                                 served_by="cache",
-                                 version=self.line_version(req.addr))
-        resp.stamps.update(fwd.stamps)   # net_req + dir_access from home
-        if fwd.action == "snoop":
-            resp.stamps["bcast_net"] = max(0, arrival_cycle - fwd.sent_cycle)
-        else:
-            resp.stamps["dir_to_sharer"] = max(
-                0, arrival_cycle - fwd.sent_cycle)
-        resp.stamps["sharer_access"] = self.config.l2_latency
-        resp.stamps["data_sent"] = send_cycle
-        self._schedule(send_cycle, self.nic.send_response, resp,
-                       req.requester, True)
-        self.stats.incr("l2.data_forwards")
+    def _reply_stamps(self, stamps: Dict[str, int], req: CoherenceRequest,
+                      cycle: int, arrival_cycle: int,
+                      via: DirForward) -> None:
+        stamps.update(via.stamps)        # net_req + dir_access from home
+        leg = "bcast_net" if via.action == "snoop" else "dir_to_sharer"
+        stamps[leg] = max(0, arrival_cycle - via.sent_cycle)
 
     # ------------------------------------------------------------------
     # Writebacks: PUT to home, data to memory, entry freed on home ACK
@@ -343,10 +265,5 @@ class DirectoryL2Controller(L2Controller):
         super()._evict(addr, state, cycle)
         entry = self.wb_buffer.get(addr)
         if entry is not None:
-            mc_node = self.memory_map(addr)
-            data = CoherenceResponse(kind=RespKind.WB_DATA, addr=addr,
-                                     dest=mc_node, requester=self.node,
-                                     req_id=entry.put.req_id, src=self.node,
-                                     version=entry.version)
-            self.nic.send_response(data, mc_node, carries_data=True)
+            self._send_writeback(entry)
 

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.cache.array import CacheArray
 from repro.core.serialize import SerializableConfig
-from repro.coherence.messages import (CoherenceRequest, CoherenceResponse,
-                                      DirForward, MemRead, ReqKind, RespKind)
+from repro.coherence.messages import (CoherenceRequest, DirForward, MemRead,
+                                      ReqKind)
 from repro.nic.controller import NetworkInterface
 from repro.sim.engine import Clocked
 from repro.sim.stats import StatsRegistry
@@ -100,7 +100,7 @@ class DirectoryController(Clocked):
         # "addresses" are line addresses; entry payload lives in meta.
         self.cache = CacheArray(entries * config.line_size, config.ways,
                                 config.line_size, invalid_state="I")
-        self._queue: Deque[Tuple[CoherenceRequest, int, int]] = deque()
+        self._queue: Deque[Tuple[CoherenceRequest, int]] = deque()
         self._outbox: Deque[Tuple[int, Any, Optional[int]]] = deque()
         self._next_free = 0
         # Serialization counter stamped on broadcast snoops (seq on
@@ -111,18 +111,14 @@ class DirectoryController(Clocked):
 
     # ------------------------------------------------------------------
 
-    def line_addr(self, addr: int) -> int:
-        return addr & ~(self.config.line_size - 1)
-
     def _on_request(self, payload: Any, sid: int, cycle: int,
                     arrival_cycle: int) -> None:
         if not isinstance(payload, CoherenceRequest):
             return
-        line = self.line_addr(payload.addr)
         # Only requests homed at this node (they were unicast here).
         if payload.home_node != self.node:
             return
-        self._queue.append((payload, cycle, arrival_cycle))
+        self._queue.append((payload, arrival_cycle))
         self.wake()
 
     def step(self, cycle: int) -> None:
@@ -139,9 +135,8 @@ class DirectoryController(Clocked):
             self._outbox.popleft()
             self.nic.send_request(msg, dst=dst)
         while self._queue and cycle >= self._next_free:
-            req, recv_cycle, arrival_cycle = self._queue.popleft()
+            req, arrival_cycle = self._queue.popleft()
             self._access(req, cycle, arrival_cycle)
-
 
     # ------------------------------------------------------------------
 
@@ -156,11 +151,7 @@ class DirectoryController(Clocked):
         # safe because eviction forces invalidation of cached copies.
         self.stats.incr("dir.cache_misses")
         latency = self.config.access_latency + self.config.miss_penalty
-
-        def evictable(_line) -> bool:
-            return True
-
-        way, victim = self.cache.victim(line, evictable)
+        way, victim = self.cache.victim(line)
         if victim is not None:
             victim_addr = self.cache.addr_of(self.cache.set_index(line),
                                              victim)
@@ -197,7 +188,7 @@ class DirectoryController(Clocked):
         (this is the ordering point — a later request to the same line
         must observe this one's effect), while the outbound messages wait
         out the access latency in the FIFO outbox."""
-        line = self.line_addr(req.addr)
+        line = self.cache.line_addr(req.addr)
         entry, latency = self._lookup_entry(line)
         self._next_free = cycle + 1   # fully-pipelined directory (GEMS)
         done = cycle + latency

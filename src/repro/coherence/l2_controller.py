@@ -31,7 +31,7 @@ from repro.coherence.mosi import (Action, State, needs_data_for_write,
                                   on_remote_request, request_for)
 from repro.core.serialize import SerializableConfig
 from repro.nic.controller import NetworkInterface
-from repro.sim.engine import Clocked
+from repro.sim.engine import Clocked, EventWheel
 from repro.sim.stats import StatsRegistry
 
 
@@ -124,9 +124,9 @@ class L2Controller(Clocked):
         self.wb_buffer: Dict[int, WritebackEntry] = {}
         self._ordered_queue: Deque[Tuple[CoherenceRequest, int, int, int]] = deque()
         self._pending_issue: Deque[CoherenceRequest] = deque()
-        # (cycle, bound_method, args) — methods plus plain-data args, so
-        # in-flight callbacks survive pickling for checkpoint/restore.
-        self._delayed: List[Tuple[int, Callable[..., None], tuple]] = []
+        # due cycle -> (bound_method, args): methods plus plain-data args,
+        # so in-flight callbacks survive pickling for checkpoint/restore.
+        self._timers = EventWheel()
         self._next_slot_cycle = 0
         self._completion_cb: Optional[Callable[[Any, int], None]] = None
         self._l1_invalidate: Optional[Callable[[int], None]] = None
@@ -210,12 +210,17 @@ class L2Controller(Clocked):
 
     def _issue(self, req: CoherenceRequest) -> None:
         if self.nic.can_send_request():
-            self.nic.send_request(req)
+            self._send_request(req)
         else:
             self._pending_issue.append(req)
         # A new in-flight request may arm the retry timer (TokenB) or
         # leave a pending issue to drain: make sure we are ticking.
         self.wake()
+
+    def _send_request(self, req: CoherenceRequest) -> None:
+        """Where a request goes — the one thing a protocol variant
+        changes about sending (snoopy: broadcast into the global order)."""
+        self.nic.send_request(req)
 
     # ------------------------------------------------------------------
     # Ordered request stream (from the NIC)
@@ -253,20 +258,17 @@ class L2Controller(Clocked):
     # ------------------------------------------------------------------
 
     def step(self, cycle: int) -> None:
-        if not (self._delayed or self._pending_issue or self._ordered_queue
-                or (self.config.retry_timeout is not None and self.mshrs)):
+        if self._timers.min_due <= cycle:
+            for fn, args in self._timers.pop_due(cycle):
+                fn(*args)
+        elif not (self._ordered_queue or self._pending_issue or self._timers
+                  or (self.config.retry_timeout is not None and self.mshrs)):
             # Nothing queued or scheduled: _schedule / listener callbacks
             # / _issue all wake us when that changes.
             self.idle_until(None)
             return
-        if self._delayed:
-            due = [d for d in self._delayed if d[0] <= cycle]
-            if due:
-                self._delayed = [d for d in self._delayed if d[0] > cycle]
-                for _c, fn, args in due:
-                    fn(*args)
         while self._pending_issue and self.nic.can_send_request():
-            self.nic.send_request(self._pending_issue.popleft())
+            self._send_request(self._pending_issue.popleft())
         if self.config.retry_timeout is not None:
             self._retry_stuck(cycle)
         self._drain_ordered(cycle)
@@ -282,11 +284,8 @@ class L2Controller(Clocked):
             return       # NIC back-pressure: retried every cycle
         if self.config.retry_timeout is not None and self.mshrs:
             return       # TokenB retry timer: checked every cycle
-        wake_at = None
-        if self._delayed:
-            wake_at = min(d[0] for d in self._delayed)
-        if self._ordered_queue and (wake_at is None
-                                    or self._next_slot_cycle < wake_at):
+        wake_at = self._timers.min_due     # WAKE_NEVER when empty
+        if self._ordered_queue and self._next_slot_cycle < wake_at:
             wake_at = self._next_slot_cycle
         self.idle_until(wake_at)
 
@@ -300,9 +299,8 @@ class L2Controller(Clocked):
                 mshr.last_issue_cycle = cycle
                 mshr.needs_data = True
                 mshr.data_received = False
-                self.nic.send_request(mshr.req)
+                self._send_request(mshr.req)
                 self.stats.incr("l2.retries")
-
 
     def _drain_ordered(self, cycle: int) -> None:
         # Region-filtered snoops are free; others consume the L2 slot.
@@ -325,9 +323,13 @@ class L2Controller(Clocked):
             return False
         if not isinstance(req, CoherenceRequest) or req.kind is ReqKind.PUT:
             return False
-        return (not self.region_tracker.may_cache(req.addr)
-                and req.addr not in self.wb_buffer
-                and req.addr not in self._mshr_by_addr)
+        return self._region_rules_out(req.addr)
+
+    def _region_rules_out(self, line: int) -> bool:
+        """No cached line in the region and no transaction on *line*."""
+        return (not self.region_tracker.may_cache(line)
+                and line not in self.wb_buffer
+                and line not in self._mshr_by_addr)
 
     def snoop_interest(self, addr: int) -> bool:
         """Conservative region-level interest in snoops of *addr*, for
@@ -384,11 +386,18 @@ class L2Controller(Clocked):
             mshr.needs_data = True
         self._maybe_complete(mshr, cycle)
 
-    def _owning_state(self, line: int) -> State:
-        # The wb-buffer copy still answers for ownership until its PUT
-        # is ordered (we remain owner in the global order).
+    def _owned_wb_entry(self, line: int) -> Optional[WritebackEntry]:
+        """The writeback-buffer copy of *line* while it still answers for
+        ownership: until its PUT is ordered (we remain owner in the
+        global order) unless an earlier-ordered GETX won the line."""
         entry = self.wb_buffer.get(line)
         if entry is not None and not entry.lost_ownership:
+            return entry
+        return None
+
+    def _owning_state(self, line: int) -> State:
+        entry = self._owned_wb_entry(line)
+        if entry is not None:
             return entry.state
         return self.array.state_of(line)
 
@@ -400,13 +409,16 @@ class L2Controller(Clocked):
         if entry.lost_ownership:
             self.stats.incr("l2.writebacks.stale")
             return
-        mc_node = self.memory_map(req.addr)
-        resp = CoherenceResponse(kind=RespKind.WB_DATA, addr=req.addr,
-                                 dest=mc_node, requester=self.node,
-                                 req_id=req.req_id, src=self.node,
-                                 version=entry.version)
-        self.nic.send_response(resp, mc_node, carries_data=True)
+        self._send_writeback(entry)
         self.stats.incr("l2.writebacks.completed")
+
+    def _send_writeback(self, entry: WritebackEntry) -> None:
+        """The dirty data of *entry* goes to the line's memory controller."""
+        mc_node = self.memory_map(entry.addr)
+        self.nic.send_response(
+            entry.put.reply(RespKind.WB_DATA, self.node, entry.version,
+                            dest=mc_node),
+            mc_node, carries_data=True)
 
     def _process_remote(self, req: CoherenceRequest, cycle: int,
                         arrival_cycle: int) -> None:
@@ -428,56 +440,83 @@ class L2Controller(Clocked):
                 mshr.deferred.append(req)
                 self.stats.incr("l2.snoops.deferred")
                 return
-        entry = self.wb_buffer.get(line)
-        if entry is not None and not entry.lost_ownership:
-            self._snoop_wb_entry(entry, req, cycle, arrival_cycle)
-            return
-        self._snoop_array(req, cycle, arrival_cycle)
+        self._snoop_line(req, cycle, arrival_cycle)
+
+    def _snoop_line(self, req: CoherenceRequest, cycle: int,
+                    arrival_cycle: int, via: Any = None,
+                    counted: bool = True) -> None:
+        """Answer a remote *req* from whichever copy holds the line.
+
+        The snoop apply (this and the methods down to ``_send_data``)
+        serves every inbound shape — a peer's ordered request here, a
+        home directory's ``snoop`` / ``fwd_data`` forward in the
+        directory L2 — and never asks which one it holds: *via* (the
+        message that carried *req*, when that is not *req* itself)
+        passes through untouched to the :meth:`_reply_stamps` seam."""
+        entry = self._owned_wb_entry(req.addr)
+        if entry is not None:
+            self._snoop_wb_entry(entry, req, cycle, arrival_cycle, via)
+        else:
+            self._snoop_array(req, cycle, arrival_cycle, via, counted)
 
     def _snoop_wb_entry(self, entry: WritebackEntry, req: CoherenceRequest,
-                        cycle: int, arrival_cycle: int) -> None:
+                        cycle: int, arrival_cycle: int,
+                        via: Any = None) -> None:
         """The evicted-but-not-yet-written-back copy still owns the line."""
-        self._send_data(req, cycle, arrival_cycle)
+        self._send_data(req, cycle, arrival_cycle, via)
         if req.kind is ReqKind.GETX:
             entry.lost_ownership = True
         else:
             entry.state = State.O
 
     def _snoop_array(self, req: CoherenceRequest, cycle: int,
-                     arrival_cycle: Optional[int] = None) -> None:
+                     arrival_cycle: int, via: Any = None,
+                     counted: bool = True) -> None:
+        """Apply the MOSI transition for a remote *req* to the array.
+        *counted* is False only for the one caller that has never ticked
+        ``l2.invalidations`` (the directory ``fwd_data`` forward)."""
         state = self.array.state_of(req.addr)
         transition = on_remote_request(state, req.kind)
         if Action.SEND_DATA in transition.actions:
-            self._send_data(req, cycle, arrival_cycle)
-        if Action.INVALIDATE_L1 in transition.actions and \
-                self._l1_invalidate is not None:
-            self._l1_invalidate(req.addr)
+            self._send_data(req, cycle, arrival_cycle, via)
         if state is not State.I and transition.next_state is State.I:
-            self.array.evict(req.addr)
-            if self.region_tracker is not None:
-                self.region_tracker.line_evicted(req.addr)
-            self.stats.incr("l2.invalidations")
+            # Action.INVALIDATE_L1 accompanies exactly these transitions;
+            # _drop_line keeps inclusion.
+            self._drop_line(req.addr)
+            if counted:
+                self.stats.incr("l2.invalidations")
         elif transition.next_state is not state and state is not State.I:
             self.array.set_state(req.addr, transition.next_state)
 
+    def _drop_line(self, addr: int) -> None:
+        """The one way a line leaves the array: the region tracker's line
+        count and the L1 copy (inclusion) go with it."""
+        self.array.evict(addr)
+        if self.region_tracker is not None:
+            self.region_tracker.line_evicted(addr)
+        if self._l1_invalidate is not None:
+            self._l1_invalidate(addr)
+
     def _send_data(self, req: CoherenceRequest, cycle: int,
-                   arrival_cycle: Optional[int] = None) -> None:
+                   arrival_cycle: int, via: Any = None) -> None:
         """Owner supplies the line to the requester (cache-to-cache)."""
         send_cycle = cycle + self.config.l2_latency
-        resp = CoherenceResponse(kind=RespKind.DATA, addr=req.addr,
-                                 dest=req.requester, requester=req.requester,
-                                 req_id=req.req_id, src=self.node,
-                                 served_by="cache",
-                                 version=self.line_version(req.addr))
-        inject = req.stamps.get("inject", req.issue_cycle)
-        arrival = arrival_cycle if arrival_cycle is not None else cycle
-        resp.stamps["bcast_net"] = max(0, arrival - inject)
-        resp.stamps["ordering"] = max(0, cycle - arrival)
+        resp = req.reply(RespKind.DATA, self.node,
+                         self.line_version(req.addr))
+        self._reply_stamps(resp.stamps, req, cycle, arrival_cycle, via)
         resp.stamps["sharer_access"] = self.config.l2_latency
         resp.stamps["data_sent"] = send_cycle
         self._schedule(send_cycle, self.nic.send_response, resp,
                        req.requester, True)
         self.stats.incr("l2.data_forwards")
+
+    def _reply_stamps(self, stamps: Dict[str, int], req: CoherenceRequest,
+                      cycle: int, arrival_cycle: int, via: Any) -> None:
+        """How the request reached this sharer, for the latency
+        breakdown: broadcast flight, then the wait for its global order."""
+        inject = req.stamps.get("inject", req.issue_cycle)
+        stamps["bcast_net"] = max(0, arrival_cycle - inject)
+        stamps["ordering"] = max(0, cycle - arrival_cycle)
 
     # ------------------------------------------------------------------
     # Completion
@@ -519,7 +558,7 @@ class L2Controller(Clocked):
 
     def _service_deferred(self, deferred: Any, cycle: int) -> None:
         """Apply one deferred snoop after the pending write completed."""
-        self._snoop_array(deferred, cycle)
+        self._snoop_array(deferred, cycle, cycle)
 
     def _ensure_way(self, line: int, cycle: int) -> bool:
         """Make room for *line*; may start a writeback.  False = stall."""
@@ -560,11 +599,7 @@ class L2Controller(Clocked):
 
     def _evict(self, addr: int, state: State, cycle: int) -> None:
         version = self.line_version(addr)
-        self.array.evict(addr)
-        if self.region_tracker is not None:
-            self.region_tracker.line_evicted(addr)
-        if self._l1_invalidate is not None:
-            self._l1_invalidate(addr)
+        self._drop_line(addr)
         if state.is_owner:
             put = CoherenceRequest(kind=ReqKind.PUT, addr=addr,
                                    requester=self.node, issue_cycle=cycle)
@@ -590,12 +625,10 @@ class L2Controller(Clocked):
         if mshr.served_by:
             categories = ("bcast_net", "ordering", "dir_access",
                           "sharer_access", "mem_access", "net_req")
-            accounted = 0
             for cat in categories:
                 if cat in stamps:
                     self.stats.observe(f"l2.breakdown.{served}.{cat}",
                                        stamps[cat])
-                    accounted += stamps[cat]
             if "data_sent" in stamps and "data_arrival" in stamps:
                 net_resp = stamps["data_arrival"] - stamps["data_sent"]
                 self.stats.observe(f"l2.breakdown.{served}.net_resp",
@@ -610,7 +643,7 @@ class L2Controller(Clocked):
         """Run ``fn(*args)`` at *cycle*.  *fn* must be a bound method (or
         module-level function) and *args* picklable data, so a snapshot
         taken with callbacks in flight can be restored."""
-        self._delayed.append((cycle, fn, args))
+        self._timers.push(cycle, (fn, args))
         self.wake(cycle)
 
     def state_of(self, addr: int) -> State:
@@ -619,4 +652,4 @@ class L2Controller(Clocked):
     def idle(self) -> bool:
         return (not self.mshrs and not self.wb_buffer
                 and not self._ordered_queue and not self._pending_issue
-                and not self._delayed)
+                and not self._timers)

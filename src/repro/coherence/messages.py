@@ -73,6 +73,18 @@ class CoherenceRequest:
     def stamp(self, name: str, cycle: int) -> None:
         self.stamps.setdefault(name, cycle)
 
+    def reply(self, kind: RespKind, src: int, version: int,
+              served_by: str = "cache",
+              dest: Optional[int] = None) -> CoherenceResponse:
+        """The data-bearing response to this request — the one place a
+        DATA / MEM_DATA / WB_DATA message is built.  *dest* defaults to
+        the requester (a writeback's data goes to memory instead)."""
+        return CoherenceResponse(
+            kind=kind, addr=self.addr,
+            dest=self.requester if dest is None else dest,
+            requester=self.requester, req_id=self.req_id, src=src,
+            served_by=served_by, version=version)
+
     def __repr__(self) -> str:  # pragma: no cover
         return (f"Req({self.kind.value} {self.addr:#x} from "
                 f"{self.requester}, id={self.req_id})")

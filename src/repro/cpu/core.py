@@ -14,13 +14,13 @@ line (inclusion).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.cache.l1 import L1Cache
 from repro.coherence.l2_controller import L2Controller
 from repro.core.serialize import SerializableConfig
 from repro.cpu.trace import Trace, TraceOp
-from repro.sim.engine import Clocked
+from repro.sim.engine import Clocked, EventWheel
 from repro.sim.stats import StatsRegistry
 
 
@@ -52,7 +52,8 @@ class TraceCore(Clocked):
         self._next_issue_cycle = trace[0].think if len(trace) else 0
         self._outstanding: Dict[int, TraceOp] = {}
         self._token_seq = 0
-        self._l1_completions: List[Tuple[int, int]] = []
+        # due cycle -> (bound_method, args): L1 hits retiring then.
+        self._timers = EventWheel()
         self.completed_ops = 0
         self.finish_cycle: Optional[int] = None
         l2.set_completion_callback(self._on_l2_complete)
@@ -66,19 +67,21 @@ class TraceCore(Clocked):
         return self.finish_cycle is not None
 
     def step(self, cycle: int) -> None:
-        self._drain_l1_completions(cycle)
+        if self._timers.min_due <= cycle:
+            for fn, args in self._timers.pop_due(cycle):
+                fn(*args)
         if self.finished:
             self.idle_until(None)
             return
         if self._pc >= len(self.trace):
-            if not self._outstanding and not self._l1_completions:
+            if not self._outstanding and not self._timers:
                 self.finish_cycle = cycle
                 self.idle_until(None)
             else:
                 # Drained the trace; only completions remain.  L2
-                # completions wake us via _on_l2_complete, L1 fills have
-                # a known due cycle.
-                self.idle_until(self._next_l1_due())
+                # completions wake us via _on_l2_complete, L1 hits have
+                # a known due cycle (WAKE_NEVER when there are none).
+                self.idle_until(self._timers.min_due)
             return
         if len(self._outstanding) >= self.config.max_outstanding:
             # The stall counter ticks per cycle spent at the AHB cap, so
@@ -87,12 +90,9 @@ class TraceCore(Clocked):
             return
         if cycle < self._next_issue_cycle:
             # Think-time gap with headroom below the cap: nothing to do
-            # until the next issue (or an earlier L1 fill to retire).
-            target = self._next_issue_cycle
-            l1_due = self._next_l1_due()
-            if l1_due is not None and l1_due < target:
-                target = l1_due
-            self.idle_until(target)
+            # until the next issue (or an earlier L1 hit to retire).
+            self.idle_until(min(self._next_issue_cycle,
+                                self._timers.min_due))
             return
         op = self.trace[self._pc]
         if not self._issue(op, cycle):
@@ -103,12 +103,12 @@ class TraceCore(Clocked):
                       if self._pc < len(self.trace) else 0)
         self._next_issue_cycle = cycle + max(1, next_think)
 
-
     def _issue(self, op: TraceOp, cycle: int) -> bool:
         if self.l1 is not None:
             if op.op == "R" and self.l1.read(op.addr):
-                self._l1_completions.append(
-                    (cycle + self.config.l1_latency, op.addr))
+                done = cycle + self.config.l1_latency
+                self._timers.push(done, (self._retire, ()))
+                self.wake(done)
                 return True
             if op.op in ("W", "A"):
                 # Write-through: L1 state updates, but the store always
@@ -122,23 +122,9 @@ class TraceCore(Clocked):
         self.stats.incr("core.l2_requests")
         return True
 
-    def _next_l1_due(self) -> Optional[int]:
-        """Earliest pending L1 completion (None when there are none)."""
-        if not self._l1_completions:
-            return None
-        return min(done for done, _addr in self._l1_completions)
-
-    def _drain_l1_completions(self, cycle: int) -> None:
-        if not self._l1_completions:
-            return
-        remaining = []
-        for done_cycle, _addr in self._l1_completions:
-            if done_cycle <= cycle:
-                self.completed_ops += 1
-                self.stats.incr("core.ops_completed")
-            else:
-                remaining.append((done_cycle, _addr))
-        self._l1_completions = remaining
+    def _retire(self) -> None:
+        self.completed_ops += 1
+        self.stats.incr("core.ops_completed")
 
     def _on_l2_complete(self, token: int, cycle: int,
                         version: int = 0) -> None:
@@ -146,8 +132,7 @@ class TraceCore(Clocked):
         if op is None:
             return
         self.wake()
-        self.completed_ops += 1
-        self.stats.incr("core.ops_completed")
+        self._retire()
         if self.l1 is not None and op.op == "R":
             self.l1.refill(op.addr)
 

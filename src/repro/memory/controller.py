@@ -20,12 +20,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.cache.array import line_addr
 from repro.coherence.messages import (CoherenceRequest, CoherenceResponse,
                                       MemRead, ReqKind, RespKind)
 from repro.core.serialize import SerializableConfig
 from repro.memory.dram import DramConfig
 from repro.nic.controller import NetworkInterface
-from repro.sim.engine import Clocked
+from repro.sim.engine import Clocked, EventWheel
 from repro.sim.stats import StatsRegistry
 
 
@@ -112,9 +113,9 @@ class MemoryController(Clocked):
         # Lines whose PUT is ordered but whose data has not arrived yet.
         self.wb_pending: Dict[int, bool] = {}
         self.waiting: Dict[int, Deque[Tuple[CoherenceRequest, int]]] = {}
-        # (cycle, bound_method, args) tuples — picklable, so DRAM
+        # due cycle -> (bound_method, args) — picklable, so DRAM
         # responses in flight survive checkpoint/restore.
-        self._delayed: List[Tuple[int, Callable[..., None], tuple]] = []
+        self._timers = EventWheel()
         self.dram = None
         if self.config.banked:
             from repro.memory.dram import DramConfig, DramModel
@@ -127,9 +128,6 @@ class MemoryController(Clocked):
 
     # ------------------------------------------------------------------
 
-    def line_addr(self, addr: int) -> int:
-        return addr & ~(self.config.line_size - 1)
-
     def _on_ordered_request(self, payload: Any, sid: int, cycle: int,
                             arrival_cycle: int) -> None:
         if isinstance(payload, MemRead):
@@ -137,7 +135,7 @@ class MemoryController(Clocked):
             return
         if not self.snoopy or not isinstance(payload, CoherenceRequest):
             return
-        line = self.line_addr(payload.addr)
+        line = line_addr(payload.addr, self.config.line_size)
         if not self.owns_addr(line):
             return
         if payload.kind is ReqKind.PUT:
@@ -173,13 +171,10 @@ class MemoryController(Clocked):
             return
         if req.kind is ReqKind.GETX:
             # Whoever wins the order owns the line from this point on.
-            previous = owner
             self.owner[line] = req.requester
-            if previous is not None:
+            if owner is not None:
                 self.stats.incr("mc.getx.cache_owned")
                 return  # the previous owner (a cache) supplies data
-            if previous == req.requester:  # pragma: no cover - upgrade
-                return
         elif owner is not None:
             self.stats.incr("mc.gets.cache_owned")
             return  # a cache owner will respond
@@ -198,42 +193,35 @@ class MemoryController(Clocked):
         return self.dram.access(addr, issue_cycle) - issue_cycle
 
     def _serve_from_dram(self, req: CoherenceRequest, cycle: int) -> None:
+        """Snoopy mode: no cache owner answers *req*, memory does — after
+        the owner-bit lookup that decided so."""
         lookup = self.config.lookup_latency
-        latency = lookup + self._dram_latency(req.addr, cycle + lookup)
-        send_cycle = cycle + latency
-        resp = CoherenceResponse(kind=RespKind.MEM_DATA, addr=req.addr,
-                                 dest=req.requester, requester=req.requester,
-                                 req_id=req.req_id, src=self.node,
-                                 served_by="memory",
-                                 version=self.versions.get(
-                                     self.line_addr(req.addr), 0))
         inject = req.stamps.get("inject", req.issue_cycle)
-        resp.stamps["bcast_net"] = max(0, cycle - inject)
-        resp.stamps["mem_access"] = latency
-        resp.stamps["data_sent"] = send_cycle
-        self._delayed.append(
-            (send_cycle, self.nic.send_response, (resp, req.requester, True)))
-        self.wake(send_cycle)
-        self.stats.incr("mc.dram_reads")
+        self._send_mem_data(
+            req, cycle, lookup + self._dram_latency(req.addr, cycle + lookup),
+            {"bcast_net": max(0, cycle - inject)})
 
     def _serve_mem_read(self, msg: MemRead, cycle: int,
                         arrival_cycle: int) -> None:
-        """Directory mode: home asked us to serve *msg.request* from DRAM."""
+        """Directory mode: home asked us to serve *msg.request* from DRAM
+        (the lookup was the home's directory access, already stamped)."""
         req = msg.request
-        latency = self._dram_latency(req.addr, cycle)
+        self._send_mem_data(
+            req, cycle, self._dram_latency(req.addr, cycle),
+            dict(msg.stamps,             # net_req + dir_access from home
+                 dir_to_mem=max(0, arrival_cycle - msg.sent_cycle)))
+
+    def _send_mem_data(self, req: CoherenceRequest, cycle: int, latency: int,
+                       stamps: Dict[str, int]) -> None:
+        """Schedule the MEM_DATA answer to *req*, *latency* cycles out;
+        *stamps* says how the request reached this controller."""
         send_cycle = cycle + latency
-        resp = CoherenceResponse(kind=RespKind.MEM_DATA, addr=req.addr,
-                                 dest=req.requester, requester=req.requester,
-                                 req_id=req.req_id, src=self.node,
-                                 served_by="memory",
-                                 version=self.versions.get(
-                                     self.line_addr(req.addr), 0))
-        resp.stamps.update(msg.stamps)   # net_req + dir_access from home
-        resp.stamps["dir_to_mem"] = max(0, arrival_cycle - msg.sent_cycle)
-        resp.stamps["mem_access"] = latency
-        resp.stamps["data_sent"] = send_cycle
-        self._delayed.append(
-            (send_cycle, self.nic.send_response, (resp, req.requester, True)))
+        resp = req.reply(RespKind.MEM_DATA, self.node, self.versions.get(
+            line_addr(req.addr, self.config.line_size), 0),
+            served_by="memory")
+        resp.stamps.update(stamps, mem_access=latency, data_sent=send_cycle)
+        self._timers.push(send_cycle, (self.nic.send_response,
+                                       (resp, req.requester, True)))
         self.wake(send_cycle)
         self.stats.incr("mc.dram_reads")
 
@@ -242,7 +230,7 @@ class MemoryController(Clocked):
             return
         if payload.kind is not RespKind.WB_DATA or payload.dest != self.node:
             return
-        line = self.line_addr(payload.addr)
+        line = line_addr(payload.addr, self.config.line_size)
         if not self.owns_addr(line):
             return
         self.wb_pending.pop(line, None)
@@ -255,20 +243,12 @@ class MemoryController(Clocked):
     # ------------------------------------------------------------------
 
     def step(self, cycle: int) -> None:
-        if self._delayed:
-            due = [d for d in self._delayed if d[0] <= cycle]
-            if due:
-                self._delayed = [d for d in self._delayed if d[0] > cycle]
-                for _c, fn, args in due:
-                    fn(*args)
+        for fn, args in self._timers.pop_due(cycle):
+            fn(*args)
         # The only per-cycle work is releasing scheduled DRAM responses,
-        # so sleep to the earliest one (appends wake us with their send
+        # so sleep to the earliest one (pushes wake us with their send
         # cycle; the listener callbacks run regardless of sleep state).
-        if self._delayed:
-            self.idle_until(min(d[0] for d in self._delayed))
-        else:
-            self.idle_until(None)
-
+        self.idle_until(self._timers.min_due)    # WAKE_NEVER when empty
 
     def idle(self) -> bool:
-        return not self._delayed and not self.wb_pending and not self.waiting
+        return not self._timers and not self.wb_pending and not self.waiting

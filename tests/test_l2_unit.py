@@ -9,10 +9,12 @@ from typing import List, Optional, Tuple
 
 import pytest
 
+from repro.coherence.dir_l2 import DirectoryL2Controller
 from repro.coherence.l2_controller import CacheConfig, L2Controller
 from repro.coherence.messages import (CoherenceRequest, CoherenceResponse,
-                                      ReqKind, RespKind)
-from repro.coherence.mosi import State
+                                      DirForward, ReqKind, RespKind)
+from repro.coherence.mosi import Action, State, on_remote_request
+from repro.sim.engine import Engine
 
 LINE = 0x4000_0000
 
@@ -261,3 +263,99 @@ class TestHitPath:
         drive(l2, 15, start=1)
         assert seen == [8]
         assert l2.line_version(LINE) == 8
+
+
+# ----------------------------------------------------------------------
+# One contract for both L2 classes
+# ----------------------------------------------------------------------
+
+HOME = 5
+
+
+def make_dir_l2(nic, node=0):
+    return DirectoryL2Controller(
+        node, nic, memory_map=lambda addr: 99, home_map=lambda addr: HOME,
+        config=CacheConfig(use_region_tracker=False))
+
+
+def make_snoopy_l2(nic, node=0):
+    return L2Controller(node, nic, memory_map=lambda addr: 99,
+                        config=CacheConfig(use_region_tracker=False))
+
+
+class GatedNic(ScriptedNic):
+    """Refuses requests until the engine reaches *opens_at*, and stamps
+    every send with the cycle it happened in."""
+
+    def __init__(self, engine, opens_at):
+        super().__init__()
+        self.engine = engine
+        self.opens_at = opens_at
+
+    def can_send_request(self):
+        return self.engine.cycle >= self.opens_at
+
+    def send_request(self, payload, dst=None):
+        self.sent_requests.append((payload, dst, self.engine.cycle))
+
+
+@pytest.mark.parametrize("quiescence", [True, False])
+@pytest.mark.parametrize("make, dst", [(make_snoopy_l2, None),
+                                       (make_dir_l2, HOME)])
+def test_request_the_nic_refused_is_sent_when_it_opens(make, dst,
+                                                       quiescence):
+    """Every hand-over of work wakes its receiver: an idle (sleeping) L2
+    that queues a request behind NIC back-pressure must tick until the
+    NIC takes it."""
+    engine = Engine(quiescence=quiescence)
+    nic = GatedNic(engine, opens_at=5)
+    l2 = make(nic)
+    engine.register(l2)
+    engine.run(3)                      # nothing to do: the L2 sleeps
+    assert l2.core_request("R", LINE, engine.cycle, token="t")
+    assert nic.sent_requests == []     # refused, queued
+    engine.run(10)
+    assert [(req.kind, to, cycle) for req, to, cycle in nic.sent_requests] \
+        == [(ReqKind.GETS, dst, 5)]
+
+
+def _deliver_peer_request(l2, nic, req, cycle):
+    nic.deliver_ordered(l2, req, cycle)
+
+
+def _deliver_dir_snoop(l2, nic, req, cycle):
+    fwd = DirForward(request=req, action="snoop", home=HOME, sent_cycle=0)
+    nic._req_listener(fwd, HOME, cycle, cycle)
+    l2.step(cycle)
+
+
+@pytest.mark.parametrize("make, deliver", [
+    (make_snoopy_l2, _deliver_peer_request),
+    (make_dir_l2, _deliver_dir_snoop)], ids=["peer-request", "dir-snoop"])
+@pytest.mark.parametrize("kind", [ReqKind.GETS, ReqKind.GETX])
+@pytest.mark.parametrize("state", list(State))
+def test_both_inbound_shapes_run_the_mosi_transition(state, kind, make,
+                                                     deliver):
+    """A snoopy peer request and a directory ``snoop`` forward apply the
+    same MOSI transition: end state, inclusion, the invalidation count
+    and exactly one data reply when the table says SEND_DATA."""
+    nic = ScriptedNic()
+    l2 = make(nic)
+    l1_invalidated = []
+    l2.set_l1_invalidate(l1_invalidated.append)
+    if state is not State.I:
+        l2.array.fill(LINE, state, version=4)
+    expected = on_remote_request(state, kind)
+
+    deliver(l2, nic, remote(kind, requester=7), 3)
+    drive(l2, 15, start=4)
+
+    assert l2.state_of(LINE) is expected.next_state
+    assert l1_invalidated == (
+        [LINE] if Action.INVALIDATE_L1 in expected.actions else [])
+    dropped = state is not State.I and expected.next_state is State.I
+    assert l2.stats.counter("l2.invalidations") == int(dropped)
+    replies = [(resp.kind, resp.version, resp.src, dst)
+               for resp, dst in nic.sent_responses]
+    assert replies == ([(RespKind.DATA, 4, 0, 7)]
+                       if Action.SEND_DATA in expected.actions else [])
