@@ -93,4 +93,63 @@ src/repro/coherence/mosi.py"
 only_in "hand-built CoherenceResponse" 'CoherenceResponse\(' \
     "src/repro/coherence/messages.py"
 
+# PR 23 - rent audit: what was measured and did not pay, or was dead,
+# stays deleted.  The notification mesh steps every OR-router (no
+# change frontier, no derivable window flag); a router outport asks the
+# reserved-VC question of the NIC it was bound to (no oracle route, no
+# rvc_ok parameter); documents have no [bench] table; the OR-router is
+# state only; no lookahead is delivered through LOCAL.
+forbid "notification change frontier" \
+    '\b(_adjacency|_candidates|_window_active|inject_source)\b' src/repro
+forbid "reserved-VC oracle route" \
+    '\b(_OracleQuery|NicRvcOracle|set_rvc_oracle|rvc_never|_lookup_rvc|rvc_ok)\b' \
+    src/repro
+forbid "[bench] document table" \
+    '\b(bench_report|_resolve_bench|_BENCH_KEYS)\b' src/repro
+forbid "VCBuffer.granted_vcs" 'granted_vcs' src/repro/noc/vc.py
+# Measured and not paying (docs/architecture.md, "What each optimisation
+# buys"): the NIC's None-valued hooks.
+forbid "None-valued NIC hook" '_(pick_lane|request_injected) = None' src/repro
+forbid "clocked OR-router" 'def (step|commit)\(' \
+    src/repro/notification/router.py
+only_in "lookahead sink outside the router" 'def deliver_lookahead\(' \
+    "src/repro/noc/router.py"
+
+# Dead names: every def / class under src/repro is spelled at least
+# twice across the tree (its definition plus one caller, test or
+# document).  Allow-listed: http.server's do_* handlers (called by
+# name from the request line) and @register_* functions (reached
+# through their registry).
+python3 - <<'PY' || fail "def/class names spelled once (dead code?)"
+import ast, re, sys
+from collections import Counter
+from pathlib import Path
+
+defined = {}
+for path in sorted(Path("src/repro").rglob("*.py")):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            continue
+        registered = any(
+            isinstance(dec, ast.Call) and isinstance(dec.func, ast.Name)
+            and dec.func.id.startswith("register_")
+            for dec in node.decorator_list)
+        if not (registered or re.fullmatch(r"do_[A-Z]+|__\w+__", node.name)):
+            defined.setdefault(node.name, f"{path}:{node.lineno}")
+spelled = Counter()
+for root in "src tests benchmarks examples perf docs .github".split():
+    for path in Path(root).rglob("*"):
+        if path.is_file() and "__pycache__" not in path.parts:
+            try:
+                text = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError:
+                continue
+            spelled.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
+once = [f"{where}: {name}" for name, where in defined.items()
+        if spelled[name] < 2]
+print("\n".join(once), end="\n" if once else "")
+sys.exit(1 if once else 0)
+PY
+
 exit $status

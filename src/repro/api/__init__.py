@@ -9,7 +9,7 @@ Everything re-exported here follows the v1 compatibility contract:
   results with code-built ones.
 * **Experiments are documents.**  :func:`load_experiment` reads a JSON/
   TOML :class:`ExperimentSpec` (schema ``DOCUMENT_SCHEMA``) describing
-  runs, sweep matrices, litmus suites and bench harnesses;
+  runs, sweep matrices and litmus suites;
   :func:`run_experiment` executes it through the parallel/cached sweep
   runner and :func:`describe_experiment` prints the resolved form.
   The CLI front-ends are ``repro run-file`` and ``repro describe``.

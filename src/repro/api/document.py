@@ -53,10 +53,6 @@ Document schema (``DOCUMENT_SCHEMA`` = 1)::
     protocol = "scorpio"
     seeds = [0, 1, 2]
 
-    [bench]                         # quiescence-kernel bench harness
-    smoke = true
-    repeats = 1
-
     [report]                        # observability report defaults
     journal_capacity = 1024         # ring-buffer size (>= 1)
     sample_interval = 64            # cycles between mesh samples (>= 1)
@@ -362,15 +358,6 @@ def _resolve_litmus(data: Mapping[str, Any], what: str):
             for name in names for seed in seeds]
 
 
-_BENCH_KEYS = ("smoke", "repeats")
-
-
-def _resolve_bench(data: Mapping[str, Any], what: str) -> Dict[str, Any]:
-    _check_keys(data, _BENCH_KEYS, what)
-    return {"smoke": _get(data, "smoke", bool, what, default=False),
-            "repeats": _get(data, "repeats", int, what, default=1)}
-
-
 _REPORT_KEYS = ("journal_capacity", "sample_interval", "journal_tail")
 
 
@@ -418,7 +405,6 @@ class ExperimentSpec:
     configs: Dict[str, ChipConfig] = field(default_factory=dict)
     specs: List[Any] = field(default_factory=list)
     litmus_checks: List[Tuple[Any, int]] = field(default_factory=list)
-    bench: Optional[Dict[str, Any]] = None
     report: Optional[Dict[str, Any]] = None
 
     def __len__(self) -> int:
@@ -447,15 +433,13 @@ class ExperimentSpec:
         if self.litmus_checks:
             document["litmus_programs"] = sorted(
                 {program.name for program, _ in self.litmus_checks})
-        if self.bench is not None:
-            document["bench"] = dict(self.bench)
         if self.report is not None:
             document["report"] = dict(self.report)
         return document
 
 
 _DOCUMENT_KEYS = ("schema", "name", "description", "configs", "runs",
-                  "matrix", "litmus", "bench", "report")
+                  "matrix", "litmus", "report")
 
 
 def experiment_from_dict(data: Mapping[str, Any],
@@ -491,19 +475,16 @@ def experiment_from_dict(data: Mapping[str, Any],
                                              f"{what}.litmus"):
             litmus_checks.append((program, len(specs)))
             specs.append(spec)
-    bench = (_resolve_bench(data["bench"], f"{what}.bench")
-             if "bench" in data else None)
     report = (_resolve_report(data["report"], f"{what}.report")
               if "report" in data else None)
-    _require(bool(specs) or bench is not None,
+    _require(bool(specs),
              f"{what}: document describes no work (needs runs, a "
-             f"matrix, a litmus table, or a bench table)")
+             f"matrix or a litmus table)")
     return ExperimentSpec(name=name,
                           description=_get(data, "description", str, what,
                                            default=""),
                           source=source, configs=configs, specs=specs,
-                          litmus_checks=litmus_checks, bench=bench,
-                          report=report)
+                          litmus_checks=litmus_checks, report=report)
 
 
 def _parse_toml(text: str, what: str) -> Dict[str, Any]:
@@ -552,7 +533,6 @@ class ExperimentResult:
     experiment: ExperimentSpec
     results: List[Any] = field(default_factory=list)
     litmus_verdicts: Dict[str, bool] = field(default_factory=dict)
-    bench_report: Optional[Dict[str, Any]] = None
     # Per-job cache effectiveness: {"hits": int, "misses": int} counted
     # over exactly this job's lookups (one per spec, in spec order), or
     # None when the job ran uncached.  One miss per *requested* point:
@@ -575,8 +555,6 @@ class ExperimentResult:
         }
         if self.litmus_verdicts:
             out["litmus"] = dict(sorted(self.litmus_verdicts.items()))
-        if self.bench_report is not None:
-            out["bench"] = self.bench_report
         if self.cache_stats is not None:
             out["cache"] = dict(self.cache_stats)
         return out
@@ -596,9 +574,9 @@ def envelope_bytes(payload: Mapping[str, Any]) -> bytes:
 
 def collect_experiment_result(experiment: ExperimentSpec,
                               results: List[Any]) -> ExperimentResult:
-    """Judge litmus executions, run the bench table (if any) and wrap
-    *results* (one ``SweepResult`` per ``experiment.specs`` entry, in
-    order) into an :class:`ExperimentResult` — the shared tail of
+    """Judge litmus executions and wrap *results* (one ``SweepResult``
+    per ``experiment.specs`` entry, in order) into an
+    :class:`ExperimentResult` — the shared tail of
     :func:`run_experiment` and the checkpointed executor
     (:mod:`repro.experiments.checkpoint_exec`)."""
     verdicts: Dict[str, bool] = {}
@@ -611,14 +589,8 @@ def collect_experiment_result(experiment: ExperimentSpec,
             ok = is_sequentially_consistent(program, observations)
             verdicts[program.name] = verdicts.get(program.name, True) and ok
 
-    bench_report = None
-    if experiment.bench is not None:
-        from repro.experiments.bench import run_bench
-        bench_report = run_bench(smoke=experiment.bench["smoke"],
-                                 repeats=experiment.bench["repeats"])
     return ExperimentResult(experiment=experiment, results=results,
-                            litmus_verdicts=verdicts,
-                            bench_report=bench_report)
+                            litmus_verdicts=verdicts)
 
 
 def run_experiment(experiment: Union[ExperimentSpec, str, Path],

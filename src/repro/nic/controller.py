@@ -199,9 +199,6 @@ class NetworkInterface(Clocked):
                             (arrive_cycle, packet, vnet, vc_index))
         self.wake(arrive_cycle)
 
-    def deliver_lookahead(self, la: Lookahead, process_cycle: int) -> None:
-        pass  # the NIC has no crossbar to pre-allocate
-
     def queue_credit_release(self, outport: int, vnet: VNet, vc: int,
                              flits: int, cycle: int, lane: int = 0) -> None:
         """Router's LOCAL input VC freed — *lane*'s injection credit
@@ -355,27 +352,24 @@ class NetworkInterface(Clocked):
         self._lanes[0].router.queue_credit_release(
             LOCAL, vnet, vc_index, packet.size_flits, cycle + 1)
 
-    # The hook a NIC on several main networks overrides with a method
-    # ``packet -> Lane`` choosing the port *packet* injects through.
-    # Asked once per non-empty vnet queue per :meth:`_inject` visit,
-    # whether or not the head then goes (the multi-mesh response
-    # round-robin advances per ask).  None — one network, nothing to
-    # ask — keeps a call off the injection path.
-    _pick_lane = None
+    def _pick_lane(self, packet: Packet) -> Lane:
+        """The port *packet* injects through.  Asked once per non-empty
+        vnet queue per :meth:`_inject` visit, whether or not the head
+        then goes (the multi-mesh response round-robin advances per
+        ask)."""
+        return self._lanes[0]
 
-    # The hook a discipline that counts its injected requests overrides
-    # with a method taking no arguments, called once per GO-REQ injected.
-    _request_injected = None
+    def _request_injected(self) -> None:
+        """Called once per GO-REQ injected; a discipline that counts its
+        injected requests overrides it."""
 
     def _inject(self, cycle: int) -> None:
-        pick_lane = self._pick_lane
         for vnet in (VNet.GO_REQ, VNet.UO_RESP):
             queue = self._inject_queues[vnet]
             if not queue:
                 continue
             packet = queue[0]
-            credits, sid_tracker, router = self._lanes[0] \
-                if pick_lane is None else pick_lane(packet)
+            credits, sid_tracker, router = self._pick_lane(packet)
             if vnet == VNet.GO_REQ and sid_tracker.blocks(packet.sid):
                 continue  # point-to-point ordering at the injection port
             vc = credits.first_free_normal_vc(vnet)
@@ -388,8 +382,7 @@ class NetworkInterface(Clocked):
             credits.consume(vnet, vc, packet.size_flits)
             if vnet == VNet.GO_REQ:
                 sid_tracker.record(vc, packet.sid)
-                if self._request_injected is not None:
-                    self._request_injected()
+                self._request_injected()
             if self.noc_config.lookahead_bypass:
                 router.deliver_lookahead(
                     Lookahead(packet=packet, inport=LOCAL),

@@ -10,41 +10,27 @@ LOCAL input port and calls ``router.deliver_packet`` itself).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.noc.config import NocConfig
 from repro.noc.packet import VNet
-from repro.noc.router import Router, rvc_never
+from repro.noc.router import Router
 from repro.noc.routing import DIRECTIONS, LOCAL, neighbor, opposite
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
-
-
-class NicRvcOracle:
-    """Reserved-VC oracle answering from the NICs attached to a mesh's
-    nodes.  A callable class (not a per-system lambda) so the mesh — and
-    everything referencing it — stays picklable for checkpoints."""
-
-    def __init__(self, nics) -> None:
-        self.nics = nics
-
-    def __call__(self, node: int, sid: int, seq: int) -> bool:
-        return self.nics[node].rvc_eligible(sid, seq)
 
 
 class Mesh:
     """The SCORPIO main network: routers + links as one fabric."""
 
     def __init__(self, config: NocConfig, engine: Engine,
-                 stats: Optional[StatsRegistry] = None,
-                 rvc_ok: Optional[Callable[[int, int, int], bool]] = None) -> None:
+                 stats: Optional[StatsRegistry] = None) -> None:
         self.config = config
         self.engine = engine
         self.stats = stats or StatsRegistry()
-        self._rvc_ok = rvc_ok or rvc_never
         self.routers: List[Router] = []
         for node in range(config.n_nodes):
-            router = Router(node, config, self.stats, self._lookup_rvc)
+            router = Router(node, config, self.stats)
             self.routers.append(router)
             engine.register(router)
         for node, router in enumerate(self.routers):
@@ -56,23 +42,13 @@ class Mesh:
                 router.connect(port, self.routers[peer], peer)
         self._endpoints: Dict[int, object] = {}
 
-    def _lookup_rvc(self, node: int, sid: int, seq: int) -> bool:
-        return self._rvc_ok(node, sid, seq)
-
-    def set_rvc_oracle(self, fn: Callable[[int, int, int], bool]) -> None:
-        """Install the NIC oracle answering reserved-VC eligibility.
-
-        The oracle is pushed into each router directly — ``rvc_ok`` sits
-        on the VC-selection hot path, so the per-call indirection through
-        the mesh is worth removing.  An oracle exposing its ``nics``
-        additionally lets each router bind its outports straight to the
-        downstream NICs' ``rvc_eligible``."""
-        self._rvc_ok = fn
-        nics = getattr(fn, "nics", None)
+    def bind_rvc_direct(self, nics: Sequence[object]) -> None:
+        """Bind every outport's reserved-VC question to the NIC of the
+        node it points at (*nics* is indexed by node id; each offers
+        ``rvc_eligible(sid, seq)``).  Until this runs the reserved VCs
+        admit nothing."""
         for router in self.routers:
-            router.rvc_ok = fn
-            if nics is not None:
-                router.bind_rvc_direct(nics)
+            router.bind_rvc_direct(nics)
 
     def set_broadcast_filter(self, bcast_filter) -> None:
         """Install an INCF :class:`~repro.noc.filtering.BroadcastFilter`

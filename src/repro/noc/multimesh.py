@@ -48,9 +48,6 @@ class MeshTap:
         self.nic.deliver_packet(packet, inport, vnet, vc_index,
                                 arrive_cycle)
 
-    def deliver_lookahead(self, la, process_cycle):
-        pass
-
     def queue_credit_release(self, outport, vnet, vc, flits, cycle):
         self.nic.queue_credit_release(outport, vnet, vc, flits, cycle,
                                       self.index)

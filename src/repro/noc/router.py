@@ -121,24 +121,11 @@ class Lookahead:
     echo: bool = False   # the sender bypassed the packet (module docstring)
 
 
-def rvc_never(_node: int, _sid: int, _seq: int) -> bool:
-    """Default reserved-VC oracle: nothing is eligible.  A module-level
-    function (not a lambda) so routers stay picklable for checkpoints."""
+def rvc_unbound(_sid: int, _seq: int) -> bool:
+    """What an outport not yet bound to a NIC answers: the reserved VC
+    admits nothing.  A module-level function (not a lambda) so routers
+    stay picklable for checkpoints."""
     return False
-
-
-class _OracleQuery:
-    """An outport's reserved-VC question put to the router's ``rvc_ok``
-    oracle — what ``Router._rvc_fns`` holds until the mesh binds the
-    port straight to its downstream NIC.  A class, not a closure, so
-    routers stay picklable."""
-
-    def __init__(self, router: "Router", node: int) -> None:
-        self.router = router
-        self.node = node
-
-    def __call__(self, sid: int, seq: int) -> bool:
-        return self.router.rvc_ok(self.node, sid, seq)
 
 
 @dataclass(slots=True)
@@ -159,14 +146,10 @@ class Router(Clocked):
     journal = None
 
     def __init__(self, node: int, config: NocConfig,
-                 stats: Optional[StatsRegistry] = None,
-                 rvc_ok: Optional[Callable[[int, int, int], bool]] = None) -> None:
+                 stats: Optional[StatsRegistry] = None) -> None:
         self.node = node
         self.config = config
         self.stats = stats or StatsRegistry()
-        # rvc_ok(downstream_node, sid, seq): reserved-VC eligibility,
-        # answered by the downstream node's NIC (deadlock avoidance).
-        self.rvc_ok = rvc_ok or rvc_never
         uoresp_depth = max(config.uoresp_vc_depth, config.data_flits)
         self._uoresp_depth = uoresp_depth
 
@@ -195,7 +178,8 @@ class Router(Clocked):
         # None while unconnected.  One entry serves both directions:
         # outport p's flits arrive there on that port, and inport p's
         # credits return to it.  The endpoint must offer deliver_packet /
-        # deliver_lookahead / queue_credit_release; LOCAL's is the NIC.
+        # queue_credit_release — and, a router, deliver_lookahead (no
+        # lookahead leaves through LOCAL, whose endpoint is the NIC).
         self.downstream: List[Optional[Tuple[object, int, int]]] = [None] * 5
         # Route tables: dst -> outports (XY) and inport -> outports (tree).
         self._unicast_route = unicast_route_table(node, config.width,
@@ -211,11 +195,10 @@ class Router(Clocked):
         # Unconnected ports stay False.
         self._vc_free: List[List[bool]] = [[False] * 5, [False] * 5]
         self._rvc_free: List[bool] = [False] * 5
-        # Per-outport reserved-VC query ``fn(sid, seq)``: self.rvc_ok
-        # about the downstream node, or — installed by
-        # Mesh.set_rvc_oracle when the oracle exposes its NICs — that
-        # node's NIC's ``rvc_eligible`` itself.
-        self._rvc_fns: List[Optional[Callable[[int, int], bool]]] = [None] * 5
+        # Per-outport reserved-VC question ``fn(sid, seq)`` (deadlock
+        # avoidance): the downstream node's NIC's ``rvc_eligible``, once
+        # bind_rvc_direct has run.
+        self._rvc_fns: List[Callable[[int, int], bool]] = [rvc_unbound] * 5
 
         self._sa_i = [RotatingPriorityArbiter(stride) for _port in PORTS]
         self._sa_o: List[Optional[RotatingPriorityArbiter]] = [None] * 5
@@ -267,13 +250,12 @@ class Router(Clocked):
         self.port_free_at[port] = 0
         self._sa_o[port] = RotatingPriorityArbiter(5)
         self._la_arb[port] = RotatingPriorityArbiter(5)
-        self._rvc_fns[port] = _OracleQuery(self, endpoint_node)
         self._vc_free[0][port] = self._vc_free[1][port] = True
         self._rvc_free[port] = self.config.reserved_vc
 
     def bind_rvc_direct(self, nics) -> None:
-        """Bind each connected outport's rVC eligibility query straight to
-        the downstream node's NIC (*nics* is indexed by node id)."""
+        """Bind each connected outport's rVC eligibility question to the
+        downstream node's NIC (*nics* is indexed by node id)."""
         for port in PORTS:
             entry = self.downstream[port]
             if entry is not None:
@@ -310,7 +292,7 @@ class Router(Clocked):
 
     def note_order_progress(self, port: int, sid: int) -> None:
         """The NIC downstream of *port* now expects *sid*: the only
-        ``rvc_ok`` answers that can have flipped to True are that
+        ``rvc_eligible`` answers that can have flipped to True are that
         source's.  Wake (and re-arbitrate next cycle) only if a slot
         parked on it is admitted to a free reserved VC."""
         if self._rvc_free[port] and sid in self._rvc_wait[port] \

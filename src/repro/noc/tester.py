@@ -125,9 +125,6 @@ class NodeTester(Clocked):
     def deliver_packet(self, packet, inport, vnet, vc_index, arrive_cycle):
         self._pending_eject.append((arrive_cycle, packet, vnet, vc_index))
 
-    def deliver_lookahead(self, la, process_cycle):
-        pass
-
     def queue_credit_release(self, outport, vnet, vc, flits, cycle):
         self._credit_returns.append((cycle, vnet, vc, flits))
 

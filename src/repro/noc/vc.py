@@ -30,8 +30,6 @@ class VCBuffer:
     packet: Optional[Packet] = None
     pending_outports: Set[int] = field(default_factory=set)
     ready_cycle: int = -1           # earliest cycle the head may arbitrate
-    # Downstream VC index granted per outport (filled as ports are won).
-    granted_vcs: Dict[int, int] = field(default_factory=dict)
 
     @property
     def occupied(self) -> bool:
@@ -56,7 +54,6 @@ class VCBuffer:
         self.packet = packet
         self.pending_outports = set(outports)
         self.ready_cycle = cycle + pipeline_delay
-        self.granted_vcs = {}
 
     def complete_outport(self, outport: int) -> bool:
         """Mark *outport* served; returns True when the packet has fully
@@ -64,7 +61,6 @@ class VCBuffer:
         self.pending_outports.discard(outport)
         if not self.pending_outports:
             self.packet = None
-            self.granted_vcs = {}
             return True
         return False
 

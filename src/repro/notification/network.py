@@ -47,43 +47,26 @@ class NotificationNetwork(Clocked):
         self.stats = stats or StatsRegistry()
         self.n_nodes = width * height
         self.routers = [NotificationRouter(i) for i in range(self.n_nodes)]
-        self._adjacency: List[List[int]] = [[] for _ in range(self.n_nodes)]
-        for node in range(self.n_nodes):
+        for node, router in enumerate(self.routers):
             x, y = node % width, node // width
             if x + 1 < width:
-                self._link(node, node + 1)
+                self._link(router, self.routers[node + 1])
             if y + 1 < height:
-                self._link(node, node + width)
+                self._link(router, self.routers[node + width])
         # Per-node callbacks installed by NICs.
         self.sources: List[Optional[Callable[[], int]]] = [None] * self.n_nodes
         self.sinks: List[Optional[Callable[[int], None]]] = [None] * self.n_nodes
-        # True while the current window carries at least one injected
-        # vector: only then do the OR-routers have anything to merge (an
-        # all-zero mesh ORs zeros into zeros), so quiet windows skip the
-        # router loops and sleep between the two mandatory boundary
-        # cycles — the window-start source poll and the window-end sink
-        # delivery (sinks fire every window, vector or not: an empty
-        # delivery re-enables NICs that saw a stop bit).
-        self._window_active = False
-        # Event discipline for *active* windows: only routers adjacent to
-        # a vector change can merge anything new, so the per-cycle work
-        # tracks the OR-wavefront instead of all routers every cycle.
-        # ``_changed`` holds the nodes whose accum changed at the last
-        # commit (or injection); ``_candidates`` carries the frontier
-        # between the step and commit phases of one cycle.  Skipped
-        # routers are provably fixed points (their whole neighbourhood is
-        # unchanged), so the accum evolution is cycle-identical to
-        # stepping every router; once the frontier empties the mesh has
-        # converged and the network sleeps until the window-end delivery.
-        self._changed: set = set()
-        self._candidates: List[int] = []
+        # Whether any latch moved at the last commit (or a source
+        # injected this cycle): while it holds, every router ORs its
+        # neighbours; once it does not, each is a fixed point of its
+        # neighbourhood and the network sleeps to the window end.
+        self._changed = False
         engine.register(self)
 
-    def _link(self, a: int, b: int) -> None:
-        self.routers[a].connect(self.routers[b])
-        self.routers[b].connect(self.routers[a])
-        self._adjacency[a].append(b)
-        self._adjacency[b].append(a)
+    @staticmethod
+    def _link(a: NotificationRouter, b: NotificationRouter) -> None:
+        a.connect(b)
+        b.connect(a)
 
     def attach(self, node: int, source: Callable[[], int],
                sink: Callable[[int], None]) -> None:
@@ -126,75 +109,53 @@ class NotificationNetwork(Clocked):
     def step(self, cycle: int) -> None:
         routers = self.routers
         if self.window_phase(cycle) == 0:
-            changed = self._changed
             for node, source in enumerate(self.sources):
                 if source is not None:
                     vector = source()
                     if vector:
                         routers[node].accum |= vector
-                        changed.add(node)
-                        self._window_active = True
+                        self._changed = True
                         self.stats.incr("notification.injected")
-        if self._window_active and self._changed:
-            # Frontier merge: a router can latch new bits only if its own
-            # accum or a neighbour's changed last cycle.
-            adjacency = self._adjacency
-            frontier: set = set()
-            for node in self._changed:
-                frontier.add(node)
-                frontier.update(adjacency[node])
-            candidates = sorted(frontier)
-            self._candidates = candidates
-            for node in candidates:
-                router = routers[node]
+        if self._changed:
+            for router in routers:
                 merged = router.accum
                 for other in router.neighbors:
                     merged |= other.accum
                 router._next = merged
 
     def commit(self, cycle: int) -> None:
-        if self._candidates:
-            routers = self.routers
-            newly_changed = self._changed
-            newly_changed.clear()
-            for node in self._candidates:
-                router = routers[node]
-                nxt = router._next
-                if router.accum != nxt:
-                    router.accum = nxt
-                    newly_changed.add(node)
-            self._candidates = []
+        if self._changed:
+            changed = False
+            for router in self.routers:
+                if router.accum != router._next:
+                    router.accum = router._next
+                    changed = True
+            self._changed = changed
         phase = self.window_phase(cycle)
         if phase == self.config.window - 1:
-            if self._window_active:
-                merged = [router.accum for router in self.routers]
-                # Invariant: all nodes hold the identical merged vector.
-                if any(v != merged[0] for v in merged):  # pragma: no cover
-                    raise AssertionError(
-                        "notification window too short: nodes disagree on "
-                        "the merged vector")
-            else:
-                merged = [0] * self.n_nodes
+            merged = [router.accum for router in self.routers]
+            # Invariant: all nodes hold the identical merged vector.
+            if any(v != merged[0] for v in merged):  # pragma: no cover
+                raise AssertionError(
+                    "notification window too short: nodes disagree on "
+                    "the merged vector")
+            # Sinks fire every window, vector or not: an empty delivery
+            # re-enables NICs that saw a stop bit.
             for node, sink in enumerate(self.sinks):
                 if sink is not None:
                     sink(merged[node])
-            journal = self.journal
-            if journal is not None and self._window_active:
-                journal.record(cycle, "notification", "window", "delivered",
-                               f"vector={merged[0]:#x}")
-            if self._window_active:
+            if merged[0]:
+                journal = self.journal
+                if journal is not None:
+                    journal.record(cycle, "notification", "window",
+                                   "delivered", f"vector={merged[0]:#x}")
                 for router in self.routers:
                     router.clear()
-                self._window_active = False
-                self._changed.clear()
-            if merged[0]:
+                self._changed = False
                 self.stats.incr("notification.windows_nonempty")
             # Next cycle is a window start: stay awake to poll sources.
-        elif not (self._window_active and self._changed):
-            # Nothing can merge before the window-end sink delivery:
-            # either the window is quiet, or the OR-wavefront has
-            # converged (every router is a fixed point of its
-            # neighbourhood, which in a connected mesh means all accums
-            # are equal).  Sources are only polled at window starts, so
-            # no new vector can appear mid-window either.
+        elif not self._changed:
+            # Quiet window or converged mesh: sources are polled only at
+            # window starts, so nothing moves before the window-end
+            # delivery.
             self.idle_until(cycle - phase + self.config.window - 1)

@@ -9,16 +9,17 @@ one cycle per hop of Manhattan distance.
 Bit-vectors are represented as Python ints (bit ``i`` = core ``i``'s
 field; with ``bits_per_core > 1`` each core owns a contiguous bit field
 encoding its request count in binary).
+
+The router is state only: :class:`~repro.notification.network.
+NotificationNetwork` is the clocked component and drives every latch.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
-
-from repro.sim.engine import Clocked
+from typing import List
 
 
-class NotificationRouter(Clocked):
+class NotificationRouter:
     """One OR-and-latch stage of the notification mesh."""
 
     def __init__(self, node: int) -> None:
@@ -26,22 +27,9 @@ class NotificationRouter(Clocked):
         self.accum = 0          # latched (committed) vector
         self._next = 0
         self.neighbors: List["NotificationRouter"] = []
-        # Pulled at every cycle; non-zero only at window starts.
-        self.inject_source: Optional[Callable[[int], int]] = None
 
     def connect(self, other: "NotificationRouter") -> None:
         self.neighbors.append(other)
-
-    def step(self, cycle: int) -> None:
-        merged = self.accum
-        for other in self.neighbors:
-            merged |= other.accum
-        if self.inject_source is not None:
-            merged |= self.inject_source(cycle)
-        self._next = merged
-
-    def commit(self, cycle: int) -> None:
-        self.accum = self._next
 
     def clear(self) -> None:
         """Window boundary: forget the delivered vector."""

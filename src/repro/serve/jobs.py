@@ -167,7 +167,7 @@ class JobManager:
                                                   job.plan.results)
             collected.cache_stats = job.plan.cache_stats
             envelope = envelope_bytes(collected.payload())
-        except Exception as exc:  # bench/litmus collection failure
+        except Exception as exc:  # litmus collection failure
             with job.condition:
                 job.state = "failed"
                 job.error = f"result collection failed: {exc}"

@@ -29,7 +29,7 @@ from repro.nic.controller import (NetworkInterface,
 from repro.noc.config import NocConfig, NotificationConfig
 from repro.noc.filtering import (BroadcastFilter, FilterTable,
                                  l2_interest_oracle)
-from repro.noc.mesh import Mesh, NicRvcOracle
+from repro.noc.mesh import Mesh
 from repro.notification.network import NotificationNetwork
 from repro.sim.engine import Engine
 from repro.sim.journal import system_routers
@@ -152,7 +152,7 @@ class BaseSystem:
             nic.attach_router(mesh.attach(node, nic))
             self.engine.register(nic)
             self.nics.append(nic)
-        mesh.set_rvc_oracle(NicRvcOracle(self.nics))
+        mesh.bind_rvc_direct(self.nics)
 
     def make_nic(self, node: int) -> NetworkInterface:
         """The NIC of *node* — the one thing an ordered-network baseline

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.cpu.trace import Trace
-from repro.noc.mesh import Mesh, NicRvcOracle
+from repro.noc.mesh import Mesh
 from repro.noc.multimesh import MultiMeshInterface
 from repro.systems.scorpio import ScorpioSystem
 
@@ -34,7 +34,8 @@ class MultiMeshScorpioSystem(ScorpioSystem):
 
     def build_fabric(self) -> None:
         # Tick order: the routers of every mesh register (mesh-major)
-        # before any NIC, and all meshes share one rVC oracle.
+        # before any NIC, and every mesh's reserved VCs ask the one NIC
+        # of the node they point at.
         self.meshes.extend(Mesh(self.noc_config, self.engine, self.stats)
                            for _ in range(self.n_meshes))
         for node in range(self.n_nodes):
@@ -44,6 +45,5 @@ class MultiMeshScorpioSystem(ScorpioSystem):
                 nic.attach_router(mesh.attach(node, nic.tap(index)))
             self.engine.register(nic)
             self.nics.append(nic)
-        rvc_oracle = NicRvcOracle(self.nics)
         for mesh in self.meshes:
-            mesh.set_rvc_oracle(rvc_oracle)
+            mesh.bind_rvc_direct(self.nics)

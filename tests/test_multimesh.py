@@ -86,6 +86,20 @@ class TestLanes:
         assert [sids.live_entries()
                 for _credits, sids, _router in nic._lanes] == [{0: 4}, {}]
 
+    def test_twin_routers_ask_the_same_nic_about_the_reserved_vc(self):
+        system = build([], n_meshes=2)
+        first, second = system.meshes
+        asked = 0
+        for router, twin in zip(first.routers, second.routers):
+            for port, link in enumerate(router.downstream):
+                if link is None:
+                    continue
+                nic = system.nics[link[2]]
+                assert router._rvc_fns[port].__self__ is nic
+                assert twin._rvc_fns[port].__self__ is nic
+                asked += 1
+        assert asked == 9 + 2 * 12      # LOCAL ports + both ends of 12 links
+
 
 class TestInheritedFromScorpioSystem:
     """What the multi-mesh system gets by being a ScorpioSystem that

@@ -24,7 +24,6 @@ import sys
 
 import pytest
 
-import repro
 from repro.api import envelope_bytes, run_experiment
 from repro.api.client import ServeClient
 from repro.api.document import experiment_from_dict
@@ -77,7 +76,7 @@ def cache_key(envelope_: bytes):
     return json.loads(envelope_).get("cache")
 
 
-def test_every_door_produces_the_same_envelope(tmp_path):
+def test_every_door_produces_the_same_envelope(tmp_path, source_snapshot):
     experiment = experiment_from_dict(DOCUMENT)
     reference = envelope(run_experiment(experiment, jobs=1, cache=False))
     assert cache_key(reference) is None
@@ -115,8 +114,8 @@ def test_every_door_produces_the_same_envelope(tmp_path):
     document_path.write_text(json.dumps(DOCUMENT), encoding="utf-8")
     resumed_path = tmp_path / "resumed.json"
     env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = (str(source_snapshot) + os.pathsep
+                         + env.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "run-file", str(document_path),
          "--resume", str(snapshot),

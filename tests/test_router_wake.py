@@ -51,16 +51,18 @@ class Bench:
     are chosen so that ``dst = node + 1`` leaves through EAST and
     ``dst = node - 1`` through WEST."""
 
-    def __init__(self, config=None):
+    def __init__(self, config=None, bound=True):
         self.config = config or NocConfig(width=3, height=3)
         self.node = self.config.width + 1
         self.admitted = set()       # (sid, seq) the NICs admit to an rVC
-        self.router = Router(
-            self.node, self.config,
-            rvc_ok=lambda _node, sid, seq: (sid, seq) in self.admitted)
+        self.router = Router(self.node, self.config)
         self.sinks = [Sink() for _port in PORTS]
         for port in PORTS:
             self.router.connect(port, self.sinks[port], self.node)
+        if bound:
+            # Every port names this node as its downstream: the bench
+            # stands in for that node's NIC.
+            self.router.bind_rvc_direct({self.node: self})
         self.wakes = 0
         self.router.wake = self._count_wake
         self.stride = self.router._stride
@@ -69,6 +71,9 @@ class Bench:
 
     def _count_wake(self, cycle=None):
         self.wakes += 1
+
+    def rvc_eligible(self, sid, seq):
+        return (sid, seq) in self.admitted
 
     def bit(self, inport, slot):
         return 1 << (inport * self.stride + slot)
@@ -267,6 +272,24 @@ class TestReservedVcWakes:
         assert r.wakeups[WAKE_RVC] == 1 and r.wakeups[WAKE_CREDIT] == 0
         assert b.sent(EAST) == [(2, rvc)]
         assert r._rvc_wait[EAST] == {1: a_bit}
+
+    def test_an_outport_with_no_bound_nic_never_selects_the_rvc(self):
+        b = Bench(bound=False)
+        b.admitted.add((1, 0))          # nobody is there to be asked
+        b.exhaust(EAST, GO_REQ)
+        a_bit = b.bit(WEST, 0)
+        b.park((b.goreq(1, b.node + 1), WEST, 0))
+        b.wakes = 0
+        r = b.router
+        assert r._rvc_wait[EAST] == {1: a_bit}
+        r.note_order_progress(EAST, 1)
+        assert r._dirty == 0 and b.wakes == 0
+        assert r._select_downstream_vc(EAST, b.goreq(1, b.node + 1)) is None
+        # The same packet goes the moment a NIC is bound and admits it.
+        r.bind_rvc_direct({b.node: b})
+        r.note_order_progress(EAST, 1)
+        assert b.scans() == [a_bit]
+        assert b.sent(EAST) == [(1, b.config.reserved_vc_index())]
 
     def test_packet_in_a_reserved_vc_beats_the_lookahead_to_a_credit(self):
         b = Bench()

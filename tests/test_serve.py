@@ -107,6 +107,17 @@ class TestFrontend:
             client.submit_document(bad)
         assert client.jobs() == []
 
+    def test_bench_table_is_an_unknown_key(self, client):
+        # The `[bench]` table ran wall-clock timing on the dispatch (or
+        # HTTP handler) thread and put it in the byte-canonical envelope.
+        for document in ({"schema": 1, "name": "b", "bench": {"smoke": True}},
+                         {"schema": 1, "name": "b", "bench": {"smoke": True},
+                          "runs": [{"benchmark": "fft", "ops_per_core": 2}]}):
+            with pytest.raises(ServeError,
+                               match="HTTP 422.*unknown key.*bench"):
+                client.submit_document(document)
+        assert client.jobs() == []
+
 
 class TestByteIdentity:
     def test_http_envelope_identical_to_run_file(self, tmp_path, client):
