@@ -41,16 +41,10 @@ found=$(grep -rnE --include='*.py' '(^|[^A-Za-z])L2Controller\(' src/repro \
     || fail "second snoopy stack (L2Controller built in: $found)"
 
 # PR 19 - one NIC family: the discipline is the class, lanes live in the
-# base; injection-credit trackers are built by the router, the bare-mesh
-# tester and NetworkInterface.attach_router alone.
+# base.
 forbid "NIC ordering flag / second credit wheel" \
     'ordering_enabled|_tagged_credit_returns|_mesh_credits|_inject_credits' \
     src/repro
-only_in "CreditTracker built outside router/tester/NIC" \
-    '(^|[^A-Za-z])CreditTracker\(' \
-    "src/repro/nic/controller.py
-src/repro/noc/router.py
-src/repro/noc/tester.py"
 
 # PR 20 - one result row, one benchmark run body: RunResult (core/api.py)
 # is the only result-row class (SweepResult is an assignment) and the
@@ -82,7 +76,8 @@ forbid "per-figure spec exporter / regime flag" \
 # L2 overrides seams, not step / _issue; a line leaves the array through
 # L2Controller._drop_line and meets the MOSI table in _snoop_array alone;
 # data-bearing responses are built by CoherenceRequest.reply.
-forbid "flat timed-callback list" '_delayed|\[d for d in' src/repro
+forbid "flat timed-callback list" \
+    '_delayed|for \w+ in self\._\w+ if \w+\[0\] (<=|>) ?cycle' src/repro
 forbid "directory L2 copy of step / _issue" \
     'def (step|_issue)\(' src/repro/coherence/dir_l2.py
 only_in "line drop outside L2Controller._drop_line" \
@@ -114,6 +109,22 @@ forbid "clocked OR-router" 'def (step|commit)\(' \
     src/repro/notification/router.py
 only_in "lookahead sink outside the router" 'def deliver_lookahead\(' \
     "src/repro/noc/router.py"
+
+# PR 24 - one sending end of a link: credits, the SID table, VC
+# selection and the lookahead + flit hand-off live in noc/vc.py's
+# OutPort; the router's outports, the NIC's lanes and the mesh tester
+# build one each and nobody else spells any of it (no credit / SID class
+# pair, no router-side mirrors, one deliver_lookahead call).
+forbid "second credit / SID spelling" \
+    'CreditTracker|SidTracker|sid_tracker|_consume_credit|_select_downstream_vc|_rvc_fns|_sid_counts|INJECT_TO_ROUTER_DELAY' \
+    src/repro
+only_in "lookahead sent outside OutPort.send" '\.deliver_lookahead\(' \
+    "src/repro/noc/vc.py"
+only_in "OutPort built outside router/tester/NIC" \
+    '(^|[^A-Za-z])OutPort\(' \
+    "src/repro/nic/controller.py
+src/repro/noc/router.py
+src/repro/noc/tester.py"
 
 # Dead names: every def / class under src/repro is spelled at least
 # twice across the tree (its definition plus one caller, test or

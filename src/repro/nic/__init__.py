@@ -2,8 +2,6 @@
 main network(s): the arrival-order delivery base and SCORPIO's ordered
 NIC on top of it."""
 
-from repro.nic.controller import (INJECT_TO_ROUTER_DELAY, NetworkInterface,
-                                  OrderedNetworkInterface)
+from repro.nic.controller import NetworkInterface, OrderedNetworkInterface
 
-__all__ = ["NetworkInterface", "OrderedNetworkInterface",
-           "INJECT_TO_ROUTER_DELAY"]
+__all__ = ["NetworkInterface", "OrderedNetworkInterface"]

@@ -7,11 +7,12 @@ chip; plain callbacks here) and the networks.  It is *delivery* plus one
 * :class:`NetworkInterface` — the delivery half every variant shares.
   Coherence requests become single-flit GO-REQ packets, responses
   UO-RESP unicasts (multi-flit when carrying data), injected through a
-  *lane* — the ``(credit tracker, SID tracker, router)`` of one main
-  network, appended by :meth:`~NetworkInterface.attach_router` — and
-  received UO-RESP packets forward to the cache controller in any
-  order.  Its discipline is none: requests are handed over in arrival
-  order (the directory baselines, TokenB).
+  *lane* — the :class:`~repro.noc.vc.OutPort` into the LOCAL input port
+  of one main network's router, appended by
+  :meth:`~NetworkInterface.attach_router` — and received UO-RESP packets
+  forward to the cache controller in any order.  Its discipline is
+  none: requests are handed over in arrival order (the directory
+  baselines, TokenB).
 * :class:`OrderedNetworkInterface` — SCORPIO's discipline on top.  For
   every request injected a notification must later be broadcast; a
   counter tracks how many remain unsent, and at its cap the NIC
@@ -34,32 +35,20 @@ controller is called, counted and journaled).
 from __future__ import annotations
 
 from collections import deque
-from typing import (Any, Callable, Deque, Dict, List, NamedTuple, Optional,
-                    Tuple)
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.noc.config import NocConfig, NotificationConfig
 from repro.noc.packet import Packet, VNet
-from repro.noc.router import LOOKAHEAD_DELAY, Lookahead, Router
+from repro.noc.router import Router
 from repro.noc.routing import LOCAL
-from repro.noc.sid_tracker import SidTracker
-from repro.noc.vc import CreditTracker
+from repro.noc.vc import OutPort
 from repro.notification.tracker import NotificationTracker
 from repro.sim.engine import WAKE_NEVER, Clocked, EventWheel
 from repro.sim.stats import StatsRegistry
 
-INJECT_TO_ROUTER_DELAY = 2   # NIC "ST" + injection link
-
 # Sentinel returned by NetworkInterface._sleep_target: the next cycle's
 # step may do observable work, so no quiescence may be declared.
 _STAY_AWAKE = object()
-
-
-class Lane(NamedTuple):
-    """The injection port into one main network."""
-
-    credits: CreditTracker
-    sid_tracker: SidTracker
-    router: Router
 
 
 class NetworkInterface(Clocked):
@@ -82,7 +71,7 @@ class NetworkInterface(Clocked):
         # Only OrderedNetworkInterface uses the tracker.  It is still
         # constructed here because perf/test_perf.py pins
         # ``notification.calls == 9`` on ``directory-unicast``; moving it
-        # is ROADMAP item 2(b), a benchmark PR.
+        # is ROADMAP item 1(b), a benchmark PR.
         self.tracker = NotificationTracker(
             noc_config.n_nodes, notif_config.bits_per_core,
             notif_config.tracker_queue_depth)
@@ -91,7 +80,7 @@ class NetworkInterface(Clocked):
         self._inject_queues: Dict[VNet, Deque[Packet]] = {
             VNet.GO_REQ: deque(), VNet.UO_RESP: deque()}
         # One lane per attached main network, in attach order.
-        self._lanes: List[Lane] = []
+        self._lanes: List[OutPort] = []
         self._sent_requests = 0          # per-source GO-REQ sequence
 
         # --- receive side ------------------------------------------------
@@ -127,14 +116,8 @@ class NetworkInterface(Clocked):
     def attach_router(self, router: Router) -> None:
         """Connect to this node's router of one main network; called
         once per mesh, in mesh order."""
-        uoresp_depth = max(self.noc_config.uoresp_vc_depth,
-                           self.noc_config.data_flits)
-        self._lanes.append(Lane(
-            CreditTracker(
-                self.noc_config.goreq_vcs, self.noc_config.goreq_vc_depth,
-                self.noc_config.uoresp_vcs, uoresp_depth,
-                self.noc_config.reserved_vc),
-            SidTracker(), router))
+        self._lanes.append(OutPort(self.noc_config, router, LOCAL,
+                                   self.node))
 
     def add_request_listener(
             self, fn: Callable[[Any, int, int, int], None]) -> None:
@@ -255,16 +238,10 @@ class NetworkInterface(Clocked):
     def _inject_blocked(self) -> bool:
         """True when every non-empty inject queue is provably stuck
         until a credit event (which wakes us via queue_credit_release)."""
-        credits, sid_tracker, _router = self._lanes[0]
-        for vnet in (VNet.GO_REQ, VNet.UO_RESP):
-            queue = self._inject_queues[vnet]
-            if not queue:
-                continue
-            if vnet == VNet.GO_REQ and sid_tracker.blocks(queue[0].sid):
-                continue
-            if credits.first_free_normal_vc(vnet) is None:
-                continue
-            return False             # head could go next cycle
+        lane = self._lanes[0]
+        for queue in self._inject_queues.values():
+            if queue and lane.select(queue[0]) is not None:
+                return False         # head could go next cycle
         return True
 
     def _apply_credit_returns(self, cycle: int) -> None:
@@ -272,10 +249,7 @@ class NetworkInterface(Clocked):
             return
         for _cycle, lane, vnet, vc, flits in \
                 self._credit_returns.pop_due(cycle):
-            credits, sid_tracker, _router = self._lanes[lane]
-            credits.release(vnet, vc, flits)
-            if vnet == VNet.GO_REQ and credits.vc_free(vnet, vc):
-                sid_tracker.clear_vc(vc)
+            self._lanes[lane].give_back(vnet, vc, flits)
 
     def _accept_arrivals(self, cycle: int) -> None:
         """Classify the due arrivals, in (due cycle, delivery order)."""
@@ -349,10 +323,10 @@ class NetworkInterface(Clocked):
 
     def _return_eject_credit(self, cycle: int, packet: Packet, vnet: VNet,
                              vc_index: int) -> None:
-        self._lanes[0].router.queue_credit_release(
+        self._lanes[0].endpoint.queue_credit_release(
             LOCAL, vnet, vc_index, packet.size_flits, cycle + 1)
 
-    def _pick_lane(self, packet: Packet) -> Lane:
+    def _pick_lane(self, packet: Packet) -> OutPort:
         """The port *packet* injects through.  Asked once per non-empty
         vnet queue per :meth:`_inject` visit, whether or not the head
         then goes (the multi-mesh response round-robin advances per
@@ -369,27 +343,19 @@ class NetworkInterface(Clocked):
             if not queue:
                 continue
             packet = queue[0]
-            credits, sid_tracker, router = self._pick_lane(packet)
-            if vnet == VNet.GO_REQ and sid_tracker.blocks(packet.sid):
-                continue  # point-to-point ordering at the injection port
-            vc = credits.first_free_normal_vc(vnet)
+            lane = self._pick_lane(packet)
+            # Point-to-point ordering and credits at the injection port.
+            vc = lane.select(packet)
             if vc is None:
                 continue
             queue.popleft()
             packet.inject_cycle = cycle
             if hasattr(packet.payload, "stamp"):
                 packet.payload.stamp("inject", cycle)
-            credits.consume(vnet, vc, packet.size_flits)
+            lane.take(packet, vc)
             if vnet == VNet.GO_REQ:
-                sid_tracker.record(vc, packet.sid)
                 self._request_injected()
-            if self.noc_config.lookahead_bypass:
-                router.deliver_lookahead(
-                    Lookahead(packet=packet, inport=LOCAL),
-                    process_cycle=cycle + LOOKAHEAD_DELAY)
-            router.deliver_packet(
-                packet, LOCAL, vnet, vc,
-                arrive_cycle=cycle + INJECT_TO_ROUTER_DELAY)
+            lane.send(cycle, packet, vc)
             self.stats.incr("nic.packets_injected")
             journal = self.journal
             if journal is not None:

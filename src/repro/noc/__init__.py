@@ -14,10 +14,9 @@ from repro.noc.router import Router
 from repro.noc.routing import (EAST, LOCAL, NORTH, SOUTH, WEST,
                                broadcast_outports, coords, hop_count,
                                neighbor, node_at, opposite, xy_route)
-from repro.noc.sid_tracker import SidTracker
 from repro.noc.tester import (NetworkTester, NodeTester, TrafficConfig,
                               TrafficResult)
-from repro.noc.vc import CreditTracker, InputPort, VCBuffer
+from repro.noc.vc import InputPort, OutPort, VCBuffer
 
 __all__ = [
     "RotatingPriorityArbiter", "rotating_order",
@@ -31,7 +30,6 @@ __all__ = [
     "NORTH", "EAST", "SOUTH", "WEST", "LOCAL",
     "broadcast_outports", "coords", "hop_count", "neighbor", "node_at",
     "opposite", "xy_route",
-    "SidTracker",
     "NetworkTester", "NodeTester", "TrafficConfig", "TrafficResult",
-    "CreditTracker", "InputPort", "VCBuffer",
+    "InputPort", "OutPort", "VCBuffer",
 ]

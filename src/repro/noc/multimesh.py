@@ -8,7 +8,7 @@ which will double/triple the throughput with no impact on frequency...
 delivery from ordering."
 
 This module implements that proposal.  Every NIC already keeps one
-*lane* (credits, SID tracker, router) per attached main network; a
+*lane* (an :class:`~repro.noc.vc.OutPort`) per attached main network; a
 :class:`MultiMeshInterface` is the ordered NIC plus the choice of lane:
 
 * GO-REQ requests from one source always use the *same* mesh
@@ -27,10 +27,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.nic.controller import Lane, OrderedNetworkInterface
+from repro.nic.controller import OrderedNetworkInterface
 from repro.noc.config import NocConfig, NotificationConfig
 from repro.noc.packet import Packet, VNet
 from repro.noc.routing import LOCAL
+from repro.noc.vc import OutPort
 from repro.sim.stats import StatsRegistry
 
 
@@ -80,7 +81,7 @@ class MultiMeshInterface(OrderedNetworkInterface):
         self._resp_rr = (self._resp_rr + 1) % self.n_meshes
         return self._resp_rr
 
-    def _pick_lane(self, packet: Packet) -> Lane:
+    def _pick_lane(self, packet: Packet) -> OutPort:
         return self._lanes[self._mesh_for(packet)]
 
     def _inject_blocked(self) -> bool:
@@ -92,5 +93,5 @@ class MultiMeshInterface(OrderedNetworkInterface):
 
     def _return_eject_credit(self, cycle: int, packet, vnet, vc_index):
         mesh = self._router_of_pid.pop(packet.pid, 0)
-        self._lanes[mesh].router.queue_credit_release(
+        self._lanes[mesh].endpoint.queue_credit_release(
             LOCAL, vnet, vc_index, packet.size_flits, cycle + 1)

@@ -28,12 +28,13 @@ attached to the downstream router.
 
 One lookahead per flit-hop
 --------------------------
-A hop's lookahead has one sender: ``_transmit`` (ST) pushes it next to
-the flit it announces, due a cycle before it (the NIC does the same at
-injection); the bypass grant sends nothing.  A lone lookahead is the
-common case and runs table-driven: ``_unicast_route[dst]`` /
-``_bcast_route[inport]``, ``downstream[port]`` for both directions of a
-link, and a sole-requester rotation per arbiter.
+A hop's lookahead has one sender: :meth:`OutPort.send
+<repro.noc.vc.OutPort.send>` (ST) pushes it next to the flit it
+announces, due a cycle before it — from a router outport and from a
+NIC's injection lane alike; the bypass grant sends nothing.  A lone
+lookahead is the common case and runs table-driven:
+``_unicast_route[dst]`` / ``_bcast_route[inport]``, ``out[port]`` for
+both directions of a link, and a sole-requester rotation per arbiter.
 
 The pinned outcomes come from a model that sent a bypassing flit's
 lookahead twice.  The extra copy named the same inport, so the other
@@ -75,30 +76,29 @@ all-False request vector never rotates an arbiter, so request vectors,
 grants and therefore every cycle equal the scan-everything router; the
 differential suite enforces it.  Stale registrations are harmless — a
 scan is a pure function of committed state.  A router with nothing dirty
-sleeps until its next queued event.  All ``out_credits`` traffic goes
-through :meth:`Router._consume_credit` / :meth:`Router._release_credit`,
-which own the availability flags and every credit-side wake-up.
+sleeps until its next queued event.  Credits, SID table and the
+availability flags the scan reads live in ``out[port]`` (one
+:class:`~repro.noc.vc.OutPort` per link) and move only through its
+``take`` / ``give_back``; every return goes through
+:meth:`Router._release_credit`, which owns the credit-side wake-ups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.noc.arbiter import RotatingPriorityArbiter
 from repro.noc.config import NocConfig
 from repro.noc.packet import Packet, VNet
 from repro.noc.routing import (DIRECTIONS, LOCAL, broadcast_route_table,
                                opposite, unicast_route_table)
-from repro.noc.sid_tracker import SidTracker
-from repro.noc.vc import CreditTracker, InputPort, VCBuffer
+from repro.noc.vc import InputPort, Lookahead, OutPort, VCBuffer
 from repro.sim.engine import WAKE_NEVER, Clocked, EventWheel
 from repro.sim.stats import StatsRegistry
 
 # Pipeline latency constants (cycles), per the module docstring.
 BUFFERED_PIPELINE_DELAY = 2   # arrival -> earliest arbitration
-ROUTER_TO_ROUTER_DELAY = 2    # ST cycle -> processed at neighbour
-LOOKAHEAD_DELAY = 1           # emission -> processed at neighbour
 EJECT_DELAY = 1               # ST cycle -> packet visible at the NIC
 
 # All five router ports, built once: the per-cycle loops below run
@@ -109,23 +109,6 @@ PORTS = (*DIRECTIONS, LOCAL)
 # Why a parked slot was put back in front of SA-I (Router.wakeups index).
 WAKE_CAUSES = ("credit", "sid", "rvc", "order", "retry")
 WAKE_CREDIT, WAKE_SID, WAKE_RVC, WAKE_ORDER, WAKE_RETRY = range(5)
-
-
-@dataclass(slots=True)
-class Lookahead:
-    """Control info sent one cycle ahead of a flit (free wiring: it reuses
-    the conventional header fields — Sec. 3.2)."""
-
-    packet: Packet
-    inport: int          # input port the packet will arrive on
-    echo: bool = False   # the sender bypassed the packet (module docstring)
-
-
-def rvc_unbound(_sid: int, _seq: int) -> bool:
-    """What an outport not yet bound to a NIC answers: the reserved VC
-    admits nothing.  A module-level function (not a lambda) so routers
-    stay picklable for checkpoints."""
-    return False
 
 
 @dataclass(slots=True)
@@ -150,12 +133,11 @@ class Router(Clocked):
         self.node = node
         self.config = config
         self.stats = stats or StatsRegistry()
-        uoresp_depth = max(config.uoresp_vc_depth, config.data_flits)
-        self._uoresp_depth = uoresp_depth
-
         self.inports: List[InputPort] = [
             InputPort(config.goreq_vcs, config.goreq_vc_depth,
-                      config.uoresp_vcs, uoresp_depth, config.reserved_vc)
+                      config.uoresp_vcs,
+                      max(config.uoresp_vc_depth, config.data_flits),
+                      config.reserved_vc)
             for _port in PORTS]
         # Slot table: the VC population of a port never changes, so every
         # input VC gets a fixed slot — GO-REQ normal VCs, then UO-RESP
@@ -174,31 +156,17 @@ class Router(Clocked):
                 self._slot_vc += [vc for vc in buffers if vc.reserved]
                 self._rvc_slots |= 1 << (port * stride + stride - 1)
 
-        # Links: port -> (endpoint, its port facing us, its node id),
-        # None while unconnected.  One entry serves both directions:
-        # outport p's flits arrive there on that port, and inport p's
-        # credits return to it.  The endpoint must offer deliver_packet /
-        # queue_credit_release — and, a router, deliver_lookahead (no
-        # lookahead leaves through LOCAL, whose endpoint is the NIC).
-        self.downstream: List[Optional[Tuple[object, int, int]]] = [None] * 5
+        # Links: port -> the sending end, None while unconnected.  One
+        # entry serves both directions: outport p's flits go to its
+        # endpoint, and inport p's credits return there (no lookahead
+        # leaves through LOCAL, whose endpoint is the NIC).
+        self.out: List[Optional[OutPort]] = [None] * 5
         # Route tables: dst -> outports (XY) and inport -> outports (tree).
         self._unicast_route = unicast_route_table(node, config.width,
                                                   config.height)
         self._bcast_route = broadcast_route_table(node, config.width,
                                                   config.height)
-        self.out_credits: List[Optional[CreditTracker]] = [None] * 5
-        self.sid_trackers: List[Optional[SidTracker]] = [None] * 5
-        self._sid_counts: List[Optional[Dict[int, int]]] = [None] * 5
         self.port_free_at: List[int] = [0] * 5
-        # Per-outport VC availability, [vnet][port] for a free normal VC
-        # plus the reserved VC; owned by _consume_credit/_release_credit.
-        # Unconnected ports stay False.
-        self._vc_free: List[List[bool]] = [[False] * 5, [False] * 5]
-        self._rvc_free: List[bool] = [False] * 5
-        # Per-outport reserved-VC question ``fn(sid, seq)`` (deadlock
-        # avoidance): the downstream node's NIC's ``rvc_eligible``, once
-        # bind_rvc_direct has run.
-        self._rvc_fns: List[Callable[[int, int], bool]] = [rvc_unbound] * 5
 
         self._sa_i = [RotatingPriorityArbiter(stride) for _port in PORTS]
         self._sa_o: List[Optional[RotatingPriorityArbiter]] = [None] * 5
@@ -237,29 +205,18 @@ class Router(Clocked):
 
     def connect(self, port: int, endpoint: object, endpoint_node: int) -> None:
         """Attach *endpoint* (router or NIC) downstream of *port*."""
-        self.downstream[port] = (endpoint, opposite(port), endpoint_node)
-        self.out_credits[port] = CreditTracker(
-            self.config.goreq_vcs, self.config.goreq_vc_depth,
-            self.config.uoresp_vcs, self._uoresp_depth,
-            self.config.reserved_vc)
-        self.sid_trackers[port] = SidTracker()
-        # Direct ref to the tracker's count table (mutated in place,
-        # never reassigned; pickle keeps the sharing): the SA-I scan
-        # tests SID blockage without two attribute hops.
-        self._sid_counts[port] = self.sid_trackers[port]._sid_count
+        self.out[port] = OutPort(self.config, endpoint, opposite(port),
+                                 endpoint_node)
         self.port_free_at[port] = 0
         self._sa_o[port] = RotatingPriorityArbiter(5)
         self._la_arb[port] = RotatingPriorityArbiter(5)
-        self._vc_free[0][port] = self._vc_free[1][port] = True
-        self._rvc_free[port] = self.config.reserved_vc
 
     def bind_rvc_direct(self, nics) -> None:
         """Bind each connected outport's rVC eligibility question to the
         downstream node's NIC (*nics* is indexed by node id)."""
-        for port in PORTS:
-            entry = self.downstream[port]
-            if entry is not None:
-                self._rvc_fns[port] = nics[entry[2]].rvc_eligible
+        for out in self.out:
+            if out is not None:
+                out.admits = nics[out.node].rvc_eligible
 
     def rvc_watchers(self) -> List[Tuple["Router", int]]:
         """(router, outport) pairs whose rVC eligibility questions this
@@ -267,8 +224,9 @@ class Router(Clocked):
         neighbour's outport pointing here.  The NIC pokes each via
         :meth:`note_order_progress` when its ordering advances."""
         return [(self, LOCAL)] + [
-            self.downstream[port][:2] for port in DIRECTIONS
-            if self.downstream[port] is not None]
+            (out.endpoint, out.far_port)
+            for out in (self.out[port] for port in DIRECTIONS)
+            if out is not None]
 
     # ------------------------------------------------------------------
     # Interface used by upstream routers / the local NIC
@@ -295,7 +253,7 @@ class Router(Clocked):
         ``rvc_eligible`` answers that can have flipped to True are that
         source's.  Wake (and re-arbitrate next cycle) only if a slot
         parked on it is admitted to a free reserved VC."""
-        if self._rvc_free[port] and sid in self._rvc_wait[port] \
+        if self.out[port].rvc_free and sid in self._rvc_wait[port] \
                 and self._admit_rvc_waiters(port, (sid,), WAKE_ORDER):
             self.wake()
 
@@ -323,7 +281,7 @@ class Router(Clocked):
             # Normal buffered packets rank below lookaheads: a credit a
             # lookahead just claimed must wake nobody.
             for vnet, port in self._freed:
-                if self._vc_free[vnet][port]:
+                if self.out[port].vc_free[vnet]:
                     self._wake_slots(self._vc_wait[vnet].pop(port, 0),
                                      WAKE_CREDIT)
             self._freed.clear()
@@ -352,7 +310,7 @@ class Router(Clocked):
         per slot parked there under one of *sids*; wake the admitted
         ones (returned as a mask), keep the rest parked."""
         waiting = self._rvc_wait[port]
-        admits = self._rvc_fns[port]
+        admits = self.out[port].admits
         admitted = 0
         for sid in sids:
             slots = waiting.pop(sid)
@@ -374,35 +332,19 @@ class Router(Clocked):
 
     # -- credits --------------------------------------------------------
 
-    def _consume_credit(self, port: int, packet: Packet, vc: int) -> None:
-        """*packet* was granted downstream *vc* of *port* (VS)."""
-        vnet = packet.vnet
-        credits = self.out_credits[port]
-        credits.consume(vnet, vc, packet.size_flits)
-        if vnet == VNet.GO_REQ:
-            self.sid_trackers[port].record(vc, packet.sid)
-            if vc == credits._reserved_index:
-                self._rvc_free[port] = False
-                return
-        self._vc_free[vnet][port] = credits._free_mask[vnet] != 0
-
     def _release_credit(self, port: int, vnet: VNet, vc: int,
                         flits: int) -> None:
         """Downstream *vc* of *port* drained (credit return) or its
         pre-allocation was undone: release every slot parked on it."""
-        credits = self.out_credits[port]
-        credits.release(vnet, vc, flits)
-        if vnet == VNet.GO_REQ:
-            sid = self.sid_trackers[port].clear_vc(vc)
-            if sid is not None and sid not in self._sid_counts[port]:
-                self._wake_slots(self._sid_wait[port].pop(sid, 0), WAKE_SID)
-            if vc == credits._reserved_index:
-                self._rvc_free[port] = credits.reserved_vc_free()
-                if self._rvc_free[port]:
-                    self._admit_rvc_waiters(
-                        port, list(self._rvc_wait[port]), WAKE_RVC)
-                return
-        self._vc_free[vnet][port] = credits._free_mask[vnet] != 0
+        out = self.out[port]
+        sid = out.give_back(vnet, vc, flits)
+        if sid is not None:
+            self._wake_slots(self._sid_wait[port].pop(sid, 0), WAKE_SID)
+        if vnet == VNet.GO_REQ and vc == out.rvc:
+            if out.rvc_free:
+                self._admit_rvc_waiters(
+                    port, list(self._rvc_wait[port]), WAKE_RVC)
+            return
         waiters = self._vc_wait[vnet]
         slots = waiters.get(port)
         if slots:
@@ -481,10 +423,10 @@ class Router(Clocked):
 
     def _release_upstream(self, cycle: int, packet: Packet, inport: int,
                           vnet: VNet, vc_index: int) -> None:
-        link = self.downstream[inport]
+        link = self.out[inport]
         if link is not None:
-            link[0].queue_credit_release(link[1], vnet, vc_index,
-                                         packet.size_flits, cycle + 1)
+            link.endpoint.queue_credit_release(
+                link.far_port, vnet, vc_index, packet.size_flits, cycle + 1)
 
     # -- routing --------------------------------------------------------
 
@@ -575,11 +517,12 @@ class Router(Clocked):
         for port in outports:
             if self.port_free_at[port] > arrival:
                 return False
-            if vnet == VNet.GO_REQ and self.sid_trackers[port].blocks(packet.sid):
+            if vnet == VNet.GO_REQ and packet.sid in self.out[port].sid_count:
                 return False
         granted_vcs: Dict[int, int] = {}
         for port in outports:
-            vc = self._select_downstream_vc(port, packet)
+            out = self.out[port]
+            vc = out.select(packet)
             if vc is None:
                 # Undo this call's own consumptions (net-zero credit
                 # motion: whoever it wakes just re-parks).
@@ -588,7 +531,7 @@ class Router(Clocked):
                                          packet.size_flits)
                 return False
             granted_vcs[port] = vc
-            self._consume_credit(port, packet, vc)
+            out.take(packet, vc)
         for port in outports:
             self.port_free_at[port] = arrival + packet.size_flits
         self._bypass_grants[packet.pid] = _BypassGrant(
@@ -604,7 +547,7 @@ class Router(Clocked):
         # only (every parked slot's request line is False).  Requestable
         # outports are computed once per slot and reused by SA-O —
         # nothing that feeds the answer changes between the two passes,
-        # and SA-O grants re-validate through _select_downstream_vc.
+        # and SA-O grants re-validate through OutPort.select.
         eligible = self._scan(cycle, self._dirty & ~self._rvc_slots)
         if not eligible:
             return
@@ -646,8 +589,7 @@ class Router(Clocked):
         eligible: Dict[int, Tuple[VCBuffer, List[int], int]] = {}
         slot_vc = self._slot_vc
         port_free_at = self.port_free_at
-        sid_counts = self._sid_counts
-        rvc_free = self._rvc_free
+        outs = self.out
         has_rvc = self.config.reserved_vc
         scans = blocked = 0
         while pending:
@@ -666,7 +608,6 @@ class Router(Clocked):
             is_goreq = vnet == VNet.GO_REQ
             use_rvc = is_goreq and has_rvc
             sid = packet.sid
-            vc_free = self._vc_free[vnet]
             ports: List[int] = []
             retry = WAKE_NEVER
             parked: List[Tuple[Dict[int, int], int]] = []  # (registry, key)
@@ -675,11 +616,13 @@ class Router(Clocked):
                 if free_at > cycle:
                     if free_at < retry:
                         retry = free_at
-                elif is_goreq and sid in sid_counts[port]:
+                    continue
+                out = outs[port]
+                if is_goreq and sid in out.sid_count:
                     parked.append((self._sid_wait[port], sid))
-                elif vc_free[port] or (
-                        use_rvc and rvc_free[port]
-                        and self._rvc_fns[port](sid, packet.seq)):
+                elif out.vc_free[vnet] or (
+                        use_rvc and out.rvc_free
+                        and out.admits(sid, packet.seq)):
                     ports.append(port)
                 else:
                     parked.append((self._vc_wait[vnet], port))
@@ -702,10 +645,11 @@ class Router(Clocked):
                          port: int, bit: int) -> None:
         packet = vc.packet
         vnet = packet.vnet
-        downstream_vc = self._select_downstream_vc(port, packet)
+        out = self.out[port]
+        downstream_vc = out.select(packet)
         if downstream_vc is None:
             return
-        self._consume_credit(port, packet, downstream_vc)
+        out.take(packet, downstream_vc)
         self.port_free_at[port] = cycle + packet.size_flits
         self._transmit(cycle, packet, port, vnet, downstream_vc)
         if vc.complete_outport(port):
@@ -713,44 +657,19 @@ class Router(Clocked):
             self._dirty &= ~bit
             self._release_upstream(cycle, packet, inport, vnet, vc.index)
 
-    def _select_downstream_vc(self, port: int,
-                              packet: Packet) -> Optional[int]:
-        """VC selection (VS): a free normal VC, else the rVC if eligible.
-
-        The rVC admits only requests at or above the priority of the
-        downstream NIC's expected request (deadlock avoidance; the
-        eligibility question is answered by that NIC).
-        """
-        vnet = packet.vnet
-        credits = self.out_credits[port]
-        free = credits.first_free_normal_vc(vnet)
-        if free is not None:
-            return free
-        if vnet == VNet.GO_REQ and self.config.reserved_vc \
-                and credits.reserved_vc_free() \
-                and self._rvc_fns[port](packet.sid, packet.seq):
-            return credits.reserved_index
-        return None
-
     def _transmit(self, cycle: int, packet: Packet, port: int, vnet: VNet,
                   downstream_vc: int, echo: bool = False) -> None:
-        """ST: hand the packet to the link and, one cycle ahead of it,
-        the hop's one lookahead (*echo*: this is a bypass transit)."""
-        endpoint, far_port, _node = self.downstream[port]
+        """ST: hand the packet to the link (*echo*: this is a bypass
+        transit) or, through LOCAL, to the NIC."""
         if port == LOCAL:
             # Cut-through: the serialization penalty of a multi-flit
             # packet is paid once, when the tail drains at the ejection
             # port (per-hop bandwidth is charged via port-busy time).
-            endpoint.deliver_packet(packet, LOCAL, vnet, downstream_vc,
-                                    cycle + EJECT_DELAY
-                                    + packet.size_flits - 1)
+            self.out[LOCAL].endpoint.deliver_packet(
+                packet, LOCAL, vnet, downstream_vc,
+                cycle + EJECT_DELAY + packet.size_flits - 1)
         else:
-            endpoint.deliver_packet(packet, far_port, vnet, downstream_vc,
-                                    cycle + ROUTER_TO_ROUTER_DELAY)
-            if self.config.lookahead_bypass:
-                endpoint.deliver_lookahead(
-                    Lookahead(packet, far_port, echo),
-                    cycle + LOOKAHEAD_DELAY)
+            self.out[port].send(cycle, packet, downstream_vc, echo)
         self.stats.incr("noc.flits.transmitted", packet.size_flits)
         journal = self.journal
         if journal is not None:
@@ -780,11 +699,8 @@ class Router(Clocked):
         the passive reading :class:`~repro.sim.journal.MeshSampler`
         records at sample boundaries.  Committed state only — calling
         this never changes router behaviour or sleep scheduling."""
-        in_flight = 0
-        for credits in self.out_credits:
-            if credits is not None:
-                in_flight += credits.in_flight_flits()
-        return self.occupancy(), in_flight
+        return self.occupancy(), sum(out.in_flight_flits()
+                                     for out in self.out if out is not None)
 
     def sid_invariant_holds(self) -> bool:
         """No two buffered GO-REQ packets at one input port share a SID."""

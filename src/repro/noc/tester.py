@@ -7,8 +7,8 @@ sustains at most 1/k^2 broadcast flits/node/cycle — 0.027 for 36 cores,
 0.01 for 100).
 
 The tester bypasses the coherence stack entirely: it drives the router's
-LOCAL port with the same credit/SID discipline a NIC would use and
-consumes ejected packets immediately.
+LOCAL port through the same :class:`~repro.noc.vc.OutPort` a NIC injects
+through and consumes ejected packets immediately.
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ from typing import Dict, List, Optional
 from repro.noc.config import NocConfig
 from repro.noc.mesh import Mesh
 from repro.noc.packet import Packet, VNet
-from repro.noc.router import LOOKAHEAD_DELAY, Lookahead
 from repro.noc.routing import LOCAL
-from repro.noc.sid_tracker import SidTracker
-from repro.noc.vc import CreditTracker
-from repro.sim.engine import Clocked, Engine
+from repro.noc.vc import OutPort
+from repro.sim.engine import Clocked, Engine, EventWheel
 from repro.sim.stats import StatsRegistry
 
 PATTERNS = ("uniform", "broadcast", "transpose", "bit_complement",
@@ -64,11 +62,9 @@ class NodeTester(Clocked):
         self.traffic = traffic
         self.stats = stats
         self.rng = rng
-        self.router = None
-        self._credits: Optional[CreditTracker] = None
-        self._sid_tracker = SidTracker()
-        self._credit_returns: List = []
-        self._pending_eject: List = []
+        self._lane: Optional[OutPort] = None
+        self._credit_returns = EventWheel()
+        self._pending_eject = EventWheel()
         self._backlog: List[Packet] = []
         self._seq = 0
         self.injected = 0
@@ -76,11 +72,7 @@ class NodeTester(Clocked):
         self.latencies: List[int] = []
 
     def attach(self, router) -> None:
-        self.router = router
-        depth = max(self.noc.uoresp_vc_depth, self.noc.data_flits)
-        self._credits = CreditTracker(
-            self.noc.goreq_vcs, self.noc.goreq_vc_depth,
-            self.noc.uoresp_vcs, depth, self.noc.reserved_vc)
+        self._lane = OutPort(self.noc, router, LOCAL, self.node)
 
     # -- destination patterns -------------------------------------------
 
@@ -123,10 +115,10 @@ class NodeTester(Clocked):
     # -- downstream interface -------------------------------------------
 
     def deliver_packet(self, packet, inport, vnet, vc_index, arrive_cycle):
-        self._pending_eject.append((arrive_cycle, packet, vnet, vc_index))
+        self._pending_eject.push(arrive_cycle, (packet, vnet, vc_index))
 
     def queue_credit_release(self, outport, vnet, vc, flits, cycle):
-        self._credit_returns.append((cycle, vnet, vc, flits))
+        self._credit_returns.push(cycle, (vnet, vc, flits))
 
     # -- clocking --------------------------------------------------------
 
@@ -135,26 +127,20 @@ class NodeTester(Clocked):
     # the draw sequence and change the generated traffic.  Synthetic
     # mesh characterization therefore runs every tick, by design.
     def step(self, cycle: int) -> None:
-        for entry in [e for e in self._credit_returns if e[0] <= cycle]:
-            self._credit_returns.remove(entry)
-            _c, vnet, vc, flits = entry
-            self._credits.release(vnet, vc, flits)
-            if vnet == VNet.GO_REQ and self._credits.vc_free(vnet, vc):
-                self._sid_tracker.clear_vc(vc)
-        for entry in [e for e in self._pending_eject if e[0] <= cycle]:
-            self._pending_eject.remove(entry)
-            _c, packet, vnet, vc_index = entry
+        lane = self._lane
+        for vnet, vc, flits in self._credit_returns.pop_due(cycle):
+            lane.give_back(vnet, vc, flits)
+        for packet, vnet, vc_index in self._pending_eject.pop_due(cycle):
             self.received += 1
             if packet.inject_cycle >= self.traffic.warmup:
                 self.latencies.append(cycle - packet.inject_cycle)
-            self.router.queue_credit_release(LOCAL, vnet, vc_index,
-                                             packet.size_flits, cycle + 1)
+            lane.endpoint.queue_credit_release(LOCAL, vnet, vc_index,
+                                               packet.size_flits, cycle + 1)
         # Bernoulli injection process + backlog retry.
         if self.rng.random() < self.traffic.injection_rate:
             self._backlog.append(self._make_packet())
         if self._backlog and self._try_inject(self._backlog[0], cycle):
             self._backlog.pop(0)
-
 
     def _make_packet(self) -> Packet:
         packet = Packet(vnet=self.traffic.vnet, src=self.node,
@@ -164,22 +150,12 @@ class NodeTester(Clocked):
         return packet
 
     def _try_inject(self, packet: Packet, cycle: int) -> bool:
-        vnet = packet.vnet
-        if vnet == VNet.GO_REQ and self._sid_tracker.blocks(packet.sid):
-            return False
-        vc = self._credits.first_free_normal_vc(vnet)
+        vc = self._lane.select(packet)
         if vc is None:
             return False
-        self._credits.consume(vnet, vc, packet.size_flits)
-        if vnet == VNet.GO_REQ:
-            self._sid_tracker.record(vc, packet.sid)
+        self._lane.take(packet, vc)
         packet.inject_cycle = cycle
-        if self.noc.lookahead_bypass:
-            self.router.deliver_lookahead(
-                Lookahead(packet=packet, inport=LOCAL),
-                process_cycle=cycle + LOOKAHEAD_DELAY)
-        self.router.deliver_packet(packet, LOCAL, vnet, vc,
-                                   arrive_cycle=cycle + 2)
+        self._lane.send(cycle, packet, vc)
         self.injected += 1
         return True
 

@@ -27,6 +27,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.nic.controller import _STAY_AWAKE, NetworkInterface
 from repro.noc.config import NocConfig, NotificationConfig
 from repro.noc.packet import Packet, VNet
+from repro.sim.engine import EventWheel
 from repro.sim.stats import StatsRegistry
 
 
@@ -69,7 +70,7 @@ class InsoNetworkInterface(NetworkInterface):
         # and count the messages for the bandwidth-overhead metric.
         self.peers: list = [self]
         self.expiry_latency = (noc_config.width - 1) + (noc_config.height - 1) + 1
-        self._future_frontiers: list = []
+        self._future_frontiers = EventWheel()
         self._recent_used: list = []          # own slots not yet expired-past
         # Per owner, the slots at or above the delivery frontier known
         # to carry a request: wait for those instead of skipping them.
@@ -101,7 +102,7 @@ class InsoNetworkInterface(NetworkInterface):
         self._recent_used = [s for s in self._recent_used if s > through]
         when = cycle + self.expiry_latency
         for peer in self.peers:
-            peer._future_frontiers.append((when, self.node, through, used))
+            peer._future_frontiers.push(when, (self.node, through, used))
             peer.wake(when)
         self.stats.incr("inso.expiry_messages")
 
@@ -172,18 +173,13 @@ class InsoNetworkInterface(NetworkInterface):
             self._next_expiry_cycle = cycle + self.expiration_window
             if not self._inject_queues[VNet.GO_REQ]:
                 self._broadcast_expiry(cycle)
-        if self._future_frontiers:
-            due = [f for f in self._future_frontiers if f[0] <= cycle]
-            if due:
-                self._future_frontiers = [
-                    f for f in self._future_frontiers if f[0] > cycle]
-                for _when, node, through, used in due:
-                    if through > self._expiry_frontier[node]:
-                        self._expiry_frontier[node] = through
-                    # Only the expected slot is ever looked up, and
-                    # the frontier only rises.
-                    self._known_used[node].update(
-                        s for s in used if s >= self._expected_slot)
+        for node, through, used in self._future_frontiers.pop_due(cycle):
+            if through > self._expiry_frontier[node]:
+                self._expiry_frontier[node] = through
+            # Only the expected slot is ever looked up, and the frontier
+            # only rises.
+            self._known_used[node].update(
+                s for s in used if s >= self._expected_slot)
         super().step(cycle)
 
     def idle(self) -> bool:

@@ -28,7 +28,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro.core.config import ChipConfig
 from repro.experiments import (SystemSpec, builder_names,
                                execute_system_spec)
@@ -121,12 +120,14 @@ _RESUME_SNIPPET = (
 )
 
 
-def _resume_in_fresh_process(path) -> bytes:
+def _resume_in_fresh_process(path, source_snapshot) -> bytes:
     """The other half of the differential: a brand-new interpreter
-    restores the snapshot and finishes the run."""
+    restores the snapshot and finishes the run — from the session's copy
+    of the sources (``tests/conftest.py``), so an edit under
+    ``src/repro`` mid-session cannot reach one side only."""
     env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = (str(source_snapshot) + os.pathsep
+                         + env.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-c", _RESUME_SNIPPET, str(path)],
         capture_output=True, env=env, timeout=300)
@@ -143,14 +144,15 @@ def test_every_registered_builder_is_covered():
 
 
 @pytest.mark.parametrize("case", sorted(_specs()))
-def test_checkpoint_restore_payload_identity(case, tmp_path):
+def test_checkpoint_restore_payload_identity(case, tmp_path,
+                                             source_snapshot):
     """Straight vs snapshot-at-50 -> restore-in-fresh-process -> finish:
     byte-identical payloads for every registered builder."""
     spec = _specs()[case]
     straight = _payload_bytes(spec)
     path = tmp_path / f"{case}.ckpt"
     _snapshot_at(spec, CUT_CYCLE, path)
-    resumed = _resume_in_fresh_process(path)
+    resumed = _resume_in_fresh_process(path, source_snapshot)
     assert resumed == straight, (
         f"{case!r}: resuming from a cycle-{CUT_CYCLE} checkpoint changed "
         "the simulated outcome — some component state is not captured "
@@ -158,11 +160,11 @@ def test_checkpoint_restore_payload_identity(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_checkpoint_restore_matches_goldens(case, tmp_path):
+def test_checkpoint_restore_matches_goldens(case, tmp_path, source_snapshot):
     spec = _specs()[case]
     path = tmp_path / f"{case}.ckpt"
     _snapshot_at(spec, CUT_CYCLE, path)
-    payload = json.loads(_resume_in_fresh_process(path))
+    payload = json.loads(_resume_in_fresh_process(path, source_snapshot))
     observed = {
         "runtime": payload["runtime"],
         "flits": int(payload["stats"].get("noc.flits.transmitted", 0)),
@@ -171,7 +173,7 @@ def test_checkpoint_restore_matches_goldens(case, tmp_path):
     assert observed == GOLDEN[case]
 
 
-def test_litmus_observations_survive_fresh_process(tmp_path):
+def test_litmus_observations_survive_fresh_process(tmp_path, source_snapshot):
     """The litmus observations collected after a fresh-process restore
     are the straight run's, row for row (already implied by the payload
     bytes, asserted explicitly because SC verdicts hang off them)."""
@@ -179,7 +181,7 @@ def test_litmus_observations_survive_fresh_process(tmp_path):
     straight = json.loads(_payload_bytes(spec))
     path = tmp_path / "litmus.ckpt"
     _snapshot_at(spec, 100, path)
-    resumed = json.loads(_resume_in_fresh_process(path))
+    resumed = json.loads(_resume_in_fresh_process(path, source_snapshot))
     assert straight["extra"]["observations"] == \
         resumed["extra"]["observations"]
     assert len(resumed["extra"]["observations"]) == 4

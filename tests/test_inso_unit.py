@@ -47,9 +47,10 @@ class TestExpiry:
         nic.send_request(object())          # uses slot 0
         nic._broadcast_expiry(cycle=100)
         # The frontier update arrives after the expiry latency.
-        (when, node, through, used) = nic._future_frontiers[-1]
+        when = 100 + nic.expiry_latency
+        assert nic._future_frontiers.min_due == when
+        [(node, through, used)] = nic._future_frontiers.pop_due(when)
         assert node == 0
-        assert when == 100 + nic.expiry_latency
         assert 0 in used                    # slot 0 was used, not expired
         assert through >= nic.n_nodes * nic.expiry_batch
 
@@ -113,7 +114,7 @@ class TestDelivery:
         for cycle in range(10, 20):
             nic.step(cycle)
         assert nic._expected_slot > 9
-        nic._future_frontiers.append((20, 0, 17, (0, 9)))   # stale notice
+        nic._future_frontiers.push(20, (0, 17, (0, 9)))     # stale notice
         nic.step(20)
         for used in nic._known_used.values():
             assert all(slot >= nic._expected_slot for slot in used)

@@ -74,29 +74,28 @@ class TestLanes:
     def test_credit_returned_through_tap_k_reaches_lane_k_only(self):
         # Hold GO-REQ VC 0 (one flit, from SID 4) on every lane, then
         # return the credit through the tap of mesh 1 alone.
-        from repro.noc.packet import VNet
+        from repro.noc.packet import Packet, VNet
         nic = build([]).nics[4]
-        for credits, sid_tracker, _router in nic._lanes:
-            credits.consume(VNet.GO_REQ, 0, 1)
-            sid_tracker.record(0, 4)
+        for lane in nic._lanes:
+            lane.take(Packet(vnet=VNet.GO_REQ, src=4, dst=None, sid=4,
+                             size_flits=1), 0)
         nic.tap(1).queue_credit_release(0, VNet.GO_REQ, 0, 1, cycle=7)
         nic.step(7)
-        assert [credits.vc_free(VNet.GO_REQ, 0)
-                for credits, _sids, _router in nic._lanes] == [False, True]
-        assert [sids.live_entries()
-                for _credits, sids, _router in nic._lanes] == [{0: 4}, {}]
+        assert [lane.free_mask[VNet.GO_REQ] & 1
+                for lane in nic._lanes] == [0, 1]
+        assert [lane.sid_of_vc for lane in nic._lanes] == [{0: 4}, {}]
 
     def test_twin_routers_ask_the_same_nic_about_the_reserved_vc(self):
         system = build([], n_meshes=2)
         first, second = system.meshes
         asked = 0
         for router, twin in zip(first.routers, second.routers):
-            for port, link in enumerate(router.downstream):
+            for port, link in enumerate(router.out):
                 if link is None:
                     continue
-                nic = system.nics[link[2]]
-                assert router._rvc_fns[port].__self__ is nic
-                assert twin._rvc_fns[port].__self__ is nic
+                nic = system.nics[link.node]
+                assert link.admits.__self__ is nic
+                assert twin.out[port].admits.__self__ is nic
                 asked += 1
         assert asked == 9 + 2 * 12      # LOCAL ports + both ends of 12 links
 

@@ -12,11 +12,10 @@ import pytest
 from repro.noc.config import NocConfig
 from repro.noc.mesh import Mesh, zero_load_latency
 from repro.noc.packet import Packet, VNet
-from repro.noc.router import LOOKAHEAD_DELAY, Lookahead, Router
+from repro.noc.router import Router
 from repro.noc.routing import LOCAL, WEST
-from repro.noc.sid_tracker import SidTracker
 from repro.noc.tester import NetworkTester, TrafficConfig
-from repro.noc.vc import CreditTracker
+from repro.noc.vc import OutPort
 from repro.sim.engine import Engine
 
 
@@ -26,20 +25,14 @@ class StubEndpoint:
     def __init__(self, node: int, config: NocConfig) -> None:
         self.node = node
         self.config = config
-        self.router = None
+        self.lane: Optional[OutPort] = None
         self.received: List[Tuple[int, Packet]] = []
-        self._inject_credits: Optional[CreditTracker] = None
-        self._sid_tracker = SidTracker()
         self._credit_returns = []
         self._pending = []
         self.sent = 0
 
     def attach(self, router) -> None:
-        self.router = router
-        depth = max(self.config.uoresp_vc_depth, self.config.data_flits)
-        self._inject_credits = CreditTracker(
-            self.config.goreq_vcs, self.config.goreq_vc_depth,
-            self.config.uoresp_vcs, depth, self.config.reserved_vc)
+        self.lane = OutPort(self.config, router, LOCAL, self.node)
 
     # downstream interface -------------------------------------------------
     def deliver_packet(self, packet, inport, vnet, vc_index, arrive_cycle):
@@ -56,34 +49,21 @@ class StubEndpoint:
         for entry in [e for e in self._credit_returns if e[0] <= cycle]:
             self._credit_returns.remove(entry)
             _c, vnet, vc, flits = entry
-            self._inject_credits.release(vnet, vc, flits)
-            if vnet == VNet.GO_REQ and self._inject_credits.vc_free(vnet, vc):
-                self._sid_tracker.clear_vc(vc)
+            self.lane.give_back(vnet, vc, flits)
         for entry in [e for e in self._pending if e[0] <= cycle]:
             self._pending.remove(entry)
             _c, packet, vnet, vc_index = entry
             self.received.append((cycle, packet))
-            self.router.queue_credit_release(LOCAL, vnet, vc_index,
-                                             packet.size_flits, cycle + 1)
+            self.lane.endpoint.queue_credit_release(
+                LOCAL, vnet, vc_index, packet.size_flits, cycle + 1)
 
     def inject(self, packet: Packet, cycle: int) -> bool:
-        vnet = packet.vnet
-        if vnet == VNet.GO_REQ and self._sid_tracker.blocks(packet.sid):
+        vc = self.lane.select(packet)
+        if vc is None:
             return False
-        free = self._inject_credits.free_normal_vcs(vnet)
-        if not free:
-            return False
-        vc = free[0]
-        self._inject_credits.consume(vnet, vc, packet.size_flits)
-        if vnet == VNet.GO_REQ:
-            self._sid_tracker.record(vc, packet.sid)
+        self.lane.take(packet, vc)
         packet.inject_cycle = cycle
-        if self.config.lookahead_bypass:
-            self.router.deliver_lookahead(
-                Lookahead(packet=packet, inport=LOCAL),
-                process_cycle=cycle + LOOKAHEAD_DELAY)
-        self.router.deliver_packet(packet, LOCAL, vnet, vc,
-                                   arrive_cycle=cycle + 2)
+        self.lane.send(cycle, packet, vc)
         self.sent += 1
         return True
 
@@ -344,10 +324,9 @@ class TestStaleBypassGrant:
     def _plant_stale_grant(self, fabric, router, packet, outport,
                            arrival_cycle):
         from repro.noc.router import _BypassGrant
-        vnet = packet.vnet
-        vc = router._select_downstream_vc(outport, packet)
+        vc = router.out[outport].select(packet)
         assert vc is not None
-        router._consume_credit(outport, packet, vc)
+        router.out[outport].take(packet, vc)
         router._bypass_grants[packet.pid] = _BypassGrant(
             arrival_cycle=arrival_cycle, outports=frozenset({outport}),
             granted_vcs={outport: vc}, inport=LOCAL)
@@ -362,12 +341,11 @@ class TestStaleBypassGrant:
         # Crossbar pre-allocated for an arrival at cycle 4 ...
         vc = self._plant_stale_grant(fabric, router, packet, outport,
                                      arrival_cycle=4)
-        assert not router.out_credits[outport].vc_free(packet.vnet, vc)
+        assert not router.out[outport].free_mask[packet.vnet] >> vc & 1
         # ... but the packet shows up at cycle 6 (upstream credits
         # consumed as a real injection would, so the release on forward
         # balances).
-        fabric.endpoints[5]._inject_credits.consume(packet.vnet, 0,
-                                                    packet.size_flits)
+        fabric.endpoints[5].lane.take(packet, 0)
         router.deliver_packet(packet, LOCAL, packet.vnet, 0, arrive_cycle=6)
         fabric.run(8)
         assert fabric.mesh.stats.counter("router.grants.stale") == 1
@@ -390,17 +368,14 @@ class TestStaleBypassGrant:
         outport = xy_route(5, 6, fabric.config.width)
         vc = self._plant_stale_grant(fabric, router, packet, outport,
                                      arrival_cycle=4)
-        assert router.sid_trackers[outport].blocks(5)
-        fabric.endpoints[5]._inject_credits.consume(packet.vnet, 0,
-                                                    packet.size_flits)
-        fabric.endpoints[5]._sid_tracker.record(0, packet.sid)
+        assert 5 in router.out[outport].sid_count
+        fabric.endpoints[5].lane.take(packet, 0)
         router.deliver_packet(packet, LOCAL, packet.vnet, 0, arrive_cycle=6)
         fabric.run(8)
         assert fabric.mesh.stats.counter("router.grants.stale") == 1
         # Rollback must also retract the SID reservation, or source 5
         # would deadlock against its own stale grant.
-        sids_at_6 = [s for _vc, s in
-                     router.sid_trackers[outport].live_entries().items()]
+        sids_at_6 = list(router.out[outport].sid_of_vc.values())
         assert sids_at_6.count(5) <= 1    # only the re-forwarded copy
         fabric.run(60)
         assert fabric.mesh.total_occupancy() == 0

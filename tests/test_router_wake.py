@@ -88,7 +88,7 @@ class Bench:
             self._filler_sid += 1
             sid = self._filler_sid
         filler = Packet(vnet=vnet, src=0, dst=0, sid=sid, size_flits=1)
-        self.router._consume_credit(port, filler, vc)
+        self.router.out[port].take(filler, vc)
 
     def exhaust(self, port, vnet):
         """Occupy every normal VC of *vnet* downstream of *port*."""
@@ -284,7 +284,7 @@ class TestReservedVcWakes:
         assert r._rvc_wait[EAST] == {1: a_bit}
         r.note_order_progress(EAST, 1)
         assert r._dirty == 0 and b.wakes == 0
-        assert r._select_downstream_vc(EAST, b.goreq(1, b.node + 1)) is None
+        assert r.out[EAST].select(b.goreq(1, b.node + 1)) is None
         # The same packet goes the moment a NIC is bound and admits it.
         r.bind_rvc_direct({b.node: b})
         r.note_order_progress(EAST, 1)

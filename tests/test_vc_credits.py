@@ -1,14 +1,24 @@
-"""Unit tests for VC buffers, credit tracking and the SID tracker."""
+"""Unit tests for VC buffers and the credit and SID sides of an
+:class:`~repro.noc.vc.OutPort`."""
 
 import pytest
 
+from repro.noc.config import NocConfig
 from repro.noc.packet import Packet, VNet
-from repro.noc.sid_tracker import SidTracker
-from repro.noc.vc import CreditTracker, InputPort, VCBuffer
+from repro.noc.routing import LOCAL
+from repro.noc.vc import InputPort, OutPort, VCBuffer
 
 
 def make_packet(sid=0, size=1, vnet=VNet.GO_REQ):
     return Packet(vnet=vnet, src=sid, dst=None, sid=sid, size_flits=size)
+
+
+def make_out(goreq_vcs=4, goreq_depth=1):
+    """An unconnected sending end over *goreq_vcs* + 1 reserved GO-REQ
+    VCs and two 3-flit UO-RESP VCs."""
+    config = NocConfig(goreq_vcs=goreq_vcs, goreq_vc_depth=goreq_depth,
+                       uoresp_vcs=2, uoresp_vc_depth=3, reserved_vc=True)
+    return OutPort(config, endpoint=None, far_port=LOCAL, node=0)
 
 
 class TestVCBuffer:
@@ -53,68 +63,71 @@ class TestInputPort:
 
 class TestCreditTracker:
     def test_initial_credits(self):
-        ct = CreditTracker(4, 1, 2, 3, reserved_vc=True)
-        assert ct.credits(VNet.GO_REQ, 0) == 1
-        assert ct.credits(VNet.UO_RESP, 1) == 3
-        assert ct.reserved_index == 4
-        assert ct.reserved_vc_free()
+        out = make_out()
+        assert out.credits[VNet.GO_REQ][0] == 1
+        assert out.credits[VNet.UO_RESP][1] == 3
+        assert out.rvc == 4
+        assert out.rvc_free
 
     def test_consume_release_roundtrip(self):
-        ct = CreditTracker(4, 1, 2, 3, reserved_vc=True)
-        ct.consume(VNet.UO_RESP, 0, 3)
-        assert not ct.vc_free(VNet.UO_RESP, 0)
-        ct.release(VNet.UO_RESP, 0, 3)
-        assert ct.vc_free(VNet.UO_RESP, 0)
+        out = make_out()
+        out.take(make_packet(size=3, vnet=VNet.UO_RESP), 0)
+        assert not out.free_mask[VNet.UO_RESP] & 1
+        out.give_back(VNet.UO_RESP, 0, 3)
+        assert out.free_mask[VNet.UO_RESP] & 1
 
     def test_underflow_raises(self):
-        ct = CreditTracker(4, 1, 2, 3, reserved_vc=True)
-        with pytest.raises(RuntimeError):
-            ct.consume(VNet.GO_REQ, 0, 2)
+        out = make_out()
+        with pytest.raises(RuntimeError, match="underflow"):
+            out.take(make_packet(size=2), 0)
 
     def test_overflow_raises(self):
-        ct = CreditTracker(4, 1, 2, 3, reserved_vc=True)
-        with pytest.raises(RuntimeError):
-            ct.release(VNet.GO_REQ, 0, 1)
+        out = make_out()
+        with pytest.raises(RuntimeError, match="overflow"):
+            out.give_back(VNet.GO_REQ, 0, 1)
 
     def test_free_normal_excludes_reserved(self):
-        ct = CreditTracker(2, 1, 2, 3, reserved_vc=True)
-        free = ct.free_normal_vcs(VNet.GO_REQ)
-        assert free == [0, 1]
-        ct.consume(VNet.GO_REQ, 0, 1)
-        assert ct.free_normal_vcs(VNet.GO_REQ) == [1]
+        out = make_out(goreq_vcs=2)
+        assert out.free_mask[VNet.GO_REQ] == 0b11
+        out.take(make_packet(), 0)
+        assert out.free_mask[VNet.GO_REQ] == 0b10
 
 
 class TestSidTracker:
     def test_blocks_live_sid(self):
-        tracker = SidTracker()
-        assert not tracker.blocks(5)
-        tracker.record(vc=1, sid=5)
-        assert tracker.blocks(5)
-        assert not tracker.blocks(6)
+        out = make_out()
+        assert out.select(make_packet(sid=5)) == 0
+        out.take(make_packet(sid=5), 1)
+        assert out.select(make_packet(sid=5)) is None
+        assert out.select(make_packet(sid=6)) == 0
 
     def test_clear_on_credit_return(self):
-        tracker = SidTracker()
-        tracker.record(1, 5)
-        assert tracker.clear_vc(1) == 5
-        assert not tracker.blocks(5)
+        out = make_out()
+        out.take(make_packet(sid=5), 1)
+        assert out.give_back(VNet.GO_REQ, 1, 1) == 5
+        assert out.select(make_packet(sid=5)) == 0
 
     def test_same_sid_multiple_vcs(self):
         # Can happen transiently across *different* output ports only;
-        # within one tracker it means two VCs hold the same source.
-        tracker = SidTracker()
-        tracker.record(0, 5)
-        tracker.record(1, 5)
-        tracker.clear_vc(0)
-        assert tracker.blocks(5)     # second entry still live
-        tracker.clear_vc(1)
-        assert not tracker.blocks(5)
+        # within one table it means two VCs hold the same source.
+        out = make_out()
+        out.take(make_packet(sid=5), 0)
+        out.take(make_packet(sid=5), 1)
+        assert out.give_back(VNet.GO_REQ, 0, 1) is None
+        assert out.select(make_packet(sid=5)) is None   # second entry live
+        assert out.give_back(VNet.GO_REQ, 1, 1) == 5
+        assert out.select(make_packet(sid=5)) == 0
 
     def test_double_record_same_vc_raises(self):
-        tracker = SidTracker()
-        tracker.record(0, 5)
-        with pytest.raises(RuntimeError):
-            tracker.record(0, 6)
+        out = make_out(goreq_depth=2)       # credits left for a second flit
+        out.take(make_packet(sid=5), 0)
+        with pytest.raises(RuntimeError, match="already tracked"):
+            out.take(make_packet(sid=6), 0)
 
     def test_clear_unknown_vc_is_noop(self):
-        tracker = SidTracker()
-        assert tracker.clear_vc(3) is None
+        # A return that retires no table entry (a UO-RESP VC has none).
+        out = make_out()
+        out.take(make_packet(sid=5), 1)
+        out.take(make_packet(sid=7, size=3, vnet=VNet.UO_RESP), 1)
+        assert out.give_back(VNet.UO_RESP, 1, 3) is None
+        assert out.sid_of_vc == {1: 5}
