@@ -126,6 +126,21 @@ only_in "OutPort built outside router/tester/NIC" \
 src/repro/noc/router.py
 src/repro/noc/tester.py"
 
+# PR 27 - every run through the one pipeline: execute_point is the only
+# run loop under src/repro (run_until_done stays a method, called by no
+# library code); examples and benchmarks build no system class and run
+# none themselves; the second figure-data type, the second litmus runner
+# and the second report door stay deleted.
+found=$(grep -rnE --include='*.py' 'run_until_done\(' src/repro \
+        | grep -v 'def run_until_done(')
+[ -z "$found" ] || fail "run loop outside execute_point: $found"
+forbid "hand-run system in examples / benchmarks" \
+    'run_until_done\(|(Scorpio|Directory|MultiMeshScorpio|Inso|TokenB|Timestamp|Uncorq)System\(' \
+    examples benchmarks
+forbid "second figure-data type / litmus runner / report door" \
+    'FigureData|read_figure_csv|normalized_series|export_stats|run_litmus_detailed|cmd_report_html' \
+    src tests benchmarks examples docs README.md EXPERIMENTS.md
+
 # Dead names: every def / class under src/repro is spelled at least
 # twice across the tree (its definition plus one caller, test or
 # document).  Allow-listed: http.server's do_* handlers (called by

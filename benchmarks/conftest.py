@@ -27,7 +27,7 @@ import pytest
 
 _BENCH_DIR = Path(__file__).parent
 
-# The safety bound and seed of the hand-built (non-figure) harnesses.
+# The safety bound and seed of the non-figure harnesses.
 MAX_CYCLES = 300_000
 SEED = 0
 

@@ -15,9 +15,9 @@ from dataclasses import replace
 from repro.analysis.figures import FULL
 from repro.core import ChipConfig
 from repro.cpu.trace import Trace, TraceOp
-from repro.experiments import RunSpec, run_sweep
-from repro.noc.config import NocConfig
-from repro.systems.scorpio import ScorpioSystem
+from repro.cpu.tracefile import dump_traces
+from repro.experiments import RunSpec, SystemSpec, run_sweep
+from repro.workloads.synthetic import uniform_random_trace
 
 from conftest import run_once
 
@@ -48,31 +48,30 @@ def test_ablation_lookahead_bypass(benchmark):
     assert without.stats.get("noc.router.bypassed", 0) == 0
 
 
-def test_ablation_reserved_vc_deadlock(benchmark):
+def test_ablation_reserved_vc_deadlock(benchmark, tmp_path):
     """Without the rVC, conflict-heavy broadcasts wedge the GO-REQ vnet
     (the deadlock the Sec. 3.2 proof rules out)."""
 
     def run():
-        def build(reserved):
-            noc = NocConfig(width=3, height=3, reserved_vc=reserved)
-            traces = [Trace([TraceOp("W", 0x4000_0000 + (i % 4) * 32, 2)
-                             for i in range(6)]) for _ in range(9)]
-            return ScorpioSystem(traces=traces, noc=noc)
-
-        healthy = build(reserved=True)
-        healthy.run_until_done(150_000)
-        wedged = build(reserved=False)
-        wedged.run_until_done(150_000)
-        return healthy, wedged
+        base = ChipConfig.variant(3, 3)
+        traces = [Trace([TraceOp("W", 0x4000_0000 + (i % 4) * 32, 2)
+                         for i in range(6)]) for _ in range(9)]
+        path = tmp_path / "conflicts.trace"
+        dump_traces(traces, path)
+        return run_sweep([
+            SystemSpec("scorpio", replace(base, noc=replace(
+                base.noc, reserved_vc=reserved)), max_cycles=150_000,
+                workload={"kind": "trace", "path": str(path)})
+            for reserved in (True, False)])
 
     healthy, wedged = run_once(benchmark, run)
     print("\nAblation: reserved VC (deadlock avoidance)")
-    print(f"  with rVC    : progress {healthy.progress():.0%} in "
-          f"{healthy.engine.cycle} cycles")
-    print(f"  without rVC : progress {wedged.progress():.0%} in "
-          f"{wedged.engine.cycle} cycles")
-    assert healthy.all_cores_finished(), "rVC system must finish"
-    assert not wedged.all_cores_finished(), \
+    print(f"  with rVC    : progress {healthy.progress:.0%} in "
+          f"{healthy.runtime} cycles")
+    print(f"  without rVC : progress {wedged.progress:.0%} in "
+          f"{wedged.runtime} cycles")
+    assert healthy.progress == 1.0, "rVC system must finish"
+    assert wedged.progress < 1.0, \
         "removing the rVC should deadlock this conflict pattern"
 
 
@@ -93,37 +92,30 @@ def test_ablation_region_tracker(benchmark):
     assert without.stats.get("l2.snoops.filtered", 0) == 0
 
 
-def test_extension_multiple_main_networks(benchmark):
+def test_extension_multiple_main_networks(benchmark, tmp_path):
     """Sec. 5.3's scaling proposal: replicated main meshes lift broadcast
     throughput without touching the ordering machinery."""
 
     def run():
-        from repro.systems.multimesh import MultiMeshScorpioSystem
-        from repro.systems.scorpio import ScorpioSystem
-        from repro.workloads.synthetic import uniform_random_trace
+        path = tmp_path / "saturating.trace"
+        dump_traces([uniform_random_trace(c, 20, 64, write_fraction=0.5,
+                                          think=1, seed=6)
+                     for c in range(16)], path)
+        workload = {"kind": "trace", "path": str(path)}
+        return run_sweep([
+            SystemSpec("scorpio", ChipConfig.variant(4, 4),
+                       workload=workload),
+            SystemSpec("multimesh", ChipConfig.variant(4, 4),
+                       params={"n_meshes": 2}, workload=workload)])
 
-        noc = NocConfig(width=4, height=4)
-
-        def traces():
-            return [uniform_random_trace(c, 20, 64, write_fraction=0.5,
-                                         think=1, seed=6)
-                    for c in range(16)]
-
-        single = ScorpioSystem(traces=traces(), noc=noc)
-        single_cycles = single.run_until_done(400_000)
-        double = MultiMeshScorpioSystem(traces=traces(), n_meshes=2,
-                                        noc=noc)
-        double_cycles = double.run_until_done(400_000)
-        return single, single_cycles, double, double_cycles
-
-    single, single_cycles, double, double_cycles = run_once(benchmark, run)
+    single, double = run_once(benchmark, run)
     print("\nExtension: multiple main networks (saturating broadcasts)")
-    print(f"  1 mesh  : {single_cycles} cycles "
-          f"(finished={single.all_cores_finished()})")
-    print(f"  2 meshes: {double_cycles} cycles "
-          f"(finished={double.all_cores_finished()})")
-    assert single.all_cores_finished() and double.all_cores_finished()
-    assert double_cycles <= single_cycles * 1.02, \
+    print(f"  1 mesh  : {single.runtime} cycles "
+          f"(finished={single.progress == 1.0})")
+    print(f"  2 meshes: {double.runtime} cycles "
+          f"(finished={double.progress == 1.0})")
+    assert single.progress == double.progress == 1.0
+    assert double.runtime <= single.runtime * 1.02, \
         "replicating the main network must not slow the system"
 
 

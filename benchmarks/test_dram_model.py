@@ -16,11 +16,10 @@ substitution assumes:
   True)``.
 """
 
+from dataclasses import replace
+
 from repro.analysis.figures import FULL, chip
-from repro.memory.controller import MemoryConfig
-from repro.systems.scorpio import ScorpioSystem
-from repro.workloads.suites import profile
-from repro.workloads.synthetic import generate_system_traces, scaled
+from repro.experiments import RunSpec, execute_point
 
 from conftest import MAX_CYCLES, SEED, run_once
 
@@ -29,23 +28,21 @@ REGIMES = {"heavy": FULL.think_scale, "light": 4 * FULL.think_scale}
 
 def _run(name, banked, think_scale):
     config = chip(6, 6)
-    prof = scaled(profile(name), FULL.workload_scale, think_scale)
-    traces = generate_system_traces(prof, config.n_cores,
-                                    FULL.ops_per_core, seed=SEED)
-    system = ScorpioSystem(traces=traces, noc=config.noc,
-                           notification=config.notification,
-                           memory=MemoryConfig(banked=banked))
-    runtime = system.run_until_done(MAX_CYCLES)
-    assert system.all_cores_finished()
-    hist = system.stats.histograms.get("l2.miss_latency.memory")
+    config = replace(config, memory=replace(config.memory, banked=banked))
+    systems = []     # the run's system: histogram extrema are not in a row
+    result = execute_point(
+        RunSpec(name, "scorpio", config, seed=SEED, max_cycles=MAX_CYCLES,
+                **FULL.knobs(think_scale=think_scale)),
+        instrument=systems.append)
+    assert result.progress == 1.0
+    stats = systems[0].stats
+    hist = stats.histograms.get("l2.miss_latency.memory")
     spread = ((hist.maximum or 0) - (hist.minimum or 0)) \
         if hist and hist.count else 0.0
     mean = hist.mean if hist and hist.count else 0.0
-    hits = sum(v for k, v in system.stats.counters.items()
-               if ".row_hits" in k)
-    total = sum(v for k, v in system.stats.counters.items()
-                if ".row_" in k)
-    return dict(runtime=runtime, mean=mean, spread=spread,
+    hits = sum(v for k, v in stats.counters.items() if ".row_hits" in k)
+    total = sum(v for k, v in stats.counters.items() if ".row_" in k)
+    return dict(runtime=result.runtime, mean=mean, spread=spread,
                 row_hit_rate=hits / total if total else 0.0)
 
 

@@ -1,88 +1,35 @@
-"""Synchronization microbenchmarks — lock handoff and barriers.
+"""Synchronization microbenchmark — barrier phases.
 
 Sec. 4.3 lists "lock and barrier instructions" in the chip's
 verification suite, and the intro motivates SCORPIO with shared-memory
 workloads whose communication is exactly this: contended lines
-migrating core-to-core.  This bench measures lock-handoff latency and
-barrier turnaround under SCORPIO and the directory baselines at 36
-cores — the workload-level face of Figure 6b's cache-served latencies.
+migrating core-to-core.  This bench measures barrier turnaround under
+SCORPIO and the directory baselines at 36 cores.  Lock handoff — the
+workload-level face of Figure 6b's cache-served latencies — is the
+registry figure ``locks``, whose claims ``benchmarks/test_figures.py``
+asserts.
 """
 
+from repro.analysis.comparison import system_specs
 from repro.core.config import ChipConfig
-from repro.systems.directory import DirectorySystem
-from repro.systems.scorpio import ScorpioSystem
-from repro.workloads.locks import (LOCK_BASE, barrier_traces,
-                                   lock_contention_traces)
+from repro.experiments import run_sweep
 
 from conftest import MAX_CYCLES, SEED, run_once
 
-
-def _systems(config):
-    noc = config.noc
-    return (
-        ("scorpio", lambda t: ScorpioSystem(traces=t, noc=noc,
-                                            notification=config.notification)),
-        ("lpd", lambda t: DirectorySystem(scheme="LPD", traces=t, noc=noc)),
-        ("ht", lambda t: DirectorySystem(scheme="HT", traces=t, noc=noc)),
-    )
-
-
-def test_sync_lock_handoff(benchmark):
-    config = ChipConfig.chip_36core()
-    n = config.n_cores
-
-    def sweep():
-        out = {}
-        for label, build in _systems(config):
-            traces = lock_contention_traces(n, acquisitions_per_core=3,
-                                            critical_ops=3, think=8,
-                                            seed=SEED)
-            system = build(traces)
-            runtime = system.run_until_done(MAX_CYCLES)
-            assert system.all_cores_finished(), f"{label} hung"
-            version = max(l2.line_version(LOCK_BASE) for l2 in system.l2s)
-            out[label] = dict(
-                runtime=runtime,
-                handoff=system.stats.mean("l2.miss_latency.cache"),
-                version=version)
-        return out
-
-    data = run_once(benchmark, sweep)
-
-    expected_updates = config.n_cores * 3 * 2   # acquire + release each
-    print("\nLock handoff — 36 cores x 3 acquisitions, 3-op critical "
-          "sections")
-    print(f"{'system':<10}{'runtime':>9}{'handoff latency':>17}")
-    for label, row in data.items():
-        print(f"{label:<10}{row['runtime']:>9}{row['handoff']:>16.1f}c")
-    print("atomicity: every fetch-and-increment distinct under all "
-          "three protocols")
-
-    for label, row in data.items():
-        assert row["version"] == expected_updates, \
-            f"{label} lost a lock update"
-    # The broadcast fabric hands the migrating lock line over faster
-    # than either directory indirection.
-    assert data["scorpio"]["handoff"] < data["lpd"]["handoff"]
-    assert data["scorpio"]["handoff"] < data["ht"]["handoff"]
+SYSTEMS = {"scorpio": ("scorpio", {}),
+           "lpd": ("directory", {"scheme": "LPD"}),
+           "ht": ("directory", {"scheme": "HT"})}
 
 
 def test_sync_barrier_phases(benchmark):
-    config = ChipConfig.chip_36core()
-    n = config.n_cores
-
-    def sweep():
-        out = {}
-        for label, build in _systems(config):
-            traces = barrier_traces(n, phases=3, compute_ops=4,
-                                    think=6, seed=SEED)
-            system = build(traces)
-            runtime = system.run_until_done(MAX_CYCLES)
-            assert system.all_cores_finished(), f"{label} hung"
-            out[label] = runtime
-        return out
-
-    data = run_once(benchmark, sweep)
+    specs = system_specs(
+        SYSTEMS, config=ChipConfig.chip_36core(), max_cycles=MAX_CYCLES,
+        workload={"kind": "barrier", "phases": 3, "compute_ops": 4,
+                  "think": 6, "seed": SEED})
+    results = run_once(benchmark, lambda: run_sweep(specs))
+    for result in results:
+        assert result.progress == 1.0, f"{result.label} hung"
+    data = {result.label: result.runtime for result in results}
 
     print("\nBarrier turnaround — 36 cores x 3 phases")
     for label, runtime in data.items():

@@ -9,52 +9,63 @@ Two cores of a 16-node (4x4) mesh miss at almost the same time:
 Both requests broadcast on the unordered main network and announce
 themselves on the notification network.  Every NIC independently derives
 the same global order from the merged notification vector and releases
-the requests to its cache controller in that order — the demo asserts
-that all 16 nodes agree.
+the requests to its cache controller in that order — the demo reads each
+NIC's deliveries off the event journal and asserts that all 16 nodes
+agree.
 
 Run:  python examples/ordered_network_walkthrough.py
 """
 
+import tempfile
+from pathlib import Path
+
+from repro.core import ChipConfig
 from repro.cpu.trace import Trace, TraceOp
-from repro.noc.config import NocConfig
-from repro.systems.scorpio import ScorpioSystem
+from repro.cpu.tracefile import dump_traces
+from repro.experiments import SystemSpec, execute_point
+from repro.sim.journal import EventJournal, attach_observability
 
 ADDR1 = 0x4000_0000
 ADDR2 = 0x4000_1000
+KINDS = {11: "GETX", 1: "GETS"}      # requesting core -> request kind
 
 
 def main() -> None:
-    noc = NocConfig(width=4, height=4)
+    config = ChipConfig.variant(4, 4)
     traces = [Trace([]) for _ in range(16)]
     traces[11] = Trace([TraceOp("W", ADDR1, 2)])   # M1: GETX Addr1
     traces[1] = Trace([TraceOp("R", ADDR2, 3)])    # M2: GETS Addr2
-    system = ScorpioSystem(traces=traces, noc=noc)
-
-    delivery_log = {node: [] for node in range(16)}
-    for node, nic in enumerate(system.nics):
-        nic.add_request_listener(
-            (lambda n: (lambda payload, sid, cycle, arrival:
-                        delivery_log[n].append((cycle, sid,
-                                                payload.kind.value))))(node))
-
-    window = system.notif_config.window
-    print(f"4x4 mesh, notification window = {window} cycles")
+    print(f"4x4 mesh, notification window = {config.notification.window} "
+          f"cycles")
     print("core 11 injects GETX Addr1 (M1); core 1 injects GETS Addr2 (M2)\n")
 
-    system.run_until_done(10_000)
+    journal = EventJournal(capacity=1 << 16)
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "figure1.trace"
+        dump_traces(traces, path)
+        execute_point(
+            SystemSpec("scorpio", config, max_cycles=10_000,
+                       workload={"kind": "trace", "path": str(path)}),
+            instrument=lambda system: attach_observability(system, journal))
+
+    # "order delivered" records: detail "pid=<p> sid=<core> waited=<w>".
+    delivered = {node: [] for node in range(16)}
+    for cycle, component, stage, event, detail in journal.records():
+        if (stage, event) == ("order", "delivered"):
+            sid = int(detail.split("sid=")[1].split()[0])
+            delivered[int(component.split(".")[1])].append((cycle, sid))
 
     print("per-node delivery of the ordered requests:")
-    for node in range(16):
-        entries = ", ".join(f"T{cycle}: {kind} from core {sid}"
-                            for cycle, sid, kind in delivery_log[node])
+    for node, log in delivered.items():
+        entries = ", ".join(f"T{cycle}: {KINDS[sid]} from core {sid}"
+                            for cycle, sid in log)
         print(f"  node {node:>2}: {entries}")
 
-    orders = {tuple((sid, kind) for _c, sid, kind in log)
-              for log in delivery_log.values()}
+    orders = {tuple(sid for _cycle, sid in log) for log in delivered.values()}
     assert len(orders) == 1, "nodes disagreed on the global order!"
-    order = next(iter(orders))
+    order, = orders
     print(f"\nall 16 nodes processed the requests in the same order: "
-          f"{' -> '.join(f'core {sid} ({kind})' for sid, kind in order)}")
+          f"{' -> '.join(f'core {sid} ({KINDS[sid]})' for sid in order)}")
     print("(the rotating priority arbiter decided the tie — exactly the "
           "walkthrough of Figure 1)")
 

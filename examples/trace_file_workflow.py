@@ -5,7 +5,7 @@ The paper injects Graphite-produced SPLASH-2/PARSEC traces into the
 SCORPIO RTL (Sec. 5).  This example shows the equivalent interchange:
 synthesize a workload, write it to the plain-text trace format any
 external tool can produce, reload it, run it under two protocols, and
-export per-run statistics as CSV artifacts.
+export per-run statistics as stable JSON artifacts.
 
 Run:  python examples/trace_file_workflow.py
 """
@@ -13,7 +13,6 @@ Run:  python examples/trace_file_workflow.py
 import tempfile
 from pathlib import Path
 
-from repro.analysis.export import export_stats
 from repro.core import ChipConfig
 from repro.core.api import run_trace_file
 from repro.cpu.tracefile import dump_traces, load_traces
@@ -26,31 +25,30 @@ def main() -> None:
     prof = scaled(profile("fft"), 0.05, 15.0)
     traces = generate_system_traces(prof, config.n_cores, 60, seed=2)
 
-    workdir = Path(tempfile.mkdtemp(prefix="scorpio-traces-"))
-    trace_path = workdir / "fft-16c.trace"
-    dump_traces(traces, trace_path)
-    size_kb = trace_path.stat().st_size / 1024
-    print(f"wrote {trace_path} ({size_kb:.1f} KiB, "
-          f"{sum(len(t) for t in traces)} ops)")
+    with tempfile.TemporaryDirectory(prefix="scorpio-traces-") as workdir:
+        trace_path = Path(workdir) / "fft-16c.trace"
+        dump_traces(traces, trace_path)
+        size_kb = trace_path.stat().st_size / 1024
+        print(f"wrote {trace_path.name} ({size_kb:.1f} KiB, "
+              f"{sum(len(t) for t in traces)} ops)")
 
-    reloaded = load_traces(trace_path, expect_cores=config.n_cores)
-    assert [list(t) for t in reloaded] == [list(t) for t in traces]
-    print("reload verified: byte-exact round trip\n")
+        reloaded = load_traces(trace_path, expect_cores=config.n_cores)
+        assert [list(t) for t in reloaded] == [list(t) for t in traces]
+        print("reload verified: byte-exact round trip\n")
 
-    print(f"{'protocol':<10}{'runtime':>9}{'L2 service':>12}")
-    print("-" * 31)
-    for protocol in ("scorpio", "lpd"):
-        result = run_trace_file(trace_path, protocol=protocol,
-                                config=config)
-        assert result.progress == 1.0
-        print(f"{protocol:<10}{result.runtime:>9}"
-              f"{result.avg_l2_service_latency:>11.1f}c")
-        stats_path = workdir / f"stats-{protocol}.csv"
-        export_stats(result.stats, stats_path,
-                     prefixes=("l2.", "nic.", "noc."))
-        print(f"{'':<10}stats -> {stats_path}")
-
-    print(f"\nartifacts kept under {workdir}")
+        print(f"{'protocol':<10}{'runtime':>9}{'L2 service':>12}")
+        print("-" * 31)
+        for protocol in ("scorpio", "lpd"):
+            result = run_trace_file(trace_path, protocol=protocol,
+                                    config=config)
+            assert result.progress == 1.0
+            print(f"{protocol:<10}{result.runtime:>9}"
+                  f"{result.avg_l2_service_latency:>11.1f}c")
+            # The run's statistics as a sorted-key JSON artifact.
+            stats = result.frame.select("l2.*", "nic.*", "noc.*")
+            stats_path = Path(workdir) / f"stats-{protocol}.json"
+            stats_path.write_text(stats.to_json(indent=2))
+            print(f"{'':<10}{len(stats)} stats -> {stats_path.name}")
 
 
 if __name__ == "__main__":

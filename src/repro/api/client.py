@@ -18,7 +18,6 @@ import json
 import time
 import urllib.error
 import urllib.request
-from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
 
 DEFAULT_TIMEOUT = 30.0
@@ -26,20 +25,6 @@ DEFAULT_TIMEOUT = 30.0
 
 class ServeError(RuntimeError):
     """The sweep service rejected a request or could not be reached."""
-
-
-def document_to_dict(path) -> Dict[str, Any]:
-    """Parse a document file into the dict form ``POST /v1/jobs``
-    expects (TOML or JSON by extension), without resolving it."""
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if path.suffix.lower() == ".toml":
-        from repro.api.document import _parse_toml
-        return _parse_toml(text, str(path))
-    try:
-        return json.loads(text)
-    except ValueError as exc:
-        raise ServeError(f"{path}: invalid JSON: {exc}") from exc
 
 
 class ServeClient:
@@ -99,8 +84,8 @@ class ServeClient:
     def submit_path(self, path) -> Dict[str, Any]:
         """Submit a document file (validated locally first, so a bad
         document fails with the full local error before any HTTP)."""
+        from repro.api.document import document_to_dict, experiment_from_dict
         data = document_to_dict(path)
-        from repro.api.document import experiment_from_dict
         experiment_from_dict(data, source=str(path))
         return self.submit_document(data)
 

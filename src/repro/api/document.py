@@ -504,22 +504,26 @@ def _parse_toml(text: str, what: str) -> Dict[str, Any]:
         raise DocumentError(f"{what}: invalid TOML: {exc}") from exc
 
 
-def load_experiment(path) -> ExperimentSpec:
-    """Load, validate and resolve an experiment document (``.toml`` or
-    ``.json``, decided by extension)."""
+def document_to_dict(path) -> Dict[str, Any]:
+    """Parse a document file (``.toml`` or ``.json``, decided by
+    extension) into the dict form ``POST /v1/jobs`` expects, without
+    resolving it."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     if path.suffix.lower() == ".toml":
-        data = _parse_toml(text, str(path))
-    else:
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise DocumentError(f"{path}: invalid JSON: {exc}") from exc
-    return experiment_from_dict(data, source=str(path))
+        return _parse_toml(text, str(path))
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise DocumentError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def load_experiment(path) -> ExperimentSpec:
+    """Load, validate and resolve an experiment document."""
+    return experiment_from_dict(document_to_dict(path), source=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -581,12 +585,11 @@ def collect_experiment_result(experiment: ExperimentSpec,
     (:mod:`repro.experiments.checkpoint_exec`)."""
     verdicts: Dict[str, bool] = {}
     if experiment.litmus_checks:
-        from repro.verification.litmus import (Observation,
-                                               is_sequentially_consistent)
+        from repro.verification.litmus import (is_sequentially_consistent,
+                                               recorded_observations)
         for program, index in experiment.litmus_checks:
-            observations = [Observation(*row) for row
-                            in results[index].extra["observations"]]
-            ok = is_sequentially_consistent(program, observations)
+            ok = is_sequentially_consistent(
+                program, recorded_observations(results[index]))
             verdicts[program.name] = verdicts.get(program.name, True) and ok
 
     return ExperimentResult(experiment=experiment, results=results,

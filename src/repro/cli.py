@@ -22,9 +22,6 @@ Commands:
   ``--report DIR`` re-executes each run with the event journal and mesh
   sampler attached (the envelope is untouched) and writes a
   self-contained observability report to ``DIR/report.html``.
-* ``report-html`` — run an experiment document and write only the
-  observability HTML report (``run-file --report`` without the
-  envelope bookkeeping).
 * ``describe`` — validate an experiment document and print its fully
   resolved form (expanded configs, workloads, params) as JSON.
 * ``figure`` — regenerate a paper table/figure (see ``--list``).
@@ -172,15 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(DIR/report.html); fails on any "
                                  "journal-on/off result drift")
     add_executor_options(run_file_p)
-
-    report_html_p = sub.add_parser(
-        "report-html", help="run an experiment document and write the "
-                            "observability HTML report")
-    report_html_p.add_argument("path")
-    report_html_p.add_argument("--output", default="report",
-                               metavar="DIR",
-                               help="report directory (default: report/)")
-    add_executor_options(report_html_p)
 
     describe_p = sub.add_parser(
         "describe", help="validate an experiment document and print the "
@@ -462,27 +450,6 @@ def cmd_run_file(args, out) -> int:
     return 0 if failures == 0 else 1
 
 
-def cmd_report_html(args, out) -> int:
-    from repro.analysis.report_html import (ObservabilityDriftError,
-                                            write_html_report)
-    from repro.api import DocumentError, load_experiment, run_experiment
-    try:
-        experiment = load_experiment(args.path)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    outcome = run_experiment(experiment, jobs=args.jobs, cache=_cache(args))
-    try:
-        path = write_html_report(args.output, experiment, outcome.results)
-    except ObservabilityDriftError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    print(f"experiment: {experiment.name} "
-          f"({len(outcome.results)} runs)", file=out)
-    print(f"observability report -> {path}", file=out)
-    return 0
-
-
 def cmd_describe(args, out) -> int:
     from repro.api import DocumentError, describe_experiment
     try:
@@ -612,6 +579,7 @@ def cmd_serve(args, out) -> int:
 
 
 def cmd_submit(args, out) -> int:
+    from repro.api import DocumentError
     from repro.api.client import ServeClient, ServeError
     client = ServeClient(args.url)
     try:
@@ -642,7 +610,7 @@ def cmd_submit(args, out) -> int:
 
         outcome = client.run(args.path, timeout=args.timeout,
                              on_event=report)
-    except ServeError as exc:
+    except (DocumentError, ServeError) as exc:
         print(f"error: {exc}", file=out)
         return 1
     summary = outcome.summary
@@ -684,7 +652,6 @@ COMMANDS = {
     "compare": cmd_compare,
     "sweep": cmd_sweep,
     "run-file": cmd_run_file,
-    "report-html": cmd_report_html,
     "describe": cmd_describe,
     "figure": cmd_figure,
     "report": cmd_report,

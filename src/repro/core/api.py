@@ -9,10 +9,10 @@ one result row every door returns.
     print(result.runtime, result.avg_l2_service_latency)
 
 This is the layer the examples and the benchmark harness are written
-against.  :func:`run_benchmark` and :func:`compare_protocols` are thin
-constructors over the execution pipeline (:mod:`repro.experiments.sweep`:
-a ``RunSpec`` through ``execute_point`` / ``run_grid``); only
-:func:`run_trace_file`, which has no spec, runs its system itself.
+against.  :func:`run_benchmark`, :func:`run_trace_file` and
+:func:`compare_protocols` are thin constructors over the execution
+pipeline (:mod:`repro.experiments.sweep`: a ``RunSpec`` or a
+trace-workload ``SystemSpec`` through ``execute_point`` / ``run_grid``).
 :class:`RunResult` lives here, below the experiment layer, so that
 layer, the analysis code and the public API share one row class.
 """
@@ -20,7 +20,7 @@ layer, the analysis code and the public API share one row class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 from repro.core.config import ChipConfig
 from repro.sim.statsframe import StatsFrame
@@ -148,18 +148,23 @@ class RunResult:
                    label=spec.label)
 
 
+def _builder_of(protocol: str) -> Tuple[str, Dict[str, Any]]:
+    """The registered builder name and params of *protocol*."""
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}; expected one of "
+                         f"{PROTOCOLS}")
+    if protocol == "scorpio":
+        return "scorpio", {}
+    return "directory", {"scheme": protocol.upper()}
+
+
 def build_system(protocol: str, traces, config: Optional[ChipConfig] = None):
     """Instantiate a full system of the given *protocol* through the
     builder registry (:mod:`repro.experiments.builders`), where each
     system's constructor arguments are spelled once."""
     from repro.experiments.builders import get_builder
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}; expected one of "
-                         f"{PROTOCOLS}")
-    if protocol == "scorpio":
-        builder, given = get_builder("scorpio"), {}
-    else:
-        builder, given = get_builder("directory"), {"scheme": protocol.upper()}
+    name, given = _builder_of(protocol)
+    builder = get_builder(name)
     return builder.construct(config or ChipConfig.chip_36core(),
                              builder.resolved_params(given), traces)
 
@@ -194,18 +199,18 @@ def run_trace_file(path, protocol: str = "scorpio",
                    max_cycles: int = 400_000) -> RunResult:
     """Run an externally produced trace file (see
     :mod:`repro.cpu.tracefile`) under one protocol — the equivalent of
-    the paper's Graphite-traces-into-RTL flow.  A trace file has no
-    spec, so this is the one run outside ``execute_point``."""
-    from repro.cpu.tracefile import load_traces
-    config = config or ChipConfig.chip_36core()
-    traces = load_traces(path, expect_cores=config.n_cores)
-    system = build_system(protocol, traces, config)
-    system.run_until_done(max_cycles)
-    return RunResult(protocol=protocol, benchmark=str(path),
-                     n_cores=system.n_nodes, runtime=system.engine.cycle,
-                     completed_ops=system.total_completed_ops(),
-                     progress=system.progress(),
-                     stats=system.stats.snapshot())
+    the paper's Graphite-traces-into-RTL flow: ``execute_point`` of a
+    ``trace``-workload :class:`~repro.experiments.builders.SystemSpec`,
+    uncached.  The row's ``protocol`` is *protocol* as passed."""
+    from repro.experiments.builders import SystemSpec
+    from repro.experiments.sweep import execute_point
+    builder, params = _builder_of(protocol)
+    result = execute_point(SystemSpec(
+        builder, config, params=params,
+        workload={"kind": "trace", "path": str(path)},
+        max_cycles=max_cycles))
+    result.protocol = protocol
+    return result
 
 
 def compare_protocols(benchmark: Union[str, WorkloadProfile],

@@ -24,7 +24,10 @@ regression lock on the underlying cycle-level behaviour).
 
 from __future__ import annotations
 
+import hashlib
+import io
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.config import ChipConfig
@@ -58,6 +61,8 @@ WORKLOAD_KINDS: Dict[str, Dict[str, Any]] = {
                 "think": 4, "seed": 0},
     # One store on one core, everyone else idle (the Sec. 2 Uncorq probe).
     "lone_write": {"addr": 0x4000_0000, "node": 0},
+    # A trace file (repro.cpu.tracefile): the Graphite-traces flow.
+    "trace": {"path": REQUIRED},
     # No trace-driven cores at all (litmus runs attach their own cores).
     "idle": {},
 }
@@ -104,7 +109,10 @@ def resolve_workload(workload: Mapping[str, Any],
 
     The canonical key embeds the *resolved* profile for benchmark
     workloads, so editing a suite profile invalidates cached results —
-    the same rule :meth:`RunSpec.key` applies.
+    the same rule :meth:`RunSpec.key` applies.  A trace workload's key
+    is its path as given plus the sha256 of the file's bytes, and its
+    traces are parsed from exactly those bytes, so an edited file never
+    answers from the cache.
     """
     workload = dict(workload) if workload else {"kind": "idle"}
     kind = workload.pop("kind", None)
@@ -162,6 +170,23 @@ def resolve_workload(workload: Mapping[str, Any],
         return ResolvedWorkload(name="lone-write", key=key,
                                 build_traces=lone)
 
+    if kind == "trace":
+        from repro.cpu.tracefile import load_traces
+        path = params["path"]
+        if not isinstance(path, str):
+            raise ValueError(f"trace path must be a string, got {path!r}")
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            raise ValueError(f"cannot read trace file: {exc}") from exc
+        key = {"kind": kind, "path": path,
+               "sha256": hashlib.sha256(data).hexdigest()}
+        return ResolvedWorkload(
+            name=path, key=key,
+            build_traces=lambda n: load_traces(
+                io.TextIOWrapper(io.BytesIO(data), encoding="ascii"),
+                expect_cores=n))
+
     # idle
     from repro.cpu.trace import Trace
     return ResolvedWorkload(name="idle", key={"kind": kind},
@@ -191,7 +216,7 @@ class SystemBuilder:
     metrics: Optional[Callable[[Any], Dict[str, float]]] = None
     # Builders with a fundamentally different construction/harvest shape
     # (litmus) supply these instead of ``construct``; the run phase is
-    # always ``system.run_until_done`` so every builder can checkpoint.
+    # always ``execute_point``'s, so every builder can checkpoint.
     build: Optional[Callable[..., Any]] = None
     collect: Optional[Callable[..., SystemRunOutcome]] = None
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.cache.array import line_addr
 from repro.coherence.messages import (CoherenceRequest, CoherenceResponse,
@@ -112,7 +112,8 @@ class MemoryController(Clocked):
         self.versions: Dict[int, int] = {}
         # Lines whose PUT is ordered but whose data has not arrived yet.
         self.wb_pending: Dict[int, bool] = {}
-        self.waiting: Dict[int, Deque[Tuple[CoherenceRequest, int]]] = {}
+        # Requests for those lines, served once the data lands.
+        self.waiting: Dict[int, Deque[CoherenceRequest]] = {}
         # due cycle -> (bound_method, args) — picklable, so DRAM
         # responses in flight survive checkpoint/restore.
         self._timers = EventWheel()
@@ -180,7 +181,7 @@ class MemoryController(Clocked):
             return  # a cache owner will respond
         # Memory must supply the data (possibly after an in-flight WB).
         if self.wb_pending.get(line):
-            self.waiting.setdefault(line, deque()).append((req, cycle))
+            self.waiting.setdefault(line, deque()).append(req)
             self.stats.incr("mc.requests.wb_blocked")
             return
         self._serve_from_dram(req, cycle)
@@ -237,7 +238,7 @@ class MemoryController(Clocked):
         self.versions[line] = max(self.versions.get(line, 0),
                                   payload.version)
         self.stats.incr("mc.writebacks_received")
-        for req, queued_cycle in self.waiting.pop(line, ()):  # drain in order
+        for req in self.waiting.pop(line, ()):  # drain in order
             self._serve_from_dram(req, cycle)
 
     # ------------------------------------------------------------------

@@ -13,9 +13,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.noc.config import NocConfig
-from repro.noc.packet import VNet
 from repro.noc.router import Router
-from repro.noc.routing import DIRECTIONS, LOCAL, neighbor, opposite
+from repro.noc.routing import DIRECTIONS, LOCAL, neighbor
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
 

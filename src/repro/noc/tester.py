@@ -14,8 +14,8 @@ through and consumes ejected packets immediately.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.noc.config import NocConfig
 from repro.noc.mesh import Mesh

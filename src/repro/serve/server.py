@@ -43,14 +43,28 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.api.document import (DocumentError, experiment_from_dict,
-                                load_experiment)
+from repro.api.document import (DocumentError, document_to_dict,
+                                experiment_from_dict)
 from repro.experiments.cache import (CacheBackend, CacheNameError,
                                      as_backend)
 from repro.serve.jobs import JobManager
 from repro.serve.scheduler import PointScheduler
 
 SERVER_NAME = "repro-serve/1"
+
+
+def _refuse_trace_workloads(data: Any, what: str) -> None:
+    """A served document may not name a ``trace`` workload: resolving
+    one reads and hashes a file on the serving host.  Checked on the
+    raw document, before anything is resolved."""
+    runs = data.get("runs") if isinstance(data, dict) else None
+    for index, run in enumerate(runs if isinstance(runs, list) else ()):
+        workload = run.get("workload") if isinstance(run, dict) else None
+        if isinstance(workload, dict) and workload.get("kind") == "trace":
+            raise DocumentError(
+                f"{what}.runs[{index}]: the 'trace' workload kind reads a "
+                f"file on this host and is not accepted by repro serve; "
+                f"run the document with 'repro run-file'")
 
 
 class SweepService:
@@ -79,6 +93,7 @@ class SweepService:
 
     def submit_document(self, data: Dict[str, Any],
                         source: str = "<http>"):
+        _refuse_trace_workloads(data, source)
         experiment = experiment_from_dict(data, source=source)
         return self.jobs.submit(experiment)
 
@@ -118,9 +133,8 @@ class SweepService:
     def _run_spooled(self, original: Path, claimed: Path) -> None:
         out = original.with_name(original.stem + ".result.json")
         try:
-            experiment = load_experiment(claimed)
-            experiment.source = str(original)
-            job = self.jobs.submit(experiment)
+            job = self.submit_document(document_to_dict(claimed),
+                                       source=str(original))
             job.wait()
             if job.state != "done" or job.envelope is None:
                 raise RuntimeError(job.error or "job failed")

@@ -100,8 +100,8 @@ def build_litmus_system(program: LitmusProgram, width: int = 3,
     :class:`LitmusCore` per thread registered and stored on the system —
     the checkpointable form of a litmus run.
 
-    The cores land in ``system.cores`` (so ``run_until_done`` stops when
-    every thread retires) and, in program order, in
+    The cores land in ``system.cores`` (so the run stops when every
+    thread retires) and, in program order, in
     ``system.litmus_cores`` (so observations can be collected after a
     restore in a fresh process)."""
     from repro.core.api import build_system
@@ -130,29 +130,22 @@ def litmus_observations(system) -> List[Observation]:
     return observations
 
 
-def run_litmus_detailed(program: LitmusProgram, width: int = 3,
-                        height: int = 3, max_cycles: int = 100_000,
-                        seed: int = 0, protocol: str = "scorpio"
-                        ) -> Tuple[List[Observation], int]:
-    """Execute *program* on a live system; returns (observations,
-    runtime in cycles) — the form the ``litmus`` system builder caches."""
-    system = build_litmus_system(program, width=width, height=height,
-                                 seed=seed, protocol=protocol)
-    system.run_until_done(max_cycles)
-    if not system.all_cores_finished():
-        raise RuntimeError(f"litmus {program.name} did not finish")
-    return litmus_observations(system), system.engine.cycle
+def recorded_observations(result) -> List[Observation]:
+    """The observations a ``litmus`` builder result row carries (fresh
+    or recalled from the cache)."""
+    return [Observation(*row) for row in result.extra["observations"]]
 
 
 def run_litmus(program: LitmusProgram, width: int = 3, height: int = 3,
                max_cycles: int = 100_000,
                seed: int = 0, protocol: str = "scorpio"
                ) -> List[Observation]:
-    """Execute *program* on a live system; returns observations."""
-    observations, _runtime = run_litmus_detailed(
-        program, width=width, height=height, max_cycles=max_cycles,
-        seed=seed, protocol=protocol)
-    return observations
+    """Execute *program* on a live system — ``execute_point`` of its
+    :func:`litmus_spec`, uncached; returns observations."""
+    from repro.experiments.sweep import execute_point
+    return recorded_observations(execute_point(litmus_spec(
+        program, protocol=protocol, seed=seed, width=width, height=height,
+        max_cycles=max_cycles)))
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +297,7 @@ def run_suite(protocol: str = "scorpio", seeds: Sequence[int] = (0, 1, 2),
     for program in programs:
         verdict = True
         for _seed in seeds:
-            observations = [Observation(core, index, op, var, version)
-                            for core, index, op, var, version
-                            in next(executions).extra["observations"]]
+            observations = recorded_observations(next(executions))
             if not is_sequentially_consistent(program, observations):
                 verdict = False
         results[program.name] = verdict

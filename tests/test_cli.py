@@ -227,11 +227,13 @@ class TestRunFileCommand:
 
 @needs_toml
 class TestReportHtmlCommand:
+    """The HTML observability report, written by ``run-file --report``."""
+
     def test_runs_document_and_writes_report(self, tmp_path):
         path = tmp_path / "exp.toml"
         path.write_text(DOCUMENT.format(ops=4))
-        code, text = run_cli("report-html", str(path),
-                             "--output", str(tmp_path / "obs"))
+        code, text = run_cli("run-file", str(path),
+                             "--report", str(tmp_path / "obs"))
         assert code == 0
         assert "observability report ->" in text
         html = (tmp_path / "obs" / "report.html").read_text()
@@ -240,9 +242,11 @@ class TestReportHtmlCommand:
     def test_invalid_document_exits_2(self, tmp_path):
         path = tmp_path / "bad.toml"
         path.write_text("schema = 1\nname = 'x'\nbogus = 3\n")
-        code, text = run_cli("report-html", str(path))
+        code, text = run_cli("run-file", str(path),
+                             "--report", str(tmp_path / "obs"))
         assert code == 2
         assert "unknown key" in text
+        assert not (tmp_path / "obs").exists()
 
 
 @needs_toml

@@ -1,6 +1,6 @@
-"""Smoke tests for the example scripts: each example's main() must run
-to completion (the fast ones run in-process here; the heavier sweeps are
-exercised by the benchmark harness instead)."""
+"""Smoke tests for the example scripts: every script under ``examples/``
+runs its ``main()`` to completion in-process, from an empty working
+directory that it must leave empty."""
 
 import importlib.util
 import sys
@@ -9,33 +9,31 @@ from pathlib import Path
 import pytest
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
-
-FAST_EXAMPLES = [
-    "ordered_network_walkthrough",
-    "lock_contention",
-    "sharing_patterns",
-    "trace_file_workflow",
-]
+SCRIPTS = sorted(path.stem for path in EXAMPLES.glob("*.py"))
 
 
-def load_example(name):
+def run_example(name, tmp_path, monkeypatch, capsys):
+    """Run example *name*'s ``main()`` from the empty *tmp_path*;
+    returns what it printed."""
+    monkeypatch.chdir(tmp_path)
     path = EXAMPLES / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"example_{name}", path)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
-    return module
-
-
-@pytest.mark.parametrize("name", FAST_EXAMPLES)
-def test_example_runs(name, capsys):
-    module = load_example(name)
     module.main()
-    out = capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == [], f"{name} left files in the cwd"
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_example_runs(name, tmp_path, monkeypatch, capsys):
+    out = run_example(name, tmp_path, monkeypatch, capsys)
     assert out.strip(), f"{name} printed nothing"
 
 
 def test_every_example_has_main_and_docstring():
+    assert SCRIPTS
     for path in sorted(EXAMPLES.glob("*.py")):
         text = path.read_text()
         assert '"""' in text.split("\n", 2)[-1] or text.startswith('#!'), \
@@ -45,8 +43,7 @@ def test_every_example_has_main_and_docstring():
             f"{path.name}: not directly runnable"
 
 
-def test_walkthrough_all_nodes_agree(capsys):
-    module = load_example("ordered_network_walkthrough")
-    module.main()
-    out = capsys.readouterr().out
-    assert "agree" in out.lower() or "same" in out.lower()
+def test_walkthrough_all_nodes_agree(tmp_path, monkeypatch, capsys):
+    out = run_example("ordered_network_walkthrough", tmp_path, monkeypatch,
+                      capsys)
+    assert "all 16 nodes processed the requests in the same order" in out

@@ -114,9 +114,12 @@ class TestSimulatedFigures:
 
 class TestExtraFigures:
     def test_locks_figure(self):
-        text = generate("locks")
-        assert "SCORPIO" in text and "LPD-D" in text
-        assert "Lock handoff" in text
+        rendered = render("locks")
+        assert "SCORPIO" in rendered.text and "LPD-D" in rendered.text
+        assert "Lock handoff" in rendered.text
+        # The hand-off order holds on the quick 3x3 leg too.
+        assert verdicts(rendered) == {"progress.min": True, "SCORPIO": True,
+                                      "SCORPIO.vs_ht": True}
 
     def test_fullbit_figure(self):
         judged = verdicts(render("fullbit"))

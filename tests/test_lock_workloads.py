@@ -77,13 +77,21 @@ class TestLockRuns:
                   if l2.state_of(LOCK_BASE).is_owner]
         assert len(owners) <= 1
 
-    def test_atomics_serialize_lock_updates(self):
+    @pytest.mark.parametrize("protocol", ["scorpio", "lpd", "ht"])
+    def test_atomics_serialize_lock_updates(self, protocol):
         # Total versions on the lock line = all acquisitions + releases
-        # (every one is a distinct, globally ordered update).
+        # (every one is a distinct, globally ordered update) — under the
+        # broadcast fabric and both directory indirections alike.
         n, acq = 6, 2
         traces = lock_contention_traces(n, acquisitions_per_core=acq)
         traces += [type(traces[0])([])] * 3   # pad to 9 cores
-        system = run_scorpio(traces)
+        if protocol == "scorpio":
+            system = run_scorpio(traces)
+        else:
+            system = DirectorySystem(scheme=protocol.upper(), traces=traces,
+                                     noc=NocConfig(width=3, height=3))
+            system.run_until_done(300_000)
+            assert system.all_cores_finished()
         version = max(l2.line_version(LOCK_BASE) for l2 in system.l2s)
         assert version == n * acq * 2
 

@@ -8,6 +8,7 @@ identical points coalesce, a SIGKILLed worker loses no points, spool
 drops execute exactly once, and the failure paths are loud."""
 
 import asyncio
+import builtins
 import io
 import json
 import time
@@ -50,6 +51,26 @@ def without_cache_key(envelope):
     payload = json.loads(envelope)
     payload.pop("cache", None)
     return payload
+
+
+def trace_document(path):
+    return {"schema": 1, "name": "traced",
+            "runs": [{"builder": "scorpio",
+                      "workload": {"kind": "trace", "path": str(path)}}]}
+
+
+def spy_on_open(monkeypatch):
+    """Record the path of every file opened from now on (any thread)."""
+    opened = []
+    real_open = io.open
+
+    def spy(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", spy)
+    monkeypatch.setattr(builtins, "open", spy)
+    return opened
 
 
 def run_cli(*argv):
@@ -117,6 +138,22 @@ class TestFrontend:
                                match="HTTP 422.*unknown key.*bench"):
                 client.submit_document(document)
         assert client.jobs() == []
+
+    def test_trace_workload_is_refused_unopened(self, client, tmp_path,
+                                                monkeypatch):
+        # Resolving a trace workload reads and hashes a file on the
+        # serving host: the door refuses the document before that.
+        path = tmp_path / "t.trace"
+        path.write_text("# scorpio-trace v1\ncore 0\nR 0x0 1\n")
+        opened = spy_on_open(monkeypatch)
+        with pytest.raises(ServeError, match="HTTP 422.*'trace'"):
+            client.submit_document(trace_document(path))
+        assert client.jobs() == []
+        assert str(path) not in opened
+        # The spy does see the file when the workload is resolved.
+        from repro.experiments.builders import resolve_workload
+        resolve_workload({"kind": "trace", "path": str(path)})
+        assert str(path) in opened
 
 
 class TestByteIdentity:
@@ -269,6 +306,29 @@ class TestSpool:
                 assert time.monotonic() < deadline, "spool error never appeared"
                 time.sleep(0.05)
             assert "schema" in error.read_text(encoding="utf-8")
+        finally:
+            server.stop()
+
+    def test_trace_workload_leaves_error_file_unopened(self, tmp_path,
+                                                       monkeypatch):
+        spool = tmp_path / "spool"
+        path = tmp_path / "t.trace"
+        path.write_text("# scorpio-trace v1\ncore 0\nR 0x0 1\n")
+        opened = spy_on_open(monkeypatch)
+        server = serve(tmp_path / "cache", port=0, workers=1,
+                       spool=spool, spool_interval=0.05).start()
+        try:
+            (spool / "traced.json").write_text(
+                json.dumps(trace_document(path)), encoding="utf-8")
+            error = spool / "traced.error.txt"
+            deadline = time.monotonic() + 30.0
+            while not error.exists():
+                assert time.monotonic() < deadline, "spool error never appeared"
+                time.sleep(0.05)
+            assert "'trace' workload kind" in error.read_text(
+                encoding="utf-8")
+            assert server.service.jobs.jobs() == []
+            assert str(path) not in opened
         finally:
             server.stop()
 

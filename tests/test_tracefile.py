@@ -110,19 +110,118 @@ class TestFormatErrors:
         assert list(loaded[0]) == [TraceOp("R", 0x20, 4)]
 
 
+def fft_traces(n_cores=9, ops=10):
+    from repro.workloads.suites import profile
+    from repro.workloads.synthetic import generate_system_traces, scaled
+    return generate_system_traces(scaled(profile("fft"), 0.02, 10.0),
+                                  n_cores, ops, seed=1)
+
+
+def trace_spec(path, width=3):
+    from repro.core import ChipConfig
+    from repro.experiments import SystemSpec
+    return SystemSpec("scorpio", ChipConfig.variant(width, width),
+                      workload={"kind": "trace", "path": str(path)})
+
+
 class TestApiIntegration:
     def test_run_trace_file(self, tmp_path):
         from repro.core import ChipConfig
         from repro.core.api import run_trace_file
-        from repro.workloads.synthetic import generate_system_traces, scaled
-        from repro.workloads.suites import profile
 
         config = ChipConfig.variant(3, 3)
-        prof = scaled(profile("fft"), 0.02, 10.0)
-        traces = generate_system_traces(prof, 9, 10, seed=1)
+        traces = fft_traces()
         path = tmp_path / "fft.trace"
         dump_traces(traces, path)
 
         result = run_trace_file(path, protocol="scorpio", config=config)
         assert result.progress == 1.0
         assert result.completed_ops == sum(len(t) for t in traces)
+
+    @pytest.mark.parametrize("protocol", ["scorpio", "lpd", "ht", "fullbit"])
+    def test_run_trace_file_equals_a_hand_built_run(self, tmp_path,
+                                                    protocol):
+        """``run_trace_file`` is ``execute_point`` of a trace-workload
+        spec; its row equals the hand-built run it replaced."""
+        from repro.core import ChipConfig
+        from repro.core.api import RunResult, build_system, run_trace_file
+
+        config = ChipConfig.variant(3, 3)
+        path = tmp_path / "fft.trace"
+        dump_traces(fft_traces(), path)
+        system = build_system(protocol, load_traces(path, 9), config)
+        system.run_until_done(400_000)
+        reference = RunResult(
+            protocol=protocol, benchmark=str(path), n_cores=system.n_nodes,
+            runtime=system.engine.cycle,
+            completed_ops=system.total_completed_ops(),
+            progress=system.progress(), stats=system.stats.snapshot())
+
+        assert run_trace_file(path, protocol, config) == reference
+
+
+class TestTraceWorkload:
+    """The ``trace`` workload kind: keyed by path and content, parsed
+    from the bytes it was keyed by."""
+
+    def test_editing_one_byte_changes_the_fingerprint(self, tmp_path):
+        path = tmp_path / "fft.trace"
+        dump_traces(fft_traces(), path)
+        before = trace_spec(path).fingerprint()
+        text = path.read_text()
+        path.write_text(text.replace(" 1\n", " 2\n", 1))
+        assert trace_spec(path).fingerprint() != before
+
+    def test_cache_recall_equals_the_fresh_row(self, tmp_path):
+        from repro.experiments import run_sweep
+        path = tmp_path / "fft.trace"
+        dump_traces(fft_traces(), path)
+        fresh, = run_sweep([trace_spec(path)], cache=str(tmp_path / "c"))
+        recalled, = run_sweep([trace_spec(path)], cache=str(tmp_path / "c"))
+        assert not fresh.cached and recalled.cached
+        assert recalled == fresh
+        assert recalled.payload() == fresh.payload()
+        assert fresh.benchmark == str(path)
+
+    @pytest.mark.parametrize("text, match", [
+        (f"{MAGIC}\ncore 0\nR zebra 1\n", "not a number"),
+        (f"{MAGIC}\ncore 11\nR 0x0 1\n", "only 9 cores expected"),
+    ])
+    def test_bad_file_raises_before_any_cycle(self, tmp_path, text, match):
+        from repro.experiments import execute_point
+        path = tmp_path / "bad.trace"
+        path.write_text(text)
+        with pytest.raises(TraceFormatError, match=match):
+            execute_point(trace_spec(path),
+                          instrument=lambda system: pytest.fail("built"))
+
+    def test_unreadable_file_is_a_document_error(self, tmp_path):
+        from repro.api import DocumentError, experiment_from_dict
+        document = {"schema": 1, "name": "t", "runs": [{
+            "builder": "scorpio",
+            "workload": {"kind": "trace",
+                         "path": str(tmp_path / "missing.trace")}}]}
+        with pytest.raises(DocumentError, match="cannot read trace file"):
+            experiment_from_dict(document)
+
+    def test_run_file_and_describe_accept_the_kind(self, tmp_path):
+        import json
+
+        from repro.cli import main
+        path = tmp_path / "fft.trace"
+        dump_traces(fft_traces(), path)
+        document = tmp_path / "doc.json"
+        document.write_text(json.dumps({
+            "schema": 1, "name": "traced",
+            "configs": {"m": {"preset": "variant", "width": 3,
+                              "height": 3}},
+            "runs": [{"builder": "directory", "config": "m",
+                      "params": {"scheme": "HT"},
+                      "workload": {"kind": "trace", "path": str(path)}}]}))
+        out = io.StringIO()
+        assert main(["describe", str(document)], out=out) == 0
+        workload = json.loads(out.getvalue())["runs"][0]["workload"]
+        assert workload["kind"] == "trace" and len(workload["sha256"]) == 64
+        out = io.StringIO()
+        assert main(["run-file", str(document)], out=out) == 0
+        assert "100.0%" in out.getvalue()
