@@ -31,33 +31,42 @@ only_in() {
 forbid "spec-kind ladder" \
     'isinstance\([a-z_]+, \(?(RunSpec|SystemSpec)' src/repro
 
+# Retired names: what each simplicity change deleted stays deleted, in
+# the library, its tests, the harness and the examples.  One line per
+# change, oldest first, named by the block below that it belongs to.
+retired=(
+    'stats_holder|ring_holder|nic_factory'     # one system assembly
+    'ordering_enabled|_tagged_credit_returns|_mesh_credits|_inject_credits'
+                                               # one NIC family
+    'to_run_result|sweep_compare|build_benchmark_system'   # one result row
+    'fig7_specs|sec2_specs|incf_specs|locks_specs|_quick_chip|quick: bool'
+                                               # one figure, one definition
+    '_delayed'                                 # one coherence endpoint
+    '_adjacency|_candidates|_window_active|inject_source|_OracleQuery|NicRvcOracle|set_rvc_oracle|rvc_never|_lookup_rvc|rvc_ok|bench_report|_resolve_bench|_BENCH_KEYS'
+                                               # rent audit
+    'CreditTracker|SidTracker|sid_tracker|_consume_credit|_select_downstream_vc|_rvc_fns|_sid_counts|INJECT_TO_ROUTER_DELAY'
+                                               # one sending end of a link
+    'InputPort|vc_free|_release_upstream'      # one receiving end of a link
+)
+forbid "retired name" "\b($(IFS='|'; echo "${retired[*]}"))\b" \
+    src tests benchmarks examples
+
 # PR 18 - one system assembly: BaseSystem is the only place a system is
-# put together; NICs come from make_nic overrides, not from factories
-# closing over holders, and the snoopy L2 loop lives in systems/base.py.
-forbid "closure-hack assembly" 'stats_holder|ring_holder|nic_factory' src/repro
+# put together (NICs come from make_nic overrides), and the snoopy L2
+# loop lives in systems/base.py.
 found=$(grep -rnE --include='*.py' '(^|[^A-Za-z])L2Controller\(' src/repro \
         | grep -v 'class ' | cut -d: -f1 | sort -u)
 [ "$found" = src/repro/systems/base.py ] \
     || fail "second snoopy stack (L2Controller built in: $found)"
 
-# PR 19 - one NIC family: the discipline is the class, lanes live in the
-# base.
-forbid "NIC ordering flag / second credit wheel" \
-    'ordering_enabled|_tagged_credit_returns|_mesh_credits|_inject_credits' \
-    src/repro
-
 # PR 20 - one result row, one benchmark run body: RunResult (core/api.py)
-# is the only result-row class (SweepResult is an assignment) and the
-# adapters do not grow back.
-forbid "result-row adapters" \
-    'to_run_result|sweep_compare|build_benchmark_system' src/repro
+# is the only result-row class (SweepResult is an assignment).
 [ "$(grep -rhE '^class (RunResult|SweepResult)\b' src/repro | wc -l)" -eq 1 ] \
     || fail "more than one result-row class"
 
 # PR 21 - one figure, one definition: the regimes are records in
 # analysis/figures.py; nothing else spells regime numbers, re-assigns or
-# patches QUICK, or grows a second sweep loop / table printer, and the
-# per-figure spec exporters stay folded into Figure.points.
+# patches QUICK, or grows a second sweep loop / table printer.
 forbid "regime literal outside the registry" \
     'ops_per_core=[0-9.]+, *workload_scale=[0-9.]|"--(ops|scale|think-scale)".*default=[0-9]' \
     benchmarks src/repro/cli.py
@@ -67,17 +76,14 @@ only_in "QUICK assigned outside the registry" \
     '^\s*QUICK\w*\s*=' "src/repro/analysis/figures.py"
 forbid "QUICK patched instead of passing a regime" \
     'setattr\([^)]*"QUICK"' src tests benchmarks
-forbid "per-figure spec exporter / regime flag" \
-    'fig7_specs|sec2_specs|incf_specs|locks_specs|_quick_chip|quick: bool' \
-    src tests benchmarks examples
 
 # PR 22 - one coherence endpoint: timed callbacks live in an EventWheel
-# (no flat _delayed list, no list-comprehension partition); the directory
-# L2 overrides seams, not step / _issue; a line leaves the array through
+# (no list-comprehension partition); the directory L2 overrides seams,
+# not step / _issue; a line leaves the array through
 # L2Controller._drop_line and meets the MOSI table in _snoop_array alone;
 # data-bearing responses are built by CoherenceRequest.reply.
 forbid "flat timed-callback list" \
-    '_delayed|for \w+ in self\._\w+ if \w+\[0\] (<=|>) ?cycle' src/repro
+    'for \w+ in self\._\w+ if \w+\[0\] (<=|>) ?cycle' src/repro
 forbid "directory L2 copy of step / _issue" \
     'def (step|_issue)\(' src/repro/coherence/dir_l2.py
 only_in "line drop outside L2Controller._drop_line" \
@@ -89,18 +95,9 @@ only_in "hand-built CoherenceResponse" 'CoherenceResponse\(' \
     "src/repro/coherence/messages.py"
 
 # PR 23 - rent audit: what was measured and did not pay, or was dead,
-# stays deleted.  The notification mesh steps every OR-router (no
-# change frontier, no derivable window flag); a router outport asks the
-# reserved-VC question of the NIC it was bound to (no oracle route, no
-# rvc_ok parameter); documents have no [bench] table; the OR-router is
-# state only; no lookahead is delivered through LOCAL.
-forbid "notification change frontier" \
-    '\b(_adjacency|_candidates|_window_active|inject_source)\b' src/repro
-forbid "reserved-VC oracle route" \
-    '\b(_OracleQuery|NicRvcOracle|set_rvc_oracle|rvc_never|_lookup_rvc|rvc_ok)\b' \
-    src/repro
-forbid "[bench] document table" \
-    '\b(bench_report|_resolve_bench|_BENCH_KEYS)\b' src/repro
+# stays deleted (the notification change frontier, the reserved-VC
+# oracle route, the [bench] document table are retired names above).
+# The OR-router is state only; no lookahead is delivered through LOCAL.
 forbid "VCBuffer.granted_vcs" 'granted_vcs' src/repro/noc/vc.py
 # Measured and not paying (docs/architecture.md, "What each optimisation
 # buys"): the NIC's None-valued hooks.
@@ -113,11 +110,8 @@ only_in "lookahead sink outside the router" 'def deliver_lookahead\(' \
 # PR 24 - one sending end of a link: credits, the SID table, VC
 # selection and the lookahead + flit hand-off live in noc/vc.py's
 # OutPort; the router's outports, the NIC's lanes and the mesh tester
-# build one each and nobody else spells any of it (no credit / SID class
-# pair, no router-side mirrors, one deliver_lookahead call).
-forbid "second credit / SID spelling" \
-    'CreditTracker|SidTracker|sid_tracker|_consume_credit|_select_downstream_vc|_rvc_fns|_sid_counts|INJECT_TO_ROUTER_DELAY' \
-    src/repro
+# build one each and nobody else spells any of it (one deliver_lookahead
+# call).
 only_in "lookahead sent outside OutPort.send" '\.deliver_lookahead\(' \
     "src/repro/noc/vc.py"
 only_in "OutPort built outside router/tester/NIC" \
@@ -140,6 +134,28 @@ forbid "hand-run system in examples / benchmarks" \
 forbid "second figure-data type / litmus runner / report door" \
     'FigureData|read_figure_csv|normalized_series|export_stats|run_litmus_detailed|cmd_report_html' \
     src tests benchmarks examples docs README.md EXPERIMENTS.md
+
+# One receiving end of a link: a port's VC layout is NocConfig's
+# (nothing else reads uoresp_vc_depth), credits go home through
+# OutPort.return_credits (the multi-mesh tap only tags the lane), and the
+# bypass grant takes nothing it may have to undo.
+only_in "VC depth re-derived outside NocConfig" \
+    '\.uoresp_vc_depth([^"A-Za-z0-9_]|$)' "src/repro/noc/config.py"
+only_in "credit return outside OutPort.return_credits" \
+    '\.queue_credit_release\(' "src/repro/noc/vc.py
+src/repro/noc/multimesh.py"
+python3 - <<'PY' || fail "bypass grant with an undo path"
+import ast, sys
+path = "src/repro/noc/router.py"
+[grant] = [node for node in ast.walk(ast.parse(open(path).read()))
+           if isinstance(node, ast.FunctionDef)
+           and node.name == "_grant_bypass"]
+undo = [f"{path}:{node.lineno}" for node in ast.walk(grant)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("_release_credit", "give_back")]
+print("\n".join(undo), end="\n" if undo else "")
+sys.exit(1 if undo else 0)
+PY
 
 # Dead names: every def / class under src/repro is spelled at least
 # twice across the tree (its definition plus one caller, test or

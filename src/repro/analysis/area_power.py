@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.core.config import ChipConfig
+from repro.noc.packet import VNet
 
 # Paper-reported tile breakdowns (Figure 9) for the fabricated chip.
 PAPER_TILE_POWER_PCT: Dict[str, float] = {
@@ -66,10 +67,8 @@ def _uncore_scale(config: ChipConfig) -> Dict[str, float]:
     """Relative buffer/crossbar/notification cost vs. the fabricated chip."""
     noc = config.noc
     channel_bits = noc.channel_width_bytes * 8 + 9   # data + control fields
-    goreq_vcs = noc.goreq_vcs + (1 if noc.reserved_vc else 0)
-    buffer_bits = (goreq_vcs * noc.goreq_vc_depth
-                   + noc.uoresp_vcs * max(noc.uoresp_vc_depth,
-                                          noc.data_flits)) * channel_bits
+    buffer_bits = sum(noc.vc_count(vnet) * noc.vc_depth(vnet)
+                      for vnet in VNet) * channel_bits
     notif_bits = noc.n_nodes * config.notification.bits_per_core
     return {
         "buffers": buffer_bits / _REF_BUFFER_BITS,

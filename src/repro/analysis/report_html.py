@@ -198,7 +198,8 @@ def _heat_color(value: float, peak: float) -> str:
 def _mesh_svg(values: Sequence[int], width: int, height: int,
               peak: float, title: str) -> str:
     """One mesh heatmap: ``width * height`` rects, node 0 bottom-left
-    (matching :func:`repro.noc.visualize.render_grid`)."""
+    (north at the top: :func:`repro.noc.routing.coords` grows y
+    northward)."""
     parts = [f'<svg class="mesh" role="img" '
              f'width="{width * _CELL}" height="{height * _CELL}" '
              f'viewBox="0 0 {width * _CELL} {height * _CELL}">'

@@ -323,8 +323,10 @@ class NetworkInterface(Clocked):
 
     def _return_eject_credit(self, cycle: int, packet: Packet, vnet: VNet,
                              vc_index: int) -> None:
-        self._lanes[0].endpoint.queue_credit_release(
-            LOCAL, vnet, vc_index, packet.size_flits, cycle + 1)
+        """This NIC is done with *packet*: its credits go home over the
+        lane whose router ejected it (a multi-mesh NIC picks which)."""
+        self._lanes[0].return_credits(cycle, vnet, vc_index,
+                                      packet.size_flits)
 
     def _pick_lane(self, packet: Packet) -> OutPort:
         """The port *packet* injects through.  Asked once per non-empty
@@ -368,7 +370,8 @@ class NetworkInterface(Clocked):
     # ------------------------------------------------------------------
 
     def idle(self) -> bool:
-        return (not self._arrivals and not self._req_fifo
+        return (not self._arrivals and not self._credit_returns
+                and not self._req_fifo
                 and not self._resp_queue
                 and not self._inject_queues[VNet.GO_REQ]
                 and not self._inject_queues[VNet.UO_RESP])

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.serialize import SerializableConfig
-from repro.noc.packet import data_packet_flits
+from repro.noc.packet import VNet, data_packet_flits
 
 
 @dataclass
@@ -51,12 +51,21 @@ class NocConfig(SerializableConfig):
         """Flits in a cache-line response packet at this channel width."""
         return data_packet_flits(self.channel_width_bytes, self.line_size_bytes)
 
+    # A port's VC layout (Sec. 3.2): every input port, and the credits of
+    # every sending end that feeds one, is read from these three methods.
+
     def vc_count(self, vnet: int) -> int:
         """Number of VCs in *vnet*, including the reserved VC for GO-REQ."""
-        from repro.noc.packet import VNet
         if vnet == VNet.GO_REQ:
             return self.goreq_vcs + (1 if self.reserved_vc else 0)
         return self.uoresp_vcs
+
+    def vc_depth(self, vnet: int) -> int:
+        """Flit buffers per VC of *vnet*; a UO-RESP VC always holds a
+        whole data packet."""
+        if vnet == VNet.GO_REQ:
+            return self.goreq_vc_depth
+        return max(self.uoresp_vc_depth, self.data_flits)
 
     def reserved_vc_index(self) -> int:
         """VC index of the rVC within GO-REQ (the last VC)."""

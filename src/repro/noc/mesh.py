@@ -71,11 +71,13 @@ class Mesh:
         return sum(router.occupancy() for router in self.routers)
 
     def quiescent(self) -> bool:
-        """True when no packets are buffered or in flight anywhere."""
+        """True when no packets are buffered or in flight anywhere and
+        every credit is home."""
         for router in self.routers:
             if router.occupancy():
                 return False
-            if router._arrivals or router._lookaheads:
+            if router._arrivals or router._lookaheads \
+                    or router._credit_returns:
                 return False
         return True
 

@@ -30,7 +30,6 @@ from typing import Dict, Optional
 from repro.nic.controller import OrderedNetworkInterface
 from repro.noc.config import NocConfig, NotificationConfig
 from repro.noc.packet import Packet, VNet
-from repro.noc.routing import LOCAL
 from repro.noc.vc import OutPort
 from repro.sim.stats import StatsRegistry
 
@@ -91,7 +90,7 @@ class MultiMeshInterface(OrderedNetworkInterface):
         return not (self._inject_queues[VNet.GO_REQ]
                     or self._inject_queues[VNet.UO_RESP])
 
-    def _return_eject_credit(self, cycle: int, packet, vnet, vc_index):
-        mesh = self._router_of_pid.pop(packet.pid, 0)
-        self._lanes[mesh].endpoint.queue_credit_release(
-            LOCAL, vnet, vc_index, packet.size_flits, cycle + 1)
+    def _return_eject_credit(self, cycle: int, packet: Packet, vnet: VNet,
+                             vc_index: int) -> None:
+        self._lanes[self._router_of_pid.pop(packet.pid, 0)].return_credits(
+            cycle, vnet, vc_index, packet.size_flits)

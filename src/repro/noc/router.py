@@ -81,6 +81,9 @@ availability flags the scan reads live in ``out[port]`` (one
 :class:`~repro.noc.vc.OutPort` per link) and move only through its
 ``take`` / ``give_back``; every return goes through
 :meth:`Router._release_credit`, which owns the credit-side wake-ups.
+A packet leaving input VC (p, vnet, vc) sends its credits home through
+``out[p].return_credits``.  The bypass grant takes nothing until every
+outport it asks for has passed, so a refused grant moves no state.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ from repro.noc.config import NocConfig
 from repro.noc.packet import Packet, VNet
 from repro.noc.routing import (DIRECTIONS, LOCAL, broadcast_route_table,
                                opposite, unicast_route_table)
-from repro.noc.vc import InputPort, Lookahead, OutPort, VCBuffer
+from repro.noc.vc import Lookahead, OutPort, VCBuffer
 from repro.sim.engine import WAKE_NEVER, Clocked, EventWheel
 from repro.sim.stats import StatsRegistry
 
@@ -133,33 +136,37 @@ class Router(Clocked):
         self.node = node
         self.config = config
         self.stats = stats or StatsRegistry()
-        self.inports: List[InputPort] = [
-            InputPort(config.goreq_vcs, config.goreq_vc_depth,
-                      config.uoresp_vcs,
-                      max(config.uoresp_vc_depth, config.data_flits),
-                      config.reserved_vc)
-            for _port in PORTS]
-        # Slot table: the VC population of a port never changes, so every
-        # input VC gets a fixed slot — GO-REQ normal VCs, then UO-RESP
-        # VCs (the SA-I request-line order), then the reserved VC, which
-        # SA-I never sees.  Slot s of input port p is bit p*stride + s of
-        # the dirty / waiter masks below and index p*stride + s here.
-        self._stride = stride = (config.vc_count(VNet.GO_REQ)
-                                 + config.vc_count(VNet.UO_RESP))
-        self._goreq_nvcs = config.goreq_vcs
-        self._slot_vc: List[VCBuffer] = []
-        self._rvc_slots = 0          # mask of the reserved-VC slots
-        for port in PORTS:
-            buffers = list(self.inports[port].all_buffers())
-            self._slot_vc += [vc for vc in buffers if not vc.reserved]
-            if config.reserved_vc:
-                self._slot_vc += [vc for vc in buffers if vc.reserved]
-                self._rvc_slots |= 1 << (port * stride + stride - 1)
+        # Slot table: every input VC of the config's layout gets a fixed
+        # slot — GO-REQ normal VCs, then UO-RESP VCs (the SA-I
+        # request-line order), then the reserved VC, which SA-I never
+        # sees.  Slot s of input port p is bit p*stride + s of the dirty /
+        # waiter masks below and index p*stride + s of every slot list.
+        # (inport, vnet, VC) -> slot is p*stride + _slot_of[vnet][vc]
+        # (arrivals); slot -> (inport, vnet, VC) is _slot_link[slot] (the
+        # credit return).
+        rvc = ([(VNet.GO_REQ, config.reserved_vc_index())]
+               if config.reserved_vc else [])
+        layout = [(VNet.GO_REQ, vc) for vc in range(config.goreq_vcs)] + [
+            (VNet.UO_RESP, vc)
+            for vc in range(config.vc_count(VNet.UO_RESP))] + rvc
+        self._stride = stride = len(layout)
+        self._slot_of: List[List[int]] = [
+            [layout.index((vnet, vc)) for vc in range(config.vc_count(vnet))]
+            for vnet in VNet]
+        self._slot_link: List[Tuple[int, VNet, int]] = [
+            (port, vnet, vc) for port in PORTS for vnet, vc in layout]
+        depth = [config.vc_depth(vnet) for vnet in VNet]
+        self._slot_vc: List[VCBuffer] = [
+            VCBuffer(depth[vnet]) for _port, vnet, _vc in self._slot_link]
+        # Mask of the reserved-VC slots: the last of each port's.
+        self._rvc_slots = sum(1 << (port * stride + stride - 1)
+                              for port in PORTS) if rvc else 0
 
         # Links: port -> the sending end, None while unconnected.  One
         # entry serves both directions: outport p's flits go to its
-        # endpoint, and inport p's credits return there (no lookahead
-        # leaves through LOCAL, whose endpoint is the NIC).
+        # endpoint, and inport p's credits return there through
+        # OutPort.return_credits (no lookahead leaves through LOCAL,
+        # whose endpoint is the NIC).
         self.out: List[Optional[OutPort]] = [None] * 5
         # Route tables: dst -> outports (XY) and inport -> outports (tree).
         self._unicast_route = unicast_route_table(node, config.width,
@@ -176,7 +183,7 @@ class Router(Clocked):
         self._lookaheads = EventWheel()
         self._credit_returns = EventWheel()
         self._bypass_grants: Dict[int, _BypassGrant] = {}
-        self._n_buffered = 0
+        self._n_buffered = 0         # occupied slots (occupancy())
         # Wake-by-event state (module docstring): the slots SA-I must
         # scan, and where every other occupied slot is parked.  Plain
         # ints and dicts, so checkpoints carry them with no extra code.
@@ -281,7 +288,7 @@ class Router(Clocked):
             # Normal buffered packets rank below lookaheads: a credit a
             # lookahead just claimed must wake nobody.
             for vnet, port in self._freed:
-                if self.out[port].vc_free[vnet]:
+                if self.out[port].free_mask[vnet]:
                     self._wake_slots(self._vc_wait[vnet].pop(port, 0),
                                      WAKE_CREDIT)
             self._freed.clear()
@@ -334,8 +341,9 @@ class Router(Clocked):
 
     def _release_credit(self, port: int, vnet: VNet, vc: int,
                         flits: int) -> None:
-        """Downstream *vc* of *port* drained (credit return) or its
-        pre-allocation was undone: release every slot parked on it."""
+        """Downstream *vc* of *port* drained (credit return) or a stale
+        pre-allocation was rolled back: release every slot parked on
+        it."""
         out = self.out[port]
         sid = out.give_back(vnet, vc, flits)
         if sid is not None:
@@ -382,17 +390,11 @@ class Router(Clocked):
                     # INCF filtered every remaining branch (interest
                     # changed after the upstream decision): the copy dies
                     # here and its buffer credit returns at once.
-                    self._release_upstream(cycle, packet, inport, vnet,
-                                           vc_index)
+                    self.out[inport].return_credits(cycle, vnet, vc_index,
+                                                    packet.size_flits)
                     self.stats.incr("incf.copies_killed")
                     continue
-                if vnet == VNet.UO_RESP:
-                    slot = self._goreq_nvcs + vc_index
-                elif vc_index < self._goreq_nvcs:
-                    slot = vc_index
-                else:
-                    slot = self._stride - 1                  # the rVC
-                slot += inport * self._stride
+                slot = inport * self._stride + self._slot_of[vnet][vc_index]
                 vc = self._slot_vc[slot]
                 vc.accept(packet, outports, cycle, BUFFERED_PIPELINE_DELAY)
                 self._n_buffered += 1
@@ -414,19 +416,13 @@ class Router(Clocked):
                            grant.granted_vcs.get(outport), echo=True)
         # The input VC the upstream reserved is never occupied; return its
         # credits right away.
-        self._release_upstream(cycle, packet, inport, vnet, vc_index)
+        self.out[inport].return_credits(cycle, vnet, vc_index,
+                                        packet.size_flits)
         self.stats.incr("noc.router.bypassed")
         journal = self.journal
         if journal is not None:
             journal.record(cycle, f"router.{self.node}", "ST", "bypassed",
                            f"pid={packet.pid} inport={inport}")
-
-    def _release_upstream(self, cycle: int, packet: Packet, inport: int,
-                          vnet: VNet, vc_index: int) -> None:
-        link = self.out[inport]
-        if link is not None:
-            link.endpoint.queue_credit_release(
-                link.far_port, vnet, vc_index, packet.size_flits, cycle + 1)
 
     # -- routing --------------------------------------------------------
 
@@ -452,12 +448,11 @@ class Router(Clocked):
         while pending:
             bit = pending & -pending
             pending ^= bit
-            for slot, (vc, ports, _bit) in self._scan(cycle, bit).items():
+            for vc, ports, _bit in self._scan(cycle, bit).values():
                 for port in ports:
                     if vc.packet is None:
                         break
-                    self._forward_through(cycle, slot // self._stride, vc,
-                                          port, bit)
+                    self._forward_through(cycle, vc, port, bit)
 
     # -- lookahead processing -------------------------------------------
 
@@ -510,29 +505,26 @@ class Router(Clocked):
 
     def _grant_bypass(self, cycle: int, la: Lookahead,
                       outports: FrozenSet[int]) -> bool:
+        """Pre-allocate every outport of *la* for its packet's ST next
+        cycle, or none: nothing is taken until each outport has passed —
+        free at that cycle, no same-SID packet in flight, a downstream VC
+        to select — so a refusal leaves no trace."""
         packet = la.packet
-        vnet = packet.vnet
         arrival = cycle + 1
-        # All requested ports must be free at the packet's ST cycle.
+        # The cheap refusals first, inline, before any select call.
         for port in outports:
             if self.port_free_at[port] > arrival:
                 return False
-            if vnet == VNet.GO_REQ and packet.sid in self.out[port].sid_count:
+            if packet.vnet == VNet.GO_REQ \
+                    and packet.sid in self.out[port].sid_count:
                 return False
         granted_vcs: Dict[int, int] = {}
         for port in outports:
-            out = self.out[port]
-            vc = out.select(packet)
+            vc = granted_vcs[port] = self.out[port].select(packet)
             if vc is None:
-                # Undo this call's own consumptions (net-zero credit
-                # motion: whoever it wakes just re-parks).
-                for done_port, done_vc in granted_vcs.items():
-                    self._release_credit(done_port, vnet, done_vc,
-                                         packet.size_flits)
                 return False
-            granted_vcs[port] = vc
-            out.take(packet, vc)
-        for port in outports:
+        for port, vc in granted_vcs.items():
+            self.out[port].take(packet, vc)
             self.port_free_at[port] = arrival + packet.size_flits
         self._bypass_grants[packet.pid] = _BypassGrant(
             arrival_cycle=arrival, outports=outports,
@@ -578,7 +570,7 @@ class Router(Clocked):
             vc, _ports, bit = candidates[winner]
             if vc.packet is None:
                 continue  # already fully forwarded through other ports
-            self._forward_through(cycle, winner, vc, port, bit)
+            self._forward_through(cycle, vc, port, bit)
 
     def _scan(self, cycle: int, pending: int,
               ) -> Dict[int, Tuple[VCBuffer, List[int], int]]:
@@ -620,7 +612,7 @@ class Router(Clocked):
                 out = outs[port]
                 if is_goreq and sid in out.sid_count:
                     parked.append((self._sid_wait[port], sid))
-                elif out.vc_free[vnet] or (
+                elif out.free_mask[vnet] or (
                         use_rvc and out.rvc_free
                         and out.admits(sid, packet.seq)):
                     ports.append(port)
@@ -641,21 +633,24 @@ class Router(Clocked):
         self.blocked_scans += blocked
         return eligible
 
-    def _forward_through(self, cycle: int, inport: int, vc: VCBuffer,
-                         port: int, bit: int) -> None:
+    def _forward_through(self, cycle: int, vc: VCBuffer, port: int,
+                         bit: int) -> None:
         packet = vc.packet
-        vnet = packet.vnet
         out = self.out[port]
         downstream_vc = out.select(packet)
         if downstream_vc is None:
             return
         out.take(packet, downstream_vc)
         self.port_free_at[port] = cycle + packet.size_flits
-        self._transmit(cycle, packet, port, vnet, downstream_vc)
-        if vc.complete_outport(port):
+        self._transmit(cycle, packet, port, packet.vnet, downstream_vc)
+        vc.pending_outports.discard(port)
+        if not vc.pending_outports:           # the last fork branch left
+            vc.packet = None
             self._n_buffered -= 1
             self._dirty &= ~bit
-            self._release_upstream(cycle, packet, inport, vnet, vc.index)
+            inport, vnet, index = self._slot_link[bit.bit_length() - 1]
+            self.out[inport].return_credits(cycle, vnet, index,
+                                            packet.size_flits)
 
     def _transmit(self, cycle: int, packet: Packet, port: int, vnet: VNet,
                   downstream_vc: int, echo: bool = False) -> None:
@@ -692,7 +687,7 @@ class Router(Clocked):
 
     def occupancy(self) -> int:
         """Total packets currently buffered at this router."""
-        return sum(self.inports[p].occupied_buffers() for p in PORTS)
+        return self._n_buffered
 
     def utilization_sample(self) -> Tuple[int, int]:
         """(buffered packets, in-flight flits toward downstream ports):
@@ -704,10 +699,7 @@ class Router(Clocked):
 
     def sid_invariant_holds(self) -> bool:
         """No two buffered GO-REQ packets at one input port share a SID."""
-        for port in PORTS:
-            sids = [vc.packet.sid
-                    for vc in self.inports[port].vcs(VNet.GO_REQ)
-                    if vc.occupied]
-            if len(sids) != len(set(sids)):
-                return False
-        return True
+        held = [(inport, buffer.packet.sid) for (inport, vnet, _vc), buffer
+                in zip(self._slot_link, self._slot_vc)
+                if vnet == VNet.GO_REQ and buffer.packet is not None]
+        return len(held) == len(set(held))

@@ -134,8 +134,7 @@ class NodeTester(Clocked):
             self.received += 1
             if packet.inject_cycle >= self.traffic.warmup:
                 self.latencies.append(cycle - packet.inject_cycle)
-            lane.endpoint.queue_credit_release(LOCAL, vnet, vc_index,
-                                               packet.size_flits, cycle + 1)
+            lane.return_credits(cycle, vnet, vc_index, packet.size_flits)
         # Bernoulli injection process + backlog retry.
         if self.rng.random() < self.traffic.injection_rate:
             self._backlog.append(self._make_packet())

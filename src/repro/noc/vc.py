@@ -1,16 +1,19 @@
-"""Virtual-channel buffers and the sending end of a link.
+"""Virtual-channel buffers and the two ends of a link.
 
 The simulator moves whole packets between routers but accounts buffers and
 credits in flits, so a 3-flit UO-RESP data packet really occupies three
 buffer slots and three cycles of link bandwidth.
 
-Each input port of a router (and the packet-facing side of a NIC) owns a
-set of :class:`VCBuffer` per virtual network.  The upstream sender assigns
-the downstream VC during its VC-selection stage, so a buffer never holds
-more than one packet at a time (VC depth equals the largest packet size of
-its virtual network).  Whoever feeds an input port — a router outport, a
-NIC's injection lane, a mesh tester — does so through one
-:class:`OutPort`.
+Every input port has the same VCs, laid out by
+:meth:`NocConfig.vc_count <repro.noc.config.NocConfig.vc_count>` /
+``vc_depth`` / ``reserved_vc_index``; a router keeps one
+:class:`VCBuffer` per input VC (its slot table).  The upstream sender
+assigns the downstream VC during its VC-selection stage, so a buffer
+never holds more than one packet at a time (VC depth equals the largest
+packet size of its virtual network).  Whoever feeds an input port — a
+router outport, a NIC's injection lane, a mesh tester — does so through
+one :class:`OutPort`, and the credits of a packet that leaves the port go
+home through the same record (:meth:`OutPort.return_credits`).
 """
 
 from __future__ import annotations
@@ -24,27 +27,20 @@ from repro.noc.packet import Packet, VNet
 # Link latencies (cycles) from the sender's ST cycle.
 FLIT_DELAY = 2                # ST + one link stage -> processed at the far end
 LOOKAHEAD_DELAY = 1           # emission -> processed at the far end
+CREDIT_DELAY = 1              # departure -> credit processed by the sender
 
 
 @dataclass(slots=True)
 class VCBuffer:
-    """One virtual channel at one input port."""
+    """What one input VC holds: a packet (None when free), the outports
+    it has still to leave through (the router frees the VC when the last
+    one is served), and the earliest cycle its head may arbitrate.
+    *depth* is the layout's, for the oversize check."""
 
-    vnet: VNet
-    index: int
     depth: int
-    reserved: bool = False          # True for the rVC (deadlock avoidance)
     packet: Optional[Packet] = None
     pending_outports: Set[int] = field(default_factory=set)
-    ready_cycle: int = -1           # earliest cycle the head may arbitrate
-
-    @property
-    def occupied(self) -> bool:
-        return self.packet is not None
-
-    @property
-    def free(self) -> bool:
-        return self.packet is None
+    ready_cycle: int = -1
 
     def accept(self, packet: Packet, outports: FrozenSet[int], cycle: int,
                pipeline_delay: int) -> None:
@@ -52,8 +48,8 @@ class VCBuffer:
         delay (BW/SA-I then SA-O/VS for a 3-stage router)."""
         if self.packet is not None:
             raise RuntimeError(
-                f"VC {self.vnet.name}/{self.index} overrun by packet "
-                f"{packet.pid} (holds {self.packet.pid})")
+                f"VC overrun by packet {packet.pid} "
+                f"(holds {self.packet.pid})")
         if packet.size_flits > self.depth:
             raise RuntimeError(
                 f"packet of {packet.size_flits} flits cannot fit VC depth "
@@ -61,44 +57,6 @@ class VCBuffer:
         self.packet = packet
         self.pending_outports = set(outports)
         self.ready_cycle = cycle + pipeline_delay
-
-    def complete_outport(self, outport: int) -> bool:
-        """Mark *outport* served; returns True when the packet has fully
-        left the VC (all fork branches serviced)."""
-        self.pending_outports.discard(outport)
-        if not self.pending_outports:
-            self.packet = None
-            return True
-        return False
-
-
-class InputPort:
-    """All VC buffers of one vnet-set at one router input port."""
-
-    def __init__(self, goreq_vcs: int, goreq_depth: int, uoresp_vcs: int,
-                 uoresp_depth: int, reserved_vc: bool) -> None:
-        goreq: List[VCBuffer] = [
-            VCBuffer(VNet.GO_REQ, i, goreq_depth) for i in range(goreq_vcs)]
-        if reserved_vc:
-            goreq.append(VCBuffer(VNet.GO_REQ, goreq_vcs, goreq_depth,
-                                  reserved=True))
-        uoresp = [VCBuffer(VNet.UO_RESP, i, uoresp_depth)
-                  for i in range(uoresp_vcs)]
-        self._vcs: Dict[VNet, List[VCBuffer]] = {
-            VNet.GO_REQ: goreq, VNet.UO_RESP: uoresp}
-
-    def vcs(self, vnet: VNet) -> List[VCBuffer]:
-        return self._vcs[vnet]
-
-    def vc(self, vnet: VNet, index: int) -> VCBuffer:
-        return self._vcs[vnet][index]
-
-    def occupied_buffers(self) -> int:
-        return sum(1 for vcs in self._vcs.values() for vc in vcs if vc.occupied)
-
-    def all_buffers(self):
-        for vcs in self._vcs.values():
-            yield from vcs
 
 
 @dataclass(slots=True)
@@ -122,8 +80,8 @@ class OutPort:
     """The sending end of one link (Sec. 3.2): everything an output port
     keeps about the input port it feeds, and the hand-off to it.
 
-    Side by side over the same VCs sit the credits of the far
-    :class:`InputPort` and the SID tracker table — downstream VC -> SID
+    Side by side over the same VCs sit the credits of the far input
+    port and the SID tracker table — downstream VC -> SID
     of the GO-REQ packet occupying it.  Requests from one source must not
     overtake each other (global ordering identifies a request by source
     ID alone), so while any entry with SID ``s`` is live no further
@@ -132,9 +90,13 @@ class OutPort:
 
     State is flat per-vnet lists indexed by ``int(vnet)`` (``VNet`` is an
     IntEnum).  ``free_mask[vnet]`` has bit ``i`` set iff normal VC ``i``
-    holds all its credits; ``vc_free[vnet]`` (some normal VC is free) and
-    ``rvc_free`` (the reserved one is) are what the router's SA-I scan
+    holds all its credits; it and ``rvc_free`` (the reserved VC, which is
+    not in the mask, holds all of its) are what the router's SA-I scan
     reads.  Only :meth:`take` and :meth:`give_back` move any of it.
+
+    One record serves both directions of a link: flits leave through
+    :meth:`send`, and the credits of a packet that left *this* end's
+    input port go back to the far end through :meth:`return_credits`.
     """
 
     def __init__(self, config: NocConfig, endpoint: object, far_port: int,
@@ -150,16 +112,14 @@ class OutPort:
         # The reserved-VC question ``fn(sid, seq)`` (deadlock avoidance):
         # the far node's NIC's ``rvc_eligible`` once a router binds it.
         self.admits: Callable[[int, int], bool] = rvc_unbound
-        goreq, uoresp = config.goreq_vcs, config.uoresp_vcs
-        self.rvc: Optional[int] = goreq if config.reserved_vc else None
-        self.depth: List[int] = [
-            config.goreq_vc_depth,
-            max(config.uoresp_vc_depth, config.data_flits)]
+        self.rvc: Optional[int] = (config.reserved_vc_index()
+                                   if config.reserved_vc else None)
+        self.depth: List[int] = [config.vc_depth(vnet) for vnet in VNet]
         self.credits: List[List[int]] = [
-            [self.depth[0]] * config.vc_count(VNet.GO_REQ),
-            [self.depth[1]] * uoresp]
-        self.free_mask: List[int] = [(1 << goreq) - 1, (1 << uoresp) - 1]
-        self.vc_free: List[bool] = [True, True]
+            [self.depth[vnet]] * config.vc_count(vnet) for vnet in VNet]
+        self.free_mask: List[int] = [     # normal VCs: the rVC is not in it
+            (1 << config.goreq_vcs) - 1,
+            (1 << config.vc_count(VNet.UO_RESP)) - 1]
         self.rvc_free = config.reserved_vc
         self.sid_of_vc: Dict[int, int] = {}
         self.sid_count: Dict[int, int] = {}
@@ -204,13 +164,12 @@ class OutPort:
             if vc == self.rvc:
                 self.rvc_free = False
                 return
-        mask = self.free_mask[vnet] = self.free_mask[vnet] & ~(1 << vc)
-        self.vc_free[vnet] = mask != 0
+        self.free_mask[vnet] &= ~(1 << vc)
 
     def give_back(self, vnet: VNet, vc: int, flits: int) -> Optional[int]:
         """*flits* credits of far *vc* returned (the packet left that
-        input port, or a pre-allocation was undone).  Returns the SID
-        whose last table entry this retired, if any."""
+        input port, or a stale pre-allocation was rolled back).  Returns
+        the SID whose last table entry this retired, if any."""
         credits = self.credits[vnet]
         held = credits[vc] + flits
         if held > self.depth[vnet]:
@@ -231,7 +190,6 @@ class OutPort:
                 self.rvc_free = True
                 return retired
         self.free_mask[vnet] |= 1 << vc
-        self.vc_free[vnet] = True
         return retired
 
     def send(self, cycle: int, packet: Packet, vc: int,
@@ -244,6 +202,13 @@ class OutPort:
                                        cycle + LOOKAHEAD_DELAY)
         endpoint.deliver_packet(packet, far_port, packet.vnet, vc,
                                 cycle + FLIT_DELAY)
+
+    def return_credits(self, cycle: int, vnet: VNet, vc: int,
+                       flits: int) -> None:
+        """A packet left input VC *vc* of this end at *cycle*: its
+        *flits* credits reach the far end's sender one cycle on."""
+        self.endpoint.queue_credit_release(self.far_port, vnet, vc, flits,
+                                           cycle + CREDIT_DELAY)
 
     def in_flight_flits(self) -> int:
         """Flits currently occupying the far input port (depth minus

@@ -156,9 +156,7 @@ class SystemMonitor(Clocked):
 
     def check_occupancy_bounds(self, cycle: int = -1) -> None:
         config = self.system.noc_config
-        per_port = (config.vc_count(VNet.GO_REQ)
-                    + config.vc_count(VNet.UO_RESP))
-        limit = 5 * per_port
+        limit = 5 * sum(config.vc_count(vnet) for vnet in VNet)
         for router in system_routers(self.system):
             occupancy = router.occupancy()
             self.report.max_router_occupancy = max(

@@ -1,5 +1,5 @@
-"""Fixtures shared by the figure tests, and the session's one snapshot
-of the simulator sources."""
+"""Fixtures shared by the figure tests, the end-of-run credit count, and
+the session's one snapshot of the simulator sources."""
 
 import shutil
 from dataclasses import replace
@@ -42,6 +42,19 @@ def cached_figures(figure_cache):
     """Run the test with :func:`figure_cache` as the ambient cache."""
     with executing(cache=figure_cache):
         yield
+
+
+@pytest.fixture(scope="session")
+def credits_in_flight():
+    """``count(system)``: flits not yet credited back to their sender,
+    over every router outport and NIC lane of *system* (0 once every
+    credit is home)."""
+    def count(system):
+        ports = [out for mesh in system.meshes for router in mesh.routers
+                 for out in router.out if out is not None]
+        ports += [lane for nic in system.nics for lane in nic._lanes]
+        return sum(port.in_flight_flits() for port in ports)
+    return count
 
 
 @pytest.fixture

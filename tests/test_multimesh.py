@@ -112,10 +112,11 @@ class TestInheritedFromScorpioSystem:
         assert system.all_cores_finished()
         return system
 
-    def test_quiesced_after_a_finished_run(self):
+    def test_quiesced_after_a_finished_run(self, credits_in_flight):
         system = self._finished(n_meshes=3)
         system.run(200)     # let the last writebacks and credits drain
         assert system.quiesced()
+        assert credits_in_flight(system) == 0
 
     def test_quiesced_sees_every_mesh(self):
         system = self._finished()

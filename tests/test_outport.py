@@ -79,8 +79,7 @@ class OutPortMachine(RuleBasedStateMachine):
     def state(self):
         out = self.out
         return ([list(c) for c in out.credits], list(out.free_mask),
-                list(out.vc_free), out.rvc_free, dict(out.sid_of_vc),
-                dict(out.sid_count))
+                out.rvc_free, dict(out.sid_of_vc), dict(out.sid_count))
 
     def vc_from_the_top(self, vnet, index):
         """Small draws (which Hypothesis favours) name the last VCs —
@@ -169,7 +168,6 @@ class OutPortMachine(RuleBasedStateMachine):
             free = [vc for vc in range(n_normal)
                     if self.in_flight[vnet][vc] == 0]
             assert self.out.free_mask[vnet] == sum(1 << vc for vc in free)
-            assert self.out.vc_free[vnet] == bool(free)
         assert self.out.rvc_free == (
             self.rvc is not None and self.in_flight[GO_REQ][self.rvc] == 0)
 

@@ -54,8 +54,8 @@ class StubEndpoint:
             self._pending.remove(entry)
             _c, packet, vnet, vc_index = entry
             self.received.append((cycle, packet))
-            self.lane.endpoint.queue_credit_release(
-                LOCAL, vnet, vc_index, packet.size_flits, cycle + 1)
+            self.lane.return_credits(cycle, vnet, vc_index,
+                                     packet.size_flits)
 
     def inject(self, packet: Packet, cycle: int) -> bool:
         vc = self.lane.select(packet)
@@ -208,6 +208,10 @@ class TestBroadcast:
         fabric.endpoints[0].inject(broadcast(0), cycle=0)
         fabric.run(100)
         assert fabric.mesh.quiescent()
+        lanes = [ep.lane for ep in fabric.endpoints]
+        lanes += [out for router in fabric.mesh.routers for out in router.out
+                  if out is not None]
+        assert not any(lane.in_flight_flits() for lane in lanes)
 
 
 class TestOneLookaheadPerHop:

@@ -11,6 +11,7 @@ non-empty registries, mode invariance of the kernel counters, and the
 meta-channel export.
 """
 
+import copy
 import json
 
 from repro.core.config import ChipConfig
@@ -304,6 +305,66 @@ class TestReservedVcWakes:
         assert b.scans() == [rvc_bit]
         assert b.sent(EAST) == [(1, 0)]
         assert b.router.stats.counter("noc.la.granted") == 0
+
+
+def _router_state(router):
+    """Everything a bypass grant may move, as plain comparable data."""
+    outs = [(out.credits, out.free_mask, out.rvc_free, out.sid_of_vc,
+             out.sid_count) for out in router.out]
+    wheels = [(wheel._buckets, wheel.min_due) for wheel in
+              (router._arrivals, router._lookaheads, router._credit_returns,
+               router._retries)]
+    return copy.deepcopy((outs, router._dirty, router._vc_wait,
+                          router._sid_wait, router._rvc_wait, router._freed,
+                          wheels, router.wakeups, router.port_free_at,
+                          router._bypass_grants))
+
+
+class TestRefusedBypass:
+    def test_a_refused_grant_takes_and_gives_back_nothing(self):
+        """A lookahead for SOUTH + LOCAL where LOCAL has no VC: the grant
+        is refused before it takes SOUTH's VC, so nothing — credits, SID
+        tables, masks, registries, wheels, wake counters — moves, and
+        no credit is handed back."""
+        b = Bench()
+        r = b.router
+        b.exhaust(LOCAL, GO_REQ)
+        b.exhaust(SOUTH, GO_REQ)
+        a_bit = b.bit(WEST, 0)
+        b.park((b.goreq(1, b.node - b.config.width), WEST, 0))
+        assert r._vc_wait[GO_REQ] == {SOUTH: a_bit}
+        # This cycle SOUTH's VC 0 comes back (its waiter is released only
+        # after the lookaheads) and a broadcast lookahead travelling south
+        # asks for SOUTH and LOCAL.
+        b.credit(SOUTH, GO_REQ, 0)
+        broadcast = Packet(vnet=GO_REQ, src=2, dst=None, sid=2, size_flits=1)
+        r.deliver_lookahead(Lookahead(broadcast, NORTH), b.cycle)
+
+        grants, returned = [], []
+        real_grant = r._grant_bypass
+
+        def spy(cycle, la, outports):
+            r._release_credit = lambda *args: returned.append(args)
+            for out in r.out:
+                out.give_back = lambda *args: returned.append(args)
+            before = _router_state(r)
+            granted = real_grant(cycle, la, outports)
+            del r._release_credit
+            for out in r.out:
+                del out.give_back
+            grants.append((list(outports), granted, before,
+                           _router_state(r)))
+            return granted
+
+        r._grant_bypass = spy
+        b.scans()
+        [(outports, granted, before, after)] = grants
+        assert outports == [SOUTH, LOCAL]
+        assert granted is False and returned == []
+        assert after == before
+        assert r.stats.counter("noc.la.denied") == 1
+        # The credit stayed unclaimed, so it went to the parked packet.
+        assert b.sent(SOUTH) == [(1, 0)]
 
 
 class TestOneLookaheadPerHop:

@@ -161,7 +161,7 @@ class TestWritebacks:
 
 
 class TestQuiescence:
-    def test_system_quiesces_after_work(self):
+    def test_system_quiesces_after_work(self, credits_in_flight):
         system = small_system([
             Trace([TraceOp("W", ADDR, 1), TraceOp("R", ADDR + LINE, 10)]),
             Trace([TraceOp("R", ADDR, 5)]),
@@ -169,6 +169,7 @@ class TestQuiescence:
         run_done(system)
         system.run(500)   # drain
         assert system.quiesced()
+        assert credits_in_flight(system) == 0
 
     def test_empty_traces_finish_immediately(self):
         system = small_system([Trace([]) for _ in range(9)])

@@ -49,13 +49,14 @@ class TestScorpioSoak:
 
     @settings(max_examples=6, deadline=None)
     @given(raw=traces_strategy(4))
-    def test_tiny_mesh(self, raw):
+    def test_tiny_mesh(self, raw, credits_in_flight):
         system = ScorpioSystem(traces=build_traces(raw),
                                noc=NocConfig(width=2, height=2))
         system.run_until_done(120_000)
         assert system.all_cores_finished()
         system.run(500)
         assert system.quiesced()
+        assert credits_in_flight(system) == 0
 
 
 class TestDirectorySoak:

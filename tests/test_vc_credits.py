@@ -1,16 +1,42 @@
-"""Unit tests for VC buffers and the credit and SID sides of an
-:class:`~repro.noc.vc.OutPort`."""
+"""Unit tests for a router's input VCs (its slot table) and the credit
+and SID sides of an :class:`~repro.noc.vc.OutPort`."""
 
 import pytest
 
 from repro.noc.config import NocConfig
 from repro.noc.packet import Packet, VNet
-from repro.noc.routing import LOCAL
-from repro.noc.vc import InputPort, OutPort, VCBuffer
+from repro.noc.router import PORTS, Router
+from repro.noc.routing import EAST, LOCAL, WEST
+from repro.noc.vc import OutPort
 
 
 def make_packet(sid=0, size=1, vnet=VNet.GO_REQ):
     return Packet(vnet=vnet, src=sid, dst=None, sid=sid, size_flits=size)
+
+
+class Sink:
+    """A far end that records the credits returned to it."""
+
+    def __init__(self):
+        self.credits = []
+
+    def deliver_lookahead(self, la, process_cycle):
+        pass
+
+    def deliver_packet(self, packet, inport, vnet, vc_index, arrive_cycle):
+        pass
+
+    def queue_credit_release(self, outport, vnet, vc, flits, cycle):
+        self.credits.append((outport, vnet, vc, flits, cycle))
+
+
+def make_router(config, node):
+    """A router at *node* with every port wired to a recording sink."""
+    router = Router(node, config)
+    sinks = [Sink() for _port in PORTS]
+    for port in PORTS:
+        router.connect(port, sinks[port], node)
+    return router, sinks
 
 
 def make_out(goreq_vcs=4, goreq_depth=1):
@@ -22,43 +48,77 @@ def make_out(goreq_vcs=4, goreq_depth=1):
 
 
 class TestVCBuffer:
+    """A slot of the router's table: it holds one packet until the last
+    outport it forks to is served, and refuses an overrun or a packet
+    larger than its depth."""
+
     def test_accept_and_drain(self):
-        vc = VCBuffer(VNet.GO_REQ, 0, depth=1)
-        packet = make_packet()
-        vc.accept(packet, frozenset({1, 4}), cycle=10, pipeline_delay=2)
-        assert vc.occupied
-        assert vc.ready_cycle == 12
-        assert not vc.complete_outport(1)
-        assert vc.occupied
-        assert vc.complete_outport(4)
-        assert vc.free
+        router, sinks = make_router(NocConfig(width=3, height=3), node=4)
+        for vc in range(router.config.goreq_vcs):     # EAST is full
+            router.out[EAST].take(make_packet(sid=9), vc)
+        packet = make_packet()                        # a broadcast
+        router.deliver_packet(packet, LOCAL, VNet.GO_REQ, 0, 10)
+        router.step(10)
+        slot = router._slot_vc[LOCAL * router._stride]
+        assert slot.packet is packet
+        assert slot.ready_cycle == 12
+        router.step(12)                               # N, S, W served
+        assert slot.packet is packet
+        assert slot.pending_outports == {EAST}
+        assert sinks[LOCAL].credits == []
+        router.queue_credit_release(EAST, VNet.GO_REQ, 0, 1, 13)
+        router.step(13)
+        assert slot.packet is None
+        assert router.occupancy() == 0
+        assert sinks[LOCAL].credits == [(LOCAL, VNet.GO_REQ, 0, 1, 14)]
 
     def test_overrun_raises(self):
-        vc = VCBuffer(VNet.GO_REQ, 0, depth=1)
-        vc.accept(make_packet(), frozenset({1}), 0, 2)
-        with pytest.raises(RuntimeError):
-            vc.accept(make_packet(), frozenset({1}), 0, 2)
+        router, _sinks = make_router(NocConfig(width=3, height=3), node=4)
+        for _ in range(2):
+            router.deliver_packet(make_packet(), WEST, VNet.GO_REQ, 0, 0)
+        with pytest.raises(RuntimeError, match="overrun"):
+            router.step(0)
 
     def test_oversize_packet_raises(self):
-        vc = VCBuffer(VNet.UO_RESP, 0, depth=3)
-        with pytest.raises(RuntimeError):
-            vc.accept(make_packet(size=5, vnet=VNet.UO_RESP),
-                      frozenset({1}), 0, 2)
+        router, _sinks = make_router(NocConfig(width=3, height=3), node=4)
+        assert router._slot_vc[router._stride + 4].depth == 3   # EAST UO 0
+        router.deliver_packet(make_packet(size=5, vnet=VNet.UO_RESP), EAST,
+                              VNet.UO_RESP, 0, 0)
+        with pytest.raises(RuntimeError, match="cannot fit"):
+            router.step(0)
 
 
 class TestInputPort:
+    """The input side of a router port, as its slot table lays it out."""
+
     def test_geometry_with_reserved(self):
-        port = InputPort(4, 1, 2, 3, reserved_vc=True)
-        goreq = port.vcs(VNet.GO_REQ)
-        assert len(goreq) == 5
-        assert goreq[-1].reserved
-        assert len(port.vcs(VNet.UO_RESP)) == 2
+        router, _sinks = make_router(
+            NocConfig(goreq_vcs=4, goreq_vc_depth=1, uoresp_vcs=2,
+                      uoresp_vc_depth=3, reserved_vc=True), node=7)
+        stride = router._stride
+        assert stride == 7
+        for port in range(5):
+            base = port * stride
+            link = router._slot_link[base:base + stride]
+            goreq = [vc for p, vnet, vc in link if vnet == VNet.GO_REQ]
+            assert goreq == [0, 1, 2, 3, 4]
+            assert link[-1] == (port, VNet.GO_REQ, 4)      # the rVC, last
+            assert router._rvc_slots >> base & ((1 << stride) - 1) \
+                == 1 << (stride - 1)
+            assert [vc for p, vnet, vc in link
+                    if vnet == VNet.UO_RESP] == [0, 1]
+            assert [buffer.depth for buffer in
+                    router._slot_vc[base:base + stride]] \
+                == [1, 1, 1, 1, 3, 3, 1]
 
     def test_occupancy_count(self):
-        port = InputPort(2, 1, 2, 3, reserved_vc=False)
-        assert port.occupied_buffers() == 0
-        port.vc(VNet.GO_REQ, 0).accept(make_packet(), frozenset({1}), 0, 2)
-        assert port.occupied_buffers() == 1
+        router, _sinks = make_router(
+            NocConfig(goreq_vcs=2, goreq_vc_depth=1, uoresp_vcs=2,
+                      uoresp_vc_depth=3, reserved_vc=False), node=7)
+        assert router.occupancy() == 0
+        router.deliver_packet(make_packet(), WEST, VNet.GO_REQ, 0, 0)
+        router.step(0)
+        assert router.occupancy() == 1
 
 
 class TestCreditTracker:
