@@ -47,6 +47,7 @@ retired=(
     'CreditTracker|SidTracker|sid_tracker|_consume_credit|_select_downstream_vc|_rvc_fns|_sid_counts|INJECT_TO_ROUTER_DELAY'
                                                # one sending end of a link
     'InputPort|vc_free|_release_upstream'      # one receiving end of a link
+    'AsyncServeClient'                         # live config
 )
 forbid "retired name" "\b($(IFS='|'; echo "${retired[*]}"))\b" \
     src tests benchmarks examples
@@ -155,6 +156,32 @@ undo = [f"{path}:{node.lineno}" for node in ast.walk(grant)
         and node.func.attr in ("_release_credit", "give_back")]
 print("\n".join(undo), end="\n" if undo else "")
 sys.exit(1 if undo else 0)
+PY
+
+# Live config: every ChipConfig field changes the run
+# (tests/test_config_liveness.py) and the line size is spelled once.  The
+# engine draws no random numbers; the dead NoC fields stay gone as
+# identifiers (Table 1 keeps their labels as strings); no component or
+# helper defaults a line size; stats are never merged.
+forbid "engine RNG" '\.random\b' src/repro/sim
+forbid "engine seeded" 'Engine\(seed' src tests benchmarks examples
+only_in "line size field or default outside NocConfig" \
+    'line_size\w*\s*(:[^=,)]*)?=\s*[0-9]' "src/repro/noc/config.py"
+forbid "stats merge" 'def merge\b' src/repro/sim/stats.py
+python3 - <<'PY' || fail "retired NoC field spelled as code"
+import ast, sys
+from pathlib import Path
+retired = {"router_pipeline_stages", "link_stages", "multicast"}
+hits = []
+for root in ("src", "tests", "benchmarks", "examples"):
+    for path in sorted(Path(root).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (getattr(node, "attr", None) or getattr(node, "id", None)
+                    or getattr(node, "arg", None))
+            if name in retired:
+                hits.append(f"{path}:{node.lineno}: {name}")
+print("\n".join(hits), end="\n" if hits else "")
+sys.exit(1 if hits else 0)
 PY
 
 # Dead names: every def / class under src/repro is spelled at least

@@ -288,11 +288,20 @@ def _protocol_grid(sweep: str, protocols=_PROTOCOLS):
 # ---------------------------------------------------------------------------
 
 def _table1(results) -> Reduced:
-    from repro.noc.packet import data_packet_flits
+    from repro.noc.router import BUFFERED_PIPELINE_DELAY
+    from repro.noc.routing import LOCAL, broadcast_outports
+    from repro.noc.vc import FLIT_DELAY
     config = ChipConfig.chip_36core()
+    noc = config.noc
     derived = {
-        "data_packet_flits": data_packet_flits(
-            config.noc.channel_width_bytes, config.noc.line_size_bytes),
+        "data_packet_flits": noc.data_flits,
+        # One injected flit forks through several outports in one ST.
+        "noc.multicast": int(len(broadcast_outports(
+            0, LOCAL, noc.width, noc.height)) > 1),
+        # Arrival to ST is the buffered delay, plus the ST cycle; a flit
+        # lands FLIT_DELAY after its ST.
+        "noc.router_pipeline_stages": BUFFERED_PIPELINE_DELAY + 1,
+        "noc.link_stages": FLIT_DELAY - 1,
         "memory_controllers": len(config.mc_nodes)}
     measured = {row: derived[row] if row in derived
                 else functools.reduce(getattr, row.split("."), config)

@@ -64,7 +64,8 @@ CORE_L1_POWER_PCT = 62.0              # core plus both L1s
 NOTIFICATION_POWER_PCT_MAX = 1.0      # "<1 %" of tile power
 
 # Table 1, the rows the simulator models, each keyed by the ChipConfig
-# field that holds it (flags as 0/1).
+# field that holds it (flags as 0/1); the multicast fork and the stage
+# counts are read off the router's routing and timing instead.
 TABLE1 = {
     "noc.width": 6, "noc.height": 6, "n_cores": 36,
     "noc.channel_width_bytes": 16, "data_packet_flits": 3,
@@ -74,7 +75,8 @@ TABLE1 = {
     "noc.router_pipeline_stages": 3, "noc.link_stages": 1,
     "notification.bits_per_core": 1, "notification.window": 13,
     "notification.max_pending": 4,
-    "cache.l2_size": 128 * 1024, "cache.l2_ways": 4, "cache.line_size": 32,
+    "cache.l2_size": 128 * 1024, "cache.l2_ways": 4,
+    "noc.line_size_bytes": 32,
     "cache.region_bytes": 4096, "cache.region_entries": 128,
     "core.max_outstanding": 2, "memory_controllers": 2,
 }

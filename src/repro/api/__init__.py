@@ -6,7 +6,9 @@ Everything re-exported here follows the v1 compatibility contract:
   ``to_dict()`` / ``from_dict()`` (:mod:`repro.core.serialize`) with
   strict validation and a ``CONFIG_SCHEMA`` version; the round trip
   preserves experiment fingerprints, so serialized configs share cached
-  results with code-built ones.
+  results with code-built ones.  Every field changes the run; a field
+  removed for changing nothing is an unknown key, so a document naming
+  it fails to load instead of computing something else.
 * **Experiments are documents.**  :func:`load_experiment` reads a JSON/
   TOML :class:`ExperimentSpec` (schema ``DOCUMENT_SCHEMA``) describing
   runs, sweep matrices and litmus suites;

@@ -1,10 +1,8 @@
 """Client for the ``repro serve`` sweep service.
 
-:class:`ServeClient` is the synchronous client the CLI (``repro
-submit`` / ``repro jobs``) is built on; :class:`AsyncServeClient` wraps
-the same operations for ``asyncio`` callers (each call runs in a worker
-thread via ``asyncio.to_thread`` — the stdlib-only way to be async-
-capable without an HTTP dependency).
+:class:`ServeClient` is the client the CLI (``repro submit`` / ``repro
+jobs``) is built on.  An ``asyncio`` caller runs it in a worker thread:
+``await asyncio.to_thread(client.run, path)``.
 
 The result a client downloads is the canonical envelope — the exact
 bytes ``repro run-file --output`` would have written for the same
@@ -167,60 +165,3 @@ class SubmitOutcome:
     @property
     def payload(self) -> Dict[str, Any]:
         return json.loads(self.envelope)
-
-
-class AsyncServeClient:
-    """``asyncio`` façade over :class:`ServeClient` (thread-offloaded).
-
-    Usage::
-
-        client = AsyncServeClient("http://127.0.0.1:8765")
-        outcome = await client.run("examples/experiments/fig7_smoke.toml")
-    """
-
-    def __init__(self, base_url: str,
-                 timeout: float = DEFAULT_TIMEOUT) -> None:
-        self._sync = ServeClient(base_url, timeout=timeout)
-
-    async def _call(self, fn, *args, **kwargs):
-        import asyncio
-        return await asyncio.to_thread(fn, *args, **kwargs)
-
-    async def health(self):
-        return await self._call(self._sync.health)
-
-    async def submit_document(self, document: Mapping[str, Any]):
-        return await self._call(self._sync.submit_document, document)
-
-    async def submit_path(self, path):
-        return await self._call(self._sync.submit_path, path)
-
-    async def jobs(self):
-        return await self._call(self._sync.jobs)
-
-    async def job(self, job_id: str):
-        return await self._call(self._sync.job, job_id)
-
-    async def result_bytes(self, job_id: str):
-        return await self._call(self._sync.result_bytes, job_id)
-
-    async def wait(self, job_id: str, timeout: Optional[float] = None,
-                   on_event=None):
-        return await self._call(self._sync.wait, job_id,
-                                timeout=timeout, on_event=on_event)
-
-    async def run(self, document, timeout: Optional[float] = None,
-                  on_event=None):
-        return await self._call(self._sync.run, document,
-                                timeout=timeout, on_event=on_event)
-
-    async def events(self, job_id: str):
-        """Async iterator over the NDJSON progress stream."""
-        import asyncio
-        iterator = self._sync.events(job_id)
-        sentinel = object()
-        while True:
-            event = await asyncio.to_thread(next, iterator, sentinel)
-            if event is sentinel:
-                return
-            yield event

@@ -24,7 +24,6 @@ Document schema (``DOCUMENT_SCHEMA`` = 1)::
     goreq_vcs = 4
     [configs.<label>.overrides]     # ChipConfig field overrides
     directory_cache_bytes = 8192
-    seed = 0
     [configs.<label>.overrides.noc] # sub-config overrides (noc,
     channel_width_bytes = 8         #   notification, cache, memory,
                                     #   core), strictly validated
@@ -166,7 +165,7 @@ def _resolve_config(data: Mapping[str, Any], what: str) -> ChipConfig:
     if not overrides:
         return config
     _check_keys(overrides, list(_SUBCONFIGS)
-                + ["seed", "directory_cache_bytes", "mc_nodes"],
+                + ["directory_cache_bytes", "mc_nodes"],
                 f"{what}.overrides")
     chip = _config_to_dict(config, schema=False)
     for key, value in overrides.items():

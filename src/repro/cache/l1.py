@@ -21,8 +21,8 @@ class L1Cache:
     VALID = "V"
     INVALID = "I"
 
-    def __init__(self, size_bytes: int = 16 * 1024, ways: int = 4,
-                 line_size: int = 32, hit_latency: int = 2,
+    def __init__(self, line_size: int, size_bytes: int = 16 * 1024,
+                 ways: int = 4, hit_latency: int = 2,
                  stats: Optional[StatsRegistry] = None,
                  name: str = "l1") -> None:
         self.array = CacheArray(size_bytes, ways, line_size,

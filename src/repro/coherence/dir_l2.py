@@ -38,11 +38,11 @@ class DirectoryL2Controller(L2Controller):
 
     def __init__(self, node: int, nic: NetworkInterface,
                  memory_map: Callable[[int], int],
-                 home_map: Callable[[int], int],
+                 home_map: Callable[[int], int], line_size: int,
                  config: Optional[CacheConfig] = None,
                  stats: Optional[StatsRegistry] = None,
                  requires_marker: bool = False) -> None:
-        super().__init__(node, nic, memory_map, config, stats)
+        super().__init__(node, nic, memory_map, line_size, config, stats)
         self.home_map = home_map
         # Broadcast schemes (HT): every request's own snoop returns to the
         # requester in home order; completion waits for that marker so

@@ -49,7 +49,6 @@ class DirectoryConfig(SerializableConfig):
     pointers: int = 4              # LPD sharer pointers (paper: ~3-4)
     access_latency: int = 10       # directory cache access (GEMS)
     miss_penalty: int = 80         # off-chip access on a directory miss
-    line_size: int = 32
     ways: int = 4
 
     def entry_bits(self) -> int:
@@ -88,7 +87,7 @@ class DirectoryController(Clocked):
 
     def __init__(self, node: int, nic: NetworkInterface,
                  config: DirectoryConfig,
-                 memory_map: Callable[[int], int],
+                 memory_map: Callable[[int], int], line_size: int,
                  stats: Optional[StatsRegistry] = None) -> None:
         self.node = node
         self.nic = nic
@@ -98,8 +97,8 @@ class DirectoryController(Clocked):
         entries = config.entries_per_node()
         # Model the directory cache as a set-associative array whose
         # "addresses" are line addresses; entry payload lives in meta.
-        self.cache = CacheArray(entries * config.line_size, config.ways,
-                                config.line_size, invalid_state="I")
+        self.cache = CacheArray(entries * line_size, config.ways,
+                                line_size, invalid_state="I")
         self._queue: Deque[Tuple[CoherenceRequest, int]] = deque()
         self._outbox: Deque[Tuple[int, Any, Optional[int]]] = deque()
         self._next_free = 0

@@ -41,7 +41,6 @@ class CacheConfig(SerializableConfig):
 
     l2_size: int = 128 * 1024
     l2_ways: int = 4
-    line_size: int = 32
     l2_latency: int = 10          # GEMS calibration (Sec. 5)
     mshrs: int = 2                # AHB limit: 2 outstanding per core
     # The chip tracks FIDs with an N-bit vector, so up to N snoopers can
@@ -104,7 +103,7 @@ class L2Controller(Clocked):
     """One tile's L2 + coherence engine, attached to one NIC."""
 
     def __init__(self, node: int, nic: NetworkInterface,
-                 memory_map: Callable[[int], int],
+                 memory_map: Callable[[int], int], line_size: int,
                  config: Optional[CacheConfig] = None,
                  stats: Optional[StatsRegistry] = None) -> None:
         self.node = node
@@ -113,7 +112,7 @@ class L2Controller(Clocked):
         self.config = config or CacheConfig()
         self.stats = stats or StatsRegistry()
         self.array = CacheArray(self.config.l2_size, self.config.l2_ways,
-                                self.config.line_size, invalid_state=State.I)
+                                line_size, invalid_state=State.I)
         self.region_tracker = RegionTracker(
             self.config.region_bytes, self.config.region_entries,
             policy=self.config.region_policy) \

@@ -64,7 +64,6 @@ class ChipConfig(SerializableConfig):
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     core: CoreConfig = field(default_factory=CoreConfig)
     mc_nodes: Optional[List[int]] = None
-    seed: int = 0
     # Total directory-cache capacity for the LPD/HT baselines (Sec. 5
     # fixes 256 KB).  Benchmark harnesses shrink this together with the
     # workload footprints so the relative directory-cache pressure of the
@@ -86,7 +85,7 @@ class ChipConfig(SerializableConfig):
         the ordered-network baselines keep the default window."""
         return {"noc": self.noc, "cache": self.cache,
                 "memory": self.memory, "core": self.core,
-                "mc_nodes": self.mc_nodes, "seed": self.seed}
+                "mc_nodes": self.mc_nodes}
 
     # ------------------------------------------------------------------
     # Factory methods

@@ -19,7 +19,8 @@ The contract, which ``repro.api`` v1 documents rely on:
   load time, never as a silently-default simulation.
 * **Versioning.**  ``CONFIG_SCHEMA`` bumps when a field changes meaning
   (not when fields are merely added with defaults: old documents that
-  omit a new field still load).  ``from_dict`` accepts dicts without a
+  omit a new field still load; nor when a field that changed nothing is
+  removed: a document naming it fails as an unknown key).  ``from_dict`` accepts dicts without a
   ``"schema"`` key — nested sub-config dicts and ``asdict()`` output —
   and treats them as the current version.
 

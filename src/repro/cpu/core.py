@@ -35,7 +35,7 @@ class TraceCore(Clocked):
     """One tile's core: replays a trace against the cache hierarchy."""
 
     def __init__(self, node: int, l2: L2Controller, trace: Trace,
-                 config: Optional[CoreConfig] = None,
+                 line_size: int, config: Optional[CoreConfig] = None,
                  stats: Optional[StatsRegistry] = None) -> None:
         self.node = node
         self.l2 = l2
@@ -43,8 +43,8 @@ class TraceCore(Clocked):
         self.config = config or CoreConfig()
         self.stats = stats or StatsRegistry()
         self.l1: Optional[L1Cache] = (
-            L1Cache(hit_latency=self.config.l1_latency, stats=self.stats,
-                    name=f"core{node}.l1d")
+            L1Cache(line_size, hit_latency=self.config.l1_latency,
+                    stats=self.stats, name=f"core{node}.l1d")
             if self.config.l1_enabled else None)
         self._pc = 0                       # next trace index
         # The first operation's think time offsets it from cycle 0, so a

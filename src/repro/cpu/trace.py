@@ -59,6 +59,6 @@ class Trace:
     def writes(self) -> int:
         return sum(1 for op in self._ops if op.op == "W")
 
-    def footprint(self, line_size: int = 32) -> int:
+    def footprint(self, line_size: int) -> int:
         """Distinct cache lines touched by this trace."""
         return len({op.addr & ~(line_size - 1) for op in self._ops})

@@ -417,8 +417,7 @@ def _build_directory(config: ChipConfig, params, traces):
     scheme = str(params["scheme"]).upper()
     dir_config = DirectoryConfig(
         scheme=scheme, n_nodes=config.noc.n_nodes,
-        total_cache_bytes=config.directory_cache_bytes,
-        line_size=config.noc.line_size_bytes)
+        total_cache_bytes=config.directory_cache_bytes)
     return DirectorySystem(scheme=scheme, traces=traces,
                            directory=dir_config, incf=params["incf"],
                            incf_table_capacity=params["incf_table_capacity"],
@@ -502,7 +501,6 @@ def _litmus_build(spec: SystemSpec, config: ChipConfig,
                  for thread in params["threads"]])
     return build_litmus_system(program, width=config.noc.width,
                                height=config.noc.height,
-                               seed=params["seed"],
                                protocol=params["protocol"])
 
 

@@ -17,9 +17,9 @@ serially for ``jobs=1``, otherwise in per-point worker processes
 (:mod:`repro.experiments.procpool`; a dying worker retries its point, a
 point that keeps failing raises :class:`SweepPointError`), and fresh
 results are written back to the cache.  Simulations are deterministic
-in the spec (engine RNG and trace generation are seeded; see
-``tests/test_determinism.py``), so a parallel sweep is bit-identical to
-a serial one.  The result row is :class:`repro.core.api.RunResult`
+in the spec (trace generation is seeded and the engine draws no random
+numbers; see ``tests/test_determinism.py``), so a parallel sweep is
+bit-identical to a serial one.  The result row is :class:`repro.core.api.RunResult`
 (``SweepResult`` here is the same class); its ``payload()`` is the
 canonical serialized form: what the cache stores, and byte-for-byte
 what a hit returns.

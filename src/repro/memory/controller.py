@@ -34,7 +34,6 @@ from repro.sim.stats import StatsRegistry
 class MemoryConfig(SerializableConfig):
     lookup_latency: int = 10      # owner-bit / directory-cache access
     dram_latency: int = 80        # off-chip access beyond the lookup
-    line_size: int = 32
     # Optional banked DDR2 timing (repro.memory.dram) instead of the
     # paper's fixed fully-pipelined latency; ``dram_config`` falls back
     # to DramConfig defaults when left None.
@@ -52,7 +51,7 @@ class AddressInterleavedMap:
     A callable class rather than a closure so systems holding the map
     stay picklable for checkpoint/restore."""
 
-    def __init__(self, mc_nodes: List[int], line_size: int = 32) -> None:
+    def __init__(self, mc_nodes: List[int], line_size: int) -> None:
         if not mc_nodes:
             raise ValueError("need at least one memory controller node")
         self.nodes = list(mc_nodes)
@@ -81,7 +80,7 @@ def owns_every_addr(addr: int) -> bool:
 
 
 def make_memory_map(mc_nodes: List[int],
-                    line_size: int = 32) -> Callable[[int], int]:
+                    line_size: int) -> Callable[[int], int]:
     """Address-interleaved home-MC mapping (line granularity)."""
     return AddressInterleavedMap(mc_nodes, line_size)
 
@@ -90,13 +89,14 @@ class MemoryController(Clocked):
     """One edge memory controller participating in snoopy coherence."""
 
     def __init__(self, node: int, nic: NetworkInterface,
-                 owns_addr: Callable[[int], bool],
+                 owns_addr: Callable[[int], bool], line_size: int,
                  config: Optional[MemoryConfig] = None,
                  stats: Optional[StatsRegistry] = None,
                  snoopy: bool = True) -> None:
         self.node = node
         self.nic = nic
         self.owns_addr = owns_addr
+        self.line_size = line_size
         self.config = config or MemoryConfig()
         self.stats = stats or StatsRegistry()
         # In directory systems the MC is a dumb DRAM backend: it only
@@ -119,10 +119,9 @@ class MemoryController(Clocked):
         self._timers = EventWheel()
         self.dram = None
         if self.config.banked:
-            from repro.memory.dram import DramConfig, DramModel
-            dram_config = self.config.dram_config or DramConfig(
-                line_size=self.config.line_size)
-            self.dram = DramModel(dram_config, self.stats,
+            from repro.memory.dram import DramModel
+            self.dram = DramModel(self.config.dram_config or DramConfig(),
+                                  line_size, self.stats,
                                   name=f"dram.mc{node}")
         nic.add_request_listener(self._on_ordered_request)
         nic.add_response_listener(self._on_response)
@@ -136,7 +135,7 @@ class MemoryController(Clocked):
             return
         if not self.snoopy or not isinstance(payload, CoherenceRequest):
             return
-        line = line_addr(payload.addr, self.config.line_size)
+        line = line_addr(payload.addr, self.line_size)
         if not self.owns_addr(line):
             return
         if payload.kind is ReqKind.PUT:
@@ -218,7 +217,7 @@ class MemoryController(Clocked):
         *stamps* says how the request reached this controller."""
         send_cycle = cycle + latency
         resp = req.reply(RespKind.MEM_DATA, self.node, self.versions.get(
-            line_addr(req.addr, self.config.line_size), 0),
+            line_addr(req.addr, self.line_size), 0),
             served_by="memory")
         resp.stamps.update(stamps, mem_access=latency, data_sent=send_cycle)
         self._timers.push(send_cycle, (self.nic.send_response,
@@ -231,7 +230,7 @@ class MemoryController(Clocked):
             return
         if payload.kind is not RespKind.WB_DATA or payload.dest != self.node:
             return
-        line = line_addr(payload.addr, self.config.line_size)
+        line = line_addr(payload.addr, self.line_size)
         if not self.owns_addr(line):
             return
         self.wb_pending.pop(line, None)

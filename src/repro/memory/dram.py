@@ -20,7 +20,7 @@ controller share one data bus that serializes the line burst transfers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.serialize import SerializableConfig
@@ -37,15 +37,12 @@ class DramConfig(SerializableConfig):
     t_rcd: int = 15          # row activate -> column ready
     t_rp: int = 15           # precharge
     burst_cycles: int = 4    # one cache line on the shared data bus
-    line_size: int = 32
 
     def __post_init__(self) -> None:
         if self.n_banks <= 0:
             raise ValueError("need at least one bank")
         if self.row_bytes <= 0 or self.row_bytes & (self.row_bytes - 1):
             raise ValueError("row size must be a power of two")
-        if self.row_bytes < self.line_size:
-            raise ValueError("a row must hold at least one line")
 
     @property
     def hit_latency(self) -> int:
@@ -69,10 +66,13 @@ class _Bank:
 class DramModel:
     """One controller's DRAM device: banks + shared data bus."""
 
-    def __init__(self, config: Optional[DramConfig] = None,
+    def __init__(self, config: DramConfig, line_size: int,
                  stats: Optional[StatsRegistry] = None,
                  name: str = "dram") -> None:
-        self.config = config or DramConfig()
+        if config.row_bytes < line_size:
+            raise ValueError("a row must hold at least one line")
+        self.config = config
+        self.line_size = line_size
         self.stats = stats or StatsRegistry()
         self.name = name
         self._banks: List[_Bank] = [_Bank()
@@ -84,7 +84,7 @@ class DramModel:
     def bank_of(self, addr: int) -> int:
         """Line-interleaved bank mapping (adjacent lines hit different
         banks, the standard controller optimization)."""
-        return (addr // self.config.line_size) % self.config.n_banks
+        return (addr // self.line_size) % self.config.n_banks
 
     def row_of(self, addr: int) -> int:
         return addr // (self.config.row_bytes * self.config.n_banks)

@@ -572,6 +572,8 @@ class OrderedNetworkInterface(NetworkInterface):
         self.stats.observe("nic.ordering_wait", cycle - arrive_cycle)
 
     def idle(self) -> bool:
+        # ``outstanding``, not ``current_esid``: asking must not refill
+        # the tracker, which would move its ``queue_full`` (the stop bit).
         return (super().idle() and not self._held_goreq
                 and self.pending_notifications == 0
-                and self.tracker.current_esid() is None)
+                and not self.tracker.outstanding())

@@ -9,7 +9,7 @@ bypassing, 3-stage router (1 with bypassing) and 1-stage links.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.serialize import SerializableConfig
 from repro.noc.packet import VNet, data_packet_flits
@@ -29,9 +29,6 @@ class NocConfig(SerializableConfig):
     uoresp_vc_depth: int = 3
     reserved_vc: bool = True     # rVC for deadlock avoidance (Sec. 3.2)
     lookahead_bypass: bool = True
-    multicast: bool = True       # single-cycle broadcast forking
-    router_pipeline_stages: int = 3
-    link_stages: int = 1
     nic_pipelined: bool = True   # Sec. 5.3 uncore pipelining knob
 
     def __post_init__(self) -> None:

@@ -83,14 +83,12 @@ class BroadcastFilter:
     def __init__(self, width: int, height: int,
                  interest: Callable[[int, int], bool],
                  always_interested: Iterable[int] = (),
-                 stats: Optional[StatsRegistry] = None,
-                 enabled: bool = True) -> None:
+                 stats: Optional[StatsRegistry] = None) -> None:
         self.width = width
         self.height = height
         self.interest = interest
         self.always_interested = frozenset(always_interested)
         self.stats = stats or StatsRegistry()
-        self.enabled = enabled
 
     # ------------------------------------------------------------------
 
@@ -105,8 +103,6 @@ class BroadcastFilter:
     def prune(self, node: int, outports: FrozenSet[int],
               payload: Any) -> FrozenSet[int]:
         """Subset of *outports* a broadcast of *payload* still needs."""
-        if not self.enabled:
-            return outports
         target = snoop_target(payload)
         if target is None:
             return outports

@@ -99,7 +99,7 @@ def control_packet_flits() -> int:
     return 1
 
 
-def data_packet_flits(channel_width_bytes: int, line_size_bytes: int = 32) -> int:
+def data_packet_flits(channel_width_bytes: int, line_size_bytes: int) -> int:
     """Number of flits in a cache-line data packet.
 
     One header flit plus the line payload split across flits of the channel

@@ -428,10 +428,6 @@ class Router(Clocked):
 
     def _route(self, packet: Packet, inport: int) -> FrozenSet[int]:
         if packet.is_broadcast:
-            if not self.config.multicast:
-                # Without hardware multicast the NIC serializes unicasts,
-                # so a "broadcast" packet here is a plain unicast.
-                raise RuntimeError("broadcast packet in a unicast-only mesh")
             outports = self._bcast_route[inport]
             if self.broadcast_filter is not None:
                 outports = self.broadcast_filter.prune(self.node, outports,

@@ -178,7 +178,7 @@ class NetworkTester:
         self.noc = noc or NocConfig()
 
     def run(self, traffic: TrafficConfig, cycles: int = 2000) -> TrafficResult:
-        engine = Engine(seed=traffic.seed)
+        engine = Engine()
         stats = StatsRegistry()
         mesh = Mesh(self.noc, engine, stats)
         rng = random.Random(traffic.seed)

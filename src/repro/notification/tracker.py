@@ -80,6 +80,13 @@ class NotificationTracker:
         self._refill()
         return expansion[0] if expansion else None
 
+    def peek_esid(self) -> Optional[int]:
+        """:meth:`current_esid` without its refill: the same answer,
+        and the tracker left as it was (for observers)."""
+        if self._expansion:
+            return self._expansion[0]
+        return self._expand(self._queue[0])[0] if self._queue else None
+
     def consume_esid(self) -> int:
         """The expected request was forwarded to the cache controller."""
         self._refill()

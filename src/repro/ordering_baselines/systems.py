@@ -56,11 +56,9 @@ class TokenBSystem(_SnoopyBaselineSystem):
                  core: Optional[CoreConfig] = None,
                  mc_nodes: Optional[Sequence[int]] = None,
                  retry_timeout: int = 400,
-                 incf: bool = False,
-                 seed: int = 0) -> None:
+                 incf: bool = False) -> None:
         super().__init__(traces, retry_timeout, noc=noc, cache=cache,
-                         memory=memory, core=core, mc_nodes=mc_nodes,
-                         seed=seed)
+                         memory=memory, core=core, mc_nodes=mc_nodes)
         # INCF: snoopy-mode memory controllers keep the owner bits, so
         # they must observe every snoop — they are always interested.
         if incf:
@@ -78,11 +76,10 @@ class InsoSystem(_SnoopyBaselineSystem):
                  cache: Optional[CacheConfig] = None,
                  memory: Optional[MemoryConfig] = None,
                  core: Optional[CoreConfig] = None,
-                 mc_nodes: Optional[Sequence[int]] = None,
-                 seed: int = 0) -> None:
+                 mc_nodes: Optional[Sequence[int]] = None) -> None:
         self.expiration_window = expiration_window   # read by make_nic
         super().__init__(traces, noc=noc, cache=cache, memory=memory,
-                         core=core, mc_nodes=mc_nodes, seed=seed)
+                         core=core, mc_nodes=mc_nodes)
         # In-network expiry: every NIC sees every frontier update after a
         # diameter-bounded latency.
         for nic in self.nics:
@@ -117,8 +114,7 @@ class TimestampSystem(_SnoopyBaselineSystem):
                  cache: Optional[CacheConfig] = None,
                  memory: Optional[MemoryConfig] = None,
                  core: Optional[CoreConfig] = None,
-                 mc_nodes: Optional[Sequence[int]] = None,
-                 seed: int = 0) -> None:
+                 mc_nodes: Optional[Sequence[int]] = None) -> None:
         if slack is None:
             # Diameter x (router + link) + injection + a queueing margin.
             noc = noc or NocConfig()
@@ -126,7 +122,7 @@ class TimestampSystem(_SnoopyBaselineSystem):
             slack = 4 * diameter + 40
         self.slack = slack                            # read by make_nic
         super().__init__(traces, noc=noc, cache=cache, memory=memory,
-                         core=core, mc_nodes=mc_nodes, seed=seed)
+                         core=core, mc_nodes=mc_nodes)
 
     def make_nic(self, node: int) -> NetworkInterface:
         return TimestampNetworkInterface(
@@ -158,12 +154,10 @@ class UncorqSystem(_SnoopyBaselineSystem):
                  memory: Optional[MemoryConfig] = None,
                  core: Optional[CoreConfig] = None,
                  mc_nodes: Optional[Sequence[int]] = None,
-                 retry_timeout: int = 400,
-                 seed: int = 0) -> None:
+                 retry_timeout: int = 400) -> None:
         self.ring_hop_latency = ring_hop_latency      # read by build_fabric
         super().__init__(traces, retry_timeout, noc=noc, cache=cache,
-                         memory=memory, core=core, mc_nodes=mc_nodes,
-                         seed=seed)
+                         memory=memory, core=core, mc_nodes=mc_nodes)
         self.engine.register(self.ring)      # ticks last, after the cores
 
     def build_fabric(self) -> None:

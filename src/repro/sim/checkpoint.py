@@ -3,7 +3,7 @@
 A checkpoint captures everything ``Engine.run`` needs to resume
 bit-identically: every :class:`~repro.sim.engine.Clocked` component (via
 the ``state_dict`` protocol backing ``__getstate__``), channel contents
-and in-flight messages, scheduled callbacks, the engine's RNG stream,
+and in-flight messages, scheduled callbacks, the engine's sleep cells,
 the :class:`~repro.sim.stats.StatsRegistry` (histogram reservoirs and
 meta included), and the process-global packet/request id allocators.
 

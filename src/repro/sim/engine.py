@@ -10,8 +10,9 @@ The kernel models synchronous hardware with a two-phase clock:
    its visible state, completing the clock edge.
 
 Components register with an :class:`Engine`; registration order is the
-(deterministic) evaluation order within each phase.  The engine also hosts
-a seeded random source so that whole-system simulations are reproducible.
+(deterministic) evaluation order within each phase.  The engine draws no
+random numbers: a run is reproducible because its inputs (seeded traces)
+and that order are.
 
 Quiescence
 ----------
@@ -56,7 +57,6 @@ cycle, and pop order equals the old scan order under that contract.
 from __future__ import annotations
 
 import os
-import random
 from contextlib import contextmanager
 from typing import Callable, List, Optional, Tuple
 
@@ -245,8 +245,7 @@ class Engine:
     journal = None
     _sampler = None
 
-    def __init__(self, seed: int = 0,
-                 quiescence: Optional[bool] = None) -> None:
+    def __init__(self, quiescence: Optional[bool] = None) -> None:
         self._components: List[Clocked] = []
         # Per-phase entries of (cell, bound method), resolved once at
         # registration: the tick loop runs hundreds of thousands of times
@@ -258,7 +257,6 @@ class Engine:
         self._commit_entries: List[Tuple[list, Callable[[int], None]]] = []
         self._cells: List[list] = []
         self._cycle = 0
-        self.random = random.Random(seed)
         self._stop_requested = False
         self._watchers: List[Callable[[int], None]] = []
         self.quiescence = default_quiescence() if quiescence is None \

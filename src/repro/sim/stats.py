@@ -38,19 +38,8 @@ class Histogram:
         self._min: Optional[float] = None
         self._max: Optional[float] = None
         self._samples: List[float] = []
-        self._offered = 0            # samples ever offered to the reservoir
         self._cap = DEFAULT_SAMPLE_CAP if cap is None else cap
         self._rng = random.Random(0x5C0_B10) if self._cap > 0 else None
-
-    def _offer(self, value: float) -> None:
-        """Reservoir update (algorithm R), independent of the summary."""
-        self._offered += 1
-        if self._cap <= 0 or len(self._samples) < self._cap:
-            self._samples.append(value)
-        else:
-            slot = self._rng.randrange(self._offered)
-            if slot < self._cap:
-                self._samples[slot] = value
 
     def add(self, value: float) -> None:
         self._count += 1
@@ -59,21 +48,13 @@ class Histogram:
             self._min = value
         if self._max is None or value > self._max:
             self._max = value
-        self._offer(value)
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold *other* in: count/total/min/max stay exact; the merged
-        reservoir draws from the union of both retained sample sets."""
-        self._count += other._count
-        self._total += other._total
-        if other._min is not None and (self._min is None
-                                       or other._min < self._min):
-            self._min = other._min
-        if other._max is not None and (self._max is None
-                                       or other._max > self._max):
-            self._max = other._max
-        for sample in other.samples():
-            self._offer(sample)
+        # Reservoir update (algorithm R) over all _count samples so far.
+        if self._cap <= 0 or len(self._samples) < self._cap:
+            self._samples.append(value)
+        else:
+            slot = self._rng.randrange(self._count)
+            if slot < self._cap:
+                self._samples[slot] = value
 
     def samples(self) -> List[float]:
         """The retained samples (all of them below the cap, a uniform
@@ -159,37 +140,6 @@ class StatsRegistry:
     def mean(self, name: str) -> float:
         hist = self.histograms.get(name)
         return hist.mean if hist else 0.0
-
-    def merge(self, other: "StatsRegistry") -> None:
-        """Fold *other*'s counters/histograms into this registry.
-
-        Histogram summary statistics (count/total/mean/min/max) merge
-        exactly even when either side exceeded its sample cap; only the
-        percentile reservoir is approximate.
-
-        Meta merge policy: numeric meta values (everything
-        :meth:`set_meta` stores) are **summed**, like counters — kernel
-        accounting such as ``engine.ticks_executed`` aggregates across
-        merged runs instead of silently keeping only the last run's
-        numbers.  A non-numeric value (not produced by :meth:`set_meta`,
-        but tolerated for forward compatibility) is last-writer-wins,
-        matching gauges.  Booleans count as non-numeric: summing flags
-        would silently turn them into run counts.
-        """
-        for name, value in other.counters.items():
-            self.counters[name] += value
-        for name, hist in other.histograms.items():
-            self.histograms[name].merge(hist)
-        self.gauges.update(other.gauges)
-        for name, value in other.meta.items():
-            mine = self.meta.get(name)
-            if isinstance(value, (int, float)) \
-                    and not isinstance(value, bool) \
-                    and isinstance(mine, (int, float)) \
-                    and not isinstance(mine, bool):
-                self.meta[name] = mine + value
-            else:
-                self.meta[name] = value
 
     def frame(self, prefixes: Optional[Iterable[str]] = None):
         """A queryable :class:`~repro.sim.statsframe.StatsFrame` over

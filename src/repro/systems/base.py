@@ -96,8 +96,7 @@ class BaseSystem:
                  memory: Optional[MemoryConfig] = None,
                  core: Optional[CoreConfig] = None,
                  mc_nodes: Optional[Sequence[int]] = None,
-                 ordered: bool = True,
-                 seed: int = 0) -> None:
+                 ordered: bool = True) -> None:
         self.noc_config = noc or NocConfig()
         width, height = self.noc_config.width, self.noc_config.height
         min_window = NotificationConfig.minimum_window(width, height)
@@ -106,16 +105,14 @@ class BaseSystem:
         elif notification.window < min_window:
             raise ValueError("notification window below the latency bound")
         self.notif_config = notification
-        self.cache_config = cache or CacheConfig(
-            line_size=self.noc_config.line_size_bytes)
-        self.memory_config = memory or MemoryConfig(
-            line_size=self.noc_config.line_size_bytes)
+        self.cache_config = cache or CacheConfig()
+        self.memory_config = memory or MemoryConfig()
         self.core_config = core or CoreConfig()
         self.mc_nodes = list(mc_nodes) if mc_nodes is not None \
             else default_mc_nodes(width, height)
         self.ordered = ordered
         self.stats = StatsRegistry()
-        self.engine = Engine(seed=seed)
+        self.engine = Engine()
         self.n_nodes = self.noc_config.n_nodes
         self.memory_map = make_memory_map(self.mc_nodes,
                                           self.noc_config.line_size_bytes)
@@ -175,12 +172,14 @@ class BaseSystem:
         register = self.engine.register
         self.l2s = [
             register(L2Controller(node, self.nics[node], self.memory_map,
+                                  self.noc_config.line_size_bytes,
                                   self.cache_config, self.stats))
             for node in range(self.n_nodes)]
         self.memory_controllers = [
             register(MemoryController(
                 mc_node, self.nics[mc_node],
                 owns_addr=OwnsMappedAddr(self.memory_map, mc_node),
+                line_size=self.noc_config.line_size_bytes,
                 config=self.memory_config, stats=self.stats, snoopy=True))
             for mc_node in self.mc_nodes]
         self.attach_traces(traces)
@@ -198,8 +197,9 @@ class BaseSystem:
         """Create one trace core per trace; ``l2_of(node)`` supplies the
         node's cache controller."""
         for node, trace in enumerate(traces):
-            core = TraceCore(node, l2_of(node), trace, self.core_config,
-                             self.stats)
+            core = TraceCore(node, l2_of(node), trace,
+                             self.noc_config.line_size_bytes,
+                             self.core_config, self.stats)
             self.engine.register(core)
             self.cores[node] = core
 

@@ -46,39 +46,38 @@ class DirectorySystem(BaseSystem):
                  directory: Optional[DirectoryConfig] = None,
                  mc_nodes: Optional[Sequence[int]] = None,
                  incf: bool = False,
-                 incf_table_capacity: Optional[int] = None,
-                 seed: int = 0) -> None:
+                 incf_table_capacity: Optional[int] = None) -> None:
         if scheme not in ("LPD", "FULLBIT", "HT"):
             raise ValueError(f"scheme must be 'LPD', 'FULLBIT' or 'HT', "
                              f"got {scheme!r}")
         super().__init__(noc=noc, cache=cache, memory=memory, core=core,
-                         mc_nodes=mc_nodes, ordered=False, seed=seed)
+                         mc_nodes=mc_nodes, ordered=False)
         self.scheme = scheme
         self.dir_config = directory or DirectoryConfig(
-            scheme=scheme, n_nodes=self.n_nodes,
-            line_size=self.noc_config.line_size_bytes)
+            scheme=scheme, n_nodes=self.n_nodes)
         if self.dir_config.scheme != scheme:
             raise ValueError("directory config scheme mismatch")
 
-        self.home_map = LineInterleavedHomeMap(
-            self.noc_config.line_size_bytes, self.n_nodes)
+        line_size = self.noc_config.line_size_bytes
+        self.home_map = LineInterleavedHomeMap(line_size, self.n_nodes)
 
         register = self.engine.register
         self.l2s = [
             register(DirectoryL2Controller(
                 node, self.nics[node], self.memory_map, self.home_map,
-                self.cache_config, self.stats,
+                line_size, self.cache_config, self.stats,
                 requires_marker=(scheme == "HT")))
             for node in range(self.n_nodes)]
         self.directories = [
             register(DirectoryController(node, self.nics[node],
                                          self.dir_config, self.memory_map,
-                                         self.stats))
+                                         line_size, self.stats))
             for node in range(self.n_nodes)]
         self.memory_controllers = [
             register(MemoryController(
                 mc_node, self.nics[mc_node],
                 owns_addr=owns_every_addr,  # MemReads are pre-routed
+                line_size=line_size,
                 config=self.memory_config, stats=self.stats, snoopy=False))
             for mc_node in self.mc_nodes]
 

@@ -27,11 +27,10 @@ class ScorpioSystem(BaseSystem):
                  cache: Optional[CacheConfig] = None,
                  memory: Optional[MemoryConfig] = None,
                  core: Optional[CoreConfig] = None,
-                 mc_nodes: Optional[Sequence[int]] = None,
-                 seed: int = 0) -> None:
+                 mc_nodes: Optional[Sequence[int]] = None) -> None:
         super().__init__(noc=noc, notification=notification, cache=cache,
                          memory=memory, core=core, mc_nodes=mc_nodes,
-                         ordered=True, seed=seed)
+                         ordered=True)
         self.build_snoopy_stack(traces)
 
     # ------------------------------------------------------------------

@@ -18,14 +18,13 @@ sequentially consistent interleaving explains every observed value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cpu.trace import Trace
 from repro.sim.engine import Clocked
 
-LINE = 32
 VAR_BASE = 0x5000_0000
 VAR_STRIDE = 1 << 16     # distinct lines (and regions) per variable
 
@@ -94,8 +93,7 @@ class LitmusProgram:
 
 
 def build_litmus_system(program: LitmusProgram, width: int = 3,
-                        height: int = 3, seed: int = 0,
-                        protocol: str = "scorpio"):
+                        height: int = 3, protocol: str = "scorpio"):
     """Construct the (unrun) system for *program* with one
     :class:`LitmusCore` per thread registered and stored on the system —
     the checkpointable form of a litmus run.
@@ -106,7 +104,7 @@ def build_litmus_system(program: LitmusProgram, width: int = 3,
     restore in a fresh process)."""
     from repro.core.api import build_system
     from repro.core.config import ChipConfig
-    config = replace(ChipConfig.variant(width, height), seed=seed)
+    config = ChipConfig.variant(width, height)
     if len(program.threads) > config.n_cores:
         raise ValueError("more threads than nodes")
     system = build_system(

@@ -144,7 +144,7 @@ class SystemMonitor(Clocked):
             tracker = getattr(nic, "tracker", None)
             if tracker is None or not hasattr(tracker, "consumed"):
                 continue
-            esid = tracker.current_esid()
+            esid = tracker.peek_esid()
             if esid is None:
                 continue
             position = tracker.consumed

@@ -35,8 +35,7 @@ noc_configs = st.builds(
     goreq_vcs=st.integers(1, 8), goreq_vc_depth=st.integers(1, 4),
     uoresp_vcs=st.integers(1, 4), uoresp_vc_depth=st.integers(1, 4),
     reserved_vc=st.booleans(), lookahead_bypass=st.booleans(),
-    multicast=st.booleans(), router_pipeline_stages=st.integers(1, 4),
-    link_stages=st.integers(1, 2), nic_pipelined=st.booleans())
+    nic_pipelined=st.booleans())
 
 notification_configs = st.builds(
     NotificationConfig,
@@ -84,7 +83,7 @@ chip_configs = st.builds(
     ChipConfig,
     noc=noc_configs, notification=notification_configs,
     cache=cache_configs, memory=memory_configs, core=core_configs,
-    mc_nodes=st.none(), seed=st.integers(0, 1 << 30),
+    mc_nodes=st.none(),
     directory_cache_bytes=st.sampled_from([8 * 1024, 256 * 1024]))
 
 EVERY = [noc_configs, notification_configs, cache_configs, dram_configs,
@@ -170,7 +169,7 @@ def test_wrong_type_rejected():
     with pytest.raises(ConfigFormatError, match="must be an int"):
         NocConfig.from_dict({"width": "six"})
     with pytest.raises(ConfigFormatError, match="must be a bool"):
-        NocConfig.from_dict({"multicast": 1})
+        NocConfig.from_dict({"reserved_vc": 1})
     with pytest.raises(ConfigFormatError, match="must be a list"):
         ChipConfig.from_dict({"mc_nodes": 5})
 

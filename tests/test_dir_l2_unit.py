@@ -50,7 +50,7 @@ def make_l2(node=0, requires_marker=True):
     nic = ScriptedNic(node)
     l2 = DirectoryL2Controller(
         node, nic, memory_map=lambda a: 8, home_map=lambda a: HOME,
-        config=CacheConfig(use_region_tracker=False),
+        line_size=32, config=CacheConfig(use_region_tracker=False),
         requires_marker=requires_marker)
     return l2, nic
 

@@ -37,7 +37,7 @@ def make_dir(scheme="LPD", node=5, pointers=2, cache_bytes=256 * 1024):
     config = DirectoryConfig(scheme=scheme, n_nodes=9, pointers=pointers,
                              total_cache_bytes=cache_bytes)
     ctrl = DirectoryController(node, nic, config,
-                               memory_map=lambda addr: 8)
+                               memory_map=lambda addr: 8, line_size=32)
     return ctrl, nic
 
 

@@ -16,7 +16,7 @@ ADDR = 0x4000_0000
 
 
 def model(**overrides):
-    return DramModel(DramConfig(**overrides), StatsRegistry())
+    return DramModel(DramConfig(**overrides), LINE, StatsRegistry())
 
 
 class TestDramConfig:
@@ -30,7 +30,7 @@ class TestDramConfig:
         with pytest.raises(ValueError):
             DramConfig(row_bytes=1000)      # not a power of two
         with pytest.raises(ValueError):
-            DramConfig(row_bytes=16, line_size=32)
+            DramModel(DramConfig(row_bytes=16), 32)   # a row < a line
 
 
 class TestDramTiming:
@@ -103,7 +103,7 @@ class TestDramProperties:
                     max_size=40),
            st.integers(min_value=1, max_value=16))
     def test_completion_after_issue_and_bus_monotone(self, line_idxs, banks):
-        dram = DramModel(DramConfig(n_banks=banks), StatsRegistry())
+        dram = DramModel(DramConfig(n_banks=banks), LINE, StatsRegistry())
         cycle = 0
         last_done = 0
         for idx in line_idxs:
@@ -148,7 +148,7 @@ class TestBankedSystemIntegration:
         # row-conflicting strides.
         def run(stride_rows):
             noc = NocConfig(width=3, height=3)
-            dram_cfg = DramConfig(n_banks=1, line_size=LINE)
+            dram_cfg = DramConfig(n_banks=1)
             stride = LINE if not stride_rows \
                 else dram_cfg.row_bytes * dram_cfg.n_banks
             ops = [TraceOp("R", ADDR + i * stride, 1 + 200 * i)

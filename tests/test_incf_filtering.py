@@ -101,13 +101,6 @@ class TestBroadcastFilterUnit:
         for port in kept:
             assert 8 in trees[port]
 
-    def test_disabled_filter_is_identity(self):
-        flt = self._filter(set())
-        flt.enabled = False
-        req = CoherenceRequest(kind=ReqKind.GETS, addr=ADDR, requester=0)
-        outports = broadcast_outports(4, LOCAL, 3, 3)
-        assert flt.prune(4, outports, req) == outports
-
     def test_unknown_payload_not_filtered(self):
         flt = self._filter(set())
         outports = broadcast_outports(4, LOCAL, 3, 3)

@@ -9,19 +9,19 @@ from repro.cache.region_tracker import RegionTracker
 
 class TestL1:
     def test_miss_then_refill_then_hit(self):
-        l1 = L1Cache()
+        l1 = L1Cache(32)
         assert not l1.read(0x100)
         l1.refill(0x100)
         assert l1.read(0x100)
 
     def test_write_through_no_allocate(self):
-        l1 = L1Cache()
+        l1 = L1Cache(32)
         assert not l1.write(0x200)
         # no-write-allocate: still a miss afterwards
         assert not l1.read(0x200)
 
     def test_invalidation_port(self):
-        l1 = L1Cache()
+        l1 = L1Cache(32)
         l1.refill(0x300)
         assert l1.invalidate(0x300)
         assert not l1.read(0x300)
@@ -37,7 +37,7 @@ class TestL1:
         assert not l1.holds(0x80)
 
     def test_refill_idempotent(self):
-        l1 = L1Cache()
+        l1 = L1Cache(32)
         l1.refill(0x40)
         l1.refill(0x40)
         assert l1.holds(0x40)

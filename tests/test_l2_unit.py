@@ -58,7 +58,8 @@ class ScriptedNic:
 def make_l2(node=0, **config_overrides):
     nic = ScriptedNic(node)
     config = CacheConfig(use_region_tracker=False, **config_overrides)
-    l2 = L2Controller(node, nic, memory_map=lambda addr: 99, config=config)
+    l2 = L2Controller(node, nic, memory_map=lambda addr: 99, line_size=32,
+                      config=config)
     return l2, nic
 
 
@@ -275,11 +276,11 @@ HOME = 5
 def make_dir_l2(nic, node=0):
     return DirectoryL2Controller(
         node, nic, memory_map=lambda addr: 99, home_map=lambda addr: HOME,
-        config=CacheConfig(use_region_tracker=False))
+        line_size=32, config=CacheConfig(use_region_tracker=False))
 
 
 def make_snoopy_l2(nic, node=0):
-    return L2Controller(node, nic, memory_map=lambda addr: 99,
+    return L2Controller(node, nic, memory_map=lambda addr: 99, line_size=32,
                         config=CacheConfig(use_region_tracker=False))
 
 

@@ -37,7 +37,7 @@ class FakeNic:
 
 def make_mc(snoopy=True):
     nic = FakeNic()
-    mc = MemoryController(3, nic, owns_addr=lambda addr: True,
+    mc = MemoryController(3, nic, owns_addr=lambda addr: True, line_size=32,
                           config=MemoryConfig(), snoopy=snoopy)
     return mc, nic
 
@@ -117,7 +117,8 @@ class TestSnoopyMemoryController:
 
     def test_address_filter(self):
         nic = FakeNic()
-        mc = MemoryController(3, nic, owns_addr=lambda addr: False)
+        mc = MemoryController(3, nic, owns_addr=lambda addr: False,
+                              line_size=32)
         mc._on_ordered_request(gets(0x100), 1, 0, 0)
         drain(mc, 200)
         assert not nic.sent

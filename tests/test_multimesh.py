@@ -145,9 +145,9 @@ class TestInheritedFromScorpioSystem:
                                          think=2, seed=7) for c in range(9)]
 
         noc = NocConfig(width=3, height=3)
-        plain = ScorpioSystem(traces=traces(), noc=noc, seed=3)
+        plain = ScorpioSystem(traces=traces(), noc=noc)
         single = MultiMeshScorpioSystem(traces=traces(), n_meshes=1,
-                                        noc=noc, seed=3)
+                                        noc=noc)
         assert plain.run_until_done(200_000) \
             == single.run_until_done(200_000)
         assert plain.stats.snapshot() == single.stats.snapshot()

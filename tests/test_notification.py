@@ -191,3 +191,47 @@ class TestNotificationTracker:
             while tracker.current_esid() is not None:
                 out.append(tracker.consume_esid())
         assert orders[0] == orders[1]
+
+
+class TestObserversLeaveTheTracker:
+    """``current_esid`` refills the tracker, which moves ``queue_full`` —
+    the stop bit the NIC raises at the next window start.  Observers
+    (``idle()``, the monitor's ESID check) must read without it."""
+
+    @staticmethod
+    def nic_with_one_vector():
+        from repro.nic.controller import OrderedNetworkInterface
+        from repro.noc.config import NocConfig
+        nic = OrderedNetworkInterface(
+            0, NocConfig(width=3, height=3),
+            NotificationConfig(tracker_queue_depth=1))
+        nic.tracker.push(1 << 2)        # node 2 announces one request
+        return nic
+
+    @staticmethod
+    def state(tracker):
+        return (list(tracker._queue), list(tracker._expansion),
+                tracker.pointer, tracker.queue_full)
+
+    def test_idle_does_not_refill(self):
+        nic = self.nic_with_one_vector()
+        before = self.state(nic.tracker)
+        assert before == ([4], [], 0, True)
+        assert not nic.idle()
+        assert self.state(nic.tracker) == before
+
+    def test_monitor_esid_check_does_not_refill(self):
+        from types import SimpleNamespace
+        from repro.verification.monitor import SystemMonitor
+        nic = self.nic_with_one_vector()
+        before = self.state(nic.tracker)
+        monitor = SystemMonitor(SimpleNamespace(nics=[nic], ordered=True))
+        monitor.check_esid_agreement()
+        assert monitor.report.clean
+        assert self.state(nic.tracker) == before
+
+    def test_peek_answers_what_current_esid_will(self):
+        nic = self.nic_with_one_vector()
+        assert nic.tracker.peek_esid() == 2
+        assert nic.tracker.current_esid() == 2
+        assert self.state(nic.tracker) == ([], [2], 1, False)

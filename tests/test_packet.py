@@ -12,18 +12,18 @@ class TestFlitCounts:
 
     def test_16_byte_channel_matches_table1(self):
         # Table 1: 32 B lines, 16 B channels -> 3-flit data packets.
-        assert data_packet_flits(16) == 3
+        assert data_packet_flits(16, 32) == 3
 
     def test_8_byte_channel(self):
         # Sec. 5.2: 8 B channels need 5 flits per cache-line response.
-        assert data_packet_flits(8) == 5
+        assert data_packet_flits(8, 32) == 5
 
     def test_32_byte_channel(self):
-        assert data_packet_flits(32) == 2
+        assert data_packet_flits(32, 32) == 2
 
     def test_invalid_width(self):
         with pytest.raises(ValueError):
-            data_packet_flits(0)
+            data_packet_flits(0, 32)
 
 
 class TestPacket:

@@ -140,7 +140,7 @@ class TestWritebacks:
     def test_capacity_eviction_writes_back(self):
         # Tiny L2 (4 lines) forces dirty evictions.
         from repro.coherence.l2_controller import CacheConfig
-        cache = CacheConfig(l2_size=128, l2_ways=2, line_size=32,
+        cache = CacheConfig(l2_size=128, l2_ways=2,
                             use_region_tracker=False)
         ops = [TraceOp("W", ADDR + i * LINE, 20) for i in range(8)]
         system = small_system([Trace(ops)], cache=cache)
@@ -151,7 +151,7 @@ class TestWritebacks:
 
     def test_read_after_eviction_served_by_memory(self):
         from repro.coherence.l2_controller import CacheConfig
-        cache = CacheConfig(l2_size=128, l2_ways=2, line_size=32,
+        cache = CacheConfig(l2_size=128, l2_ways=2,
                             use_region_tracker=False)
         ops = [TraceOp("W", ADDR + i * LINE, 20) for i in range(8)]
         ops.append(TraceOp("R", ADDR, 200))   # long evicted by now

@@ -7,7 +7,6 @@ re-submission does zero simulation work (proven at the scheduler),
 identical points coalesce, a SIGKILLed worker loses no points, spool
 drops execute exactly once, and the failure paths are loud."""
 
-import asyncio
 import builtins
 import io
 import json
@@ -16,7 +15,7 @@ import time
 import pytest
 
 from repro.api import envelope_bytes, run_experiment
-from repro.api.client import AsyncServeClient, ServeClient, ServeError
+from repro.api.client import ServeClient, ServeError
 from repro.api.document import experiment_from_dict
 from repro.serve import serve
 
@@ -331,28 +330,6 @@ class TestSpool:
             assert str(path) not in opened
         finally:
             server.stop()
-
-
-class TestAsyncClient:
-    def test_async_run_matches_sync(self, server, client):
-        document = tiny_document(seeds=(0,))
-        sync_outcome = client.run(document, timeout=120.0)
-
-        async def go():
-            async_client = AsyncServeClient(server.url)
-            assert (await async_client.health())["status"] == "ok"
-            outcome = await async_client.run(document, timeout=120.0)
-            events = []
-            async for event in async_client.events(
-                    outcome.summary["job"]):
-                events.append(event)
-            return outcome, events
-
-        outcome, events = asyncio.run(go())
-        assert outcome.summary["cache"] == {"hits": 1, "misses": 0}
-        assert without_cache_key(outcome.envelope) \
-            == without_cache_key(sync_outcome.envelope)
-        assert [event["event"] for event in events][-1] == "done"
 
 
 class TestCli:

@@ -147,19 +147,6 @@ class TestHistogramReservoir:
         # A uniform reservoir's median lands well inside the bulk.
         assert 1000.0 < p50 < 9000.0
 
-    def test_merge_folds_summary_exactly_under_cap(self):
-        a, b = StatsRegistry(), StatsRegistry()
-        for value in range(6000):
-            a.observe("x", float(value))
-        for value in range(4000):
-            b.observe("x", float(value))
-        a.merge(b)
-        hist = a.histograms["x"]
-        assert hist.count == 10_000
-        expected = (sum(range(6000)) + sum(range(4000))) / 10_000
-        assert hist.mean == pytest.approx(expected)
-        assert len(hist.samples()) <= DEFAULT_SAMPLE_CAP
-
     def test_snapshot_mean_count_unaffected_by_cap(self):
         capped, unbounded = StatsRegistry(), StatsRegistry()
         capped.histograms["x"] = Histogram(cap=4)

@@ -49,16 +49,17 @@ class Recorder:
 
 
 def make_l2():
-    return L2Controller(0, QuietNic(), make_memory_map([9]),
+    return L2Controller(0, QuietNic(), make_memory_map([9], 32), 32,
                         CacheConfig(use_region_tracker=False))
 
 
 def make_mc():
-    return MemoryController(3, QuietNic(), owns_every_addr)
+    return MemoryController(3, QuietNic(), owns_every_addr, 32)
 
 
 def make_core():
-    return TraceCore(0, QuietL2(), Trace([]), CoreConfig(l1_enabled=False))
+    return TraceCore(0, QuietL2(), Trace([]), 32,
+                     CoreConfig(l1_enabled=False))
 
 
 DUE = (9, 6, 6, 4)        # pushed in this order: latest first, one tie

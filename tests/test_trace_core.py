@@ -39,7 +39,7 @@ class FakeL2:
 def run_core(trace, config=None, l2=None, cycles=2000):
     engine = Engine()
     l2 = l2 or FakeL2()
-    core = TraceCore(0, l2, trace, config or CoreConfig(l1_enabled=False))
+    core = TraceCore(0, l2, trace, 32, config or CoreConfig(l1_enabled=False))
     engine.register(core)
     engine.add_watcher(l2.tick)
     engine.run(cycles, until=lambda: core.finished)
@@ -59,7 +59,7 @@ class TestIssue:
         slow = FakeL2(latency=500)
         config = CoreConfig(max_outstanding=2, l1_enabled=False)
         engine = Engine()
-        core = TraceCore(0, slow, trace, config)
+        core = TraceCore(0, slow, trace, 32, config)
         engine.register(core)
         engine.add_watcher(slow.tick)
         engine.run(100)
@@ -76,7 +76,7 @@ class TestIssue:
         l2.accept = False
         trace = Trace([TraceOp("R", 0, 1)])
         engine = Engine()
-        core = TraceCore(0, l2, trace, CoreConfig(l1_enabled=False))
+        core = TraceCore(0, l2, trace, 32, CoreConfig(l1_enabled=False))
         engine.register(core)
         engine.add_watcher(l2.tick)
         engine.run(50)

@@ -26,7 +26,7 @@ class TestTraceOps:
         trace = Trace([TraceOp("R", 0), TraceOp("W", 32), TraceOp("R", 32)])
         assert len(trace) == 3
         assert trace.reads == 2 and trace.writes == 1
-        assert trace.footprint() == 2
+        assert trace.footprint(32) == 2
 
 
 class TestGenerator:
@@ -123,4 +123,4 @@ class TestUniformRandom:
 
     def test_footprint_bounded(self):
         trace = uniform_random_trace(0, 500, 8, seed=0)
-        assert trace.footprint() <= 8
+        assert trace.footprint(32) <= 8
