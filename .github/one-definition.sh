@@ -48,6 +48,8 @@ retired=(
                                                # one sending end of a link
     'InputPort|vc_free|_release_upstream'      # one receiving end of a link
     'AsyncServeClient'                         # live config
+    'system_kwargs|_build_(scorpio|directory|multimesh|tokenb|inso|timestamp|uncorq)|_timestamp_metrics|_uncorq_metrics'
+                                               # one chip config
 )
 forbid "retired name" "\b($(IFS='|'; echo "${retired[*]}"))\b" \
     src tests benchmarks examples
@@ -183,6 +185,41 @@ for root in ("src", "tests", "benchmarks", "examples"):
 print("\n".join(hits), end="\n" if hits else "")
 sys.exit(1 if hits else 0)
 PY
+
+# One chip, one config: a system class is built as Class(config, traces,
+# own params) from one ChipConfig, never from its parts (nor through a
+# catch-all *args / **kwargs), and a builder
+# registers the class itself (retired names above).  The memory-
+# controller layout is defined in core/config.py alone, and the
+# fabricated chip is ChipConfig's defaults, with no overrides.
+python3 - <<'PY' || fail "system constructor takes chip parts, not config"
+import ast, sys
+from pathlib import Path
+parts = {"noc", "notification", "cache", "memory", "core", "mc_nodes",
+         "directory"}
+paths = sorted(Path("src/repro/systems").glob("*.py"))
+paths.append(Path("src/repro/ordering_baselines/systems.py"))
+bad = []
+for path in paths:
+    for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(cls, ast.ClassDef) and cls.name.endswith("System")):
+            continue
+        for init in cls.body:
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                args = init.args
+                names = [a.arg for a in args.posonlyargs + args.args
+                         + args.kwonlyargs]
+                if names[1:2] != ["config"] or parts & set(names) \
+                        or args.vararg or args.kwarg:
+                    bad.append(f"{path}:{init.lineno}: {cls.name}"
+                               f"({', '.join(names[1:])})")
+print("\n".join(bad), end="\n" if bad else "")
+sys.exit(1 if bad else 0)
+PY
+only_in "memory-controller layout outside core/config.py" \
+    'default_mc_nodes' "src/repro/core/config.py"
+forbid "chip_36core called with overrides" '\.chip_36core\([^)]' \
+    src tests benchmarks examples
 
 # Dead names: every def / class under src/repro is spelled at least
 # twice across the tree (its definition plus one caller, test or

@@ -119,9 +119,8 @@ def _observe_spec(spec, journal: EventJournal,
     cycle = system.engine.cycle
     if not sampler.samples or sampler.samples[-1][0] != cycle:
         sampler.sample_now(cycle)
-    width = system.noc_config.width
-    height = system.noc_config.height
-    return result, sampler, (width, height)
+    noc = system.config.noc
+    return result, sampler, (noc.width, noc.height)
 
 
 def collect_observations(experiment, results: Sequence,

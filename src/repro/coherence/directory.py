@@ -43,9 +43,9 @@ from repro.sim.stats import StatsRegistry
 class DirectoryConfig(SerializableConfig):
     """Parameters shared by both directory baselines."""
 
-    scheme: str = "LPD"            # "LPD", "FULLBIT" or "HT"
-    total_cache_bytes: int = 256 * 1024   # split across all nodes (Sec. 5)
-    n_nodes: int = 36
+    scheme: str                    # "LPD", "FULLBIT" or "HT"
+    n_nodes: int
+    total_cache_bytes: int         # split across all nodes (Sec. 5)
     pointers: int = 4              # LPD sharer pointers (paper: ~3-4)
     access_latency: int = 10       # directory cache access (GEMS)
     miss_penalty: int = 80         # off-chip access on a directory miss

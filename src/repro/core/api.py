@@ -160,13 +160,12 @@ def _builder_of(protocol: str) -> Tuple[str, Dict[str, Any]]:
 
 def build_system(protocol: str, traces, config: Optional[ChipConfig] = None):
     """Instantiate a full system of the given *protocol* through the
-    builder registry (:mod:`repro.experiments.builders`), where each
-    system's constructor arguments are spelled once."""
+    builder registry (:mod:`repro.experiments.builders`)."""
     from repro.experiments.builders import get_builder
     name, given = _builder_of(protocol)
     builder = get_builder(name)
-    return builder.construct(config or ChipConfig.chip_36core(),
-                             builder.resolved_params(given), traces)
+    return builder.system_class(config or ChipConfig.chip_36core(), traces,
+                                **builder.resolved_params(given))
 
 
 def run_benchmark(benchmark: Union[str, WorkloadProfile],

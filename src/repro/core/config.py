@@ -9,14 +9,13 @@ exploration (Sec. 5.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.coherence.l2_controller import CacheConfig
 from repro.core.serialize import SerializableConfig
 from repro.cpu.core import CoreConfig
 from repro.memory.controller import MemoryConfig
 from repro.noc.config import NocConfig, NotificationConfig
-from repro.systems.base import default_mc_nodes
 
 # Table 1 constants that are facts about the chip rather than simulator
 # parameters; exported for the Table-1/Table-2 harnesses.
@@ -44,6 +43,14 @@ CHIP_FEATURES: Dict[str, str] = {
                     "max 4 pending messages",
     "memory_controllers": "2x dual-port Cadence DDR2 + PHY",
 }
+
+
+def default_mc_nodes(width: int, height: int) -> List[int]:
+    """Edge nodes hosting the two memory controllers (Fig. 5 layout:
+    controllers attach along the top and bottom chip edges)."""
+    bottom = width // 2
+    top = (height - 1) * width + width // 2
+    return [bottom, top]
 
 
 @dataclass
@@ -78,32 +85,14 @@ class ChipConfig(SerializableConfig):
     def n_cores(self) -> int:
         return self.noc.n_nodes
 
-    def system_kwargs(self) -> Dict[str, Any]:
-        """The constructor arguments every system class takes.
-        ``notification`` is left out on purpose: only the systems that
-        run the notification network (scorpio, multimesh) are handed it;
-        the ordered-network baselines keep the default window."""
-        return {"noc": self.noc, "cache": self.cache,
-                "memory": self.memory, "core": self.core,
-                "mc_nodes": self.mc_nodes}
-
     # ------------------------------------------------------------------
     # Factory methods
     # ------------------------------------------------------------------
 
     @classmethod
-    def chip_36core(cls, **overrides) -> "ChipConfig":
-        """The fabricated configuration (Table 1)."""
-        cfg = cls(
-            noc=NocConfig(width=6, height=6, channel_width_bytes=16,
-                          goreq_vcs=4, uoresp_vcs=2),
-            notification=NotificationConfig(bits_per_core=1, window=13,
-                                            max_pending=4),
-            cache=CacheConfig(),
-            memory=MemoryConfig(),
-            core=CoreConfig(max_outstanding=2),
-        )
-        return replace(cfg, **overrides) if overrides else cfg
+    def chip_36core(cls) -> "ChipConfig":
+        """The fabricated configuration (Table 1): the field defaults."""
+        return cls()
 
     @classmethod
     def variant(cls, width: int, height: int, goreq_vcs: int = 4,

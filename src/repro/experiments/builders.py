@@ -25,10 +25,14 @@ regression lock on the underlying cycle-level behaviour).
 from __future__ import annotations
 
 import hashlib
+import importlib
+import inspect
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (Any, Callable, Dict, List, Literal, Mapping, Optional,
+                    Tuple, Union, get_args, get_origin)
 
 from repro.core.config import ChipConfig
 from repro.experiments.spec import (SPEC_SCHEMA, KeyMemo, PointSpec,
@@ -68,24 +72,49 @@ WORKLOAD_KINDS: Dict[str, Dict[str, Any]] = {
 }
 
 
+def _default_types(defaults: Mapping[str, Any]) -> Dict[str, Tuple[Any, Any]]:
+    """``{param: (default, type)}`` where a default names its own type;
+    ``None`` and ``REQUIRED`` defaults name none (any value passes)."""
+    return {name: (default, Any if default is None
+                   or isinstance(default, _Required) else type(default))
+            for name, default in defaults.items()}
+
+
+def _fits(value: Any, hint: Any) -> bool:
+    """Whether *value* is a *hint*: exactly its type (a bool is not an
+    int) or an int where a float is asked, a member of a ``Literal``, or
+    any arm of a ``Union`` (``Optional``)."""
+    if hint is Any:
+        return True
+    origin = get_origin(hint)
+    if origin is Union:
+        return any(_fits(value, arm) for arm in get_args(hint))
+    if origin is Literal:
+        return any(type(value) is type(arg) and value == arg
+                   for arg in get_args(hint))
+    if hint is type(None):
+        return value is None
+    return type(value) is hint or (hint is float and type(value) is int)
+
+
 def _merge_params(kind: str, given: Mapping[str, Any],
-                  defaults: Mapping[str, Any], what: str) -> Dict[str, Any]:
-    unknown = sorted(set(given) - set(defaults))
+                  params: Mapping[str, Tuple[Any, Any]],
+                  what: str) -> Dict[str, Any]:
+    """*given* checked against *params* (``{param: (default, type)}``)
+    and completed with the defaults."""
+    unknown = sorted(set(given) - set(params))
     if unknown:
         raise ValueError(f"unknown {what} parameter(s) {unknown} for "
-                         f"{kind!r}; known: {sorted(defaults)}")
-    # A given value has exactly its default's type (so a bool is not an
-    # int), or is an int where the default is a float; None and REQUIRED
-    # defaults name no type.
+                         f"{kind!r}; known: {sorted(params)}")
     for name, value in given.items():
-        default = defaults[name]
-        if type(value) is type(default) or default is None \
-                or (type(default) is float and type(value) is int) \
-                or isinstance(default, _Required):
-            continue
-        raise ValueError(f"{what} parameter {name!r} of {kind!r} must be "
-                         f"{type(default).__name__}, got {value!r}")
-    merged = {**defaults, **given}
+        hint = params[name][1]
+        if not _fits(value, hint):
+            expected = getattr(hint, "__name__", None) \
+                or str(hint).replace("typing.", "")
+            raise ValueError(f"{what} parameter {name!r} of {kind!r} must "
+                             f"be {expected}, got {value!r}")
+    merged = {name: given.get(name, default)
+              for name, (default, _) in params.items()}
     missing = sorted(name for name, value in merged.items()
                      if isinstance(value, _Required))
     if missing:
@@ -119,7 +148,8 @@ def resolve_workload(workload: Mapping[str, Any],
     if kind not in WORKLOAD_KINDS:
         raise ValueError(f"unknown workload kind {kind!r}; known: "
                          f"{sorted(WORKLOAD_KINDS)}")
-    params = _merge_params(kind, workload, WORKLOAD_KINDS[kind], "workload")
+    params = _merge_params(kind, workload,
+                           _default_types(WORKLOAD_KINDS[kind]), "workload")
 
     if kind == "benchmark":
         from repro.workloads.suites import benchmark_workload
@@ -202,51 +232,52 @@ def resolve_workload(workload: Mapping[str, Any],
 class SystemBuilder:
     """One registered way to assemble (and run) a full system.
 
-    ``construct(config, params, traces)`` returns a system exposing the
-    :class:`~repro.systems.base.BaseSystem` run interface; ``metrics``
-    optionally harvests system-level numbers that live outside the stats
-    registry (reorder-buffer peaks, ring latencies) into the result's
-    stats under ``system.<name>`` keys.
+    ``system`` names the system class as ``"module:Class"``, imported on
+    first use: the builder builds ``Class(config, traces, **params)``,
+    and the class's keyword parameters after ``traces`` — their defaults
+    and annotations — are the builder's params.  A builder with a
+    fundamentally different construction/harvest shape (litmus) supplies
+    ``build`` and ``collect`` and its param ``defaults`` instead; the run
+    phase is always ``execute_point``'s, so every builder can checkpoint.
     """
 
     name: str
     description: str
-    defaults: Mapping[str, Any] = field(default_factory=dict)
-    construct: Optional[Callable[..., Any]] = None
-    metrics: Optional[Callable[[Any], Dict[str, float]]] = None
-    # Builders with a fundamentally different construction/harvest shape
-    # (litmus) supply these instead of ``construct``; the run phase is
-    # always ``execute_point``'s, so every builder can checkpoint.
+    system: str = ""
+    defaults: Optional[Mapping[str, Any]] = None
     build: Optional[Callable[..., Any]] = None
     collect: Optional[Callable[..., SystemRunOutcome]] = None
 
+    @cached_property
+    def system_class(self) -> type:
+        module, _, name = self.system.partition(":")
+        return getattr(importlib.import_module(module), name)
+
+    @cached_property
+    def params(self) -> Dict[str, Tuple[Any, Any]]:
+        """``{param: (default, type)}``."""
+        if self.defaults is not None:
+            return _default_types(self.defaults)
+        signature = inspect.signature(self.system_class, eval_str=True)
+        _config, _traces, *params = signature.parameters.values()
+        return {param.name: (param.default, param.annotation)
+                for param in params}
+
     def resolved_params(self, given: Mapping[str, Any]) -> Dict[str, Any]:
-        return _merge_params(self.name, given, self.defaults, "builder")
+        return _merge_params(self.name, given, self.params, "builder")
 
 
 BUILDERS: Dict[str, SystemBuilder] = {}
 
 
-def register_builder(name: str, description: str,
+def register_builder(name: str, description: str, system: str = "",
                      defaults: Optional[Mapping[str, Any]] = None,
-                     metrics: Optional[Callable] = None,
                      build: Optional[Callable] = None,
-                     collect: Optional[Callable] = None):
-    """Register builder *name*.  Used as a decorator, the decorated
-    function is its trace-driven constructor.  Given ``build`` (and
-    ``collect``) instead, the builder has no constructor and the call
-    registers it outright — there is nothing to decorate."""
-
-    def register(construct=None):
-        BUILDERS[name] = SystemBuilder(
-            name=name, description=description, defaults=dict(defaults or {}),
-            construct=construct, metrics=metrics, build=build,
-            collect=collect)
-        return construct
-
-    if build is None:
-        return register
-    register()
+                     collect: Optional[Callable] = None) -> None:
+    """Register builder *name*: the system class ``system`` names, or
+    (litmus) ``build`` / ``collect`` with param ``defaults``."""
+    BUILDERS[name] = SystemBuilder(name, description, system, defaults,
+                                   build, collect)
 
 
 def get_builder(name: str) -> SystemBuilder:
@@ -263,7 +294,9 @@ def builder_names() -> List[str]:
 
 def list_builders() -> List[Tuple[str, str, Dict[str, Any]]]:
     """(name, description, param defaults) rows for CLI introspection."""
-    return [(name, BUILDERS[name].description, dict(BUILDERS[name].defaults))
+    return [(name, BUILDERS[name].description,
+             {param: default for param, (default, _)
+              in BUILDERS[name].params.items()})
             for name in builder_names()]
 
 
@@ -355,9 +388,8 @@ def build_spec_system(spec: SystemSpec):
     params = builder.resolved_params(spec.params)
     if builder.build is not None:
         return builder.build(spec, config, params)
-    resolved = resolve_workload(spec.workload)
-    traces = resolved.build_traces(config.n_cores)
-    return builder.construct(config, params, traces)
+    traces = resolve_workload(spec.workload).build_traces(config.n_cores)
+    return builder.system_class(config, traces, **params)
 
 
 def collect_spec_outcome(spec: SystemSpec, system) -> SystemRunOutcome:
@@ -368,11 +400,7 @@ def collect_spec_outcome(spec: SystemSpec, system) -> SystemRunOutcome:
     builder = get_builder(spec.builder)
     if builder.collect is not None:
         return builder.collect(spec, system)
-    outcome = PointSpec.harvest(spec, system)
-    if builder.metrics is not None:
-        for name, value in builder.metrics(system).items():
-            outcome.stats[f"system.{name}"] = float(value)
-    return outcome
+    return PointSpec.harvest(spec, system)
 
 
 def execute_system_spec(spec: SystemSpec, instrument=None):
@@ -393,102 +421,41 @@ def execute_system_spec(spec: SystemSpec, instrument=None):
 # ---------------------------------------------------------------------------
 # Registered builders
 # ---------------------------------------------------------------------------
-# System imports stay inside the constructors: the registry is imported
-# by the experiment layer's __init__, and most callers never build most
+# A builder names its system class as "module:Class"; the class is
+# imported on the builder's first use, since the registry is imported by
+# the experiment layer's __init__ and most callers never build most
 # systems.
 
-@register_builder(
+register_builder(
     "scorpio",
-    "SCORPIO ordered-mesh snoopy MOSI (the paper's fabricated design)")
-def _build_scorpio(config: ChipConfig, params, traces):
-    from repro.systems.scorpio import ScorpioSystem
-    return ScorpioSystem(traces=traces, notification=config.notification,
-                         **config.system_kwargs())
-
-
-@register_builder(
+    "SCORPIO ordered-mesh snoopy MOSI (the paper's fabricated design)",
+    "repro.systems.scorpio:ScorpioSystem")
+register_builder(
     "directory",
     "distributed-directory baseline (LPD-D / HT-D / FULLBIT, "
     "optional INCF)",
-    defaults={"scheme": "LPD", "incf": False, "incf_table_capacity": None})
-def _build_directory(config: ChipConfig, params, traces):
-    from repro.coherence.directory import DirectoryConfig
-    from repro.systems.directory import DirectorySystem
-    scheme = str(params["scheme"]).upper()
-    dir_config = DirectoryConfig(
-        scheme=scheme, n_nodes=config.noc.n_nodes,
-        total_cache_bytes=config.directory_cache_bytes)
-    return DirectorySystem(scheme=scheme, traces=traces,
-                           directory=dir_config, incf=params["incf"],
-                           incf_table_capacity=params["incf_table_capacity"],
-                           **config.system_kwargs())
-
-
-@register_builder(
+    "repro.systems.directory:DirectorySystem")
+register_builder(
     "multimesh",
     "SCORPIO with N replicated main meshes (Sec. 5.3 scaling proposal)",
-    defaults={"n_meshes": 2})
-def _build_multimesh(config: ChipConfig, params, traces):
-    from repro.systems.multimesh import MultiMeshScorpioSystem
-    return MultiMeshScorpioSystem(traces=traces,
-                                  n_meshes=params["n_meshes"],
-                                  notification=config.notification,
-                                  **config.system_kwargs())
-
-
-@register_builder(
+    "repro.systems.multimesh:MultiMeshScorpioSystem")
+register_builder(
     "tokenb",
     "TokenB-like unordered broadcast, races resolved by retry (Fig. 7)",
-    defaults={"retry_timeout": 400, "incf": False})
-def _build_tokenb(config: ChipConfig, params, traces):
-    from repro.ordering_baselines.systems import TokenBSystem
-    return TokenBSystem(traces=traces,
-                        retry_timeout=params["retry_timeout"],
-                        incf=params["incf"], **config.system_kwargs())
-
-
-@register_builder(
+    "repro.ordering_baselines.systems:TokenBSystem")
+register_builder(
     "inso",
     "INSO snoopy coherence with pre-assigned expiring slots (Fig. 7)",
-    defaults={"expiration_window": 20})
-def _build_inso(config: ChipConfig, params, traces):
-    from repro.ordering_baselines.systems import InsoSystem
-    return InsoSystem(traces=traces,
-                      expiration_window=params["expiration_window"],
-                      **config.system_kwargs())
-
-
-def _timestamp_metrics(system) -> Dict[str, float]:
-    return {"reorder_buffer_peak": system.reorder_buffer_peak(),
-            "late_arrivals": system.late_arrivals()}
-
-
-@register_builder(
+    "repro.ordering_baselines.systems:InsoSystem")
+register_builder(
     "timestamp",
     "Timestamp Snooping with destination reorder buffers (Sec. 2)",
-    defaults={"slack": None}, metrics=_timestamp_metrics)
-def _build_timestamp(config: ChipConfig, params, traces):
-    from repro.ordering_baselines.systems import TimestampSystem
-    return TimestampSystem(traces=traces, slack=params["slack"],
-                           **config.system_kwargs())
-
-
-def _uncorq_metrics(system) -> Dict[str, float]:
-    return {"ring_traversal_latency": system.ring_traversal_latency()}
-
-
-@register_builder(
+    "repro.ordering_baselines.systems:TimestampSystem")
+register_builder(
     "uncorq",
     "Uncorq: unordered snoops + response ring, writes wait a circuit "
     "(Sec. 2)",
-    defaults={"ring_hop_latency": 2, "retry_timeout": 400},
-    metrics=_uncorq_metrics)
-def _build_uncorq(config: ChipConfig, params, traces):
-    from repro.ordering_baselines.systems import UncorqSystem
-    return UncorqSystem(traces=traces,
-                        ring_hop_latency=params["ring_hop_latency"],
-                        retry_timeout=params["retry_timeout"],
-                        **config.system_kwargs())
+    "repro.ordering_baselines.systems:UncorqSystem")
 
 
 def _litmus_build(spec: SystemSpec, config: ChipConfig,
@@ -499,9 +466,7 @@ def _litmus_build(spec: SystemSpec, config: ChipConfig,
         name=params["name"],
         threads=[[(op, var) for op, var in thread]
                  for thread in params["threads"]])
-    return build_litmus_system(program, width=config.noc.width,
-                               height=config.noc.height,
-                               protocol=params["protocol"])
+    return build_litmus_system(program, config, params["protocol"])
 
 
 def _litmus_collect(spec: SystemSpec, system) -> SystemRunOutcome:

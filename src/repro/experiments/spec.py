@@ -114,11 +114,14 @@ class PointSpec:
             else ChipConfig.chip_36core()
 
     def harvest(self, system) -> SystemRunOutcome:
-        """The outcome of a finished (or cycle-capped) *system*."""
+        """The outcome of a finished (or cycle-capped) *system*; its
+        ``metrics()`` join the stats as ``system.<name>``."""
+        stats = system.stats.snapshot()
+        for name, value in system.metrics().items():
+            stats[f"system.{name}"] = float(value)
         return SystemRunOutcome(runtime=system.engine.cycle,
                                 completed_ops=system.total_completed_ops(),
-                                progress=system.progress(),
-                                stats=system.stats.snapshot())
+                                progress=system.progress(), stats=stats)
 
     def fingerprint(self, code_version: Optional[str] = None,
                     memo: Optional[KeyMemo] = None) -> str:

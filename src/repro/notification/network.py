@@ -38,7 +38,8 @@ class NotificationNetwork(Clocked):
                  engine: Engine, stats: Optional[StatsRegistry] = None) -> None:
         if config.window < NotificationConfig.minimum_window(width, height):
             raise ValueError(
-                f"window {config.window} below the latency bound "
+                f"notification window below the latency bound: "
+                f"{config.window} < "
                 f"{NotificationConfig.minimum_window(width, height)} for a "
                 f"{width}x{height} mesh")
         self.width = width

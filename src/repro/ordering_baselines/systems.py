@@ -11,14 +11,11 @@ and run helpers are :class:`~repro.systems.base.BaseSystem`'s.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.coherence.l2_controller import CacheConfig
-from repro.cpu.core import CoreConfig
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace
-from repro.memory.controller import MemoryConfig
 from repro.nic.controller import NetworkInterface
-from repro.noc.config import NocConfig
 from repro.ordering_baselines.inso import InsoNetworkInterface
 from repro.ordering_baselines.timestamp import TimestampNetworkInterface
 from repro.ordering_baselines.uncorq import (LogicalRing,
@@ -28,17 +25,17 @@ from repro.systems.base import BaseSystem
 
 class _SnoopyBaselineSystem(BaseSystem):
     """The snoopy stack over an unordered fabric: no notification
-    network, and — deliberately — no ``notification`` config either, so
-    ``self.notif_config`` is the default-window one on every chip."""
+    network."""
 
-    def __init__(self, traces: Optional[Sequence[Trace]],
-                 retry_timeout: Optional[int] = None, **config) -> None:
-        super().__init__(ordered=False, **config)
+    def __init__(self, config: ChipConfig,
+                 traces: Optional[Sequence[Trace]],
+                 retry_timeout: Optional[int] = None) -> None:
         if retry_timeout is not None:
             # Requests delivered unordered race; the L2s resolve races
             # by timed retries plus the memory rescue.
-            self.cache_config = replace(self.cache_config,
-                                        retry_timeout=retry_timeout)
+            config = replace(config, cache=replace(
+                config.cache, retry_timeout=retry_timeout))
+        super().__init__(config, ordered=False)
         self.build_snoopy_stack(traces)
 
 
@@ -49,20 +46,14 @@ class TokenBSystem(_SnoopyBaselineSystem):
     retries.  Like the paper, no persistent requests are modelled, so
     TokenB performs close to SCORPIO."""
 
-    def __init__(self, traces: Optional[Sequence[Trace]] = None,
-                 noc: Optional[NocConfig] = None,
-                 cache: Optional[CacheConfig] = None,
-                 memory: Optional[MemoryConfig] = None,
-                 core: Optional[CoreConfig] = None,
-                 mc_nodes: Optional[Sequence[int]] = None,
-                 retry_timeout: int = 400,
-                 incf: bool = False) -> None:
-        super().__init__(traces, retry_timeout, noc=noc, cache=cache,
-                         memory=memory, core=core, mc_nodes=mc_nodes)
+    def __init__(self, config: ChipConfig,
+                 traces: Optional[Sequence[Trace]] = None,
+                 retry_timeout: int = 400, incf: bool = False) -> None:
+        super().__init__(config, traces, retry_timeout)
         # INCF: snoopy-mode memory controllers keep the owner bits, so
         # they must observe every snoop — they are always interested.
         if incf:
-            self.install_incf(always_interested=self.mc_nodes)
+            self.install_incf(always_interested=config.mc_nodes)
 
 
 class InsoSystem(_SnoopyBaselineSystem):
@@ -70,16 +61,11 @@ class InsoSystem(_SnoopyBaselineSystem):
     slots, and idle slots must be expired every ``expiration_window``
     cycles (20/40/80 in Figure 7)."""
 
-    def __init__(self, traces: Optional[Sequence[Trace]] = None,
-                 expiration_window: int = 20,
-                 noc: Optional[NocConfig] = None,
-                 cache: Optional[CacheConfig] = None,
-                 memory: Optional[MemoryConfig] = None,
-                 core: Optional[CoreConfig] = None,
-                 mc_nodes: Optional[Sequence[int]] = None) -> None:
+    def __init__(self, config: ChipConfig,
+                 traces: Optional[Sequence[Trace]] = None,
+                 expiration_window: int = 20) -> None:
         self.expiration_window = expiration_window   # read by make_nic
-        super().__init__(traces, noc=noc, cache=cache, memory=memory,
-                         core=core, mc_nodes=mc_nodes)
+        super().__init__(config, traces)
         # In-network expiry: every NIC sees every frontier update after a
         # diameter-bounded latency.
         for nic in self.nics:
@@ -87,7 +73,7 @@ class InsoSystem(_SnoopyBaselineSystem):
 
     def make_nic(self, node: int) -> NetworkInterface:
         return InsoNetworkInterface(
-            node, self.noc_config, self.notif_config, self.stats,
+            node, self.config.noc, self.config.notification, self.stats,
             expiration_window=self.expiration_window)
 
     def expiry_overhead(self) -> float:
@@ -108,25 +94,19 @@ class TimestampSystem(_SnoopyBaselineSystem):
     requirement that slack bound the delivery latency.
     """
 
-    def __init__(self, traces: Optional[Sequence[Trace]] = None,
-                 slack: Optional[int] = None,
-                 noc: Optional[NocConfig] = None,
-                 cache: Optional[CacheConfig] = None,
-                 memory: Optional[MemoryConfig] = None,
-                 core: Optional[CoreConfig] = None,
-                 mc_nodes: Optional[Sequence[int]] = None) -> None:
+    def __init__(self, config: ChipConfig,
+                 traces: Optional[Sequence[Trace]] = None,
+                 slack: Optional[int] = None) -> None:
         if slack is None:
             # Diameter x (router + link) + injection + a queueing margin.
-            noc = noc or NocConfig()
-            diameter = (noc.width - 1) + (noc.height - 1)
+            diameter = (config.noc.width - 1) + (config.noc.height - 1)
             slack = 4 * diameter + 40
         self.slack = slack                            # read by make_nic
-        super().__init__(traces, noc=noc, cache=cache, memory=memory,
-                         core=core, mc_nodes=mc_nodes)
+        super().__init__(config, traces)
 
     def make_nic(self, node: int) -> NetworkInterface:
         return TimestampNetworkInterface(
-            node, self.noc_config, self.notif_config, self.stats,
+            node, self.config.noc, self.config.notification, self.stats,
             slack=self.slack)
 
     def reorder_buffer_peak(self) -> int:
@@ -136,6 +116,10 @@ class TimestampSystem(_SnoopyBaselineSystem):
     def late_arrivals(self) -> int:
         """Requests that arrived after GT passed their OT (slack misses)."""
         return self.stats.counter("ts.late_arrivals")
+
+    def metrics(self) -> Dict[str, float]:
+        return {"reorder_buffer_peak": self.reorder_buffer_peak(),
+                "late_arrivals": self.late_arrivals()}
 
 
 class UncorqSystem(_SnoopyBaselineSystem):
@@ -147,29 +131,27 @@ class UncorqSystem(_SnoopyBaselineSystem):
     count (``ring.traversal_latency()`` gives the lower bound).
     """
 
-    def __init__(self, traces: Optional[Sequence[Trace]] = None,
+    def __init__(self, config: ChipConfig,
+                 traces: Optional[Sequence[Trace]] = None,
                  ring_hop_latency: int = 2,
-                 noc: Optional[NocConfig] = None,
-                 cache: Optional[CacheConfig] = None,
-                 memory: Optional[MemoryConfig] = None,
-                 core: Optional[CoreConfig] = None,
-                 mc_nodes: Optional[Sequence[int]] = None,
                  retry_timeout: int = 400) -> None:
         self.ring_hop_latency = ring_hop_latency      # read by build_fabric
-        super().__init__(traces, retry_timeout, noc=noc, cache=cache,
-                         memory=memory, core=core, mc_nodes=mc_nodes)
+        super().__init__(config, traces, retry_timeout)
         self.engine.register(self.ring)      # ticks last, after the cores
 
     def build_fabric(self) -> None:
-        self.ring = LogicalRing(self.noc_config, self.stats,
+        self.ring = LogicalRing(self.config.noc, self.stats,
                                 hop_latency=self.ring_hop_latency)
         super().build_fabric()
 
     def make_nic(self, node: int) -> NetworkInterface:
         return UncorqNetworkInterface(
-            node, self.noc_config, self.notif_config, self.stats,
+            node, self.config.noc, self.config.notification, self.stats,
             ring=self.ring)
 
     def ring_traversal_latency(self) -> int:
         """Full-circle ring latency — the write-wait lower bound."""
         return self.ring.traversal_latency()
+
+    def metrics(self) -> Dict[str, float]:
+        return {"ring_traversal_latency": self.ring_traversal_latency()}

@@ -1,6 +1,7 @@
 """System assembly, spelled once.
 
-:class:`BaseSystem` defaults the configs, creates ``stats`` / ``engine`` /
+:class:`BaseSystem` takes the chip's one
+:class:`~repro.core.config.ChipConfig`, creates ``stats`` / ``engine`` /
 ``memory_map``, builds the fabric (:meth:`~BaseSystem.build_fabric`: one
 mesh, one NIC per node from :meth:`~BaseSystem.make_nic`) and, for
 ordered systems, the notification network.  Subclasses stack a protocol
@@ -19,14 +20,14 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
-from repro.coherence.l2_controller import CacheConfig, L2Controller
-from repro.cpu.core import CoreConfig, TraceCore
+from repro.coherence.l2_controller import L2Controller
+from repro.core.config import ChipConfig
+from repro.cpu.core import TraceCore
 from repro.cpu.trace import Trace
-from repro.memory.controller import (MemoryConfig, MemoryController,
-                                     OwnsMappedAddr, make_memory_map)
+from repro.memory.controller import (MemoryController, OwnsMappedAddr,
+                                     make_memory_map)
 from repro.nic.controller import (NetworkInterface,
                                   OrderedNetworkInterface)
-from repro.noc.config import NocConfig, NotificationConfig
 from repro.noc.filtering import (BroadcastFilter, FilterTable,
                                  l2_interest_oracle)
 from repro.noc.mesh import Mesh
@@ -34,14 +35,6 @@ from repro.notification.network import NotificationNetwork
 from repro.sim.engine import Engine
 from repro.sim.journal import system_routers
 from repro.sim.stats import StatsRegistry
-
-
-def default_mc_nodes(width: int, height: int) -> List[int]:
-    """Edge nodes hosting the two memory controllers (Fig. 5 layout:
-    controllers attach along the top and bottom chip edges)."""
-    bottom = width // 2
-    top = (height - 1) * width + width // 2
-    return [bottom, top]
 
 
 def record_kernel_meta(system) -> None:
@@ -90,32 +83,14 @@ class BaseSystem:
 
     broadcast_filter = None     # set by install_incf
 
-    def __init__(self, noc: Optional[NocConfig] = None,
-                 notification: Optional[NotificationConfig] = None,
-                 cache: Optional[CacheConfig] = None,
-                 memory: Optional[MemoryConfig] = None,
-                 core: Optional[CoreConfig] = None,
-                 mc_nodes: Optional[Sequence[int]] = None,
-                 ordered: bool = True) -> None:
-        self.noc_config = noc or NocConfig()
-        width, height = self.noc_config.width, self.noc_config.height
-        min_window = NotificationConfig.minimum_window(width, height)
-        if notification is None:
-            notification = NotificationConfig(window=max(13, min_window))
-        elif notification.window < min_window:
-            raise ValueError("notification window below the latency bound")
-        self.notif_config = notification
-        self.cache_config = cache or CacheConfig()
-        self.memory_config = memory or MemoryConfig()
-        self.core_config = core or CoreConfig()
-        self.mc_nodes = list(mc_nodes) if mc_nodes is not None \
-            else default_mc_nodes(width, height)
+    def __init__(self, config: ChipConfig, ordered: bool) -> None:
+        self.config = config
         self.ordered = ordered
         self.stats = StatsRegistry()
         self.engine = Engine()
-        self.n_nodes = self.noc_config.n_nodes
-        self.memory_map = make_memory_map(self.mc_nodes,
-                                          self.noc_config.line_size_bytes)
+        self.n_nodes = config.noc.n_nodes
+        self.memory_map = make_memory_map(config.mc_nodes,
+                                          config.noc.line_size_bytes)
 
         self.meshes: List[Mesh] = []
         self.nics: List[NetworkInterface] = []
@@ -124,7 +99,8 @@ class BaseSystem:
         self.notification_network: Optional[NotificationNetwork] = None
         if ordered:
             self.notification_network = NotificationNetwork(
-                width, height, self.notif_config, self.engine, self.stats)
+                config.noc.width, config.noc.height, config.notification,
+                self.engine, self.stats)
             for node, nic in enumerate(self.nics):
                 self.notification_network.attach(
                     node, nic.compose_notification,
@@ -142,7 +118,7 @@ class BaseSystem:
         any NIC.  Runs inside ``__init__``: whatever an override (or
         ``make_nic``) reads of ``self`` must be set before
         ``BaseSystem.__init__`` is called."""
-        mesh = Mesh(self.noc_config, self.engine, self.stats)
+        mesh = Mesh(self.config.noc, self.engine, self.stats)
         self.meshes.append(mesh)
         for node in range(self.n_nodes):
             nic = self.make_nic(node)
@@ -154,12 +130,10 @@ class BaseSystem:
     def make_nic(self, node: int) -> NetworkInterface:
         """The NIC of *node* — the one thing an ordered-network baseline
         changes: SCORPIO's when the system is ordered, else the
-        arrival-order one.  The baselines pass ``__init__`` no
-        ``notification``, so ``notif_config`` is the default-window one
-        on every chip."""
+        arrival-order one."""
         nic_class = OrderedNetworkInterface if self.ordered \
             else NetworkInterface
-        return nic_class(node, self.noc_config, self.notif_config,
+        return nic_class(node, self.config.noc, self.config.notification,
                          self.stats)
 
     @property
@@ -168,20 +142,21 @@ class BaseSystem:
 
     def build_snoopy_stack(self, traces: Optional[Sequence[Trace]]) -> None:
         """Snoopy MOSI over the NICs: one L2 per node, the owner-bit
-        memory controllers at ``mc_nodes``, then the trace cores."""
+        memory controllers at ``config.mc_nodes``, then the trace cores."""
         register = self.engine.register
+        config = self.config
+        line_size = config.noc.line_size_bytes
         self.l2s = [
             register(L2Controller(node, self.nics[node], self.memory_map,
-                                  self.noc_config.line_size_bytes,
-                                  self.cache_config, self.stats))
+                                  line_size, config.cache, self.stats))
             for node in range(self.n_nodes)]
         self.memory_controllers = [
             register(MemoryController(
                 mc_node, self.nics[mc_node],
                 owns_addr=OwnsMappedAddr(self.memory_map, mc_node),
-                line_size=self.noc_config.line_size_bytes,
-                config=self.memory_config, stats=self.stats, snoopy=True))
-            for mc_node in self.mc_nodes]
+                line_size=line_size, config=config.memory,
+                stats=self.stats, snoopy=True))
+            for mc_node in config.mc_nodes]
         self.attach_traces(traces)
 
     def attach_traces(self, traces: Optional[Sequence[Trace]]) -> None:
@@ -198,8 +173,8 @@ class BaseSystem:
         node's cache controller."""
         for node, trace in enumerate(traces):
             core = TraceCore(node, l2_of(node), trace,
-                             self.noc_config.line_size_bytes,
-                             self.core_config, self.stats)
+                             self.config.noc.line_size_bytes,
+                             self.config.core, self.stats)
             self.engine.register(core)
             self.cores[node] = core
 
@@ -213,9 +188,9 @@ class BaseSystem:
         if table_capacity is not None:
             interest = FilterTable(
                 interest, capacity=table_capacity,
-                region_bytes=self.cache_config.region_bytes)
+                region_bytes=self.config.cache.region_bytes)
         self.broadcast_filter = BroadcastFilter(
-            self.noc_config.width, self.noc_config.height, interest,
+            self.config.noc.width, self.config.noc.height, interest,
             always_interested=always_interested, stats=self.stats)
         for mesh in self.meshes:
             mesh.set_broadcast_filter(self.broadcast_filter)
@@ -238,6 +213,12 @@ class BaseSystem:
         self.engine.run(max_cycles, until=self.all_cores_finished)
         record_kernel_meta(self)
         return self.engine.cycle
+
+    def metrics(self) -> Dict[str, float]:
+        """System-level numbers that live outside the stats registry
+        (reorder-buffer peaks, ring latencies); a result row carries
+        them as ``system.<name>`` stats."""
+        return {}
 
     def total_completed_ops(self) -> int:
         return sum(core.completed_ops for core in self.cores.values())

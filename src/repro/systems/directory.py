@@ -9,17 +9,16 @@ fixed at 256 KB.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Literal, Optional, Sequence, get_args
 
 from repro.coherence.dir_l2 import DirectoryL2Controller
 from repro.coherence.directory import DirectoryConfig, DirectoryController
-from repro.coherence.l2_controller import CacheConfig
-from repro.cpu.core import CoreConfig
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace
-from repro.memory.controller import (MemoryConfig, MemoryController,
-                                     owns_every_addr)
-from repro.noc.config import NocConfig
+from repro.memory.controller import MemoryController, owns_every_addr
 from repro.systems.base import BaseSystem
+
+Scheme = Literal["LPD", "FULLBIT", "HT"]
 
 
 class LineInterleavedHomeMap:
@@ -35,51 +34,44 @@ class LineInterleavedHomeMap:
 
 
 class DirectorySystem(BaseSystem):
-    """A distributed-directory multicore ("LPD", "FULLBIT" or "HT")."""
+    """A distributed-directory multicore ("LPD", "FULLBIT" or "HT"),
+    its directory cache sized by ``config.directory_cache_bytes``."""
 
-    def __init__(self, scheme: str = "LPD",
+    def __init__(self, config: ChipConfig,
                  traces: Optional[Sequence[Trace]] = None,
-                 noc: Optional[NocConfig] = None,
-                 cache: Optional[CacheConfig] = None,
-                 memory: Optional[MemoryConfig] = None,
-                 core: Optional[CoreConfig] = None,
-                 directory: Optional[DirectoryConfig] = None,
-                 mc_nodes: Optional[Sequence[int]] = None,
-                 incf: bool = False,
+                 scheme: Scheme = "LPD", incf: bool = False,
                  incf_table_capacity: Optional[int] = None) -> None:
-        if scheme not in ("LPD", "FULLBIT", "HT"):
-            raise ValueError(f"scheme must be 'LPD', 'FULLBIT' or 'HT', "
+        if scheme not in get_args(Scheme):
+            raise ValueError(f"scheme must be one of {get_args(Scheme)}, "
                              f"got {scheme!r}")
-        super().__init__(noc=noc, cache=cache, memory=memory, core=core,
-                         mc_nodes=mc_nodes, ordered=False)
+        super().__init__(config, ordered=False)
         self.scheme = scheme
-        self.dir_config = directory or DirectoryConfig(
-            scheme=scheme, n_nodes=self.n_nodes)
-        if self.dir_config.scheme != scheme:
-            raise ValueError("directory config scheme mismatch")
+        directory = DirectoryConfig(
+            scheme, self.n_nodes,
+            total_cache_bytes=config.directory_cache_bytes)
 
-        line_size = self.noc_config.line_size_bytes
+        line_size = config.noc.line_size_bytes
         self.home_map = LineInterleavedHomeMap(line_size, self.n_nodes)
 
         register = self.engine.register
         self.l2s = [
             register(DirectoryL2Controller(
                 node, self.nics[node], self.memory_map, self.home_map,
-                line_size, self.cache_config, self.stats,
+                line_size, config.cache, self.stats,
                 requires_marker=(scheme == "HT")))
             for node in range(self.n_nodes)]
         self.directories = [
-            register(DirectoryController(node, self.nics[node],
-                                         self.dir_config, self.memory_map,
-                                         line_size, self.stats))
+            register(DirectoryController(node, self.nics[node], directory,
+                                         self.memory_map, line_size,
+                                         self.stats))
             for node in range(self.n_nodes)]
         self.memory_controllers = [
             register(MemoryController(
                 mc_node, self.nics[mc_node],
                 owns_addr=owns_every_addr,  # MemReads are pre-routed
-                line_size=line_size,
-                config=self.memory_config, stats=self.stats, snoopy=False))
-            for mc_node in self.mc_nodes]
+                line_size=line_size, config=config.memory,
+                stats=self.stats, snoopy=False))
+            for mc_node in config.mc_nodes]
 
         # Directory-mode memory controllers never snoop, so no node is
         # always-interested.

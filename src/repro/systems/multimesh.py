@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace
 from repro.noc.mesh import Mesh
 from repro.noc.multimesh import MultiMeshInterface
@@ -22,25 +23,26 @@ class MultiMeshScorpioSystem(ScorpioSystem):
     Global ordering is untouched: one notification network serves all
     meshes, and requests from one source always travel on one mesh so
     the per-source FIFO that SID-based ordering needs still holds.
-    ``**config`` are :class:`ScorpioSystem`'s keyword arguments.
     """
 
-    def __init__(self, traces: Optional[Sequence[Trace]] = None,
-                 n_meshes: int = 2, **config) -> None:
+    def __init__(self, config: ChipConfig,
+                 traces: Optional[Sequence[Trace]] = None,
+                 n_meshes: int = 2) -> None:
         if n_meshes < 1:
             raise ValueError("need at least one main network")
         self.n_meshes = n_meshes     # read by build_fabric
-        super().__init__(traces=traces, **config)
+        super().__init__(config, traces)
 
     def build_fabric(self) -> None:
         # Tick order: the routers of every mesh register (mesh-major)
         # before any NIC, and every mesh's reserved VCs ask the one NIC
         # of the node they point at.
-        self.meshes.extend(Mesh(self.noc_config, self.engine, self.stats)
+        noc = self.config.noc
+        self.meshes.extend(Mesh(noc, self.engine, self.stats)
                            for _ in range(self.n_meshes))
         for node in range(self.n_nodes):
-            nic = MultiMeshInterface(node, self.noc_config,
-                                     self.notif_config, self.stats)
+            nic = MultiMeshInterface(node, noc, self.config.notification,
+                                     self.stats)
             for index, mesh in enumerate(self.meshes):
                 nic.attach_router(mesh.attach(node, nic.tap(index)))
             self.engine.register(nic)

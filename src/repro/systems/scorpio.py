@@ -10,27 +10,17 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.coherence.l2_controller import CacheConfig
-from repro.cpu.core import CoreConfig
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace
-from repro.memory.controller import MemoryConfig
-from repro.noc.config import NocConfig, NotificationConfig
 from repro.systems.base import BaseSystem
 
 
 class ScorpioSystem(BaseSystem):
     """36 (or 64/100) tiles of core + L2 snooping an ordered mesh."""
 
-    def __init__(self, traces: Optional[Sequence[Trace]] = None,
-                 noc: Optional[NocConfig] = None,
-                 notification: Optional[NotificationConfig] = None,
-                 cache: Optional[CacheConfig] = None,
-                 memory: Optional[MemoryConfig] = None,
-                 core: Optional[CoreConfig] = None,
-                 mc_nodes: Optional[Sequence[int]] = None) -> None:
-        super().__init__(noc=noc, notification=notification, cache=cache,
-                         memory=memory, core=core, mc_nodes=mc_nodes,
-                         ordered=True)
+    def __init__(self, config: ChipConfig,
+                 traces: Optional[Sequence[Trace]] = None) -> None:
+        super().__init__(config, ordered=True)
         self.build_snoopy_stack(traces)
 
     # ------------------------------------------------------------------

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace
 from repro.sim.engine import Clocked
 
@@ -92,19 +93,17 @@ class LitmusProgram:
     description: str = ""
 
 
-def build_litmus_system(program: LitmusProgram, width: int = 3,
-                        height: int = 3, protocol: str = "scorpio"):
-    """Construct the (unrun) system for *program* with one
-    :class:`LitmusCore` per thread registered and stored on the system —
-    the checkpointable form of a litmus run.
+def build_litmus_system(program: LitmusProgram, config: ChipConfig,
+                        protocol: str = "scorpio"):
+    """Construct the (unrun) system for *program* on the chip *config*
+    with one :class:`LitmusCore` per thread registered and stored on the
+    system — the checkpointable form of a litmus run.
 
     The cores land in ``system.cores`` (so the run stops when every
     thread retires) and, in program order, in
     ``system.litmus_cores`` (so observations can be collected after a
     restore in a fresh process)."""
     from repro.core.api import build_system
-    from repro.core.config import ChipConfig
-    config = ChipConfig.variant(width, height)
     if len(program.threads) > config.n_cores:
         raise ValueError("more threads than nodes")
     system = build_system(
@@ -255,7 +254,6 @@ def litmus_spec(program: LitmusProgram, protocol: str = "scorpio",
                 max_cycles: int = 100_000):
     """A sweepable :class:`~repro.experiments.builders.SystemSpec` for one
     (program, protocol, seed) litmus execution."""
-    from repro.core.config import ChipConfig
     from repro.experiments.builders import SystemSpec
     return SystemSpec(
         builder="litmus",

@@ -155,7 +155,7 @@ class SystemMonitor(Clocked):
                            f"NIC and SID {esid} by another")
 
     def check_occupancy_bounds(self, cycle: int = -1) -> None:
-        config = self.system.noc_config
+        config = self.system.config.noc
         limit = 5 * sum(config.vc_count(vnet) for vnet in VNet)
         for router in system_routers(self.system):
             occupancy = router.occupancy()

@@ -10,8 +10,8 @@ fetch-and-increment.
 import pytest
 
 from repro.coherence.mosi import State, request_for
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace, TraceOp
-from repro.noc.config import NocConfig
 from repro.systems.scorpio import ScorpioSystem
 from repro.verification.litmus import LitmusCore
 
@@ -40,9 +40,8 @@ class _AtomicCore(LitmusCore):
 
 def run_barrier(n_threads, increments_per_core=1, first_node=0):
     """*n_threads* cores from *first_node* on (mod 9) increment LOCK."""
-    noc = NocConfig(width=3, height=3)
-    system = ScorpioSystem(traces=[Trace([]) for _ in range(9)],
-                           noc=noc)
+    config = ChipConfig.variant(3, 3)
+    system = ScorpioSystem(config, traces=[Trace([]) for _ in range(9)])
     cores = []
     for node in ((first_node + i) % 9 for i in range(n_threads)):
         thread = [("A", "lock")] * increments_per_core

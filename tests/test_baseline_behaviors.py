@@ -3,8 +3,8 @@ stats surfaces, and parameter sensitivity not covered by the soaks."""
 
 import pytest
 
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace, TraceOp
-from repro.noc.config import NocConfig
 from repro.ordering_baselines.systems import (InsoSystem, TimestampSystem,
                                               UncorqSystem)
 
@@ -18,10 +18,10 @@ def pad(traces, n=9):
 
 class TestTimestampBehaviour:
     def test_accept_gate_backpressure_counted(self):
-        noc = NocConfig(width=3, height=3)
-        system = TimestampSystem(traces=pad([
+        config = ChipConfig.variant(3, 3)
+        system = TimestampSystem(config, traces=pad([
             Trace([TraceOp("R", ADDR, 1)]),
-        ]), noc=noc)
+        ]))
         gate = {"open": False}
         system.nics[4].accept_gate = lambda: gate["open"]
         system.run(600)
@@ -34,25 +34,22 @@ class TestTimestampBehaviour:
     def test_requests_wait_full_slack_when_alone(self):
         # One request, no other traffic: its delivery wait is close to
         # slack minus the network transit.
-        noc = NocConfig(width=3, height=3)
+        config = ChipConfig.variant(3, 3)
         slack = 100
-        system = TimestampSystem(traces=pad([
+        system = TimestampSystem(config, traces=pad([
             Trace([TraceOp("R", ADDR, 1)]),
-        ]), noc=noc, slack=slack)
+        ]), slack=slack)
         system.run_until_done(60_000)
         wait = system.stats.mean("nic.ordering_wait")
         assert slack * 0.5 < wait < slack
 
     def test_default_slack_scales_with_mesh(self):
-        small = TimestampSystem(traces=None, noc=NocConfig(width=3,
-                                                           height=3))
-        large = TimestampSystem(traces=None, noc=NocConfig(width=6,
-                                                           height=6))
+        small = TimestampSystem(ChipConfig.variant(3, 3), traces=None)
+        large = TimestampSystem(ChipConfig.variant(6, 6), traces=None)
         assert large.slack > small.slack
 
     def test_reorder_peak_zero_without_traffic(self):
-        system = TimestampSystem(traces=pad([]),
-                                 noc=NocConfig(width=3, height=3))
+        system = TimestampSystem(ChipConfig.variant(3, 3), traces=pad([]))
         system.run(200)
         assert system.reorder_buffer_peak() == 0
 
@@ -61,9 +58,9 @@ class TestUncorqBehaviour:
     def test_slower_ring_delays_writes(self):
         runtimes = {}
         for hop in (1, 6):
-            system = UncorqSystem(traces=pad([
+            system = UncorqSystem(ChipConfig.variant(4, 4), traces=pad([
                 Trace([TraceOp("W", ADDR, 1)]),
-            ], 16), noc=NocConfig(width=4, height=4),
+            ], 16),
                 ring_hop_latency=hop)
             system.run_until_done(120_000)
             assert system.all_cores_finished()
@@ -71,9 +68,9 @@ class TestUncorqBehaviour:
         assert runtimes[6] > runtimes[1]
 
     def test_write_waits_counter_under_slow_ring(self):
-        system = UncorqSystem(traces=pad([
+        system = UncorqSystem(ChipConfig.variant(4, 4), traces=pad([
             Trace([TraceOp("W", ADDR, 1)]),
-        ], 16), noc=NocConfig(width=4, height=4), ring_hop_latency=8)
+        ], 16), ring_hop_latency=8)
         system.run_until_done(200_000)
         assert system.stats.counter("uncorq.write_waits") >= 1
         assert system.stats.mean("uncorq.ring_latency") \
@@ -82,8 +79,7 @@ class TestUncorqBehaviour:
     def test_multiple_writers_launch_one_token_each(self):
         writers = [Trace([TraceOp("W", ADDR + i * 0x10000, 1)])
                    for i in range(4)]
-        system = UncorqSystem(traces=pad(writers),
-                              noc=NocConfig(width=3, height=3))
+        system = UncorqSystem(ChipConfig.variant(3, 3), traces=pad(writers))
         system.run_until_done(120_000)
         assert system.stats.counter("uncorq.tokens_launched") == 4
 
@@ -92,11 +88,11 @@ class TestInsoBehaviour:
     def test_known_used_slots_not_skipped(self):
         # A used slot whose request is still in flight must block, not
         # be expired past — otherwise nodes could diverge.
-        noc = NocConfig(width=3, height=3)
-        system = InsoSystem(traces=pad([
+        config = ChipConfig.variant(3, 3)
+        system = InsoSystem(config, traces=pad([
             Trace([TraceOp("R", ADDR, 1)]),
             Trace([TraceOp("R", ADDR + LINE, 3)]),
-        ]), expiration_window=20, noc=noc)
+        ]), expiration_window=20)
         logs = {n: [] for n in range(9)}
         for node, nic in enumerate(system.nics):
             nic.add_request_listener(
@@ -109,10 +105,10 @@ class TestInsoBehaviour:
 
     def test_expiry_batch_controls_message_rate(self):
         def expiries(batch):
-            system = InsoSystem(traces=pad([
+            system = InsoSystem(ChipConfig.variant(3, 3), traces=pad([
                 Trace([TraceOp("R", ADDR, 1),
                        TraceOp("R", ADDR + LINE, 900)]),
-            ]), expiration_window=20, noc=NocConfig(width=3, height=3))
+            ]), expiration_window=20)
             for nic in system.nics:
                 nic.expiry_batch = batch
             system.run_until_done(60_000)

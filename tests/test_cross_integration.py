@@ -3,12 +3,13 @@ DRAM under directory protocols, trace files through every system, and
 CLI litmus — the combinations no single-module test exercises."""
 
 import io
+from dataclasses import replace
 
 import pytest
 
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace, TraceOp
 from repro.memory.controller import MemoryConfig
-from repro.noc.config import NocConfig
 from repro.ordering_baselines.systems import TimestampSystem, UncorqSystem
 from repro.systems.directory import DirectorySystem
 from repro.systems.scorpio import ScorpioSystem
@@ -26,25 +27,24 @@ def random_traces(n, ops=8, lines=8, seed=71):
 
 class TestMonitorOnBaselines:
     def test_timestamp_system_clean_under_monitor(self):
-        system = TimestampSystem(traces=random_traces(9),
-                                 noc=NocConfig(width=3, height=3))
+        system = TimestampSystem(ChipConfig.variant(3, 3),
+                                 traces=random_traces(9))
         monitor = attach_monitor(system, interval=2)
         system.run_until_done(200_000)
         assert system.all_cores_finished()
         assert monitor.report.clean
 
     def test_uncorq_system_clean_under_monitor(self):
-        system = UncorqSystem(traces=random_traces(9, seed=73),
-                              noc=NocConfig(width=3, height=3))
+        system = UncorqSystem(ChipConfig.variant(3, 3),
+                              traces=random_traces(9, seed=73))
         monitor = attach_monitor(system, interval=2)
         system.run_until_done(300_000)
         assert system.all_cores_finished()
         assert monitor.report.clean
 
     def test_incf_ht_clean_under_monitor(self):
-        system = DirectorySystem(scheme="HT",
+        system = DirectorySystem(ChipConfig.variant(3, 3), scheme="HT",
                                  traces=random_traces(9, seed=79),
-                                 noc=NocConfig(width=3, height=3),
                                  incf=True)
         monitor = attach_monitor(system, interval=2)
         system.run_until_done(200_000)
@@ -56,9 +56,9 @@ class TestBankedDramAcrossProtocols:
     @pytest.mark.parametrize("scheme", ["LPD", "HT", "FULLBIT"])
     def test_directory_with_banked_dram(self, scheme):
         system = DirectorySystem(
-            scheme=scheme, traces=random_traces(9, seed=83),
-            noc=NocConfig(width=3, height=3),
-            memory=MemoryConfig(banked=True))
+            replace(ChipConfig.variant(3, 3),
+                    memory=MemoryConfig(banked=True)),
+            scheme=scheme, traces=random_traces(9, seed=83))
         system.run_until_done(200_000)
         assert system.all_cores_finished()
         accesses = sum(v for k, v in system.stats.counters.items()
@@ -69,8 +69,9 @@ class TestBankedDramAcrossProtocols:
         def spread(banked):
             traces = random_traces(9, ops=10, lines=24, seed=89)
             system = ScorpioSystem(
-                traces=traces, noc=NocConfig(width=3, height=3),
-                memory=MemoryConfig(banked=banked))
+                replace(ChipConfig.variant(3, 3),
+                        memory=MemoryConfig(banked=banked)),
+                traces=traces)
             system.run_until_done(200_000)
             assert system.all_cores_finished()
             hist = system.stats.histograms.get("l2.miss_latency.memory")
@@ -111,9 +112,8 @@ class TestCliLitmus:
 
 class TestOrderingAgreementAcrossOrderedSystems:
     @pytest.mark.parametrize("builder", [
-        lambda t: ScorpioSystem(traces=t, noc=NocConfig(width=3, height=3)),
-        lambda t: TimestampSystem(traces=t,
-                                  noc=NocConfig(width=3, height=3)),
+        lambda t: ScorpioSystem(ChipConfig.variant(3, 3), traces=t),
+        lambda t: TimestampSystem(ChipConfig.variant(3, 3), traces=t),
     ], ids=["scorpio", "timestamp"])
     def test_every_node_sees_identical_request_stream(self, builder):
         system = builder(random_traces(9, seed=101))

@@ -31,7 +31,7 @@ def test_different_seeds_differ():
 
 
 def test_baseline_systems_deterministic():
-    from repro.noc.config import NocConfig
+    from repro.core.config import ChipConfig
     from repro.ordering_baselines.systems import (TimestampSystem,
                                                   UncorqSystem)
     from repro.workloads.synthetic import uniform_random_trace
@@ -42,8 +42,7 @@ def test_baseline_systems_deterministic():
             traces = [uniform_random_trace(c, 8, 8, write_fraction=0.5,
                                            think=4, seed=17)
                       for c in range(9)]
-            system = builder(traces=traces,
-                             noc=NocConfig(width=3, height=3))
+            system = builder(ChipConfig.variant(3, 3), traces=traces)
             system.run_until_done(300_000)
             assert system.all_cores_finished()
             runtimes.append(system.engine.cycle)

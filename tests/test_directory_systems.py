@@ -1,24 +1,27 @@
 """Directory-baseline tests: LPD/HT end-to-end plus directory-controller
 unit behaviour (pointer overflow, cache misses, entry geometry)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.coherence.directory import DirectoryConfig, DirEntry
 from repro.coherence.mosi import State
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace, TraceOp
-from repro.noc.config import NocConfig
 from repro.systems.directory import DirectorySystem
 from repro.workloads.synthetic import uniform_random_trace
 
 LINE = 32
 ADDR = 0x4000_0000
+DIR_BYTES = ChipConfig().directory_cache_bytes
 
 
 def small_system(scheme, traces=None, width=3, height=3, **kwargs):
-    noc = NocConfig(width=width, height=height)
+    config = ChipConfig.variant(width, height)
     if traces is not None:
         traces = list(traces) + [Trace([])] * (width * height - len(traces))
-    return DirectorySystem(scheme=scheme, traces=traces, noc=noc, **kwargs)
+    return DirectorySystem(config, scheme=scheme, traces=traces, **kwargs)
 
 
 def run_done(system, max_cycles=40_000):
@@ -29,18 +32,18 @@ def run_done(system, max_cycles=40_000):
 
 class TestDirectoryConfig:
     def test_entry_bits(self):
-        assert DirectoryConfig(scheme="HT").entry_bits() == 2
-        lpd = DirectoryConfig(scheme="LPD", n_nodes=36, pointers=4)
+        assert DirectoryConfig("HT", 36, DIR_BYTES).entry_bits() == 2
+        lpd = DirectoryConfig("LPD", 36, DIR_BYTES, pointers=4)
         assert lpd.entry_bits() == 2 + 6 + 24 + 1
 
     def test_ht_gets_many_more_entries(self):
-        ht = DirectoryConfig(scheme="HT", n_nodes=36)
-        lpd = DirectoryConfig(scheme="LPD", n_nodes=36)
+        ht = DirectoryConfig("HT", 36, DIR_BYTES)
+        lpd = DirectoryConfig("LPD", 36, DIR_BYTES)
         assert ht.entries_per_node() > 4 * lpd.entries_per_node()
 
     def test_bad_scheme_rejected(self):
         with pytest.raises(ValueError):
-            DirectorySystem(scheme="MOESI")
+            DirectorySystem(ChipConfig.variant(3, 3), scheme="MOESI")
 
 
 @pytest.mark.parametrize("scheme", ["LPD", "HT"])
@@ -90,14 +93,12 @@ class TestDirectoryCoherence:
 
 class TestLpdSpecifics:
     def test_pointer_overflow_broadcasts(self):
-        # More sharers than pointers -> overflow -> GETX broadcast.
-        from repro.coherence.directory import DirectoryConfig
-        noc = NocConfig(width=3, height=3)
-        dir_cfg = DirectoryConfig(scheme="LPD", n_nodes=9, pointers=2)
+        # More sharers (8) than pointers (4) -> overflow -> GETX
+        # broadcast.
         readers = [Trace([TraceOp("R", ADDR, 1)]) for _ in range(8)]
         writer = [Trace([TraceOp("W", ADDR, 2000)])]
-        system = DirectorySystem(scheme="LPD", traces=readers + writer,
-                                 noc=noc, directory=dir_cfg)
+        system = DirectorySystem(ChipConfig.variant(3, 3), scheme="LPD",
+                                 traces=readers + writer)
         run_done(system, 60_000)
         assert system.stats.counter("dir.pointer_overflows") >= 1
         assert system.stats.counter("dir.lpd_broadcasts") >= 1
@@ -106,14 +107,11 @@ class TestLpdSpecifics:
             assert system.l2s[node].state_of(ADDR) is State.I
 
     def test_directory_cache_miss_penalty_counted(self):
-        from repro.coherence.directory import DirectoryConfig
-        noc = NocConfig(width=3, height=3)
-        dir_cfg = DirectoryConfig(scheme="LPD", n_nodes=9,
-                                  total_cache_bytes=128)  # tiny: thrash
+        config = replace(ChipConfig.variant(3, 3),
+                         directory_cache_bytes=128)   # tiny: thrash
         ops = [TraceOp("R", ADDR + i * LINE * 9, 10) for i in range(24)]
         system = DirectorySystem(
-            scheme="LPD", traces=[Trace(ops)] + [Trace([])] * 8,
-            noc=noc, directory=dir_cfg)
+            config, scheme="LPD", traces=[Trace(ops)] + [Trace([])] * 8)
         run_done(system, 120_000)
         assert system.stats.counter("dir.cache_misses") > 0
 

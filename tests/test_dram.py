@@ -1,13 +1,15 @@
 """Banked DDR2 DRAM model tests (repro.memory.dram)."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace, TraceOp
 from repro.memory.controller import MemoryConfig
 from repro.memory.dram import DramConfig, DramModel
-from repro.noc.config import NocConfig
 from repro.sim.stats import StatsRegistry
 from repro.systems.scorpio import ScorpioSystem
 
@@ -129,11 +131,11 @@ class TestDramProperties:
 
 class TestBankedSystemIntegration:
     def test_scorpio_runs_with_banked_memory(self):
-        noc = NocConfig(width=3, height=3)
+        config = replace(ChipConfig.variant(3, 3),
+                         memory=MemoryConfig(banked=True))
         traces = [Trace([TraceOp("R", ADDR + c * LINE, 1)])
                   for c in range(9)]
-        system = ScorpioSystem(traces=traces, noc=noc,
-                               memory=MemoryConfig(banked=True))
+        system = ScorpioSystem(config, traces=traces)
         system.run_until_done(60_000)
         assert system.all_cores_finished()
         hits = sum(v for k, v in system.stats.counters.items()
@@ -147,15 +149,15 @@ class TestBankedSystemIntegration:
         # Sequential lines in one row (after warm-up) finish faster than
         # row-conflicting strides.
         def run(stride_rows):
-            noc = NocConfig(width=3, height=3)
             dram_cfg = DramConfig(n_banks=1)
             stride = LINE if not stride_rows \
                 else dram_cfg.row_bytes * dram_cfg.n_banks
             ops = [TraceOp("R", ADDR + i * stride, 1 + 200 * i)
                    for i in range(6)]
             system = ScorpioSystem(
-                traces=[Trace(ops)] + [Trace([])] * 8, noc=noc,
-                memory=MemoryConfig(banked=True, dram_config=dram_cfg))
+                replace(ChipConfig.variant(3, 3), memory=MemoryConfig(
+                    banked=True, dram_config=dram_cfg)),
+                traces=[Trace(ops)] + [Trace([])] * 8)
             system.run_until_done(100_000)
             assert system.all_cores_finished()
             return system.engine.cycle

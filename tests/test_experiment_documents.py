@@ -212,6 +212,45 @@ def test_rejects_unknown_benchmark_and_builder_param():
             "runs": [{"builder": "inso", "params": {"window": 3}}]})
 
 
+# One wrongly typed value per builder param.  A param's type is its
+# system class's annotation (litmus: its default's type; ``name`` and
+# ``threads`` are required and name no type).
+WRONGLY_TYPED = [
+    ("directory", "scheme", "ht"),
+    ("directory", "incf", 1),
+    ("directory", "incf_table_capacity", "big"),
+    ("multimesh", "n_meshes", 2.0),
+    ("tokenb", "retry_timeout", True),
+    ("tokenb", "incf", "yes"),
+    ("inso", "expiration_window", "20"),
+    ("timestamp", "slack", "abc"),
+    ("uncorq", "ring_hop_latency", 1.5),
+    ("uncorq", "retry_timeout", None),
+    ("litmus", "protocol", 3),
+    ("litmus", "seed", "0"),
+]
+
+
+def test_every_typed_builder_param_has_a_wrongly_typed_row():
+    from repro.experiments import list_builders
+    typed = {(name, param) for name, _, defaults in list_builders()
+             for param in defaults if (name, param) not in
+             {("litmus", "name"), ("litmus", "threads")}}
+    assert typed == {(name, param) for name, param, _ in WRONGLY_TYPED}
+
+
+@pytest.mark.parametrize("builder,param,value", WRONGLY_TYPED,
+                         ids=[f"{b}-{p}" for b, p, _ in WRONGLY_TYPED])
+def test_rejects_wrongly_typed_builder_param(builder, param, value):
+    params = {param: value}
+    if builder == "litmus":
+        params.update(name="mp", threads=[[["W", "x"]]])
+    with pytest.raises(DocumentError, match=f"parameter '{param}'"):
+        experiment_from_dict({
+            "schema": 1, "name": "x",
+            "runs": [{"builder": builder, "params": params}]})
+
+
 def test_rejects_undefined_config_reference():
     with pytest.raises(DocumentError, match="unknown config"):
         experiment_from_dict({
@@ -251,7 +290,7 @@ def test_mesh_override_recomputes_mc_nodes():
                           "overrides": {"noc": {"width": 4,
                                                 "height": 4}}}},
         "runs": [{"builder": "scorpio", "config": "c"}]})
-    from repro.systems.base import default_mc_nodes
+    from repro.core.config import default_mc_nodes
     config = document.configs["c"]
     assert config.mc_nodes == default_mc_nodes(4, 4)
 

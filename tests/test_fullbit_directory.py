@@ -1,23 +1,26 @@
 """Full-bit-vector directory tests (Sec. 5: the LPD ~ full-bit claim)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.coherence.directory import DirectoryConfig
 from repro.coherence.mosi import State
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace, TraceOp
-from repro.noc.config import NocConfig
 from repro.systems.directory import DirectorySystem
 from repro.workloads.synthetic import uniform_random_trace
 
 LINE = 32
 ADDR = 0x4000_0000
+DIR_BYTES = ChipConfig().directory_cache_bytes
 
 
 def small_system(traces=None, width=3, height=3, **kwargs):
-    noc = NocConfig(width=width, height=height)
+    config = ChipConfig.variant(width, height)
     if traces is not None:
         traces = list(traces) + [Trace([])] * (width * height - len(traces))
-    return DirectorySystem(scheme="FULLBIT", traces=traces, noc=noc,
+    return DirectorySystem(config, scheme="FULLBIT", traces=traces,
                            **kwargs)
 
 
@@ -29,20 +32,20 @@ def run_done(system, max_cycles=60_000):
 
 class TestFullbitConfig:
     def test_entry_bits_include_full_vector(self):
-        cfg = DirectoryConfig(scheme="FULLBIT", n_nodes=36)
+        cfg = DirectoryConfig("FULLBIT", 36, DIR_BYTES)
         assert cfg.entry_bits() == 2 + 6 + 36
 
     def test_wider_entries_mean_fewer_cached(self):
-        full = DirectoryConfig(scheme="FULLBIT", n_nodes=64)
-        lpd = DirectoryConfig(scheme="LPD", n_nodes=64, pointers=4)
+        full = DirectoryConfig("FULLBIT", 64, DIR_BYTES)
+        lpd = DirectoryConfig("LPD", 64, DIR_BYTES, pointers=4)
         assert full.entry_bits() > lpd.entry_bits()
         assert full.entries_per_node() < lpd.entries_per_node()
 
     def test_entry_gap_grows_with_cores(self):
         # The full vector grows O(N); LPD pointers grow O(log N).
         def ratio(n):
-            full = DirectoryConfig(scheme="FULLBIT", n_nodes=n)
-            lpd = DirectoryConfig(scheme="LPD", n_nodes=n, pointers=4)
+            full = DirectoryConfig("FULLBIT", n, DIR_BYTES)
+            lpd = DirectoryConfig("LPD", n, DIR_BYTES, pointers=4)
             return full.entry_bits() / lpd.entry_bits()
 
         assert ratio(256) > ratio(64) > ratio(16)
@@ -102,17 +105,15 @@ class TestFullbitVsLpdCapacity:
         # Same tiny directory-cache budget: the wide full-bit entries
         # thrash while LPD still fits — the capacity side of the paper's
         # "almost identical" equation.
-        noc = NocConfig(width=3, height=3)
+        config = replace(ChipConfig.variant(3, 3),
+                         directory_cache_bytes=1024)
         footprint = [TraceOp("R", ADDR + i * LINE * 9, 6)
                      for i in range(48)]
         misses = {}
         for scheme in ("FULLBIT", "LPD"):
-            cfg = DirectoryConfig(scheme=scheme, n_nodes=9,
-                                  total_cache_bytes=1024)
             system = DirectorySystem(
-                scheme=scheme,
-                traces=[Trace(list(footprint))] + [Trace([])] * 8,
-                noc=noc, directory=cfg)
+                config, scheme=scheme,
+                traces=[Trace(list(footprint))] + [Trace([])] * 8)
             run_done(system, 200_000)
             misses[scheme] = system.stats.counter("dir.cache_misses")
         assert misses["FULLBIT"] >= misses["LPD"]

@@ -4,8 +4,8 @@ import pytest
 
 from repro.coherence.messages import CoherenceRequest, DirForward, ReqKind
 from repro.coherence.mosi import State
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace, TraceOp
-from repro.noc.config import NocConfig
 from repro.noc.filtering import (BroadcastFilter, broadcast_subtree,
                                  l2_interest_oracle, snoop_target)
 from repro.noc.routing import LOCAL, broadcast_outports
@@ -108,9 +108,9 @@ class TestBroadcastFilterUnit:
 
 
 def _ht_system(traces, incf, width=3, height=3):
-    noc = NocConfig(width=width, height=height)
-    return DirectorySystem(scheme="HT", traces=pad(traces, width * height),
-                           noc=noc, incf=incf)
+    config = ChipConfig.variant(width, height)
+    return DirectorySystem(config, scheme="HT",
+                           traces=pad(traces, width * height), incf=incf)
 
 
 class TestIncfOnHt:
@@ -159,20 +159,20 @@ class TestIncfOnHt:
 
 class TestIncfOnTokenB:
     def test_soak_and_savings(self):
-        noc = NocConfig(width=3, height=3)
+        config = ChipConfig.variant(3, 3)
         traces = [uniform_random_trace(c, 10, 8, write_fraction=0.4,
                                        think=5, seed=37) for c in range(9)]
-        system = TokenBSystem(traces=traces, noc=noc, incf=True)
+        system = TokenBSystem(config, traces=traces, incf=True)
         run_done(system, 300_000)
         assert system.stats.counter("incf.links_saved") > 0
 
     def test_mc_branches_never_pruned(self):
         # A lone write to an uncached line: the broadcast must still
         # reach the snoopy memory controller that owns the address.
-        noc = NocConfig(width=3, height=3)
-        system = TokenBSystem(traces=pad([
+        config = ChipConfig.variant(3, 3)
+        system = TokenBSystem(config, traces=pad([
             Trace([TraceOp("W", ADDR, 1)]),
-        ], 9), noc=noc, incf=True)
+        ], 9), incf=True)
         run_done(system)
         assert system.l2s[0].state_of(ADDR).is_owner
         assert system.stats.counter("mc.dram_reads") == 1
@@ -221,22 +221,21 @@ class TestFilterTable:
 
     def test_finite_table_saves_less_than_oracle(self):
         def run(capacity):
-            noc = NocConfig(width=3, height=3)
+            config = ChipConfig.variant(3, 3)
             traces = [uniform_random_trace(c, 24, 12, write_fraction=0.4,
                                            think=4, seed=61)
                       for c in range(9)]
-            system = DirectorySystem(scheme="HT", traces=pad(traces, 9),
-                                     noc=noc, incf=True,
+            system = DirectorySystem(config, scheme="HT",
+                                     traces=pad(traces, 9), incf=True,
                                      incf_table_capacity=capacity)
             run_done(system, 300_000)
             return system.stats.counter("incf.links_saved")
 
-        noc = NocConfig(width=3, height=3)
+        config = ChipConfig.variant(3, 3)
         traces = [uniform_random_trace(c, 24, 12, write_fraction=0.4,
                                        think=4, seed=61) for c in range(9)]
-        oracle_system = DirectorySystem(scheme="HT",
-                                        traces=pad(traces, 9),
-                                        noc=noc, incf=True)
+        oracle_system = DirectorySystem(config, scheme="HT",
+                                        traces=pad(traces, 9), incf=True)
         run_done(oracle_system, 300_000)
         oracle_saved = oracle_system.stats.counter("incf.links_saved")
         tiny = run(1)
@@ -245,11 +244,11 @@ class TestFilterTable:
         assert big > 0
 
     def test_finite_table_preserves_coherence(self):
-        noc = NocConfig(width=3, height=3)
-        system = DirectorySystem(scheme="HT", traces=pad([
+        config = ChipConfig.variant(3, 3)
+        system = DirectorySystem(config, scheme="HT", traces=pad([
             Trace([TraceOp("W", ADDR, 1)]),
             Trace([TraceOp("R", ADDR, 600)]),
-        ], 9), noc=noc, incf=True, incf_table_capacity=1)
+        ], 9), incf=True, incf_table_capacity=1)
         run_done(system)
         assert system.l2s[0].state_of(ADDR) is State.O
         assert system.l2s[1].state_of(ADDR) is State.S

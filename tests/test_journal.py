@@ -305,7 +305,7 @@ def test_sampler_frame_shape():
     attach_observability(system, sampler=sampler)
     system.run_until_done(spec.max_cycles)
     frame = sampler.frame()
-    n_nodes = system.noc_config.n_nodes
+    n_nodes = system.config.noc.n_nodes
     cycles = frame.select("sample.*.cycle")
     assert len(cycles) == len(sampler)
     assert sorted(cycles.values()) == list(cycles.values())

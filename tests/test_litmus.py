@@ -125,3 +125,18 @@ def test_run_litmus_rejects_unknown_protocol():
     from repro.verification.litmus import MESSAGE_PASSING, run_litmus
     with pytest.raises(ValueError, match="unknown protocol"):
         run_litmus(MESSAGE_PASSING, protocol="tokenring")
+
+
+def test_litmus_run_uses_its_whole_config():
+    # The spec's chip reaches the litmus system, not only its mesh size:
+    # with lookahead bypassing off the same program runs differently.
+    from dataclasses import replace
+
+    from repro.core.config import ChipConfig
+    from repro.experiments.sweep import execute_point
+    from repro.verification.litmus import litmus_spec
+    spec = litmus_spec(MESSAGE_PASSING)
+    no_bypass = replace(spec, config=ChipConfig.variant(
+        3, 3, lookahead_bypass=False))
+    assert execute_point(no_bypass).payload() \
+        != execute_point(spec).payload()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.noc.config import NocConfig
+from repro.core.config import ChipConfig
 from repro.systems.directory import DirectorySystem
 from repro.systems.scorpio import ScorpioSystem
 from repro.workloads.locks import (LOCK_BASE, barrier_traces,
@@ -12,8 +12,7 @@ LINE = 32
 
 
 def run_scorpio(traces, width=3, height=3, max_cycles=300_000):
-    system = ScorpioSystem(traces=traces,
-                           noc=NocConfig(width=width, height=height))
+    system = ScorpioSystem(ChipConfig.variant(width, height), traces=traces)
     system.run_until_done(max_cycles)
     assert system.all_cores_finished()
     return system
@@ -88,8 +87,8 @@ class TestLockRuns:
         if protocol == "scorpio":
             system = run_scorpio(traces)
         else:
-            system = DirectorySystem(scheme=protocol.upper(), traces=traces,
-                                     noc=NocConfig(width=3, height=3))
+            system = DirectorySystem(ChipConfig.variant(3, 3),
+                                     scheme=protocol.upper(), traces=traces)
             system.run_until_done(300_000)
             assert system.all_cores_finished()
         version = max(l2.line_version(LOCK_BASE) for l2 in system.l2s)
@@ -102,8 +101,8 @@ class TestLockRuns:
 
     def test_barrier_run_completes_on_directory_too(self):
         traces = barrier_traces(9, phases=2, compute_ops=3)
-        system = DirectorySystem(scheme="LPD", traces=traces,
-                                 noc=NocConfig(width=3, height=3))
+        system = DirectorySystem(ChipConfig.variant(3, 3), scheme="LPD",
+                                 traces=traces)
         system.run_until_done(300_000)
         assert system.all_cores_finished()
 
@@ -113,8 +112,8 @@ class TestLockRuns:
         traces = lock_contention_traces(9, acquisitions_per_core=3,
                                         seed=3)
         scorpio = run_scorpio(list(traces))
-        directory = DirectorySystem(scheme="LPD", traces=traces,
-                                    noc=NocConfig(width=3, height=3))
+        directory = DirectorySystem(ChipConfig.variant(3, 3), scheme="LPD",
+                                    traces=traces)
         directory.run_until_done(300_000)
         assert directory.all_cores_finished()
         assert (scorpio.stats.mean("l2.miss_latency.cache")

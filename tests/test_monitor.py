@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace, TraceOp
-from repro.noc.config import NocConfig
 from repro.systems.directory import DirectorySystem
 from repro.systems.scorpio import ScorpioSystem
 from repro.verification.monitor import (InvariantViolation, SystemMonitor,
@@ -20,8 +20,7 @@ def scorpio(traces=None, width=3, height=3):
         traces = list(traces) + [Trace([])] * (n - len(traces))
     else:
         traces = [Trace([]) for _ in range(n)]
-    return ScorpioSystem(traces=traces,
-                         noc=NocConfig(width=width, height=height))
+    return ScorpioSystem(ChipConfig.variant(width, height), traces=traces)
 
 
 class TestCleanRuns:
@@ -38,9 +37,8 @@ class TestCleanRuns:
     def test_directory_run_is_clean(self):
         traces = [uniform_random_trace(c, 8, 8, write_fraction=0.5,
                                        think=4, seed=43) for c in range(9)]
-        system = DirectorySystem(
-            scheme="LPD",
-            traces=traces, noc=NocConfig(width=3, height=3))
+        system = DirectorySystem(ChipConfig.variant(3, 3), scheme="LPD",
+                                 traces=traces)
         monitor = attach_monitor(system, interval=2)
         system.run_until_done(150_000)
         assert system.all_cores_finished()

@@ -1,10 +1,13 @@
 """Tests for the multiple-main-networks extension (Sec. 5.3)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.coherence.mosi import State
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace, TraceOp
-from repro.noc.config import NocConfig, NotificationConfig
+from repro.noc.config import NotificationConfig
 from repro.systems.multimesh import MultiMeshScorpioSystem
 from repro.systems.scorpio import ScorpioSystem
 from repro.workloads.synthetic import uniform_random_trace
@@ -13,15 +16,15 @@ ADDR = 0x4000_0000
 
 
 def build(traces, n_meshes=2, width=3, height=3):
-    noc = NocConfig(width=width, height=height)
+    config = ChipConfig.variant(width, height)
     padded = list(traces) + [Trace([])] * (width * height - len(traces))
-    return MultiMeshScorpioSystem(traces=padded, n_meshes=n_meshes, noc=noc)
+    return MultiMeshScorpioSystem(config, traces=padded, n_meshes=n_meshes)
 
 
 class TestBasics:
     def test_rejects_zero_meshes(self):
         with pytest.raises(ValueError):
-            MultiMeshScorpioSystem(n_meshes=0)
+            MultiMeshScorpioSystem(ChipConfig.variant(3, 3), n_meshes=0)
 
     def test_coherence_still_works(self):
         system = build([
@@ -128,26 +131,25 @@ class TestInheritedFromScorpioSystem:
         assert self._finished().single_owner_invariant()
 
     def test_window_below_the_latency_bound_rejected(self):
-        # BaseSystem's check, before anything is built.
+        # The notification network's check.
         with pytest.raises(ValueError, match="^notification window below"):
-            MultiMeshScorpioSystem(
-                noc=NocConfig(width=6, height=6),
-                notification=NotificationConfig(window=10))
+            MultiMeshScorpioSystem(replace(
+                ChipConfig.variant(6, 6),
+                notification=NotificationConfig(window=10)))
 
     def test_trace_count_error_names_both_numbers(self):
         with pytest.raises(ValueError, match="need 9 traces, got 1"):
-            MultiMeshScorpioSystem(traces=[Trace([])],
-                                   noc=NocConfig(width=3, height=3))
+            MultiMeshScorpioSystem(ChipConfig.variant(3, 3),
+                                   traces=[Trace([])])
 
     def test_one_mesh_is_cycle_for_cycle_scorpio(self):
         def traces():
             return [uniform_random_trace(c, 12, 16, write_fraction=0.5,
                                          think=2, seed=7) for c in range(9)]
 
-        noc = NocConfig(width=3, height=3)
-        plain = ScorpioSystem(traces=traces(), noc=noc)
-        single = MultiMeshScorpioSystem(traces=traces(), n_meshes=1,
-                                        noc=noc)
+        config = ChipConfig.variant(3, 3)
+        plain = ScorpioSystem(config, traces=traces())
+        single = MultiMeshScorpioSystem(config, traces=traces(), n_meshes=1)
         assert plain.run_until_done(200_000) \
             == single.run_until_done(200_000)
         assert plain.stats.snapshot() == single.stats.snapshot()

@@ -4,18 +4,19 @@ unit tests)."""
 
 from dataclasses import replace
 
+from repro.core.config import ChipConfig
 from repro.cpu.core import CoreConfig
-from repro.noc.config import NocConfig, NotificationConfig
+from repro.noc.config import NotificationConfig
 from repro.systems.scorpio import ScorpioSystem
 from repro.workloads.synthetic import uniform_random_trace
 
 
 def run_with(notif, core=None, seed=107, n=9, ops=12):
-    noc = NocConfig(width=3, height=3)
+    config = replace(ChipConfig.variant(3, 3), notification=notif,
+                     core=core or CoreConfig())
     traces = [uniform_random_trace(c, ops, 10, write_fraction=0.5,
                                    think=2, seed=seed) for c in range(n)]
-    system = ScorpioSystem(traces=traces, noc=noc, notification=notif,
-                           core=core)
+    system = ScorpioSystem(config, traces=traces)
     logs = {node: [] for node in range(n)}
     for node, nic in enumerate(system.nics):
         nic.add_request_listener(

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.region_tracker import RegionTracker
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace, TraceOp
 from repro.noc.arbiter import RotatingPriorityArbiter, rotating_order
 from repro.noc.config import NocConfig
@@ -37,8 +38,8 @@ class TestTimestampSoak:
     @settings(max_examples=8, deadline=None)
     @given(raw=traces_strategy(9))
     def test_completes_and_agrees(self, raw):
-        system = TimestampSystem(traces=build_traces(raw),
-                                 noc=NocConfig(width=3, height=3))
+        system = TimestampSystem(ChipConfig.variant(3, 3),
+                                 traces=build_traces(raw))
         logs = {n: [] for n in range(9)}
         for node, nic in enumerate(system.nics):
             nic.add_request_listener(
@@ -66,8 +67,8 @@ class TestUncorqSoak:
                   [("R", 0, 1), ("R", 0, 1), ("R", 2, 1)]])
     @given(raw=traces_strategy(9))
     def test_completes_with_single_owner(self, raw):
-        system = UncorqSystem(traces=build_traces(raw),
-                              noc=NocConfig(width=3, height=3))
+        system = UncorqSystem(ChipConfig.variant(3, 3),
+                              traces=build_traces(raw))
         system.run_until_done(300_000)
         assert system.all_cores_finished(), "Uncorq soak deadlocked"
         from repro.coherence.mosi import State
@@ -113,8 +114,8 @@ class TestIncfEquivalence:
         """
         def final_states(incf):
             system = DirectorySystem(
-                scheme="HT", traces=build_traces(raw),
-                noc=NocConfig(width=3, height=3), incf=incf)
+                ChipConfig.variant(3, 3), scheme="HT",
+                traces=build_traces(raw), incf=incf)
             system.run_until_done(200_000)
             assert system.all_cores_finished()
             return [[l2.state_of(BASE + line * LINE) for line in range(5)]
@@ -142,8 +143,8 @@ class TestIncfEquivalence:
         configuration (at most one owner per line; an M copy excludes
         all other copies)."""
         system = DirectorySystem(
-            scheme="HT", traces=build_traces(raw),
-            noc=NocConfig(width=3, height=3), incf=True)
+            ChipConfig.variant(3, 3), scheme="HT",
+            traces=build_traces(raw), incf=True)
         system.run_until_done(200_000)
         assert system.all_cores_finished(), "INCF run deadlocked"
         # Coherence is a quiescence invariant: run_until_done returns at

@@ -134,7 +134,7 @@ def test_quiescence_actually_engages():
     traces = resolve_workload(workload).build_traces(cfg.n_cores)
     builder = get_builder("scorpio")
     with forced_quiescence(True):
-        system = builder.construct(cfg, {}, traces)
+        system = builder.system_class(cfg, traces)
         system.run_until_done(400_000)
     engine = system.engine
     assert engine.quiescence

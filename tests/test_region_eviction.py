@@ -9,8 +9,8 @@ import pytest
 from repro.cache.region_tracker import RegionTracker
 from repro.coherence.l2_controller import CacheConfig
 from repro.coherence.mosi import State
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace, TraceOp
-from repro.noc.config import NocConfig
 from repro.systems.scorpio import ScorpioSystem
 from repro.workloads.synthetic import uniform_random_trace
 
@@ -57,11 +57,11 @@ class TestTrackerEvictPolicy:
 
 
 def evict_system(traces, entries=2):
-    noc = NocConfig(width=3, height=3)
     cache = CacheConfig(region_policy="evict", region_entries=entries)
     n = 9
     traces = list(traces) + [Trace([])] * (n - len(traces))
-    return ScorpioSystem(traces=traces, noc=noc, cache=cache)
+    return ScorpioSystem(replace(ChipConfig.variant(3, 3), cache=cache),
+                         traces=traces)
 
 
 class TestL2ForceInvalidation:

@@ -1,11 +1,13 @@
 """End-to-end tests of the SCORPIO system: coherence scenarios, the
 global-order agreement property, and invariant checks."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.coherence.mosi import State
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace, TraceOp
-from repro.noc.config import NocConfig
 from repro.systems.scorpio import ScorpioSystem
 from repro.workloads.synthetic import uniform_random_trace
 
@@ -13,11 +15,12 @@ LINE = 32
 ADDR = 0x4000_0000
 
 
-def small_system(traces=None, width=3, height=3, **kwargs):
-    noc = NocConfig(width=width, height=height)
+def small_system(traces=None, width=3, height=3, **parts):
+    """A *width* x *height* chip; *parts* replace its sub-configs."""
+    config = replace(ChipConfig.variant(width, height), **parts)
     if traces is not None:
         traces = list(traces) + [Trace([])] * (width * height - len(traces))
-    return ScorpioSystem(traces=traces, noc=noc, **kwargs)
+    return ScorpioSystem(config, traces=traces)
 
 
 def run_done(system, max_cycles=20_000):
@@ -96,10 +99,10 @@ class TestGlobalOrder:
         return logs
 
     def test_all_nodes_see_same_order(self):
-        noc = NocConfig(width=3, height=3)
+        config = ChipConfig.variant(3, 3)
         traces = [uniform_random_trace(c, 12, 16, write_fraction=0.5,
                                        think=4, seed=7) for c in range(9)]
-        system = ScorpioSystem(traces=traces, noc=noc)
+        system = ScorpioSystem(config, traces=traces)
         logs = self._delivered_orders(system)
         system.run_until_done(60_000)
         assert system.all_cores_finished()
@@ -109,11 +112,11 @@ class TestGlobalOrder:
             assert logs[node] == reference, f"node {node} order diverged"
 
     def test_order_consistent_under_heavy_conflict(self):
-        noc = NocConfig(width=3, height=3)
+        config = ChipConfig.variant(3, 3)
         # Everyone hammers four lines.
         traces = [uniform_random_trace(c, 15, 4, write_fraction=0.6,
                                        think=2, seed=13) for c in range(9)]
-        system = ScorpioSystem(traces=traces, noc=noc)
+        system = ScorpioSystem(config, traces=traces)
         logs = self._delivered_orders(system)
         system.run_until_done(120_000)
         assert system.all_cores_finished()
@@ -122,10 +125,10 @@ class TestGlobalOrder:
         assert system.single_owner_invariant()
 
     def test_per_source_order_preserved(self):
-        noc = NocConfig(width=3, height=3)
+        config = ChipConfig.variant(3, 3)
         traces = [uniform_random_trace(c, 10, 8, write_fraction=0.5,
                                        think=3, seed=3) for c in range(9)]
-        system = ScorpioSystem(traces=traces, noc=noc)
+        system = ScorpioSystem(config, traces=traces)
         logs = self._delivered_orders(system)
         system.run_until_done(60_000)
         # Within one source, req_ids must appear in issue order.
@@ -180,8 +183,7 @@ class TestQuiescence:
 class TestConfigurationErrors:
     def test_wrong_trace_count_rejected(self):
         with pytest.raises(ValueError):
-            ScorpioSystem(traces=[Trace([])],
-                          noc=NocConfig(width=3, height=3))
+            ScorpioSystem(ChipConfig.variant(3, 3), traces=[Trace([])])
 
 
 class TestAllCoresFinished:

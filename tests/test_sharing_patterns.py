@@ -3,8 +3,8 @@
 import pytest
 
 from repro.coherence.mosi import State
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace
-from repro.noc.config import NocConfig
 from repro.systems.directory import DirectorySystem
 from repro.systems.scorpio import ScorpioSystem
 from repro.workloads.patterns import (BUFFER_BASE, MIGRATORY_BASE,
@@ -19,8 +19,7 @@ def pad(traces, n):
 
 
 def run_scorpio(traces, max_cycles=400_000):
-    system = ScorpioSystem(traces=pad(traces, 9),
-                           noc=NocConfig(width=3, height=3))
+    system = ScorpioSystem(ChipConfig.variant(3, 3), traces=pad(traces, 9))
     system.run_until_done(max_cycles)
     assert system.all_cores_finished()
     return system
@@ -98,8 +97,8 @@ class TestProducerConsumerGenerator:
         traces = migratory_traces(9, rounds=2, blocks=1,
                                   lines_per_block=2)
         scorpio = run_scorpio(list(traces))
-        directory = DirectorySystem(scheme="LPD", traces=pad(traces, 9),
-                                    noc=NocConfig(width=3, height=3))
+        directory = DirectorySystem(ChipConfig.variant(3, 3), scheme="LPD",
+                                    traces=pad(traces, 9))
         directory.run_until_done(400_000)
         assert directory.all_cores_finished()
         assert (scorpio.stats.mean("l2.miss_latency.cache")

@@ -7,8 +7,8 @@ first."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace, TraceOp
-from repro.noc.config import NocConfig
 from repro.systems.directory import DirectorySystem
 from repro.systems.scorpio import ScorpioSystem
 
@@ -33,8 +33,8 @@ class TestScorpioSoak:
     @settings(max_examples=12, deadline=None)
     @given(raw=traces_strategy(9))
     def test_random_workloads_complete_and_agree(self, raw):
-        system = ScorpioSystem(traces=build_traces(raw),
-                               noc=NocConfig(width=3, height=3))
+        system = ScorpioSystem(ChipConfig.variant(3, 3),
+                               traces=build_traces(raw))
         logs = {n: [] for n in range(9)}
         for node, nic in enumerate(system.nics):
             nic.add_request_listener(
@@ -50,8 +50,8 @@ class TestScorpioSoak:
     @settings(max_examples=6, deadline=None)
     @given(raw=traces_strategy(4))
     def test_tiny_mesh(self, raw, credits_in_flight):
-        system = ScorpioSystem(traces=build_traces(raw),
-                               noc=NocConfig(width=2, height=2))
+        system = ScorpioSystem(ChipConfig.variant(2, 2),
+                               traces=build_traces(raw))
         system.run_until_done(120_000)
         assert system.all_cores_finished()
         system.run(500)
@@ -63,15 +63,15 @@ class TestDirectorySoak:
     @settings(max_examples=6, deadline=None)
     @given(raw=traces_strategy(9, max_ops=5))
     def test_lpd_random_workloads_complete(self, raw):
-        system = DirectorySystem(scheme="LPD", traces=build_traces(raw),
-                                 noc=NocConfig(width=3, height=3))
+        system = DirectorySystem(ChipConfig.variant(3, 3), scheme="LPD",
+                                 traces=build_traces(raw))
         system.run_until_done(150_000)
         assert system.all_cores_finished(), "LPD soak deadlocked"
 
     @settings(max_examples=6, deadline=None)
     @given(raw=traces_strategy(9, max_ops=5))
     def test_ht_random_workloads_complete(self, raw):
-        system = DirectorySystem(scheme="HT", traces=build_traces(raw),
-                                 noc=NocConfig(width=3, height=3))
+        system = DirectorySystem(ChipConfig.variant(3, 3), scheme="HT",
+                                 traces=build_traces(raw))
         system.run_until_done(150_000)
         assert system.all_cores_finished(), "HT soak deadlocked"

@@ -37,16 +37,15 @@ TICK_ORDER = {
 
 def test_every_trace_driven_builder_is_pinned():
     trace_driven = {name for name, builder in BUILDERS.items()
-                    if builder.construct is not None}
+                    if builder.system}
     assert trace_driven == set(TICK_ORDER)
 
 
 @pytest.mark.parametrize("name", sorted(TICK_ORDER))
 def test_engine_registration_order(name):
     builder = get_builder(name)
-    system = builder.construct(ChipConfig.variant(3, 3),
-                               builder.resolved_params({}),
-                               [Trace([]) for _ in range(9)])
+    system = builder.system_class(ChipConfig.variant(3, 3),
+                                  [Trace([]) for _ in range(9)])
     runs = [(cls, len(list(run))) for cls, run in groupby(
         type(component).__name__ for component in system.engine._components)]
     assert [f"{cls}×{n}" if n > 1 else cls for cls, n in runs] \

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.coherence.mosi import State
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace, TraceOp
 from repro.noc.config import NocConfig, NotificationConfig
 from repro.ordering_baselines.systems import TimestampSystem
@@ -24,11 +25,11 @@ def run_done(system, max_cycles=120_000):
 
 class TestTimestampOrdering:
     def test_basic_coherence(self):
-        noc = NocConfig(width=3, height=3)
-        system = TimestampSystem(traces=pad([
+        config = ChipConfig.variant(3, 3)
+        system = TimestampSystem(config, traces=pad([
             Trace([TraceOp("W", ADDR, 1)]),
             Trace([TraceOp("R", ADDR, 800)]),
-        ], 9), noc=noc)
+        ], 9))
         run_done(system)
         assert system.l2s[0].state_of(ADDR) is State.O
         assert system.l2s[1].state_of(ADDR) is State.S
@@ -36,10 +37,10 @@ class TestTimestampOrdering:
     def test_global_order_agreement(self):
         # Every node must process the requests in the same (OT, SID)
         # order even though arrivals differ — TS's defining property.
-        noc = NocConfig(width=3, height=3)
+        config = ChipConfig.variant(3, 3)
         traces = [uniform_random_trace(c, 8, 8, write_fraction=0.5,
                                        think=4, seed=7) for c in range(9)]
-        system = TimestampSystem(traces=traces, noc=noc)
+        system = TimestampSystem(config, traces=traces)
         logs = {n: [] for n in range(9)}
         for node, nic in enumerate(system.nics):
             nic.add_request_listener(
@@ -50,31 +51,31 @@ class TestTimestampOrdering:
             assert logs[node] == logs[0]
 
     def test_no_late_arrivals_with_default_slack(self):
-        noc = NocConfig(width=3, height=3)
+        config = ChipConfig.variant(3, 3)
         traces = [uniform_random_trace(c, 8, 8, write_fraction=0.4,
                                        think=6, seed=3) for c in range(9)]
-        system = TimestampSystem(traces=traces, noc=noc)
+        system = TimestampSystem(config, traces=traces)
         run_done(system, 200_000)
         assert system.late_arrivals() == 0
 
     def test_ordering_wait_tracks_slack(self):
         # A lone request still waits ~slack before GT catches up: the
         # latency cost TS pays that SCORPIO's notification window avoids.
-        noc = NocConfig(width=3, height=3)
-        system = TimestampSystem(traces=pad([
+        config = ChipConfig.variant(3, 3)
+        system = TimestampSystem(config, traces=pad([
             Trace([TraceOp("R", ADDR, 1)]),
-        ], 9), noc=noc, slack=80)
+        ], 9), slack=80)
         run_done(system)
         assert system.stats.mean("nic.ordering_wait") > 20
 
     def test_larger_slack_is_slower(self):
-        noc = NocConfig(width=3, height=3)
+        config = ChipConfig.variant(3, 3)
         runtimes = {}
         for slack in (40, 160):
             traces = [uniform_random_trace(c, 6, 8, write_fraction=0.4,
                                            think=4, seed=2)
                       for c in range(9)]
-            system = TimestampSystem(traces=traces, noc=noc, slack=slack)
+            system = TimestampSystem(config, traces=traces, slack=slack)
             runtimes[slack] = run_done(system, 300_000)
         assert runtimes[160] > runtimes[40]
 
@@ -87,8 +88,8 @@ class TestTimestampOrdering:
             TimestampNetworkInterface(0, noc, notif, slack=-4)
 
     def test_unicast_request_rejected(self):
-        noc = NocConfig(width=3, height=3)
-        system = TimestampSystem(traces=None, noc=noc)
+        config = ChipConfig.variant(3, 3)
+        system = TimestampSystem(config, traces=None)
         with pytest.raises(ValueError):
             system.nics[0].send_request(object(), dst=3)
 
@@ -97,33 +98,33 @@ class TestReorderBufferCost:
     """The Sec. 2 critique: buffers scale with cores x outstanding."""
 
     def test_reorder_peak_counted(self):
-        noc = NocConfig(width=3, height=3)
+        config = ChipConfig.variant(3, 3)
         traces = [uniform_random_trace(c, 8, 8, write_fraction=0.4,
                                        think=2, seed=11) for c in range(9)]
-        system = TimestampSystem(traces=traces, noc=noc)
+        system = TimestampSystem(config, traces=traces)
         run_done(system, 200_000)
         assert system.reorder_buffer_peak() > 1
 
     def test_peak_grows_with_concurrency(self):
         # More simultaneously-injecting cores -> deeper reorder buffers.
-        noc = NocConfig(width=4, height=4)
+        config = ChipConfig.variant(4, 4)
         peaks = {}
         for active in (4, 16):
             traces = pad([uniform_random_trace(c, 10, 12,
                                                write_fraction=0.4,
                                                think=2, seed=13)
                           for c in range(active)], 16)
-            system = TimestampSystem(traces=traces, noc=noc)
+            system = TimestampSystem(config, traces=traces)
             run_done(system, 400_000)
             peaks[active] = system.reorder_buffer_peak()
         assert peaks[16] > peaks[4]
 
     def test_peak_bounded_by_in_flight_window(self):
         # With one request in flight at a time, the buffer stays tiny.
-        noc = NocConfig(width=3, height=3)
-        system = TimestampSystem(traces=pad([
+        config = ChipConfig.variant(3, 3)
+        system = TimestampSystem(config, traces=pad([
             Trace([TraceOp("R", ADDR, 1),
                    TraceOp("R", ADDR + 64, 500)]),
-        ], 9), noc=noc)
+        ], 9))
         run_done(system)
         assert system.reorder_buffer_peak() <= 2

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.coherence.mosi import State
+from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace, TraceOp
 from repro.noc.config import NocConfig
 from repro.ordering_baselines.systems import UncorqSystem
@@ -92,31 +93,31 @@ class TestLogicalRing:
 
 class TestUncorqSystem:
     def test_basic_coherence(self):
-        noc = NocConfig(width=3, height=3)
-        system = UncorqSystem(traces=pad([
+        config = ChipConfig.variant(3, 3)
+        system = UncorqSystem(config, traces=pad([
             Trace([TraceOp("W", ADDR, 1)]),
             Trace([TraceOp("R", ADDR, 1200)]),
-        ], 9), noc=noc)
+        ], 9))
         run_done(system)
         assert system.l2s[0].state_of(ADDR) is State.O
         assert system.l2s[1].state_of(ADDR) is State.S
 
     def test_write_waits_for_ring(self):
         # A lone write cannot complete before the full ring traversal.
-        noc = NocConfig(width=3, height=3)
-        system = UncorqSystem(traces=pad([
+        config = ChipConfig.variant(3, 3)
+        system = UncorqSystem(config, traces=pad([
             Trace([TraceOp("W", ADDR, 1)]),
-        ], 9), noc=noc)
+        ], 9))
         runtime = run_done(system)
         assert runtime >= system.ring_traversal_latency()
         assert system.stats.counter("uncorq.tokens_launched") == 1
 
     def test_read_does_not_wait_for_ring(self):
         # Reads never launch tokens (Sec. 2: "read requests do not wait").
-        noc = NocConfig(width=3, height=3)
-        system = UncorqSystem(traces=pad([
+        config = ChipConfig.variant(3, 3)
+        system = UncorqSystem(config, traces=pad([
             Trace([TraceOp("R", ADDR, 1)]),
-        ], 9), noc=noc)
+        ], 9))
         run_done(system)
         assert system.stats.counter("uncorq.tokens_launched") == 0
 
@@ -128,10 +129,10 @@ class TestUncorqSystem:
         runtimes = {}
         traversals = {}
         for width, height in ((3, 3), (6, 6), (8, 8)):
-            noc = NocConfig(width=width, height=height)
-            system = UncorqSystem(traces=pad([
+            config = ChipConfig.variant(width, height)
+            system = UncorqSystem(config, traces=pad([
                 Trace([TraceOp("W", ADDR, 1)]),
-            ], width * height), noc=noc)
+            ], width * height))
             runtimes[width * height] = run_done(system)
             traversals[width * height] = system.ring_traversal_latency()
         assert traversals[9] < traversals[36] < traversals[64]
@@ -139,14 +140,14 @@ class TestUncorqSystem:
         assert runtimes[64] > runtimes[9]
 
     def test_random_soak(self):
-        noc = NocConfig(width=3, height=3)
+        config = ChipConfig.variant(3, 3)
         traces = [uniform_random_trace(c, 10, 10, write_fraction=0.4,
                                        think=5, seed=23) for c in range(9)]
-        system = UncorqSystem(traces=traces, noc=noc)
+        system = UncorqSystem(config, traces=traces)
         run_done(system, 400_000)
 
     def test_unicast_request_rejected(self):
-        noc = NocConfig(width=3, height=3)
-        system = UncorqSystem(traces=None, noc=noc)
+        config = ChipConfig.variant(3, 3)
+        system = UncorqSystem(config, traces=None)
         with pytest.raises(ValueError):
             system.nics[0].send_request(object(), dst=3)
