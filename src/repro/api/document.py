@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -564,15 +565,99 @@ class ExperimentResult:
 
 
 def envelope_bytes(payload: Mapping[str, Any]) -> bytes:
-    """The canonical serialized form of a results envelope.
+    """The canonical serialized form of a results envelope: exactly
+    ``(json.dumps(payload, indent=2, sort_keys=True) + "\\n").encode()``.
 
     Every writer of an envelope — ``repro run-file --output``, the
     ``repro serve`` result endpoint, the submit client's ``--output`` —
     serializes through this one function, so the service's byte-identity
     contract (HTTP result == local ``run-file`` result) holds by
-    construction."""
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            ).encode("utf-8")
+    construction.
+
+    With ``indent`` set the stdlib takes its pure-Python encoder, so the
+    text is built here instead: the plain scalars of a container go to
+    the C encoder with an item separator that carries the newline and
+    padding (JSON text never holds a raw newline, so that is the
+    indented form), nested dicts and lists recurse, and anything else —
+    a scalar at the top, non-str keys, dict/list subclasses, non-JSON
+    types, a cycle — is the stdlib's own text (or error), re-indented.
+    Without the ``_json`` C accelerator (an interpreter other than
+    CPython) the text is the stdlib's dump.
+    ``tests/test_warm_document.py`` holds the two to the same bytes."""
+    text = None
+    if c_make_encoder is not None:
+        try:
+            text = _indented(payload, "", {})
+        except RecursionError:
+            pass
+    if text is None:
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    return (text + "\n").encode("utf-8")
+
+
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+_STR = frozenset((str,))
+
+
+def _indented(value: Any, pad: str, flat: Dict[str, Any]) -> str:
+    """*value* as ``json.dumps(value, indent=2, sort_keys=True)`` writes
+    it *pad* deep; *flat* holds this call's C encoders, one per depth.
+    The scalars of a container go to the C encoder in runs: all of them
+    at once when there is nothing else, else each run between two
+    nested containers."""
+    kind = type(value)
+    if kind is dict and _STR.issuperset(map(type, value)):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        if _SCALAR_TYPES.issuperset(map(type, value.values())):
+            parts = [_flat_items(value, inner, flat)]
+        else:
+            parts = []
+            run: Dict[str, Any] = {}
+            for key in sorted(value):
+                item = value[key]
+                if type(item) in _SCALAR_TYPES:
+                    run[key] = item
+                    continue
+                if run:
+                    parts.append(_flat_items(run, inner, flat))
+                    run = {}
+                parts.append(encode_basestring_ascii(key) + ": "
+                             + _indented(item, inner, flat))
+            if run:
+                parts.append(_flat_items(run, inner, flat))
+        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        parts = []
+        items: List[Any] = []
+        for item in value:
+            if type(item) in _SCALAR_TYPES:
+                items.append(item)
+                continue
+            if items:
+                parts.append(_flat_items(items, inner, flat))
+                items = []
+            parts.append(_indented(item, inner, flat))
+        if items:
+            parts.append(_flat_items(items, inner, flat))
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
+    return json.dumps(value, indent=2, sort_keys=True).replace(
+        "\n", "\n" + pad)
+
+
+def _flat_items(value: Any, inner: str, flat: Dict[str, Any]) -> str:
+    """The items of a container of plain scalars, in one C encoder call,
+    separated by a newline and *inner*."""
+    encoder = flat.get(inner)
+    if encoder is None:
+        encoder = flat[inner] = c_make_encoder(
+            None, None, encode_basestring_ascii, None, ": ", ",\n" + inner,
+            True, False, True)
+    return "".join(encoder(value, 0))[1:-1]
 
 
 def collect_experiment_result(experiment: ExperimentSpec,

@@ -148,6 +148,10 @@ class RunResult:
                    label=spec.label)
 
 
+# The keys every result payload holds.
+PAYLOAD_KEYS = frozenset(RunResult("", "", 0, 0, 0, 0.0).payload())
+
+
 def _builder_of(protocol: str) -> Tuple[str, Dict[str, Any]]:
     """The registered builder name and params of *protocol*."""
     if protocol not in PROTOCOLS:

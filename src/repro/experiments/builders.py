@@ -80,6 +80,11 @@ def _default_types(defaults: Mapping[str, Any]) -> Dict[str, Tuple[Any, Any]]:
             for name, default in defaults.items()}
 
 
+# kind -> {param: (default, type)}, built once.
+_WORKLOAD_PARAMS = {kind: _default_types(defaults)
+                    for kind, defaults in WORKLOAD_KINDS.items()}
+
+
 def _fits(value: Any, hint: Any) -> bool:
     """Whether *value* is a *hint*: exactly its type (a bool is not an
     int) or an int where a float is asked, a member of a ``Literal``, or
@@ -148,8 +153,8 @@ def resolve_workload(workload: Mapping[str, Any],
     if kind not in WORKLOAD_KINDS:
         raise ValueError(f"unknown workload kind {kind!r}; known: "
                          f"{sorted(WORKLOAD_KINDS)}")
-    params = _merge_params(kind, workload,
-                           _default_types(WORKLOAD_KINDS[kind]), "workload")
+    params = _merge_params(kind, workload, _WORKLOAD_PARAMS[kind],
+                           "workload")
 
     if kind == "benchmark":
         from repro.workloads.suites import benchmark_workload
@@ -366,7 +371,7 @@ class SystemSpec(PointSpec):
             "kind": "system",
             "builder": self.builder,
             "params": builder.resolved_params(self.params),
-            "workload": resolve_workload(self.workload, memo).key,
+            "workload": memo.workload_key(self.workload),
             "config": memo.config_dict(self.config),
             "max_cycles": self.max_cycles,
         }

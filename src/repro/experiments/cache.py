@@ -37,6 +37,8 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from repro.core.api import PAYLOAD_KEYS, PAYLOAD_SCHEMA
+
 _CODE_VERSION: Optional[str] = None
 
 # Entry names become file names below the cache directory, and they
@@ -128,11 +130,14 @@ class LocalDirBackend(CacheBackend):
 
     def put(self, fingerprint: str, payload: Dict[str, Any]) -> None:
         path = self._path(fingerprint)
+        # Encoded before the temp file exists: a payload that cannot be
+        # encoded leaves nothing behind.
+        data = json.dumps(payload, sort_keys=True)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
+                fh.write(data)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -150,8 +155,24 @@ class LocalDirBackend(CacheBackend):
         return sum(1 for _ in self.directory.glob("*/*.json"))
 
 
+def result_payload(stored: Any, fingerprint: str) -> Optional[Dict[str, Any]]:
+    """*stored* if it is the result payload of *fingerprint*, else None.
+
+    A backend stores any JSON (``PUT /v1/cache/<name>`` takes it from
+    the network), so before a stored value becomes a result it must be
+    a dict holding every key ``RunResult.payload()`` writes, with this
+    ``PAYLOAD_SCHEMA`` and the ``fingerprint`` it was read under.
+    """
+    if (isinstance(stored, dict) and stored.keys() >= PAYLOAD_KEYS
+            and stored["schema"] == PAYLOAD_SCHEMA
+            and stored["fingerprint"] == fingerprint):
+        return stored
+    return None
+
+
 class ResultCache:
-    """Hit/miss-accounted view over a :class:`CacheBackend`.
+    """Hit/miss-accounted view over a :class:`CacheBackend` of result
+    payloads (:meth:`repro.core.api.RunResult.payload`).
 
     Constructed from a directory path (the common case: a
     :class:`LocalDirBackend` is created) or from any backend instance
@@ -167,7 +188,10 @@ class ResultCache:
         self.misses = 0
 
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
-        payload = self.backend.get(fingerprint)
+        """The result payload stored under *fingerprint*, or None (see
+        :func:`result_payload`: a stored value of the wrong shape is a
+        miss, which the next :meth:`put` repairs)."""
+        payload = result_payload(self.backend.get(fingerprint), fingerprint)
         if payload is None:
             self.misses += 1
             return None

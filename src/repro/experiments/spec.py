@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple, Union
 
 from repro.core.config import ChipConfig
 from repro.workloads.suites import benchmark_workload
@@ -61,13 +61,16 @@ class KeyMemo:
     ``key``/``fingerprint`` call it makes.  ``ChipConfig`` is mutable,
     so a memo must not outlive that call: configs are keyed by identity
     (and held, so an id cannot be recycled meanwhile), the frozen
-    profiles by value.  The returned dicts are shared — read-only.
+    profiles and the workload dicts by value.  The returned dicts are
+    shared — read-only.
     """
 
     def __init__(self) -> None:
         self._configs: Dict[int, Tuple[Optional[ChipConfig],
                                        Dict[str, Any]]] = {}
         self._profiles: Dict[WorkloadProfile, Dict[str, Any]] = {}
+        self._workloads: Dict[FrozenSet[Tuple[Any, str]],
+                              Dict[str, Any]] = {}
 
     def config_dict(self, config: Optional[ChipConfig]) -> Dict[str, Any]:
         """``config_to_dict`` of *config* (None = the 36-core default)."""
@@ -84,6 +87,26 @@ class KeyMemo:
         if expanded is None:
             expanded = self._profiles[profile] = profile_to_dict(profile)
         return expanded
+
+    def workload_key(self, workload: Mapping[str, Any]) -> Dict[str, Any]:
+        """``resolve_workload(workload, self).key``, resolved once per
+        distinct workload.  Only a workload of plain scalars is memoised:
+        the ``repr`` of an exact ``str`` / ``int`` / ``float`` / ``bool``
+        / ``None`` tells 1, 1.0, True and "1" apart (and 0.0 from -0.0),
+        which value equality does not, and the resolution checks types."""
+        from repro.experiments.builders import resolve_workload
+        if not _SCALAR_TYPES.issuperset(map(type, workload.values())):
+            return resolve_workload(workload, self).key
+        token = frozenset((name, repr(value))
+                          for name, value in workload.items())
+        key = self._workloads.get(token)
+        if key is None:
+            key = self._workloads[token] = resolve_workload(workload,
+                                                            self).key
+        return key
+
+
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
 @dataclass

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.api.document import (ExperimentSpec, collect_experiment_result,
                                 envelope_bytes)
-from repro.experiments.cache import CacheBackend
+from repro.experiments.cache import CacheBackend, result_payload
 from repro.experiments.sweep import Plan, SweepPointError, plan_points
 from repro.serve.scheduler import PointScheduler
 
@@ -95,7 +95,7 @@ class JobManager:
         """Accept a validated document: resolve every point against the
         cache (submit-time short-circuit), queue only the unique misses.
         """
-        plan = plan_points(experiment.specs, self.backend.get)
+        plan = plan_points(experiment.specs, self._recall)
         with self._lock:
             self._counter += 1
             job = Job(f"job-{self._counter:04d}", experiment, plan)
@@ -112,6 +112,9 @@ class JobManager:
                 lambda kind, fp, payload, error, _job=job:
                     self._on_point(_job, kind, fp, payload, error))
         return job
+
+    def _recall(self, fingerprint: str) -> Optional[Dict[str, Any]]:
+        return result_payload(self.backend.get(fingerprint), fingerprint)
 
     # ------------------------------------------------------------------
     # Lookup

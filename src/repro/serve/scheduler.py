@@ -26,9 +26,9 @@ completion.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.experiments.cache import CacheBackend
+from repro.experiments.cache import CacheBackend, result_payload
 from repro.experiments.procpool import (DEFAULT_BACKOFF, DEFAULT_RETRIES,
                                         SlotPool)
 from repro.experiments.sweep import _pool_worker
@@ -56,6 +56,9 @@ class PointScheduler:
         self._wake = threading.Event()
         self._stop = threading.Event()
         self.dispatched = 0     # points that actually reached a worker
+        # Points the precheck answered from the backend (dispatch thread
+        # only): already stored, so their "done" writes nothing.
+        self._recalled: Set[str] = set()
         self._thread = threading.Thread(target=self._run,
                                         name="repro-serve-scheduler",
                                         daemon=True)
@@ -104,7 +107,10 @@ class PointScheduler:
     def _precheck(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """Last-moment cross-host dedup: a point computed elsewhere
         while queued here is recalled instead of spawned."""
-        return self.backend.get(fingerprint)
+        payload = result_payload(self.backend.get(fingerprint), fingerprint)
+        if payload is not None:
+            self._recalled.add(fingerprint)
+        return payload
 
     def _run(self) -> None:
         while not self._stop.is_set():
@@ -131,8 +137,13 @@ class PointScheduler:
         if kind == "done":
             payload = event[2]
             # Write-through before the callbacks run: a subscriber that
-            # immediately re-reads the cache must see the entry.
-            if not self.backend.contains(fingerprint):
+            # immediately re-reads the cache must see the entry.  A
+            # computed point is put unconditionally (its bytes are
+            # deterministic and the put atomic), which also repairs an
+            # entry that is not this point's payload.
+            if fingerprint in self._recalled:
+                self._recalled.remove(fingerprint)
+            else:
                 self.backend.put(fingerprint, payload)
             self._fire(fingerprint, "done", payload, None)
         elif kind == "failed":

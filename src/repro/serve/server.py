@@ -51,6 +51,9 @@ from repro.serve.jobs import JobManager
 from repro.serve.scheduler import PointScheduler
 
 SERVER_NAME = "repro-serve/1"
+# The largest request body (a document or a cache payload) the frontend
+# reads; a longer declared Content-Length is refused unread.
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 def _refuse_trace_workloads(data: Any, what: str) -> None:
@@ -194,14 +197,24 @@ class _Handler(BaseHTTPRequestHandler):
     def _error(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
 
-    def _read_body(self) -> Optional[bytes]:
+    def _read_body(self, empty: str) -> Optional[bytes]:
+        """The request body, or None once the request is answered: 413
+        for a declared length over :data:`MAX_BODY_BYTES` (nothing is
+        read, so the connection closes), 400 with *empty* for none."""
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
             length = 0
-        if length <= 0:
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            self._error(413, f"request body of {length} bytes is over the "
+                             f"{MAX_BODY_BYTES}-byte limit")
             return None
-        return self.rfile.read(length)
+        body = self.rfile.read(length) if length > 0 else b""
+        if not body:
+            self._error(400, empty)
+            return None
+        return body
 
     def _route(self) -> Tuple[str, ...]:
         return tuple(part for part in self.path.split("?", 1)[0].split("/")
@@ -303,10 +316,9 @@ class _Handler(BaseHTTPRequestHandler):
         if route != ("v1", "jobs"):
             self._error(404, f"unknown path {self.path}")
             return
-        body = self._read_body()
-        if not body:
-            self._error(400, "empty request body (expected an "
-                             "experiment document as JSON)")
+        body = self._read_body("empty request body (expected an "
+                               "experiment document as JSON)")
+        if body is None:
             return
         try:
             data = json.loads(body)
@@ -326,9 +338,8 @@ class _Handler(BaseHTTPRequestHandler):
         if len(route) != 3 or route[:2] != ("v1", "cache"):
             self._error(404, f"unknown path {self.path}")
             return
-        body = self._read_body()
-        if not body:
-            self._error(400, "empty cache payload")
+        body = self._read_body("empty cache payload")
+        if body is None:
             return
         try:
             payload = json.loads(body)

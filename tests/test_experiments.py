@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.api import compare_protocols, run_benchmark
+from repro.core.api import RunResult, compare_protocols, run_benchmark
 from repro.core.config import ChipConfig
 from repro.experiments import (ResultCache, RunSpec, Sweep, as_cache,
                                code_version, executing, run_sweep)
@@ -68,17 +68,23 @@ class TestFingerprint:
             == tiny_spec(benchmark="fft").fingerprint()
 
 
+def stored(fingerprint):
+    """A result payload as the sweep stores it under *fingerprint*."""
+    return RunResult("scorpio", "fft", 9, 100, 72, 1.0,
+                     fingerprint=fingerprint).payload()
+
+
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert cache.get("ab" * 32) is None
-        cache.put("ab" * 32, {"x": 1})
-        assert cache.get("ab" * 32) == {"x": 1}
+        cache.put("ab" * 32, stored("ab" * 32))
+        assert cache.get("ab" * 32) == stored("ab" * 32)
         assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
 
     def test_corrupt_file_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("cd" * 32, {"x": 1})
+        cache.put("cd" * 32, stored("cd" * 32))
         cache.backend._path("cd" * 32).write_text("{truncated",
                                                   encoding="utf-8")
         assert cache.get("cd" * 32) is None

@@ -110,6 +110,34 @@ class TestFrontend:
         with pytest.raises(ServeError, match="HTTP 400"):
             client._request("/v1/jobs", method="POST", data=b"not json")
 
+    @pytest.mark.parametrize("method,path", [
+        ("POST", "/v1/jobs"), ("PUT", "/v1/cache/" + "ab" * 32)])
+    def test_oversized_body_is_413_unread(self, server, method, path):
+        """A declared length over the cap is answered with 413 before a
+        byte of body is read (none is sent here: reading would hang),
+        and the connection closes."""
+        import socket
+        from urllib.parse import urlsplit
+
+        from repro.serve.server import MAX_BODY_BYTES
+
+        address = urlsplit(server.url)
+        with socket.create_connection((address.hostname, address.port),
+                                      timeout=10.0) as sock:
+            sock.sendall(f"{method} {path} HTTP/1.1\r\n"
+                         f"Host: {address.netloc}\r\n"
+                         f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+                         .encode("ascii"))
+            response = b""
+            while True:                  # until the server closes
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                response += chunk
+        assert response.startswith(b"HTTP/1.0 413 "), response[:80]
+        assert b"8388608-byte limit" in response
+        assert server.service.backend.entries() == 0
+
     def test_invalid_document_is_422_with_detail(self, client):
         bad = {"schema": 1, "name": "bad",
                "runs": [{"benchmark": "fft", "protocol": "no-such"}]}
@@ -178,6 +206,24 @@ class TestByteIdentity:
         # Identical but for the cache stats (hits instead of misses).
         assert without_cache_key(warm.envelope) \
             == without_cache_key(cold.envelope)
+
+    def test_a_put_poisoned_entry_is_a_miss_and_repaired(self, server,
+                                                         client):
+        """Any JSON can be PUT under a fingerprint; a job reads it as a
+        miss, simulates the point and stores the real payload back."""
+        document = tiny_document()
+        cold = client.run(document, timeout=120.0)
+        fingerprint = cold.payload["results"][0]["fingerprint"]
+        client._request(f"/v1/cache/{fingerprint}", method="PUT",
+                        data=b'{"schema": 1}')
+        spawned_before = server.service.scheduler.spawned
+        warm = client.run(document, timeout=120.0)
+        assert warm.payload["cache"] == {"hits": 1, "misses": 1}
+        assert server.service.scheduler.spawned == spawned_before + 1
+        assert without_cache_key(warm.envelope) \
+            == without_cache_key(cold.envelope)
+        assert server.service.backend.get(fingerprint) \
+            == cold.payload["results"][0]
 
     def test_duplicate_points_coalesce_into_one_simulation(self, server,
                                                            client):

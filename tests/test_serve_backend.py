@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.api import RunResult
 from repro.core.config import ChipConfig
 from repro.experiments import (LocalDirBackend, ResultCache, RunSpec,
                                as_backend, run_sweep)
@@ -57,11 +58,13 @@ class TestAsBackend:
 class TestResultCacheAccounting:
     def test_contains_is_never_counted(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("ab" * 32, {"x": 1})
+        payload = RunResult("scorpio", "fft", 9, 100, 72, 1.0,
+                            fingerprint="ab" * 32).payload()
+        cache.put("ab" * 32, payload)
         assert cache.contains("ab" * 32)
         assert not cache.contains("cd" * 32)
         assert (cache.hits, cache.misses) == (0, 0)
-        assert cache.get("ab" * 32) == {"x": 1}
+        assert cache.get("ab" * 32) == payload
         assert cache.get("cd" * 32) is None
         assert (cache.hits, cache.misses) == (1, 1)
 
@@ -145,6 +148,46 @@ def frontend(tmp_path):
     server = serve(tmp_path / "cache", port=0, workers=1).start()
     yield server
     server.stop()
+
+
+class CountingBackend(LocalDirBackend):
+    def __init__(self, directory):
+        super().__init__(directory)
+        self.calls = []
+
+    def get(self, fingerprint):
+        self.calls.append(("get", fingerprint))
+        return super().get(fingerprint)
+
+    def put(self, fingerprint, payload):
+        self.calls.append(("put", fingerprint))
+        super().put(fingerprint, payload)
+
+
+class TestSchedulerWriteThrough:
+    def test_a_recalled_point_is_read_once_and_not_written(self, tmp_path):
+        """The dispatch-time precheck answers from the store; the
+        write-through then has nothing to write."""
+        import threading
+
+        from repro.serve.scheduler import PointScheduler
+
+        fp = "ab" * 32
+        payload = RunResult("scorpio", "fft", 9, 100, 72, 1.0,
+                            fingerprint=fp).payload()
+        LocalDirBackend(tmp_path).put(fp, payload)
+        backend = CountingBackend(tmp_path)
+        scheduler = PointScheduler(backend, workers=1)
+        seen, done = [], threading.Event()
+        try:
+            scheduler.submit(fp, tiny_spec(), lambda kind, _fp, value, _e:
+                             (seen.append((kind, value)), done.set()))
+            assert done.wait(10.0)
+        finally:
+            scheduler.stop()
+        assert seen == [("done", payload)]
+        assert backend.calls == [("get", fp)]
+        assert scheduler.spawned == 0
 
 
 class TestRemoteCacheBackend:
