@@ -221,6 +221,12 @@ only_in "memory-controller layout outside core/config.py" \
 forbid "chip_36core called with overrides" '\.chip_36core\([^)]' \
     src tests benchmarks examples
 
+# A worker slot forks once: the pool's slots are the one place a
+# process is started, so every worker inherits the orphan rule (it
+# closes the parent's pipe ends and exits when the parent is gone).
+only_in "one place starts a process" 'multiprocessing\.Process\(' \
+    src/repro/experiments/procpool.py
+
 # Dead names: every def / class under src/repro is spelled at least
 # twice across the tree (its definition plus one caller, test or
 # document).  Allow-listed: http.server's do_* handlers (called by

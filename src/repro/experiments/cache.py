@@ -155,17 +155,23 @@ class LocalDirBackend(CacheBackend):
         return sum(1 for _ in self.directory.glob("*/*.json"))
 
 
+def is_result_payload(stored: Any) -> bool:
+    """Is *stored* shaped like a result payload: a dict holding every key
+    ``RunResult.payload()`` writes, with this ``PAYLOAD_SCHEMA``?
+    (``PUT /v1/cache/<name>`` refuses anything else.)"""
+    return (isinstance(stored, dict) and stored.keys() >= PAYLOAD_KEYS
+            and stored["schema"] == PAYLOAD_SCHEMA)
+
+
 def result_payload(stored: Any, fingerprint: str) -> Optional[Dict[str, Any]]:
     """*stored* if it is the result payload of *fingerprint*, else None.
 
-    A backend stores any JSON (``PUT /v1/cache/<name>`` takes it from
-    the network), so before a stored value becomes a result it must be
-    a dict holding every key ``RunResult.payload()`` writes, with this
-    ``PAYLOAD_SCHEMA`` and the ``fingerprint`` it was read under.
+    A backend stores whatever it was handed, so before a stored value
+    becomes a result it must be a result payload
+    (:func:`is_result_payload`) carrying the ``fingerprint`` it was read
+    under.
     """
-    if (isinstance(stored, dict) and stored.keys() >= PAYLOAD_KEYS
-            and stored["schema"] == PAYLOAD_SCHEMA
-            and stored["fingerprint"] == fingerprint):
+    if is_result_payload(stored) and stored["fingerprint"] == fingerprint:
         return stored
     return None
 

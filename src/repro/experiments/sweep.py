@@ -13,13 +13,13 @@ instrumented re-runs, ``repro serve`` — runs the same two functions:
   cadence (see :mod:`repro.experiments.checkpoint_exec`).
 
 :func:`run_sweep` puts the local driver between them: the misses run
-serially for ``jobs=1``, otherwise in per-point worker processes
+serially for ``jobs=1``, otherwise on fork-once worker processes
 (:mod:`repro.experiments.procpool`; a dying worker retries its point, a
-point that keeps failing raises :class:`SweepPointError`), and fresh
-results are written back to the cache.  Simulations are deterministic
-in the spec (trace generation is seeded and the engine draws no random
-numbers; see ``tests/test_determinism.py``), so a parallel sweep is
-bit-identical to a serial one.  The result row is :class:`repro.core.api.RunResult`
+point that keeps failing raises :class:`SweepPointError`), and each
+fresh result is written back to the cache as it completes.  Simulations
+are deterministic in the spec (trace generation is seeded and the engine
+draws no random numbers; see ``tests/test_determinism.py``), so a
+parallel sweep is bit-identical to a serial one.  The result row is :class:`repro.core.api.RunResult`
 (``SweepResult`` here is the same class); its ``payload()`` is the
 canonical serialized form: what the cache stores, and byte-for-byte
 what a hit returns.
@@ -256,9 +256,9 @@ def run_plan(specs: Iterable[PointSpec],
              retries: int = DEFAULT_RETRIES,
              point_timeout: Optional[float] = None) -> Plan:
     """Plan *specs* against the cache, simulate the pending points here
-    (serially, or in up to *jobs* worker processes), write them back and
-    return the resolved :class:`Plan` — :func:`run_sweep` for callers
-    that also want the hit/miss counts."""
+    (serially, or on up to *jobs* worker processes), write each back as
+    it completes and return the resolved :class:`Plan` —
+    :func:`run_sweep` for callers that also want the hit/miss counts."""
     ctx = get_context()
     if jobs is None:
         jobs = ctx.jobs
@@ -266,14 +266,26 @@ def run_plan(specs: Iterable[PointSpec],
     plan = plan_points(
         specs, resolved_cache.get if resolved_cache is not None else None)
 
+    def finish(fingerprint: str, payload: Dict[str, Any]) -> None:
+        # Written through as each point completes: a sweep that fails
+        # one point keeps every point it computed.
+        if resolved_cache is not None:
+            resolved_cache.put(fingerprint, payload)
+        plan.resolve(fingerprint, payload)
+
+    def on_event(event) -> None:
+        _report_retry(event)
+        if event[0] == "done":
+            finish(event[1], event[2])
+
     items = [(fingerprint, (spec, fingerprint))
              for fingerprint, spec in plan.to_run()]
     if jobs > 1 and len(items) > 1:
-        payloads, failed = run_points(items, _pool_worker,
-                                      jobs=min(jobs, len(items)),
-                                      retries=retries,
-                                      timeout=point_timeout,
-                                      on_event=_report_retry)
+        _payloads, failed = run_points(items, _pool_worker,
+                                       jobs=min(jobs, len(items)),
+                                       retries=retries,
+                                       timeout=point_timeout,
+                                       on_event=on_event)
         if failed:
             failures = {fp: failed[fp] for fp in plan.pending
                         if fp in failed}
@@ -282,12 +294,8 @@ def run_plan(specs: Iterable[PointSpec],
                       f"{error}", file=sys.stderr)
             raise SweepPointError(failures)
     else:
-        payloads = {fingerprint: _pool_worker(item)
-                    for fingerprint, item in items}
-    for fingerprint in plan.pending:
-        if resolved_cache is not None:
-            resolved_cache.put(fingerprint, payloads[fingerprint])
-        plan.resolve(fingerprint, payloads[fingerprint])
+        for fingerprint, item in items:
+            finish(fingerprint, _pool_worker(item))
     return plan
 
 

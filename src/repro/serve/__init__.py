@@ -11,7 +11,7 @@ A job-queue frontend over the existing document/sweep/cache machinery:
   hit/miss accounting, envelope assembly (byte-identical to
   ``repro run-file`` on the same document).
 * :mod:`repro.serve.scheduler` — shards pending points across
-  per-point worker processes with timeout/retry/backoff, deduplicating
+  fork-once worker processes with timeout/retry/backoff, deduplicating
   identical fingerprints across concurrent jobs.
 * :mod:`repro.serve.backend` — the remote :class:`CacheBackend` that
   lets workers on other hosts share one content-addressed store through

@@ -1,8 +1,8 @@
 """The point scheduler: shards sweep points across worker processes.
 
 One :class:`PointScheduler` serves every job on a host.  It owns a
-:class:`~repro.experiments.procpool.SlotPool` (the same per-point
-process runner the local ``run_sweep`` hardening uses) and a dispatch
+:class:`~repro.experiments.procpool.SlotPool` (the same fork-once
+worker slots the local ``run_sweep`` hardening uses) and a dispatch
 thread that drains submissions into the pool, reaps events, writes
 fresh results through to the shared cache backend, and fires the
 subscribed callbacks.
@@ -14,9 +14,9 @@ anyone has run" true:
   point up before it ever reaches the scheduler, so warm points never
   enter the queue at all;
 * **dispatch time** — the pool's ``precheck`` hook re-probes the
-  backend immediately before a process would be spawned, so a point
-  another host (or a concurrent job) finished while this one sat queued
-  is also skipped.
+  backend immediately before a point would be handed to a worker, so a
+  point another host (or a concurrent job) finished while this one sat
+  queued is also skipped.
 
 Identical fingerprints submitted by concurrent jobs coalesce: the first
 submission simulates, every later one just subscribes to the same
@@ -90,9 +90,15 @@ class PointScheduler:
 
     @property
     def spawned(self) -> int:
-        """Worker processes actually started — zero across a warm-cache
-        job is the scheduler-level proof of the short-circuit."""
+        """Attempts handed to a worker — zero across a warm-cache job is
+        the scheduler-level proof of the short-circuit."""
         return self._pool.spawned
+
+    @property
+    def forked(self) -> int:
+        """Worker processes started: at most ``workers`` while no point
+        fails."""
+        return self._pool.forked
 
     def stop(self) -> None:
         self._stop.set()
@@ -106,7 +112,7 @@ class PointScheduler:
 
     def _precheck(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """Last-moment cross-host dedup: a point computed elsewhere
-        while queued here is recalled instead of spawned."""
+        while queued here is recalled instead of simulated."""
         payload = result_payload(self.backend.get(fingerprint), fingerprint)
         if payload is not None:
             self._recalled.add(fingerprint)

@@ -21,7 +21,8 @@ GET         /v1/jobs/<id>/events           NDJSON progress stream; stays
 GET/HEAD    /v1/cache/<fingerprint>        shared cache read/probe (404=miss;
                                            400 for a name outside
                                            ``[0-9A-Za-z_-]{1,128}``)
-PUT         /v1/cache/<fingerprint>        shared cache write (payload JSON)
+PUT         /v1/cache/<fingerprint>        shared cache write (a result
+                                           payload; 400 for anything else)
 GET         /v1/cache                      cache summary (entry count)
 ==========  =============================  ==================================
 
@@ -46,7 +47,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 from repro.api.document import (DocumentError, document_to_dict,
                                 experiment_from_dict)
 from repro.experiments.cache import (CacheBackend, CacheNameError,
-                                     as_backend)
+                                     as_backend, is_result_payload)
 from repro.serve.jobs import JobManager
 from repro.serve.scheduler import PointScheduler
 
@@ -345,6 +346,11 @@ class _Handler(BaseHTTPRequestHandler):
             payload = json.loads(body)
         except ValueError as exc:
             self._error(400, f"invalid JSON: {exc}")
+            return
+        if not is_result_payload(payload):
+            self._error(400, "not a result payload (expected a JSON "
+                        "object with every result key at the current "
+                        "schema)")
             return
         self.service.backend.put(route[2], payload)
         self._send_json(200, {"stored": route[2]})

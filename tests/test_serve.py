@@ -209,13 +209,14 @@ class TestByteIdentity:
 
     def test_a_put_poisoned_entry_is_a_miss_and_repaired(self, server,
                                                          client):
-        """Any JSON can be PUT under a fingerprint; a job reads it as a
-        miss, simulates the point and stores the real payload back."""
+        """A store may hold anything under a fingerprint (a shared
+        directory is written by every host); a job reads a non-payload
+        as a miss, simulates the point and stores the real payload
+        back."""
         document = tiny_document()
         cold = client.run(document, timeout=120.0)
         fingerprint = cold.payload["results"][0]["fingerprint"]
-        client._request(f"/v1/cache/{fingerprint}", method="PUT",
-                        data=b'{"schema": 1}')
+        server.service.backend.put(fingerprint, {"schema": 1})
         spawned_before = server.service.scheduler.spawned
         warm = client.run(document, timeout=120.0)
         assert warm.payload["cache"] == {"hits": 1, "misses": 1}

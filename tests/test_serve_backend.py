@@ -190,21 +190,74 @@ class TestSchedulerWriteThrough:
         assert scheduler.spawned == 0
 
 
+class TestSchedulerWorkers:
+    def test_cold_jobs_fork_each_worker_once(self, tmp_path):
+        """Two cold jobs in a row run on the scheduler's long-lived
+        workers: no more processes are forked than it has workers."""
+        import threading
+
+        from repro.serve.scheduler import PointScheduler
+
+        scheduler = PointScheduler(LocalDirBackend(tmp_path), workers=2)
+        kinds, done = [], threading.Semaphore(0)
+        try:
+            for seeds in ((0, 1), (2, 3)):
+                for seed in seeds:
+                    spec = tiny_spec(seed=seed)
+                    scheduler.submit(spec.fingerprint(), spec,
+                                     lambda kind, *_: (kinds.append(kind),
+                                                       done.release()))
+                for _ in seeds:
+                    assert done.acquire(timeout=60.0)
+        finally:
+            scheduler.stop()
+        assert kinds == ["done"] * 4
+        assert scheduler.spawned == 4
+        assert scheduler.forked <= 2
+
+
 class TestRemoteCacheBackend:
     def test_round_trip_contains_entries(self, frontend):
         remote = RemoteCacheBackend(frontend.url)
         fp = "ab" * 32
+        payload = RunResult("scorpio", "fft", 9, 100, 72, 1.0,
+                            fingerprint=fp).payload()
         assert remote.get(fp) is None
         assert not remote.contains(fp)
         assert remote.entries() == 0
-        remote.put(fp, {"answer": 42})
+        remote.put(fp, payload)
         assert remote.contains(fp)
-        assert remote.get(fp) == {"answer": 42}
+        assert remote.get(fp) == payload
         assert remote.entries() == 1
         # The entry landed in the frontend's local store, byte-for-byte
         # what LocalDirBackend would have written.
         local = frontend.service.backend
-        assert local.get(fp) == {"answer": 42}
+        assert local.get(fp) == payload
+
+    def test_put_refuses_what_is_not_a_result_payload(self, frontend):
+        """``PUT /v1/cache/<name>`` stores a result payload and answers
+        400 to any other JSON, storing nothing.  The name is not checked
+        against the payload's fingerprint here: reads do that."""
+        import urllib.error
+        import urllib.request
+
+        local = frontend.service.backend
+        fp = "cd" * 32
+        for body in (b"[]", b'{"schema": 1}'):
+            request = urllib.request.Request(
+                f"{frontend.url}/v1/cache/{fp}", data=body, method="PUT")
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=10.0)
+            assert excinfo.value.code == 400
+            assert not local.contains(fp)
+        payload = RunResult("scorpio", "fft", 9, 100, 72, 1.0,
+                            fingerprint="ef" * 32).payload()
+        request = urllib.request.Request(
+            f"{frontend.url}/v1/cache/{fp}",
+            data=json.dumps(payload).encode(), method="PUT")
+        with urllib.request.urlopen(request, timeout=10.0) as response:
+            assert response.status == 200
+        assert local.get(fp) == payload
 
     @pytest.mark.parametrize("name", ["..", "a%2Fb", "ab.json", "a" * 129])
     def test_entry_names_cannot_escape_the_cache_dir(self, frontend,
@@ -222,8 +275,10 @@ class TestRemoteCacheBackend:
                      lambda fp: local.put(fp, {"x": 1})):
             with pytest.raises(CacheNameError):
                 call(name)
+        payload = json.dumps(RunResult("scorpio", "fft", 9, 100, 72, 1.0,
+                                       fingerprint=name).payload())
         for method, data in (("GET", None), ("HEAD", None),
-                             ("PUT", b'{"x": 1}')):
+                             ("PUT", payload.encode())):
             request = urllib.request.Request(
                 f"{frontend.url}/v1/cache/{name}", data=data, method=method)
             with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -1,21 +1,29 @@
-"""The hardened sweep execution path: per-point worker processes with
+"""The hardened sweep execution path: fork-once worker slots with
 timeout, bounded retry, and loud permanent failure.
 
-The contract under test (ISSUE 10 satellite): a worker that dies
-mid-point — crash, SIGKILL, timeout — never loses the point.  It
-retries up to the bound, and a point that keeps failing surfaces as a
-:class:`SweepPointError` listing every failed fingerprint, never as a
-hang or a silent gap in the results."""
+The contract under test: a worker that dies mid-point — crash, SIGKILL,
+timeout — never loses the point.  It retries up to the bound, and a
+point that keeps failing surfaces as a :class:`SweepPointError` listing
+every failed fingerprint, never as a hang or a silent gap in the
+results.  A slot's worker is forked once and runs point after point
+until one fails; it never outlives the process that owns the pool."""
 
+import json
+import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.core.config import ChipConfig
-from repro.experiments import RunSpec, SweepPointError, run_sweep
+from repro.experiments import (ResultCache, RunSpec, SweepPointError,
+                               run_sweep)
 from repro.experiments.procpool import SlotPool, run_points
+from repro.experiments.sweep import _pool_worker, run_plan
 
 KNOBS = dict(ops_per_core=8, workload_scale=0.02, think_scale=10.0)
 
@@ -61,6 +69,54 @@ def _sigkill_once(item):
 
 def _sleep_forever(item):
     time.sleep(300)
+
+
+def _pid(item):
+    return os.getpid()
+
+
+def _pid_unless(item):
+    """The worker's pid; raises, sleeps or dies on request."""
+    if item == "raise":
+        raise ValueError(f"raised in pid {os.getpid()}")
+    if item == "sleep":
+        time.sleep(300)
+    if isinstance(item, tuple) and not os.path.exists(item[0]):
+        open(item[0], "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return os.getpid()
+
+
+def _pid_and_payload(item):
+    return os.getpid(), json.dumps(_pool_worker(item))
+
+
+def drive(pool, items):
+    """Submit *items* to *pool* and step it until every one resolved."""
+    for key, item in items:
+        pool.submit(key, item)
+    events = []
+    while pool.pending():
+        events.extend(pool.step())
+        pool.wait(0.05)
+    return events
+
+
+def gone(pid):
+    """No such process, or a zombie nobody has reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def wait_gone(pids, seconds=5.0):
+    deadline = time.monotonic() + seconds
+    while not all(gone(pid) for pid in pids) \
+            and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return [pid for pid in pids if not gone(pid)]
 
 
 class TestRunPoints:
@@ -136,6 +192,145 @@ class TestSlotPool:
         assert pool.spawned == 0
 
 
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc"),
+                                reason="reads process state from /proc")
+
+
+class TestForkOnce:
+    def test_one_fork_per_slot(self):
+        results, failures = run_points(
+            [(k, k) for k in range(6)], _pid, jobs=1)
+        assert failures == {} and len(set(results.values())) == 1
+        pool = SlotPool(_pid, jobs=2)
+        try:
+            events = drive(pool, [(k, k) for k in range(10)])
+        finally:
+            pool.close()
+        assert [kind for kind, *_ in events] == ["done"] * 10
+        assert len({event[2] for event in events}) <= 2
+        assert pool.forked == 2
+        assert pool.spawned == 10
+
+    def test_a_worker_that_raises_is_retired(self):
+        pool = SlotPool(_pid_unless, jobs=1, retries=0)
+        try:
+            events = drive(pool, [("a", "a"), ("r", "raise"), ("b", "b")])
+        finally:
+            pool.close()
+        (_, _, first), (_, _, error), (_, _, second) = events
+        assert [event[:2] for event in events] \
+            == [("done", "a"), ("failed", "r"), ("done", "b")]
+        assert f"raised in pid {first}" in error
+        assert second != first
+        assert pool.forked == 2
+
+    def test_sigkill_mid_third_task_is_that_task_alone(self, tmp_path):
+        flag = str(tmp_path / "killed-once")
+        items = [(0, 0), (1, 1), (2, (flag,)), (3, 3)]
+        events = []
+        results, failures = run_points(items, _pid_unless, jobs=1,
+                                       retries=1, backoff=0.01,
+                                       on_event=events.append)
+        assert failures == {}
+        retries = [event for event in events if event[0] == "retry"]
+        assert [event[1] for event in retries] == [2]
+        assert "killed by signal 9" in retries[0][3]
+        assert results[0] == results[1]
+        assert results[2] == results[3] != results[0]
+
+    def test_a_timeout_retires_the_worker(self):
+        pool = SlotPool(_pid_unless, jobs=1, retries=0, timeout=1.0)
+        try:
+            events = drive(pool, [("a", "a"), ("s", "sleep"), ("b", "b")])
+        finally:
+            pool.close()
+        assert [event[:2] for event in events] \
+            == [("done", "a"), ("failed", "s"), ("done", "b")]
+        assert "timed out" in events[1][2]
+        assert events[2][2] != events[0][2]
+        assert pool.forked == 2
+
+    @needs_proc
+    def test_an_idle_worker_found_dead_costs_no_attempt(self):
+        pool = SlotPool(_pid, jobs=1, retries=0)
+        try:
+            [(_, _, first)] = drive(pool, [("a", "a")])
+            os.kill(first, signal.SIGKILL)
+            assert wait_gone([first]) == []
+            events = drive(pool, [("b", "b")])
+        finally:
+            pool.close()
+        assert len(events) == 1 and events[0][:2] == ("done", "b")
+        assert events[0][2] != first
+        assert pool.spawned == 2 and pool.forked == 2
+
+    def test_close_stops_idle_workers(self):
+        pool = SlotPool(_pid, jobs=2)
+        drive(pool, [(k, k) for k in range(4)])
+        start = time.monotonic()
+        pool.close()
+        assert time.monotonic() - start < 5.0
+        assert multiprocessing.active_children() == []
+
+    @needs_proc
+    def test_workers_exit_when_the_parent_is_killed(self):
+        """A SIGKILLed parent runs no cleanup: its idle workers must see
+        EOF on their task pipes and exit by themselves."""
+        import repro
+        script = (
+            "import os, signal\n"
+            "from repro.experiments.procpool import SlotPool\n"
+            "pool = SlotPool(lambda item: os.getpid(), jobs=2)\n"
+            "for key in range(4):\n"
+            "    pool.submit(key, key)\n"
+            "pids = set()\n"
+            "while pool.pending():\n"
+            "    pids.update(event[2] for event in pool.step())\n"
+            "    pool.wait(0.05)\n"
+            "print(*sorted(pids), flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        # Read one line, not to EOF: a surviving worker holds the pipe.
+        with subprocess.Popen([sys.executable, "-c", script], env=env,
+                              stdout=subprocess.PIPE, text=True) as child:
+            pids = [int(pid) for pid in child.stdout.readline().split()]
+            assert child.wait(timeout=60) == -signal.SIGKILL
+        assert 1 <= len(pids) <= 2
+        survivors = wait_gone(pids)
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == []
+
+    def test_a_reused_worker_gives_fresh_bytes(self):
+        """A point run on a worker that already ran another point is
+        byte-identical to a fresh run: neither the packet-id counter nor
+        any module memo carries over into a result."""
+        first = tiny_spec(protocol="lpd", seed=3,
+                          config=ChipConfig.variant(4, 4))
+        second = tiny_spec(seed=1)
+        results, failures = run_points(
+            [(key, (spec, spec.fingerprint()))
+             for key, spec in (("first", first), ("second", second))],
+            _pid_and_payload, jobs=1)
+        assert failures == {}
+        assert results["first"][0] == results["second"][0]
+        [fresh] = run_sweep([second], jobs=1, cache=False)
+        assert results["second"][1] == json.dumps(fresh.payload())
+
+    def test_an_unpicklable_task_fails_alone(self):
+        pool = SlotPool(_pid, jobs=1)
+        try:
+            events = drive(pool, [("bad", lambda: None), ("good", 1)])
+        finally:
+            pool.close()
+        assert [event[:2] for event in events] \
+            == [("failed", "bad"), ("done", "good")]
+        assert "cannot be pickled" in events[0][2]
+        assert pool.spawned == 1
+
+
 class TestRunSweepHardening:
     def test_parallel_identical_to_serial(self):
         specs = [tiny_spec(protocol=p) for p in ("scorpio", "lpd")]
@@ -187,3 +382,26 @@ class TestRunSweepHardening:
         assert bad_fp in excinfo.value.failures
         assert "simulated point crash" in excinfo.value.failures[bad_fp]
         assert bad_fp in capsys.readouterr().err
+
+    def test_a_failed_point_keeps_the_computed_ones(self, tmp_path,
+                                                    monkeypatch):
+        """Every point that completed is in the cache when another one
+        fails for good, so the next call simulates only the failed
+        point."""
+        import repro.experiments.sweep as sweep_mod
+        specs = [tiny_spec(seed=s) for s in (0, 1, 2)]
+        real_worker = sweep_mod._pool_worker
+
+        def failing_worker(item):
+            spec, _fp = item
+            if spec.seed == 1:
+                raise RuntimeError("simulated point crash")
+            return real_worker(item)
+
+        monkeypatch.setattr(sweep_mod, "_pool_worker", failing_worker)
+        with pytest.raises(SweepPointError):
+            run_plan(specs, jobs=2, cache=str(tmp_path), retries=0)
+        assert ResultCache(tmp_path).entries() == 2
+        monkeypatch.setattr(sweep_mod, "_pool_worker", real_worker)
+        plan = run_plan(specs, jobs=2, cache=str(tmp_path))
+        assert plan.cache_stats == {"hits": 2, "misses": 1}
