@@ -227,6 +227,19 @@ forbid "chip_36core called with overrides" '\.chip_36core\([^)]' \
 only_in "one place starts a process" 'multiprocessing\.Process\(' \
     src/repro/experiments/procpool.py
 
+# Every simulating verb is a document: run, sweep, trace and litmus
+# build one and end in run-file's tail (one run_experiment call, one
+# printer); compare and features are gone, and the per-verb runners and
+# the second litmus judging loop stay deleted.
+forbid "retired verb / runner / printer" \
+    '\b(cmd_compare|cmd_features|cmd_trace|cmd_litmus|_print_result|run_suite)\b' \
+    src tests benchmarks examples
+forbid "per-verb runner in the CLI" \
+    '\b(run_sweep|run_benchmark|compare_protocols|run_trace_file)\b' \
+    src/repro/cli.py
+[ "$(grep -c 'run_experiment(' src/repro/cli.py)" -eq 1 ] \
+    || fail "more than one run_experiment call in cli.py"
+
 # Dead names: every def / class under src/repro is spelled at least
 # twice across the tree (its definition plus one caller, test or
 # document).  Allow-listed: http.server's do_* handlers (called by

@@ -225,6 +225,14 @@ def _knobs(data: Mapping[str, Any], keys: Sequence[str],
     return knobs
 
 
+def _protocol(protocol: str, what: str) -> str:
+    from repro.core.api import PROTOCOLS
+    _require(protocol in PROTOCOLS,
+             f"{what}: unknown protocol {protocol!r}; known: "
+             f"{list(PROTOCOLS)}")
+    return protocol
+
+
 def _lookup_config(name: Optional[str],
                    configs: Mapping[str, ChipConfig],
                    what: str) -> Optional[ChipConfig]:
@@ -239,7 +247,6 @@ def _resolve_run(data: Mapping[str, Any],
                  configs: Mapping[str, ChipConfig], what: str, memo):
     """One ``[[runs]]`` entry -> RunSpec or SystemSpec (*memo*: the
     document's :class:`~repro.experiments.spec.KeyMemo`)."""
-    from repro.core.api import PROTOCOLS
     from repro.experiments import RunSpec, SystemSpec, builder_names
 
     _check_keys(data, _RUN_KEYS, what)
@@ -255,10 +262,8 @@ def _resolve_run(data: Mapping[str, Any],
         for key in ("params", "workload"):
             _require(key not in data,
                      f"{what}.{key} only applies to builder runs")
-        protocol = _get(data, "protocol", str, what, default="scorpio")
-        _require(protocol in PROTOCOLS,
-                 f"{what}: unknown protocol {protocol!r}; known: "
-                 f"{list(PROTOCOLS)}")
+        protocol = _protocol(_get(data, "protocol", str, what,
+                                  default="scorpio"), what)
         spec = RunSpec(
             benchmark=_get(data, "benchmark", str, what, required=True),
             protocol=protocol, config=config, label=label,
@@ -298,16 +303,12 @@ _MATRIX_KEYS = ("benchmarks", "protocols", "seeds", "config", "configs",
 def _resolve_matrix(data: Mapping[str, Any],
                     configs: Mapping[str, ChipConfig], what: str):
     """A ``[matrix]`` table -> expanded RunSpec list (Sweep order)."""
-    from repro.core.api import PROTOCOLS
     from repro.experiments import Sweep
 
     _check_keys(data, _MATRIX_KEYS, what)
     benchmarks = _str_list(data, "benchmarks", what, required=True)
-    protocols = _str_list(data, "protocols", what, default=["scorpio"])
-    for protocol in protocols:
-        _require(protocol in PROTOCOLS,
-                 f"{what}: unknown protocol {protocol!r}; known: "
-                 f"{list(PROTOCOLS)}")
+    protocols = [_protocol(protocol, what) for protocol in
+                 _str_list(data, "protocols", what, default=["scorpio"])]
     _require("config" not in data or "configs" not in data,
              f"{what}: give either 'config' or 'configs', not both")
     if "configs" in data:
@@ -340,18 +341,27 @@ def _resolve_litmus(data: Mapping[str, Any], what: str):
     from repro.verification.litmus import ALL_LITMUS, litmus_spec
 
     _check_keys(data, _LITMUS_KEYS, what)
+    protocol = _protocol(_get(data, "protocol", str, what,
+                              default="scorpio"), what)
+    seeds = _int_list(data, "seeds", what, default=(0, 1, 2))
+    kwargs = {}
+    for key, default, least in (("width", 3, 2), ("height", 3, 2),
+                                ("max_cycles", 100_000, 0)):
+        kwargs[key] = _get(data, key, int, what, default=default)
+        _require(kwargs[key] >= least,
+                 f"{what}.{key} must be >= {least}, got {kwargs[key]!r}")
+    nodes = kwargs["width"] * kwargs["height"]
     by_name = {program.name: program for program in ALL_LITMUS}
     names = _str_list(data, "programs", what, default=sorted(by_name))
     for name in names:
         _require(name in by_name,
                  f"{what}: unknown litmus program {name!r}; known: "
                  f"{sorted(by_name)}")
-    protocol = _get(data, "protocol", str, what, default="scorpio")
-    seeds = _int_list(data, "seeds", what, default=(0, 1, 2))
-    kwargs = {}
-    for key, default in (("width", 3), ("height", 3),
-                         ("max_cycles", 100_000)):
-        kwargs[key] = _get(data, key, int, what, default=default)
+        _require(len(by_name[name].threads) <= nodes,
+                 f"{what}: litmus program {name!r} has "
+                 f"{len(by_name[name].threads)} threads, more than the "
+                 f"{nodes} nodes of a {kwargs['width']}x"
+                 f"{kwargs['height']} mesh")
     return [(by_name[name],
              litmus_spec(by_name[name], protocol=protocol, seed=seed,
                          **kwargs))

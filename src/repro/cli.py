@@ -2,35 +2,32 @@
 
 Commands:
 
-* ``run`` — one benchmark under one protocol, printing the run summary.
-* ``compare`` — the same benchmark under several protocols, printing
-  runtimes normalized to LPD-D (the Figure 6a view).
-* ``sweep`` — a (benchmark × protocol × seed) matrix through the
-  experiment orchestrator: ``--jobs N`` fans runs out across processes,
-  ``--cache-dir`` recalls previously computed points;
-  ``--list-builders`` prints the registered system builders that
-  ``SystemSpec`` sweeps (and the figure harnesses) can target, with
-  each builder's accepted params/defaults and the declarative workload
-  kinds.
+* ``run`` — one benchmark under one protocol.
+* ``sweep`` — a (benchmark × protocol × seed) matrix; ``--jobs N`` fans
+  runs out across processes, ``--cache-dir`` recalls previously computed
+  points; ``--list-builders`` prints the registered system builders
+  that ``SystemSpec`` sweeps (and the figure harnesses) can target,
+  with each builder's accepted params/defaults and the declarative
+  workload kinds.
+* ``trace`` — run an external trace file (the Graphite-traces flow).
+* ``litmus`` — run the sequential-consistency litmus suite.
 * ``run-file`` — execute an experiment document (TOML/JSON; see
-  EXPERIMENTS.md and ``examples/experiments/``) through the same
-  orchestrator; ``--output`` writes the stable results envelope.
-  ``--checkpoint-every N`` snapshots every run's full system state on
-  an N-cycle cadence (``--checkpoint-dir`` chooses where) and
-  ``--resume <ckpt>`` restores a preempted run from such a snapshot —
-  results are byte-identical to an uninterrupted run.
+  EXPERIMENTS.md and ``examples/experiments/``); ``--output`` writes the
+  stable results envelope.  ``--checkpoint-every N`` snapshots every
+  run's full system state on an N-cycle cadence (``--checkpoint-dir``
+  chooses where) and ``--resume <ckpt>`` restores a preempted run from
+  such a snapshot — results are byte-identical to an uninterrupted run.
   ``--report DIR`` re-executes each run with the event journal and mesh
   sampler attached (the envelope is untouched) and writes a
   self-contained observability report to ``DIR/report.html``.
 * ``describe`` — validate an experiment document and print its fully
   resolved form (expanded configs, workloads, params) as JSON.
-* ``figure`` — regenerate a paper table/figure (see ``--list``).
+* ``figure`` — regenerate a paper table/figure (see ``--list``;
+  ``table1`` is the chip feature summary, ``fig6a`` the protocol
+  comparison normalised to LPD-D).
 * ``report`` — render a set of figures into a results directory.
-* ``trace`` — run an external trace file (the Graphite-traces flow).
-* ``features`` — print the Table 1 chip feature summary.
 * ``bench`` — time the quiescence kernel on/off on fixed workloads and
   write ``BENCH_9.json`` (``--smoke`` for the tiny CI regime).
-* ``litmus`` — run the sequential-consistency litmus suite.
 * ``serve`` — run the sweep-service frontend (HTTP job queue + shared
   result cache + optional spool directory; see docs/architecture.md,
   "The sweep service").
@@ -39,10 +36,12 @@ Commands:
   (byte-identical to ``run-file --output`` on the same document).
 * ``jobs`` — list a frontend's jobs.
 
-``sweep``, ``figure``, ``report`` and ``litmus`` honour ``REPRO_JOBS``
-and ``REPRO_CACHE_DIR`` as defaults for ``--jobs``/``--cache-dir``;
-``compare`` (routed through the same sweep runner) honours the
-environment variables too.
+``run``, ``sweep``, ``trace`` and ``litmus`` each turn their arguments
+into an experiment document and run it exactly as ``run-file`` runs a
+file: one validation (a bad name is an ``error:`` line and exit 2), one
+executor, one printer.  Every verb that simulates honours
+``REPRO_JOBS`` and ``REPRO_CACHE_DIR``; ``--jobs``/``--cache-dir``,
+where a verb has them, override the two.
 """
 
 from __future__ import annotations
@@ -52,26 +51,14 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.figures import FIGURES, FULL, QUICK, generate, lookup
-from repro.core.api import (PROTOCOLS, compare_protocols,
-                            normalized_runtimes, run_benchmark,
-                            run_trace_file)
-from repro.core.config import CHIP_FEATURES, ChipConfig
-
-
-def _chip(args) -> ChipConfig:
-    width, height = args.mesh
-    if (width, height) == (6, 6):
-        config = ChipConfig.chip_36core()
-    else:
-        config = ChipConfig.variant(width, height)
-    return config
+from repro.core.api import PROTOCOLS
 
 
 def _cache(args):
     """The ``--cache-dir`` cache, else the execution context's."""
     from repro.experiments import as_cache, get_context
-    return as_cache(args.cache_dir) if args.cache_dir \
-        else get_context().cache
+    cache_dir = getattr(args, "cache_dir", None)
+    return as_cache(cache_dir) if cache_dir else get_context().cache
 
 
 def _mesh(text: str):
@@ -109,14 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="think-time stretch factor")
         p.add_argument("--max-cycles", type=int, default=400_000)
 
-    def add_run_options(p):
-        p.add_argument("--protocol", choices=PROTOCOLS, default="scorpio")
-        p.add_argument("--seed", type=int, default=0)
-        add_regime_options(p)
-
     run_p = sub.add_parser("run", help="run one benchmark")
     run_p.add_argument("benchmark")
-    add_run_options(run_p)
+    run_p.add_argument("--protocol", choices=PROTOCOLS, default="scorpio")
+    run_p.add_argument("--seed", type=int, default=0)
+    add_regime_options(run_p)
 
     def add_executor_options(p):
         p.add_argument("--jobs", type=int, default=None,
@@ -124,12 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", default=None,
                        help="result-cache directory (default: "
                             "REPRO_CACHE_DIR or caching off)")
-
-    cmp_p = sub.add_parser("compare", help="compare protocols")
-    cmp_p.add_argument("benchmark")
-    cmp_p.add_argument("--protocols", nargs="+", choices=PROTOCOLS,
-                       default=["lpd", "ht", "scorpio"])
-    add_run_options(cmp_p)
 
     sweep_p = sub.add_parser(
         "sweep", help="run a benchmark x protocol x seed matrix "
@@ -202,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--full", action="store_true", help=full_help)
     report_p.add_argument("--seed", type=int, default=0)
     add_executor_options(report_p)
-
-    sub.add_parser("features", help="print Table 1 chip features")
 
     bench_p = sub.add_parser(
         "bench", help="time the quiescence kernel on/off and write a "
@@ -285,50 +261,66 @@ def build_parser() -> argparse.ArgumentParser:
 # Command implementations
 # ---------------------------------------------------------------------------
 
-def _print_result(result, out) -> None:
-    print(f"benchmark : {result.benchmark}", file=out)
-    print(f"protocol  : {result.protocol}", file=out)
-    print(f"cores     : {result.n_cores}", file=out)
-    print(f"runtime   : {result.runtime} cycles", file=out)
-    print(f"ops done  : {result.completed_ops} "
-          f"(progress {result.progress:.1%})", file=out)
-    if result.avg_l2_service_latency:
-        print(f"L2 service: {result.avg_l2_service_latency:.1f} cycles "
-              f"(mean)", file=out)
+def _configs(args) -> dict:
+    """``--mesh`` as the document's one named chip, ``chip``."""
+    width, height = args.mesh
+    if (width, height) == (6, 6):
+        return {"chip": {"preset": "chip_36core"}}
+    return {"chip": {"preset": "variant", "width": width, "height": height}}
 
 
 def _regime(args) -> dict:
-    """The regime options as benchmark knobs (``RunSpec``/``Sweep``
-    keywords)."""
+    """The regime options as document knobs."""
     return dict(ops_per_core=args.ops, workload_scale=args.scale,
                 think_scale=args.think_scale, max_cycles=args.max_cycles)
 
 
-def cmd_run(args, out) -> int:
-    result = run_benchmark(args.benchmark, protocol=args.protocol,
-                           config=_chip(args), seed=args.seed,
-                           **_regime(args))
-    _print_result(result, out)
-    return 0 if result.progress == 1.0 else 1
+def _document(args, **work) -> dict:
+    from repro.api import DOCUMENT_SCHEMA
+    return {"schema": DOCUMENT_SCHEMA, "name": args.command, **work}
 
 
-def cmd_compare(args, out) -> int:
-    results = compare_protocols(args.benchmark, tuple(args.protocols),
-                                config=_chip(args), seed=args.seed,
-                                **_regime(args))
-    baseline = "lpd" if "lpd" in results else args.protocols[0]
-    norm = normalized_runtimes(results, baseline=baseline)
-    print(f"{args.benchmark}: runtime normalized to {baseline.upper()}",
-          file=out)
-    for protocol in args.protocols:
-        result = results[protocol]
-        print(f"  {protocol:<8} {norm[protocol]:.3f} "
-              f"({result.runtime} cycles)", file=out)
-    return 0
+def run_document(args) -> dict:
+    """``repro run``: one ``[[runs]]`` benchmark entry."""
+    return _document(args, configs=_configs(args), runs=[dict(
+        benchmark=args.benchmark, protocol=args.protocol, config="chip",
+        seed=args.seed, **_regime(args))])
+
+
+def sweep_document(args) -> dict:
+    """``repro sweep``: a ``[matrix]``."""
+    return _document(args, configs=_configs(args), matrix=dict(
+        benchmarks=list(args.benchmarks), protocols=list(args.protocols),
+        seeds=list(args.seeds), config="chip", **_regime(args)))
+
+
+def trace_document(args) -> dict:
+    """``repro trace``: one builder run over a ``trace`` workload,
+    labelled with the protocol."""
+    from repro.core.api import builder_of
+    builder, params = builder_of(args.protocol)
+    return _document(args, configs=_configs(args), runs=[dict(
+        builder=builder, params=params, config="chip",
+        workload={"kind": "trace", "path": args.path},
+        label=args.protocol, max_cycles=args.max_cycles)])
+
+
+def litmus_document(args) -> dict:
+    """``repro litmus``: a ``[litmus]`` table, the whole suite."""
+    return _document(args, litmus={"protocol": args.protocol})
+
+
+def _simulating(to_document):
+    """The command that runs the document *to_document* makes of its
+    arguments, as ``run-file`` runs a file."""
+    def command(args, out) -> int:
+        from repro.api import experiment_from_dict
+        return _simulate(lambda: experiment_from_dict(to_document(args)),
+                         args, out)
+    return command
 
 
 def cmd_sweep(args, out) -> int:
-    from repro.experiments import Sweep, run_sweep
     if args.list_builders:
         from repro.experiments import list_builders, workload_kinds
 
@@ -354,45 +346,30 @@ def cmd_sweep(args, out) -> int:
         print("error: sweep needs at least one benchmark "
               "(or --list-builders)", file=out)
         return 2
-    width, height = args.mesh
-    sweep = Sweep(benchmarks=list(args.benchmarks),
-                  protocols=tuple(args.protocols),
-                  configs=_chip(args), seeds=tuple(args.seeds),
-                  **_regime(args))
-    cache = _cache(args)
-    results = run_sweep(sweep, jobs=args.jobs, cache=cache)
-    print(f"{len(results)} runs ({width}x{height} mesh, "
-          f"{len(args.benchmarks)} benchmarks x "
-          f"{len(args.protocols)} protocols x {len(args.seeds)} seeds)",
-          file=out)
-    header = f"{'benchmark':<16}{'protocol':<10}{'seed':>5}" \
-             f"{'runtime':>10}  {'progress':>8}  source"
-    print(header, file=out)
-    print("-" * len(header), file=out)
-    incomplete = 0
-    for res in results:
-        if res.progress < 1.0:
-            incomplete += 1
-        print(f"{res.benchmark:<16}{res.protocol:<10}{res.seed:>5}"
-              f"{res.runtime:>10}  {res.progress:>8.1%}  "
-              f"{'cache' if res.cached else 'run'}", file=out)
-    if cache is not None:
-        print(f"cache: {cache.hits} hits, {cache.misses} misses "
-              f"({cache.backend.location})", file=out)
-    return 0 if incomplete == 0 else 1
+    return _simulating(sweep_document)(args, out)
 
 
 def cmd_run_file(args, out) -> int:
-    from repro.api import DocumentError, load_experiment, run_experiment
+    from repro.api import load_experiment
+    return _simulate(lambda: load_experiment(args.path), args, out)
+
+
+def _simulate(load, args, out) -> int:
+    """The one tail of every verb that simulates: *load* the experiment
+    (a ``DocumentError`` is an ``error:`` line and exit 2), run it —
+    through the checkpointed executor under ``--checkpoint-every`` /
+    ``--resume`` — and print one row per run, the litmus verdicts and
+    the cache line; then ``--output`` and ``--report``.  An option a verb
+    does not have is off."""
+    from repro.api import DocumentError, run_experiment
+    option = vars(args).get
     try:
-        experiment = load_experiment(args.path)
+        experiment = load()
     except DocumentError as exc:
         print(f"error: {exc}", file=out)
         return 2
-    checkpointing = (args.checkpoint_every is not None
-                     or args.resume is not None)
     cache = None
-    if checkpointing:
+    if option("checkpoint_every") is not None or option("resume") is not None:
         from repro.experiments.checkpoint_exec import \
             run_experiment_checkpointed
         try:
@@ -407,7 +384,8 @@ def cmd_run_file(args, out) -> int:
                   f"-> {args.checkpoint_dir}", file=out)
     else:
         cache = _cache(args)
-        outcome = run_experiment(experiment, jobs=args.jobs, cache=cache)
+        outcome = run_experiment(experiment, jobs=option("jobs"),
+                                 cache=cache)
     print(f"experiment: {experiment.name} "
           f"({len(outcome.results)} runs)", file=out)
     failures = 0
@@ -432,12 +410,12 @@ def cmd_run_file(args, out) -> int:
         stats = outcome.cache_stats
         print(f"cache: {stats['hits']} hits, {stats['misses']} misses "
               f"({cache.backend.location})", file=out)
-    if args.output:
+    if option("output"):
         from repro.api import envelope_bytes
         with open(args.output, "wb") as handle:
             handle.write(envelope_bytes(outcome.payload()))
         print(f"results -> {args.output}", file=out)
-    if args.report is not None:
+    if option("report") is not None:
         from repro.analysis.report_html import (ObservabilityDriftError,
                                                 write_html_report)
         try:
@@ -489,13 +467,6 @@ def cmd_figure(args, out) -> int:
     return 0
 
 
-def cmd_trace(args, out) -> int:
-    result = run_trace_file(args.path, protocol=args.protocol,
-                            config=_chip(args), max_cycles=args.max_cycles)
-    _print_result(result, out)
-    return 0 if result.progress == 1.0 else 1
-
-
 def cmd_report(args, out) -> int:
     from repro.analysis.report import build_report
     if _unknown_figures(args.figures or (), out):
@@ -528,28 +499,6 @@ def cmd_bench(args, out) -> int:
               f"{row['speedup']:>8.2f}x"
               f"{row['journal_overhead']:>+9.1%}", file=out)
     return 0
-
-
-def cmd_features(args, out) -> int:
-    width = max(len(k) for k in CHIP_FEATURES)
-    for key, value in CHIP_FEATURES.items():
-        print(f"{key:<{width}}  {value}", file=out)
-    return 0
-
-
-def cmd_litmus(args, out) -> int:
-    from repro.verification.litmus import run_suite
-    results = run_suite(protocol=args.protocol, jobs=args.jobs,
-                        cache=_cache(args))
-    failures = 0
-    for name, passed in sorted(results.items()):
-        status = "ok" if passed else "FORBIDDEN OUTCOME OBSERVED"
-        if not passed:
-            failures += 1
-        print(f"  {name:<24} {status}", file=out)
-    print(f"{len(results) - failures}/{len(results)} litmus tests passed",
-          file=out)
-    return 0 if failures == 0 else 1
 
 
 def cmd_serve(args, out) -> int:
@@ -648,17 +597,15 @@ def cmd_jobs(args, out) -> int:
 
 
 COMMANDS = {
-    "run": cmd_run,
-    "compare": cmd_compare,
+    "run": _simulating(run_document),
     "sweep": cmd_sweep,
     "run-file": cmd_run_file,
     "describe": cmd_describe,
     "figure": cmd_figure,
     "report": cmd_report,
-    "trace": cmd_trace,
-    "features": cmd_features,
+    "trace": _simulating(trace_document),
     "bench": cmd_bench,
-    "litmus": cmd_litmus,
+    "litmus": _simulating(litmus_document),
     "serve": cmd_serve,
     "submit": cmd_submit,
     "jobs": cmd_jobs,

@@ -152,7 +152,7 @@ class RunResult:
 PAYLOAD_KEYS = frozenset(RunResult("", "", 0, 0, 0, 0.0).payload())
 
 
-def _builder_of(protocol: str) -> Tuple[str, Dict[str, Any]]:
+def builder_of(protocol: str) -> Tuple[str, Dict[str, Any]]:
     """The registered builder name and params of *protocol*."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of "
@@ -166,7 +166,7 @@ def build_system(protocol: str, traces, config: Optional[ChipConfig] = None):
     """Instantiate a full system of the given *protocol* through the
     builder registry (:mod:`repro.experiments.builders`)."""
     from repro.experiments.builders import get_builder
-    name, given = _builder_of(protocol)
+    name, given = builder_of(protocol)
     builder = get_builder(name)
     return builder.system_class(config or ChipConfig.chip_36core(), traces,
                                 **builder.resolved_params(given))
@@ -207,7 +207,7 @@ def run_trace_file(path, protocol: str = "scorpio",
     uncached.  The row's ``protocol`` is *protocol* as passed."""
     from repro.experiments.builders import SystemSpec
     from repro.experiments.sweep import execute_point
-    builder, params = _builder_of(protocol)
+    builder, params = builder_of(protocol)
     result = execute_point(SystemSpec(
         builder, config, params=params,
         workload={"kind": "trace", "path": str(path)},

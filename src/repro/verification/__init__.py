@@ -6,7 +6,7 @@ from repro.verification.litmus import (ALL_LITMUS, COHERENCE_ORDER, IRIW,
                                        STORE_BUFFERING, LitmusCore,
                                        LitmusProgram, Observation,
                                        is_sequentially_consistent,
-                                       litmus_spec, run_litmus, run_suite,
+                                       litmus_spec, run_litmus,
                                        var_addr)
 from repro.verification.monitor import (InvariantViolation, MonitorReport,
                                         SystemMonitor, attach_monitor)
@@ -15,7 +15,7 @@ __all__ = [
     "ALL_LITMUS", "COHERENCE_ORDER", "IRIW", "LOAD_BUFFERING",
     "MESSAGE_PASSING", "STORE_BUFFERING", "LitmusCore", "LitmusProgram",
     "Observation", "is_sequentially_consistent", "litmus_spec",
-    "run_litmus", "run_suite", "var_addr",
+    "run_litmus", "var_addr",
     "InvariantViolation", "MonitorReport", "SystemMonitor",
     "attach_monitor",
 ]

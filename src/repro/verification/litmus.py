@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace
@@ -265,36 +265,3 @@ def litmus_spec(program: LitmusProgram, protocol: str = "scorpio",
         workload={"kind": "idle"},
         max_cycles=max_cycles,
         label=f"{program.name}/{protocol}/s{seed}")
-
-
-def run_suite(protocol: str = "scorpio", seeds: Sequence[int] = (0, 1, 2),
-              programs: Optional[Sequence[LitmusProgram]] = None,
-              jobs: Optional[int] = None,
-              cache=None) -> Dict[str, bool]:
-    """Run every litmus program a few times under *protocol*; a test
-    passes iff every execution's outcome is SC-admissible.
-
-    The (program x seed) batch goes through the experiment orchestrator:
-    ``jobs`` fans executions across worker processes, ``cache`` recalls
-    previously observed executions, and both default to the process
-    execution context (``REPRO_JOBS``/``REPRO_CACHE_DIR``).  Cached
-    payloads store the raw observations, never verdicts: the SC checker
-    always re-runs here on the (possibly recalled) executions.  (Note
-    that editing the checker still re-simulates — fingerprints embed a
-    digest of all ``src/repro`` sources, conservatively.)
-    """
-    from repro.experiments import run_sweep
-    programs = list(programs or ALL_LITMUS)
-    seeds = list(seeds)
-    specs = [litmus_spec(program, protocol=protocol, seed=seed)
-             for program in programs for seed in seeds]
-    executions = iter(run_sweep(specs, jobs=jobs, cache=cache))
-    results: Dict[str, bool] = {}
-    for program in programs:
-        verdict = True
-        for _seed in seeds:
-            observations = recorded_observations(next(executions))
-            if not is_sequentially_consistent(program, observations):
-                verdict = False
-        results[program.name] = verdict
-    return results

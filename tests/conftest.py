@@ -1,16 +1,30 @@
 """Fixtures shared by the figure tests, the end-of-run credit count, and
-the session's one snapshot of the simulator sources."""
+the session's one snapshot of the simulator sources; and the Hypothesis
+profiles.
+
+Tier-1 is a pure function of the tree: the default ``tier1`` profile
+derives every property test's examples from the test itself and keeps no
+example database, so two runs draw the same examples.  ``soak``
+(``pytest --hypothesis-profile=soak``, which overrides the default)
+draws fresh examples on every run and prints the blob that reproduces a
+failure.  A setting a test spells in its own ``@settings`` (such as
+``max_examples``) wins over either profile."""
 
 import shutil
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import repro
 from repro.analysis.figures import QUICK
 from repro.experiments import as_cache, executing
 from repro.experiments.cache import code_version
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("soak", print_blob=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -44,34 +44,44 @@ class TestParser:
         assert args.mesh == (4, 4)
 
 
+def table_rows(text):
+    """The rows of run-file's table as ``[label, benchmark, protocol,
+    seed, runtime, progress, source]`` (an empty label is ``""``; a
+    label wider than its column runs into the benchmark)."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith("label ")) + 2
+    rows = []
+    for line in lines[start:]:
+        if line.startswith(("litmus ", "cache:", "results ->")):
+            break
+        head, *tail = line.rsplit(None, 5)
+        rows.append([head[:14].strip(), head[14:].strip(), *tail])
+    return rows
+
+
+def verdict_lines(text):
+    return [line for line in text.splitlines()
+            if line.startswith("litmus ")]
+
+
 class TestRunCommand:
     def test_run_small(self):
         code, text = run_cli("run", "fft", "--mesh", "3x3", "--ops", "10",
                              "--scale", "0.02", "--think-scale", "10")
         assert code == 0
-        assert "protocol  : scorpio" in text
-        assert "progress 100.0%" in text
+        [row] = table_rows(text)
+        assert row[:4] == ["", "fft", "scorpio", "0"]
+        assert row[5:] == ["100.0%", "run"]
 
     def test_run_directory_protocol(self):
         code, text = run_cli("run", "lu", "--mesh", "3x3", "--ops", "10",
                              "--scale", "0.02", "--think-scale", "10",
                              "--protocol", "ht")
         assert code == 0
-        assert "protocol  : ht" in text
-
-
-class TestCompareCommand:
-    def test_compare_normalizes_to_lpd(self):
-        code, text = run_cli("compare", "fft", "--mesh", "3x3",
-                             "--ops", "10", "--scale", "0.02",
-                             "--think-scale", "10")
-        assert code == 0
-        assert "normalized to LPD" in text
-        assert "scorpio" in text and "ht" in text
-        # The LPD line itself normalizes to 1.000.
-        lpd_line = next(line for line in text.splitlines()
-                        if line.strip().startswith("lpd"))
-        assert "1.000" in lpd_line
+        [row] = table_rows(text)
+        assert row[1:3] == ["lu", "ht"]
+        assert row[5] == "100.0%"
 
 
 class TestSweepCommand:
@@ -84,7 +94,7 @@ class TestSweepCommand:
         assert code == 0
         assert "4 runs" in text
         # one row per (protocol, seed), all executed fresh
-        assert text.count("run") >= 4
+        assert [row[6] for row in table_rows(text)] == ["run"] * 4
         assert "cache" not in text.splitlines()[-1]
 
     def test_cache_round_trip(self, tmp_path):
@@ -97,12 +107,13 @@ class TestSweepCommand:
 
         def rows(text):
             return [line.split()[:4] for line in text.splitlines()
-                    if line.startswith("fft")]
+                    if line.split()[:1] == ["fft"]]
 
         # identical numbers, different source column
+        assert len(rows(cold)) == len(rows(warm)) == 4
         assert rows(cold) == rows(warm)
-        assert all("cache" in line for line in warm.splitlines()
-                   if line.startswith("fft"))
+        assert [row[6] for row in table_rows(cold)] == ["run"] * 4
+        assert [row[6] for row in table_rows(warm)] == ["cache"] * 4
 
 
 class TestListBuilders:
@@ -280,15 +291,55 @@ class TestDescribeCommand:
             assert code == 0, path
 
 
+# [litmus] tables that must not load: each used to validate, then die
+# with a traceback at run time.
+BAD_LITMUS = [
+    ({"protocol": "tokenring"}, "unknown protocol 'tokenring'"),
+    ({"width": 1}, "width must be >= 2"),
+    ({"height": 0}, "height must be >= 2"),
+    ({"max_cycles": -5}, "max_cycles must be >= 0"),
+    ({"programs": ["iriw"], "width": 1, "height": 2}, "width must be >= 2"),
+]
+
+
+class TestLitmusTableValidation:
+    def _exits_2(self, tmp_path, table, match):
+        import json
+        path = tmp_path / "litmus.json"
+        path.write_text(json.dumps({"schema": 1, "name": "bad",
+                                    "litmus": table}))
+        for verb in ("describe", "run-file"):
+            code, text = run_cli(verb, str(path))
+            assert code == 2, verb
+            assert text.startswith("error:") and match in text, verb
+
+    @pytest.mark.parametrize("table, match", BAD_LITMUS)
+    def test_bad_table_exits_2(self, tmp_path, table, match):
+        self._exits_2(tmp_path, table, match)
+
+    def test_more_threads_than_nodes_exits_2(self, tmp_path, monkeypatch):
+        import repro.verification.litmus as litmus
+        wide = litmus.LitmusProgram(name="wide",
+                                    threads=[[("R", "x")]] * 5)
+        monkeypatch.setattr(litmus, "ALL_LITMUS", [*litmus.ALL_LITMUS, wide])
+        self._exits_2(tmp_path, {"programs": ["wide"], "width": 2,
+                                 "height": 2},
+                      "'wide' has 5 threads, more than the 4 nodes")
+
+
 class TestLitmusCommand:
     def test_parallel_cached_suite(self, tmp_path):
         cold_code, cold = run_cli("litmus", "--jobs", "2",
                                   "--cache-dir", str(tmp_path))
         warm_code, warm = run_cli("litmus", "--cache-dir", str(tmp_path))
         assert cold_code == warm_code == 0
-        assert cold == warm
-        assert "5/5 litmus tests passed" in warm
+        assert [row[2:6] for row in table_rows(cold)] \
+            == [row[2:6] for row in table_rows(warm)]
+        assert verdict_lines(cold) == verdict_lines(warm)
+        assert len(verdict_lines(warm)) == 5
+        assert all(line.endswith(" ok") for line in verdict_lines(warm))
         # the warm pass recalled every (program, seed) execution
+        assert [row[6] for row in table_rows(warm)] == ["cache"] * 15
         from repro.experiments import ResultCache
         assert ResultCache(tmp_path).entries() == 15
 
@@ -376,27 +427,22 @@ class TestBenchCommand:
                     "--max-journal-overhead", "-0.5")
 
 
-class TestFeaturesCommand:
-    def test_prints_table1(self):
-        code, text = run_cli("features")
-        assert code == 0
-        assert "IBM 45 nm SOI" in text
-        assert "notification" in text
-
-
 class TestTraceCommand:
-    def test_trace_roundtrip(self, tmp_path):
+    def test_trace_roundtrip(self, tmp_path, monkeypatch):
         from repro.cpu.tracefile import dump_traces
         from repro.workloads.suites import profile
         from repro.workloads.synthetic import generate_system_traces, scaled
 
         prof = scaled(profile("fft"), 0.02, 10.0)
         traces = generate_system_traces(prof, 9, 10, seed=1)
-        path = tmp_path / "t.trace"
-        dump_traces(traces, path)
-        code, text = run_cli("trace", str(path), "--mesh", "3x3")
+        monkeypatch.chdir(tmp_path)     # a path short enough for its column
+        dump_traces(traces, "t.trace")
+        code, text = run_cli("trace", "t.trace", "--mesh", "3x3",
+                             "--protocol", "lpd")
         assert code == 0
-        assert "progress 100.0%" in text
+        [row] = table_rows(text)
+        assert row[:3] == ["lpd", "t.trace", "directory"]
+        assert row[5] == "100.0%"
 
     def test_trace_bad_file(self, tmp_path):
         path = tmp_path / "bad.trace"
@@ -404,6 +450,12 @@ class TestTraceCommand:
         from repro.cpu.tracefile import TraceFormatError
         with pytest.raises(TraceFormatError):
             run_cli("trace", str(path), "--mesh", "3x3")
+
+    def test_trace_missing_file_exits_2(self, tmp_path):
+        code, text = run_cli("trace", str(tmp_path / "missing.trace"),
+                             "--mesh", "3x3")
+        assert code == 2
+        assert text.startswith("error:") and "cannot read trace file" in text
 
 
 class TestReportCommand:
@@ -419,3 +471,142 @@ class TestReportCommand:
         code, text = run_cli("report", str(tmp_path), "--figures", "figX")
         assert code == 2
         assert "unknown" in text
+
+
+FAST = ("--ops", "10", "--scale", "0.02", "--think-scale", "10")
+
+
+def _fast_knobs():
+    return dict(ops_per_core=10, workload_scale=0.02, think_scale=10.0,
+                max_cycles=400_000)
+
+
+def _full_knobs():
+    from repro.analysis.figures import FULL
+    return dict(ops_per_core=FULL.ops_per_core,
+                workload_scale=FULL.workload_scale,
+                think_scale=FULL.think_scale, max_cycles=400_000)
+
+
+def _variant3():
+    from repro.core import ChipConfig
+    return ChipConfig.variant(3, 3)
+
+
+def _chip36():
+    from repro.core import ChipConfig
+    return ChipConfig.chip_36core()
+
+
+def _run_specs(trace):
+    from repro.experiments import RunSpec
+    return [RunSpec("fft", protocol="ht", config=_variant3(), seed=2,
+                    **_fast_knobs())]
+
+
+def _run6_specs(trace):
+    from repro.experiments import RunSpec
+    return [RunSpec("barnes", protocol="scorpio", config=_chip36(), seed=0,
+                    **_full_knobs())]
+
+
+def _sweep_specs(trace):
+    from repro.experiments import Sweep
+    return Sweep(benchmarks=["fft", "lu"], protocols=("lpd", "scorpio"),
+                 configs=_variant3(), seeds=(0, 1),
+                 **_fast_knobs()).expand()
+
+
+def _sweep6_specs(trace):
+    from repro.experiments import Sweep
+    return Sweep(benchmarks=["barnes"], protocols=("lpd", "ht", "scorpio"),
+                 configs=_chip36(), seeds=(0,), **_full_knobs()).expand()
+
+
+def _trace_specs(trace):
+    from repro.core.api import builder_of
+    from repro.experiments import SystemSpec
+    builder, params = builder_of("lpd")
+    return [SystemSpec(builder, _variant3(), params=params,
+                       workload={"kind": "trace", "path": trace},
+                       max_cycles=9_000)]
+
+
+def _litmus_specs(trace):
+    from repro.verification.litmus import ALL_LITMUS, litmus_spec
+    return [litmus_spec(program, protocol="ht", seed=seed)
+            for program in ALL_LITMUS for seed in (0, 1, 2)]
+
+
+# verb arguments ("{trace}": a 3x3 trace file) -> the specs the verb
+# built before it was a document (run_benchmark's RunSpec, Sweep.expand,
+# run_trace_file's SystemSpec, the litmus suite's litmus_spec list).
+VERBS = {
+    "run-3x3": (("run", "fft", "--mesh", "3x3", *FAST, "--protocol", "ht",
+                 "--seed", "2"), _run_specs),
+    "run-6x6": (("run", "barnes"), _run6_specs),
+    "sweep-3x3": (("sweep", "fft", "lu", "--mesh", "3x3", *FAST,
+                   "--protocols", "lpd", "scorpio", "--seeds", "0", "1"),
+                  _sweep_specs),
+    "sweep-6x6": (("sweep", "barnes"), _sweep6_specs),
+    "trace": (("trace", "{trace}", "--mesh", "3x3", "--protocol", "lpd",
+               "--max-cycles", "9000"), _trace_specs),
+    "litmus": (("litmus", "--protocol", "ht"), _litmus_specs),
+}
+
+
+@pytest.fixture
+def trace_path(tmp_path, monkeypatch):
+    """A 3x3 trace file, named relative to the test's working directory
+    (so its row fits the table's benchmark column)."""
+    from repro.cpu.tracefile import dump_traces
+    from repro.workloads.suites import profile
+    from repro.workloads.synthetic import generate_system_traces, scaled
+    monkeypatch.chdir(tmp_path)
+    traces = generate_system_traces(scaled(profile("fft"), 0.02, 10.0),
+                                    9, 10, seed=1)
+    dump_traces(traces, "t.trace")
+    return "t.trace"
+
+
+def verb_document(argv, trace):
+    from repro import cli
+    args = build_parser().parse_args(
+        [arg.format(trace=trace) for arg in argv])
+    to_document = {"run": cli.run_document, "sweep": cli.sweep_document,
+                   "trace": cli.trace_document,
+                   "litmus": cli.litmus_document}[args.command]
+    return to_document(args)
+
+
+class TestVerbDocuments:
+    """``run``, ``sweep``, ``trace`` and ``litmus`` are documents run the
+    way ``run-file`` runs one."""
+
+    @pytest.mark.parametrize("case", sorted(VERBS))
+    def test_document_fingerprints_equal_the_specs_the_verb_built(
+            self, case, trace_path):
+        from repro.api import experiment_from_dict
+        argv, specs_of = VERBS[case]
+        document = verb_document(argv, trace_path)
+        built = experiment_from_dict(document).specs
+        assert sorted(spec.fingerprint() for spec in built) \
+            == sorted(spec.fingerprint() for spec in specs_of(trace_path))
+
+    @pytest.mark.parametrize("case", ["run-3x3", "sweep-3x3", "trace",
+                                      "litmus"])
+    def test_stdout_is_run_file_of_the_document(self, case, trace_path):
+        import json
+        argv, _ = VERBS[case]
+        with open("verb.json", "w") as handle:
+            json.dump(verb_document(argv, trace_path), handle)
+        code, text = run_cli(*(arg.format(trace=trace_path)
+                               for arg in argv))
+        file_code, file_text = run_cli("run-file", "verb.json")
+        assert code == file_code == 0
+
+        def body(text):
+            return [line for line in text.splitlines()
+                    if not line.startswith("experiment:")]
+        assert table_rows(text)
+        assert body(text) == body(file_text)

@@ -103,19 +103,27 @@ def test_too_many_threads_rejected():
         run_litmus(program, width=3, height=3)
 
 
+def litmus_verdicts(protocol, seeds):
+    """The SC verdicts of a ``[litmus]`` document: every program of the
+    suite, each under *protocol* at every seed of *seeds*."""
+    from repro.api import experiment_from_dict, run_experiment
+    return run_experiment(experiment_from_dict({
+        "schema": 1, "name": "litmus",
+        "litmus": {"protocol": protocol, "seeds": list(seeds)}})
+    ).litmus_verdicts
+
+
 @pytest.mark.parametrize("protocol", ["lpd", "ht", "fullbit"])
 def test_litmus_on_directory_protocols(protocol):
     # The directory baselines must be sequentially consistent too — the
     # paper's methodology holds the protocol equal across systems.
-    from repro.verification.litmus import run_suite
-    results = run_suite(protocol=protocol, seeds=(0, 1))
+    results = litmus_verdicts(protocol, seeds=(0, 1))
     assert all(results.values()), f"SC violation under {protocol}: " \
         f"{[n for n, ok in results.items() if not ok]}"
 
 
 def test_run_suite_scorpio_all_pass():
-    from repro.verification.litmus import run_suite
-    results = run_suite(protocol="scorpio", seeds=(0,))
+    results = litmus_verdicts("scorpio", seeds=(0,))
     assert set(results) == {"message-passing", "store-buffering",
                             "load-buffering", "coherence-order", "iriw"}
     assert all(results.values())

@@ -144,6 +144,18 @@ class TestFrontend:
         with pytest.raises(ServeError, match="HTTP 422.*protocol"):
             client.submit_document(bad)
 
+    @pytest.mark.parametrize("table, match", [
+        ({"protocol": "tokenring"}, "unknown protocol"),
+        ({"width": 1}, "width must be >= 2"),
+        ({"max_cycles": -5}, "max_cycles must be >= 0"),
+        ({"programs": ["iriw"], "width": 1, "height": 2}, "width must be"),
+    ])
+    def test_bad_litmus_table_is_422(self, client, table, match):
+        with pytest.raises(ServeError, match=f"HTTP 422.*{match}"):
+            client.submit_document({"schema": 1, "name": "bad",
+                                    "litmus": table})
+        assert client.jobs() == []
+
     def test_mistyped_workload_value_is_refused_at_submit(self, client):
         # Used to validate, then die in a forked worker after the retries.
         bad = {"schema": 1, "name": "bad",
