@@ -26,10 +26,10 @@ only_in() {
 }
 
 # PR 16 - one pipeline: execute_point and plan_points never ask what
-# kind of spec they hold; an isinstance(spec, RunSpec|SystemSpec) branch
-# under src/repro is a second execution path.
+# kind of spec they hold; an isinstance(spec, SystemSpec) branch under
+# src/repro is a second execution path (there is one point type).
 forbid "spec-kind ladder" \
-    'isinstance\([a-z_]+, \(?(RunSpec|SystemSpec)' src/repro
+    'isinstance\([a-z_]+, \(?SystemSpec' src/repro
 
 # Retired names: what each simplicity change deleted stays deleted, in
 # the library, its tests, the harness and the examples.  One line per
@@ -50,6 +50,7 @@ retired=(
     'AsyncServeClient'                         # live config
     'system_kwargs|_build_(scorpio|directory|multimesh|tokenb|inso|timestamp|uncorq)|_timestamp_metrics|_uncorq_metrics'
                                                # one chip config
+    'RunSpec|PointSpec|run_grid|compare_protocols'  # one point type
 )
 forbid "retired name" "\b($(IFS='|'; echo "${retired[*]}"))\b" \
     src tests benchmarks examples

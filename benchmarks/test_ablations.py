@@ -16,7 +16,7 @@ from repro.analysis.figures import FULL
 from repro.core import ChipConfig
 from repro.cpu.trace import Trace, TraceOp
 from repro.cpu.tracefile import dump_traces
-from repro.experiments import RunSpec, SystemSpec, run_sweep
+from repro.experiments import SystemSpec, benchmark_spec, run_sweep
 from repro.workloads.synthetic import uniform_random_trace
 
 from conftest import run_once
@@ -26,7 +26,8 @@ REGIME = FULL.knobs(ops_per_core=80)
 
 def scorpio_runs(benchmark_name, *configs):
     """SCORPIO on *benchmark_name* under each config, as one batch."""
-    return run_sweep([RunSpec(benchmark_name, "scorpio", config, **REGIME)
+    return run_sweep([benchmark_spec(benchmark_name, "scorpio", config,
+                                     **REGIME)
                       for config in configs])
 
 

@@ -19,7 +19,7 @@ substitution assumes:
 from dataclasses import replace
 
 from repro.analysis.figures import FULL, chip
-from repro.experiments import RunSpec, execute_point
+from repro.experiments import benchmark_spec, execute_point
 
 from conftest import MAX_CYCLES, SEED, run_once
 
@@ -31,8 +31,9 @@ def _run(name, banked, think_scale):
     config = replace(config, memory=replace(config.memory, banked=banked))
     systems = []     # the run's system: histogram extrema are not in a row
     result = execute_point(
-        RunSpec(name, "scorpio", config, seed=SEED, max_cycles=MAX_CYCLES,
-                **FULL.knobs(think_scale=think_scale)),
+        benchmark_spec(name, "scorpio", config, seed=SEED,
+                       max_cycles=MAX_CYCLES,
+                       **FULL.knobs(think_scale=think_scale)),
         instrument=systems.append)
     assert result.progress == 1.0
     stats = systems[0].stats

@@ -25,13 +25,11 @@ every other module is an internal that may change between versions.
 """
 
 from repro.core import (CHIP_FEATURES, PROTOCOLS, ChipConfig, RunResult,
-                        build_system, compare_protocols, normalized_runtimes,
-                        run_benchmark)
+                        build_system, normalized_runtimes, run_benchmark)
 
 __version__ = "1.0.0"
 
 __all__ = [
     "CHIP_FEATURES", "PROTOCOLS", "ChipConfig", "RunResult",
-    "build_system", "compare_protocols", "normalized_runtimes",
-    "run_benchmark", "__version__",
+    "build_system", "normalized_runtimes", "run_benchmark", "__version__",
 ]

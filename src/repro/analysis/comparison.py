@@ -1,11 +1,9 @@
 """Processor and system comparisons.
 
 Two halves: the static Table 2 data (contemporary multicore processors,
-transcribed from the paper) and :func:`compare_systems`, the
-arbitrary-system generalization of
-:func:`repro.core.api.compare_protocols` — one declarative workload run
-across any set of registered system builders in a single (parallel,
-cached) sweep batch.
+transcribed from the paper) and :func:`compare_systems` — one
+declarative workload run across any set of registered system builders
+in a single (parallel, cached) sweep batch.
 """
 
 from __future__ import annotations
@@ -96,8 +94,8 @@ def compare_systems(systems: Mapping[str, Tuple[str, Mapping[str, Any]]],
                     jobs: Optional[int] = None,
                     cache=None) -> Dict[str, "SweepResult"]:
     """Run one declarative *workload* under several registered system
-    builders (the "all conditions equal besides the system" methodology,
-    generalized beyond the four ``compare_protocols`` protocols).
+    builders (the "all conditions equal besides the system"
+    methodology, for any builders, not only the four protocols).
 
     *systems* maps a display label to ``(builder_name, params)``; the
     whole comparison runs as one sweep batch, so ``jobs`` fans the

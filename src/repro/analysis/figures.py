@@ -35,7 +35,7 @@ from repro.analysis.latency import breakdown_row, total_latency
 from repro.analysis.paper_data import Claim, comparison_table
 from repro.core.api import RunResult, normalized_runtimes
 from repro.core.config import CHIP_FEATURES, ChipConfig
-from repro.experiments import PointSpec, RunSpec, SystemSpec, run_sweep
+from repro.experiments import SystemSpec, benchmark_spec, run_sweep
 from repro.workloads.suites import (FIG6A_BENCHMARKS, FIG6BC_BENCHMARKS,
                                     FIG7_BENCHMARKS)
 
@@ -70,8 +70,7 @@ class Regime:
     sweeps: Mapping[str, Tuple[Leg, ...]]
 
     def knobs(self, **overrides) -> Dict[str, float]:
-        """The workload knobs as ``RunSpec`` / benchmark-workload
-        keywords."""
+        """The workload knobs as benchmark-workload keywords."""
         return {"ops_per_core": self.ops_per_core,
                 "workload_scale": self.workload_scale,
                 "think_scale": self.think_scale, **overrides}
@@ -144,7 +143,7 @@ class Figure:
     id: str
     title: str
     reduce: Callable[[List[RunResult]], Reduced]
-    points: Callable[[Regime, int], List[PointSpec]] = \
+    points: Callable[[Regime, int], List[SystemSpec]] = \
         lambda regime, seed: []
     claims: Tuple[Claim, ...] = ()
 
@@ -273,11 +272,11 @@ _PROTOCOLS = ("lpd", "ht", "scorpio")
 def _protocol_grid(sweep: str, protocols=_PROTOCOLS):
     """``points`` of a benchmark x protocol grid over *sweep*'s legs,
     think times following the load rule."""
-    def points(regime: Regime, seed: int) -> List[PointSpec]:
-        return [RunSpec(benchmark=name, protocol=protocol, config=config,
-                        seed=seed, label=protocol,
-                        **regime.knobs(think_scale=regime.think_scale_at(
-                            config.n_cores)))
+    def points(regime: Regime, seed: int) -> List[SystemSpec]:
+        return [benchmark_spec(
+                    name, protocol, config, seed=seed, label=protocol,
+                    **regime.knobs(think_scale=regime.think_scale_at(
+                        config.n_cores)))
                 for config, benchmarks in regime.sweeps[sweep]
                 for name in benchmarks for protocol in protocols]
     return points
@@ -462,7 +461,7 @@ _FIG7_SYSTEMS = (("scorpio", "scorpio", {}),
                  ("inso80", "inso", {"expiration_window": 80}))
 
 
-def _fig7_points(regime: Regime, seed: int) -> List[PointSpec]:
+def _fig7_points(regime: Regime, seed: int) -> List[SystemSpec]:
     return [SystemSpec(builder=builder, config=config, params=params,
                        workload=_benchmark(regime, name, seed,
                                            think_scale=FIG7_THINK_SCALE),
@@ -521,10 +520,9 @@ def _fig8(fig_id: str, title: str, axis: str, points: tuple, fabricated,
     values are the benchmark average normalized to the *fabricated*
     point (itself therefore 1.0), which is what the claims read."""
 
-    def sweep(regime: Regime, seed: int) -> List[PointSpec]:
-        return [RunSpec(benchmark=name, protocol="scorpio",
-                        config=configure(base, point), seed=seed,
-                        label=str(point), **regime.knobs())
+    def sweep(regime: Regime, seed: int) -> List[SystemSpec]:
+        return [benchmark_spec(name, "scorpio", configure(base, point),
+                               seed=seed, label=str(point), **regime.knobs())
                 for base, benchmarks in regime.sweeps["fig8"]
                 for name in benchmarks for point in points]
 
@@ -638,17 +636,17 @@ _register("fig9", "Figure 9 - tile power and area breakdowns", _fig9,
 FIG10_OPS_BEYOND_36 = 80
 
 
-def _fig10_points(regime: Regime, seed: int) -> List[PointSpec]:
+def _fig10_points(regime: Regime, seed: int) -> List[SystemSpec]:
     def ops(config: ChipConfig) -> int:
         if config.n_cores <= 36:
             return regime.ops_per_core
         return min(regime.ops_per_core, FIG10_OPS_BEYOND_36)
 
-    return [RunSpec(benchmark=name, protocol="scorpio",
-                    config=config.with_pipelining(pipelined), seed=seed,
-                    label=f"{config.noc.width}x{config.noc.height}"
-                          f"{'+PL' if pipelined else ''}",
-                    **regime.knobs(ops_per_core=ops(config)))
+    return [benchmark_spec(name, "scorpio",
+                           config.with_pipelining(pipelined), seed=seed,
+                           label=f"{config.noc.width}x{config.noc.height}"
+                                 f"{'+PL' if pipelined else ''}",
+                           **regime.knobs(ops_per_core=ops(config)))
             for config, benchmarks in regime.sweeps["fig10"]
             for name in benchmarks for pipelined in (False, True)]
 
@@ -687,7 +685,7 @@ _register("fig10", "Figure 10 - uncore pipelining vs average L2 service "
 # Extras beyond the paper's numbered figures
 # ---------------------------------------------------------------------------
 
-def _sec2_points(regime: Regime, seed: int) -> List[PointSpec]:
+def _sec2_points(regime: Regime, seed: int) -> List[SystemSpec]:
     specs = [SystemSpec(builder=builder, config=config, label=label,
                         workload=_benchmark(regime, name, seed,
                                             think_scale=FIG7_THINK_SCALE))
@@ -758,7 +756,7 @@ _register("sec2", "Sec. 2 critiques quantified: TS reorder buffers and the "
     _claim("lone_write@36", None, ">=", "ring@36")))
 
 
-def _incf_points(regime: Regime, seed: int) -> List[PointSpec]:
+def _incf_points(regime: Regime, seed: int) -> List[SystemSpec]:
     return [SystemSpec(builder="directory", config=config,
                        params={"scheme": "HT", "incf": enabled},
                        workload=_benchmark(regime, name, seed),
@@ -837,7 +835,7 @@ _LOCKS_SYSTEMS = {"SCORPIO": ("scorpio", {}),
                   "HT-D": ("directory", {"scheme": "HT"})}
 
 
-def _locks_points(regime: Regime, seed: int) -> List[PointSpec]:
+def _locks_points(regime: Regime, seed: int) -> List[SystemSpec]:
     return [spec for config, _ in regime.sweeps["locks"]
             for spec in system_specs(
                 _LOCKS_SYSTEMS, config=config,

@@ -34,15 +34,14 @@ from repro.api.document import (DOCUMENT_SCHEMA, RESULTS_SCHEMA,
                                 ExperimentSpec, describe_experiment,
                                 envelope_bytes, experiment_from_dict,
                                 load_experiment, run_experiment)
-from repro.core.api import (PROTOCOLS, RunResult, compare_protocols,
-                            normalized_runtimes, run_benchmark,
-                            run_trace_file)
+from repro.core.api import (PROTOCOLS, RunResult, normalized_runtimes,
+                            run_benchmark, run_trace_file)
 from repro.core.config import ChipConfig
 from repro.core.serialize import (CONFIG_SCHEMA, ConfigFormatError,
                                   SerializableConfig)
-from repro.experiments import (ResultCache, RunSpec, Sweep, SweepResult,
-                               SystemSpec, builder_names, list_builders,
-                               run_grid, run_sweep)
+from repro.experiments import (ResultCache, Sweep, SweepResult, SystemSpec,
+                               benchmark_spec, builder_names, list_builders,
+                               run_sweep)
 from repro.sim.statsframe import StatsFrame
 
 # Version of the repro.api compatibility contract as a whole.  Bumps
@@ -55,11 +54,10 @@ __all__ = [
     "API_VERSION", "CONFIG_SCHEMA", "DOCUMENT_SCHEMA", "RESULTS_SCHEMA",
     "ChipConfig", "ConfigFormatError", "DocumentError",
     "ExperimentResult", "ExperimentSpec", "PROTOCOLS", "ResultCache",
-    "RunResult", "RunSpec", "SerializableConfig", "StatsFrame", "Sweep",
-    "SweepResult", "SystemSpec", "builder_names", "compare_protocols",
+    "RunResult", "SerializableConfig", "StatsFrame", "Sweep",
+    "SweepResult", "SystemSpec", "benchmark_spec", "builder_names",
     "compare_systems", "describe_experiment", "envelope_bytes",
     "experiment_from_dict",
     "list_builders", "load_experiment", "normalized_runtimes",
-    "run_benchmark", "run_experiment", "run_grid", "run_sweep",
-    "run_trace_file",
+    "run_benchmark", "run_experiment", "run_sweep", "run_trace_file",
 ]

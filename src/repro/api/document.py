@@ -1,9 +1,10 @@
 """Experiment documents: declarative, versioned descriptions of runs.
 
 An *experiment document* is a JSON or TOML file that describes a batch
-of simulations as data — the serialized equivalent of hand-building
-:class:`~repro.experiments.spec.RunSpec` /
-:class:`~repro.experiments.builders.SystemSpec` lists in Python.  Loaded
+of simulations as data — the serialized equivalent of hand-building a
+list of :class:`~repro.experiments.builders.SystemSpec` in Python (a
+benchmark run is :func:`~repro.experiments.builders.benchmark_spec`'s
+spec, a builder run the spec it spells out).  Loaded
 documents validate strictly (unknown keys, bad types, unknown builders/
 benchmarks/programs all fail at load time) and expand to exactly the
 spec objects the code path builds, so running a document yields
@@ -29,9 +30,9 @@ Document schema (``DOCUMENT_SCHEMA`` = 1)::
                                     #   core), strictly validated
 
     [[runs]]                        # explicit run list, in order
-    benchmark = "barnes"            # RunSpec shape (protocol runs), OR
+    benchmark = "barnes"            # a benchmark under a protocol, OR
     protocol = "scorpio"
-    # builder = "inso"              # SystemSpec shape (system runs)
+    # builder = "inso"              # a builder run, spelled out
     # params  = { expiration_window = 20 }
     # workload = { kind = "benchmark", name = "fft", ... }
     config = "<label>"              # optional; default chip when absent
@@ -202,8 +203,9 @@ def _resolve_config(data: Mapping[str, Any], what: str) -> ChipConfig:
 # ---------------------------------------------------------------------------
 
 # The benchmark knobs a run or matrix may give, with the types a
-# document may spell them in.  Their defaults are RunSpec's / Sweep's /
-# SystemSpec's: _knobs forwards only the keys a document gives.
+# document may spell them in.  Their defaults are the benchmark
+# workload's / Sweep's / SystemSpec's: _knobs forwards only the keys a
+# document gives.
 _KNOB_TYPES = {"ops_per_core": int, "workload_scale": (int, float),
                "think_scale": (int, float), "seed": int, "max_cycles": int}
 _RUN_KEYS = ("benchmark", "protocol", "builder", "params", "workload",
@@ -243,11 +245,20 @@ def _lookup_config(name: Optional[str],
     return configs[name]
 
 
+def _validated(spec, what: str, memo):
+    """*spec*, once its key resolves (params + workload: strict checks)."""
+    try:
+        spec.key(memo)
+    except (KeyError, ValueError) as exc:
+        raise DocumentError(f"{what}: {exc.args[0]}") from exc
+    return spec
+
+
 def _resolve_run(data: Mapping[str, Any],
                  configs: Mapping[str, ChipConfig], what: str, memo):
-    """One ``[[runs]]`` entry -> RunSpec or SystemSpec (*memo*: the
-    document's :class:`~repro.experiments.spec.KeyMemo`)."""
-    from repro.experiments import RunSpec, SystemSpec, builder_names
+    """One ``[[runs]]`` entry -> SystemSpec (*memo*: the document's
+    :class:`~repro.experiments.spec.KeyMemo`)."""
+    from repro.experiments import SystemSpec, benchmark_spec, builder_names
 
     _check_keys(data, _RUN_KEYS, what)
     is_benchmark = "benchmark" in data
@@ -264,15 +275,10 @@ def _resolve_run(data: Mapping[str, Any],
                      f"{what}.{key} only applies to builder runs")
         protocol = _protocol(_get(data, "protocol", str, what,
                                   default="scorpio"), what)
-        spec = RunSpec(
-            benchmark=_get(data, "benchmark", str, what, required=True),
-            protocol=protocol, config=config, label=label,
-            **_knobs(data, _KNOB_TYPES, what))
-        try:
-            spec.resolved_profile()
-        except KeyError as exc:
-            raise DocumentError(f"{what}: {exc.args[0]}") from exc
-        return spec
+        return _validated(benchmark_spec(
+            _get(data, "benchmark", str, what, required=True), protocol,
+            config, label=label, **_knobs(data, _KNOB_TYPES, what)),
+            what, memo)
 
     for key in ("ops_per_core", "workload_scale", "think_scale", "seed",
                 "protocol"):
@@ -283,16 +289,11 @@ def _resolve_run(data: Mapping[str, Any],
     _require(builder in builder_names(),
              f"{what}: unknown builder {builder!r}; known: "
              f"{builder_names()}")
-    spec = SystemSpec(
+    return _validated(SystemSpec(
         builder=builder, config=config,
         params=dict(_get(data, "params", Mapping, what, default={})),
         workload=dict(_get(data, "workload", Mapping, what, default={})),
-        label=label, **_knobs(data, ("max_cycles",), what))
-    try:
-        spec.key(memo)      # resolves params + workload: strict checks
-    except (KeyError, ValueError) as exc:
-        raise DocumentError(f"{what}: {exc}") from exc
-    return spec
+        label=label, **_knobs(data, ("max_cycles",), what)), what, memo)
 
 
 _MATRIX_KNOBS = tuple(key for key in _KNOB_TYPES if key != "seed")
@@ -301,8 +302,8 @@ _MATRIX_KEYS = ("benchmarks", "protocols", "seeds", "config", "configs",
 
 
 def _resolve_matrix(data: Mapping[str, Any],
-                    configs: Mapping[str, ChipConfig], what: str):
-    """A ``[matrix]`` table -> expanded RunSpec list (Sweep order)."""
+                    configs: Mapping[str, ChipConfig], what: str, memo):
+    """A ``[matrix]`` table -> expanded SystemSpec list (Sweep order)."""
     from repro.experiments import Sweep
 
     _check_keys(data, _MATRIX_KEYS, what)
@@ -323,13 +324,7 @@ def _resolve_matrix(data: Mapping[str, Any],
         configs=matrix_configs,
         seeds=tuple(_int_list(data, "seeds", what, default=(0,))),
         **_knobs(data, _MATRIX_KNOBS, what))
-    specs = sweep.expand()
-    for spec in specs:
-        try:
-            spec.resolved_profile()
-        except KeyError as exc:
-            raise DocumentError(f"{what}: {exc.args[0]}") from exc
-    return specs
+    return [_validated(spec, what, memo) for spec in sweep.expand()]
 
 
 _LITMUS_KEYS = ("programs", "protocol", "seeds", "width", "height",
@@ -429,7 +424,7 @@ class ExperimentSpec:
         version = code_version() if fingerprints else None
         runs = []
         for spec in self.specs:
-            entry = {"kind": spec.kind, "label": spec.label, **spec.key()}
+            entry = {"label": spec.label, **spec.key()}
             if fingerprints:
                 entry["fingerprint"] = spec.fingerprint(
                     code_version=version)
@@ -478,7 +473,7 @@ def experiment_from_dict(data: Mapping[str, Any],
                                   f"{what}.runs[{index}]", memo))
     if "matrix" in data:
         specs.extend(_resolve_matrix(data["matrix"], configs,
-                                     f"{what}.matrix"))
+                                     f"{what}.matrix", memo))
     litmus_checks: List[Tuple[Any, int]] = []
     if "litmus" in data:
         for program, spec in _resolve_litmus(data["litmus"],

@@ -2,12 +2,11 @@
 high-level build/run API over the ordered-mesh system."""
 
 from repro.core.api import (PROTOCOLS, RunResult, build_system,
-                            compare_protocols, normalized_runtimes,
-                            run_benchmark, run_trace_file)
+                            normalized_runtimes, run_benchmark,
+                            run_trace_file)
 from repro.core.config import CHIP_FEATURES, ChipConfig
 
 __all__ = [
-    "PROTOCOLS", "RunResult", "build_system", "compare_protocols",
-    "normalized_runtimes", "run_benchmark", "run_trace_file",
+    "PROTOCOLS", "RunResult", "build_system", "normalized_runtimes", "run_benchmark", "run_trace_file",
     "CHIP_FEATURES", "ChipConfig",
 ]

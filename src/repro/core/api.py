@@ -9,10 +9,9 @@ one result row every door returns.
     print(result.runtime, result.avg_l2_service_latency)
 
 This is the layer the examples and the benchmark harness are written
-against.  :func:`run_benchmark`, :func:`run_trace_file` and
-:func:`compare_protocols` are thin constructors over the execution
-pipeline (:mod:`repro.experiments.sweep`: a ``RunSpec`` or a
-trace-workload ``SystemSpec`` through ``execute_point`` / ``run_grid``).
+against.  :func:`run_benchmark` and :func:`run_trace_file` are thin
+constructors over the execution pipeline (:mod:`repro.experiments.sweep`:
+a benchmark- or trace-workload ``SystemSpec`` through ``execute_point``).
 :class:`RunResult` lives here, below the experiment layer, so that
 layer, the analysis code and the public API share one row class.
 """
@@ -27,7 +26,8 @@ from repro.sim.statsframe import StatsFrame
 from repro.workloads.synthetic import WorkloadProfile
 
 if TYPE_CHECKING:
-    from repro.experiments.spec import PointSpec, SystemRunOutcome
+    from repro.experiments.builders import SystemSpec
+    from repro.experiments.spec import SystemRunOutcome
 
 PROTOCOLS = ("scorpio", "lpd", "ht", "fullbit")
 
@@ -130,11 +130,11 @@ class RunResult:
                    cached=cached)
 
     @classmethod
-    def from_outcome(cls, spec: "PointSpec", fingerprint: str,
+    def from_outcome(cls, spec: "SystemSpec", fingerprint: str,
                      outcome: "SystemRunOutcome") -> "RunResult":
-        """The result row of *spec*'s harvested *outcome* (for a system-
-        builder run ``protocol`` carries the builder name, ``benchmark``
-        the workload's display name)."""
+        """The result row of *spec*'s harvested *outcome* (``protocol``
+        is the spec's protocol, else its builder name; ``benchmark`` the
+        workload's display name)."""
         return cls(fingerprint=fingerprint,
                    benchmark=spec.benchmark_name,
                    protocol=spec.protocol_name,
@@ -181,20 +181,20 @@ def run_benchmark(benchmark: Union[str, WorkloadProfile],
                   think_scale: float = 1.0,
                   seed: int = 0) -> RunResult:
     """Run one benchmark under one protocol and collect the statistics:
-    :func:`~repro.experiments.sweep.execute_point` of the equivalent
-    :class:`~repro.experiments.spec.RunSpec`, in this process, uncached
-    (the row's ``fingerprint`` stays empty).
+    :func:`~repro.experiments.sweep.execute_point` of its
+    :func:`~repro.experiments.builders.benchmark_spec`, in this process,
+    uncached (the row's ``fingerprint`` stays empty).
 
     ``max_cycles`` mirrors the paper's 400 K-cycle trace-driven windows;
     runs normally finish far earlier.  ``workload_scale`` shrinks the
     synthetic footprints for quick runs.
     """
-    from repro.experiments.spec import RunSpec
+    from repro.experiments.builders import benchmark_spec
     from repro.experiments.sweep import execute_point
-    return execute_point(RunSpec(
-        benchmark, protocol=protocol, config=config,
+    return execute_point(benchmark_spec(
+        benchmark, protocol, config, max_cycles=max_cycles,
         ops_per_core=ops_per_core, workload_scale=workload_scale,
-        think_scale=think_scale, seed=seed, max_cycles=max_cycles))
+        think_scale=think_scale, seed=seed))
 
 
 def run_trace_file(path, protocol: str = "scorpio",
@@ -208,30 +208,10 @@ def run_trace_file(path, protocol: str = "scorpio",
     from repro.experiments.builders import SystemSpec
     from repro.experiments.sweep import execute_point
     builder, params = builder_of(protocol)
-    result = execute_point(SystemSpec(
+    return execute_point(SystemSpec(
         builder, config, params=params,
         workload={"kind": "trace", "path": str(path)},
-        max_cycles=max_cycles))
-    result.protocol = protocol
-    return result
-
-
-def compare_protocols(benchmark: Union[str, WorkloadProfile],
-                      protocols=PROTOCOLS,
-                      config: Optional[ChipConfig] = None,
-                      **knobs) -> Dict[str, RunResult]:
-    """Run the same workload under several protocols (Fig. 6a rows):
-    one row of :func:`~repro.experiments.sweep.run_grid`; *knobs* are
-    :func:`run_benchmark`'s (``ops_per_core``, ``seed``, ...).
-
-    It honours the process execution context: with ``REPRO_JOBS``/
-    ``REPRO_CACHE_DIR`` set (or :func:`repro.experiments.configure`
-    called), the per-protocol runs fan out across workers and recall
-    cached results.  Defaults reproduce the historical serial behaviour.
-    """
-    from repro.experiments.sweep import run_grid
-    return run_grid([benchmark], tuple(protocols), config=config,
-                    **knobs)[benchmark]
+        max_cycles=max_cycles, protocol=protocol))
 
 
 def normalized_runtimes(results: Dict[str, RunResult],

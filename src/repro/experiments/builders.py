@@ -1,25 +1,23 @@
-"""System-builder registry: declarative specs for arbitrary full systems.
+"""System-builder registry and the one point type, :class:`SystemSpec`.
 
-:class:`~repro.experiments.spec.RunSpec` covers exactly the
-``run_benchmark`` shape — one protocol out of the high-level API on one
-chip config.  Everything else the evaluation builds by hand (the Fig. 7
+A :class:`SystemSpec` *names* a registered builder plus JSON-able
+builder params, a chip config and a declarative workload, so every
+system the evaluation builds — a benchmark under one of the four
+high-level protocols (:func:`benchmark_spec`), the Fig. 7
 ordered-network baselines, the Sec. 2 Timestamp/Uncorq critiques, INCF
-on/off ablations, lock-contention runs, litmus programs) used to
-construct systems imperatively and therefore ran serially and uncached.
-
-A :class:`SystemSpec` closes that gap: it *names* a registered builder
-plus JSON-able builder params and a declarative workload, so any system
-construction becomes a picklable, fingerprintable unit of work that
+on/off ablations, lock-contention runs, litmus programs — is a
+picklable, fingerprintable unit of work that
 :func:`repro.experiments.sweep.run_sweep` can fan out across processes
-and answer from the on-disk result cache.  The registry is introspectable
-(``repro sweep --list-builders``) and extensible: registering a builder
-is all it takes for a new system variant to be sweepable.
+and answer from the on-disk result cache.  The registry is
+introspectable (``repro sweep --list-builders``) and extensible:
+registering a builder is all it takes for a new system variant to be
+sweepable.
 
 Fingerprint contract: two SystemSpecs with equal fingerprints run the
 same builder with the same resolved params on the same expanded config
-against the same resolved workload — the same determinism guarantee
-RunSpec gives for benchmark runs (see tests/test_golden_stats.py for the
-regression lock on the underlying cycle-level behaviour).
+against the same resolved workload, and label their rows with the same
+protocol (see tests/test_golden_stats.py for the regression lock on the
+underlying cycle-level behaviour).
 """
 
 from __future__ import annotations
@@ -28,15 +26,17 @@ import hashlib
 import importlib
 import inspect
 import io
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import (Any, Callable, Dict, List, Literal, Mapping, Optional,
                     Tuple, Union, get_args, get_origin)
 
+from repro.core.api import builder_of
 from repro.core.config import ChipConfig
-from repro.experiments.spec import (SPEC_SCHEMA, KeyMemo, PointSpec,
-                                    SystemRunOutcome)
+from repro.experiments.spec import SPEC_SCHEMA, KeyMemo, SystemRunOutcome
+from repro.workloads.synthetic import WorkloadProfile
 
 # ---------------------------------------------------------------------------
 # Declarative workloads
@@ -142,8 +142,8 @@ def resolve_workload(workload: Mapping[str, Any],
     """Resolve a declarative workload dict (``{"kind": ..., ...}``).
 
     The canonical key embeds the *resolved* profile for benchmark
-    workloads, so editing a suite profile invalidates cached results —
-    the same rule :meth:`RunSpec.key` applies.  A trace workload's key
+    workloads, so editing a suite profile invalidates cached results
+    even though the workload names it by string.  A trace workload's key
     is its path as given plus the sha256 of the file's bytes, and its
     traces are parsed from exactly those bytes, so an edited file never
     answers from the cache.
@@ -318,12 +318,16 @@ def workload_kinds() -> List[Tuple[str, Dict[str, Any]]]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SystemSpec(PointSpec):
-    """One (builder, params, config, workload) simulation point.
+class SystemSpec:
+    """One (builder, params, config, workload) simulation point — the
+    one point type of every door (see the module docstring).
 
-    The sweep-layer sibling of :class:`RunSpec` for systems outside the
-    ``run_benchmark`` shape; accepted anywhere ``run_sweep`` accepts
-    specs, with the same fingerprint/cache semantics.
+    The execution pipeline (:mod:`repro.experiments.sweep`) asks a spec
+    for its ``key`` / ``fingerprint``, to ``build`` its system and to
+    ``harvest`` the finished one.  Every payload column a spec supplies
+    is in its key: the row's ``protocol`` column is ``protocol`` when set
+    (``lpd`` for a ``directory`` run with ``scheme="LPD"``), else the
+    builder name, and a set ``protocol`` is a key entry.
     """
 
     builder: str
@@ -333,13 +337,13 @@ class SystemSpec(PointSpec):
     max_cycles: int = 400_000
     # Display bookkeeping, not part of the fingerprint.
     label: str = ""
-
-    kind = "system"
+    # The result row's ``protocol`` column; "" means the builder name.
+    protocol: str = ""
 
     @property
     def protocol_name(self) -> str:
-        """The result row's ``protocol`` column: the builder name."""
-        return self.builder
+        """The result row's ``protocol`` column."""
+        return self.protocol or self.builder
 
     @property
     def benchmark_name(self) -> str:
@@ -363,10 +367,15 @@ class SystemSpec(PointSpec):
                 return int(source["seed"])
         return 0
 
+    def resolved_config(self) -> ChipConfig:
+        return self.config if self.config is not None \
+            else ChipConfig.chip_36core()
+
     def key(self, memo: Optional[KeyMemo] = None) -> Dict[str, Any]:
+        """The canonical dict the fingerprint hashes."""
         builder = get_builder(self.builder)
         memo = memo or KeyMemo()
-        return {
+        key = {
             "schema": SPEC_SCHEMA,
             "kind": "system",
             "builder": self.builder,
@@ -375,12 +384,55 @@ class SystemSpec(PointSpec):
             "config": memo.config_dict(self.config),
             "max_cycles": self.max_cycles,
         }
+        if self.protocol:
+            key["protocol"] = self.protocol
+        return key
+
+    def fingerprint(self, code_version: Optional[str] = None,
+                    memo: Optional[KeyMemo] = None) -> str:
+        """SHA-256 over the canonical key plus the simulator version."""
+        if code_version is None:
+            from repro.experiments.cache import code_version as cv
+            code_version = cv()
+        blob = json.dumps({"code": code_version, "spec": self.key(memo)},
+                          sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def build(self):
         return build_spec_system(self)
 
     def harvest(self, system) -> SystemRunOutcome:
-        return collect_spec_outcome(self, system)
+        """The outcome of a finished (or cycle-capped) *system*, whether
+        it ran start-to-finish in one process or was restored from a
+        checkpoint and resumed: the builder's ``collect``, else the
+        stats snapshot with the system's ``metrics()`` joined as
+        ``system.<name>``."""
+        collect = get_builder(self.builder).collect
+        if collect is not None:
+            return collect(self, system)
+        stats = system.stats.snapshot()
+        for name, value in system.metrics().items():
+            stats[f"system.{name}"] = float(value)
+        return SystemRunOutcome(runtime=system.engine.cycle,
+                                completed_ops=system.total_completed_ops(),
+                                progress=system.progress(), stats=stats)
+
+
+def benchmark_spec(benchmark: Union[str, WorkloadProfile],
+                   protocol: str = "scorpio",
+                   config: Optional[ChipConfig] = None, *,
+                   label: str = "", max_cycles: int = 400_000,
+                   **knobs) -> SystemSpec:
+    """One benchmark under one high-level protocol (``scorpio``, ``lpd``,
+    ``ht``, ``fullbit``): the protocol's builder and params on a
+    ``benchmark`` workload.  *knobs* (``ops_per_core``,
+    ``workload_scale``, ``think_scale``, ``seed``) go into the workload;
+    one not given takes its ``WORKLOAD_KINDS`` default."""
+    builder, params = builder_of(protocol)
+    return SystemSpec(builder, config, params=params,
+                      workload={"kind": "benchmark", "name": benchmark,
+                                **knobs},
+                      max_cycles=max_cycles, label=label, protocol=protocol)
 
 
 def build_spec_system(spec: SystemSpec):
@@ -395,17 +447,6 @@ def build_spec_system(spec: SystemSpec):
         return builder.build(spec, config, params)
     traces = resolve_workload(spec.workload).build_traces(config.n_cores)
     return builder.system_class(config, traces, **params)
-
-
-def collect_spec_outcome(spec: SystemSpec, system) -> SystemRunOutcome:
-    """Harvest the :class:`SystemRunOutcome` from a finished *system*.
-
-    Works identically whether the system ran start-to-finish in one
-    process or was restored from a checkpoint and resumed."""
-    builder = get_builder(spec.builder)
-    if builder.collect is not None:
-        return builder.collect(spec, system)
-    return PointSpec.harvest(spec, system)
 
 
 def execute_system_spec(spec: SystemSpec, instrument=None):

@@ -38,7 +38,8 @@ from repro.sim.checkpoint import snapshot_system
 from repro.experiments.cache import ResultCache, as_cache, code_version
 from repro.experiments.context import get_context
 from repro.experiments.procpool import DEFAULT_RETRIES, run_points
-from repro.experiments.spec import KeyMemo, PointSpec, RunSpec
+from repro.experiments.builders import SystemSpec, benchmark_spec
+from repro.experiments.spec import KeyMemo
 from repro.systems.base import record_kernel_meta
 from repro.workloads.synthetic import WorkloadProfile
 
@@ -74,41 +75,37 @@ class Sweep:
             return list(self.configs.items())
         return [(str(i), config) for i, config in enumerate(self.configs)]
 
-    def expand(self) -> List[RunSpec]:
-        specs: List[RunSpec] = []
-        for label, config in self.labelled_configs():
-            for benchmark in self.benchmarks:
-                for protocol in self.protocols:
-                    for seed in self.seeds:
-                        specs.append(RunSpec(
-                            benchmark=benchmark, protocol=protocol,
-                            config=config, ops_per_core=self.ops_per_core,
-                            workload_scale=self.workload_scale,
-                            think_scale=self.think_scale, seed=seed,
-                            max_cycles=self.max_cycles, label=label))
-        return specs
+    def expand(self) -> List[SystemSpec]:
+        return [benchmark_spec(benchmark, protocol, config, label=label,
+                               max_cycles=self.max_cycles,
+                               ops_per_core=self.ops_per_core,
+                               workload_scale=self.workload_scale,
+                               think_scale=self.think_scale, seed=seed)
+                for label, config in self.labelled_configs()
+                for benchmark in self.benchmarks
+                for protocol in self.protocols
+                for seed in self.seeds]
 
     def __len__(self) -> int:
         return (len(self.labelled_configs()) * len(self.benchmarks)
                 * len(self.protocols) * len(self.seeds))
 
 
-def snapshot_spec(spec: PointSpec, system, path: str,
+def snapshot_spec(spec: SystemSpec, system, path: str,
                   fingerprint: str = "") -> None:
     """Snapshot a (spec, system) pair mid-run so
     :func:`~repro.experiments.checkpoint_exec.resume_spec` can finish it
     in a fresh process."""
     snapshot_system(
         system, path,
-        meta={"kind": spec.kind,
-              "fingerprint": fingerprint,
+        meta={"fingerprint": fingerprint,
               "label": spec.label,
               "max_cycles": spec.max_cycles,
               "finished": bool(system.all_cores_finished())},
         extra={"spec": spec, "fingerprint": fingerprint})
 
 
-def execute_point(spec: PointSpec, fingerprint: str = "", *,
+def execute_point(spec: SystemSpec, fingerprint: str = "", *,
                   instrument: Optional[Callable[[Any], None]] = None,
                   checkpoint_every: Optional[int] = None,
                   checkpoint_path: Optional[str] = None,
@@ -144,7 +141,7 @@ def execute_point(spec: PointSpec, fingerprint: str = "", *,
     return SweepResult.from_outcome(spec, fingerprint, spec.harvest(system))
 
 
-def _pool_worker(item: Tuple[PointSpec, str]) -> Dict[str, Any]:
+def _pool_worker(item: Tuple[SystemSpec, str]) -> Dict[str, Any]:
     """Top-level (hence picklable) pool target: spec -> payload dict."""
     spec, fingerprint = item
     return execute_point(spec, fingerprint).payload()
@@ -161,7 +158,7 @@ class Plan:
     pending point is its own miss); ``probed``: was there a cache to ask.
     """
 
-    specs: List[PointSpec]
+    specs: List[SystemSpec]
     results: List[Optional[SweepResult]]
     probed: bool
     pending: Dict[str, List[int]] = field(default_factory=dict)
@@ -176,7 +173,7 @@ class Plan:
             return None
         return {"hits": self.hits, "misses": self.misses}
 
-    def to_run(self) -> List[Tuple[str, PointSpec]]:
+    def to_run(self) -> List[Tuple[str, SystemSpec]]:
         """``(fingerprint, spec)`` of every point left to simulate."""
         return [(fingerprint, self.specs[indices[0]])
                 for fingerprint, indices in self.pending.items()]
@@ -198,7 +195,7 @@ class Plan:
         return indices
 
 
-def plan_points(specs: Iterable[PointSpec],
+def plan_points(specs: Iterable[SystemSpec],
                 lookup: Optional[Callable[[str], Optional[Dict[str, Any]]]]
                 = None) -> Plan:
     """Fingerprint *specs* and sort them into hits and pending points.
@@ -250,7 +247,7 @@ def _report_retry(event) -> None:
               f"failed ({event[3]}); retrying", file=sys.stderr)
 
 
-def run_plan(specs: Iterable[PointSpec],
+def run_plan(specs: Iterable[SystemSpec],
              jobs: Optional[int] = None,
              cache: Union[None, bool, str, ResultCache] = None,
              retries: int = DEFAULT_RETRIES,
@@ -299,7 +296,7 @@ def run_plan(specs: Iterable[PointSpec],
     return plan
 
 
-def run_sweep(sweep: Union[Sweep, Iterable[PointSpec]],
+def run_sweep(sweep: Union[Sweep, Iterable[SystemSpec]],
               jobs: Optional[int] = None,
               cache: Union[None, bool, str, ResultCache] = None,
               retries: int = DEFAULT_RETRIES,
@@ -307,9 +304,9 @@ def run_sweep(sweep: Union[Sweep, Iterable[PointSpec]],
               ) -> List[SweepResult]:
     """Execute a sweep (or any iterable of specs), in spec order.
 
-    Specs may freely mix :class:`RunSpec` (``run_benchmark``-shaped
-    points) and :class:`~repro.experiments.builders.SystemSpec`
-    (registered system-builder points) in one batch.  ``jobs``/``cache``
+    A point is a :class:`~repro.experiments.builders.SystemSpec`
+    (:func:`~repro.experiments.builders.benchmark_spec` for a benchmark
+    under one protocol).  ``jobs``/``cache``
     default to the process execution context (see
     :mod:`repro.experiments.context`); pass ``cache=False`` to bypass an
     active cache for one call.  In the parallel path a dying or
@@ -320,27 +317,3 @@ def run_sweep(sweep: Union[Sweep, Iterable[PointSpec]],
     specs = sweep.expand() if isinstance(sweep, Sweep) else sweep
     return run_plan(specs, jobs=jobs, cache=cache, retries=retries,
                     point_timeout=point_timeout).results
-
-
-def run_grid(benchmarks: Sequence[Union[str, WorkloadProfile]],
-             protocols: Sequence[str],
-             config: Optional[ChipConfig] = None,
-             jobs: Optional[int] = None,
-             cache: Union[None, bool, str, ResultCache] = None,
-             **knobs) -> Dict[Union[str, WorkloadProfile],
-                              Dict[str, RunResult]]:
-    """A benchmark × protocol grid in one sweep batch, reshaped to
-    ``{benchmark: {protocol: RunResult}}``.
-
-    The shared backend for the figure generators, the benchmark
-    harness's ``sweep_grid`` and
-    :func:`repro.core.api.compare_protocols`; extra *knobs*
-    (``ops_per_core``, ``seed``, ...) pass straight into each
-    :class:`~repro.experiments.spec.RunSpec`.
-    """
-    specs = [RunSpec(benchmark=benchmark, protocol=protocol, config=config,
-                     **knobs)
-             for benchmark in benchmarks for protocol in protocols]
-    results = iter(run_sweep(specs, jobs=jobs, cache=cache))
-    return {benchmark: {protocol: next(results) for protocol in protocols}
-            for benchmark in benchmarks}

@@ -86,6 +86,8 @@ class SweepService:
         self.jobs = JobManager(self.backend, self.scheduler)
         self.spool = None if spool is None else Path(spool).expanduser()
         self._spool_interval = spool_interval
+        # name -> (size, mtime_ns) of each unclaimed drop the last scan saw.
+        self._spool_seen: Dict[str, Tuple[int, int]] = {}
         self._stop = threading.Event()
         self._spool_thread: Optional[threading.Thread] = None
         if self.spool is not None:
@@ -112,27 +114,45 @@ class SweepService:
     # ------------------------------------------------------------------
 
     def _watch_spool(self) -> None:
-        """Claim-and-run loop over dropped ``.toml``/``.json`` documents.
-
-        The claim is an atomic rename to ``<name>.claimed.<pid>`` —
-        on a shared spool, exactly one host wins each document.  The
-        winner writes ``<stem>.result.json`` (the canonical envelope)
-        or ``<stem>.error.txt`` next to it and removes the claim.
-        """
+        """Scan the spool every ``spool_interval`` seconds until stopped."""
         while not self._stop.is_set():
-            for path in sorted(self.spool.glob("*")):
-                if path.suffix.lower() not in (".toml", ".json"):
-                    continue
-                if path.name.endswith(".result.json"):
-                    continue
-                claimed = path.with_name(
-                    f"{path.name}.claimed.{os.getpid()}")
-                try:
-                    os.rename(path, claimed)
-                except OSError:
-                    continue        # another host won the claim
-                self._run_spooled(path, claimed)
+            self._scan_spool()
             self._stop.wait(self._spool_interval)
+
+    def _scan_spool(self) -> None:
+        """One pass over dropped ``.toml``/``.json`` documents: claim and
+        run each one that has settled.
+
+        A drop has settled when it is non-empty and its ``(size,
+        mtime_ns)`` equals what the previous pass saw, so a document
+        whose writer is still writing is left for a later pass.  The
+        claim is an atomic rename to ``<name>.claimed.<pid>`` — on a
+        shared spool, exactly one host wins each document.  The winner
+        writes ``<stem>.result.json`` (the canonical envelope) or
+        ``<stem>.error.txt`` next to it and removes the claim.
+        """
+        seen: Dict[str, Tuple[int, int]] = {}
+        for path in sorted(self.spool.glob("*")):
+            if path.suffix.lower() not in (".toml", ".json") \
+                    or path.name.endswith(".result.json"):
+                continue
+            try:
+                stat = path.stat()
+            except OSError:
+                continue            # claimed or removed meanwhile
+            if stat.st_size == 0:
+                continue
+            seen[path.name] = (stat.st_size, stat.st_mtime_ns)
+            if self._spool_seen.get(path.name) != seen[path.name]:
+                continue            # new or still changing
+            claimed = path.with_name(f"{path.name}.claimed.{os.getpid()}")
+            try:
+                os.rename(path, claimed)
+            except OSError:
+                continue            # another host won the claim
+            del seen[path.name]
+            self._run_spooled(path, claimed)
+        self._spool_seen = seen
 
     def _run_spooled(self, original: Path, claimed: Path) -> None:
         out = original.with_name(original.stem + ".result.json")

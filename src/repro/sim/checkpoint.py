@@ -44,7 +44,9 @@ from repro.noc.packet import packet_id_state, set_packet_id_state
 
 # Version of the checkpoint wire format.  Bump on incompatible changes
 # to the envelope or to what the body must contain.
-CHECKPOINT_SCHEMA = 1
+# 2: a snapshot's spec is always a SystemSpec (schema 1 could hold the
+# retired benchmark-run spec class, which no longer unpickles).
+CHECKPOINT_SCHEMA = 2
 
 MAGIC = b"REPRO-CKPT\x00"
 _HEADER_KEYS = {"schema", "meta", "body_len", "body_crc32"}

@@ -11,7 +11,7 @@ import hashlib
 import json
 
 from repro.core.config import ChipConfig
-from repro.experiments import RunSpec, SystemSpec, execute_point
+from repro.experiments import SystemSpec, benchmark_spec, execute_point
 from repro.verification.litmus import ALL_LITMUS, litmus_spec
 
 BENCH = {"kind": "benchmark", "name": "fft", "ops_per_core": 8,
@@ -40,8 +40,8 @@ def specs():
     out += [litmus_spec(program, protocol=protocol, seed=seed)
             for program in ALL_LITMUS[:2] for seed in (0, 1)
             for protocol in ("scorpio", "lpd", "ht", "fullbit")]
-    out += [RunSpec("fft", protocol, small, ops_per_core=8,
-                    workload_scale=0.02, think_scale=10.0)
+    out += [benchmark_spec("fft", protocol, small, ops_per_core=8,
+                           workload_scale=0.02, think_scale=10.0)
             for protocol in ("scorpio", "lpd", "ht", "fullbit")]
     return out
 

@@ -157,13 +157,15 @@ def test_missing_header_key(tmp_path):
 
 
 def test_wrong_schema_version(tmp_path):
+    """A newer file, and a schema-1 file (whose spec may be a class
+    that no longer exists), are refused before the body is unpickled."""
     path = _valid_file(tmp_path)
-    _rewrite_header(path,
-                    lambda h: h.update(schema=CHECKPOINT_SCHEMA + 1))
-    with pytest.raises(CheckpointFormatError,
-                       match=f"schema {CHECKPOINT_SCHEMA + 1}.*reads "
-                             f"schema {CHECKPOINT_SCHEMA}"):
-        read_checkpoint(str(path))
+    for schema in (CHECKPOINT_SCHEMA + 1, 1):
+        _rewrite_header(path, lambda h: h.update(schema=schema))
+        with pytest.raises(CheckpointFormatError,
+                           match=f"schema {schema}.*reads "
+                                 f"schema {CHECKPOINT_SCHEMA}"):
+            read_checkpoint(str(path))
 
 
 def test_negative_body_len(tmp_path):

@@ -499,28 +499,29 @@ def _chip36():
 
 
 def _run_specs(trace):
-    from repro.experiments import RunSpec
-    return [RunSpec("fft", protocol="ht", config=_variant3(), seed=2,
-                    **_fast_knobs())]
+    from repro.experiments import benchmark_spec
+    return [benchmark_spec("fft", "ht", _variant3(), seed=2,
+                           **_fast_knobs())]
 
 
 def _run6_specs(trace):
-    from repro.experiments import RunSpec
-    return [RunSpec("barnes", protocol="scorpio", config=_chip36(), seed=0,
-                    **_full_knobs())]
+    from repro.experiments import benchmark_spec
+    return [benchmark_spec("barnes", "scorpio", _chip36(), seed=0,
+                           **_full_knobs())]
 
 
 def _sweep_specs(trace):
-    from repro.experiments import Sweep
-    return Sweep(benchmarks=["fft", "lu"], protocols=("lpd", "scorpio"),
-                 configs=_variant3(), seeds=(0, 1),
-                 **_fast_knobs()).expand()
+    from repro.experiments import benchmark_spec
+    return [benchmark_spec(benchmark, protocol, _variant3(), seed=seed,
+                           **_fast_knobs())
+            for benchmark in ("fft", "lu") for protocol in ("lpd", "scorpio")
+            for seed in (0, 1)]
 
 
 def _sweep6_specs(trace):
-    from repro.experiments import Sweep
-    return Sweep(benchmarks=["barnes"], protocols=("lpd", "ht", "scorpio"),
-                 configs=_chip36(), seeds=(0,), **_full_knobs()).expand()
+    from repro.experiments import benchmark_spec
+    return [benchmark_spec("barnes", protocol, _chip36(), **_full_knobs())
+            for protocol in ("lpd", "ht", "scorpio")]
 
 
 def _trace_specs(trace):
@@ -539,8 +540,9 @@ def _litmus_specs(trace):
 
 
 # verb arguments ("{trace}": a 3x3 trace file) -> the specs the verb
-# built before it was a document (run_benchmark's RunSpec, Sweep.expand,
-# run_trace_file's SystemSpec, the litmus suite's litmus_spec list).
+# built before it was a document (run_benchmark's benchmark_spec, the
+# sweep's benchmark x protocol x seed grid of them, a builder
+# SystemSpec over the trace file, the litmus suite's litmus_spec list).
 VERBS = {
     "run-3x3": (("run", "fft", "--mesh", "3x3", *FAST, "--protocol", "ht",
                  "--seed", "2"), _run_specs),

@@ -121,9 +121,9 @@ def test_round_trip_identity(strategy):
 def test_round_trip_preserves_fingerprint(config):
     """The acceptance guarantee: serialize -> deserialize -> fingerprint
     is the identity, so documents share cache entries with code."""
-    from repro.experiments import RunSpec
-    original = RunSpec("fft", config=config)
-    round_tripped = RunSpec("fft", config=ChipConfig.from_dict(
+    from repro.experiments import benchmark_spec
+    original = benchmark_spec("fft", config=config)
+    round_tripped = benchmark_spec("fft", config=ChipConfig.from_dict(
         config.to_dict()))
     assert original.fingerprint(code_version="pinned") == \
         round_tripped.fingerprint(code_version="pinned")

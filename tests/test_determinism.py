@@ -56,11 +56,10 @@ def test_baseline_systems_deterministic():
 _SUBPROCESS_SNIPPET = """
 import sys, json
 from repro.core.config import ChipConfig
-from repro.experiments import RunSpec
-from repro.experiments import execute_point
-spec = RunSpec("lu", protocol=sys.argv[1],
-               config=ChipConfig.variant(3, 3), ops_per_core=15,
-               workload_scale=0.02, think_scale=10.0, seed=3)
+from repro.experiments import benchmark_spec, execute_point
+spec = benchmark_spec("lu", sys.argv[1], ChipConfig.variant(3, 3),
+                      ops_per_core=15, workload_scale=0.02,
+                      think_scale=10.0, seed=3)
 result = execute_point(spec)
 sys.stdout.write(json.dumps(result.payload(), sort_keys=True,
                             separators=(",", ":")))
@@ -85,7 +84,7 @@ def _payload_in_subprocess(protocol):
 
 @pytest.mark.parametrize("protocol", ["scorpio", "lpd"])
 def test_cross_process_same_payload_bytes(protocol):
-    """Two brand-new interpreters running the same RunSpec serialize
+    """Two brand-new interpreters running the same spec serialize
     byte-identical result payloads: determinism does not depend on any
     state accumulated in a long-lived process (id allocators, RNG,
     import order)."""
@@ -101,11 +100,11 @@ def test_in_process_matches_fresh_process():
     payloads."""
     import json
 
-    from repro.experiments import RunSpec, execute_point
+    from repro.experiments import benchmark_spec, execute_point
 
-    spec = RunSpec("lu", protocol="scorpio",
-                   config=ChipConfig.variant(3, 3), ops_per_core=15,
-                   workload_scale=0.02, think_scale=10.0, seed=3)
+    spec = benchmark_spec("lu", "scorpio", ChipConfig.variant(3, 3),
+                          ops_per_core=15, workload_scale=0.02,
+                          think_scale=10.0, seed=3)
     local = json.dumps(execute_point(spec).payload(),
                        sort_keys=True, separators=(",", ":")).encode()
     assert local == _payload_in_subprocess("scorpio")

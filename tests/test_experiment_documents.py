@@ -21,7 +21,8 @@ from repro.analysis.figures import FIGURES, QUICK
 from repro.api import (DOCUMENT_SCHEMA, RESULTS_SCHEMA, DocumentError,
                        describe_experiment, experiment_from_dict,
                        load_experiment, run_experiment)
-from repro.experiments import RunSpec, Sweep, as_cache, run_sweep
+from repro.experiments import (Sweep, SystemSpec, as_cache, benchmark_spec,
+                               run_sweep)
 
 DOCS = Path(__file__).resolve().parent.parent / "examples" / "experiments"
 
@@ -146,7 +147,8 @@ def test_matrix_expands_like_sweep():
                   seeds=(0, 1), ops_per_core=12)
     assert [spec.key() for spec in document.specs] == \
         [spec.key() for spec in sweep.expand()]
-    assert all(isinstance(spec, RunSpec) for spec in document.specs)
+    assert all(isinstance(spec, SystemSpec) and spec.protocol
+               for spec in document.specs)
 
 
 def test_litmus_section_expands_programs_by_seed():
@@ -414,10 +416,47 @@ def test_rejects_negative_ops_per_core_and_max_cycles(key):
 def test_knobs_a_document_omits_take_the_spec_defaults():
     [spec] = experiment_from_dict(_run(benchmark="fft",
                                        workload_scale=2)).specs
-    assert spec == RunSpec("fft", workload_scale=2.0)
-    assert isinstance(spec.workload_scale, float)
+    assert spec == benchmark_spec("fft", workload_scale=2.0)
+    assert isinstance(spec.workload["workload_scale"], float)
     [system] = experiment_from_dict(_run(builder="scorpio")).specs
     assert system.max_cycles == 400_000
+
+
+def test_the_protocol_column_is_part_of_the_key(tmp_path):
+    """A protocol run and the builder run it stands for simulate the
+    same system, but their rows differ in the ``protocol`` column, so
+    they key apart: neither answers for (or aliases) the other."""
+    knobs = {"ops_per_core": 8, "workload_scale": 0.02,
+             "think_scale": 10.0, "seed": 0}
+    document = {
+        "schema": 1, "name": "columns",
+        "configs": {"mesh": {"preset": "variant", "width": 3,
+                             "height": 3}},
+        "runs": [dict(benchmark="fft", protocol="lpd", config="mesh",
+                      **knobs),
+                 dict(builder="directory", params={"scheme": "LPD"},
+                      config="mesh",
+                      workload={"kind": "benchmark", "name": "fft",
+                                **knobs})]}
+    lpd, directory = experiment_from_dict(document).specs
+    assert lpd.protocol == "lpd" and directory.protocol == ""
+    assert {key: value for key, value in lpd.key().items()
+            if key != "protocol"} == directory.key()
+    assert lpd.fingerprint() != directory.fingerprint()
+
+    cache = tmp_path / "cache"
+    cold = run_experiment(experiment_from_dict(document), cache=str(cache))
+    assert cold.cache_stats == {"hits": 0, "misses": 2}
+    assert [row.protocol for row in cold.results] == ["lpd", "directory"]
+    assert not any(row.cached for row in cold.results)
+    rows = [row.payload() for row in cold.results]
+    assert rows[0]["fingerprint"] != rows[1]["fingerprint"]
+    assert {**rows[0], "fingerprint": "", "protocol": ""} \
+        == {**rows[1], "fingerprint": "", "protocol": ""}
+
+    warm = run_experiment(experiment_from_dict(document), cache=str(cache))
+    assert warm.cache_stats == {"hits": 2, "misses": 0}
+    assert [row.payload() for row in warm.results] == rows
 
 
 @pytest.mark.parametrize("entry, complaint", [

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from repro.core.api import RunResult, compare_protocols, run_benchmark
+from repro.core.api import RunResult, run_benchmark
 from repro.core.config import ChipConfig
-from repro.experiments import (ResultCache, RunSpec, Sweep, as_cache,
+from repro.experiments import (ResultCache, Sweep, as_cache, benchmark_spec,
                                code_version, executing, run_sweep)
 
 # A deliberately tiny regime so every test runs in well under a second
@@ -29,7 +29,7 @@ def tiny_spec(**overrides):
     params = dict(benchmark="fft", protocol="scorpio",
                   config=ChipConfig.variant(3, 3), seed=0, **KNOBS)
     params.update(overrides)
-    return RunSpec(**params)
+    return benchmark_spec(**params)
 
 
 def canonical(results):
@@ -109,7 +109,8 @@ class TestSweepExpansion:
                       seeds=(0, 1))
         specs = sweep.expand()
         assert len(specs) == len(sweep) == 8
-        assert [(s.benchmark, s.protocol, s.seed) for s in specs[:3]] == [
+        assert [(s.benchmark_name, s.protocol, s.seed_value())
+                for s in specs[:3]] == [
             ("fft", "lpd", 0), ("fft", "lpd", 1), ("fft", "scorpio", 0)]
 
     def test_labelled_configs(self):
@@ -238,20 +239,17 @@ class TestRunSweep:
 
 
 class TestCompareIntegration:
-    def test_sweep_compare_matches_serial_compare_protocols(self, tmp_path):
-        config = ChipConfig.variant(3, 3)
-        serial = compare_protocols("fft", ("lpd", "scorpio"), config=config,
-                                   **KNOBS)
+    def test_pooled_and_recalled_protocols_match_serial(self, tmp_path):
+        specs = [tiny_spec(protocol=protocol)
+                 for protocol in ("lpd", "scorpio")]
+        serial = run_sweep(specs)
         # jobs=2 + cold cache, then a pure-cache recall: all three paths
         # must agree exactly.
         with executing(jobs=2, cache=tmp_path):
-            pooled = compare_protocols("fft", ("lpd", "scorpio"),
-                                       config=config, **KNOBS)
-            recalled = compare_protocols("fft", ("lpd", "scorpio"),
-                                         config=config, **KNOBS)
-        for proto in ("lpd", "scorpio"):
-            assert pooled[proto] == serial[proto]
-            assert recalled[proto] == serial[proto]
+            pooled = run_sweep(specs)
+            recalled = run_sweep(specs)
+        assert pooled == serial and recalled == serial
+        assert [row.protocol for row in serial] == ["lpd", "scorpio"]
 
 
 class TestContext:

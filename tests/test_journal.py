@@ -232,8 +232,7 @@ def test_state_dict_round_trip():
 def test_journal_rides_through_checkpoints(tmp_path):
     """Snapshot mid-run with the journal attached; the resumed run's
     journal and payload equal an uninterrupted instrumented run."""
-    from repro.experiments.builders import (build_spec_system,
-                                            collect_spec_outcome)
+    from repro.experiments.builders import build_spec_system
     from repro.sim.checkpoint import restore_system, snapshot_system
 
     spec = _specs()["scorpio"]
@@ -246,7 +245,7 @@ def test_journal_rides_through_checkpoints(tmp_path):
                                            straight_journal)
     straight_system.run(300)
     straight_system.run_until_done(spec.max_cycles)
-    straight = collect_spec_outcome(spec, straight_system)
+    straight = spec.harvest(straight_system)
 
     reset_packet_ids()
     system = attach_observability(build_spec_system(spec), EventJournal())
@@ -267,7 +266,7 @@ def test_journal_rides_through_checkpoints(tmp_path):
     assert all(nic.journal is journal for nic in restored.nics)
 
     restored.run_until_done(spec.max_cycles)
-    resumed = collect_spec_outcome(spec, restored)
+    resumed = spec.harvest(restored)
     assert resumed.runtime == straight.runtime
     assert resumed.stats == straight.stats
     assert journal.records() == straight_journal.records()

@@ -12,9 +12,9 @@ cache state.
 
 The second part pins :func:`repro.experiments.plan_points` directly,
 with a recording ``lookup`` in place of a cache; the third pins the
-front door — ``run_benchmark``, ``compare_protocols``, ``run_sweep`` of
-a ``RunSpec`` and the equivalent ``SystemSpec`` return the same row of
-the one result class.
+front door — ``run_benchmark``, ``run_sweep`` of a ``benchmark_spec``
+and the equivalent builder ``SystemSpec`` return the same row of the one
+result class.
 """
 
 import json
@@ -27,11 +27,11 @@ import pytest
 from repro.api import envelope_bytes, run_experiment
 from repro.api.client import ServeClient
 from repro.api.document import experiment_from_dict
-from repro.core.api import RunResult, compare_protocols, run_benchmark
+from repro.core.api import RunResult, run_benchmark
 from repro.core.config import ChipConfig
-from repro.experiments import (RunSpec, SweepResult, SystemSpec, plan_points,
-                               run_experiment_checkpointed, run_sweep,
-                               snapshot_spec)
+from repro.experiments import (SweepResult, SystemSpec, benchmark_spec,
+                               plan_points, run_experiment_checkpointed,
+                               run_sweep, snapshot_spec)
 from repro.serve import serve
 
 KNOBS = dict(ops_per_core=8, workload_scale=0.02, think_scale=10.0)
@@ -141,8 +141,8 @@ def test_every_door_produces_the_same_envelope(tmp_path, source_snapshot):
 # ---------------------------------------------------------------------------
 
 def run_spec(seed=0, label=""):
-    return RunSpec("fft", protocol="scorpio", config=ChipConfig.variant(3, 3),
-                   seed=seed, label=label, **KNOBS)
+    return benchmark_spec("fft", "scorpio", ChipConfig.variant(3, 3),
+                          seed=seed, label=label, **KNOBS)
 
 
 def stored_payload(spec, label="whoever-filled-the-cache"):
@@ -225,10 +225,8 @@ def test_one_result_class():
 def test_front_doors_return_the_same_row(protocol):
     config = ChipConfig.variant(3, 3)
     direct = run_benchmark("fft", protocol=protocol, config=config, **KNOBS)
-    [swept] = run_sweep([RunSpec("fft", protocol, config, **KNOBS)],
+    [swept] = run_sweep([benchmark_spec("fft", protocol, config, **KNOBS)],
                         cache=False)
-    compared = compare_protocols("fft", (protocol,), config=config,
-                                 **KNOBS)[protocol]
     builder, params = ("scorpio", {}) if protocol == "scorpio" \
         else ("directory", {"scheme": protocol.upper()})
     [system] = run_sweep([SystemSpec(
@@ -237,7 +235,6 @@ def test_front_doors_return_the_same_row(protocol):
         cache=False)
 
     assert direct.fingerprint == "" and len(swept.fingerprint) == 64
-    assert swept == compared
     reference = without(direct.payload(), "fingerprint")
     assert without(swept.payload(), "fingerprint") == reference
     assert without(system.payload(), "fingerprint", "protocol") \
@@ -264,8 +261,9 @@ def test_profile_object_goes_through_every_front_door():
                               shared_lines=16, think_mean=40)
     config = ChipConfig.variant(3, 3)
     direct = run_benchmark(profile, config=config, ops_per_core=8)
-    pooled = run_sweep([RunSpec(profile, "scorpio", config, ops_per_core=8,
-                                seed=seed) for seed in (0, 1)],
+    pooled = run_sweep([benchmark_spec(profile, "scorpio", config,
+                                       ops_per_core=8, seed=seed)
+                        for seed in (0, 1)],
                        jobs=2, cache=False)
     assert direct.benchmark == "custom" and direct.progress == 1.0
     assert [row.benchmark for row in pooled] == ["custom", "custom"]

@@ -367,6 +367,48 @@ class TestSpool:
         finally:
             server.stop()
 
+    def test_only_a_settled_drop_is_claimed(self, tmp_path):
+        """Driven one scan at a time, no watcher thread: a drop is
+        claimed once it is non-empty and unchanged since the previous
+        scan; a settled drop that does not parse gets its error file."""
+        from repro.serve.server import SweepService
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        service = SweepService(tmp_path / "cache", workers=1)
+        service.spool = spool
+        try:
+            drop = spool / "drop.json"
+            text = json.dumps(tiny_document(name="settled", seeds=(0,)))
+            drop.write_text("", encoding="utf-8")
+            service._scan_spool()
+            service._scan_spool()
+            assert drop.exists()            # empty: never claimed
+
+            third = len(text) // 3
+            for end in (third, 2 * third, len(text)):
+                drop.write_text(text[:end], encoding="utf-8")
+                service._scan_spool()       # changed since the last scan
+                assert drop.exists()
+            assert not (spool / "drop.error.txt").exists()
+
+            service._scan_spool()           # settled: claimed and run
+            assert sorted(p.name for p in spool.iterdir()) \
+                == ["drop.result.json"]
+            assert json.loads((spool / "drop.result.json").read_text(
+                encoding="utf-8"))["experiment"] == "settled"
+
+            broken = spool / "broken.json"
+            broken.write_text('{"schema":', encoding="utf-8")
+            service._scan_spool()
+            assert broken.exists()
+            service._scan_spool()
+            assert not broken.exists()
+            assert "invalid JSON" in (spool / "broken.error.txt").read_text(
+                encoding="utf-8")
+            assert service.jobs.jobs()[-1].experiment.name == "settled"
+        finally:
+            service.stop()
+
     def test_trace_workload_leaves_error_file_unopened(self, tmp_path,
                                                        monkeypatch):
         spool = tmp_path / "spool"

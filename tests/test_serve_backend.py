@@ -16,8 +16,8 @@ import pytest
 
 from repro.core.api import RunResult
 from repro.core.config import ChipConfig
-from repro.experiments import (LocalDirBackend, ResultCache, RunSpec,
-                               as_backend, run_sweep)
+from repro.experiments import (LocalDirBackend, ResultCache, as_backend,
+                               benchmark_spec, run_sweep)
 from repro.serve import CacheUnavailableError, RemoteCacheBackend, serve
 
 KNOBS = dict(ops_per_core=8, workload_scale=0.02, think_scale=10.0)
@@ -35,7 +35,7 @@ def tiny_spec(**overrides):
     params = dict(benchmark="fft", protocol="scorpio",
                   config=ChipConfig.variant(3, 3), seed=0, **KNOBS)
     params.update(overrides)
-    return RunSpec(**params)
+    return benchmark_spec(**params)
 
 
 class TestAsBackend:

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import ChipConfig
-from repro.experiments import (ResultCache, RunSpec, SweepPointError,
+from repro.experiments import (ResultCache, SweepPointError, benchmark_spec,
                                run_sweep)
 from repro.experiments.procpool import SlotPool, run_points
 from repro.experiments.sweep import _pool_worker, run_plan
@@ -40,7 +40,7 @@ def tiny_spec(**overrides):
     params = dict(benchmark="fft", protocol="scorpio",
                   config=ChipConfig.variant(3, 3), seed=0, **KNOBS)
     params.update(overrides)
-    return RunSpec(**params)
+    return benchmark_spec(**params)
 
 
 # Workers must be module-level (forked children call them).
@@ -352,7 +352,7 @@ class TestRunSweepHardening:
 
         def killing_worker(item):
             spec, _fp = item
-            if spec.seed == 1 and not flag.exists():
+            if spec.seed_value() == 1 and not flag.exists():
                 flag.touch()
                 os.kill(os.getpid(), signal.SIGKILL)
             return real_worker(item)
@@ -371,7 +371,7 @@ class TestRunSweepHardening:
 
         def failing_worker(item):
             spec, _fp = item
-            if spec.seed == 1:
+            if spec.seed_value() == 1:
                 raise RuntimeError("simulated point crash")
             return real_worker(item)
 
@@ -394,7 +394,7 @@ class TestRunSweepHardening:
 
         def failing_worker(item):
             spec, _fp = item
-            if spec.seed == 1:
+            if spec.seed_value() == 1:
                 raise RuntimeError("simulated point crash")
             return real_worker(item)
 

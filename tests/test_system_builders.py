@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.core.config import ChipConfig
-from repro.experiments import (ResultCache, RunSpec, SystemSpec,
+from repro.experiments import (ResultCache, SystemSpec, benchmark_spec,
                                builder_names, execute_system_spec,
                                executing, get_builder, list_builders,
                                resolve_workload, run_sweep)
@@ -132,8 +132,8 @@ class TestFingerprint:
         config = ChipConfig.variant(3, 3)
         specs = [tiny_system(config=config),
                  tiny_system(config=config, builder="tokenb"),
-                 RunSpec(benchmark="fft", config=config),
-                 RunSpec(benchmark="fft")]           # default config
+                 benchmark_spec("fft", config=config),
+                 benchmark_spec("fft")]              # default config
         memo = KeyMemo()
         for spec in specs:
             assert spec.key(memo) == spec.key()
@@ -167,10 +167,10 @@ class TestSweepIntegration:
         assert canonical(parallel) == canonical(serial)
 
     def test_mixed_batch_with_runspecs(self, tmp_path):
-        # RunSpec and SystemSpec points share one batch, pool, and cache.
-        mixed = [RunSpec(benchmark="fft", protocol="scorpio",
-                         config=ChipConfig.variant(3, 3), ops_per_core=8,
-                         workload_scale=0.02, think_scale=10.0),
+        # Protocol runs and builder runs share one batch, pool, and cache.
+        mixed = [benchmark_spec("fft", "scorpio", ChipConfig.variant(3, 3),
+                                ops_per_core=8, workload_scale=0.02,
+                                think_scale=10.0),
                  tiny_system()]
         fresh = run_sweep(mixed, jobs=2, cache=tmp_path)
         assert [r.protocol for r in fresh] == ["scorpio", "inso"]
