@@ -51,6 +51,7 @@ retired=(
     'system_kwargs|_build_(scorpio|directory|multimesh|tokenb|inso|timestamp|uncorq)|_timestamp_metrics|_uncorq_metrics'
                                                # one chip config
     'RunSpec|PointSpec|run_grid|compare_protocols'  # one point type
+    'NotificationRouter'                       # one OR per window
 )
 forbid "retired name" "\b($(IFS='|'; echo "${retired[*]}"))\b" \
     src tests benchmarks examples
@@ -101,13 +102,11 @@ only_in "hand-built CoherenceResponse" 'CoherenceResponse\(' \
 # PR 23 - rent audit: what was measured and did not pay, or was dead,
 # stays deleted (the notification change frontier, the reserved-VC
 # oracle route, the [bench] document table are retired names above).
-# The OR-router is state only; no lookahead is delivered through LOCAL.
+# No lookahead is delivered through LOCAL.
 forbid "VCBuffer.granted_vcs" 'granted_vcs' src/repro/noc/vc.py
 # Measured and not paying (docs/architecture.md, "What each optimisation
 # buys"): the NIC's None-valued hooks.
 forbid "None-valued NIC hook" '_(pick_lane|request_injected) = None' src/repro
-forbid "clocked OR-router" 'def (step|commit)\(' \
-    src/repro/notification/router.py
 only_in "lookahead sink outside the router" 'def deliver_lookahead\(' \
     "src/repro/noc/router.py"
 

@@ -48,7 +48,9 @@ from repro.sim.statsframe import StatsFrame
 # only on breaking changes to anything exported here; the per-format
 # schema tags (CONFIG_SCHEMA, DOCUMENT_SCHEMA, RESULTS_SCHEMA) version
 # the wire formats independently.
-API_VERSION = 1
+# 2: the protocol-run spec class and its grid and compare helpers left
+# the façade (a protocol run is a SystemSpec from benchmark_spec).
+API_VERSION = 2
 
 __all__ = [
     "API_VERSION", "CONFIG_SCHEMA", "DOCUMENT_SCHEMA", "RESULTS_SCHEMA",

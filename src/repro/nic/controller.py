@@ -16,7 +16,10 @@ chip; plain callbacks here) and the networks.  It is *delivery* plus one
 * :class:`OrderedNetworkInterface` — SCORPIO's discipline on top.  For
   every request injected a notification must later be broadcast; a
   counter tracks how many remain unsent, and at its cap the NIC
-  back-pressures new requests.  At window starts the NIC announces its
+  back-pressures new requests.  The NIC pushes: when it injects a
+  GO-REQ, and after a window end that leaves it with requests pending
+  or a full tracker queue, it calls its ``announce`` hook, and the
+  notification network polls it at the next window start for its
   pending count (its field of the bit-vector); at window ends it
   receives the merged vector — a full tracker queue raises the "stop"
   bit, which makes every node discard that window and re-send later.
@@ -381,6 +384,11 @@ class OrderedNetworkInterface(NetworkInterface):
     """SCORPIO's NIC: requests are broadcast, announced on the
     notification network and handed over in the global order."""
 
+    # This node's hook on the notification network (the return of
+    # NotificationNetwork.attach), called whenever compose_notification
+    # may have something to say; None while on no network.
+    announce: Optional[Callable[[], None]] = None
+
     def __init__(self, node: int, noc_config: NocConfig,
                  notif_config: NotificationConfig,
                  stats: Optional[StatsRegistry] = None) -> None:
@@ -430,6 +438,8 @@ class OrderedNetworkInterface(NetworkInterface):
 
     def _request_injected(self) -> None:
         self.pending_notifications += 1
+        if self.announce is not None:
+            self.announce()
 
     def current_esid(self) -> Optional[int]:
         return self.tracker.current_esid()
@@ -516,6 +526,9 @@ class OrderedNetworkInterface(NetworkInterface):
             # and re-ask any router whose rVC was waiting on our order.
             self.wake()
             self._note_order_progress()
+        if self.announce is not None and (self.pending_notifications
+                                          or self.tracker.queue_full):
+            self.announce()
 
     # ------------------------------------------------------------------
     # Receive side: hold until the ESID comes up

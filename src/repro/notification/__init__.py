@@ -2,7 +2,6 @@
 ordering substrate of SCORPIO."""
 
 from repro.notification.network import NotificationNetwork
-from repro.notification.router import NotificationRouter
 from repro.notification.tracker import NotificationTracker
 
-__all__ = ["NotificationNetwork", "NotificationRouter", "NotificationTracker"]
+__all__ = ["NotificationNetwork", "NotificationTracker"]

@@ -1,35 +1,43 @@
 """The notification network: a bufferless OR-mesh with time windows.
 
-Operation (Sec. 3.3):
+Operation (Sec. 3.3): time is divided into synchronized windows of
+``window`` cycles.  At the *start* of a window every NIC that wants to
+order requests injects an N*m-bit vector with its own field set (m =
+bits per core, encoding the request count in binary, plus one shared
+"stop" bit), and every cycle each router ORs its neighbours' latches
+into its own — merging is contention-free, so nothing is buffered.  The
+constructor refuses a window below the worst-case propagation
+(:meth:`NotificationConfig.minimum_window`: one cycle per hop of
+Manhattan distance, plus the injection cycle), so at the window *end*
+every node holds the OR of the vectors injected at its start.  The model
+computes that OR once, at the start, and delivers it at the end; the
+hop-by-hop mesh is the reference model of
+``tests/test_notification_definition.py``.
 
-* Time is divided into synchronized windows of ``window`` cycles — strictly
-  greater than the network's worst-case propagation (one cycle per hop of
-  Manhattan distance, plus the injection cycle).
-* At the *start* of a window, every NIC that wants to order requests
-  injects an N*m-bit vector with its own field set (m = bits per core,
-  encoding the request count in binary, plus one shared "stop" bit).
-* Every cycle each router ORs its neighbours' latched vectors into its
-  own — merging is contention-free, so no buffering is ever needed.
-* By the *end* of the window every node holds the same merged vector,
-  which is handed to its NIC's notification tracker, and the latches
-  clear for the next window.
-
-The network is the single clocked component; it drives its OR-routers
-directly so injection and delivery land on exact window boundaries.
+NICs push: one with something to inject calls its node's
+:meth:`~NotificationNetwork.announce` hook (which :meth:`attach`
+returns), and a window start polls only the announced nodes, in node
+order; a node whose source answers 0 leaves the set.  A non-empty
+merged vector goes to every sink; an empty one only in the window right
+after a stop-bit window, whose delivery re-enables the NICs the stop
+bit disabled.  Otherwise no sink is called: an empty delivery to an
+enabled NIC that did not announce changes nothing.  So with nobody
+announced and no stop to clear, the network sleeps across whole
+windows; an announce wakes it for the next window start.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, List, Optional
 
 from repro.noc.config import NotificationConfig
-from repro.notification.router import NotificationRouter
 from repro.sim.engine import Clocked, Engine
 from repro.sim.stats import StatsRegistry
 
 
 class NotificationNetwork(Clocked):
-    """Mesh of OR-routers plus window sequencing."""
+    """Window sequencing of the OR-mesh: one OR per window."""
 
     # Opt-in event journal (repro.sim.journal); see attach_observability.
     journal = None
@@ -47,35 +55,39 @@ class NotificationNetwork(Clocked):
         self.config = config
         self.stats = stats or StatsRegistry()
         self.n_nodes = width * height
-        self.routers = [NotificationRouter(i) for i in range(self.n_nodes)]
-        for node, router in enumerate(self.routers):
-            x, y = node % width, node // width
-            if x + 1 < width:
-                self._link(router, self.routers[node + 1])
-            if y + 1 < height:
-                self._link(router, self.routers[node + width])
         # Per-node callbacks installed by NICs.
         self.sources: List[Optional[Callable[[], int]]] = [None] * self.n_nodes
         self.sinks: List[Optional[Callable[[int], None]]] = [None] * self.n_nodes
-        # Whether any latch moved at the last commit (or a source
-        # injected this cycle): while it holds, every router ORs its
-        # neighbours; once it does not, each is a fixed point of its
-        # neighbourhood and the network sleeps to the window end.
-        self._changed = False
+        # Nodes whose source the next window start polls, as a bit mask
+        # (bit i = node i).
+        self._announced = 0
+        # The current window's merged vector: ORed at its start,
+        # delivered at its end.
+        self._merged = 0
+        # The last delivered vector carried the stop bit: deliver the
+        # next one to every sink, empty or not.
+        self._stopped = False
         engine.register(self)
 
-    @staticmethod
-    def _link(a: NotificationRouter, b: NotificationRouter) -> None:
-        a.connect(b)
-        b.connect(a)
-
     def attach(self, node: int, source: Callable[[], int],
-               sink: Callable[[int], None]) -> None:
-        """Install *source* (pulled at window starts, returns the vector to
-        inject) and *sink* (called with the merged vector at window ends)
-        for *node*."""
+               sink: Callable[[int], None]) -> Callable[[], None]:
+        """Install *source* (polled at the window starts after *node*
+        announces; returns the vector to inject) and *sink* (called with
+        the merged vector at window ends) for *node*; return the node's
+        announce hook."""
         self.sources[node] = source
         self.sinks[node] = sink
+        return partial(self.announce, node)
+
+    def announce(self, node: int) -> None:
+        """*node* has something to inject: poll its source from the next
+        window start on (this cycle's, if it is one and the network has
+        not stepped yet), until it answers 0."""
+        self._announced |= 1 << node
+        engine = self._q_engine
+        if engine is not None:
+            window = self.config.window
+            self.wake(-(-engine.cycle // window) * window)
 
     # -- stop bit -------------------------------------------------------
 
@@ -104,59 +116,46 @@ class NotificationNetwork(Clocked):
 
     # -- clocking -------------------------------------------------------
 
-    def window_phase(self, cycle: int) -> int:
-        return cycle % self.config.window
-
     def step(self, cycle: int) -> None:
-        routers = self.routers
-        if self.window_phase(cycle) == 0:
-            for node, source in enumerate(self.sources):
-                if source is not None:
-                    vector = source()
-                    if vector:
-                        routers[node].accum |= vector
-                        self._changed = True
-                        self.stats.incr("notification.injected")
-        if self._changed:
-            for router in routers:
-                merged = router.accum
-                for other in router.neighbors:
-                    merged |= other.accum
-                router._next = merged
+        window = self.config.window
+        if cycle % window:
+            return
+        merged = 0
+        announced = pending = self._announced
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            vector = self.sources[low.bit_length() - 1]()
+            if vector:
+                merged |= vector
+                self.stats.incr("notification.injected")
+            else:
+                announced ^= low
+        self._announced = announced
+        self._merged = merged
+        if merged or self._stopped:
+            self.idle_until(cycle + window - 1)
+        else:
+            self.idle_until(None)    # until an announce
 
     def commit(self, cycle: int) -> None:
-        if self._changed:
-            changed = False
-            for router in self.routers:
-                if router.accum != router._next:
-                    router.accum = router._next
-                    changed = True
-            self._changed = changed
-        phase = self.window_phase(cycle)
-        if phase == self.config.window - 1:
-            merged = [router.accum for router in self.routers]
-            # Invariant: all nodes hold the identical merged vector.
-            if any(v != merged[0] for v in merged):  # pragma: no cover
-                raise AssertionError(
-                    "notification window too short: nodes disagree on "
-                    "the merged vector")
-            # Sinks fire every window, vector or not: an empty delivery
-            # re-enables NICs that saw a stop bit.
-            for node, sink in enumerate(self.sinks):
-                if sink is not None:
-                    sink(merged[node])
-            if merged[0]:
-                journal = self.journal
-                if journal is not None:
-                    journal.record(cycle, "notification", "window",
-                                   "delivered", f"vector={merged[0]:#x}")
-                for router in self.routers:
-                    router.clear()
-                self._changed = False
-                self.stats.incr("notification.windows_nonempty")
-            # Next cycle is a window start: stay awake to poll sources.
-        elif not self._changed:
-            # Quiet window or converged mesh: sources are polled only at
-            # window starts, so nothing moves before the window-end
-            # delivery.
-            self.idle_until(cycle - phase + self.config.window - 1)
+        if cycle % self.config.window != self.config.window - 1:
+            return
+        merged = self._merged
+        if not (merged or self._stopped):
+            return                   # nothing to deliver this window
+        self._merged = 0
+        self._stopped = self.stop_asserted(merged)
+        for sink in self.sinks:
+            if sink is not None:
+                sink(merged)
+        if merged:
+            journal = self.journal
+            if journal is not None:
+                journal.record(cycle, "notification", "window",
+                               "delivered", f"vector={merged:#x}")
+            self.stats.incr("notification.windows_nonempty")
+        # Asked after the sinks, which announce: stay up for the next
+        # window start only if it has a source to poll or a stop to clear.
+        if not (self._announced or self._stopped):
+            self.idle_until(None)

@@ -10,9 +10,48 @@ any further communication — the essence of SCORPIO's distributed ordering.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional
+from functools import lru_cache
+from typing import Deque, Optional, Tuple
 
 from repro.noc.arbiter import rotating_order
+
+
+# Every tracker decodes the same vectors from the same pointer, so a
+# window's vector is decoded once per chip, not once per node.  Bounded,
+# so peak memory does not grow with the length of a run.
+@lru_cache(maxsize=4096)
+def _expand(vector: int, pointer: int, n_cores: int,
+            bits: int) -> Tuple[int, ...]:
+    """Unroll a merged vector into the SID service order.
+
+    Cores are served in rotating-priority order from the shared pointer;
+    a core announcing k requests contributes k consecutive slots (its
+    requests are already point-to-point ordered in the main network, so
+    consecutive slots are unambiguous).  Walks the set fields only.
+    """
+    mask = (1 << bits) - 1
+    counts = {}
+    rest = vector & ((1 << (n_cores * bits)) - 1)
+    while rest:
+        shift = (rest & -rest).bit_length() - 1
+        shift -= shift % bits
+        counts[shift // bits] = rest >> shift & mask
+        rest &= ~(mask << shift)
+    return tuple(core for core in rotating_order(n_cores, pointer, counts)
+                 for _ in range(counts[core]))
+
+
+@lru_cache(maxsize=4096)
+def _slots(vector: int, n_cores: int, bits: int) -> int:
+    """The number of request slots *vector* announces: the sum of its
+    fields, one power of two per set bit."""
+    rest = vector & ((1 << (n_cores * bits)) - 1)
+    total = 0
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        total += 1 << (low.bit_length() - 1) % bits
+    return total
 
 
 class NotificationTracker:
@@ -45,29 +84,6 @@ class NotificationTracker:
                                "stop bit should have prevented this")
         self._queue.append(vector)
 
-    # -- decode ---------------------------------------------------------
-
-    def _count(self, vector: int, core: int) -> int:
-        return (vector >> (core * self.bits_per_core)) \
-            & ((1 << self.bits_per_core) - 1)
-
-    def _expand(self, vector: int) -> List[int]:
-        """Unroll a merged vector into the SID service order.
-
-        Cores are served in rotating-priority order from the shared
-        pointer; a core announcing k requests contributes k consecutive
-        slots (its requests are already point-to-point ordered in the
-        main network, so consecutive slots are unambiguous).
-        """
-        counts = {core: self._count(vector, core)
-                  for core in range(self.n_cores)
-                  if self._count(vector, core)}
-        order = rotating_order(self.n_cores, self._pointer, counts.keys())
-        expansion: List[int] = []
-        for sid in order:
-            expansion.extend([sid] * counts[sid])
-        return expansion
-
     # -- ESID side ------------------------------------------------------
 
     def current_esid(self) -> Optional[int]:
@@ -85,7 +101,10 @@ class NotificationTracker:
         and the tracker left as it was (for observers)."""
         if self._expansion:
             return self._expansion[0]
-        return self._expand(self._queue[0])[0] if self._queue else None
+        if not self._queue:
+            return None
+        return _expand(self._queue[0], self._pointer, self.n_cores,
+                       self.bits_per_core)[0]
 
     def consume_esid(self) -> int:
         """The expected request was forwarded to the cache controller."""
@@ -98,7 +117,8 @@ class NotificationTracker:
     def _refill(self) -> None:
         while not self._expansion and self._queue:
             vector = self._queue.popleft()
-            self._expansion.extend(self._expand(vector))
+            self._expansion.extend(_expand(vector, self._pointer,
+                                           self.n_cores, self.bits_per_core))
             # Fairness: the priority pointer advances once per processed
             # notification message, identically at every node.
             self._pointer = (self._pointer + 1) % self.n_cores
@@ -111,6 +131,5 @@ class NotificationTracker:
         """Total ordered-but-unserviced request slots known so far."""
         pending = len(self._expansion)
         for vector in self._queue:
-            pending += sum(self._count(vector, core)
-                           for core in range(self.n_cores))
+            pending += _slots(vector, self.n_cores, self.bits_per_core)
         return pending

@@ -46,7 +46,9 @@ from repro.noc.packet import packet_id_state, set_packet_id_state
 # to the envelope or to what the body must contain.
 # 2: a snapshot's spec is always a SystemSpec (schema 1 could hold the
 # retired benchmark-run spec class, which no longer unpickles).
-CHECKPOINT_SCHEMA = 2
+# 3: the notification network is one OR per window (no per-node latch
+# routers to unpickle; an announced-node set instead).
+CHECKPOINT_SCHEMA = 3
 
 MAGIC = b"REPRO-CKPT\x00"
 _HEADER_KEYS = {"schema", "meta", "body_len", "body_crc32"}

@@ -102,7 +102,7 @@ class BaseSystem:
                 config.noc.width, config.noc.height, config.notification,
                 self.engine, self.stats)
             for node, nic in enumerate(self.nics):
-                self.notification_network.attach(
+                nic.announce = self.notification_network.attach(
                     node, nic.compose_notification,
                     nic.receive_merged_notification)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.noc.config import NotificationConfig
 from repro.notification.network import NotificationNetwork
 from repro.notification.tracker import NotificationTracker
-from repro.sim.engine import Engine
+from repro.sim.engine import WAKE_NEVER, Engine
 
 
 def build_network(width=6, height=6, window=13, bits=1):
@@ -16,6 +16,18 @@ def build_network(width=6, height=6, window=13, bits=1):
     config = NotificationConfig(bits_per_core=bits, window=window)
     net = NotificationNetwork(width, height, config, engine)
     return engine, net
+
+
+def attach_senders(net, senders, received, count=1):
+    """Nodes in *senders* inject *count* requests in the next window and
+    announce it; every sink records into *received*."""
+    for node in range(net.n_nodes):
+        net.attach(node,
+                   (lambda n: (lambda: net.encode(n, count)
+                               if n in senders else 0))(node),
+                   (lambda n: (lambda v: received.__setitem__(n, v)))(node))
+    for node in sorted(senders):
+        net.announce(node)
 
 
 class TestNotificationNetwork:
@@ -31,10 +43,7 @@ class TestNotificationNetwork:
     def test_single_source_reaches_all(self):
         engine, net = build_network()
         received = {}
-        for node in range(36):
-            net.attach(node,
-                       (lambda n: (lambda: net.encode(n, 1) if n == 7 else 0))(node),
-                       (lambda n: (lambda v: received.__setitem__(n, v)))(node))
+        attach_senders(net, {7}, received)
         engine.run(13)
         assert len(received) == 36
         assert all(v == received[0] for v in received.values())
@@ -45,11 +54,7 @@ class TestNotificationNetwork:
         engine, net = build_network()
         received = {}
         senders = {3, 17, 35}
-        for node in range(36):
-            net.attach(node,
-                       (lambda n: (lambda: net.encode(n, 1)
-                                   if n in senders else 0))(node),
-                       (lambda n: (lambda v: received.__setitem__(n, v)))(node))
+        attach_senders(net, senders, received)
         engine.run(13)
         merged = received[0]
         for core in range(36):
@@ -58,12 +63,18 @@ class TestNotificationNetwork:
     def test_multi_bit_counts(self):
         engine, net = build_network(bits=2)
         received = {}
-        for node in range(36):
-            net.attach(node,
-                       (lambda n: (lambda: net.encode(n, 3) if n == 0 else 0))(node),
-                       (lambda n: (lambda v: received.__setitem__(n, v)))(node))
+        attach_senders(net, {0}, received, count=3)
         engine.run(13)
         assert net.core_count(received[5], 0) == 3
+
+    def test_unannounced_source_is_not_polled(self):
+        engine, net = build_network()
+        received = {}
+        attach_senders(net, set(), received)
+        net.sources[7] = lambda: net.encode(7, 1)   # never announces
+        engine.run(3 * 13)
+        assert received == {}
+        assert net.stats.counter("notification.injected") == 0
 
     def test_encode_rejects_overflow(self):
         _engine, net = build_network(bits=1)
@@ -79,8 +90,6 @@ class TestNotificationNetwork:
     def test_windows_are_independent(self):
         engine, net = build_network()
         log = []
-        toggles = iter([5, 0, 9])  # sender per window (0 = nobody)
-
         state = {"sender": None}
 
         def source_for(node):
@@ -90,16 +99,20 @@ class TestNotificationNetwork:
 
         for node in range(36):
             net.attach(node, source_for(node),
-                       (lambda n: (lambda v: log.append((n, v))
+                       (lambda n: (lambda v: log.append((engine.cycle, v))
                                    if n == 0 else None))(node))
         for sender in (5, None, 9):
             state["sender"] = sender
+            if sender is not None:
+                net.announce(sender)
             engine.run(13)
-        vectors = [v for _n, v in log]
+        # The empty middle window calls no sink; the sender of the first
+        # window answers 0 at the second window start and leaves the set.
+        assert [cycle for cycle, _v in log] == [12, 38]
+        vectors = [v for _c, v in log]
         assert net.core_count(vectors[0], 5) == 1
-        assert vectors[1] == 0
-        assert net.core_count(vectors[2], 9) == 1
-        assert net.core_count(vectors[2], 5) == 0
+        assert net.core_count(vectors[1], 9) == 1
+        assert net.core_count(vectors[1], 5) == 0
 
     @settings(max_examples=20, deadline=None)
     @given(width=st.integers(2, 7), height=st.integers(2, 7),
@@ -112,16 +125,68 @@ class TestNotificationNetwork:
         net = NotificationNetwork(width, height,
                                   NotificationConfig(window=window), engine)
         received = {}
-        for node in range(n):
-            net.attach(node,
-                       (lambda k: (lambda: net.encode(k, 1)
-                                   if k in senders else 0))(node),
-                       (lambda k: (lambda v: received.__setitem__(k, v)))(node))
+        attach_senders(net, senders, received)
         engine.run(window)
+        if not senders:
+            assert received == {}
+            return
+        assert len(received) == n
         assert len(set(received.values())) == 1
         merged = received[0]
         decoded = {c for c in range(n) if net.core_count(merged, c)}
         assert decoded == senders
+
+
+@pytest.mark.parametrize("quiescence", [True, False],
+                         ids=["quiescent", "always-tick"])
+class TestStopWindow:
+    """The window after a stop-bit window re-enables the NICs the stop
+    bit disabled, so it reaches every sink even when it is empty; an
+    empty window with no stop before it reaches none."""
+
+    # A 3x3 mesh with one bit per core: node 4's field is bit 4 and the
+    # stop bit is bit 9.
+    NODE4, STOP = 1 << 4, 1 << 9
+
+    def run_windows(self, quiescence, answers):
+        """Node 4 answers ``answers[k]`` at window *k*'s start (it
+        announces once, before the first); returns the network and each
+        of four windows' sink calls."""
+        engine = Engine(quiescence=quiescence)
+        net = NotificationNetwork(3, 3, NotificationConfig(window=6), engine)
+        assert net.stop_bit == 9
+        calls = []
+        answers = iter(answers)
+        for node in range(9):
+            net.attach(node, (lambda: next(answers)) if node == 4 else None,
+                       lambda vector, n=node: calls.append((n, vector)))
+        net.announce(4)
+        windows = []
+        for _window in range(4):
+            calls.clear()
+            engine.run(6)
+            windows.append(list(calls))
+        return net, windows
+
+    def test_empty_window_after_a_stop_reaches_every_sink(self, quiescence):
+        stop = self.NODE4 | self.STOP
+        _net, windows = self.run_windows(quiescence, [stop, 0])
+        assert windows[0] == [(node, stop) for node in range(9)]
+        assert windows[1] == [(node, 0) for node in range(9)]
+        assert windows[2] == windows[3] == []
+
+    def test_stop_only_vector_is_delivered(self, quiescence):
+        stop = self.STOP
+        _net, windows = self.run_windows(quiescence, [stop, stop, 0])
+        assert windows[:3] == [[(node, vector) for node in range(9)]
+                               for vector in (stop, stop, 0)]
+        assert windows[3] == []
+
+    def test_empty_window_without_a_stop_reaches_no_sink(self, quiescence):
+        net, windows = self.run_windows(quiescence, [0])
+        assert windows == [[], [], [], []]
+        if quiescence:
+            assert net._q_cell[0] == WAKE_NEVER
 
 
 class TestNotificationTracker:

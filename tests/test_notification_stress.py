@@ -2,11 +2,15 @@
 multi-bit windows exercised through the full system (not just the NIC
 unit tests)."""
 
+import json
 from dataclasses import replace
 
 from repro.core.config import ChipConfig
 from repro.cpu.core import CoreConfig
+from repro.experiments import SystemSpec, execute_system_spec
+from repro.experiments.sweep import SweepResult
 from repro.noc.config import NotificationConfig
+from repro.sim.engine import forced_quiescence
 from repro.systems.scorpio import ScorpioSystem
 from repro.workloads.synthetic import uniform_random_trace
 
@@ -82,3 +86,30 @@ class TestMultiBitWindows:
         system = run_with(notif, ops=4, seed=109)
         p95 = system.stats.histograms["nic.order_latency"].percentile(95)
         assert p95 <= 6 * notif.window
+
+
+class TestStopWindowsAcrossKernels:
+    def test_stopped_windows_are_kernel_invariant(self):
+        # The window after a stop is delivered to every sink even when
+        # it is empty (it re-enables the stopped NICs); while the
+        # network sleeps across empty windows that must still happen, so
+        # a run full of stop windows pays out the same bytes under both
+        # kernels.
+        config = replace(ChipConfig.variant(3, 3),
+                         notification=NotificationConfig(
+                             window=13, tracker_queue_depth=1))
+        spec = SystemSpec("scorpio", config,
+                          workload={"kind": "benchmark", "name": "fft",
+                                    "ops_per_core": 8,
+                                    "workload_scale": 0.02,
+                                    "think_scale": 1.0, "seed": 0})
+        payloads = {}
+        for quiescence in (True, False):
+            with forced_quiescence(quiescence):
+                outcome = execute_system_spec(spec)
+            assert outcome.stats["nic.windows_stopped"] > 0
+            result = SweepResult.from_outcome(spec, "fingerprint-elided",
+                                              outcome)
+            payloads[quiescence] = json.dumps(result.payload(),
+                                              sort_keys=True)
+        assert payloads[True] == payloads[False]

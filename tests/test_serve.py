@@ -98,6 +98,10 @@ class TestFrontend:
         assert health["server"].startswith("repro-serve/")
         assert health["cache"] == server.service.backend.location
 
+    def test_health_reports_the_api_version(self, client):
+        from repro.api import API_VERSION
+        assert client.health()["api_version"] == API_VERSION
+
     def test_unknown_paths_are_404(self, client):
         with pytest.raises(ServeError, match="HTTP 404"):
             client._request("/nope")
