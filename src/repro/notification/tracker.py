@@ -41,19 +41,6 @@ def _expand(vector: int, pointer: int, n_cores: int,
                  for _ in range(counts[core]))
 
 
-@lru_cache(maxsize=4096)
-def _slots(vector: int, n_cores: int, bits: int) -> int:
-    """The number of request slots *vector* announces: the sum of its
-    fields, one power of two per set bit."""
-    rest = vector & ((1 << (n_cores * bits)) - 1)
-    total = 0
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        total += 1 << (low.bit_length() - 1) % bits
-    return total
-
-
 class NotificationTracker:
     """Queue of merged vectors + the current ESID expansion."""
 
@@ -131,5 +118,6 @@ class NotificationTracker:
         """Total ordered-but-unserviced request slots known so far."""
         pending = len(self._expansion)
         for vector in self._queue:
-            pending += _slots(vector, self.n_cores, self.bits_per_core)
+            pending += len(_expand(vector, self._pointer, self.n_cores,
+                                   self.bits_per_core))
         return pending
