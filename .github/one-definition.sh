@@ -52,6 +52,8 @@ retired=(
                                                # one chip config
     'RunSpec|PointSpec|run_grid|compare_protocols'  # one point type
     'NotificationRouter'                       # one OR per window
+    'VCBuffer|_slot_vc|deliver_lookahead|_tracker_expansion|_consumed_counts'
+                                               # flat slots, one call a hop
 )
 forbid "retired name" "\b($(IFS='|'; echo "${retired[*]}"))\b" \
     src tests benchmarks examples
@@ -107,16 +109,20 @@ forbid "VCBuffer.granted_vcs" 'granted_vcs' src/repro/noc/vc.py
 # Measured and not paying (docs/architecture.md, "What each optimisation
 # buys"): the NIC's None-valued hooks.
 forbid "None-valued NIC hook" '_(pick_lane|request_injected) = None' src/repro
-only_in "lookahead sink outside the router" 'def deliver_lookahead\(' \
+only_in "lookahead sink outside the router" 'def deliver_hop\(' \
     "src/repro/noc/router.py"
 
 # PR 24 - one sending end of a link: credits, the SID table, VC
 # selection and the lookahead + flit hand-off live in noc/vc.py's
 # OutPort; the router's outports, the NIC's lanes and the mesh tester
-# build one each and nobody else spells any of it (one deliver_lookahead
+# build one each and nobody else spells any of it (one deliver_hop
 # call).
-only_in "lookahead sent outside OutPort.send" '\.deliver_lookahead\(' \
+only_in "lookahead sent outside OutPort.send" '\.deliver_hop\(' \
     "src/repro/noc/vc.py"
+# The reserved VC admits only the request the far NIC expects: a router
+# reads that one SID's waiters, never asks about every parked SID.
+forbid "reserved-VC waiters asked SID by SID" \
+    'list\([^)]*rvc_wait|for .* in .*rvc_wait' src/repro/noc/router.py
 only_in "OutPort built outside router/tester/NIC" \
     '(^|[^A-Za-z])OutPort\(' \
     "src/repro/nic/controller.py

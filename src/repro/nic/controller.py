@@ -63,6 +63,10 @@ class NetworkInterface(Clocked):
     # path at one load-and-compare per hook site.
     journal = None
 
+    # The expected SID that the reserved VCs pointing here read: none,
+    # so they admit nothing.
+    esid: Optional[int] = None
+
     def __init__(self, node: int, noc_config: NocConfig,
                  notif_config: NotificationConfig,
                  stats: Optional[StatsRegistry] = None) -> None:
@@ -80,8 +84,7 @@ class NetworkInterface(Clocked):
             notif_config.tracker_queue_depth)
 
         # --- send side ---------------------------------------------------
-        self._inject_queues: Dict[VNet, Deque[Packet]] = {
-            VNet.GO_REQ: deque(), VNet.UO_RESP: deque()}
+        self._inject_queues: List[Deque[Packet]] = [deque(), deque()]
         # One lane per attached main network, in attach order.
         self._lanes: List[OutPort] = []
         self._sent_requests = 0          # per-source GO-REQ sequence
@@ -158,7 +161,7 @@ class NetworkInterface(Clocked):
             Packet(vnet=VNet.GO_REQ, src=self.node, dst=dst, sid=self.node,
                    size_flits=1, payload=payload, seq=seq))
         self.wake()
-        self.stats.incr("nic.requests_sent")
+        self.stats.counters["nic.requests_sent"] += 1
 
     def send_response(self, payload: Any, dst: int,
                       carries_data: bool = True) -> None:
@@ -168,7 +171,7 @@ class NetworkInterface(Clocked):
                         sid=self.node, size_flits=size, payload=payload)
         self._inject_queues[VNet.UO_RESP].append(packet)
         self.wake()
-        self.stats.incr("nic.responses_sent")
+        self.stats.counters["nic.responses_sent"] += 1
 
     def rvc_eligible(self, sid: int, seq: int) -> bool:
         """The reserved VC serves the global order; without one nothing
@@ -198,20 +201,28 @@ class NetworkInterface(Clocked):
 
     def _quiet(self) -> bool:
         """True when this cycle's step can be skipped entirely."""
+        queues = self._inject_queues
         return not (self._credit_returns or self._arrivals
                     or self._req_fifo or self._resp_queue
-                    or self._inject_queues[VNet.GO_REQ]
-                    or self._inject_queues[VNet.UO_RESP])
+                    or queues[0] or queues[1])
 
     def step(self, cycle: int) -> None:
         if self._quiet():
             self._enter_quiescence(cycle)
             return   # nothing in flight at this NIC
-        self._apply_credit_returns(cycle)
-        self._accept_arrivals(cycle)
-        self._deliver_ordered(cycle)
-        self._deliver_responses(cycle)
-        self._inject(cycle)
+        # Each phase runs only when its guard holds (_deliver_ordered's
+        # is the service cycle).
+        if self._credit_returns.min_due <= cycle:
+            self._apply_credit_returns(cycle)
+        if self._arrivals.min_due <= cycle:
+            self._accept_arrivals(cycle)
+        if self._next_service_cycle <= cycle:
+            self._deliver_ordered(cycle)
+        if self._resp_queue:
+            self._deliver_responses(cycle)
+        queues = self._inject_queues
+        if queues[0] or queues[1]:
+            self._inject(cycle)
         target = self._sleep_target(cycle)
         if target is not _STAY_AWAKE:
             self.idle_until(target)
@@ -222,11 +233,10 @@ class NetworkInterface(Clocked):
         override this — INSO's slot expiry, for example)."""
         self.idle_until(None)
 
-    def _sleep_target(self, cycle: int, wake_at: Optional[int] = None):
+    def _sleep_target(self, cycle: int):
         """After a step's work: the cycle to sleep to (None = until an
         external wake), or ``_STAY_AWAKE`` when next cycle's step may
-        act.  *wake_at* is a cycle the caller already knows it must be
-        up by."""
+        act."""
         if self._resp_queue or self._req_fifo:
             return _STAY_AWAKE       # drained per cycle / per-cycle stats
         if not self._inject_blocked():
@@ -234,30 +244,24 @@ class NetworkInterface(Clocked):
         # Queued future events (already-due ones were consumed by this
         # step); an empty wheel's ``min_due`` is WAKE_NEVER.
         due = min(self._credit_returns.min_due, self._arrivals.min_due)
-        if due < WAKE_NEVER and (wake_at is None or due < wake_at):
-            wake_at = due
-        return wake_at
+        return due if due < WAKE_NEVER else None
 
     def _inject_blocked(self) -> bool:
         """True when every non-empty inject queue is provably stuck
         until a credit event (which wakes us via queue_credit_release)."""
         lane = self._lanes[0]
-        for queue in self._inject_queues.values():
+        for queue in self._inject_queues:
             if queue and lane.select(queue[0]) is not None:
                 return False         # head could go next cycle
         return True
 
     def _apply_credit_returns(self, cycle: int) -> None:
-        if self._credit_returns.min_due > cycle:
-            return
         for _cycle, lane, vnet, vc, flits in \
                 self._credit_returns.pop_due(cycle):
             self._lanes[lane].give_back(vnet, vc, flits)
 
     def _accept_arrivals(self, cycle: int) -> None:
         """Classify the due arrivals, in (due cycle, delivery order)."""
-        if self._arrivals.min_due > cycle:
-            return
         for arrive_cycle, packet, vnet, vc_index in \
                 self._arrivals.pop_due(cycle):
             if vnet == VNet.GO_REQ:
@@ -278,7 +282,7 @@ class NetworkInterface(Clocked):
     def _deliver_ordered(self, cycle: int) -> None:
         """Release parked requests to the cache controller — here, the
         oldest arrival."""
-        if cycle < self._next_service_cycle or not self._req_fifo:
+        if not self._req_fifo:
             return
         if not self._gate_open():
             return
@@ -301,7 +305,7 @@ class NetworkInterface(Clocked):
         carried (a discipline that wrapped it passes the inner one)."""
         for listener in self._request_listeners:
             listener(payload, packet.sid, cycle, arrive_cycle)
-        self.stats.incr("nic.requests_delivered")
+        self.stats.counters["nic.requests_delivered"] += 1
         self._next_service_cycle = cycle + self.service_interval
         journal = self.journal
         if journal is not None:
@@ -320,7 +324,7 @@ class NetworkInterface(Clocked):
             self._return_eject_credit(cycle, packet, VNet.UO_RESP, vc_index)
             for listener in self._response_listeners:
                 listener(packet.payload, cycle)
-            self.stats.incr("nic.responses_delivered")
+            self.stats.counters["nic.responses_delivered"] += 1
             if not self.noc_config.nic_pipelined:
                 self._next_service_cycle = cycle + self.service_interval
 
@@ -343,7 +347,7 @@ class NetworkInterface(Clocked):
         injected requests overrides it."""
 
     def _inject(self, cycle: int) -> None:
-        for vnet in (VNet.GO_REQ, VNet.UO_RESP):
+        for vnet in VNet:
             queue = self._inject_queues[vnet]
             if not queue:
                 continue
@@ -361,7 +365,7 @@ class NetworkInterface(Clocked):
             if vnet == VNet.GO_REQ:
                 self._request_injected()
             lane.send(cycle, packet, vc)
-            self.stats.incr("nic.packets_injected")
+            self.stats.counters["nic.packets_injected"] += 1
             journal = self.journal
             if journal is not None:
                 journal.record(cycle, f"nic.{self.node}", "inject",
@@ -376,8 +380,8 @@ class NetworkInterface(Clocked):
         return (not self._arrivals and not self._credit_returns
                 and not self._req_fifo
                 and not self._resp_queue
-                and not self._inject_queues[VNet.GO_REQ]
-                and not self._inject_queues[VNet.UO_RESP])
+                and not self._inject_queues[0]
+                and not self._inject_queues[1])
 
 
 class OrderedNetworkInterface(NetworkInterface):
@@ -398,22 +402,14 @@ class OrderedNetworkInterface(NetworkInterface):
         self._enabled = True             # cleared by a merged stop bit
         # Arrived GO-REQs waiting for the ESID, by SID.
         self._held_goreq: Dict[int, Tuple[Packet, int, int]] = {}
-        # Per-sid consumed-request counts, list-indexed by sid (sids are
-        # node ids): rvc_eligible reads this for every reserved-VC
-        # question the neighbouring routers ask, and a flat list beats a
-        # dict lookup + default on that path.
-        self._consumed_counts: List[int] = [0] * noc_config.n_nodes
-        # Direct ref to the tracker's expansion deque (mutated in place,
-        # never reassigned) — saves two attribute hops per rvc_eligible
-        # call.  Checkpoint-safe: the single-pickle snapshot preserves
-        # shared references, so the alias survives restore intact.
-        self._tracker_expansion = self.tracker._expansion
-        # (router, outport) pairs whose reserved-VC eligibility questions
-        # this NIC answers (ours + its mesh neighbours, on every mesh);
-        # told the new expected SID on every ordering advance so slots
-        # parked on it re-ask.  Filled by attach_router when the rVC is
-        # in play.
-        self._rvc_watchers: List[Tuple[Router, int]] = []
+        # Read inline by the reserved VCs pointing here: consumed
+        # requests per sid (sids are node ids) and the expected SID,
+        # refreshed on every ordering advance while the rVC is in play.
+        self.consumed_counts: List[int] = [0] * noc_config.n_nodes
+        self.esid: Optional[int] = None
+        # (outport, router, port) of every such rVC (ours + the mesh
+        # neighbours', on every mesh), filled by attach_router.
+        self._rvc_watchers: List[Tuple[OutPort, Router, int]] = []
 
     def attach_router(self, router: Router) -> None:
         super().attach_router(router)
@@ -454,31 +450,26 @@ class OrderedNetworkInterface(NetworkInterface):
         nodes further along the broadcast tree — strictly earlier in the
         global order than anything still pending here), or it is exactly
         the request the ESID is waiting for.
+
+        The definition: routers read the second case inline from
+        :attr:`esid` and :attr:`consumed_counts` (OutPort's docstring).
         """
-        consumed = self._consumed_counts[sid]
+        consumed = self.consumed_counts[sid]
         if seq < consumed:
             return seq >= 0
-        if seq != consumed:
-            return False
-        # Inline of tracker.current_esid()'s hot path (the most asked
-        # question in a saturated mesh).
-        expansion = self._tracker_expansion
-        if expansion:
-            return expansion[0] == sid
-        return self.tracker.current_esid() == sid
+        return seq == consumed and self.tracker.current_esid() == sid
 
     def _note_order_progress(self) -> None:
-        """Ordering advanced (tracker push or ESID consume).  The only
-        :meth:`rvc_eligible` answers that can have flipped from False to
-        True are those for the SID that is now expected, so tell the
-        watching routers which one it is; each wakes only if a slot of
-        its own is parked on that SID."""
+        """Ordering advanced (tracker push or ESID consume): publish the
+        expected SID (refilling the tracker: its expansion is empty only
+        with its queue) and poke the routers with it parked on a free rVC."""
         if not self._rvc_watchers:
             return
-        sid = self.tracker.current_esid()
+        sid = self.esid = self.tracker.current_esid()
         if sid is not None:
-            for router, port in self._rvc_watchers:
-                router.note_order_progress(port, sid)
+            for out, router, port in self._rvc_watchers:
+                if sid in out.rvc_wait and out.rvc_free:
+                    router.note_order_progress(port)
 
     # ------------------------------------------------------------------
     # Notification network hooks
@@ -537,15 +528,17 @@ class OrderedNetworkInterface(NetworkInterface):
     def _quiet(self) -> bool:
         return not self._held_goreq and super()._quiet()
 
-    def _sleep_target(self, cycle: int, wake_at: Optional[int] = None):
-        """The dominant case is the ordered-delivery wait: a NIC holding
-        GO-REQ packets whose ESID has not come up re-checks the tracker
-        every cycle to no effect — the tracker only moves on a window
-        delivery (which wakes us) or our own consume (we are awake)."""
-        # ``current_esid`` refills the tracker lazily, which moves its
-        # ``queue_full`` (the stop bit): do not ask while a queued
-        # response keeps this NIC awake whatever the answer.
-        if self._held_goreq and not self._resp_queue:
+    def _sleep_target(self, cycle: int):
+        """The base rule plus the dominant case, the ordered-delivery
+        wait: a NIC holding GO-REQs whose ESID has not come up would
+        re-check the tracker each cycle to no effect — it moves only on
+        a window delivery (which wakes us) or our own consume."""
+        if self._resp_queue or self._req_fifo:
+            return _STAY_AWAKE       # drained per cycle / per-cycle stats
+        wake_at = None
+        if self._held_goreq:
+            # ``current_esid`` refills the tracker lazily, moving its
+            # ``queue_full`` (the stop bit): asked only past the above.
             esid = self.tracker.current_esid()
             if esid is not None and esid in self._held_goreq:
                 if cycle + 1 >= self._next_service_cycle:
@@ -555,7 +548,13 @@ class OrderedNetworkInterface(NetworkInterface):
                 wake_at = self._next_service_cycle
             # else: blocked on the global order; receive_merged_
             # notification / deliver_packet wake us.
-        return super()._sleep_target(cycle, wake_at)
+        queues = self._inject_queues
+        if (queues[0] or queues[1]) and not self._inject_blocked():
+            return _STAY_AWAKE       # one injection per vnet per cycle
+        due = min(self._credit_returns.min_due, self._arrivals.min_due)
+        if due < WAKE_NEVER and (wake_at is None or due < wake_at):
+            wake_at = due
+        return wake_at
 
     def _accept_request(self, cycle: int, arrive_cycle: int, packet: Packet,
                         vc_index: int) -> None:
@@ -567,8 +566,6 @@ class OrderedNetworkInterface(NetworkInterface):
 
     def _deliver_ordered(self, cycle: int) -> None:
         """Release the request the ESID expects, if it is here."""
-        if cycle < self._next_service_cycle:
-            return
         esid = self.tracker.current_esid()
         if esid is None or esid not in self._held_goreq:
             return
@@ -576,13 +573,13 @@ class OrderedNetworkInterface(NetworkInterface):
             return
         packet, vc_index, arrive_cycle = self._held_goreq.pop(esid)
         self.tracker.consume_esid()
-        self._consumed_counts[esid] += 1
+        self.consumed_counts[esid] += 1
         self._note_order_progress()
         self._return_eject_credit(cycle, packet, VNet.GO_REQ, vc_index)
         self._hand_over(cycle, packet, packet.payload, arrive_cycle)
-        self.stats.observe("nic.order_latency",
-                           cycle - packet.inject_cycle)
-        self.stats.observe("nic.ordering_wait", cycle - arrive_cycle)
+        histograms = self.stats.histograms
+        histograms["nic.order_latency"].add(cycle - packet.inject_cycle)
+        histograms["nic.ordering_wait"].add(cycle - arrive_cycle)
 
     def idle(self) -> bool:
         # ``outstanding``, not ``current_esid``: asking must not refill

@@ -16,7 +16,7 @@ from repro.noc.routing import (EAST, LOCAL, NORTH, SOUTH, WEST,
                                neighbor, node_at, opposite, xy_route)
 from repro.noc.tester import (NetworkTester, NodeTester, TrafficConfig,
                               TrafficResult)
-from repro.noc.vc import OutPort, VCBuffer
+from repro.noc.vc import OutPort
 
 __all__ = [
     "RotatingPriorityArbiter", "rotating_order",
@@ -31,5 +31,5 @@ __all__ = [
     "broadcast_outports", "coords", "hop_count", "neighbor", "node_at",
     "opposite", "xy_route",
     "NetworkTester", "NodeTester", "TrafficConfig", "TrafficResult",
-    "OutPort", "VCBuffer",
+    "OutPort",
 ]

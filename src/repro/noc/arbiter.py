@@ -9,9 +9,7 @@ order of source IDs (Sec. 3.1, step 3).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import Iterable, List, Optional, Sequence
 
 
 class RotatingPriorityArbiter:
@@ -33,21 +31,22 @@ class RotatingPriorityArbiter:
     def pointer(self) -> int:
         return self._pointer
 
-    def grant(self, requests: Sequence[bool], rotate: bool = True) -> Optional[int]:
-        """Grant one of the asserted *requests*; None if none asserted."""
-        if len(requests) != self.n:
-            raise ValueError(f"expected {self.n} request lines, got {len(requests)}")
-        for offset in range(self.n):
-            idx = (self._pointer + offset) % self.n
-            if requests[idx]:
-                if rotate:
-                    self._pointer = (idx + 1) % self.n
-                return idx
-        return None
+    def grant(self, requests: int, rotate: bool = True) -> Optional[int]:
+        """Grant the asserted line (bit ``i`` of *requests* is line ``i``)
+        first at or after the pointer, wrapping; None if none is."""
+        if requests >> self.n:
+            raise ValueError(f"request lines beyond {self.n}: {requests:#x}")
+        if not requests:
+            return None
+        pick = requests >> self._pointer << self._pointer or requests
+        idx = (pick & -pick).bit_length() - 1
+        if rotate:
+            self._pointer = (idx + 1) % self.n
+        return idx
 
     def grant_sole(self, idx: int) -> int:
         """Grant request line *idx*, the only one asserted: ``grant`` of
-        the one-hot vector, without building or scanning it."""
+        the one-hot mask, without looking at it."""
         self._pointer = (idx + 1) % self.n
         return idx
 

@@ -42,10 +42,10 @@ class Mesh:
         self._endpoints: Dict[int, object] = {}
 
     def bind_rvc_direct(self, nics: Sequence[object]) -> None:
-        """Bind every outport's reserved-VC question to the NIC of the
-        node it points at (*nics* is indexed by node id; each offers
-        ``rvc_eligible(sid, seq)``).  Until this runs the reserved VCs
-        admit nothing."""
+        """Bind every outport's reserved VC to the NIC of the node it
+        points at (*nics* is indexed by node id; each publishes ``esid``
+        and, when ordered, ``consumed_counts``).  Until this runs the
+        reserved VCs admit nothing."""
         for router in self.routers:
             router.bind_rvc_direct(nics)
 

@@ -29,12 +29,13 @@ attached to the downstream router.
 One lookahead per flit-hop
 --------------------------
 A hop's lookahead has one sender: :meth:`OutPort.send
-<repro.noc.vc.OutPort.send>` (ST) pushes it next to the flit it
-announces, due a cycle before it — from a router outport and from a
-NIC's injection lane alike; the bypass grant sends nothing.  A lone
-lookahead is the common case and runs table-driven:
-``_unicast_route[dst]`` / ``_bcast_route[inport]``, ``out[port]`` for
-both directions of a link, and a sole-requester rotation per arbiter.
+<repro.noc.vc.OutPort.send>` (ST) hands it over with the flit it
+announces, due a cycle before it, in one :meth:`Router.deliver_hop` —
+from a router outport and from a NIC's injection lane alike; the bypass
+grant sends nothing.  A lone lookahead is the common case and runs
+table-driven: ``_unicast_route[dst]`` / ``_bcast_route[inport]``,
+``out[port]`` for both directions of a link, and a sole-requester
+rotation per arbiter.
 
 The pinned outcomes come from a model that sent a bypassing flit's
 lookahead twice.  The extra copy named the same inport, so the other
@@ -51,13 +52,14 @@ Inbound channels (arrivals, lookaheads, credit returns) queue in
 :class:`~repro.sim.engine.EventWheel` buckets, so an awake router touches
 only the events due this cycle.  Buffered packets are arbitrated
 *wake-by-event*.  Every input VC is a *slot* — bit ``inport * stride +
-slot`` of the router-wide masks, ``stride`` VCs per port from the config
-— and SA-I scans only the slots in the *dirty* mask.  A scan that finds
-no requestable outport takes the slot out of the dirty mask and parks it
-under the one event that can lift each refusal:
+slot`` of the router-wide masks and index ``inport * stride + slot`` of
+the flat slot lists, ``stride`` VCs per port from the config — and SA-I
+scans only the slots in the *dirty* mask.  Request lines are int masks
+too.  A scan that finds no requestable outport takes the slot out of the
+dirty mask and parks it under the one event that can lift each refusal:
 
 * outport busy (``port_free_at``) or head not through BW yet
-  (``ready_cycle``) — the retry wheel, popped at that cycle;
+  (``_slot_ready``) — the retry wheel, popped at that cycle;
 * same SID still in flight on the outport — ``_sid_wait[port][sid]``,
   released when the SID tracker retires its last entry for that SID;
 * no free downstream VC — ``_vc_wait[vnet][port]``, released by a
@@ -65,10 +67,10 @@ under the one event that can lift each refusal:
   outrank normal buffered packets) have been served; packets sitting in
   a reserved VC outrank lookaheads and are released as the credit lands;
 * only the reserved VC could take it and the downstream NIC does not
-  admit it — ``_rvc_wait[port][sid]`` as well; when the rVC frees, or
-  that NIC reports *sid* as its new expected source
-  (:meth:`Router.note_order_progress`), the NIC is asked once per waiter
-  and only the admitted ones are woken.
+  expect it — ``out[port].rvc_wait[sid]`` as well; when the rVC frees,
+  or that NIC moves on to a SID parked there
+  (:meth:`Router.note_order_progress`), only the expected SID's entry is
+  read, and only its slots that still wait for *port* are woken.
 
 A parked slot's request line is provably False until one of its events
 fires (every refusal condition is monotonic between them), and an
@@ -96,7 +98,7 @@ from repro.noc.config import NocConfig
 from repro.noc.packet import Packet, VNet
 from repro.noc.routing import (DIRECTIONS, LOCAL, broadcast_route_table,
                                opposite, unicast_route_table)
-from repro.noc.vc import Lookahead, OutPort, VCBuffer
+from repro.noc.vc import FLIT_DELAY, LOOKAHEAD_DELAY, OutPort
 from repro.sim.engine import WAKE_NEVER, Clocked, EventWheel
 from repro.sim.stats import StatsRegistry
 
@@ -106,8 +108,13 @@ EJECT_DELAY = 1               # ST cycle -> packet visible at the NIC
 
 # All five router ports, built once: the per-cycle loops below run
 # hundreds of thousands of times per simulation.  Ports are small ints
-# (0..4), so per-port state lives in flat 5-element lists.
+# (0..4), so per-port state lives in flat 5-element lists and a set of
+# ports is a 5-bit mask; MASK_PORTS[mask] lists its ports in ascending
+# (set-iteration) order, PORT_MASK maps a route's frozenset to its mask.
 PORTS = (*DIRECTIONS, LOCAL)
+MASK_PORTS = tuple(tuple(port for port in PORTS if mask >> port & 1)
+                   for mask in range(1 << len(PORTS)))
+PORT_MASK = {frozenset(ports): mask for mask, ports in enumerate(MASK_PORTS)}
 
 # Why a parked slot was put back in front of SA-I (Router.wakeups index).
 WAKE_CAUSES = ("credit", "sid", "rvc", "order", "retry")
@@ -155,9 +162,14 @@ class Router(Clocked):
             for vnet in VNet]
         self._slot_link: List[Tuple[int, VNet, int]] = [
             (port, vnet, vc) for port in PORTS for vnet, vc in layout]
-        depth = [config.vc_depth(vnet) for vnet in VNet]
-        self._slot_vc: List[VCBuffer] = [
-            VCBuffer(depth[vnet]) for _port, vnet, _vc in self._slot_link]
+        # Per slot: its packet (None when free), the outports it has
+        # still to leave through (a port mask; the slot frees when the
+        # last is served), the earliest cycle its head may arbitrate.
+        n_slots = len(self._slot_link)
+        self._slot_packet: List[Optional[Packet]] = [None] * n_slots
+        self._slot_outports: List[int] = [0] * n_slots
+        self._slot_ready: List[int] = [-1] * n_slots
+        self._depth: List[int] = [config.vc_depth(vnet) for vnet in VNet]
         # Mask of the reserved-VC slots: the last of each port's.
         self._rvc_slots = sum(1 << (port * stride + stride - 1)
                               for port in PORTS) if rvc else 0
@@ -191,7 +203,6 @@ class Router(Clocked):
         self._retries = EventWheel()                 # due cycle -> slot masks
         self._vc_wait: List[Dict[int, int]] = [{}, {}]   # [vnet][port]
         self._sid_wait: List[Dict[int, int]] = [{} for _port in PORTS]
-        self._rvc_wait: List[Dict[int, int]] = [{} for _port in PORTS]
         # (vnet, port) of normal VCs freed this step; their waiters are
         # released once the step's lookaheads have had first pick.
         self._freed: List[Tuple[int, int]] = []
@@ -219,19 +230,19 @@ class Router(Clocked):
         self._la_arb[port] = RotatingPriorityArbiter(5)
 
     def bind_rvc_direct(self, nics) -> None:
-        """Bind each connected outport's rVC eligibility question to the
-        downstream node's NIC (*nics* is indexed by node id)."""
+        """Bind each connected outport's reserved VC to the downstream
+        node's NIC (*nics* is indexed by node id)."""
         for out in self.out:
             if out is not None:
-                out.admits = nics[out.node].rvc_eligible
+                out.far_nic = nics[out.node]
 
-    def rvc_watchers(self) -> List[Tuple["Router", int]]:
-        """(router, outport) pairs whose rVC eligibility questions this
-        node's NIC answers: this router's LOCAL outport plus every mesh
-        neighbour's outport pointing here.  The NIC pokes each via
-        :meth:`note_order_progress` when its ordering advances."""
-        return [(self, LOCAL)] + [
-            (out.endpoint, out.far_port)
+    def rvc_watchers(self) -> List[Tuple[OutPort, "Router", int]]:
+        """(outport, router, port) of every outport whose reserved VC
+        this node's NIC admits to — this router's LOCAL outport plus every
+        mesh neighbour's outport pointing here — for its pokes of
+        :meth:`note_order_progress`."""
+        return [(self.out[LOCAL], self, LOCAL)] + [
+            (out.endpoint.out[out.far_port], out.endpoint, out.far_port)
             for out in (self.out[port] for port in DIRECTIONS)
             if out is not None]
 
@@ -245,23 +256,26 @@ class Router(Clocked):
                             (arrive_cycle, packet, inport, vnet, vc_index))
         self.wake(arrive_cycle)
 
-    def deliver_lookahead(self, la: Lookahead, process_cycle: int) -> None:
-        """Senders emit lookaheads only when ``lookahead_bypass`` is on."""
-        self._lookaheads.push(process_cycle, (process_cycle, la))
-        self.wake(process_cycle)
+    def deliver_hop(self, cycle: int, packet: Packet, inport: int,
+                    vc_index: int, echo: bool = False) -> None:
+        """A flit and its lookahead sent (ST) at *cycle* into *inport*'s
+        VC *vc_index*: one wake, for the lookahead's cycle."""
+        arrive = cycle + FLIT_DELAY
+        self._arrivals.push(arrive,
+                            (arrive, packet, inport, packet.vnet, vc_index))
+        due = cycle + LOOKAHEAD_DELAY
+        self._lookaheads.push(due, (packet, inport, echo))
+        self.wake(due)
 
     def queue_credit_release(self, outport: int, vnet: VNet, vc: int,
                              flits: int, cycle: int) -> None:
         self._credit_returns.push(cycle, (cycle, outport, vnet, vc, flits))
         self.wake(cycle)
 
-    def note_order_progress(self, port: int, sid: int) -> None:
-        """The NIC downstream of *port* now expects *sid*: the only
-        ``rvc_eligible`` answers that can have flipped to True are that
-        source's.  Wake (and re-arbitrate next cycle) only if a slot
-        parked on it is admitted to a free reserved VC."""
-        if self.out[port].rvc_free and sid in self._rvc_wait[port] \
-                and self._admit_rvc_waiters(port, (sid,), WAKE_ORDER):
+    def note_order_progress(self, port: int) -> None:
+        """The NIC downstream of *port* now expects a SID parked on its
+        free reserved VC: wake (to arbitrate next cycle) if one is let in."""
+        if self._admit_rvc_waiters(port, WAKE_ORDER):
             self.wake()
 
     # ------------------------------------------------------------------
@@ -279,7 +293,8 @@ class Router(Clocked):
             slots = 0
             for retry in self._retries.pop_due(cycle):
                 slots |= retry
-            self._wake_slots(slots, WAKE_RETRY)
+            self._dirty |= slots               # _wake_slots, inlined
+            self.wakeups[WAKE_RETRY] += slots.bit_count()
         if self._dirty & self._rvc_slots:
             self._arbitrate_reserved(cycle)
         if self._lookaheads.min_due <= cycle:
@@ -310,30 +325,33 @@ class Router(Clocked):
         """Put *slots* back in front of SA-I."""
         if slots:
             self._dirty |= slots
-            self.wakeups[cause] += bin(slots).count("1")
+            self.wakeups[cause] += slots.bit_count()
 
-    def _admit_rvc_waiters(self, port: int, sids, cause: int) -> int:
-        """The reserved VC of *port* is free: ask the downstream NIC once
-        per slot parked there under one of *sids*; wake the admitted
-        ones (returned as a mask), keep the rest parked."""
-        waiting = self._rvc_wait[port]
-        admits = self.out[port].admits
-        admitted = 0
-        for sid in sids:
-            slots = waiting.pop(sid)
-            refused = 0
-            while slots:
-                bit = slots & -slots
-                slots ^= bit
-                packet = self._slot_vc[bit.bit_length() - 1].packet
-                if packet is None or packet.sid != sid:
-                    continue         # stale: the parked packet has left
-                if admits(sid, packet.seq):
-                    admitted |= bit
-                else:
-                    refused |= bit
-            if refused:
-                waiting[sid] = refused
+    def _admit_rvc_waiters(self, port: int, cause: int) -> int:
+        """The reserved VC of *port* is free: wake the slots parked on it
+        under the SID the downstream NIC expects that still wait for
+        *port* and hold the expected request (returned as a mask)."""
+        out = self.out[port]
+        sid = out.far_nic.esid
+        slots = out.rvc_wait.pop(sid, 0)
+        if not slots:
+            return 0
+        seq = out.far_nic.consumed_counts[sid]
+        admitted = refused = 0
+        while slots:
+            bit = slots & -slots
+            slots ^= bit
+            slot = bit.bit_length() - 1
+            packet = self._slot_packet[slot]
+            if packet is None or packet.sid != sid \
+                    or not self._slot_outports[slot] >> port & 1:
+                continue       # stale: the parked request has gone this way
+            if packet.seq == seq:
+                admitted |= bit
+            else:
+                refused |= bit
+        if refused:
+            out.rvc_wait[sid] = refused
         self._wake_slots(admitted, cause)
         return admitted
 
@@ -349,9 +367,8 @@ class Router(Clocked):
         if sid is not None:
             self._wake_slots(self._sid_wait[port].pop(sid, 0), WAKE_SID)
         if vnet == VNet.GO_REQ and vc == out.rvc:
-            if out.rvc_free:
-                self._admit_rvc_waiters(
-                    port, list(self._rvc_wait[port]), WAKE_RVC)
+            if out.rvc_free and out.far_nic.esid in out.rvc_wait:
+                self._admit_rvc_waiters(port, WAKE_RVC)
             return
         waiters = self._vc_wait[vnet]
         slots = waiters.get(port)
@@ -395,12 +412,22 @@ class Router(Clocked):
                     self.stats.incr("incf.copies_killed")
                     continue
                 slot = inport * self._stride + self._slot_of[vnet][vc_index]
-                vc = self._slot_vc[slot]
-                vc.accept(packet, outports, cycle, BUFFERED_PIPELINE_DELAY)
-                self._n_buffered += 1
+                held = self._slot_packet[slot]
+                if held is not None:
+                    raise RuntimeError(f"VC overrun by packet {packet.pid} "
+                                       f"(holds {held.pid})")
+                if packet.size_flits > self._depth[vnet]:
+                    raise RuntimeError(
+                        f"packet of {packet.size_flits} flits cannot fit VC "
+                        f"depth {self._depth[vnet]}")
+                self._slot_packet[slot] = packet
+                self._slot_outports[slot] = PORT_MASK[outports]
                 # First SA-I request once the head is through BW.
-                self._retries.push(vc.ready_cycle, 1 << slot)
-                self.stats.incr("noc.router.buffered")
+                ready = self._slot_ready[slot] = \
+                    cycle + BUFFERED_PIPELINE_DELAY
+                self._n_buffered += 1
+                self._retries.push(ready, 1 << slot)
+                self.stats.counters["noc.router.buffered"] += 1
                 journal = self.journal
                 if journal is not None:
                     journal.record(
@@ -418,7 +445,7 @@ class Router(Clocked):
         # credits right away.
         self.out[inport].return_credits(cycle, vnet, vc_index,
                                         packet.size_flits)
-        self.stats.incr("noc.router.bypassed")
+        self.stats.counters["noc.router.bypassed"] += 1
         journal = self.journal
         if journal is not None:
             journal.record(cycle, f"router.{self.node}", "ST", "bypassed",
@@ -427,7 +454,7 @@ class Router(Clocked):
     # -- routing --------------------------------------------------------
 
     def _route(self, packet: Packet, inport: int) -> FrozenSet[int]:
-        if packet.is_broadcast:
+        if packet.dst is None:                   # a broadcast
             outports = self._bcast_route[inport]
             if self.broadcast_filter is not None:
                 outports = self.broadcast_filter.prune(self.node, outports,
@@ -441,71 +468,76 @@ class Router(Clocked):
         # One slot at a time, in input-port order: each forward must see
         # the outports and credits the previous one took.
         pending = self._dirty & self._rvc_slots
+        slot_packet = self._slot_packet
         while pending:
             bit = pending & -pending
             pending ^= bit
-            for vc, ports, _bit in self._scan(cycle, bit).values():
-                for port in ports:
-                    if vc.packet is None:
+            for slot, ports in self._scan(cycle, bit).items():
+                for port in MASK_PORTS[ports]:
+                    if slot_packet[slot] is None:
                         break
-                    self._forward_through(cycle, vc, port, bit)
+                    self._forward_through(cycle, slot, port)
 
     # -- lookahead processing -------------------------------------------
 
     def _process_lookaheads(self, cycle: int) -> None:
-        routed: List[Tuple[Lookahead, FrozenSet[int]]] = []
+        routed: List[Tuple[tuple, FrozenSet[int]]] = []  # (la, outports)
         echoes = 0
-        for _cycle, la in self._lookaheads.pop_due(cycle):
-            outports = self._route(la.packet, la.inport)
-            if la.echo and self.broadcast_filter is not None:
+        for la in self._lookaheads.pop_due(cycle):
+            packet, inport, echo = la
+            outports = self._route(packet, inport)
+            if echo and self.broadcast_filter is not None:
                 # The second copy was routed too: INCF counts (and a
                 # FilterTable learns from) every evaluation.
-                outports = self._route(la.packet, la.inport)
+                outports = self._route(packet, inport)
             if not outports:
                 continue   # fully filtered: the arriving flit is dropped
             routed.append((la, outports))
-            echoes += la.echo
+            echoes += echo
         if echoes:
             # The senders' second copies (module docstring): same inport
             # as the first, so each lost to it and moved no arbiter.
             self.la_echoes += echoes
-            self.stats.incr("noc.la.lost_arbitration", echoes)
+            self.stats.counters["noc.la.lost_arbitration"] += echoes
         if len(routed) == 1:
             # Lone lookahead, the common case: it wins every arbiter it
             # requests, rotating each pointer past its inport.
-            la, outports = routed[0]
+            (packet, inport, _echo), outports = routed[0]
             for port in outports:
-                self._la_arb[port].grant_sole(la.inport)
-            if not self._grant_bypass(cycle, la, outports):
-                self.stats.incr("noc.la.denied")
+                self._la_arb[port].grant_sole(inport)
+            if not self._grant_bypass(cycle, packet, inport, outports):
+                self.stats.counters["noc.la.denied"] += 1
         elif routed:
             # Resolve conflicts per output port with rotating priority
             # over input ports; grants are all-or-nothing per lookahead
-            # (a partially-granted bypass is a failed bypass).
-            requests: Dict[int, Dict[int, Lookahead]] = {}
+            # (a partially-granted bypass is a failed bypass).  Of two on
+            # one inport (a NIC's two vnets) the later holds the line.
+            requests = [0] * 5
+            holder: Dict[Tuple[int, int], tuple] = {}
             for la, outports in routed:
+                inport = la[1]
                 for port in outports:
-                    requests.setdefault(port, {})[la.inport] = la
-            winners: Dict[int, Lookahead] = {}
-            for port, by_inport in requests.items():
-                lines = [False] * 5
-                for inport in by_inport:
-                    lines[inport] = True
-                winners[port] = by_inport[self._la_arb[port].grant(lines)]
+                    requests[port] |= 1 << inport
+                    holder[port, inport] = la
+            winners: List[Optional[tuple]] = [None] * 5
+            for port in PORTS:
+                if requests[port]:
+                    winners[port] = holder[
+                        port, self._la_arb[port].grant(requests[port])]
             for la, outports in routed:
                 if all(winners[port] is la for port in outports):
-                    if not self._grant_bypass(cycle, la, outports):
-                        self.stats.incr("noc.la.denied")
+                    if not self._grant_bypass(cycle, la[0], la[1],
+                                              outports):
+                        self.stats.counters["noc.la.denied"] += 1
                 else:
-                    self.stats.incr("noc.la.lost_arbitration")
+                    self.stats.counters["noc.la.lost_arbitration"] += 1
 
-    def _grant_bypass(self, cycle: int, la: Lookahead,
+    def _grant_bypass(self, cycle: int, packet: Packet, inport: int,
                       outports: FrozenSet[int]) -> bool:
-        """Pre-allocate every outport of *la* for its packet's ST next
-        cycle, or none: nothing is taken until each outport has passed —
-        free at that cycle, no same-SID packet in flight, a downstream VC
-        to select — so a refusal leaves no trace."""
-        packet = la.packet
+        """Pre-allocate every outport of *packet*'s lookahead for its ST
+        next cycle, or none: nothing is taken until each outport has
+        passed — free at that cycle, no same-SID packet in flight, a
+        downstream VC to select — so a refusal leaves no trace."""
         arrival = cycle + 1
         # The cheap refusals first, inline, before any select call.
         for port in outports:
@@ -524,8 +556,8 @@ class Router(Clocked):
             self.port_free_at[port] = arrival + packet.size_flits
         self._bypass_grants[packet.pid] = _BypassGrant(
             arrival_cycle=arrival, outports=outports,
-            granted_vcs=granted_vcs, inport=la.inport)
-        self.stats.incr("noc.la.granted")
+            granted_vcs=granted_vcs, inport=inport)
+        self.stats.counters["noc.la.granted"] += 1
         return True
 
     # -- buffered arbitration (normal VCs) -------------------------------
@@ -540,55 +572,51 @@ class Router(Clocked):
         if not eligible:
             return
         stride = self._stride
-        lines: List[Optional[List[bool]]] = [None] * 5
+        lines = 0
         for slot in eligible:
-            inport = slot // stride
-            if lines[inport] is None:
-                lines[inport] = [False] * stride
-            lines[inport][slot - inport * stride] = True
+            lines |= 1 << slot
+        port_lines = (1 << stride) - 1
 
         # SA-O: per output port, rotating priority over input ports.
-        candidates: List[Optional[Tuple[VCBuffer, List[int], int]]] = [None] * 5
-        req_lines: List[Optional[List[bool]]] = [None] * 5
+        candidates: List[int] = [0] * 5
+        requests = [0] * 5
         for inport in PORTS:
-            if lines[inport] is None:
+            line = lines >> inport * stride & port_lines
+            if not line:
                 continue
-            winner = self._sa_i[inport].grant(lines[inport])
-            cand = candidates[inport] = eligible[inport * stride + winner]
-            for port in cand[1]:
-                if req_lines[port] is None:
-                    req_lines[port] = [False] * 5
-                req_lines[port][inport] = True
+            slot = candidates[inport] = \
+                inport * stride + self._sa_i[inport].grant(line)
+            for port in MASK_PORTS[eligible[slot]]:
+                requests[port] |= 1 << inport
+        slot_packet = self._slot_packet
         for port in PORTS:
-            if req_lines[port] is None:
-                continue
-            winner = self._sa_o[port].grant(req_lines[port])
-            vc, _ports, bit = candidates[winner]
-            if vc.packet is None:
-                continue  # already fully forwarded through other ports
-            self._forward_through(cycle, vc, port, bit)
+            if requests[port]:
+                slot = candidates[self._sa_o[port].grant(requests[port])]
+                if slot_packet[slot] is not None:  # else fully forwarded
+                    self._forward_through(cycle, slot, port)
 
-    def _scan(self, cycle: int, pending: int,
-              ) -> Dict[int, Tuple[VCBuffer, List[int], int]]:
+    def _scan(self, cycle: int, pending: int) -> Dict[int, int]:
         """The SA-I request lines of the dirty slots in *pending*:
-        ``{slot: (vc, requestable pending outports, slot bit)}``.  A slot
+        ``{slot: mask of its requestable pending outports}``.  A slot
         with no requestable outport leaves the dirty mask, parked under
         the event that can lift each refusal."""
-        eligible: Dict[int, Tuple[VCBuffer, List[int], int]] = {}
-        slot_vc = self._slot_vc
+        eligible: Dict[int, int] = {}
+        slot_packet = self._slot_packet
+        slot_outports = self._slot_outports
+        slot_ready = self._slot_ready
         port_free_at = self.port_free_at
         outs = self.out
+        sid_wait, vc_wait = self._sid_wait, self._vc_wait
         has_rvc = self.config.reserved_vc
         scans = blocked = 0
         while pending:
             bit = pending & -pending
             pending ^= bit
             slot = bit.bit_length() - 1
-            vc = slot_vc[slot]
-            packet = vc.packet
-            if packet is None or vc.ready_cycle > cycle:
+            packet = slot_packet[slot]
+            if packet is None or slot_ready[slot] > cycle:
                 # Stale wake-up: the slot emptied, or holds a newer
-                # packet whose ready_cycle retry is already queued.
+                # packet whose ready-cycle retry is already queued.
                 self._dirty &= ~bit
                 continue
             scans += 1
@@ -596,10 +624,9 @@ class Router(Clocked):
             is_goreq = vnet == VNet.GO_REQ
             use_rvc = is_goreq and has_rvc
             sid = packet.sid
-            ports: List[int] = []
+            ports = same_sid = no_vc = 0     # port masks: go / refused
             retry = WAKE_NEVER
-            parked: List[Tuple[Dict[int, int], int]] = []  # (registry, key)
-            for port in vc.pending_outports:
+            for port in MASK_PORTS[slot_outports[slot]]:
                 free_at = port_free_at[port]
                 if free_at > cycle:
                     if free_at < retry:
@@ -607,31 +634,37 @@ class Router(Clocked):
                     continue
                 out = outs[port]
                 if is_goreq and sid in out.sid_count:
-                    parked.append((self._sid_wait[port], sid))
+                    same_sid |= 1 << port
                 elif out.free_mask[vnet] or (
                         use_rvc and out.rvc_free
-                        and out.admits(sid, packet.seq)):
-                    ports.append(port)
+                        and out.far_nic.esid == sid
+                        and out.far_nic.consumed_counts[sid] == packet.seq):
+                    ports |= 1 << port
                 else:
-                    parked.append((self._vc_wait[vnet], port))
-                    if use_rvc:
-                        parked.append((self._rvc_wait[port], sid))
+                    no_vc |= 1 << port
             if ports:
-                eligible[slot] = (vc, ports, bit)
+                eligible[slot] = ports
                 continue
             blocked += 1
             self._dirty &= ~bit
             if retry < WAKE_NEVER:
                 self._retries.push(retry, bit)
-            for registry, key in parked:
-                registry[key] = registry.get(key, 0) | bit
+            for port in MASK_PORTS[same_sid]:
+                waiting = sid_wait[port]
+                waiting[sid] = waiting.get(sid, 0) | bit
+            if no_vc:
+                waiting = vc_wait[vnet]
+                for port in MASK_PORTS[no_vc]:
+                    waiting[port] = waiting.get(port, 0) | bit
+                    if use_rvc:
+                        parked = outs[port].rvc_wait
+                        parked[sid] = parked.get(sid, 0) | bit
         self.scans += scans
         self.blocked_scans += blocked
         return eligible
 
-    def _forward_through(self, cycle: int, vc: VCBuffer, port: int,
-                         bit: int) -> None:
-        packet = vc.packet
+    def _forward_through(self, cycle: int, slot: int, port: int) -> None:
+        packet = self._slot_packet[slot]
         out = self.out[port]
         downstream_vc = out.select(packet)
         if downstream_vc is None:
@@ -639,12 +672,13 @@ class Router(Clocked):
         out.take(packet, downstream_vc)
         self.port_free_at[port] = cycle + packet.size_flits
         self._transmit(cycle, packet, port, packet.vnet, downstream_vc)
-        vc.pending_outports.discard(port)
-        if not vc.pending_outports:           # the last fork branch left
-            vc.packet = None
+        pending = self._slot_outports[slot] & ~(1 << port)
+        self._slot_outports[slot] = pending
+        if not pending:                       # the last fork branch left
+            self._slot_packet[slot] = None
             self._n_buffered -= 1
-            self._dirty &= ~bit
-            inport, vnet, index = self._slot_link[bit.bit_length() - 1]
+            self._dirty &= ~(1 << slot)
+            inport, vnet, index = self._slot_link[slot]
             self.out[inport].return_credits(cycle, vnet, index,
                                             packet.size_flits)
 
@@ -661,7 +695,7 @@ class Router(Clocked):
                 cycle + EJECT_DELAY + packet.size_flits - 1)
         else:
             self.out[port].send(cycle, packet, downstream_vc, echo)
-        self.stats.incr("noc.flits.transmitted", packet.size_flits)
+        self.stats.counters["noc.flits.transmitted"] += packet.size_flits
         journal = self.journal
         if journal is not None:
             journal.record(cycle, f"router.{self.node}", "ST", "transmit",
@@ -695,7 +729,7 @@ class Router(Clocked):
 
     def sid_invariant_holds(self) -> bool:
         """No two buffered GO-REQ packets at one input port share a SID."""
-        held = [(inport, buffer.packet.sid) for (inport, vnet, _vc), buffer
-                in zip(self._slot_link, self._slot_vc)
-                if vnet == VNet.GO_REQ and buffer.packet is not None]
+        held = [(inport, packet.sid) for (inport, vnet, _vc), packet
+                in zip(self._slot_link, self._slot_packet)
+                if vnet == VNet.GO_REQ and packet is not None]
         return len(held) == len(set(held))

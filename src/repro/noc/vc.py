@@ -1,4 +1,4 @@
-"""Virtual-channel buffers and the two ends of a link.
+"""The two ends of a link.
 
 The simulator moves whole packets between routers but accounts buffers and
 credits in flits, so a 3-flit UO-RESP data packet really occupies three
@@ -6,20 +6,20 @@ buffer slots and three cycles of link bandwidth.
 
 Every input port has the same VCs, laid out by
 :meth:`NocConfig.vc_count <repro.noc.config.NocConfig.vc_count>` /
-``vc_depth`` / ``reserved_vc_index``; a router keeps one
-:class:`VCBuffer` per input VC (its slot table).  The upstream sender
-assigns the downstream VC during its VC-selection stage, so a buffer
-never holds more than one packet at a time (VC depth equals the largest
-packet size of its virtual network).  Whoever feeds an input port — a
-router outport, a NIC's injection lane, a mesh tester — does so through
-one :class:`OutPort`, and the credits of a packet that leaves the port go
+``vc_depth`` / ``reserved_vc_index``; a router keeps one *slot* per input
+VC (its slot table: flat per-slot lists of the packet, its pending
+outports and its ready cycle).  The upstream sender assigns the
+downstream VC during its VC-selection stage, so a slot never holds more
+than one packet at a time (VC depth equals the largest packet size of its
+virtual network).  Whoever feeds an input port — a router outport, a
+NIC's injection lane, a mesh tester — does so through one
+:class:`OutPort`, and the credits of a packet that leaves the port go
 home through the same record (:meth:`OutPort.return_credits`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.noc.config import NocConfig
 from repro.noc.packet import Packet, VNet
@@ -30,50 +30,10 @@ LOOKAHEAD_DELAY = 1           # emission -> processed at the far end
 CREDIT_DELAY = 1              # departure -> credit processed by the sender
 
 
-@dataclass(slots=True)
-class VCBuffer:
-    """What one input VC holds: a packet (None when free), the outports
-    it has still to leave through (the router frees the VC when the last
-    one is served), and the earliest cycle its head may arbitrate.
-    *depth* is the layout's, for the oversize check."""
-
-    depth: int
-    packet: Optional[Packet] = None
-    pending_outports: Set[int] = field(default_factory=set)
-    ready_cycle: int = -1
-
-    def accept(self, packet: Packet, outports: FrozenSet[int], cycle: int,
-               pipeline_delay: int) -> None:
-        """Buffer *packet* (BW stage); it may arbitrate after the pipeline
-        delay (BW/SA-I then SA-O/VS for a 3-stage router)."""
-        if self.packet is not None:
-            raise RuntimeError(
-                f"VC overrun by packet {packet.pid} "
-                f"(holds {self.packet.pid})")
-        if packet.size_flits > self.depth:
-            raise RuntimeError(
-                f"packet of {packet.size_flits} flits cannot fit VC depth "
-                f"{self.depth}")
-        self.packet = packet
-        self.pending_outports = set(outports)
-        self.ready_cycle = cycle + pipeline_delay
-
-
-@dataclass(slots=True)
-class Lookahead:
-    """Control info sent one cycle ahead of a flit (free wiring: it reuses
-    the conventional header fields — Sec. 3.2)."""
-
-    packet: Packet
-    inport: int          # input port the packet will arrive on
-    echo: bool = False   # the sender bypassed the packet (router docstring)
-
-
-def rvc_unbound(_sid: int, _seq: int) -> bool:
-    """What an outport not yet bound to a NIC answers: the reserved VC
-    admits nothing.  A module-level function (not a lambda) so senders
-    stay picklable for checkpoints."""
-    return False
+class Unbound:
+    """The far NIC of an outport no router has bound: it expects nobody.
+    A class, so senders pickle it by reference."""
+    esid = None
 
 
 class OutPort:
@@ -94,6 +54,15 @@ class OutPort:
     not in the mask, holds all of its) are what the router's SA-I scan
     reads.  Only :meth:`take` and :meth:`give_back` move any of it.
 
+    The reserved VC admits only the request the far NIC (``far_nic``,
+    bound by a router) expects (Sec. 3.2).  A GO-REQ waiting for this
+    port has not reached that NIC, so its ``seq`` is never below the
+    NIC's consumed count for its source, and ``rvc_eligible`` reduces to
+    what :meth:`select` and the router's scan read inline from the NIC's
+    published state: ``esid == sid and consumed_counts[sid] == seq``.
+    ``rvc_wait`` (SID -> the owning router's slots parked on this rVC)
+    lets the NIC poke the router only for the SID it now expects.
+
     One record serves both directions of a link: flits leave through
     :meth:`send`, and the credits of a packet that left *this* end's
     input port go back to the far end through :meth:`return_credits`.
@@ -103,15 +72,14 @@ class OutPort:
                  node: int) -> None:
         # The far end: *endpoint* offers deliver_packet /
         # queue_credit_release — and, when lookaheads are on,
-        # deliver_lookahead — and sits at *node*; our flits arrive on its
+        # deliver_hop — and sits at *node*; our flits arrive on its
         # *far_port*.
         self.endpoint = endpoint
         self.far_port = far_port
         self.node = node
         self.lookaheads = config.lookahead_bypass
-        # The reserved-VC question ``fn(sid, seq)`` (deadlock avoidance):
-        # the far node's NIC's ``rvc_eligible`` once a router binds it.
-        self.admits: Callable[[int, int], bool] = rvc_unbound
+        self.far_nic = Unbound
+        self.rvc_wait: Dict[int, int] = {}        # sid -> slot mask
         self.rvc: Optional[int] = (config.reserved_vc_index()
                                    if config.reserved_vc else None)
         self.depth: List[int] = [config.vc_depth(vnet) for vnet in VNet]
@@ -129,8 +97,8 @@ class OutPort:
 
         A GO-REQ whose SID is still in flight here gets nothing; else
         the lowest free normal VC; else the reserved VC when it is free
-        and the far NIC admits the request (at or above the priority of
-        the one it expects — the deadlock-avoidance rule).
+        and the far NIC expects exactly this request (the
+        deadlock-avoidance rule; see the class docstring).
         """
         vnet = packet.vnet
         if vnet == VNet.GO_REQ and packet.sid in self.sid_count:
@@ -138,9 +106,10 @@ class OutPort:
         mask = self.free_mask[vnet]
         if mask:
             return (mask & -mask).bit_length() - 1
-        if vnet == VNet.GO_REQ and self.rvc_free \
-                and self.admits(packet.sid, packet.seq):
-            return self.rvc
+        if vnet == VNet.GO_REQ and self.rvc_free:
+            nic, sid = self.far_nic, packet.sid
+            if nic.esid == sid and nic.consumed_counts[sid] == packet.seq:
+                return self.rvc
         return None
 
     def take(self, packet: Packet, vc: int) -> None:
@@ -194,14 +163,14 @@ class OutPort:
 
     def send(self, cycle: int, packet: Packet, vc: int,
              echo: bool = False) -> None:
-        """ST: hand *packet* to the link and, one cycle ahead of it, the
-        hop's one lookahead (*echo*: the sender is a bypass transit)."""
-        endpoint, far_port = self.endpoint, self.far_port
+        """ST: hand *packet* to the link — with lookaheads on, together
+        with the hop's one lookahead, due a cycle ahead of it (*echo*:
+        the sender is a bypass transit) — in one call on the far end."""
         if self.lookaheads:
-            endpoint.deliver_lookahead(Lookahead(packet, far_port, echo),
-                                       cycle + LOOKAHEAD_DELAY)
-        endpoint.deliver_packet(packet, far_port, packet.vnet, vc,
-                                cycle + FLIT_DELAY)
+            self.endpoint.deliver_hop(cycle, packet, self.far_port, vc, echo)
+        else:
+            self.endpoint.deliver_packet(packet, self.far_port, packet.vnet,
+                                         vc, cycle + FLIT_DELAY)
 
     def return_credits(self, cycle: int, vnet: VNet, vc: int,
                        flits: int) -> None:

@@ -21,9 +21,8 @@ order; a node whose source answers 0 leaves the set.  A non-empty
 merged vector goes to every sink; an empty one only in the window right
 after a stop-bit window, whose delivery re-enables the NICs the stop
 bit disabled.  Otherwise no sink is called: an empty delivery to an
-enabled NIC that did not announce changes nothing.  So with nobody
-announced and no stop to clear, the network sleeps across whole
-windows; an announce wakes it for the next window start.
+enabled NIC that did not announce changes nothing.  The network sleeps
+from each window start to that window's end.
 """
 
 from __future__ import annotations
@@ -84,10 +83,6 @@ class NotificationNetwork(Clocked):
         window start on (this cycle's, if it is one and the network has
         not stepped yet), until it answers 0."""
         self._announced |= 1 << node
-        engine = self._q_engine
-        if engine is not None:
-            window = self.config.window
-            self.wake(-(-engine.cycle // window) * window)
 
     # -- stop bit -------------------------------------------------------
 
@@ -133,10 +128,7 @@ class NotificationNetwork(Clocked):
                 announced ^= low
         self._announced = announced
         self._merged = merged
-        if merged or self._stopped:
-            self.idle_until(cycle + window - 1)
-        else:
-            self.idle_until(None)    # until an announce
+        self.idle_until(cycle + window - 1)
 
     def commit(self, cycle: int) -> None:
         if cycle % self.config.window != self.config.window - 1:
@@ -155,7 +147,3 @@ class NotificationNetwork(Clocked):
                 journal.record(cycle, "notification", "window",
                                "delivered", f"vector={merged:#x}")
             self.stats.incr("notification.windows_nonempty")
-        # Asked after the sinks, which announce: stay up for the next
-        # window start only if it has a source to poll or a stop to clear.
-        if not (self._announced or self._stopped):
-            self.idle_until(None)

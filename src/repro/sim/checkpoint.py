@@ -48,7 +48,10 @@ from repro.noc.packet import packet_id_state, set_packet_id_state
 # retired benchmark-run spec class, which no longer unpickles).
 # 3: the notification network is one OR per window (no per-node latch
 # routers to unpickle; an announced-node set instead).
-CHECKPOINT_SCHEMA = 3
+# 4: a router's slots are flat lists (no per-slot objects), the
+# reserved-VC waiters sit on each OutPort, which reads the far NIC's
+# published ordering state instead of calling it.
+CHECKPOINT_SCHEMA = 4
 
 MAGIC = b"REPRO-CKPT\x00"
 _HEADER_KEYS = {"schema", "meta", "body_len", "body_crc32"}

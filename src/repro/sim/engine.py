@@ -196,7 +196,12 @@ class Clocked:
         """
         engine = self._q_engine
         if engine is not None:
-            engine._sleep(self._q_cell, cycle)
+            cell = self._q_cell
+            target = WAKE_NEVER if cycle is None else cycle
+            if engine._ticking:
+                engine._pending_sleeps.append((cell, target, cell[1]))
+            else:
+                cell[0] = target
 
     def wake(self, cycle: Optional[int] = None) -> None:
         """Ensure this component ticks again no later than *cycle*
@@ -366,17 +371,9 @@ class Engine:
         self._stop_requested = True
 
     # ------------------------------------------------------------------
-    # Quiescence plumbing (called via Clocked.idle_until / Clocked.wake)
+    # Quiescence plumbing (Clocked.idle_until / Clocked.wake act on the
+    # cells directly; a sleep declared mid-tick waits in _pending_sleeps)
     # ------------------------------------------------------------------
-
-    def _sleep(self, cell: Optional[list], cycle: Optional[int]) -> None:
-        if cell is None:
-            return
-        target = WAKE_NEVER if cycle is None else cycle
-        if self._ticking:
-            self._pending_sleeps.append((cell, target, cell[1]))
-        else:
-            cell[0] = target
 
     def wake(self, component: Clocked, cycle: Optional[int] = None) -> None:
         """Engine-issued wake: make *component* tick again no later than

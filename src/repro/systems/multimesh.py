@@ -35,7 +35,7 @@ class MultiMeshScorpioSystem(ScorpioSystem):
 
     def build_fabric(self) -> None:
         # Tick order: the routers of every mesh register (mesh-major)
-        # before any NIC, and every mesh's reserved VCs ask the one NIC
+        # before any NIC, and every mesh's reserved VCs read the one NIC
         # of the node they point at.
         noc = self.config.noc
         self.meshes.extend(Mesh(noc, self.engine, self.stats)

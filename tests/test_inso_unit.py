@@ -25,8 +25,7 @@ class TestSlotAssignment:
         nic = make_nic(node=2)
         nic.send_request(object())
         nic.send_request(object())
-        slots = [p.payload.slot for p in nic._inject_queues[list(
-            nic._inject_queues)[0]]]
+        slots = [p.payload.slot for p in nic._inject_queues[VNet.GO_REQ]]
         assert slots == [2, 11]
 
     def test_unicast_rejected(self):

@@ -97,8 +97,8 @@ class TestLanes:
                 if link is None:
                     continue
                 nic = system.nics[link.node]
-                assert link.admits.__self__ is nic
-                assert twin.out[port].admits.__self__ is nic
+                assert link.far_nic is nic
+                assert twin.out[port].far_nic is nic
                 asked += 1
         assert asked == 9 + 2 * 12      # LOCAL ports + both ends of 12 links
 

@@ -119,7 +119,7 @@ class TestRvcEligibility:
         # A copy of a request this NIC already consumed outranks anything
         # still pending here (it is bound for nodes further downstream).
         nic = make_nic(node=0)
-        nic._consumed_counts[4] = 1
+        nic.consumed_counts[4] = 1
         assert nic.rvc_eligible(sid=4, seq=0)
         assert not nic.rvc_eligible(sid=4, seq=1)
 

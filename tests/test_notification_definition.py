@@ -11,8 +11,7 @@ pair needs the full Manhattan diameter, so the reference really is hop
 by hop).  Then the network must deliver exactly that OR, at the window's
 last cycle, to every sink; poll only the announced sources, in node
 order; call no sink in an empty window; and, under the quiescent kernel,
-sleep (``WAKE_NEVER``) across an empty window until an ``announce``
-makes it due at the next window start.
+sleep from each window start to that window's end.
 """
 
 import random
@@ -21,7 +20,7 @@ import pytest
 
 from repro.noc.config import NotificationConfig
 from repro.notification.network import NotificationNetwork
-from repro.sim.engine import WAKE_NEVER, Engine
+from repro.sim.engine import Engine
 
 
 def closed_neighbourhood(node, width, height):
@@ -132,16 +131,10 @@ def test_or_mesh_follows_its_definition(width, height, bits, quiescence):
             assert delivered == []
         still_announced = {n for n in announced if vectors[n]}
         if quiescence:
-            if full:
-                assert net._q_cell[0] == last    # asleep to the delivery
-            else:
-                assert net._q_cell[0] == WAKE_NEVER
+            assert net._q_cell[0] == last        # asleep to the window end
         if index + 1 < len(windows):
-            # Inside the window, the next window's injectors announce:
-            # the network is due at the next window start at the latest.
+            # Inside the window, the next window's injectors announce.
             announce(windows[index + 1])
-            if quiescence:
-                assert net._q_cell[0] == (last if full else last + 1)
         engine.tick()             # the window-end cycle
         assert polled == sorted(announced)
         if full:
@@ -149,5 +142,3 @@ def test_or_mesh_follows_its_definition(width, height, bits, quiescence):
         else:
             assert delivered == []
     assert net.stats.counter("notification.windows_nonempty") == 4
-    if quiescence:
-        assert net._q_cell[0] == WAKE_NEVER

@@ -91,10 +91,8 @@ class TestMultiBitWindows:
 class TestStopWindowsAcrossKernels:
     def test_stopped_windows_are_kernel_invariant(self):
         # The window after a stop is delivered to every sink even when
-        # it is empty (it re-enables the stopped NICs); while the
-        # network sleeps across empty windows that must still happen, so
-        # a run full of stop windows pays out the same bytes under both
-        # kernels.
+        # it is empty (it re-enables the stopped NICs), so a run full of
+        # stop windows pays out the same bytes under both kernels.
         config = replace(ChipConfig.variant(3, 3),
                          notification=NotificationConfig(
                              window=13, tracker_queue_depth=1))

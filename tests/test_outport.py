@@ -8,7 +8,7 @@ Hypothesis state machine drives random ``select`` / ``take`` /
 case pins the hand-off for the two kinds of sender side by side.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import settings
@@ -34,8 +34,9 @@ some_flits = st.integers(1, 3)  # reduced to what the VC can hold
 
 class OutPortMachine(RuleBasedStateMachine):
     """Model: per VC its capacity and the flits in flight toward it, the
-    SID each GO-REQ VC carries, and the (sid, seq) pairs the far NIC
-    admits to the reserved VC."""
+    SID each GO-REQ VC carries, and the ordering state the far NIC
+    publishes (the machine is that NIC): the reserved VC admits exactly
+    the request it expects next."""
 
     @initialize(goreq=st.integers(1, 6), uoresp=st.integers(1, 3),
                 goreq_depth=st.integers(1, 2), reserved=st.booleans(),
@@ -46,18 +47,16 @@ class OutPortMachine(RuleBasedStateMachine):
                            reserved_vc=reserved)
         self.out = OutPort(config, None, LOCAL, 0)
         self.bound = bound
-        self.admitted = set()
+        self.esid = None
+        self.consumed_counts = defaultdict(int)
         if bound:
-            self.out.admits = self.rvc_eligible
+            self.out.far_nic = self
         self.normal = {GO_REQ: goreq, UO_RESP: uoresp}
         self.rvc = goreq if reserved else None
         self.capacity = {GO_REQ: goreq_depth, UO_RESP: self.out.depth[UO_RESP]}
         self.in_flight = {
             GO_REQ: [0] * (goreq + reserved), UO_RESP: [0] * uoresp}
         self.sid_at = {}
-
-    def rvc_eligible(self, sid, seq):
-        return (sid, seq) in self.admitted
 
     def packet(self, vnet, sid, seq, flits):
         return Packet(vnet=vnet, src=sid, dst=None, sid=sid, seq=seq,
@@ -72,7 +71,8 @@ class OutPortMachine(RuleBasedStateMachine):
                 return vc
         if vnet == GO_REQ and self.rvc is not None \
                 and self.in_flight[GO_REQ][self.rvc] == 0 \
-                and self.bound and (packet.sid, packet.seq) in self.admitted:
+                and self.bound and packet.sid == self.esid \
+                and packet.seq == self.consumed_counts[packet.sid]:
             return self.rvc
         return None
 
@@ -94,9 +94,12 @@ class OutPortMachine(RuleBasedStateMachine):
 
     # -- rules -----------------------------------------------------------
 
-    @rule(sid=sids, seq=seqs)
-    def toggle_admission(self, sid, seq):
-        self.admitted ^= {(sid, seq)}
+    @rule(sid=st.none() | sids, seq=seqs)
+    def expect(self, sid, seq):
+        """The far NIC now expects request *seq* of *sid* (or nothing)."""
+        self.esid = sid
+        if sid is not None:
+            self.consumed_counts[sid] = seq
 
     @rule(vnet=vnets, sid=sids, seq=seqs, flits=some_flits)
     def send_as_a_sender_does(self, vnet, sid, seq, flits):
@@ -189,8 +192,9 @@ class Sink:
         self.lookaheads = []
         self.flits = []
 
-    def deliver_lookahead(self, la, process_cycle):
-        self.lookaheads.append((la.packet.pid, la.inport, process_cycle))
+    def deliver_hop(self, cycle, packet, inport, vc_index, echo=False):
+        self.lookaheads.append((packet.pid, inport, cycle + 1))
+        self.flits.append((packet.pid, inport, cycle + 2))
 
     def deliver_packet(self, packet, inport, vnet, vc_index, arrive_cycle):
         self.flits.append((packet.pid, inport, arrive_cycle))

@@ -179,7 +179,7 @@ class TestArbiterProperties:
         # With every line asserted, n consecutive grants visit every
         # requester exactly once (no starvation, perfect rotation).
         arb = RotatingPriorityArbiter(n, start=start % n)
-        grants = [arb.grant([True] * n) for _ in range(rounds * n)]
+        grants = [arb.grant((1 << n) - 1) for _ in range(rounds * n)]
         for chunk_start in range(0, len(grants), n):
             chunk = grants[chunk_start:chunk_start + n]
             if len(chunk) == n:

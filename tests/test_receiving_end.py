@@ -37,7 +37,7 @@ class Sink:
         self.packets = []
         self.credits = []
 
-    def deliver_lookahead(self, la, process_cycle):
+    def deliver_hop(self, cycle, packet, inport, vc_index, echo=False):
         pass
 
     def deliver_packet(self, packet, inport, vnet, vc_index, arrive_cycle):
@@ -87,7 +87,7 @@ class TestSlotTable:
                 upstream = OutPort(config, router, port, router.node)
                 for slot in range(base, base + stride):
                     _port, vnet, vc = router._slot_link[slot]
-                    assert router._slot_vc[slot].depth \
+                    assert router._depth[vnet] \
                         == config.vc_depth(vnet) == upstream.depth[vnet]
                     if config.reserved_vc and vnet == GO_REQ \
                             and vc == config.reserved_vc_index():
@@ -109,8 +109,8 @@ class TestSlotTable:
                         sent[packet.pid] = (port, vnet, vc)
                         router.deliver_packet(packet, port, vnet, vc, 0)
             router.step(0)
-            held = {buffer.packet.pid: slot
-                    for slot, buffer in enumerate(router._slot_vc)}
+            held = {packet.pid: slot
+                    for slot, packet in enumerate(router._slot_packet)}
             assert len(held) == len(sent) == 5 * router._stride
             assert {pid: router._slot_link[slot]
                     for pid, slot in held.items()} == sent
@@ -141,8 +141,8 @@ class TestSlotTable:
 
             def watch(_cycle):
                 for router in system.mesh.routers:
-                    occupied = sum(buffer.packet is not None
-                                   for buffer in router._slot_vc)
+                    occupied = sum(packet is not None
+                                   for packet in router._slot_packet)
                     assert router.occupancy() == occupied
                     peak.append(occupied)
 

@@ -38,9 +38,6 @@ class StubEndpoint:
     def deliver_packet(self, packet, inport, vnet, vc_index, arrive_cycle):
         self._pending.append((arrive_cycle, packet, vnet, vc_index))
 
-    def deliver_lookahead(self, la, process_cycle):
-        pass
-
     def queue_credit_release(self, outport, vnet, vc, flits, cycle):
         self._credit_returns.append((cycle, vnet, vc, flits))
 
@@ -220,13 +217,13 @@ class TestOneLookaheadPerHop:
         routers = fabric.mesh.routers
         delivered = {node: [] for node in range(len(routers))}
         for node, router in enumerate(routers):
-            def record(la, process_cycle, router=router,
-                       real=router.deliver_lookahead):
-                real(la, process_cycle)
+            def record(cycle, packet, inport, vc_index, echo=False,
+                       router=router, real=router.deliver_hop):
+                real(cycle, packet, inport, vc_index, echo)
                 assert len(router._lookaheads) == 1     # alone in the wheel
                 delivered[router.node].append(
-                    (la.packet.pid, la.inport, la.echo, process_cycle))
-            router.deliver_lookahead = record
+                    (packet.pid, inport, echo, cycle + 1))
+            router.deliver_hop = record
         packet = unicast(0, 3)
         fabric.endpoints[0].inject(packet, cycle=0)
         fabric.run(20)
@@ -262,23 +259,25 @@ class TestOneLookaheadPerHop:
         real_process = Router._process_lookaheads
         real_grant = Router._grant_bypass
 
-        def grant(router, cycle, la, outports):
-            tried.add(id(la))
-            return real_grant(router, cycle, la, outports)
+        def grant(router, cycle, packet, inport, outports):
+            tried.add((packet.pid, inport))
+            return real_grant(router, cycle, packet, inport, outports)
 
         def process(router, cycle):
             routers.add(router)
-            due = [la for _cycle, la in router._lookaheads._buckets[cycle]]
+            # A lookahead is (packet, inport, echo).
+            due = list(router._lookaheads._buckets[cycle])
             tried.clear()
             real_process(router, cycle)
-            routes = {id(la): router._route(la.packet, la.inport)
-                      for la in due}
-            for la in due:
-                if id(la) not in tried:
-                    assert any(other.inport != la.inport
-                               and routes[id(other)] & routes[id(la)]
-                               for other in due)
-                    losers.append(la)
+            routes = {(packet.pid, inport): router._route(packet, inport)
+                      for packet, inport, _echo in due}
+            for packet, inport, _echo in due:
+                key = (packet.pid, inport)
+                if key not in tried:
+                    assert any(other[1] != inport
+                               and routes[other[0].pid, other[1]]
+                               & routes[key] for other in due)
+                    losers.append(key)
 
         monkeypatch.setattr(Router, "_grant_bypass", grant)
         monkeypatch.setattr(Router, "_process_lookaheads", process)

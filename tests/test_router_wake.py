@@ -13,6 +13,7 @@ meta-channel export.
 
 import copy
 import json
+from collections import defaultdict
 
 from repro.core.config import ChipConfig
 from repro.experiments import SystemSpec, execute_system_spec
@@ -21,8 +22,7 @@ from repro.experiments.sweep import SweepResult, snapshot_spec
 from repro.noc.config import NocConfig
 from repro.noc.packet import Packet, VNet
 from repro.noc.router import (PORTS, WAKE_CREDIT, WAKE_ORDER, WAKE_RETRY,
-                              WAKE_RVC, WAKE_SID, Lookahead, Router,
-                              _BypassGrant)
+                              WAKE_RVC, WAKE_SID, Router, _BypassGrant)
 from repro.noc.routing import EAST, LOCAL, NORTH, SOUTH, WEST
 from repro.sim.engine import forced_quiescence
 
@@ -40,8 +40,9 @@ class Sink:
     def deliver_packet(self, packet, inport, vnet, vc_index, arrive_cycle):
         self.packets.append((packet, vnet, vc_index))
 
-    def deliver_lookahead(self, la, process_cycle):
-        self.lookaheads.append((la.packet, la.inport, la.echo, process_cycle))
+    def deliver_hop(self, cycle, packet, inport, vc_index, echo=False):
+        self.lookaheads.append((packet, inport, echo, cycle + 1))
+        self.packets.append((packet, packet.vnet, vc_index))
 
     def queue_credit_release(self, outport, vnet, vc, flits, cycle):
         self.credits.append((vnet, vc, flits))
@@ -55,7 +56,10 @@ class Bench:
     def __init__(self, config=None, bound=True):
         self.config = config or NocConfig(width=3, height=3)
         self.node = self.config.width + 1
-        self.admitted = set()       # (sid, seq) the NICs admit to an rVC
+        # The ordering state the NICs publish: the expected SID and the
+        # requests consumed per source (see progress()).
+        self.esid = None
+        self.consumed_counts = defaultdict(int)
         self.router = Router(self.node, self.config)
         self.sinks = [Sink() for _port in PORTS]
         for port in PORTS:
@@ -73,8 +77,22 @@ class Bench:
     def _count_wake(self, cycle=None):
         self.wakes += 1
 
-    def rvc_eligible(self, sid, seq):
-        return (sid, seq) in self.admitted
+    def progress(self, sid, seq=0):
+        """The NICs move on to expect request *seq* of *sid* and poke the
+        router as OrderedNetworkInterface._note_order_progress does: on
+        every port with a slot parked under *sid* on a free reserved VC."""
+        self.esid = sid
+        self.consumed_counts[sid] = seq
+        for port in PORTS:
+            out = self.router.out[port]
+            if sid in out.rvc_wait and out.rvc_free:
+                self.router.note_order_progress(port)
+
+    def hop(self, packet, inport, vc_index=0, echo=False):
+        """An upstream ST one cycle ago: *packet*'s lookahead is due
+        this cycle, its flit the next."""
+        self.router.deliver_hop(self.cycle - 1, packet, inport, vc_index,
+                                echo)
 
     def bit(self, inport, slot):
         return 1 << (inport * self.stride + slot)
@@ -145,7 +163,7 @@ class TestCreditWakes:
                (b.goreq(3, b.node - 1), EAST, 0))
         r = b.router
         assert r._vc_wait[GO_REQ] == {EAST: a_bit | b_bit, WEST: c_bit}
-        assert r._rvc_wait[EAST] == {1: a_bit, 2: b_bit}
+        assert r.out[EAST].rvc_wait == {1: a_bit, 2: b_bit}
         assert r.wakeups[WAKE_RETRY] == 3        # the three first scans
 
         b.credit(EAST, GO_REQ, 0)
@@ -197,8 +215,7 @@ class TestCreditWakes:
         b.park((b.goreq(1, b.node + 1), WEST, 0))
         # Same cycle: VC 0 comes back and a lookahead asks for EAST.
         b.credit(EAST, GO_REQ, 0)
-        b.router.deliver_lookahead(
-            Lookahead(packet=b.goreq(2, b.node + 1), inport=NORTH), b.cycle)
+        b.hop(b.goreq(2, b.node + 1), NORTH)
         assert b.scans() == []
         assert b.router.stats.counter("noc.la.granted") == 1
         assert b.router.wakeups[WAKE_CREDIT] == 0
@@ -226,69 +243,96 @@ class TestSidWakes:
 
 class TestReservedVcWakes:
     def _parked_on_rvc(self, rvc_busy):
+        """Sid 1's second request (seq 1) and sid 2's first parked on
+        EAST's reserved VC."""
         b = Bench()
         b.exhaust(EAST, GO_REQ)
         if rvc_busy:
             b.occupy(EAST, GO_REQ, b.config.reserved_vc_index())
-        b.park((b.goreq(1, b.node + 1), WEST, 0),
+        b.park((b.goreq(1, b.node + 1, seq=1), WEST, 0),
                (b.goreq(2, b.node + 1), NORTH, 0))
         b.wakes = 0
         return b, b.bit(WEST, 0), b.bit(NORTH, 0)
 
     def test_order_progress_for_another_sid_wakes_nobody(self):
         b, _a_bit, _b_bit = self._parked_on_rvc(rvc_busy=False)
-        b.admitted.add((1, 0))
-        b.router.note_order_progress(EAST, 9)      # nobody parked on 9
-        b.router.note_order_progress(SOUTH, 1)     # nobody parked there
+        b.progress(9)                              # nobody parked on 9
+        b.consumed_counts[1] = 1
+        b.esid = 1
+        b.router.note_order_progress(SOUTH)        # nobody parked there
         assert b.router._dirty == 0 and b.wakes == 0
 
     def test_order_progress_wakes_the_admitted_waiter(self):
         b, a_bit, b_bit = self._parked_on_rvc(rvc_busy=False)
         r = b.router
-        r.note_order_progress(EAST, 1)             # NIC still says no
+        b.progress(1, seq=0)           # sid 1's first request, not ours
         assert r._dirty == 0 and b.wakes == 0
-        assert r._rvc_wait[EAST] == {1: a_bit, 2: b_bit}
+        assert r.out[EAST].rvc_wait == {1: a_bit, 2: b_bit}
 
-        b.admitted.add((1, 0))
-        r.note_order_progress(EAST, 1)
+        b.progress(1, seq=1)
         assert r._dirty == a_bit and b.wakes == 1
         assert r.wakeups[WAKE_ORDER] == 1
         assert b.scans() == [a_bit]
         assert b.sent(EAST) == [(1, b.config.reserved_vc_index())]
-        assert r._rvc_wait[EAST] == {2: b_bit}
+        assert r.out[EAST].rvc_wait == {2: b_bit}
 
     def test_order_progress_while_the_rvc_is_busy_waits_for_its_release(self):
         b, a_bit, b_bit = self._parked_on_rvc(rvc_busy=True)
-        b.admitted.add((1, 0))
-        b.router.note_order_progress(EAST, 1)
+        b.progress(1, seq=1)
         assert b.router._dirty == 0 and b.wakes == 0
 
     def test_rvc_release_wakes_only_whom_the_nic_admits(self):
         b, a_bit, b_bit = self._parked_on_rvc(rvc_busy=True)
         r = b.router
         rvc = b.config.reserved_vc_index()
-        b.admitted.add((2, 0))
+        b.progress(2)                  # the rVC is busy: nobody is poked
         b.credit(EAST, GO_REQ, rvc)
         assert b.scans() == [b_bit]
         assert r.wakeups[WAKE_RVC] == 1 and r.wakeups[WAKE_CREDIT] == 0
         assert b.sent(EAST) == [(2, rvc)]
-        assert r._rvc_wait[EAST] == {1: a_bit}
+        assert r.out[EAST].rvc_wait == {1: a_bit}
+
+    def test_a_slot_that_left_through_the_port_is_not_admitted(self):
+        """A broadcast parked on EAST's reserved VC that then leaves
+        through EAST on a normal VC keeps its registration; when the
+        rVC frees and the NIC expects that very request, nothing is
+        woken for it."""
+        b = Bench()
+        r = b.router
+        rvc = b.config.reserved_vc_index()
+        for port in (NORTH, EAST, SOUTH, LOCAL):  # every branch blocked
+            b.exhaust(port, GO_REQ)
+            b.occupy(port, GO_REQ, rvc)
+        broadcast = Packet(vnet=GO_REQ, src=1, dst=None, sid=1, seq=0,
+                           size_flits=1)
+        a_bit = b.bit(WEST, 0)
+        b.park((broadcast, WEST, 0))
+        assert r.out[EAST].rvc_wait == {1: a_bit}
+        b.credit(EAST, GO_REQ, 0)         # it leaves through EAST, VC 0
+        b.scans()
+        assert b.scans() == [a_bit]       # and parks again on the rest
+        assert (1, 0) in b.sent(EAST)
+        assert r._slot_outports[a_bit.bit_length() - 1] >> EAST & 1 == 0
+        assert r._dirty == 0 and r.out[EAST].rvc_wait == {1: a_bit}
+        b.progress(1)
+        b.credit(EAST, GO_REQ, rvc)
+        assert b.scans() == []
+        assert r.wakeups[WAKE_RVC] == 0
 
     def test_an_outport_with_no_bound_nic_never_selects_the_rvc(self):
         b = Bench(bound=False)
-        b.admitted.add((1, 0))          # nobody is there to be asked
         b.exhaust(EAST, GO_REQ)
         a_bit = b.bit(WEST, 0)
         b.park((b.goreq(1, b.node + 1), WEST, 0))
         b.wakes = 0
         r = b.router
-        assert r._rvc_wait[EAST] == {1: a_bit}
-        r.note_order_progress(EAST, 1)
+        assert r.out[EAST].rvc_wait == {1: a_bit}
+        b.progress(1)                   # nobody is there to be asked
         assert r._dirty == 0 and b.wakes == 0
         assert r.out[EAST].select(b.goreq(1, b.node + 1)) is None
         # The same packet goes the moment a NIC is bound and admits it.
         r.bind_rvc_direct({b.node: b})
-        r.note_order_progress(EAST, 1)
+        b.progress(1)
         assert b.scans() == [a_bit]
         assert b.sent(EAST) == [(1, b.config.reserved_vc_index())]
 
@@ -300,8 +344,7 @@ class TestReservedVcWakes:
         b.park((b.goreq(1, b.node + 1), WEST, rvc))
         assert b.router._rvc_slots & rvc_bit
         b.credit(EAST, GO_REQ, 0)
-        b.router.deliver_lookahead(
-            Lookahead(packet=b.goreq(2, b.node + 1), inport=NORTH), b.cycle)
+        b.hop(b.goreq(2, b.node + 1), NORTH)
         assert b.scans() == [rvc_bit]
         assert b.sent(EAST) == [(1, 0)]
         assert b.router.stats.counter("noc.la.granted") == 0
@@ -310,12 +353,12 @@ class TestReservedVcWakes:
 def _router_state(router):
     """Everything a bypass grant may move, as plain comparable data."""
     outs = [(out.credits, out.free_mask, out.rvc_free, out.sid_of_vc,
-             out.sid_count) for out in router.out]
+             out.sid_count, out.rvc_wait) for out in router.out]
     wheels = [(wheel._buckets, wheel.min_due) for wheel in
               (router._arrivals, router._lookaheads, router._credit_returns,
                router._retries)]
     return copy.deepcopy((outs, router._dirty, router._vc_wait,
-                          router._sid_wait, router._rvc_wait, router._freed,
+                          router._sid_wait, router._freed,
                           wheels, router.wakeups, router.port_free_at,
                           router._bypass_grants))
 
@@ -338,17 +381,17 @@ class TestRefusedBypass:
         # asks for SOUTH and LOCAL.
         b.credit(SOUTH, GO_REQ, 0)
         broadcast = Packet(vnet=GO_REQ, src=2, dst=None, sid=2, size_flits=1)
-        r.deliver_lookahead(Lookahead(broadcast, NORTH), b.cycle)
+        b.hop(broadcast, NORTH)
 
         grants, returned = [], []
         real_grant = r._grant_bypass
 
-        def spy(cycle, la, outports):
+        def spy(cycle, packet, inport, outports):
             r._release_credit = lambda *args: returned.append(args)
             for out in r.out:
                 out.give_back = lambda *args: returned.append(args)
             before = _router_state(r)
-            granted = real_grant(cycle, la, outports)
+            granted = real_grant(cycle, packet, inport, outports)
             del r._release_credit
             for out in r.out:
                 del out.give_back
@@ -371,8 +414,7 @@ class TestOneLookaheadPerHop:
     def test_the_grant_sends_nothing_and_the_transit_one_echo(self):
         b = Bench()
         packet = b.goreq(2, b.node + 1)
-        b.router.deliver_lookahead(Lookahead(packet, NORTH), b.cycle)
-        b.router.deliver_packet(packet, NORTH, GO_REQ, 0, b.cycle + 1)
+        b.hop(packet, NORTH)
         b.scans()
         assert b.router.stats.counter("noc.la.granted") == 1
         assert b.sinks[EAST].lookaheads == []
@@ -392,17 +434,25 @@ class TestOneLookaheadPerHop:
     def test_an_echo_books_one_lost_arbitration_tick(self):
         b = Bench()
         stats = b.router.stats
-        b.router.deliver_lookahead(
-            Lookahead(b.goreq(2, b.node + 1), NORTH), b.cycle)
+        b.hop(b.goreq(2, b.node + 1), NORTH)
         b.scans()
         assert stats.counter("noc.la.granted") == 1
         assert "noc.la.lost_arbitration" not in stats.snapshot()
-        b.router.deliver_lookahead(
-            Lookahead(b.goreq(3, b.node - 1), NORTH, echo=True), b.cycle)
+        b.hop(b.goreq(3, b.node - 1), NORTH, vc_index=1, echo=True)
         b.scans()
         assert stats.counter("noc.la.granted") == 2     # it still wins
         assert stats.counter("noc.la.lost_arbitration") == 1
         assert b.router.kernel_counters()["la_echoes"] == 1
+
+    def test_one_call_queues_both_halves_of_a_hop_and_wakes_once(self):
+        b = Bench()
+        packet = b.goreq(2, b.node + 1)
+        b.router.deliver_hop(10, packet, NORTH, 1)
+        assert b.wakes == 1
+        r = b.router
+        assert (r._lookaheads.min_due, r._arrivals.min_due) == (11, 12)
+        assert r._lookaheads.pop_due(11) == [(packet, NORTH, False)]
+        assert r._arrivals.pop_due(12) == [(12, packet, NORTH, GO_REQ, 1)]
 
 
 class TestSlotKeyWidth:
@@ -462,7 +512,8 @@ def _router_meta(system):
 
 def _parked(router):
     return any(any(registry) for registry in
-               (router._vc_wait, router._sid_wait, router._rvc_wait))
+               (router._vc_wait, router._sid_wait,
+                [out.rvc_wait for out in router.out if out is not None]))
 
 
 def test_snapshot_with_parked_slots_restores_identically(tmp_path):

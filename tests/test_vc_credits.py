@@ -20,7 +20,7 @@ class Sink:
     def __init__(self):
         self.credits = []
 
-    def deliver_lookahead(self, la, process_cycle):
+    def deliver_hop(self, cycle, packet, inport, vc_index, echo=False):
         pass
 
     def deliver_packet(self, packet, inport, vnet, vc_index, arrive_cycle):
@@ -48,9 +48,9 @@ def make_out(goreq_vcs=4, goreq_depth=1):
 
 
 class TestVCBuffer:
-    """A slot of the router's table: it holds one packet until the last
-    outport it forks to is served, and refuses an overrun or a packet
-    larger than its depth."""
+    """A slot of the router's table (its entries in the flat slot
+    lists): it holds one packet until the last outport it forks to is
+    served, and refuses an overrun or a packet larger than its depth."""
 
     def test_accept_and_drain(self):
         router, sinks = make_router(NocConfig(width=3, height=3), node=4)
@@ -59,16 +59,16 @@ class TestVCBuffer:
         packet = make_packet()                        # a broadcast
         router.deliver_packet(packet, LOCAL, VNet.GO_REQ, 0, 10)
         router.step(10)
-        slot = router._slot_vc[LOCAL * router._stride]
-        assert slot.packet is packet
-        assert slot.ready_cycle == 12
+        slot = LOCAL * router._stride
+        assert router._slot_packet[slot] is packet
+        assert router._slot_ready[slot] == 12
         router.step(12)                               # N, S, W served
-        assert slot.packet is packet
-        assert slot.pending_outports == {EAST}
+        assert router._slot_packet[slot] is packet
+        assert router._slot_outports[slot] == 1 << EAST
         assert sinks[LOCAL].credits == []
         router.queue_credit_release(EAST, VNet.GO_REQ, 0, 1, 13)
         router.step(13)
-        assert slot.packet is None
+        assert router._slot_packet[slot] is None
         assert router.occupancy() == 0
         assert sinks[LOCAL].credits == [(LOCAL, VNet.GO_REQ, 0, 1, 14)]
 
@@ -81,7 +81,9 @@ class TestVCBuffer:
 
     def test_oversize_packet_raises(self):
         router, _sinks = make_router(NocConfig(width=3, height=3), node=4)
-        assert router._slot_vc[router._stride + 4].depth == 3   # EAST UO 0
+        assert router._slot_link[router._stride + 4] == (EAST, VNet.UO_RESP,
+                                                         0)
+        assert router._depth[VNet.UO_RESP] == 3
         router.deliver_packet(make_packet(size=5, vnet=VNet.UO_RESP), EAST,
                               VNet.UO_RESP, 0, 0)
         with pytest.raises(RuntimeError, match="cannot fit"):
@@ -107,8 +109,7 @@ class TestInputPort:
                 == 1 << (stride - 1)
             assert [vc for p, vnet, vc in link
                     if vnet == VNet.UO_RESP] == [0, 1]
-            assert [buffer.depth for buffer in
-                    router._slot_vc[base:base + stride]] \
+            assert [router._depth[vnet] for _p, vnet, _vc in link] \
                 == [1, 1, 1, 1, 3, 3, 1]
 
     def test_occupancy_count(self):
