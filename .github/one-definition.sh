@@ -54,9 +54,12 @@ retired=(
     'NotificationRouter'                       # one OR per window
     'VCBuffer|_slot_vc|deliver_lookahead|_tracker_expansion|_consumed_counts'
                                                # flat slots, one call a hop
+    'peek_esid|_now'                           # one published ESID
 )
 forbid "retired name" "\b($(IFS='|'; echo "${retired[*]}"))\b" \
     src tests benchmarks examples
+# (A call, so outside the word-bounded list: "outstanding" is prose.)
+forbid "retired name" '\boutstanding\(' src tests benchmarks examples
 
 # PR 18 - one system assembly: BaseSystem is the only place a system is
 # put together (NICs come from make_nic overrides), and the snoopy L2
@@ -128,6 +131,20 @@ only_in "OutPort built outside router/tester/NIC" \
     "src/repro/nic/controller.py
 src/repro/noc/router.py
 src/repro/noc/tester.py"
+
+# One published ESID: the tracker decodes a vector when the order moves
+# (a push or a consume), so reading the order never moves it.  The
+# ordered NIC's _note_order_progress is the one caller of current_esid
+# and the one writer of esid; every other reader reads esid.
+only_in "ESID asked outside the tracker and the NIC" 'current_esid\(' \
+    "src/repro/notification/tracker.py
+src/repro/nic/controller.py"
+[ "$(grep -c 'current_esid(' src/repro/nic/controller.py)" -eq 1 ] \
+    || fail "more than one current_esid call in the NIC"
+found=$(grep -rnE --include='*.py' '\.esid *(:[^=]*)?=[^=]' src/repro)
+[ "$(echo "$found" | grep -c .)" -eq 1 ] \
+    && [ "${found%%:*}" = src/repro/nic/controller.py ] \
+    || fail "esid written in more than one place: $found"
 
 # PR 27 - every run through the one pipeline: execute_point is the only
 # run loop under src/repro (run_until_done stays a method, called by no

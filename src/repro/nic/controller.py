@@ -23,8 +23,12 @@ chip; plain callbacks here) and the networks.  It is *delivery* plus one
   pending count (its field of the bit-vector); at window ends it
   receives the merged vector — a full tracker queue raises the "stop"
   bit, which makes every node discard that window and re-send later.
-  GO-REQ packets are held until their SID matches the ESID derived from
-  the notification tracker, enforcing the global order.
+  GO-REQ packets are held until their SID matches the ESID, enforcing
+  the global order.  The tracker decodes a vector when the order moves
+  (a push or a consume), and the NIC publishes the result as
+  :attr:`~OrderedNetworkInterface.esid` right then; everything that
+  needs the expected SID (delivery, the sleep rule, ``idle()``, the
+  reserved VCs pointing here, the invariant monitor) reads that field.
 
 A discipline overrides three seams and nothing else on the request path:
 ``send_request`` wraps the payload and calls :meth:`_enqueue_request`
@@ -63,8 +67,10 @@ class NetworkInterface(Clocked):
     # path at one load-and-compare per hook site.
     journal = None
 
-    # The expected SID that the reserved VCs pointing here read: none,
-    # so they admit nothing.
+    # The expected SID.  The ordering discipline publishes it after every
+    # tracker push and consume, and everything that needs it reads this
+    # field.  None here (no global order), so the reserved VCs pointing
+    # here admit nothing.
     esid: Optional[int] = None
 
     def __init__(self, node: int, noc_config: NocConfig,
@@ -104,16 +110,10 @@ class NetworkInterface(Clocked):
         self.service_interval = 1 if noc_config.nic_pipelined else 4
         self._next_service_cycle = 0
 
-    # Last cycle this NIC stepped; only the timestamp/uncorq variants
-    # refresh it, as input to _clock().
-    _now = 0
-
     def _clock(self) -> int:
-        """The current cycle, valid even while this NIC is quiescent
-        (``_now`` is only refreshed by ``step``, which a sleeping NIC
-        skips; falls back to it when no quiescence engine is attached)."""
-        engine = self._q_engine
-        return engine.cycle if engine is not None else self._now
+        """The current cycle, read from the engine (valid even while this
+        NIC sleeps, and under either kernel)."""
+        return self._q_engine.cycle
 
     # ------------------------------------------------------------------
     # Wiring
@@ -377,11 +377,7 @@ class NetworkInterface(Clocked):
     # ------------------------------------------------------------------
 
     def idle(self) -> bool:
-        return (not self._arrivals and not self._credit_returns
-                and not self._req_fifo
-                and not self._resp_queue
-                and not self._inject_queues[0]
-                and not self._inject_queues[1])
+        return self._quiet()
 
 
 class OrderedNetworkInterface(NetworkInterface):
@@ -402,11 +398,9 @@ class OrderedNetworkInterface(NetworkInterface):
         self._enabled = True             # cleared by a merged stop bit
         # Arrived GO-REQs waiting for the ESID, by SID.
         self._held_goreq: Dict[int, Tuple[Packet, int, int]] = {}
-        # Read inline by the reserved VCs pointing here: consumed
-        # requests per sid (sids are node ids) and the expected SID,
-        # refreshed on every ordering advance while the rVC is in play.
+        # Consumed requests per sid (sids are node ids), read inline by
+        # the reserved VCs pointing here together with ``esid``.
         self.consumed_counts: List[int] = [0] * noc_config.n_nodes
-        self.esid: Optional[int] = None
         # (outport, router, port) of every such rVC (ours + the mesh
         # neighbours', on every mesh), filled by attach_router.
         self._rvc_watchers: List[Tuple[OutPort, Router, int]] = []
@@ -437,9 +431,6 @@ class OrderedNetworkInterface(NetworkInterface):
         if self.announce is not None:
             self.announce()
 
-    def current_esid(self) -> Optional[int]:
-        return self.tracker.current_esid()
-
     def rvc_eligible(self, sid: int, seq: int) -> bool:
         """May the *seq*-th request from *sid* occupy the reserved VC of a
         port pointing at this node?
@@ -457,14 +448,11 @@ class OrderedNetworkInterface(NetworkInterface):
         consumed = self.consumed_counts[sid]
         if seq < consumed:
             return seq >= 0
-        return seq == consumed and self.tracker.current_esid() == sid
+        return seq == consumed and self.esid == sid
 
     def _note_order_progress(self) -> None:
         """Ordering advanced (tracker push or ESID consume): publish the
-        expected SID (refilling the tracker: its expansion is empty only
-        with its queue) and poke the routers with it parked on a free rVC."""
-        if not self._rvc_watchers:
-            return
+        expected SID and poke the routers with it parked on a free rVC."""
         sid = self.esid = self.tracker.current_esid()
         if sid is not None:
             for out, router, port in self._rvc_watchers:
@@ -537,9 +525,7 @@ class OrderedNetworkInterface(NetworkInterface):
             return _STAY_AWAKE       # drained per cycle / per-cycle stats
         wake_at = None
         if self._held_goreq:
-            # ``current_esid`` refills the tracker lazily, moving its
-            # ``queue_full`` (the stop bit): asked only past the above.
-            esid = self.tracker.current_esid()
+            esid = self.esid
             if esid is not None and esid in self._held_goreq:
                 if cycle + 1 >= self._next_service_cycle:
                     # Deliverable (or gate-blocked, which counts a stall
@@ -566,7 +552,7 @@ class OrderedNetworkInterface(NetworkInterface):
 
     def _deliver_ordered(self, cycle: int) -> None:
         """Release the request the ESID expects, if it is here."""
-        esid = self.tracker.current_esid()
+        esid = self.esid
         if esid is None or esid not in self._held_goreq:
             return
         if not self._gate_open():
@@ -582,8 +568,5 @@ class OrderedNetworkInterface(NetworkInterface):
         histograms["nic.ordering_wait"].add(cycle - arrive_cycle)
 
     def idle(self) -> bool:
-        # ``outstanding``, not ``current_esid``: asking must not refill
-        # the tracker, which would move its ``queue_full`` (the stop bit).
-        return (super().idle() and not self._held_goreq
-                and self.pending_notifications == 0
-                and not self.tracker.outstanding())
+        return (self._quiet() and self.pending_notifications == 0
+                and self.esid is None)

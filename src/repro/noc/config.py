@@ -85,6 +85,8 @@ class NotificationConfig(SerializableConfig):
     bits_per_core: int = 1
     window: int = 13
     max_pending: int = 4         # max pending notification messages per NIC
+    # Merged vectors a tracker holds behind the one it is serving; a
+    # full queue raises the stop bit.
     tracker_queue_depth: int = 4
 
     def __post_init__(self) -> None:

@@ -42,7 +42,16 @@ def _expand(vector: int, pointer: int, n_cores: int,
 
 
 class NotificationTracker:
-    """Queue of merged vectors + the current ESID expansion."""
+    """Queue of merged vectors + the current ESID expansion.
+
+    A vector is decoded when the order moves, never when someone asks:
+    :meth:`push` decodes it at once if nothing is being served, and
+    :meth:`consume_esid` decodes the next queued one as the last slot of
+    the current expansion goes.  So the expansion is empty only when the
+    queue is too, :meth:`current_esid` is a pure read of its head, and
+    :attr:`queue_full` (the stop bit) counts the vectors waiting behind
+    the one being served.
+    """
 
     def __init__(self, n_cores: int, bits_per_core: int,
                  queue_depth: int) -> None:
@@ -70,36 +79,23 @@ class NotificationTracker:
             raise RuntimeError("notification tracker queue overrun; the "
                                "stop bit should have prevented this")
         self._queue.append(vector)
+        self._refill()
 
     # -- ESID side ------------------------------------------------------
 
     def current_esid(self) -> Optional[int]:
         """The SID of the next request every node must process, if known."""
         expansion = self._expansion
-        if expansion:
-            # Hot path (reserved-VC eligibility asks this constantly):
-            # a non-empty expansion never needs a refill.
-            return expansion[0]
-        self._refill()
         return expansion[0] if expansion else None
-
-    def peek_esid(self) -> Optional[int]:
-        """:meth:`current_esid` without its refill: the same answer,
-        and the tracker left as it was (for observers)."""
-        if self._expansion:
-            return self._expansion[0]
-        if not self._queue:
-            return None
-        return _expand(self._queue[0], self._pointer, self.n_cores,
-                       self.bits_per_core)[0]
 
     def consume_esid(self) -> int:
         """The expected request was forwarded to the cache controller."""
-        self._refill()
         if not self._expansion:
             raise RuntimeError("no ESID outstanding")
         self.consumed += 1
-        return self._expansion.popleft()
+        sid = self._expansion.popleft()
+        self._refill()
+        return sid
 
     def _refill(self) -> None:
         while not self._expansion and self._queue:
@@ -113,11 +109,3 @@ class NotificationTracker:
     @property
     def pointer(self) -> int:
         return self._pointer
-
-    def outstanding(self) -> int:
-        """Total ordered-but-unserviced request slots known so far."""
-        pending = len(self._expansion)
-        for vector in self._queue:
-            pending += len(_expand(vector, self._pointer, self.n_cores,
-                                   self.bits_per_core))
-        return pending

@@ -74,7 +74,6 @@ class TimestampNetworkInterface(NetworkInterface):
         self.slack = slack
         self.n_nodes = noc_config.n_nodes
         self._seq = 0
-        self._now = 0
         # Destination reorder buffer: (ot, sid, seq) -> (packet, arrival).
         self._reorder: Dict[Tuple[int, int, int], Tuple[Packet, int]] = {}
         self._reorder_peak = 0
@@ -137,13 +136,6 @@ class TimestampNetworkInterface(NetworkInterface):
             return _STAY_AWAKE
         return super()._sleep_target(cycle)
 
-    def step(self, cycle: int) -> None:
-        self._now = cycle
-        super().step(cycle)
-
     def reorder_peak(self) -> int:
         """Largest number of requests simultaneously held for reordering."""
         return self._reorder_peak
-
-    def idle(self) -> bool:
-        return super().idle() and not self._reorder

@@ -248,9 +248,5 @@ class UncorqNetworkInterface(NetworkInterface):
         return super()._sleep_target(cycle)
 
     def step(self, cycle: int) -> None:
-        self._now = cycle
         self._release_ring_completions(cycle)
         super().step(cycle)
-
-    def idle(self) -> bool:
-        return super().idle() and not self._held_responses

@@ -51,7 +51,10 @@ from repro.noc.packet import packet_id_state, set_packet_id_state
 # 4: a router's slots are flat lists (no per-slot objects), the
 # reserved-VC waiters sit on each OutPort, which reads the far NIC's
 # published ordering state instead of calling it.
-CHECKPOINT_SCHEMA = 4
+# 5: a tracker's expansion is empty only with its queue (schema 4 could
+# hold a queued vector not yet decoded, and no published ESID with the
+# reserved VC off); the timestamp NIC has no step-cycle copy.
+CHECKPOINT_SCHEMA = 5
 
 MAGIC = b"REPRO-CKPT\x00"
 _HEADER_KEYS = {"schema", "meta", "body_len", "body_crc32"}

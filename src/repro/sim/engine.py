@@ -171,9 +171,9 @@ class Clocked:
     next-state into state).  Either may be a no-op.
     """
 
-    # Installed by Engine.register; None while unregistered (or when the
-    # engine runs with quiescence disabled), making the sleep/wake
-    # protocol a no-op.
+    # Installed by Engine.register: the engine under either kernel, the
+    # sleep cell only when it runs with quiescence.  A None cell (also
+    # while unregistered) makes the sleep/wake protocol a no-op.
     _q_cell: Optional[list] = None
     _q_engine: Optional["Engine"] = None
 
@@ -194,9 +194,9 @@ class Clocked:
         *after* the tick (the same cycle's commit still runs), and is
         discarded if a wake arrives later in the same tick.
         """
-        engine = self._q_engine
-        if engine is not None:
-            cell = self._q_cell
+        cell = self._q_cell
+        if cell is not None:
+            engine = self._q_engine
             target = WAKE_NEVER if cycle is None else cycle
             if engine._ticking:
                 engine._pending_sleeps.append((cell, target, cell[1]))
@@ -299,9 +299,9 @@ class Engine:
             return component
         cell = [0, 0]          # [wake_cycle, wake_serial]; 0 = awake
         self._cells.append(cell)
+        component._q_engine = self
         if self.quiescence:
             component._q_cell = cell
-            component._q_engine = self
         if has_step:
             self._step_entries.append((cell, component.step))
         if has_commit:
@@ -315,21 +315,21 @@ class Engine:
         Called after a checkpoint restore: the mode is a property of the
         *running process* (environment / :func:`forced_quiescence`),
         never of the snapshot, so a snapshot taken under either mode
-        restores correctly under either.  Enabling attaches the cells so
-        components lazily re-declare sleep; disabling detaches them and
-        wakes every cell so the plain always-tick loop resumes.
+        restores correctly under either.  Every component is linked to
+        this engine; enabling attaches the cells so components lazily
+        re-declare sleep; disabling detaches them and wakes every cell so
+        the plain always-tick loop resumes.
         """
         self.quiescence = default_quiescence() if enabled is None \
             else bool(enabled)
         for entries in (self._step_entries, self._commit_entries):
             for cell, method in entries:
                 component = method.__self__
+                component._q_engine = self
                 if self.quiescence:
                     component._q_cell = cell
-                    component._q_engine = self
                 else:
                     component._q_cell = None
-                    component._q_engine = None
                     cell[1] += 1
                     cell[0] = 0
 

@@ -141,13 +141,10 @@ class SystemMonitor(Clocked):
             return
         by_position: Dict[int, int] = {}
         for nic in nics:
-            tracker = getattr(nic, "tracker", None)
-            if tracker is None or not hasattr(tracker, "consumed"):
-                continue
-            esid = tracker.peek_esid()
+            esid = getattr(nic, "esid", None)
             if esid is None:
                 continue
-            position = tracker.consumed
+            position = nic.tracker.consumed
             seen = by_position.setdefault(position, esid)
             if seen != esid:
                 self._fail(f"cycle {cycle}: global-order position "

@@ -159,10 +159,11 @@ def test_missing_header_key(tmp_path):
 def test_wrong_schema_version(tmp_path):
     """A newer file, a schema-1 file (whose spec may be a class that no
     longer exists), a schema-2 file (whose notification network holds
-    latch routers) and a schema-3 file (whose routers hold one buffer
-    object per slot) are refused before the body is unpickled."""
+    latch routers), a schema-3 file (whose routers hold one buffer
+    object per slot) and a schema-4 file (whose trackers may hold a
+    vector not yet decoded) are refused before the body is unpickled."""
     path = _valid_file(tmp_path)
-    for schema in (CHECKPOINT_SCHEMA + 1, 1, 2, 3):
+    for schema in (CHECKPOINT_SCHEMA + 1, 1, 2, 3, 4):
         _rewrite_header(path, lambda h: h.update(schema=schema))
         with pytest.raises(CheckpointFormatError,
                            match=f"schema {schema}.*reads "

@@ -16,6 +16,7 @@ The hard contract (ISSUE 9 / docs/architecture.md "Observability"):
 * the ring evicts oldest-first and counts what it dropped.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -149,13 +150,26 @@ def _journal_records(spec, quiescence: bool):
     return journal.records()
 
 
+def _stop_window_spec():
+    """SCORPIO with a one-deep tracker queue: windows get stopped, and a
+    stop is journaled from inside the notification network's step (the
+    NIC reads the cycle from the engine, not from a step of its own)."""
+    cfg = _cfg()
+    cfg = dataclasses.replace(cfg, notification=dataclasses.replace(
+        cfg.notification, tracker_queue_depth=1))
+    return SystemSpec("scorpio", cfg,
+                      workload=dict(BENCH, think_scale=1.0))
+
+
 def test_journal_stream_is_kernel_invariant():
     """Quiescence on/off record identical event streams (packet ids are
     process-global, hence the reset before each run)."""
-    spec = _specs()["scorpio"]
-    on = _journal_records(spec, True)
-    off = _journal_records(spec, False)
-    assert on == off
+    for spec in (_specs()["scorpio"], _stop_window_spec()):
+        on = _journal_records(spec, True)
+        off = _journal_records(spec, False)
+        assert on == off
+    stops = [r for r in on if r[3] == "window-stopped"]
+    assert stops and all(r[0] > 0 for r in stops)
 
 
 def test_sampler_stream_is_kernel_invariant():

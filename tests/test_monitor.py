@@ -96,6 +96,20 @@ class TestViolationDetection:
         with pytest.raises(InvariantViolation, match="no op completed"):
             system.run(10_000)
 
+    def test_esid_disagreement_is_caught(self):
+        # Two NICs at the same global-order position publishing
+        # different expected SIDs; a NIC expecting nothing is skipped.
+        system = scorpio()
+        a, b, c = system.nics[:3]
+        a.esid, b.esid = 2, 5
+        monitor = SystemMonitor(system)
+        with pytest.raises(InvariantViolation, match="position 0"):
+            monitor.check_esid_agreement()
+        b.esid = 2
+        b.tracker.consumed = 1
+        assert c.esid is None
+        SystemMonitor(system).check_esid_agreement()
+
     def test_esid_agreement_check_passes_live(self):
         traces = [uniform_random_trace(c, 8, 6, write_fraction=0.4,
                                        think=3, seed=53) for c in range(9)]

@@ -46,21 +46,23 @@ class TestNotificationComposition:
         # The arrival-order NIC has no notification side at all.
         nic = make_nic(ordered=False)
         for name in ("compose_notification", "receive_merged_notification",
-                     "pending_notifications", "current_esid"):
+                     "pending_notifications", "consumed_counts"):
             assert not hasattr(nic, name)
 
 
 class TestStopBit:
     def fill_tracker(self, nic):
-        for sid in range(nic.notif_config.tracker_queue_depth):
+        # One vector is being served; the queue counts those behind it.
+        for sid in range(nic.notif_config.tracker_queue_depth + 1):
             nic.tracker.push(1 << (sid + 1))
 
     def test_full_queue_asserts_stop(self):
         nic = make_nic(node=2)
-        self.fill_tracker(nic)
-        vector = nic.compose_notification()
         stop_bit = nic.noc_config.n_nodes * nic.notif_config.bits_per_core
-        assert vector >> stop_bit & 1
+        self.fill_tracker(nic)
+        assert nic.compose_notification() >> stop_bit & 1
+        nic.tracker.consume_esid()      # the next vector leaves the queue
+        assert not nic.compose_notification() >> stop_bit & 1
 
     def test_stopped_window_rolls_back_announcement(self):
         nic = make_nic(node=5)
@@ -79,8 +81,10 @@ class TestStopBit:
 
     def test_clean_window_pushes_to_tracker(self):
         nic = make_nic()
+        assert nic.idle()
         nic.receive_merged_notification(1 << 7)
-        assert nic.tracker.current_esid() == 7
+        assert nic.tracker.current_esid() == nic.esid == 7
+        assert not nic.idle()           # an ordered request is expected
 
 
 class TestBackpressure:
@@ -107,7 +111,7 @@ class TestRvcEligibility:
     def test_expected_request_is_eligible(self):
         nic = make_nic(node=0)
         nic.receive_merged_notification(1 << 4)   # sid 4 announced
-        assert nic.current_esid() == 4
+        assert nic.esid == 4
         assert nic.rvc_eligible(sid=4, seq=0)
 
     def test_unexpected_request_not_eligible(self):

@@ -223,25 +223,24 @@ class TestNotificationTracker:
         assert order == [0, 2, 2, 2]
 
     def test_queue_full_and_overrun(self):
+        # The vector being served has left the queue: a depth-2 queue
+        # is full with two more waiting behind it.
         tracker = self.make(depth=2)
         tracker.push(self.encode(tracker, {0: 1}))
+        assert tracker.current_esid() == 0 and not tracker.queue_full
         tracker.push(self.encode(tracker, {1: 1}))
+        assert not tracker.queue_full
+        tracker.push(self.encode(tracker, {2: 1}))
         assert tracker.queue_full
         with pytest.raises(RuntimeError):
-            tracker.push(self.encode(tracker, {2: 1}))
+            tracker.push(self.encode(tracker, {3: 1}))
+        tracker.consume_esid()          # decodes the next vector
+        assert tracker.current_esid() == 1 and not tracker.queue_full
 
     def test_consume_without_pending_raises(self):
         tracker = self.make()
         with pytest.raises(RuntimeError):
             tracker.consume_esid()
-
-    def test_outstanding_counts_queue_and_expansion(self):
-        tracker = self.make(bits=2)
-        tracker.push(self.encode(tracker, {1: 2}))
-        tracker.push(self.encode(tracker, {2: 1}))
-        assert tracker.outstanding() == 3
-        tracker.consume_esid()
-        assert tracker.outstanding() == 2
 
     def test_two_trackers_agree(self):
         # The distributed-ordering property: same inputs -> same order.
@@ -255,46 +254,45 @@ class TestNotificationTracker:
                 out.append(tracker.consume_esid())
         assert orders[0] == orders[1]
 
-
-class TestObserversLeaveTheTracker:
-    """``current_esid`` refills the tracker, which moves ``queue_full`` —
-    the stop bit the NIC raises at the next window start.  Observers
-    (``idle()``, the monitor's ESID check) must read without it."""
-
     @staticmethod
-    def nic_with_one_vector():
-        from repro.nic.controller import OrderedNetworkInterface
-        from repro.noc.config import NocConfig
-        nic = OrderedNetworkInterface(
-            0, NocConfig(width=3, height=3),
-            NotificationConfig(tracker_queue_depth=1))
-        nic.tracker.push(1 << 2)        # node 2 announces one request
-        return nic
+    def reference_order(vectors, n, bits):
+        """Plain decode: each vector in turn, cores from a pointer that
+        advances once per vector, a core's count as repeated slots."""
+        order, pointer = [], 0
+        for vector in vectors:
+            for offset in range(n):
+                core = (pointer + offset) % n
+                order += [core] * (vector >> core * bits & (1 << bits) - 1)
+            pointer = (pointer + 1) % n
+        return order
 
-    @staticmethod
-    def state(tracker):
-        return (list(tracker._queue), list(tracker._expansion),
-                tracker.pointer, tracker.queue_full)
-
-    def test_idle_does_not_refill(self):
-        nic = self.nic_with_one_vector()
-        before = self.state(nic.tracker)
-        assert before == ([4], [], 0, True)
-        assert not nic.idle()
-        assert self.state(nic.tracker) == before
-
-    def test_monitor_esid_check_does_not_refill(self):
-        from types import SimpleNamespace
-        from repro.verification.monitor import SystemMonitor
-        nic = self.nic_with_one_vector()
-        before = self.state(nic.tracker)
-        monitor = SystemMonitor(SimpleNamespace(nics=[nic], ordered=True))
-        monitor.check_esid_agreement()
-        assert monitor.report.clean
-        assert self.state(nic.tracker) == before
-
-    def test_peek_answers_what_current_esid_will(self):
-        nic = self.nic_with_one_vector()
-        assert nic.tracker.peek_esid() == 2
-        assert nic.tracker.current_esid() == 2
-        assert self.state(nic.tracker) == ([], [2], 1, False)
+    @given(n=st.integers(1, 9), bits=st.integers(1, 2),
+           depth=st.integers(1, 3), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_property_order_moves_only_on_push_and_consume(
+            self, n, bits, depth, data):
+        """Any push/consume sequence that respects the stop bit (no push
+        into a full queue): the ESID is the head of the expansion, an
+        empty expansion means an empty queue, and the consumed SIDs are
+        the reference decode of the pushed vectors."""
+        tracker = NotificationTracker(n, bits, depth)
+        vector = st.integers(0, (1 << n * bits) - 1)
+        pushed, consumed = [], []
+        for push in data.draw(st.lists(st.booleans(), max_size=40)):
+            if push and not tracker.queue_full:
+                pushed.append(data.draw(vector))
+                tracker.push(pushed[-1])
+            elif tracker.current_esid() is not None:
+                consumed.append(tracker.consume_esid())
+            expansion = tracker._expansion
+            assert tracker.current_esid() == (expansion[0] if expansion
+                                              else None)
+            assert expansion or not tracker._queue
+            decoded = len(pushed) - len(tracker._queue)
+            assert tracker.pointer == decoded % n
+            assert consumed == self.reference_order(
+                pushed[:decoded], n, bits)[:len(consumed)]
+        while tracker.current_esid() is not None:
+            consumed.append(tracker.consume_esid())
+        assert consumed == self.reference_order(pushed, n, bits)
+        assert tracker.consumed == len(consumed)

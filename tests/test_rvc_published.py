@@ -13,9 +13,9 @@ and check at every live question — every (slot, port) that the scan,
 that:
 
 * the inline answer equals ``rvc_eligible(sid, seq)``;
-* the tracker's expansion is empty only when its queue is, so asking
-  ``rvc_eligible`` (which refills lazily) changes nothing;
-* the published ``esid`` is what the tracker would answer.
+* the tracker's expansion is empty only when its queue is (it decodes
+  a vector as the order moves, never on a read);
+* the published ``esid`` is the tracker's current ESID.
 """
 
 import dataclasses
@@ -43,7 +43,7 @@ class Questions:
         assert nic is not Unbound
         tracker = nic.tracker
         assert tracker._expansion or not tracker._queue
-        assert nic.esid == tracker.peek_esid()
+        assert nic.esid == tracker.current_esid()
         sid, seq = packet.sid, packet.seq
         inline = nic.esid == sid and nic.consumed_counts[sid] == seq
         assert inline == nic.rvc_eligible(sid, seq)
