@@ -242,6 +242,23 @@ class TestNotificationTracker:
         with pytest.raises(RuntimeError):
             tracker.consume_esid()
 
+    def test_outstanding_counts_queue_and_expansion(self):
+        # The served vector is decoded into the expansion; the next
+        # waits undecoded in the queue.  Draining yields every slot of
+        # both, in order.
+        tracker = self.make(bits=2)
+        tracker.push(self.encode(tracker, {1: 2}))
+        tracker.push(self.encode(tracker, {2: 1}))
+        assert list(tracker._expansion) == [1, 1]
+        assert list(tracker._queue) == [1 << 4]
+        order = [tracker.consume_esid()]
+        assert list(tracker._expansion) == [1]
+        while tracker.current_esid() is not None:
+            order.append(tracker.consume_esid())
+        assert order == [1, 1, 2]
+        assert tracker.consumed == 3
+        assert not tracker._queue and not tracker._expansion
+
     def test_two_trackers_agree(self):
         # The distributed-ordering property: same inputs -> same order.
         a, b = self.make(), self.make()
@@ -296,3 +313,52 @@ class TestNotificationTracker:
             consumed.append(tracker.consume_esid())
         assert consumed == self.reference_order(pushed, n, bits)
         assert tracker.consumed == len(consumed)
+
+
+class TestObserversLeaveTheTracker:
+    """The tracker moves only on a push or a consume; the NIC publishes
+    the expected SID as ``esid`` then.  Observers (``idle()``, the
+    monitor's ESID check) read ``esid`` and leave the tracker — and so
+    ``queue_full``, the stop bit — as they found it."""
+
+    @staticmethod
+    def nic_with_a_full_queue():
+        from repro.nic.controller import OrderedNetworkInterface
+        from repro.noc.config import NocConfig
+        nic = OrderedNetworkInterface(
+            0, NocConfig(width=3, height=3),
+            NotificationConfig(tracker_queue_depth=1))
+        nic.receive_merged_notification(1 << 2)   # node 2: one request
+        nic.receive_merged_notification(1 << 3)   # node 3: one request
+        return nic
+
+    @staticmethod
+    def state(tracker):
+        return (list(tracker._queue), list(tracker._expansion),
+                tracker.pointer, tracker.queue_full)
+
+    def test_idle_does_not_refill(self):
+        nic = self.nic_with_a_full_queue()
+        before = self.state(nic.tracker)
+        assert before == ([8], [2], 1, True)
+        assert not nic.idle()
+        assert self.state(nic.tracker) == before
+
+    def test_monitor_esid_check_does_not_refill(self):
+        from types import SimpleNamespace
+        from repro.verification.monitor import SystemMonitor
+        nic = self.nic_with_a_full_queue()
+        before = self.state(nic.tracker)
+        monitor = SystemMonitor(SimpleNamespace(nics=[nic], ordered=True))
+        monitor.check_esid_agreement()
+        assert monitor.report.clean
+        assert self.state(nic.tracker) == before
+
+    def test_peek_answers_what_current_esid_will(self):
+        # The published esid is the side-effect-free peek: it answers
+        # what current_esid does, and neither read moves the tracker.
+        nic = self.nic_with_a_full_queue()
+        before = self.state(nic.tracker)
+        assert nic.esid == 2
+        assert nic.tracker.current_esid() == 2
+        assert self.state(nic.tracker) == before
