@@ -55,6 +55,8 @@ retired=(
     'VCBuffer|_slot_vc|deliver_lookahead|_tracker_expansion|_consumed_counts'
                                                # flat slots, one call a hop
     'peek_esid|_now'                           # one published ESID
+    'run_benchmark|run_trace_file|run_litmus|compare_systems|add_watcher|_watchers|_stop_requested|REPRO_QUIESCENCE'
+                                               # one way to drive a run
 )
 forbid "retired name" "\b($(IFS='|'; echo "${retired[*]}"))\b" \
     src tests benchmarks examples
@@ -253,12 +255,14 @@ only_in "one place starts a process" 'multiprocessing\.Process\(' \
 # Every simulating verb is a document: run, sweep, trace and litmus
 # build one and end in run-file's tail (one run_experiment call, one
 # printer); compare and features are gone, and the per-verb runners and
-# the second litmus judging loop stay deleted.
+# the second litmus judging loop stay deleted.  The library's run
+# wrappers are retired names above, so the CLI can only reach a run
+# through a document: no sweep, plan or point call of its own.
 forbid "retired verb / runner / printer" \
     '\b(cmd_compare|cmd_features|cmd_trace|cmd_litmus|_print_result|run_suite)\b' \
     src tests benchmarks examples
 forbid "per-verb runner in the CLI" \
-    '\b(run_sweep|run_benchmark|compare_protocols|run_trace_file)\b' \
+    '\b(run_sweep|run_plan|execute_point|execute_system_spec)\b' \
     src/repro/cli.py
 [ "$(grep -c 'run_experiment(' src/repro/cli.py)" -eq 1 ] \
     || fail "more than one run_experiment call in cli.py"

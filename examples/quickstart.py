@@ -9,7 +9,7 @@ paper reports.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import ChipConfig, run_benchmark
+from repro.api import ChipConfig, benchmark_spec, run_sweep
 
 
 def main() -> None:
@@ -19,12 +19,12 @@ def main() -> None:
           f"{config.noc.channel_width_bytes} B channels, "
           f"{config.notification.window}-cycle notification window)")
 
-    result = run_benchmark(
-        "barnes", protocol="scorpio", config=config,
+    [result] = run_sweep([benchmark_spec(
+        "barnes", "scorpio", config,
         ops_per_core=100,        # memory operations injected per core
         workload_scale=0.05,     # shrink footprints for a quick run
         think_scale=20.0,        # keep injection in the paper's regime
-    )
+    )])
 
     print(f"\nbenchmark          : {result.benchmark}")
     print(f"runtime            : {result.runtime} cycles")

@@ -15,20 +15,31 @@ Run:  python examples/sharing_patterns.py
 import tempfile
 from pathlib import Path
 
-from repro.core import ChipConfig
-from repro.core.api import run_trace_file
+from repro.api import experiment_from_dict, run_experiment
 from repro.cpu.tracefile import dump_traces
 from repro.workloads.patterns import (migratory_traces,
                                       producer_consumer_traces)
 
-CONFIG = ChipConfig.variant(3, 3)
-PROTOCOLS = {"SCORPIO": "scorpio", "LPD-D": "lpd"}
+# label -> (builder, params): SCORPIO and the LPD-D directory baseline.
+SYSTEMS = {"SCORPIO": ("scorpio", {}),
+           "LPD-D": ("directory", {"scheme": "LPD"})}
 PATTERNS = {
     "Migratory blocks: 9 cores take turns read-modify-writing 2 blocks, "
     "2 rounds": migratory_traces(9, rounds=2, blocks=2, lines_per_block=2),
     "Producer-consumer: core 0 fills a 4-line buffer, 5 consumers read "
     "it, 3 rounds": producer_consumer_traces(5, rounds=3, buffer_lines=4),
 }
+
+
+def document(path: Path) -> dict:
+    """Both systems on the trace file *path*, on a 3x3 chip."""
+    return {"schema": 1, "name": "sharing-patterns",
+            "configs": {"chip": {"preset": "variant", "width": 3,
+                                 "height": 3}},
+            "runs": [{"builder": builder, "params": params,
+                      "config": "chip", "label": label,
+                      "workload": {"kind": "trace", "path": str(path)}}
+                     for label, (builder, params) in SYSTEMS.items()]}
 
 
 def main() -> None:
@@ -39,11 +50,12 @@ def main() -> None:
             print(f"{title}\n{'system':<10}{'runtime':>9}"
                   f"{'handoff latency':>17}{'data forwards':>15}"
                   f"{'writebacks':>12}")
-            for label, protocol in PROTOCOLS.items():
-                result = run_trace_file(path, protocol, CONFIG)
-                assert result.progress == 1.0, f"{label} did not finish"
+            outcome = run_experiment(experiment_from_dict(document(path)))
+            for result in outcome.results:
+                assert result.progress == 1.0, \
+                    f"{result.label} did not finish"
                 frame = result.frame
-                print(f"{label:<10}{result.runtime:>9}"
+                print(f"{result.label:<10}{result.runtime:>9}"
                       f"{result.cache_served_latency:>16.1f}c"
                       f"{frame.value('l2.data_forwards'):>15.0f}"
                       f"{frame.value('mc.writebacks_received'):>12.0f}")

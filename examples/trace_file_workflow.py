@@ -13,8 +13,7 @@ Run:  python examples/trace_file_workflow.py
 import tempfile
 from pathlib import Path
 
-from repro.core import ChipConfig
-from repro.core.api import run_trace_file
+from repro.api import ChipConfig, experiment_from_dict, run_experiment
 from repro.cpu.tracefile import dump_traces, load_traces
 from repro.workloads.suites import profile
 from repro.workloads.synthetic import generate_system_traces, scaled
@@ -36,11 +35,24 @@ def main() -> None:
         assert [list(t) for t in reloaded] == [list(t) for t in traces]
         print("reload verified: byte-exact round trip\n")
 
+        # The trace under SCORPIO and the LPD-D directory baseline, as
+        # one experiment document.
+        outcome = run_experiment(experiment_from_dict({
+            "schema": 1, "name": "trace-file-workflow",
+            "configs": {"chip": {"preset": "variant", "width": 4,
+                                 "height": 4}},
+            "runs": [{"builder": builder, "params": params,
+                      "config": "chip", "label": protocol,
+                      "workload": {"kind": "trace",
+                                   "path": str(trace_path)}}
+                     for protocol, builder, params in (
+                         ("scorpio", "scorpio", {}),
+                         ("lpd", "directory", {"scheme": "LPD"}))]}))
+
         print(f"{'protocol':<10}{'runtime':>9}{'L2 service':>12}")
         print("-" * 31)
-        for protocol in ("scorpio", "lpd"):
-            result = run_trace_file(trace_path, protocol=protocol,
-                                    config=config)
+        for result in outcome.results:
+            protocol = result.label
             assert result.progress == 1.0
             print(f"{protocol:<10}{result.runtime:>9}"
                   f"{result.avg_l2_service_latency:>11.1f}c")

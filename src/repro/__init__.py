@@ -14,9 +14,9 @@ runtime invariant monitor.
 
 Quick start::
 
-    from repro.core import ChipConfig, run_benchmark
-    result = run_benchmark("barnes", protocol="scorpio",
-                           config=ChipConfig.chip_36core())
+    from repro.api import ChipConfig, benchmark_spec, run_sweep
+    [result] = run_sweep([benchmark_spec("barnes", "scorpio",
+                                         ChipConfig.chip_36core())])
     print(result.runtime)
 
 :mod:`repro.api` is the stable, versioned public surface (config
@@ -25,11 +25,11 @@ every other module is an internal that may change between versions.
 """
 
 from repro.core import (CHIP_FEATURES, PROTOCOLS, ChipConfig, RunResult,
-                        build_system, normalized_runtimes, run_benchmark)
+                        build_system, normalized_runtimes)
 
 __version__ = "1.0.0"
 
 __all__ = [
     "CHIP_FEATURES", "PROTOCOLS", "ChipConfig", "RunResult",
-    "build_system", "normalized_runtimes", "run_benchmark", "__version__",
+    "build_system", "normalized_runtimes", "__version__",
 ]

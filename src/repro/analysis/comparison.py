@@ -1,9 +1,9 @@
 """Processor and system comparisons.
 
 Two halves: the static Table 2 data (contemporary multicore processors,
-transcribed from the paper) and :func:`compare_systems` — one
-declarative workload run across any set of registered system builders
-in a single (parallel, cached) sweep batch.
+transcribed from the paper) and :func:`system_specs` — one declarative
+workload across any set of registered system builders, as one batch of
+specs for ``run_sweep``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
     from repro.core.config import ChipConfig
-    from repro.experiments.sweep import SweepResult
 
 
 @dataclass(frozen=True)
@@ -87,35 +86,15 @@ def as_rows(fields: List[str]) -> Dict[str, List[str]]:
     return out
 
 
-def compare_systems(systems: Mapping[str, Tuple[str, Mapping[str, Any]]],
-                    workload: Mapping[str, Any],
-                    config: Optional["ChipConfig"] = None,
-                    max_cycles: int = 400_000,
-                    jobs: Optional[int] = None,
-                    cache=None) -> Dict[str, "SweepResult"]:
-    """Run one declarative *workload* under several registered system
-    builders (the "all conditions equal besides the system"
-    methodology, for any builders, not only the four protocols).
-
-    *systems* maps a display label to ``(builder_name, params)``; the
-    whole comparison runs as one sweep batch, so ``jobs`` fans the
-    systems across workers and ``cache`` (or the ambient execution
-    context) answers repeats without simulating.  Returns
-    ``{label: SweepResult}`` in *systems* order.
-    """
-    from repro.experiments import run_sweep
-    specs = system_specs(systems, workload, config=config,
-                         max_cycles=max_cycles)
-    return dict(zip(systems, run_sweep(specs, jobs=jobs, cache=cache)))
-
-
 def system_specs(systems: Mapping[str, Tuple[str, Mapping[str, Any]]],
                  workload: Mapping[str, Any],
                  config: Optional["ChipConfig"] = None,
                  max_cycles: int = 400_000) -> List[Any]:
-    """The :class:`SystemSpec` batch :func:`compare_systems` runs —
-    exported so experiment documents mirroring a comparison can be
-    regression-tested spec-identical to the code path."""
+    """One :class:`SystemSpec` per entry of *systems* (a display label
+    mapped to ``(builder_name, params)``), all on the same *workload* —
+    the "all conditions equal besides the system" methodology, for any
+    builders.  ``run_sweep`` of the batch returns the rows in
+    *systems* order."""
     from repro.experiments import SystemSpec
     return [SystemSpec(builder=builder, config=config, params=dict(params),
                        workload=dict(workload), max_cycles=max_cycles,

@@ -28,14 +28,12 @@ change between versions.  See docs/architecture.md ("The public API")
 and EXPERIMENTS.md ("Experiment documents") for the contract details.
 """
 
-from repro.analysis.comparison import compare_systems
 from repro.api.document import (DOCUMENT_SCHEMA, RESULTS_SCHEMA,
                                 DocumentError, ExperimentResult,
                                 ExperimentSpec, describe_experiment,
                                 envelope_bytes, experiment_from_dict,
                                 load_experiment, run_experiment)
-from repro.core.api import (PROTOCOLS, RunResult, normalized_runtimes,
-                            run_benchmark, run_trace_file)
+from repro.core.api import PROTOCOLS, RunResult, normalized_runtimes
 from repro.core.config import ChipConfig
 from repro.core.serialize import (CONFIG_SCHEMA, ConfigFormatError,
                                   SerializableConfig)
@@ -50,7 +48,10 @@ from repro.sim.statsframe import StatsFrame
 # the wire formats independently.
 # 2: the protocol-run spec class and its grid and compare helpers left
 # the façade (a protocol run is a SystemSpec from benchmark_spec).
-API_VERSION = 2
+# 3: the benchmark, trace-file and system-comparison wrappers left the
+# façade (a run is a SystemSpec through run_sweep, or a document through
+# run_experiment).
+API_VERSION = 3
 
 __all__ = [
     "API_VERSION", "CONFIG_SCHEMA", "DOCUMENT_SCHEMA", "RESULTS_SCHEMA",
@@ -58,8 +59,7 @@ __all__ = [
     "ExperimentResult", "ExperimentSpec", "PROTOCOLS", "ResultCache",
     "RunResult", "SerializableConfig", "StatsFrame", "Sweep",
     "SweepResult", "SystemSpec", "benchmark_spec", "builder_names",
-    "compare_systems", "describe_experiment", "envelope_bytes",
-    "experiment_from_dict",
+    "describe_experiment", "envelope_bytes", "experiment_from_dict",
     "list_builders", "load_experiment", "normalized_runtimes",
-    "run_benchmark", "run_experiment", "run_sweep", "run_trace_file",
+    "run_experiment", "run_sweep",
 ]

@@ -1,17 +1,15 @@
-"""High-level API: run full-system experiments in a few lines, and the
-one result row every door returns.
+"""The one result row every door returns, and the protocol → builder map.
 
-    from repro.core import ChipConfig, run_benchmark
+A run is driven one way: a :class:`~repro.experiments.builders.SystemSpec`
+through :func:`~repro.experiments.sweep.execute_point`, or a batch or an
+experiment document through ``run_sweep`` / ``run_experiment``::
 
-    result = run_benchmark("barnes", protocol="scorpio",
-                           config=ChipConfig.chip_36core(),
-                           ops_per_core=200)
+    from repro.api import ChipConfig, benchmark_spec, run_sweep
+
+    [result] = run_sweep([benchmark_spec(
+        "barnes", "scorpio", ChipConfig.chip_36core(), ops_per_core=200)])
     print(result.runtime, result.avg_l2_service_latency)
 
-This is the layer the examples and the benchmark harness are written
-against.  :func:`run_benchmark` and :func:`run_trace_file` are thin
-constructors over the execution pipeline (:mod:`repro.experiments.sweep`:
-a benchmark- or trace-workload ``SystemSpec`` through ``execute_point``).
 :class:`RunResult` lives here, below the experiment layer, so that
 layer, the analysis code and the public API share one row class.
 """
@@ -19,11 +17,10 @@ layer, the analysis code and the public API share one row class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.core.config import ChipConfig
 from repro.sim.statsframe import StatsFrame
-from repro.workloads.synthetic import WorkloadProfile
 
 if TYPE_CHECKING:
     from repro.experiments.builders import SystemSpec
@@ -170,48 +167,6 @@ def build_system(protocol: str, traces, config: Optional[ChipConfig] = None):
     builder = get_builder(name)
     return builder.system_class(config or ChipConfig.chip_36core(), traces,
                                 **builder.resolved_params(given))
-
-
-def run_benchmark(benchmark: Union[str, WorkloadProfile],
-                  protocol: str = "scorpio",
-                  config: Optional[ChipConfig] = None,
-                  ops_per_core: int = 150,
-                  max_cycles: int = 400_000,
-                  workload_scale: float = 1.0,
-                  think_scale: float = 1.0,
-                  seed: int = 0) -> RunResult:
-    """Run one benchmark under one protocol and collect the statistics:
-    :func:`~repro.experiments.sweep.execute_point` of its
-    :func:`~repro.experiments.builders.benchmark_spec`, in this process,
-    uncached (the row's ``fingerprint`` stays empty).
-
-    ``max_cycles`` mirrors the paper's 400 K-cycle trace-driven windows;
-    runs normally finish far earlier.  ``workload_scale`` shrinks the
-    synthetic footprints for quick runs.
-    """
-    from repro.experiments.builders import benchmark_spec
-    from repro.experiments.sweep import execute_point
-    return execute_point(benchmark_spec(
-        benchmark, protocol, config, max_cycles=max_cycles,
-        ops_per_core=ops_per_core, workload_scale=workload_scale,
-        think_scale=think_scale, seed=seed))
-
-
-def run_trace_file(path, protocol: str = "scorpio",
-                   config: Optional[ChipConfig] = None,
-                   max_cycles: int = 400_000) -> RunResult:
-    """Run an externally produced trace file (see
-    :mod:`repro.cpu.tracefile`) under one protocol — the equivalent of
-    the paper's Graphite-traces-into-RTL flow: ``execute_point`` of a
-    ``trace``-workload :class:`~repro.experiments.builders.SystemSpec`,
-    uncached.  The row's ``protocol`` is *protocol* as passed."""
-    from repro.experiments.builders import SystemSpec
-    from repro.experiments.sweep import execute_point
-    builder, params = builder_of(protocol)
-    return execute_point(SystemSpec(
-        builder, config, params=params,
-        workload={"kind": "trace", "path": str(path)},
-        max_cycles=max_cycles, protocol=protocol))
 
 
 def normalized_runtimes(results: Dict[str, RunResult],

@@ -47,9 +47,10 @@ class TraceCore(Clocked):
                     stats=self.stats, name=f"core{node}.l1d")
             if self.config.l1_enabled else None)
         self._pc = 0                       # next trace index
+        self._n_ops = len(trace)           # the trace never changes
         # The first operation's think time offsets it from cycle 0, so a
         # trace can schedule its opening access deterministically.
-        self._next_issue_cycle = trace[0].think if len(trace) else 0
+        self._next_issue_cycle = trace[0].think if self._n_ops else 0
         self._outstanding: Dict[int, TraceOp] = {}
         self._token_seq = 0
         # due cycle -> (bound_method, args): L1 hits retiring then.
@@ -70,10 +71,10 @@ class TraceCore(Clocked):
         if self._timers.min_due <= cycle:
             for fn, args in self._timers.pop_due(cycle):
                 fn(*args)
-        if self.finished:
+        if self.finish_cycle is not None:
             self.idle_until(None)
             return
-        if self._pc >= len(self.trace):
+        if self._pc >= self._n_ops:
             if not self._outstanding and not self._timers:
                 self.finish_cycle = cycle
                 self.idle_until(None)
@@ -100,7 +101,7 @@ class TraceCore(Clocked):
             return
         self._pc += 1
         next_think = (self.trace[self._pc].think
-                      if self._pc < len(self.trace) else 0)
+                      if self._pc < self._n_ops else 0)
         self._next_issue_cycle = cycle + max(1, next_think)
 
     def _issue(self, op: TraceOp, cycle: int) -> bool:

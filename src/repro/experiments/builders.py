@@ -54,7 +54,7 @@ REQUIRED = _Required()
 
 # kind -> {param: default}; a ``REQUIRED`` default must be supplied.
 WORKLOAD_KINDS: Dict[str, Dict[str, Any]] = {
-    # Synthetic benchmark traffic (the run_benchmark shape).
+    # Synthetic benchmark traffic (the benchmark_spec shape).
     "benchmark": {"name": REQUIRED, "ops_per_core": 150,
                   "workload_scale": 1.0, "think_scale": 1.0, "seed": 0},
     # Lock handoff under contention (repro.workloads.locks).

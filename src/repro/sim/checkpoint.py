@@ -13,9 +13,9 @@ between the engine and its component) keep their identity on restore.
 
 What is deliberately **not** captured (the mode-invariance rule): the
 quiescence mode.  Sleep/wake is a property of the *running process*
-(``REPRO_QUIESCENCE`` / :func:`~repro.sim.engine.forced_quiescence`),
-and the kernel guarantees both modes compute identical results, so a
-snapshot taken under either mode restores correctly under either —
+(:func:`~repro.sim.engine.forced_quiescence`), and the kernel guarantees
+both modes compute identical results, so a snapshot taken under either
+mode restores correctly under either —
 :meth:`Engine.rebind_quiescence` re-resolves it on load.
 
 On-disk format (schema/versioning discipline of ``core/serialize.py``):
@@ -54,7 +54,9 @@ from repro.noc.packet import packet_id_state, set_packet_id_state
 # 5: a tracker's expansion is empty only with its queue (schema 4 could
 # hold a queued vector not yet decoded, and no published ESID with the
 # reserved VC off); the timestamp NIC has no step-cycle copy.
-CHECKPOINT_SCHEMA = 5
+# 6: the engine has no watcher list and no stop flag; a trace core
+# keeps its trace length; a system keeps no list of unfinished cores.
+CHECKPOINT_SCHEMA = 6
 
 MAGIC = b"REPRO-CKPT\x00"
 _HEADER_KEYS = {"schema", "meta", "body_len", "body_crc32"}
@@ -193,10 +195,6 @@ def _check_snapshotable(engine) -> None:
         raise CheckpointError(
             "cannot snapshot with pending sleep declarations; snapshot "
             "between Engine.run calls")
-    if engine._watchers:
-        raise CheckpointError(
-            "cannot snapshot with armed watchers (they commonly close "
-            "over test state that does not pickle); detach them first")
 
 
 _RESERVED_PAYLOAD_KEYS = ("system", "packet_ids", "request_ids")

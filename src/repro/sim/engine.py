@@ -23,8 +23,7 @@ that with :meth:`Clocked.idle_until`, and anything that hands it new work
 (a flit arrival, a queued credit, a scheduled callback) revokes the
 declaration with :meth:`Clocked.wake`.  Sleeping components are skipped
 by :meth:`Engine.tick`, and :meth:`Engine.run` fast-forwards the global
-clock across windows in which *every* component is asleep and no watcher
-is armed.
+clock in one jump across windows in which *every* component is asleep.
 
 The contract that keeps results cycle-for-cycle identical to the naive
 always-tick engine:
@@ -39,9 +38,15 @@ always-tick engine:
 
 ``idle_until``/``wake`` are no-ops on unregistered components and on
 engines constructed with ``quiescence=False``, so components are
-oblivious to which mode they run under.  The default can be forced off
-process-wide with ``REPRO_QUIESCENCE=0`` (or :func:`forced_quiescence`) —
-that is how the differential identity suite compares the two kernels.
+oblivious to which mode they run under.  :func:`forced_quiescence`
+switches the default off within a ``with`` block — that is how the
+differential identity suite compares the two kernels.
+
+A run stops on its cycle budget or on an ``until`` predicate of
+simulated state (every core finished, say).  State is frozen across a
+fast-forwarded window, so the predicate is asked once per executed tick
+and both kernels stop at the same cycle; a predicate that reads the
+clock instead would see the jump.
 
 Event wheels
 ------------
@@ -56,7 +61,6 @@ cycle, and pop order equals the old scan order under that contract.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Callable, List, Optional, Tuple
 
@@ -142,17 +146,15 @@ class EventWheel:
 
 
 def default_quiescence() -> bool:
-    """The process-wide default for ``Engine(quiescence=None)``."""
-    if _FORCED_DEFAULT is not None:
-        return _FORCED_DEFAULT
-    return os.environ.get("REPRO_QUIESCENCE", "1").lower() \
-        not in ("0", "false", "off")
+    """The process-wide default for ``Engine(quiescence=None)``: on,
+    unless :func:`forced_quiescence` says otherwise."""
+    return True if _FORCED_DEFAULT is None else _FORCED_DEFAULT
 
 
 @contextmanager
 def forced_quiescence(enabled: Optional[bool]):
     """Force the engine-default quiescence mode within a ``with`` block
-    (``None`` restores env/default resolution).  Used by the differential
+    (``None`` restores the default, on).  Used by the differential
     test harness and the ``repro bench`` timing harness."""
     global _FORCED_DEFAULT
     previous = _FORCED_DEFAULT
@@ -262,8 +264,6 @@ class Engine:
         self._commit_entries: List[Tuple[list, Callable[[int], None]]] = []
         self._cells: List[list] = []
         self._cycle = 0
-        self._stop_requested = False
-        self._watchers: List[Callable[[int], None]] = []
         self.quiescence = default_quiescence() if quiescence is None \
             else bool(quiescence)
         self._ticking = False
@@ -313,10 +313,10 @@ class Engine:
         sleep cell.
 
         Called after a checkpoint restore: the mode is a property of the
-        *running process* (environment / :func:`forced_quiescence`),
-        never of the snapshot, so a snapshot taken under either mode
-        restores correctly under either.  Every component is linked to
-        this engine; enabling attaches the cells so components lazily
+        *running process* (:func:`forced_quiescence`), never of the
+        snapshot, so a snapshot taken under either mode restores
+        correctly under either.  Every component is linked to this
+        engine; enabling attaches the cells so components lazily
         re-declare sleep; disabling detaches them and wakes every cell so
         the plain always-tick loop resumes.
         """
@@ -344,42 +344,19 @@ class Engine:
         """Install a passive cycle-boundary sampler (a
         :class:`~repro.sim.journal.MeshSampler`).
 
-        Unlike a watcher, a sampler does **not** disable fast-forwarding:
-        it only reads committed state at sample boundaries, and state is
-        frozen across a fast-forwarded window, so the boundary samples
-        emitted after a jump equal what the always-tick kernel would
-        have read.  Attach before :meth:`run`; samplers attached mid-run
-        take effect on the next run call.
+        A sampler does not disable fast-forwarding: it only reads
+        committed state at sample boundaries, and state is frozen across
+        a fast-forwarded window, so the boundary samples emitted after a
+        jump equal what the always-tick kernel would have read.  Attach
+        before :meth:`run`; samplers attached mid-run take effect on the
+        next run call.
         """
         self._sampler = sampler
-
-    def add_watcher(self, fn: Callable[[int], None]) -> None:
-        """Call *fn(cycle)* after each committed cycle (for probes/tests).
-
-        An armed watcher disables fast-forwarding: it observes every
-        cycle, so every cycle must be ticked.
-        """
-        self._watchers.append(fn)
-
-    def stop(self) -> None:
-        """Request that :meth:`run` return after the current cycle.
-
-        A stop requested while no run is in progress applies to the
-        *next* :meth:`run`, which returns immediately having simulated
-        zero cycles (the request is consumed either way).
-        """
-        self._stop_requested = True
 
     # ------------------------------------------------------------------
     # Quiescence plumbing (Clocked.idle_until / Clocked.wake act on the
     # cells directly; a sleep declared mid-tick waits in _pending_sleeps)
     # ------------------------------------------------------------------
-
-    def wake(self, component: Clocked, cycle: Optional[int] = None) -> None:
-        """Engine-issued wake: make *component* tick again no later than
-        *cycle* (``None`` = immediately).  Equivalent to
-        ``component.wake(cycle)``."""
-        component.wake(cycle)
 
     def _earliest_wake(self) -> int:
         """The earliest cycle any component is due (WAKE_NEVER if every
@@ -417,26 +394,19 @@ class Engine:
         self._last_tick_idle = not ran
         if not ran:
             self.idle_ticks += 1
-        if self._watchers:
-            for watcher in self._watchers:
-                watcher(self._cycle)
 
     def run(self, cycles: int, until: Optional[Callable[[], bool]] = None) -> int:
         """Run for at most *cycles* cycles.
 
-        If *until* is given, stop as soon as it returns True — checked
-        after every simulated cycle, including each cycle crossed while
-        fast-forwarding a fully-quiescent window, so predicates that
-        read the clock stop at the same cycle under both kernels.
-        Returns the number of cycles actually simulated.
+        If *until* is given, stop as soon as it returns True — asked
+        after every executed tick.  It must be a function of simulated
+        state: that state is frozen across a fast-forwarded window, so
+        the predicate cannot turn True inside one, and both kernels stop
+        at the same cycle.  Returns the number of cycles actually
+        simulated.
         """
         start = self._cycle
         end = start + cycles
-        if self._stop_requested:
-            # A stop requested between runs applies here: consume it and
-            # simulate nothing.
-            self._stop_requested = False
-            return 0
         tick = self.tick
         quiescence = self.quiescence
         sampler = self._sampler
@@ -448,44 +418,21 @@ class Engine:
             tick()
             if sampler is not None and self._cycle >= sampler.next_cycle:
                 sampler.advance_to(self._cycle)
-            if self._stop_requested:
-                self._stop_requested = False
-                break
             if until is not None and until():
                 break
-            # Watchers are re-checked every iteration: one armed mid-run
-            # must observe every subsequent cycle.
-            if quiescence and self._last_tick_idle and not self._watchers:
+            if quiescence and self._last_tick_idle:
                 # Nothing ran this cycle: no state changed, and nothing
                 # can until the earliest declared wake.  Jump there.
                 target = min(self._earliest_wake(), end)
                 if target > self._cycle:
-                    if until is None:
-                        self.cycles_fast_forwarded += target - self._cycle
-                        self._cycle = target
-                        if sampler is not None \
-                                and self._cycle >= sampler.next_cycle:
-                            # State is frozen across the gap: boundary
-                            # samples read exactly what per-cycle ticking
-                            # would have.
-                            sampler.advance_to(self._cycle)
-                    else:
-                        # Simulated state is frozen across the gap, but a
-                        # predicate may also read the clock: advance one
-                        # cycle at a time, re-checking after each, exactly
-                        # as the naive kernel would after each idle tick.
-                        stop = False
-                        while self._cycle < target:
-                            self._cycle += 1
-                            self.cycles_fast_forwarded += 1
-                            if sampler is not None \
-                                    and self._cycle >= sampler.next_cycle:
-                                sampler.advance_to(self._cycle)
-                            if until():
-                                stop = True
-                                break
-                        if stop:
-                            break
+                    self.cycles_fast_forwarded += target - self._cycle
+                    self._cycle = target
+                    if sampler is not None \
+                            and self._cycle >= sampler.next_cycle:
+                        # State is frozen across the gap: boundary
+                        # samples read exactly what per-cycle ticking
+                        # would have.
+                        sampler.advance_to(self._cycle)
         return self._cycle - start
 
     # ------------------------------------------------------------------

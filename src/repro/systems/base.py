@@ -66,15 +66,12 @@ def record_kernel_meta(system) -> None:
 
 def all_cores_finished(system) -> bool:
     """Whether every core of *system* has finished — the ``until``
-    predicate of ``run_until_done``, asked after every simulated cycle.
-    Cores never un-finish, so ``system._cores_left`` (plain state: a
-    checkpoint carries it) keeps only those not yet seen finished."""
-    left = system._cores_left
-    if not left:
-        left.extend(system.cores.values())
-    while left and left[-1].finished:
-        left.pop()
-    return not left
+    predicate of ``run_until_done``, asked after every executed tick.
+    A plain loop: no generator frame to resume per core."""
+    for core in system.cores.values():
+        if not core.finished:
+            return False
+    return True
 
 
 class BaseSystem:
@@ -107,7 +104,6 @@ class BaseSystem:
                     nic.receive_merged_notification)
 
         self.cores: Dict[int, TraceCore] = {}
-        self._cores_left: List[TraceCore] = []
 
     # ------------------------------------------------------------------
     # Assembly steps

@@ -133,18 +133,6 @@ def recorded_observations(result) -> List[Observation]:
     return [Observation(*row) for row in result.extra["observations"]]
 
 
-def run_litmus(program: LitmusProgram, width: int = 3, height: int = 3,
-               max_cycles: int = 100_000,
-               seed: int = 0, protocol: str = "scorpio"
-               ) -> List[Observation]:
-    """Execute *program* on a live system — ``execute_point`` of its
-    :func:`litmus_spec`, uncached; returns observations."""
-    from repro.experiments.sweep import execute_point
-    return recorded_observations(execute_point(litmus_spec(
-        program, protocol=protocol, seed=seed, width=width, height=height,
-        max_cycles=max_cycles)))
-
-
 # ---------------------------------------------------------------------------
 # The SC checker
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ from repro.analysis.latency import (CACHE_SERVED_CATEGORIES, breakdown_row,
                                     format_stack, served_fraction,
                                     total_latency)
 from repro.core import (ChipConfig, PROTOCOLS, RunResult, build_system,
-                        normalized_runtimes, run_benchmark)
+                        normalized_runtimes)
 from repro.core.config import CHIP_FEATURES
+from repro.experiments import benchmark_spec, execute_point
 
 
 class TestChipConfig:
@@ -50,8 +51,9 @@ class TestRunBenchmark:
     @pytest.fixture(scope="class")
     def result(self):
         config = ChipConfig.variant(3, 3)
-        return run_benchmark("lu", "scorpio", config, ops_per_core=20,
-                             workload_scale=0.02, think_scale=10.0)
+        return execute_point(benchmark_spec(
+            "lu", "scorpio", config, ops_per_core=20, workload_scale=0.02,
+            think_scale=10.0))
 
     def test_completes(self, result):
         assert result.progress == 1.0
@@ -69,7 +71,7 @@ class TestRunBenchmark:
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(KeyError):
-            run_benchmark("quake", "scorpio")
+            execute_point(benchmark_spec("quake", "scorpio"))
 
     def test_protocol_list(self):
         assert set(PROTOCOLS) == {"scorpio", "lpd", "ht", "fullbit"}

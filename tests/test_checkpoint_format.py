@@ -160,10 +160,12 @@ def test_wrong_schema_version(tmp_path):
     """A newer file, a schema-1 file (whose spec may be a class that no
     longer exists), a schema-2 file (whose notification network holds
     latch routers), a schema-3 file (whose routers hold one buffer
-    object per slot) and a schema-4 file (whose trackers may hold a
-    vector not yet decoded) are refused before the body is unpickled."""
+    object per slot), a schema-4 file (whose trackers may hold a
+    vector not yet decoded) and a schema-5 file (whose engine holds a
+    watcher list and a stop flag) are refused before the body is
+    unpickled."""
     path = _valid_file(tmp_path)
-    for schema in (CHECKPOINT_SCHEMA + 1, 1, 2, 3, 4):
+    for schema in (CHECKPOINT_SCHEMA + 1, 1, 2, 3, 4, 5):
         _rewrite_header(path, lambda h: h.update(schema=schema))
         with pytest.raises(CheckpointFormatError,
                            match=f"schema {schema}.*reads "
@@ -221,13 +223,6 @@ def test_restore_rejects_non_system_payload(tmp_path):
     with pytest.raises(CheckpointFormatError,
                        match="not a system snapshot"):
         restore_system(str(path))
-
-
-def test_snapshot_rejects_armed_watchers(tmp_path):
-    system = _FakeSystem()
-    system.engine.add_watcher(lambda cycle: None)
-    with pytest.raises(CheckpointError, match="watchers"):
-        snapshot_system(system, str(tmp_path / "x.ckpt"))
 
 
 def test_snapshot_rejects_mid_tick(tmp_path):

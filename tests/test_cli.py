@@ -540,7 +540,7 @@ def _litmus_specs(trace):
 
 
 # verb arguments ("{trace}": a 3x3 trace file) -> the specs the verb
-# built before it was a document (run_benchmark's benchmark_spec, the
+# built before it was a document (one benchmark_spec, the
 # sweep's benchmark x protocol x seed grid of them, a builder
 # SystemSpec over the trace file, the litmus suite's litmus_spec list).
 VERBS = {

@@ -87,8 +87,9 @@ class TestBankedDramAcrossProtocols:
 class TestTraceFilesThroughEverySystem:
     def test_one_trace_file_runs_everywhere(self, tmp_path):
         from repro.core import ChipConfig
-        from repro.core.api import run_trace_file
+        from repro.core.api import builder_of
         from repro.cpu.tracefile import dump_traces
+        from repro.experiments import SystemSpec, execute_point
 
         config = ChipConfig.variant(3, 3)
         traces = random_traces(9, seed=97)
@@ -96,7 +97,11 @@ class TestTraceFilesThroughEverySystem:
         dump_traces(traces, path)
         ops = sum(len(t) for t in traces)
         for protocol in ("scorpio", "lpd", "ht", "fullbit"):
-            result = run_trace_file(path, protocol=protocol, config=config)
+            builder, params = builder_of(protocol)
+            result = execute_point(SystemSpec(
+                builder, config, params=params,
+                workload={"kind": "trace", "path": str(path)},
+                protocol=protocol))
             assert result.progress == 1.0, protocol
             assert result.completed_ops == ops, protocol
 

@@ -6,14 +6,14 @@ regenerable."""
 import pytest
 
 from repro.core import ChipConfig
-from repro.core.api import run_benchmark
+from repro.experiments import benchmark_spec, execute_point
 
 
 def run(protocol, seed, ops=15):
     config = ChipConfig.variant(3, 3)
-    return run_benchmark("lu", protocol=protocol, config=config,
-                         ops_per_core=ops, workload_scale=0.02,
-                         think_scale=10.0, seed=seed)
+    return execute_point(benchmark_spec(
+        "lu", protocol, config, ops_per_core=ops, workload_scale=0.02,
+        think_scale=10.0, seed=seed))
 
 
 @pytest.mark.parametrize("protocol", ["scorpio", "lpd", "ht", "fullbit"])

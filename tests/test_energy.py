@@ -5,14 +5,14 @@ import pytest
 from repro.analysis.energy import (NIC_ROUTER_POWER_MW, EnergyModel,
                                    EnergyParams, EnergyReport)
 from repro.core import ChipConfig
-from repro.core.api import run_benchmark
+from repro.experiments import benchmark_spec, execute_point
 
 
 def small_run(**overrides):
     config = ChipConfig.variant(3, 3)
-    return config, run_benchmark("fft", protocol="scorpio", config=config,
-                                 ops_per_core=20, workload_scale=0.02,
-                                 think_scale=10.0, **overrides)
+    return config, execute_point(benchmark_spec(
+        "fft", "scorpio", config, ops_per_core=20, workload_scale=0.02,
+        think_scale=10.0, **overrides))
 
 
 class TestEnergyAccounting:
@@ -66,9 +66,9 @@ class TestEnergyAccounting:
         model = EnergyModel(config)
         reports = {}
         for ops in (10, 60):
-            result = run_benchmark("fft", protocol="scorpio", config=config,
-                                   ops_per_core=ops, workload_scale=0.02,
-                                   think_scale=10.0)
+            result = execute_point(benchmark_spec(
+                "fft", "scorpio", config, ops_per_core=ops,
+                workload_scale=0.02, think_scale=10.0))
             reports[ops] = model.report(result.stats, result.runtime)
         assert reports[60].total_dynamic_nj > reports[10].total_dynamic_nj
 

@@ -77,41 +77,10 @@ class TestEngine:
         ran = engine.run(100, until=lambda: counter.value >= 7)
         assert ran == 7
 
-    def test_stop_request(self):
-        engine = Engine()
-        counter = engine.register(Counter())
-        engine.add_watcher(lambda cycle: engine.stop() if cycle >= 4 else None)
-        engine.run(100)
-        assert engine.cycle == 4
-
     def test_register_rejects_non_clocked(self):
         engine = Engine()
         with pytest.raises(TypeError):
             engine.register(object())
-
-    def test_stop_between_runs_applies_to_next_run(self):
-        # Regression: run() used to clear _stop_requested unconditionally,
-        # silently discarding a stop requested between runs.  Semantics
-        # now: a pending stop makes the next run() simulate zero cycles
-        # and is consumed by it.
-        engine = Engine()
-        counter = engine.register(Counter())
-        engine.run(3)
-        engine.stop()
-        assert engine.run(10) == 0
-        assert engine.cycle == 3 and counter.value == 3
-        # Consumed: the run after that is unaffected.
-        assert engine.run(2) == 2
-        assert counter.value == 5
-
-    def test_stop_during_run_is_consumed(self):
-        engine = Engine()
-        engine.register(Counter())
-        engine.add_watcher(lambda cycle: engine.stop() if cycle >= 2 else None)
-        engine.run(10)
-        assert engine.cycle == 2
-        engine._watchers.clear()
-        assert engine.run(3) == 3     # no stale stop request
 
 
 class Sleeper(Clocked):
@@ -134,32 +103,6 @@ class TestQuiescence:
         assert sleeper.step_cycles == [0, 10, 20]
         assert engine.cycle == 25
         assert engine.ticks_executed + engine.cycles_fast_forwarded == 25
-
-    def test_fast_forward_disabled_by_watcher(self):
-        engine = Engine(quiescence=True)
-        engine.register(Sleeper(10))
-        observed = []
-        engine.add_watcher(observed.append)
-        engine.run(20)
-        assert engine.cycles_fast_forwarded == 0
-        assert observed == list(range(1, 21))
-
-    def test_watcher_armed_mid_run_stops_fast_forward(self):
-        # The docstring promise "an armed watcher observes every cycle"
-        # must hold even for a watcher added while run() is in flight.
-        engine = Engine(quiescence=True)
-
-        observed = []
-
-        class Armer(Clocked):
-            def step(self, cycle):
-                if cycle == 5:
-                    engine.add_watcher(observed.append)
-                self.idle_until(None if cycle >= 5 else cycle + 5)
-
-        engine.register(Armer())
-        engine.run(20)
-        assert observed == list(range(6, 21))
 
     def test_quiescence_off_ignores_protocol(self):
         engine = Engine(quiescence=False)
@@ -218,22 +161,45 @@ class TestQuiescence:
         assert sleeper.step_cycles == [0, 7, 14]
         assert ran == 15
 
-    def test_run_until_clock_predicate_stops_inside_gap(self):
-        # Regression: a predicate that reads the clock must stop at the
-        # exact cycle the naive kernel would, even when that cycle falls
-        # strictly inside a quiescence fast-forward window.  The engine
-        # used to jump the whole gap first and check the predicate after,
-        # overshooting the stop cycle.
-        engine = Engine(quiescence=True)
-        engine.register(Sleeper(100))     # asleep for cycles 1..99
-        ran = engine.run(200, until=lambda: engine.cycle >= 50)
-        assert engine.cycle == 50
-        assert ran == 50
+    def test_state_predicate_asked_once_per_tick_across_sleep(self):
+        # A state predicate is asked after every executed tick and never
+        # inside a fast-forwarded window (state is frozen there), and
+        # both kernels stop at the same cycle.
+        class Periodic(Clocked):
+            """Works every 100 cycles; a no-op step in between."""
 
-        naive = Engine(quiescence=False)
-        naive.register(Sleeper(100))
-        assert naive.run(200, until=lambda: naive.cycle >= 50) == ran
-        assert naive.cycle == engine.cycle
+            def __init__(self):
+                self.worked = []
+                self._due = 0
+
+            def step(self, cycle):
+                if cycle >= self._due:
+                    self.worked.append(cycle)
+                    self._due = cycle + 100
+                self.idle_until(self._due)
+
+        def run(quiescence):
+            engine = Engine(quiescence=quiescence)
+            periodic = engine.register(Periodic())
+            asked = []
+
+            def until():
+                asked.append(engine.cycle)
+                return len(periodic.worked) >= 3
+            ran = engine.run(1000, until=until)
+            return engine, periodic, asked, ran
+
+        engine, periodic, asked, ran = run(True)
+        assert periodic.worked == [0, 100, 200]
+        assert ran == 201 and engine.cycle == 201
+        assert asked == [1, 2, 101, 102, 201]
+        assert len(asked) == engine.ticks_executed
+        assert engine.cycles_fast_forwarded == 201 - 5
+
+        naive, naive_periodic, naive_asked, naive_ran = run(False)
+        assert naive_ran == ran and naive.cycle == engine.cycle
+        assert naive_periodic.worked == periodic.worked
+        assert naive_asked == list(range(1, 202))
 
     def test_forced_quiescence_overrides_default(self):
         with forced_quiescence(False):
@@ -241,7 +207,7 @@ class TestQuiescence:
             assert Engine().quiescence is False
         with forced_quiescence(True):
             assert Engine().quiescence is True
-        assert default_quiescence() is True   # env default restored
+        assert default_quiescence() is True   # the default restored
 
     def test_kernel_accounting_shape(self):
         engine = Engine(quiescence=True)
@@ -323,9 +289,9 @@ class _EngineBox:
 
 
 class TestCheckpointRoundTrip:
-    """Engine edge cases across a snapshot/restore round trip: pending
-    stop requests, quiescence-mode flips (the mode must never leak into
-    or out of a checkpoint), and idle_until cells."""
+    """Engine edge cases across a snapshot/restore round trip:
+    quiescence-mode flips (the mode must never leak into or out of a
+    checkpoint) and idle_until cells."""
 
     def _round_trip(self, engine, tmp_path):
         from repro.sim.checkpoint import restore_system, snapshot_system
@@ -333,21 +299,6 @@ class TestCheckpointRoundTrip:
         snapshot_system(_EngineBox(engine), str(path))
         _meta, box = restore_system(str(path))
         return box.engine
-
-    def test_pending_stop_survives_restore(self, tmp_path):
-        engine = Engine()
-        engine.register(Counter())
-        engine.run(3)
-        engine.stop()
-        restored = self._round_trip(engine, tmp_path)
-        counter = restored._components[0]
-        # The pending stop travels: the restored engine's next run
-        # simulates zero cycles and consumes it, exactly like the
-        # original would have.
-        assert restored.run(10) == 0
-        assert restored.cycle == 3 and counter.value == 3
-        assert restored.run(2) == 2
-        assert counter.value == 5
 
     def test_idle_cells_survive_restore(self, tmp_path):
         engine = Engine(quiescence=True)
@@ -398,15 +349,15 @@ class TestCheckpointRoundTrip:
         assert sleeper.step_cycles == [0, 1, 2, 3, 4, 5, 15]
         assert restored.cycles_fast_forwarded > before
 
-    def test_env_var_controls_restored_mode(self, tmp_path, monkeypatch):
-        # The environment of the *restoring* process decides the mode —
-        # REPRO_QUIESCENCE=0 must win over a snapshot taken with it on.
+    def test_env_var_controls_restored_mode(self, tmp_path):
+        # The *restoring* process decides the mode: forced_quiescence
+        # off there wins over a snapshot taken with it on.
         engine = Engine(quiescence=True)
         engine.register(Sleeper(10))
         engine.run(5)
-        monkeypatch.setenv("REPRO_QUIESCENCE", "0")
-        restored = self._round_trip(engine, tmp_path)
+        with forced_quiescence(False):
+            restored = self._round_trip(engine, tmp_path)
         assert restored.quiescence is False
-        monkeypatch.setenv("REPRO_QUIESCENCE", "1")
-        restored = self._round_trip(engine, tmp_path)
+        with forced_quiescence(True):
+            restored = self._round_trip(engine, tmp_path)
         assert restored.quiescence is True

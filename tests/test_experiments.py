@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from repro.core.api import RunResult, run_benchmark
+from repro.core.api import RunResult
 from repro.core.config import ChipConfig
 from repro.experiments import (ResultCache, Sweep, as_cache, benchmark_spec,
-                               code_version, executing, run_sweep)
+                               code_version, executing, execute_point,
+                               run_sweep)
 
 # A deliberately tiny regime so every test runs in well under a second
 # per simulation.
@@ -123,8 +124,8 @@ class TestSweepExpansion:
 class TestRunSweep:
     def test_matches_run_benchmark(self):
         spec = tiny_spec()
-        direct = run_benchmark("fft", protocol="scorpio",
-                               config=ChipConfig.variant(3, 3), **KNOBS)
+        direct = execute_point(benchmark_spec(
+            "fft", "scorpio", ChipConfig.variant(3, 3), **KNOBS))
         [swept] = run_sweep([spec], cache=False)
         assert swept.runtime == direct.runtime
         assert swept.stats == direct.stats

@@ -91,11 +91,11 @@ class TestFullbitCoherence:
 
     def test_api_protocol_roundtrip(self):
         from repro.core import ChipConfig
-        from repro.core.api import run_benchmark
+        from repro.experiments import benchmark_spec, execute_point
         config = ChipConfig.variant(3, 3)
-        result = run_benchmark("fft", protocol="fullbit", config=config,
-                               ops_per_core=10, workload_scale=0.02,
-                               think_scale=10.0)
+        result = execute_point(benchmark_spec(
+            "fft", "fullbit", config, ops_per_core=10, workload_scale=0.02,
+            think_scale=10.0))
         assert result.progress == 1.0
         assert result.protocol == "fullbit"
 

@@ -13,7 +13,8 @@ from repro.verification.litmus import (ALL_LITMUS, COHERENCE_ORDER, IRIW,
                                        STORE_BUFFERING, LitmusProgram,
                                        Observation,
                                        is_sequentially_consistent,
-                                       run_litmus, var_addr)
+                                       litmus_spec, recorded_observations,
+                                       var_addr)
 
 
 class TestVarAddresses:
@@ -73,10 +74,17 @@ class TestChecker:
         assert not is_sequentially_consistent(COHERENCE_ORDER, obs)
 
 
+def observed(program, **options):
+    """The observations of ``execute_point(litmus_spec(...))``."""
+    from repro.experiments import execute_point
+    return recorded_observations(execute_point(litmus_spec(program,
+                                                           **options)))
+
+
 @pytest.mark.parametrize("program", ALL_LITMUS, ids=lambda p: p.name)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_litmus_on_live_system(program, seed):
-    observations = run_litmus(program, seed=seed)
+    observations = observed(program, seed=seed)
     assert is_sequentially_consistent(program, observations), (
         f"{program.name} produced a non-SC outcome: {observations}")
 
@@ -93,14 +101,14 @@ def test_litmus_under_background_conflicts():
             [("R", "z"), ("W", "z")],
         ])
     for seed in (0, 3):
-        observations = run_litmus(program, seed=seed)
+        observations = observed(program, seed=seed)
         assert is_sequentially_consistent(program, observations)
 
 
 def test_too_many_threads_rejected():
     program = LitmusProgram(name="big", threads=[[("R", "x")]] * 10)
     with pytest.raises(ValueError):
-        run_litmus(program, width=3, height=3)
+        observed(program, width=3, height=3)
 
 
 def litmus_verdicts(protocol, seeds):
@@ -130,9 +138,9 @@ def test_run_suite_scorpio_all_pass():
 
 
 def test_run_litmus_rejects_unknown_protocol():
-    from repro.verification.litmus import MESSAGE_PASSING, run_litmus
+    from repro.verification.litmus import MESSAGE_PASSING
     with pytest.raises(ValueError, match="unknown protocol"):
-        run_litmus(MESSAGE_PASSING, protocol="tokenring")
+        observed(MESSAGE_PASSING, protocol="tokenring")
 
 
 def test_litmus_run_uses_its_whole_config():

@@ -1,6 +1,6 @@
-"""Focused edge-case tests across small surfaces: engine watchers, CLI
-error paths, notification-tracker position counter, packet helpers,
-config validation corners and workload scaling."""
+"""Focused edge-case tests across small surfaces: CLI error paths,
+notification-tracker position counter, packet helpers, config
+validation corners and workload scaling."""
 
 import io
 
@@ -9,34 +9,6 @@ import pytest
 from repro.noc.config import NocConfig, NotificationConfig
 from repro.noc.packet import data_packet_flits
 from repro.notification.tracker import NotificationTracker
-from repro.sim.engine import Clocked, Engine
-
-
-class TestEngineWatchers:
-    def test_watcher_called_every_cycle(self):
-        engine = Engine()
-        seen = []
-        engine.add_watcher(seen.append)
-        engine.run(5)
-        assert seen == [1, 2, 3, 4, 5]
-
-    def test_watcher_sees_post_commit_state(self):
-        class Counter(Clocked):
-            value = 0
-            _next = 0
-
-            def step(self, cycle):
-                self._next = self.value + 1
-
-            def commit(self, cycle):
-                self.value = self._next
-
-        engine = Engine()
-        counter = engine.register(Counter())
-        observed = []
-        engine.add_watcher(lambda cycle: observed.append(counter.value))
-        engine.run(3)
-        assert observed == [1, 2, 3]
 
 
 class TestNotificationTrackerPosition:
@@ -156,16 +128,15 @@ class TestWorkloadScaling:
 class TestApiSurfaces:
     def test_run_benchmark_accepts_profile_object(self):
         from repro.core import ChipConfig
-        from repro.core.api import run_benchmark
+        from repro.experiments import benchmark_spec, execute_point
         from repro.workloads.synthetic import WorkloadProfile
         profile = WorkloadProfile(name="custom", read_fraction=0.7,
                                   shared_fraction=0.2,
                                   shared_write_fraction=0.3,
                                   private_lines=40, shared_lines=10,
                                   hot_fraction=0.2, think_mean=8)
-        result = run_benchmark(profile, protocol="scorpio",
-                               config=ChipConfig.variant(3, 3),
-                               ops_per_core=8)
+        result = execute_point(benchmark_spec(
+            profile, "scorpio", ChipConfig.variant(3, 3), ops_per_core=8))
         assert result.benchmark == "custom"
         assert result.progress == 1.0
 
@@ -184,11 +155,10 @@ class TestApiSurfaces:
 
     def test_breakdown_filters_by_served_kind(self):
         from repro.core import ChipConfig
-        from repro.core.api import run_benchmark
-        result = run_benchmark("fft", protocol="scorpio",
-                               config=ChipConfig.variant(3, 3),
-                               ops_per_core=12, workload_scale=0.02,
-                               think_scale=10.0)
+        from repro.experiments import benchmark_spec, execute_point
+        result = execute_point(benchmark_spec(
+            "fft", "scorpio", ChipConfig.variant(3, 3), ops_per_core=12,
+            workload_scale=0.02, think_scale=10.0))
         cache = result.breakdown("cache")
         memory = result.breakdown("memory")
         assert "mem_access" in memory

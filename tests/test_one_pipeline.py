@@ -12,7 +12,7 @@ cache state.
 
 The second part pins :func:`repro.experiments.plan_points` directly,
 with a recording ``lookup`` in place of a cache; the third pins the
-front door — ``run_benchmark``, ``run_sweep`` of a ``benchmark_spec``
+front door — ``execute_point`` and ``run_sweep`` of a ``benchmark_spec``
 and the equivalent builder ``SystemSpec`` return the same row of the one
 result class.
 """
@@ -27,11 +27,12 @@ import pytest
 from repro.api import envelope_bytes, run_experiment
 from repro.api.client import ServeClient
 from repro.api.document import experiment_from_dict
-from repro.core.api import RunResult, run_benchmark
+from repro.core.api import RunResult
 from repro.core.config import ChipConfig
 from repro.experiments import (SweepResult, SystemSpec, benchmark_spec,
-                               plan_points, run_experiment_checkpointed,
-                               run_sweep, snapshot_spec)
+                               execute_point, plan_points,
+                               run_experiment_checkpointed, run_sweep,
+                               snapshot_spec)
 from repro.serve import serve
 
 KNOBS = dict(ops_per_core=8, workload_scale=0.02, think_scale=10.0)
@@ -224,7 +225,7 @@ def test_one_result_class():
 @pytest.mark.parametrize("protocol", ["scorpio", "lpd", "ht", "fullbit"])
 def test_front_doors_return_the_same_row(protocol):
     config = ChipConfig.variant(3, 3)
-    direct = run_benchmark("fft", protocol=protocol, config=config, **KNOBS)
+    direct = execute_point(benchmark_spec("fft", protocol, config, **KNOBS))
     [swept] = run_sweep([benchmark_spec("fft", protocol, config, **KNOBS)],
                         cache=False)
     builder, params = ("scorpio", {}) if protocol == "scorpio" \
@@ -260,7 +261,8 @@ def test_profile_object_goes_through_every_front_door():
     profile = WorkloadProfile(name="custom", private_lines=64,
                               shared_lines=16, think_mean=40)
     config = ChipConfig.variant(3, 3)
-    direct = run_benchmark(profile, config=config, ops_per_core=8)
+    direct = execute_point(benchmark_spec(profile, "scorpio", config,
+                                          ops_per_core=8))
     pooled = run_sweep([benchmark_spec(profile, "scorpio", config,
                                        ops_per_core=8, seed=seed)
                         for seed in (0, 1)],

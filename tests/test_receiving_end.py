@@ -24,7 +24,7 @@ from repro.noc.router import PORTS, Router
 from repro.noc.routing import EAST, LOCAL, WEST, opposite
 from repro.noc.tester import NodeTester, TrafficConfig
 from repro.noc.vc import OutPort
-from repro.sim.engine import forced_quiescence
+from repro.sim.engine import Clocked, forced_quiescence
 from repro.sim.stats import StatsRegistry
 
 GO_REQ, UO_RESP = VNet.GO_REQ, VNet.UO_RESP
@@ -139,14 +139,18 @@ class TestSlotTable:
         with forced_quiescence(quiescence):
             system = spec.build()
 
-            def watch(_cycle):
-                for router in system.mesh.routers:
-                    occupied = sum(packet is not None
-                                   for packet in router._slot_packet)
-                    assert router.occupancy() == occupied
-                    peak.append(occupied)
+            class Watch(Clocked):
+                """Registered last: reads every router after its
+                commit, every cycle (it never sleeps)."""
 
-            system.engine.add_watcher(watch)
+                def commit(self, _cycle):
+                    for router in system.mesh.routers:
+                        occupied = sum(packet is not None
+                                       for packet in router._slot_packet)
+                        assert router.occupancy() == occupied
+                        peak.append(occupied)
+
+            system.engine.register(Watch())
             system.run_until_done(spec.max_cycles)
         assert system.all_cores_finished()
         assert max(peak) > 1

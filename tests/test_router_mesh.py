@@ -16,7 +16,7 @@ from repro.noc.router import Router
 from repro.noc.routing import LOCAL, WEST
 from repro.noc.tester import NetworkTester, TrafficConfig
 from repro.noc.vc import OutPort
-from repro.sim.engine import Engine
+from repro.sim.engine import Clocked, Engine
 
 
 class StubEndpoint:
@@ -65,6 +65,18 @@ class StubEndpoint:
         return True
 
 
+class AfterCommit(Clocked):
+    """Calls *fn(cycle + 1)* at the end of every cycle: registered after
+    the routers, its commit runs after theirs, so *fn* sees the cycle's
+    committed state before the next cycle steps."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+
+    def commit(self, cycle: int) -> None:
+        self.fn(cycle + 1)
+
+
 class Fabric:
     """A mesh with stub endpoints driven in lockstep."""
 
@@ -78,7 +90,7 @@ class Fabric:
             router = self.mesh.attach(node, ep)
             ep.attach(router)
             self.endpoints.append(ep)
-        self.engine.add_watcher(self._tick_endpoints)
+        self.engine.register(AfterCommit(self._tick_endpoints))
 
     def _tick_endpoints(self, cycle):
         for ep in self.endpoints:
@@ -174,8 +186,8 @@ class TestBroadcast:
     def test_sid_invariant_under_load(self):
         fabric = Fabric()
         checks = []
-        fabric.engine.add_watcher(
-            lambda _c: checks.append(fabric.mesh.check_sid_invariant()))
+        fabric.engine.register(AfterCommit(
+            lambda _c: checks.append(fabric.mesh.check_sid_invariant())))
         for node in range(16):
             fabric.endpoints[node].inject(broadcast(node), cycle=0)
         fabric.run(200)
@@ -194,7 +206,7 @@ class TestBroadcast:
             if not injected["done"]:
                 injected["done"] = fabric.endpoints[3].inject(second, cycle)
 
-        fabric.engine.add_watcher(try_second)
+        fabric.engine.register(AfterCommit(try_second))
         fabric.run(300)
         for node, ep in enumerate(fabric.endpoints):
             seqs = [p.seq for _c, p in ep.received if p.sid == 3]

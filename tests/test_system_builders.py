@@ -217,12 +217,13 @@ class TestSweepIntegration:
 
 class TestCompareSystems:
     def test_labels_order_and_metrics(self):
-        from repro.analysis.comparison import compare_systems
-        results = compare_systems(
+        from repro.analysis.comparison import system_specs
+        rows = run_sweep(system_specs(
             {"SCORPIO": ("scorpio", {}),
              "TS": ("timestamp", {})},
             workload=dict(TINY_BENCH),
-            config=ChipConfig.variant(3, 3))
+            config=ChipConfig.variant(3, 3)))
+        results = {row.label: row for row in rows}
         assert list(results) == ["SCORPIO", "TS"]
         assert results["TS"].stats["system.reorder_buffer_peak"] > 0
         assert results["SCORPIO"].runtime > 0

@@ -3,11 +3,14 @@ think-time pacing, completion accounting."""
 
 from repro.cpu.core import CoreConfig, TraceCore
 from repro.cpu.trace import Trace, TraceOp
-from repro.sim.engine import Engine
+from repro.sim.engine import Clocked, Engine
 
 
-class FakeL2:
-    """Accepts requests and completes them after a fixed delay."""
+class FakeL2(Clocked):
+    """Accepts requests and completes them after a fixed delay.
+
+    Registered after the core, it never sleeps: at the end of every
+    cycle it completes what is due by the next one."""
 
     def __init__(self, latency=20, accept=True):
         self.latency = latency
@@ -30,7 +33,8 @@ class FakeL2:
         self._pending.append((cycle + self.latency, token))
         return True
 
-    def tick(self, cycle):
+    def commit(self, cycle):
+        cycle += 1
         for entry in [p for p in self._pending if p[0] <= cycle]:
             self._pending.remove(entry)
             self._cb(entry[1], cycle)
@@ -41,7 +45,7 @@ def run_core(trace, config=None, l2=None, cycles=2000):
     l2 = l2 or FakeL2()
     core = TraceCore(0, l2, trace, 32, config or CoreConfig(l1_enabled=False))
     engine.register(core)
-    engine.add_watcher(l2.tick)
+    engine.register(l2)
     engine.run(cycles, until=lambda: core.finished)
     return core, l2, engine
 
@@ -61,7 +65,7 @@ class TestIssue:
         engine = Engine()
         core = TraceCore(0, slow, trace, 32, config)
         engine.register(core)
-        engine.add_watcher(slow.tick)
+        engine.register(slow)
         engine.run(100)
         assert len(slow.requests) == 2   # capped
 
@@ -78,7 +82,7 @@ class TestIssue:
         engine = Engine()
         core = TraceCore(0, l2, trace, 32, CoreConfig(l1_enabled=False))
         engine.register(core)
-        engine.add_watcher(l2.tick)
+        engine.register(l2)
         engine.run(50)
         assert not l2.requests
         l2.accept = True

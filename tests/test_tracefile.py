@@ -124,27 +124,38 @@ def trace_spec(path, width=3):
                       workload={"kind": "trace", "path": str(path)})
 
 
+def trace_run(path, protocol, config):
+    """``execute_point`` of a trace-workload spec under *protocol* (the
+    row's ``protocol`` column is *protocol*, as ``repro trace`` labels
+    it)."""
+    from repro.core.api import builder_of
+    from repro.experiments import SystemSpec, execute_point
+    builder, params = builder_of(protocol)
+    return execute_point(SystemSpec(
+        builder, config, params=params,
+        workload={"kind": "trace", "path": str(path)}, protocol=protocol))
+
+
 class TestApiIntegration:
     def test_run_trace_file(self, tmp_path):
         from repro.core import ChipConfig
-        from repro.core.api import run_trace_file
 
         config = ChipConfig.variant(3, 3)
         traces = fft_traces()
         path = tmp_path / "fft.trace"
         dump_traces(traces, path)
 
-        result = run_trace_file(path, protocol="scorpio", config=config)
+        result = trace_run(path, "scorpio", config)
         assert result.progress == 1.0
         assert result.completed_ops == sum(len(t) for t in traces)
 
     @pytest.mark.parametrize("protocol", ["scorpio", "lpd", "ht", "fullbit"])
     def test_run_trace_file_equals_a_hand_built_run(self, tmp_path,
                                                     protocol):
-        """``run_trace_file`` is ``execute_point`` of a trace-workload
-        spec; its row equals the hand-built run it replaced."""
+        """``execute_point`` of a trace-workload spec: its row equals
+        a hand-built run of the same traces."""
         from repro.core import ChipConfig
-        from repro.core.api import RunResult, build_system, run_trace_file
+        from repro.core.api import RunResult, build_system
 
         config = ChipConfig.variant(3, 3)
         path = tmp_path / "fft.trace"
@@ -157,7 +168,7 @@ class TestApiIntegration:
             completed_ops=system.total_completed_ops(),
             progress=system.progress(), stats=system.stats.snapshot())
 
-        assert run_trace_file(path, protocol, config) == reference
+        assert trace_run(path, protocol, config) == reference
 
 
 class TestTraceWorkload:
