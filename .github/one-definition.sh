@@ -57,6 +57,8 @@ retired=(
     'peek_esid|_now'                           # one published ESID
     'run_benchmark|run_trace_file|run_litmus|compare_systems|add_watcher|_watchers|_stop_requested|REPRO_QUIESCENCE'
                                                # one way to drive a run
+    'StatsFrame|statsframe|DEFAULT_SAMPLE_CAP|percentile'
+                                               # a statistic is what the payload reads
 )
 forbid "retired name" "\b($(IFS='|'; echo "${retired[*]}"))\b" \
     src tests benchmarks examples
@@ -148,14 +150,22 @@ found=$(grep -rnE --include='*.py' '\.esid *(:[^=]*)?=[^=]' src/repro)
     && [ "${found%%:*}" = src/repro/nic/controller.py ] \
     || fail "esid written in more than one place: $found"
 
-# PR 27 - every run through the one pipeline: execute_point is the only
-# run loop under src/repro (run_until_done stays a method, called by no
-# library code); examples and benchmarks build no system class and run
-# none themselves; the second figure-data type, the second litmus runner
-# and the second report door stay deleted.
-found=$(grep -rnE --include='*.py' 'run_until_done\(' src/repro \
-        | grep -v 'def run_until_done(')
-[ -z "$found" ] || fail "run loop outside execute_point: $found"
+# One pipeline and one run loop:
+# BaseSystem.run_until_done is the loop body execute_point runs (once,
+# or once per checkpoint slice) and the only place under src/repro that
+# hands Engine.run an until predicate; no test re-states that loop over
+# a system; examples and benchmarks build no system class and run none
+# themselves; the second figure-data type, the second litmus runner and
+# the second report door stay deleted.
+only_in "until predicate outside run_until_done" 'until=' \
+    "src/repro/systems/base.py"
+[ "$(grep -c 'until=' src/repro/systems/base.py)" -eq 1 ] \
+    || fail "more than one until predicate in systems/base.py"
+only_in "run_until_done called outside execute_point" 'run_until_done\(' \
+    "src/repro/systems/base.py
+src/repro/experiments/sweep.py"
+forbid "run loop over a system re-stated in a test" \
+    'until=[^)]*all_cores_finished' tests
 forbid "hand-run system in examples / benchmarks" \
     'run_until_done\(|(Scorpio|Directory|MultiMeshScorpio|Inso|TokenB|Timestamp|Uncorq)System\(' \
     examples benchmarks

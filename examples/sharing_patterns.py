@@ -54,11 +54,11 @@ def main() -> None:
             for result in outcome.results:
                 assert result.progress == 1.0, \
                     f"{result.label} did not finish"
-                frame = result.frame
+                stats = result.stats
                 print(f"{result.label:<10}{result.runtime:>9}"
                       f"{result.cache_served_latency:>16.1f}c"
-                      f"{frame.value('l2.data_forwards'):>15.0f}"
-                      f"{frame.value('mc.writebacks_received'):>12.0f}")
+                      f"{stats.get('l2.data_forwards', 0.0):>15.0f}"
+                      f"{stats.get('mc.writebacks_received', 0.0):>12.0f}")
             print()
 
 

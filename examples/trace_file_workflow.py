@@ -10,6 +10,7 @@ export per-run statistics as stable JSON artifacts.
 Run:  python examples/trace_file_workflow.py
 """
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -57,9 +58,11 @@ def main() -> None:
             print(f"{protocol:<10}{result.runtime:>9}"
                   f"{result.avg_l2_service_latency:>11.1f}c")
             # The run's statistics as a sorted-key JSON artifact.
-            stats = result.frame.select("l2.*", "nic.*", "noc.*")
+            stats = {name: value for name, value in result.stats.items()
+                     if name.startswith(("l2.", "nic.", "noc."))}
             stats_path = Path(workdir) / f"stats-{protocol}.json"
-            stats_path.write_text(stats.to_json(indent=2))
+            stats_path.write_text(json.dumps(stats, sort_keys=True,
+                                             indent=2))
             print(f"{'':<10}{len(stats)} stats -> {stats_path.name}")
 
 

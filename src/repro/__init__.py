@@ -20,7 +20,8 @@ Quick start::
     print(result.runtime)
 
 :mod:`repro.api` is the stable, versioned public surface (config
-serialization, experiment documents, the queryable ``StatsFrame``);
+serialization, experiment documents, the result row whose ``stats``
+is a flat dict);
 every other module is an internal that may change between versions.
 """
 

@@ -484,9 +484,9 @@ def _fig7(results) -> Reduced:
     # (``InsoSystem.expiry_overhead``, read from the row's counters).
     for key, run in next(iter(grid.values())).items():
         if key.startswith("inso"):
-            sent = run.frame.value("nic.requests_sent")
+            sent = run.stats.get("nic.requests_sent", 0.0)
             measured[f"expiry_ratio.{key}"] = \
-                run.frame.value("inso.expiry_messages") / sent \
+                run.stats.get("inso.expiry_messages", 0.0) / sent \
                 if sent else float("inf")
     return _table(
         ["benchmark", "SCORPIO", "TokenB", "INSO-20", "INSO-40", "INSO-80"],
@@ -707,7 +707,7 @@ def _sec2(results) -> Reduced:
         for runs in grid.values():
             if "uncorq" in runs:
                 uncorq = runs["uncorq"]
-                ring = int(uncorq.frame["system.ring_traversal_latency"])
+                ring = int(uncorq.stats["system.ring_traversal_latency"])
                 rows.append(["Uncorq",
                              f"(lone write: {uncorq.runtime} cy)",
                              f"ring circuit {ring} cy"])
@@ -716,8 +716,8 @@ def _sec2(results) -> Reduced:
                 continue
             ts = runs["ts"]
             ratios.append(ts.runtime / runs["scorpio"].runtime)
-            peaks.append(int(ts.frame["system.reorder_buffer_peak"]))
-            late.append(ts.frame["system.late_arrivals"])
+            peaks.append(int(ts.stats["system.reorder_buffer_peak"]))
+            late.append(ts.stats["system.late_arrivals"])
             rows.append(["Timestamp Snooping", f"{ratios[-1]:.3f}",
                          f"reorder peak {peaks[-1]}/node"])
         if peaks:
@@ -770,11 +770,11 @@ def _incf(results) -> Reduced:
     rows, saved, slowdown, links = [], [], [], []
     for name, runs in grid.items():
         off, on = runs["incf-off"], runs["incf-on"]
-        flits = [int(run.frame.value("noc.flits.transmitted"))
+        flits = [int(run.stats.get("noc.flits.transmitted", 0.0))
                  for run in (off, on)]
         saved.append(1 - flits[1] / flits[0])
         slowdown.append(on.runtime / off.runtime)
-        links.append(on.frame.value("incf.links_saved"))
+        links.append(on.stats.get("incf.links_saved", 0.0))
         rows.append([name, str(flits[0]), str(flits[1]),
                      f"{saved[-1]:.1%}"])
     measured = {"flits_saved": _mean(saved), "flits_saved.min": min(saved),
@@ -846,7 +846,7 @@ def _locks_points(regime: Regime, seed: int) -> List[SystemSpec]:
 def _locks(results) -> Reduced:
     (cores, grid), = _legs(results).items()
     runs, = grid.values()
-    handoff = {label: run.frame.value("l2.miss_latency.cache.mean")
+    handoff = {label: run.cache_served_latency
                for label, run in runs.items()}
     rows = [[label, str(run.runtime), f"{handoff[label]:.1f}"]
             for label, run in runs.items()]

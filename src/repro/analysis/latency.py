@@ -66,10 +66,10 @@ def format_stack(rows: Dict[str, Dict[str, float]], served: str) -> str:
 def served_fraction(result: RunResult) -> Dict[str, float]:
     """Fraction of misses served by caches vs. memory (the paper reports
     ~90 % cache-served for these workloads)."""
-    counts = result.frame.select("l2.miss_latency.*").count
-    cache = counts.get("l2.miss_latency.cache", 0.0)
-    memory = counts.get("l2.miss_latency.memory", 0.0)
-    dir_ = counts.get("l2.miss_latency.directory", 0.0)
+    stats = result.stats
+    cache = stats.get("l2.miss_latency.cache.count", 0.0)
+    memory = stats.get("l2.miss_latency.memory.count", 0.0)
+    dir_ = stats.get("l2.miss_latency.directory.count", 0.0)
     total = cache + memory + dir_
     if total == 0:
         return {"cache": 0.0, "memory": 0.0, "directory": 0.0}

@@ -15,12 +15,10 @@ Everything re-exported here follows the v1 compatibility contract:
   :func:`run_experiment` executes it through the parallel/cached sweep
   runner and :func:`describe_experiment` prints the resolved form.
   The CLI front-ends are ``repro run-file`` and ``repro describe``.
-* **Results are queryable.**  :class:`StatsFrame` is the structured
-  view over any flat stats snapshot (``RunResult.frame``): wildcard
-  selection, histogram accessors, grouped tables and stable JSON
-  export — no string-prefix slicing.  Every door returns the same row
-  class: ``SweepResult`` is ``RunResult`` under its experiment-layer
-  name.
+* **Results are rows.**  Every door returns the same row class:
+  ``SweepResult`` is ``RunResult`` under its experiment-layer name.  A
+  row's ``stats`` is the flat dict — counters, gauges and one
+  ``<stem>.mean`` / ``<stem>.count`` pair per histogram.
 
 Modules outside this façade (`repro.noc`, `repro.coherence`, the system
 classes, ...) are internals: importable and documented, but free to
@@ -40,7 +38,6 @@ from repro.core.serialize import (CONFIG_SCHEMA, ConfigFormatError,
 from repro.experiments import (ResultCache, Sweep, SweepResult, SystemSpec,
                                benchmark_spec, builder_names, list_builders,
                                run_sweep)
-from repro.sim.statsframe import StatsFrame
 
 # Version of the repro.api compatibility contract as a whole.  Bumps
 # only on breaking changes to anything exported here; the per-format
@@ -51,13 +48,15 @@ from repro.sim.statsframe import StatsFrame
 # 3: the benchmark, trace-file and system-comparison wrappers left the
 # façade (a run is a SystemSpec through run_sweep, or a document through
 # run_experiment).
-API_VERSION = 3
+# 4: the stats query view left the façade (a row's stats is the flat
+# dict).
+API_VERSION = 4
 
 __all__ = [
     "API_VERSION", "CONFIG_SCHEMA", "DOCUMENT_SCHEMA", "RESULTS_SCHEMA",
     "ChipConfig", "ConfigFormatError", "DocumentError",
     "ExperimentResult", "ExperimentSpec", "PROTOCOLS", "ResultCache",
-    "RunResult", "SerializableConfig", "StatsFrame", "Sweep",
+    "RunResult", "SerializableConfig", "Sweep",
     "SweepResult", "SystemSpec", "benchmark_spec", "builder_names",
     "describe_experiment", "envelope_bytes", "experiment_from_dict",
     "list_builders", "load_experiment", "normalized_runtimes",

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.core.config import ChipConfig
-from repro.sim.statsframe import StatsFrame
 
 if TYPE_CHECKING:
     from repro.experiments.builders import SystemSpec
@@ -41,9 +40,9 @@ class RunResult:
     Contains no wall-clock or host-specific fields, so a fresh run and a
     cache hit of the same spec serialize identically and compare equal
     (``cached`` is bookkeeping: not in the payload, not compared).
-    ``stats`` is the raw flat snapshot; :attr:`frame` is the structured
-    query interface over it, and the named latency properties and
-    :meth:`breakdown` are readers on the frame.
+    ``stats`` is the flat snapshot (a histogram is its
+    ``<stem>.mean`` / ``<stem>.count`` pair); the named latency
+    properties and :meth:`breakdown` read it.
     """
 
     protocol: str                 # a system-builder run: the builder name
@@ -62,31 +61,24 @@ class RunResult:
     cached: bool = field(default=False, compare=False)
 
     @property
-    def frame(self) -> StatsFrame:
-        """Queryable :class:`~repro.sim.statsframe.StatsFrame` over
-        :attr:`stats` — the structured alternative to prefix-slicing
-        (cached; rebuilt if ``stats`` is reassigned)."""
-        frame = self.__dict__.get("_frame")
-        if frame is None or frame._stats is not self.stats:
-            frame = StatsFrame(self.stats)
-            self.__dict__["_frame"] = frame
-        return frame
-
-    @property
     def avg_l2_service_latency(self) -> float:
-        return self.frame.value("l2.miss_latency.mean")
+        return self.stats.get("l2.miss_latency.mean", 0.0)
 
     @property
     def cache_served_latency(self) -> float:
-        return self.frame.value("l2.miss_latency.cache.mean")
+        return self.stats.get("l2.miss_latency.cache.mean", 0.0)
 
     @property
     def memory_served_latency(self) -> float:
-        return self.frame.value("l2.miss_latency.memory.mean")
+        return self.stats.get("l2.miss_latency.memory.mean", 0.0)
 
     def breakdown(self, served: str = "cache") -> Dict[str, float]:
-        """Latency decomposition (Fig. 6b/6c categories) in mean cycles."""
-        return self.frame.relative_to(f"l2.breakdown.{served}.").mean
+        """Latency decomposition (Fig. 6b/6c categories) in mean cycles,
+        keyed by category in sorted order."""
+        prefix = f"l2.breakdown.{served}."
+        return {key[len(prefix):-len(".mean")]: value
+                for key, value in sorted(self.stats.items())
+                if key.startswith(prefix) and key.endswith(".mean")}
 
     def payload(self) -> Dict[str, Any]:
         """The canonical cacheable form.

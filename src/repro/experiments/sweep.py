@@ -40,7 +40,6 @@ from repro.experiments.context import get_context
 from repro.experiments.procpool import DEFAULT_RETRIES, run_points
 from repro.experiments.builders import SystemSpec, benchmark_spec
 from repro.experiments.spec import KeyMemo
-from repro.systems.base import record_kernel_meta
 from repro.workloads.synthetic import WorkloadProfile
 
 # One result-row class; the experiment layer, the tests and the docs
@@ -124,20 +123,18 @@ def execute_point(spec: SystemSpec, fingerprint: str = "", *,
         system = spec.build()
     if instrument is not None:
         instrument(system)
-    engine = system.engine
-    # Finished-ness must gate *before* Engine.run: run always advances
-    # at least one cycle, which would shift the runtime of a system
-    # restored exactly at its completion boundary.
-    while not system.all_cores_finished() and engine.cycle < spec.max_cycles:
-        budget = spec.max_cycles - engine.cycle
-        if checkpoint_every is not None:
-            budget = min(budget, checkpoint_every)
-        engine.run(budget, until=system.all_cores_finished)
-        if checkpoint_path is not None and checkpoint_every is not None:
-            snapshot_spec(spec, system, checkpoint_path, fingerprint)
-    # kernel_accounting is cumulative, so recording once at the end of
-    # a sliced or resumed run matches a straight one.
-    record_kernel_meta(system)
+    if checkpoint_every is not None:
+        engine = system.engine
+        while not system.all_cores_finished() \
+                and engine.cycle < spec.max_cycles:
+            system.run_until_done(min(spec.max_cycles,
+                                      engine.cycle + checkpoint_every))
+            if checkpoint_path is not None:
+                snapshot_spec(spec, system, checkpoint_path, fingerprint)
+    # The whole run, or, after the slices, only the kernel meta (it is
+    # cumulative, so a sliced or resumed run records what a straight
+    # one does).
+    system.run_until_done(spec.max_cycles)
     return SweepResult.from_outcome(spec, fingerprint, spec.harvest(system))
 
 

@@ -4,8 +4,7 @@ A checkpoint captures everything ``Engine.run`` needs to resume
 bit-identically: every :class:`~repro.sim.engine.Clocked` component (via
 the ``state_dict`` protocol backing ``__getstate__``), channel contents
 and in-flight messages, scheduled callbacks, the engine's sleep cells,
-the :class:`~repro.sim.stats.StatsRegistry` (histogram reservoirs and
-meta included), and the process-global packet/request id allocators.
+the :class:`~repro.sim.stats.StatsRegistry` (meta included), and the process-global packet/request id allocators.
 
 The body is a single pickle of the system object graph — one pickle so
 shared references (a request sitting in two queues, a sleep cell shared
@@ -56,7 +55,9 @@ from repro.noc.packet import packet_id_state, set_packet_id_state
 # reserved VC off); the timestamp NIC has no step-cycle copy.
 # 6: the engine has no watcher list and no stop flag; a trace core
 # keeps its trace length; a system keeps no list of unfinished cores.
-CHECKPOINT_SCHEMA = 6
+# 7: a histogram keeps count, total and extrema only (no sample
+# reservoir, no random generator).
+CHECKPOINT_SCHEMA = 7
 
 MAGIC = b"REPRO-CKPT\x00"
 _HEADER_KEYS = {"schema", "meta", "body_len", "body_crc32"}

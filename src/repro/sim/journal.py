@@ -172,31 +172,6 @@ class MeshSampler:
     def __len__(self) -> int:
         return len(self.samples)
 
-    # -- export --------------------------------------------------------
-
-    def frame(self):
-        """The samples as a flat, queryable
-        :class:`~repro.sim.statsframe.StatsFrame`::
-
-            sample.0007.cycle                      -> 512.0
-            sample.0007.router.04.occupancy        -> 3.0
-            sample.0007.router.04.in_flight_flits  -> 7.0
-
-        Zero-padded indices keep lexicographic order equal to sample /
-        node order, so wildcard selects (``sample.*.router.04.*``) come
-        back time-ordered.
-        """
-        from repro.sim.statsframe import StatsFrame
-        flat = {}
-        for index, (cycle, occupancy, in_flight) in enumerate(self.samples):
-            prefix = f"sample.{index:04d}"
-            flat[f"{prefix}.cycle"] = float(cycle)
-            for node, occ in enumerate(occupancy):
-                flat[f"{prefix}.router.{node:02d}.occupancy"] = float(occ)
-                flat[f"{prefix}.router.{node:02d}.in_flight_flits"] = \
-                    float(in_flight[node])
-        return StatsFrame(flat)
-
 
 def system_routers(system) -> list:
     """Every main-network router of *system*, mesh-major: node ``n`` of

@@ -7,96 +7,33 @@ reads them back to produce the rows/series the paper reports.
 
 from __future__ import annotations
 
-import random
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional
-
-# Default bound on retained histogram samples.  Long simulations observe
-# one latency sample per request — unbounded retention made a histogram
-# the only simulator structure whose memory grew linearly with simulated
-# time.  Count/total/min/max/mean stay exact at any cap; only
-# :meth:`Histogram.percentile` becomes an approximation once more than
-# ``cap`` samples arrive (computed over a uniform reservoir).  Set a cap
-# of 0 (or pass ``cap=0``) to retain everything.
-DEFAULT_SAMPLE_CAP = 4096
+from typing import Dict, Optional
 
 
 class Histogram:
-    """A sample accumulator with summary statistics.
+    """A sample accumulator: exact ``count``, ``total``, ``minimum`` and
+    ``maximum`` of every sample added, and the ``mean`` they give.  The
+    samples themselves are not kept: a result row reads a histogram as
+    its mean and count."""
 
-    Exact ``count``/``total``/``mean``/``minimum``/``maximum`` for every
-    sample ever added; the raw samples backing :meth:`percentile` are
-    bounded by *cap* via deterministic reservoir sampling (Vitter's
-    algorithm R with a fixed-seed RNG, so identical add sequences keep
-    identical reservoirs in every process — parallel sweeps stay
-    bit-identical to serial ones).
-    """
-
-    def __init__(self, cap: Optional[int] = None) -> None:
-        self._count = 0
-        self._total = 0.0
-        self._min: Optional[float] = None
-        self._max: Optional[float] = None
-        self._samples: List[float] = []
-        self._cap = DEFAULT_SAMPLE_CAP if cap is None else cap
-        self._rng = random.Random(0x5C0_B10) if self._cap > 0 else None
+    def __init__(self) -> None:
+        self.count = 0
+        self.total = 0.0
+        self.minimum: Optional[float] = None
+        self.maximum: Optional[float] = None
 
     def add(self, value: float) -> None:
-        self._count += 1
-        self._total += value
-        if self._min is None or value < self._min:
-            self._min = value
-        if self._max is None or value > self._max:
-            self._max = value
-        # Reservoir update (algorithm R) over all _count samples so far.
-        if self._cap <= 0 or len(self._samples) < self._cap:
-            self._samples.append(value)
-        else:
-            slot = self._rng.randrange(self._count)
-            if slot < self._cap:
-                self._samples[slot] = value
-
-    def samples(self) -> List[float]:
-        """The retained samples (all of them below the cap, a uniform
-        reservoir beyond it)."""
-        return list(self._samples)
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def total(self) -> float:
-        return self._total
+        self.count += 1
+        self.total += value
+        if self.minimum is None or value < self.minimum:
+            self.minimum = value
+        if self.maximum is None or value > self.maximum:
+            self.maximum = value
 
     @property
     def mean(self) -> float:
-        return self._total / self._count if self._count else 0.0
-
-    @property
-    def minimum(self) -> Optional[float]:
-        return self._min
-
-    @property
-    def maximum(self) -> Optional[float]:
-        return self._max
-
-    def percentile(self, p: float) -> float:
-        """Return the *p*-th percentile (0..100) of the observed samples.
-
-        Exact while at most ``cap`` samples have been added; beyond
-        that, computed over the uniform reservoir (a sampling
-        approximation whose error shrinks with the cap)."""
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (p / 100.0) * (len(ordered) - 1)
-        low = int(rank)
-        high = min(low + 1, len(ordered) - 1)
-        frac = rank - low
-        return ordered[low] * (1 - frac) + ordered[high] * frac
+        return self.total / self.count if self.count else 0.0
 
 
 class StatsRegistry:
@@ -141,22 +78,14 @@ class StatsRegistry:
         hist = self.histograms.get(name)
         return hist.mean if hist else 0.0
 
-    def frame(self, prefixes: Optional[Iterable[str]] = None):
-        """A queryable :class:`~repro.sim.statsframe.StatsFrame` over
-        :meth:`snapshot` — the structured alternative to prefix-slicing
-        the flat dict."""
-        from repro.sim.statsframe import StatsFrame
-        return StatsFrame(self.snapshot(prefixes))
-
-    def snapshot(self, prefixes: Optional[Iterable[str]] = None) -> Dict[str, float]:
-        """Flatten counters and histogram means into a plain dict."""
+    def snapshot(self) -> Dict[str, float]:
+        """Flatten counters, histogram means and counts, and gauges into
+        a plain dict."""
         out: Dict[str, float] = {}
         for name, value in self.counters.items():
-            if prefixes is None or any(name.startswith(p) for p in prefixes):
-                out[name] = float(value)
+            out[name] = float(value)
         for name, hist in self.histograms.items():
-            if prefixes is None or any(name.startswith(p) for p in prefixes):
-                out[name + ".mean"] = hist.mean
-                out[name + ".count"] = float(hist.count)
+            out[name + ".mean"] = hist.mean
+            out[name + ".count"] = float(hist.count)
         out.update(self.gauges)
         return out

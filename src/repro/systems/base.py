@@ -64,16 +64,6 @@ def record_kernel_meta(system) -> None:
         stats.set_meta("journal.samples", len(sampler))
 
 
-def all_cores_finished(system) -> bool:
-    """Whether every core of *system* has finished — the ``until``
-    predicate of ``run_until_done``, asked after every executed tick.
-    A plain loop: no generator frame to resume per core."""
-    for core in system.cores.values():
-        if not core.finished:
-            return False
-    return True
-
-
 class BaseSystem:
     """Engine + fabric (+ notification network), and the steps that stack
     a protocol on it."""
@@ -201,14 +191,29 @@ class BaseSystem:
         return ran
 
     def all_cores_finished(self) -> bool:
-        return all_cores_finished(self)
+        """Whether every core has finished — the ``until`` predicate of
+        :meth:`run_until_done`, asked after every executed tick.  A
+        plain loop: no generator frame to resume per core."""
+        for core in self.cores.values():
+            if not core.finished:
+                return False
+        return True
 
     def run_until_done(self, max_cycles: int = 1_000_000) -> int:
-        """Run until every core finished its trace; returns the cycle
-        count reached (the 'runtime' of the workload)."""
-        self.engine.run(max_cycles, until=self.all_cores_finished)
+        """Run until every core finished its trace or the clock reaches
+        cycle *max_cycles* (an absolute cap, so a restored or sliced run
+        stops where a straight one does), record the kernel meta, and
+        return the cycle reached (the 'runtime' of the workload).
+
+        Finished-ness gates *before* ``Engine.run``: a run always
+        advances at least one cycle, which would shift the runtime of a
+        system restored exactly at its completion boundary."""
+        engine = self.engine
+        if not self.all_cores_finished() and engine.cycle < max_cycles:
+            engine.run(max_cycles - engine.cycle,
+                       until=self.all_cores_finished)
         record_kernel_meta(self)
-        return self.engine.cycle
+        return engine.cycle
 
     def metrics(self) -> Dict[str, float]:
         """System-level numbers that live outside the stats registry

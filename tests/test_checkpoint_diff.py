@@ -107,9 +107,7 @@ def _snapshot_at(spec: SystemSpec, cut: int, path) -> None:
     """Build the spec's system, run it *cut* cycles, snapshot to
     *path*."""
     system = spec.build()
-    if cut > 0 and not system.all_cores_finished():
-        system.engine.run(min(cut, spec.max_cycles),
-                          until=system.all_cores_finished)
+    system.run_until_done(min(cut, spec.max_cycles))
     snapshot_spec(spec, system, str(path), fingerprint=FP)
 
 
@@ -196,11 +194,7 @@ def _roundtrip_bytes(spec: SystemSpec, cuts, tmp_path) -> bytes:
     path = tmp_path / "cut.ckpt"
     system = spec.build()
     for cut in sorted(cuts):
-        remaining = cut - system.engine.cycle
-        if remaining > 0 and not system.all_cores_finished():
-            system.engine.run(min(remaining,
-                                  spec.max_cycles - system.engine.cycle),
-                              until=system.all_cores_finished)
+        system.run_until_done(min(cut, spec.max_cycles))
         snapshot_spec(spec, system, str(path), fingerprint=FP)
         _meta, system = restore_system(str(path))
     snapshot_spec(spec, system, str(path), fingerprint=FP)

@@ -161,11 +161,12 @@ def test_wrong_schema_version(tmp_path):
     longer exists), a schema-2 file (whose notification network holds
     latch routers), a schema-3 file (whose routers hold one buffer
     object per slot), a schema-4 file (whose trackers may hold a
-    vector not yet decoded) and a schema-5 file (whose engine holds a
-    watcher list and a stop flag) are refused before the body is
+    vector not yet decoded), a schema-5 file (whose engine holds a
+    watcher list and a stop flag) and a schema-6 file (whose histograms
+    hold a sample reservoir) are refused before the body is
     unpickled."""
     path = _valid_file(tmp_path)
-    for schema in (CHECKPOINT_SCHEMA + 1, 1, 2, 3, 4, 5):
+    for schema in (CHECKPOINT_SCHEMA + 1, 1, 2, 3, 4, 5, 6):
         _rewrite_header(path, lambda h: h.update(schema=schema))
         with pytest.raises(CheckpointFormatError,
                            match=f"schema {schema}.*reads "

@@ -239,18 +239,18 @@ class TestStats:
         assert hist.maximum == 4
         assert hist.count == 4
 
-    def test_histogram_percentile(self):
+    def test_histogram_summary_exact_over_many_adds(self):
         hist = Histogram()
-        for v in range(101):
-            hist.add(v)
-        assert hist.percentile(50) == 50
-        assert hist.percentile(100) == 100
-        assert hist.percentile(0) == 0
+        for value in range(10_000):
+            hist.add(float(value))
+        assert hist.count == 10_000
+        assert hist.total == sum(range(10_000))
+        assert hist.mean == pytest.approx(4999.5)
+        assert hist.minimum == 0.0 and hist.maximum == 9999.0
 
     def test_empty_histogram(self):
         hist = Histogram()
         assert hist.mean == 0.0
-        assert hist.percentile(50) == 0.0
         assert hist.minimum is None
 
     def test_snapshot_includes_means(self):
@@ -263,12 +263,20 @@ class TestStats:
         assert snap["lat.count"] == 2.0
         assert snap["n"] == 1.0
 
-    def test_snapshot_prefix_filter(self):
+    def test_snapshot_mean_count_exact_over_many_observes(self):
+        stats = StatsRegistry()
+        for value in range(100):
+            stats.observe("x", float(value))
+        assert stats.snapshot() == {"x.mean": 49.5, "x.count": 100.0}
+
+    def test_snapshot_holds_every_counter_histogram_and_gauge(self):
         stats = StatsRegistry()
         stats.incr("a.x")
-        stats.incr("b.y")
-        snap = stats.snapshot(prefixes=["a."])
-        assert "a.x" in snap and "b.y" not in snap
+        stats.observe("b.lat", 4)
+        stats.set_gauge("ts.reorder_peak.node0", 3)
+        assert stats.snapshot() == {"a.x": 1.0, "b.lat.mean": 4.0,
+                                    "b.lat.count": 1.0,
+                                    "ts.reorder_peak.node0": 3}
 
     def test_meta_excluded_from_snapshot(self):
         stats = StatsRegistry()

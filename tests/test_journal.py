@@ -309,7 +309,7 @@ def test_meta_accounting_present_only_when_attached():
                    for key in system.stats.snapshot())
 
 
-def test_sampler_frame_shape():
+def test_sampler_row_shape():
     spec = _specs()["scorpio"]
     from repro.experiments.builders import build_spec_system
 
@@ -317,10 +317,12 @@ def test_sampler_frame_shape():
     sampler = MeshSampler(system_routers(system), interval=64)
     attach_observability(system, sampler=sampler)
     system.run_until_done(spec.max_cycles)
-    frame = sampler.frame()
     n_nodes = system.config.noc.n_nodes
-    cycles = frame.select("sample.*.cycle")
-    assert len(cycles) == len(sampler)
-    assert sorted(cycles.values()) == list(cycles.values())
-    occ = frame.select("sample.0000.router.*.occupancy")
-    assert len(occ) == n_nodes
+    # One row per interval boundary, time-ordered: (cycle, occupancy
+    # per router, in-flight flits per router), routers in node order.
+    assert len(sampler) > 0
+    assert [row[0] for row in sampler.samples] == \
+        [64 * (index + 1) for index in range(len(sampler))]
+    for _cycle, occupancy, in_flight in sampler.samples:
+        assert len(occupancy) == len(in_flight) == n_nodes
+        assert all(value >= 0 for value in occupancy + in_flight)

@@ -84,8 +84,8 @@ class TestMultiBitWindows:
         # light load (announce at next window start + deliver by end).
         notif = NotificationConfig(window=13)
         system = run_with(notif, ops=4, seed=109)
-        p95 = system.stats.histograms["nic.order_latency"].percentile(95)
-        assert p95 <= 6 * notif.window
+        worst = system.stats.histograms["nic.order_latency"].maximum
+        assert worst <= 6 * notif.window
 
 
 class TestStopWindowsAcrossKernels:

@@ -106,7 +106,7 @@ def test_every_door_produces_the_same_envelope(tmp_path, source_snapshot):
     # a fresh interpreter.
     spec = experiment.specs[0]
     system = spec.build()
-    system.engine.run(50, until=system.all_cores_finished)
+    system.run_until_done(50)
     assert not system.all_cores_finished()
     snapshot = tmp_path / "mid-run.ckpt"
     snapshot_spec(spec, system, str(snapshot),

@@ -179,6 +179,16 @@ class TestQuiescence:
         cycles = system.run_until_done(1000)
         assert cycles < 10
 
+    def test_max_cycles_is_an_absolute_cap(self):
+        system = small_system([Trace([TraceOp("R", ADDR, 1),
+                                      TraceOp("W", ADDR + LINE, 200)])])
+        assert system.run_until_done(40) == 40
+        assert system.run_until_done(40) == 40     # nothing below the cap
+        assert system.run_until_done(60) == 60
+        finished_at = run_done(system)
+        assert finished_at > 200
+        assert system.run_until_done(100_000) == finished_at
+
 
 class TestConfigurationErrors:
     def test_wrong_trace_count_rejected(self):
