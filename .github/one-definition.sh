@@ -59,6 +59,8 @@ retired=(
                                                # one way to drive a run
     'StatsFrame|statsframe|DEFAULT_SAMPLE_CAP|percentile'
                                                # a statistic is what the payload reads
+    'DramConfig|DramModel|__serialize_nested__|LineInterleavedHomeMap|make_memory_map|owns_every_addr|get_meta|served_fraction|format_stack|lock_handoff_latency'
+                                               # one memory model
 )
 forbid "retired name" "\b($(IFS='|'; echo "${retired[*]}"))\b" \
     src tests benchmarks examples
@@ -164,6 +166,8 @@ only_in "until predicate outside run_until_done" 'until=' \
 only_in "run_until_done called outside execute_point" 'run_until_done\(' \
     "src/repro/systems/base.py
 src/repro/experiments/sweep.py"
+forbid "second way to advance a system" 'def run\(' \
+    src/repro/systems src/repro/ordering_baselines/systems.py
 forbid "run loop over a system re-stated in a test" \
     'until=[^)]*all_cores_finished' tests
 forbid "hand-run system in examples / benchmarks" \
@@ -197,18 +201,21 @@ PY
 
 # Live config: every ChipConfig field changes the run
 # (tests/test_config_liveness.py) and the line size is spelled once.  The
-# engine draws no random numbers; the dead NoC fields stay gone as
-# identifiers (Table 1 keeps their labels as strings); no component or
-# helper defaults a line size; stats are never merged.
+# engine draws no random numbers; the dead NoC fields and the banked
+# memory model's fields stay gone as identifiers (Table 1 keeps the NoC
+# labels as strings, the removed-key test spells every one as a dotted
+# key); no component or helper defaults a line size; stats are never
+# merged.
 forbid "engine RNG" '\.random\b' src/repro/sim
 forbid "engine seeded" 'Engine\(seed' src tests benchmarks examples
 only_in "line size field or default outside NocConfig" \
     'line_size\w*\s*(:[^=,)]*)?=\s*[0-9]' "src/repro/noc/config.py"
 forbid "stats merge" 'def merge\b' src/repro/sim/stats.py
-python3 - <<'PY' || fail "retired NoC field spelled as code"
+python3 - <<'PY' || fail "retired config field spelled as code"
 import ast, sys
 from pathlib import Path
-retired = {"router_pipeline_stages", "link_stages", "multicast"}
+retired = {"router_pipeline_stages", "link_stages", "multicast", "banked",
+           "dram_config"}
 hits = []
 for root in ("src", "tests", "benchmarks", "examples"):
     for path in sorted(Path(root).rglob("*.py")):

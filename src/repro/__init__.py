@@ -5,7 +5,7 @@ decoupling message delivery (an unordered packet-switched main network)
 from message ordering (a bufferless, fixed-latency-bound notification
 network).  This package rebuilds the whole system: the two networks, the
 NIC ordering machinery, the MOSI cache hierarchy, the memory controllers
-(with an optional banked DDR2 model), the LPD / full-bit / HT directory
+(the paper's fixed-latency memory model), the LPD / full-bit / HT directory
 baselines, the complete Sec.-2 ordered-network lineup (INSO, TokenB,
 Timestamp Snooping, Uncorq), INCF in-network snoop filtering, and the
 harnesses that regenerate every figure and table of the paper's

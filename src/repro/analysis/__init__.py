@@ -16,7 +16,6 @@ from repro.analysis.report_html import (ObservabilityDriftError,
                                         write_html_report)
 from repro.analysis.latency import (CACHE_SERVED_CATEGORIES,
                                     MEMORY_SERVED_CATEGORIES, breakdown_row,
-                                    format_stack, served_fraction,
                                     total_latency)
 
 __all__ = [
@@ -29,5 +28,5 @@ __all__ = [
     "ObservabilityDriftError", "RunObservation", "collect_observations",
     "render_report_html", "result_digest", "write_html_report",
     "CACHE_SERVED_CATEGORIES", "MEMORY_SERVED_CATEGORIES", "breakdown_row",
-    "format_stack", "served_fraction", "total_latency",
+    "total_latency",
 ]

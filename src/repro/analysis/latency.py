@@ -47,31 +47,3 @@ def breakdown_row(result: RunResult, served: str) -> Dict[str, float]:
 
 def total_latency(row: Dict[str, float]) -> float:
     return sum(row.values())
-
-
-def format_stack(rows: Dict[str, Dict[str, float]], served: str) -> str:
-    """Pretty-print {config_name: row} as the paper's stacked bars."""
-    categories = (CACHE_SERVED_CATEGORIES if served == "cache"
-                  else MEMORY_SERVED_CATEGORIES)
-    lines = []
-    header = f"{'config':<14}" + "".join(f"{cat:>14}" for cat in categories) \
-        + f"{'total':>10}"
-    lines.append(header)
-    for name, row in rows.items():
-        cells = "".join(f"{row.get(cat, 0.0):>14.1f}" for cat in categories)
-        lines.append(f"{name:<14}{cells}{total_latency(row):>10.1f}")
-    return "\n".join(lines)
-
-
-def served_fraction(result: RunResult) -> Dict[str, float]:
-    """Fraction of misses served by caches vs. memory (the paper reports
-    ~90 % cache-served for these workloads)."""
-    stats = result.stats
-    cache = stats.get("l2.miss_latency.cache.count", 0.0)
-    memory = stats.get("l2.miss_latency.memory.count", 0.0)
-    dir_ = stats.get("l2.miss_latency.directory.count", 0.0)
-    total = cache + memory + dir_
-    if total == 0:
-        return {"cache": 0.0, "memory": 0.0, "directory": 0.0}
-    return {"cache": cache / total, "memory": memory / total,
-            "directory": dir_ / total}

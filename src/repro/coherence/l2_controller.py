@@ -55,10 +55,6 @@ class CacheConfig(SerializableConfig):
     # force-invalidate its cached lines).
     region_policy: str = "saturate"
     ordered_queue_depth: int = 16
-    # TokenB-style baselines: rebroadcast a request that has not completed
-    # after this many cycles (None disables retries — SCORPIO never needs
-    # them because the global order resolves every race).
-    retry_timeout: Optional[int] = None
 
 
 @dataclass
@@ -105,12 +101,19 @@ class L2Controller(Clocked):
     def __init__(self, node: int, nic: NetworkInterface,
                  memory_map: Callable[[int], int], line_size: int,
                  config: Optional[CacheConfig] = None,
-                 stats: Optional[StatsRegistry] = None) -> None:
+                 stats: Optional[StatsRegistry] = None,
+                 retry_timeout: Optional[int] = None) -> None:
         self.node = node
         self.nic = nic
         self.memory_map = memory_map
         self.config = config or CacheConfig()
         self.stats = stats or StatsRegistry()
+        # Unordered snoopy baselines (TokenB, Uncorq): rebroadcast a
+        # request that has not completed after this many cycles.  None
+        # disables retries: SCORPIO never needs them, because the global
+        # order resolves every race, and the directories serialize at
+        # the home.
+        self.retry_timeout = retry_timeout
         self.array = CacheArray(self.config.l2_size, self.config.l2_ways,
                                 line_size, invalid_state=State.I)
         self.region_tracker = RegionTracker(
@@ -261,14 +264,14 @@ class L2Controller(Clocked):
             for fn, args in self._timers.pop_due(cycle):
                 fn(*args)
         elif not (self._ordered_queue or self._pending_issue or self._timers
-                  or (self.config.retry_timeout is not None and self.mshrs)):
+                  or (self.retry_timeout is not None and self.mshrs)):
             # Nothing queued or scheduled: _schedule / listener callbacks
             # / _issue all wake us when that changes.
             self.idle_until(None)
             return
         while self._pending_issue and self.nic.can_send_request():
             self._send_request(self._pending_issue.popleft())
-        if self.config.retry_timeout is not None:
+        if self.retry_timeout is not None:
             self._retry_stuck(cycle)
         self._drain_ordered(cycle)
         self._plan_sleep(cycle)
@@ -281,7 +284,7 @@ class L2Controller(Clocked):
         channel (_schedule, the NIC listeners, _issue, _on_response)."""
         if self._pending_issue:
             return       # NIC back-pressure: retried every cycle
-        if self.config.retry_timeout is not None and self.mshrs:
+        if self.retry_timeout is not None and self.mshrs:
             return       # TokenB retry timer: checked every cycle
         wake_at = self._timers.min_due     # WAKE_NEVER when empty
         if self._ordered_queue and self._next_slot_cycle < wake_at:
@@ -293,7 +296,7 @@ class L2Controller(Clocked):
         for mshr in self.mshrs.values():
             started = (mshr.last_issue_cycle if mshr.last_issue_cycle >= 0
                        else mshr.req.issue_cycle)
-            if cycle - started > self.config.retry_timeout \
+            if cycle - started > self.retry_timeout \
                     and self.nic.can_send_request():
                 mshr.last_issue_cycle = cycle
                 mshr.needs_data = True
@@ -365,7 +368,7 @@ class L2Controller(Clocked):
             return
         mshr = self.mshrs.get(req.req_id)
         if mshr is None:
-            if self.config.retry_timeout is not None:
+            if self.retry_timeout is not None:
                 # Retrying baselines (TokenB/Uncorq) rebroadcast a stuck
                 # request under the same req_id; if the original copy
                 # completed the transaction first, the retry's own copy

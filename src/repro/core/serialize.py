@@ -1,8 +1,8 @@
 """Strict, versioned serialization for the config dataclasses.
 
 Every configuration dataclass in the simulator (``NocConfig``,
-``NotificationConfig``, ``CacheConfig``, ``MemoryConfig``, ``DramConfig``,
-``CoreConfig``, ``DirectoryConfig`` and the aggregating ``ChipConfig``)
+``NotificationConfig``, ``CacheConfig``, ``MemoryConfig``, ``CoreConfig``,
+``DirectoryConfig`` and the aggregating ``ChipConfig``)
 exposes ``to_dict()`` / ``from_dict()`` built on the two helpers here.
 The contract, which ``repro.api`` v1 documents rely on:
 
@@ -26,11 +26,9 @@ The contract, which ``repro.api`` v1 documents rely on:
 
 Type checking is structural over the annotations actually used by the
 config dataclasses: ``bool``/``int``/``float``/``str``, ``Optional[X]``,
-``List[int]`` and nested dataclasses.  A dataclass can route a loosely
-annotated field to a concrete nested config class via a
-``__serialize_nested__ = {"field": Class}`` class attribute
-(``MemoryConfig.dram_config`` is ``Optional[object]`` to avoid an import
-cycle, but serializes as a ``DramConfig``).
+``List[int]`` and nested dataclasses.  A nested config is a table in the
+dict form, never null: ``{"noc": None}`` fails like any other non-table
+value.
 """
 
 from __future__ import annotations
@@ -50,18 +48,6 @@ T = TypeVar("T")
 class ConfigFormatError(ValueError):
     """A config dict failed strict validation (unknown key, bad type,
     unsupported schema version)."""
-
-
-def _nested_class(cls: type, name: str) -> Optional[type]:
-    """The concrete dataclass a field serializes as, if any."""
-    override = getattr(cls, "__serialize_nested__", {})
-    if name in override:
-        return override[name]
-    hints = typing.get_type_hints(cls)
-    annotation = hints.get(name)
-    if annotation is not None and dataclasses.is_dataclass(annotation):
-        return annotation
-    return None
 
 
 def _encode(value: Any) -> Any:
@@ -139,8 +125,7 @@ def _check_type(cls: type, name: str, annotation: Any, value: Any,
     if dataclasses.is_dataclass(annotation):
         return from_dict(annotation, value, what=f"{what}.{name}")
 
-    # ``object`` or unannotatable fields: routed via __serialize_nested__
-    # by the caller, otherwise passed through untouched.
+    # Any other annotation (none in practice) passes through untouched.
     return value
 
 
@@ -183,19 +168,8 @@ def from_dict(cls: Type[T], data: Mapping[str, Any],
                 raise ConfigFormatError(f"{what}: missing required key "
                                         f"{name!r}")
             continue
-        value = data[name]
-        nested = _nested_class(cls, name)
-        if nested is not None:
-            if value is None:
-                kwargs[name] = None
-            elif isinstance(value, nested):
-                kwargs[name] = value
-            else:
-                kwargs[name] = from_dict(nested, value,
-                                         what=f"{what}.{name}")
-        else:
-            kwargs[name] = _check_type(cls, name, hints.get(name), value,
-                                       what)
+        kwargs[name] = _check_type(cls, name, hints.get(name), data[name],
+                                   what)
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:

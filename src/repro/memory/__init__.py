@@ -1,6 +1,6 @@
 """Memory substrate: edge memory controllers and address interleaving."""
 
-from repro.memory.controller import (MemoryConfig, MemoryController,
-                                     make_memory_map)
+from repro.memory.controller import (AddressInterleavedMap, MemoryConfig,
+                                     MemoryController)
 
-__all__ = ["MemoryConfig", "MemoryController", "make_memory_map"]
+__all__ = ["AddressInterleavedMap", "MemoryConfig", "MemoryController"]

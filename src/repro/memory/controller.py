@@ -2,9 +2,11 @@
 
 Two controllers sit at mesh-edge nodes (four in the 64/100-core variants)
 and split the physical address space by interleaving.  Following the
-paper's own RTL methodology, DRAM is a functional, fully-pipelined
-fixed-latency model (90 cycles total: a ~10-cycle lookup plus an 80-cycle
-off-chip access).
+paper's own RTL methodology, which replaces the chip's Cadence DDR2
+controller IP with "a functional memory model with fully-pipelined
+90-cycle latency", DRAM is one fixed latency (a ~10-cycle lookup plus an
+80-cycle off-chip access) with no bank, row or bus state: every
+``mc.dram_reads`` access costs the same.
 
 In SCORPIO (snoopy) mode the controller snoops the globally ordered
 request stream like any other node and keeps, per line, the equivalent of
@@ -24,7 +26,6 @@ from repro.cache.array import line_addr
 from repro.coherence.messages import (CoherenceRequest, CoherenceResponse,
                                       MemRead, ReqKind, RespKind)
 from repro.core.serialize import SerializableConfig
-from repro.memory.dram import DramConfig
 from repro.nic.controller import NetworkInterface
 from repro.sim.engine import Clocked, EventWheel
 from repro.sim.stats import StatsRegistry
@@ -34,15 +35,6 @@ from repro.sim.stats import StatsRegistry
 class MemoryConfig(SerializableConfig):
     lookup_latency: int = 10      # owner-bit / directory-cache access
     dram_latency: int = 80        # off-chip access beyond the lookup
-    # Optional banked DDR2 timing (repro.memory.dram) instead of the
-    # paper's fixed fully-pipelined latency; ``dram_config`` falls back
-    # to DramConfig defaults when left None.
-    banked: bool = False
-    dram_config: Optional[object] = None
-
-    # The loose ``object`` annotation avoided committing the public
-    # config surface to the DRAM model; serialization pins it down.
-    __serialize_nested__ = {"dram_config": DramConfig}
 
 
 class AddressInterleavedMap:
@@ -71,18 +63,6 @@ class OwnsMappedAddr:
 
     def __call__(self, addr: int) -> bool:
         return self.memory_map(addr) == self.node
-
-
-def owns_every_addr(addr: int) -> bool:
-    """``owns_addr`` for directory-system MCs: MemReads are pre-routed
-    to the right controller, so every delivered address is ours."""
-    return True
-
-
-def make_memory_map(mc_nodes: List[int],
-                    line_size: int) -> Callable[[int], int]:
-    """Address-interleaved home-MC mapping (line granularity)."""
-    return AddressInterleavedMap(mc_nodes, line_size)
 
 
 class MemoryController(Clocked):
@@ -117,12 +97,6 @@ class MemoryController(Clocked):
         # due cycle -> (bound_method, args) — picklable, so DRAM
         # responses in flight survive checkpoint/restore.
         self._timers = EventWheel()
-        self.dram = None
-        if self.config.banked:
-            from repro.memory.dram import DramModel
-            self.dram = DramModel(self.config.dram_config or DramConfig(),
-                                  line_size, self.stats,
-                                  name=f"dram.mc{node}")
         nic.add_request_listener(self._on_ordered_request)
         nic.add_response_listener(self._on_response)
 
@@ -185,20 +159,13 @@ class MemoryController(Clocked):
             return
         self._serve_from_dram(req, cycle)
 
-    def _dram_latency(self, addr: int, issue_cycle: int) -> int:
-        """Off-chip access time beyond the lookup: fixed (the paper's
-        functional model) or banked DDR2 timing."""
-        if self.dram is None:
-            return self.config.dram_latency
-        return self.dram.access(addr, issue_cycle) - issue_cycle
-
     def _serve_from_dram(self, req: CoherenceRequest, cycle: int) -> None:
         """Snoopy mode: no cache owner answers *req*, memory does — after
         the owner-bit lookup that decided so."""
         lookup = self.config.lookup_latency
         inject = req.stamps.get("inject", req.issue_cycle)
         self._send_mem_data(
-            req, cycle, lookup + self._dram_latency(req.addr, cycle + lookup),
+            req, cycle, lookup + self.config.dram_latency,
             {"bcast_net": max(0, cycle - inject)})
 
     def _serve_mem_read(self, msg: MemRead, cycle: int,
@@ -207,7 +174,7 @@ class MemoryController(Clocked):
         (the lookup was the home's directory access, already stamped)."""
         req = msg.request
         self._send_mem_data(
-            req, cycle, self._dram_latency(req.addr, cycle),
+            req, cycle, self.config.dram_latency,
             dict(msg.stamps,             # net_req + dir_access from home
                  dir_to_mem=max(0, arrival_cycle - msg.sent_cycle)))
 

@@ -9,6 +9,10 @@ sustains at most 1/k^2 broadcast flits/node/cycle — 0.027 for 36 cores,
 The tester bypasses the coherence stack entirely: it drives the router's
 LOCAL port through the same :class:`~repro.noc.vc.OutPort` a NIC injects
 through and consumes ejected packets immediately.
+
+No door reaches it: no figure, document or CLI verb runs a tester.  It
+is a measurement tool, driven by the ``mesh-uniform`` workload of
+``perf/`` and by ``benchmarks/test_noc_characterization.py``.
 """
 
 from __future__ import annotations

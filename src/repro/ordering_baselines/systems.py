@@ -10,7 +10,6 @@ and run helpers are :class:`~repro.systems.base.BaseSystem`'s.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Optional, Sequence
 
 from repro.core.config import ChipConfig
@@ -25,18 +24,15 @@ from repro.systems.base import BaseSystem
 
 class _SnoopyBaselineSystem(BaseSystem):
     """The snoopy stack over an unordered fabric: no notification
-    network."""
+    network.  Where requests are delivered unordered they race, and the
+    L2s resolve the races by rebroadcasting after *retry_timeout* cycles
+    (plus the memory rescue); None means no retries."""
 
     def __init__(self, config: ChipConfig,
                  traces: Optional[Sequence[Trace]],
                  retry_timeout: Optional[int] = None) -> None:
-        if retry_timeout is not None:
-            # Requests delivered unordered race; the L2s resolve races
-            # by timed retries plus the memory rescue.
-            config = replace(config, cache=replace(
-                config.cache, retry_timeout=retry_timeout))
         super().__init__(config, ordered=False)
-        self.build_snoopy_stack(traces)
+        self.build_snoopy_stack(traces, retry_timeout)
 
 
 class TokenBSystem(_SnoopyBaselineSystem):

@@ -57,7 +57,10 @@ from repro.noc.packet import packet_id_state, set_packet_id_state
 # keeps its trace length; a system keeps no list of unfinished cores.
 # 7: a histogram keeps count, total and extrema only (no sample
 # reservoir, no random generator).
-CHECKPOINT_SCHEMA = 7
+# 8: a memory controller has no DRAM model, an L2 keeps its own retry
+# timeout (the cache config has none), and a directory system's home
+# map is an AddressInterleavedMap.
+CHECKPOINT_SCHEMA = 8
 
 MAGIC = b"REPRO-CKPT\x00"
 _HEADER_KEYS = {"schema", "meta", "body_len", "body_crc32"}

@@ -68,9 +68,6 @@ class StatsRegistry:
         """Record a kernel/run diagnostic, kept out of :meth:`snapshot`."""
         self.meta[name] = float(value)
 
-    def get_meta(self, name: str, default: float = 0.0) -> float:
-        return self.meta.get(name, default)
-
     def counter(self, name: str) -> int:
         return self.counters.get(name, 0)
 

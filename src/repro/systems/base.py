@@ -24,8 +24,8 @@ from repro.coherence.l2_controller import L2Controller
 from repro.core.config import ChipConfig
 from repro.cpu.core import TraceCore
 from repro.cpu.trace import Trace
-from repro.memory.controller import (MemoryController, OwnsMappedAddr,
-                                     make_memory_map)
+from repro.memory.controller import (AddressInterleavedMap,
+                                     MemoryController, OwnsMappedAddr)
 from repro.nic.controller import (NetworkInterface,
                                   OrderedNetworkInterface)
 from repro.noc.filtering import (BroadcastFilter, FilterTable,
@@ -76,8 +76,8 @@ class BaseSystem:
         self.stats = StatsRegistry()
         self.engine = Engine()
         self.n_nodes = config.noc.n_nodes
-        self.memory_map = make_memory_map(config.mc_nodes,
-                                          config.noc.line_size_bytes)
+        self.memory_map = AddressInterleavedMap(config.mc_nodes,
+                                                config.noc.line_size_bytes)
 
         self.meshes: List[Mesh] = []
         self.nics: List[NetworkInterface] = []
@@ -126,15 +126,18 @@ class BaseSystem:
     def mesh(self) -> Mesh:
         return self.meshes[0]
 
-    def build_snoopy_stack(self, traces: Optional[Sequence[Trace]]) -> None:
-        """Snoopy MOSI over the NICs: one L2 per node, the owner-bit
+    def build_snoopy_stack(self, traces: Optional[Sequence[Trace]],
+                           retry_timeout: Optional[int] = None) -> None:
+        """Snoopy MOSI over the NICs: one L2 per node (retrying stuck
+        requests after *retry_timeout* cycles when given), the owner-bit
         memory controllers at ``config.mc_nodes``, then the trace cores."""
         register = self.engine.register
         config = self.config
         line_size = config.noc.line_size_bytes
         self.l2s = [
             register(L2Controller(node, self.nics[node], self.memory_map,
-                                  line_size, config.cache, self.stats))
+                                  line_size, config.cache, self.stats,
+                                  retry_timeout))
             for node in range(self.n_nodes)]
         self.memory_controllers = [
             register(MemoryController(
@@ -184,11 +187,6 @@ class BaseSystem:
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
-
-    def run(self, cycles: int) -> int:
-        ran = self.engine.run(cycles)
-        record_kernel_meta(self)
-        return ran
 
     def all_cores_finished(self) -> bool:
         """Whether every core has finished — the ``until`` predicate of

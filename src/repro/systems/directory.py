@@ -15,22 +15,11 @@ from repro.coherence.dir_l2 import DirectoryL2Controller
 from repro.coherence.directory import DirectoryConfig, DirectoryController
 from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace
-from repro.memory.controller import MemoryController, owns_every_addr
+from repro.memory.controller import (AddressInterleavedMap,
+                                     MemoryController, OwnsMappedAddr)
 from repro.systems.base import BaseSystem
 
 Scheme = Literal["LPD", "FULLBIT", "HT"]
-
-
-class LineInterleavedHomeMap:
-    """Line-interleaved home-directory mapping (picklable callable,
-    replacing the per-system lambda for checkpoint support)."""
-
-    def __init__(self, line_size: int, n_nodes: int) -> None:
-        self.line_size = line_size
-        self.n_nodes = n_nodes
-
-    def __call__(self, addr: int) -> int:
-        return (addr // self.line_size) % self.n_nodes
 
 
 class DirectorySystem(BaseSystem):
@@ -51,7 +40,9 @@ class DirectorySystem(BaseSystem):
             total_cache_bytes=config.directory_cache_bytes)
 
         line_size = config.noc.line_size_bytes
-        self.home_map = LineInterleavedHomeMap(line_size, self.n_nodes)
+        # Homes are line-interleaved over every node.
+        self.home_map = AddressInterleavedMap(list(range(self.n_nodes)),
+                                              line_size)
 
         register = self.engine.register
         self.l2s = [
@@ -68,7 +59,7 @@ class DirectorySystem(BaseSystem):
         self.memory_controllers = [
             register(MemoryController(
                 mc_node, self.nics[mc_node],
-                owns_addr=owns_every_addr,  # MemReads are pre-routed
+                owns_addr=OwnsMappedAddr(self.memory_map, mc_node),
                 line_size=line_size, config=config.memory,
                 stats=self.stats, snoopy=False))
             for mc_node in config.mc_nodes]

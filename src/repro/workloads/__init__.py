@@ -1,8 +1,7 @@
 """Synthetic SPLASH-2 / PARSEC workload generation, plus lock/barrier
 and classic sharing-pattern (migratory, producer-consumer) generators."""
 
-from repro.workloads.locks import (barrier_traces, lock_contention_traces,
-                                   lock_handoff_latency)
+from repro.workloads.locks import barrier_traces, lock_contention_traces
 from repro.workloads.patterns import (migratory_traces,
                                       producer_consumer_traces)
 from repro.workloads.suites import (ALL_PROFILES, FIG6A_BENCHMARKS,
@@ -19,6 +18,6 @@ __all__ = [
     "FIG8_BENCHMARKS", "FIG10_BENCHMARKS",
     "WorkloadProfile", "generate_system_traces", "generate_trace", "scaled",
     "uniform_random_trace",
-    "barrier_traces", "lock_contention_traces", "lock_handoff_latency",
+    "barrier_traces", "lock_contention_traces",
     "migratory_traces", "producer_consumer_traces",
 ]

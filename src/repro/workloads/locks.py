@@ -96,9 +96,3 @@ def barrier_traces(n_cores: int,
             ops.append(TraceOp("A", base + phase * LINE, think))
         traces.append(Trace(ops))
     return traces
-
-
-def lock_handoff_latency(system) -> float:
-    """Mean cache-served miss latency of a finished lock run — the
-    lock-handoff cost (the lock line always comes from another cache)."""
-    return system.stats.mean("l2.miss_latency.cache")

@@ -6,7 +6,6 @@ from repro.analysis.area_power import (PAPER_TILE_POWER_PCT, aggregate,
                                        paper_tile_budget, tile_budget)
 from repro.analysis.comparison import TABLE2, as_rows, scorpio_row
 from repro.analysis.latency import (CACHE_SERVED_CATEGORIES, breakdown_row,
-                                    format_stack, served_fraction,
                                     total_latency)
 from repro.core import (ChipConfig, PROTOCOLS, RunResult, build_system,
                         normalized_runtimes)
@@ -132,8 +131,6 @@ class TestLatencyHelpers:
             "l2.breakdown.cache.ordering.mean": 10.0,
             "l2.breakdown.cache.sharer_access.mean": 10.0,
             "l2.breakdown.cache.net_resp.mean": 12.0,
-            "l2.miss_latency.cache.count": 90.0,
-            "l2.miss_latency.memory.count": 10.0,
         }
         return RunResult("scorpio", "x", 36, 1000, 100, 1.0, stats)
 
@@ -145,13 +142,3 @@ class TestLatencyHelpers:
 
     def test_total(self):
         assert total_latency(breakdown_row(self._result(), "cache")) == 52.0
-
-    def test_format_stack_prints_all_rows(self):
-        row = breakdown_row(self._result(), "cache")
-        text = format_stack({"SCORPIO-D": row}, "cache")
-        assert "SCORPIO-D" in text and "52.0" in text
-
-    def test_served_fraction(self):
-        fractions = served_fraction(self._result())
-        assert fractions["cache"] == pytest.approx(0.9)
-        assert fractions["memory"] == pytest.approx(0.1)

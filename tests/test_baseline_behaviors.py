@@ -24,7 +24,7 @@ class TestTimestampBehaviour:
         ]))
         gate = {"open": False}
         system.nics[4].accept_gate = lambda: gate["open"]
-        system.run(600)
+        system.run_until_done(600)
         stalls = system.stats.counter("nic.backpressure_stalls")
         assert stalls > 0
         gate["open"] = True
@@ -50,7 +50,7 @@ class TestTimestampBehaviour:
 
     def test_reorder_peak_zero_without_traffic(self):
         system = TimestampSystem(ChipConfig.variant(3, 3), traces=pad([]))
-        system.run(200)
+        system.engine.run(200)
         assert system.reorder_buffer_peak() == 0
 
 

@@ -162,11 +162,12 @@ def test_wrong_schema_version(tmp_path):
     latch routers), a schema-3 file (whose routers hold one buffer
     object per slot), a schema-4 file (whose trackers may hold a
     vector not yet decoded), a schema-5 file (whose engine holds a
-    watcher list and a stop flag) and a schema-6 file (whose histograms
-    hold a sample reservoir) are refused before the body is
-    unpickled."""
+    watcher list and a stop flag), a schema-6 file (whose histograms
+    hold a sample reservoir) and a schema-7 file (whose memory
+    controllers may hold a DRAM model and whose cache config holds the
+    retry timeout) are refused before the body is unpickled."""
     path = _valid_file(tmp_path)
-    for schema in (CHECKPOINT_SCHEMA + 1, 1, 2, 3, 4, 5, 6):
+    for schema in (CHECKPOINT_SCHEMA + 1, 1, 2, 3, 4, 5, 6, 7):
         _rewrite_header(path, lambda h: h.update(schema=schema))
         with pytest.raises(CheckpointFormatError,
                            match=f"schema {schema}.*reads "

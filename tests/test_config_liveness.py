@@ -1,7 +1,6 @@
 """Every leaf field of the ``ChipConfig`` tree changes what is simulated.
 
-A leaf field holds a value rather than a nested config; the walk goes
-into ``memory.dram_config`` as a :class:`DramConfig`.  ``ROWS`` gives each
+A leaf field holds a value rather than a nested config.  ``ROWS`` gives each
 field a changed value and a small point — a builder and a workload on a
 3x3 mesh, plus settings both sides share — and the payload, fingerprint
 aside, must differ from the default's on that point.  A VC holds one
@@ -22,13 +21,11 @@ from repro.api import DocumentError, experiment_from_dict
 from repro.core.config import ChipConfig
 from repro.experiments.builders import SystemSpec, build_spec_system
 from repro.experiments.sweep import execute_point
-from repro.memory.dram import DramConfig
 
 FFT = {"kind": "benchmark", "name": "fft", "ops_per_core": 8,
        "workload_scale": 0.02, "think_scale": 1.0}
 LOCKS = {"kind": "locks"}
 BARRIER = {"kind": "barrier"}
-BANKED = {"memory.banked": True}
 # Every default run here ends within 3,000 cycles; a changed one that
 # deadlocks (no reserved VC) stops here.
 MAX_CYCLES = 20_000
@@ -66,16 +63,8 @@ ROWS: Dict[str, Row] = {
     "cache.region_entries": Row(1),
     "cache.region_policy": Row("evict", base={"cache.region_entries": 1}),
     "cache.ordered_queue_depth": Row(1, base={"cache.l2_pipelined": False}),
-    "cache.retry_timeout": Row(20),
     "memory.lookup_latency": Row(20),
     "memory.dram_latency": Row(40),
-    "memory.banked": Row(True),
-    "memory.dram_config.n_banks": Row(1, base=BANKED),
-    "memory.dram_config.row_bytes": Row(64, base=BANKED),
-    "memory.dram_config.t_cas": Row(40, base=BANKED),
-    "memory.dram_config.t_rcd": Row(40, base=BANKED),
-    "memory.dram_config.t_rp": Row(40, base=BANKED),
-    "memory.dram_config.burst_cycles": Row(20, base=BANKED),
     "core.max_outstanding": Row(1),
     "core.l1_enabled": Row(False),
     "core.l1_latency": Row(200, workload=BARRIER),
@@ -88,9 +77,8 @@ AREA_ONLY = {"noc.goreq_vc_depth": 2, "noc.uoresp_vc_depth": 6}
 def leaf_fields(cls, prefix=""):
     """Dotted paths of the leaf fields of config class *cls*."""
     hints = typing.get_type_hints(cls)
-    nested = getattr(cls, "__serialize_nested__", {})
     for f in dataclasses.fields(cls):
-        sub = nested.get(f.name, hints[f.name])
+        sub = hints[f.name]
         if dataclasses.is_dataclass(sub):
             yield from leaf_fields(sub, f"{prefix}{f.name}.")
         else:
@@ -106,8 +94,6 @@ def chip(settings):
         *parents, leaf = path.split(".")
         node = data
         for key in parents:
-            if node[key] is None:             # memory.dram_config
-                node[key] = dataclasses.asdict(DramConfig())
             node = node[key]
         node[leaf] = value
     return ChipConfig.from_dict(data)
@@ -147,12 +133,11 @@ def test_vc_depth_changes_the_area_model(path):
 @pytest.mark.parametrize("builder", ["scorpio", "directory"])
 def test_one_line_size_reaches_every_component(builder):
     system = build_spec_system(SystemSpec(
-        builder, chip({"noc.line_size_bytes": 64, **BANKED}), workload=FFT))
+        builder, chip({"noc.line_size_bytes": 64}), workload=FFT))
     sizes = {system.memory_map.line_size}
     sizes |= {l2.array.line_size for l2 in system.l2s}
     sizes |= {core.l1.array.line_size for core in system.cores.values()}
-    for mc in system.memory_controllers:
-        sizes |= {mc.line_size, mc.dram.line_size}
+    sizes |= {mc.line_size for mc in system.memory_controllers}
     if builder == "directory":
         sizes.add(system.home_map.line_size)
         sizes |= {d.cache.line_size for d in system.directories}
@@ -161,7 +146,8 @@ def test_one_line_size_reaches_every_component(builder):
 
 @pytest.mark.parametrize("path", [
     "seed", "noc.multicast", "noc.router_pipeline_stages", "noc.link_stages",
-    "cache.line_size", "memory.line_size", "memory.dram_config.line_size"])
+    "cache.line_size", "cache.retry_timeout", "memory.line_size",
+    "memory.banked", "memory.dram_config", "memory.dram_config.line_size"])
 def test_a_removed_key_is_an_unknown_key(path):
     overrides: Dict[str, Any] = {}
     *parents, leaf = path.split(".")

@@ -21,7 +21,6 @@ from repro.core.serialize import (CONFIG_SCHEMA, ConfigFormatError,
                                   from_dict, to_dict)
 from repro.cpu.core import CoreConfig
 from repro.memory.controller import MemoryConfig
-from repro.memory.dram import DramConfig
 from repro.noc.config import NocConfig, NotificationConfig
 
 # ---------------------------------------------------------------------------
@@ -51,20 +50,11 @@ cache_configs = st.builds(
     region_bytes=st.sampled_from([2048, 4096]),
     region_entries=st.sampled_from([64, 128]),
     region_policy=st.sampled_from(["saturate", "evict"]),
-    ordered_queue_depth=st.integers(4, 32),
-    retry_timeout=st.none() | st.integers(50, 800))
-
-dram_configs = st.builds(
-    DramConfig,
-    n_banks=st.sampled_from([4, 8]),
-    row_bytes=st.sampled_from([1024, 2048]),
-    t_cas=st.integers(10, 25), t_rcd=st.integers(10, 20),
-    t_rp=st.integers(10, 20), burst_cycles=st.integers(2, 8))
+    ordered_queue_depth=st.integers(4, 32))
 
 memory_configs = st.builds(
     MemoryConfig,
-    lookup_latency=st.integers(1, 20), dram_latency=st.integers(20, 120),
-    banked=st.booleans(), dram_config=st.none() | dram_configs)
+    lookup_latency=st.integers(1, 20), dram_latency=st.integers(20, 120))
 
 core_configs = st.builds(
     CoreConfig,
@@ -86,8 +76,8 @@ chip_configs = st.builds(
     mc_nodes=st.none(),
     directory_cache_bytes=st.sampled_from([8 * 1024, 256 * 1024]))
 
-EVERY = [noc_configs, notification_configs, cache_configs, dram_configs,
-         memory_configs, core_configs, directory_configs, chip_configs]
+EVERY = [noc_configs, notification_configs, cache_configs, memory_configs,
+         core_configs, directory_configs, chip_configs]
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +85,8 @@ EVERY = [noc_configs, notification_configs, cache_configs, dram_configs,
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("strategy", EVERY,
-                         ids=["noc", "notification", "cache", "dram",
-                              "memory", "core", "directory", "chip"])
+                         ids=["noc", "notification", "cache", "memory",
+                              "core", "directory", "chip"])
 def test_round_trip_identity(strategy):
     @settings(max_examples=40, deadline=None)
     @given(config=strategy)
@@ -195,11 +185,10 @@ def test_constructor_validation_still_applies():
         NocConfig.from_dict({"width": -1})
 
 
-def test_dram_config_round_trips_through_memory():
-    memory = MemoryConfig(banked=True, dram_config=DramConfig(n_banks=4))
-    rebuilt = MemoryConfig.from_dict(memory.to_dict())
-    assert isinstance(rebuilt.dram_config, DramConfig)
-    assert rebuilt == memory
+def test_a_null_sub_config_is_not_a_table():
+    with pytest.raises(ConfigFormatError,
+                       match="ChipConfig.noc must be a table"):
+        ChipConfig.from_dict({"noc": None})
 
 
 def test_asdict_output_loads_without_schema_tag():

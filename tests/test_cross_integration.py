@@ -1,15 +1,13 @@
-"""Cross-subsystem integration: monitors on the new baselines, banked
-DRAM under directory protocols, trace files through every system, and
-CLI litmus — the combinations no single-module test exercises."""
+"""Cross-subsystem integration: monitors on the new baselines, trace
+files through every system, and CLI litmus — the combinations no
+single-module test exercises."""
 
 import io
-from dataclasses import replace
 
 import pytest
 
 from repro.core.config import ChipConfig
 from repro.cpu.trace import Trace, TraceOp
-from repro.memory.controller import MemoryConfig
 from repro.ordering_baselines.systems import TimestampSystem, UncorqSystem
 from repro.systems.directory import DirectorySystem
 from repro.systems.scorpio import ScorpioSystem
@@ -50,38 +48,6 @@ class TestMonitorOnBaselines:
         system.run_until_done(200_000)
         assert system.all_cores_finished()
         assert monitor.report.clean
-
-
-class TestBankedDramAcrossProtocols:
-    @pytest.mark.parametrize("scheme", ["LPD", "HT", "FULLBIT"])
-    def test_directory_with_banked_dram(self, scheme):
-        system = DirectorySystem(
-            replace(ChipConfig.variant(3, 3),
-                    memory=MemoryConfig(banked=True)),
-            scheme=scheme, traces=random_traces(9, seed=83))
-        system.run_until_done(200_000)
-        assert system.all_cores_finished()
-        accesses = sum(v for k, v in system.stats.counters.items()
-                       if ".row_" in k)
-        assert accesses > 0
-
-    def test_banked_latency_distribution_wider_than_fixed(self):
-        def spread(banked):
-            traces = random_traces(9, ops=10, lines=24, seed=89)
-            system = ScorpioSystem(
-                replace(ChipConfig.variant(3, 3),
-                        memory=MemoryConfig(banked=banked)),
-                traces=traces)
-            system.run_until_done(200_000)
-            assert system.all_cores_finished()
-            hist = system.stats.histograms.get("l2.miss_latency.memory")
-            if hist is None or not hist.count:
-                return 0.0
-            return (hist.maximum or 0) - (hist.minimum or 0)
-
-        # Fixed-latency DRAM has a narrow memory-served band; banked
-        # timing spreads it (hits vs conflicts vs bus queueing).
-        assert spread(True) >= spread(False)
 
 
 class TestTraceFilesThroughEverySystem:

@@ -285,8 +285,7 @@ class TestStats:
         snap = stats.snapshot()
         assert "real.outcome" in snap
         assert "engine.cycles_fast_forwarded" not in snap
-        assert stats.get_meta("engine.cycles_fast_forwarded") == 123.0
-        assert stats.get_meta("missing", 7.0) == 7.0
+        assert stats.meta == {"engine.cycles_fast_forwarded": 123.0}
 
 
 class _EngineBox:

@@ -257,13 +257,13 @@ def test_journal_rides_through_checkpoints(tmp_path):
     straight_journal = EventJournal()
     straight_system = attach_observability(build_spec_system(spec),
                                            straight_journal)
-    straight_system.run(300)
+    straight_system.run_until_done(300)
     straight_system.run_until_done(spec.max_cycles)
     straight = spec.harvest(straight_system)
 
     reset_packet_ids()
     system = attach_observability(build_spec_system(spec), EventJournal())
-    system.run(300)
+    system.run_until_done(300)
     assert len(system.engine.journal) > 0   # something already recorded
     path = str(tmp_path / "mid.ckpt")
     snapshot_system(system, path)

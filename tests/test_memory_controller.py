@@ -5,8 +5,8 @@ from typing import List
 
 from repro.coherence.messages import (CoherenceRequest, CoherenceResponse,
                                       MemRead, ReqKind, RespKind)
-from repro.memory.controller import (MemoryConfig, MemoryController,
-                                     make_memory_map)
+from repro.memory.controller import (AddressInterleavedMap, MemoryConfig,
+                                     MemoryController)
 
 
 class FakeNic:
@@ -124,7 +124,7 @@ class TestSnoopyMemoryController:
         assert not nic.sent
 
     def test_memory_map_interleaves(self):
-        mmap = make_memory_map([3, 33], line_size=32)
+        mmap = AddressInterleavedMap([3, 33], line_size=32)
         homes = {mmap(line * 32) for line in range(8)}
         assert homes == {3, 33}
 

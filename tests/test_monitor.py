@@ -94,7 +94,7 @@ class TestViolationDetection:
         for nic in system.nics:
             nic.accept_gate = lambda: False
         with pytest.raises(InvariantViolation, match="no op completed"):
-            system.run(10_000)
+            system.run_until_done(10_000)
 
     def test_esid_disagreement_is_caught(self):
         # Two NICs at the same global-order position publishing

@@ -117,13 +117,13 @@ class TestInheritedFromScorpioSystem:
 
     def test_quiesced_after_a_finished_run(self, credits_in_flight):
         system = self._finished(n_meshes=3)
-        system.run(200)     # let the last writebacks and credits drain
+        system.engine.run(200)     # let the last writebacks and credits drain
         assert system.quiesced()
         assert credits_in_flight(system) == 0
 
     def test_quiesced_sees_every_mesh(self):
         system = self._finished()
-        system.run(200)
+        system.engine.run(200)
         system.meshes[1].routers[4]._arrivals.push(10 ** 9, None)
         assert not system.quiesced()
 

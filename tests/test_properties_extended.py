@@ -151,7 +151,7 @@ class TestIncfEquivalence:
         # core completion, which may leave the last request's
         # invalidation broadcasts in flight.  Drain them before
         # checking final states.
-        system.run(2_000)
+        system.engine.run(2_000)
         for line in range(5):
             addr = BASE + line * LINE
             states = [l2.state_of(addr) for l2 in system.l2s]

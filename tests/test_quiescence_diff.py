@@ -141,7 +141,7 @@ def test_quiescence_actually_engages():
     skipped = engine.cycles_fast_forwarded
     assert engine.ticks_executed + skipped == engine.cycle
     assert skipped > 0, "no cycle was ever fast-forwarded"
-    assert system.stats.get_meta("engine.cycles_fast_forwarded") == skipped
+    assert system.stats.meta["engine.cycles_fast_forwarded"] == skipped
     # Kernel accounting must stay out of result payloads (it differs
     # between modes; payloads must not).
     assert "engine.ticks_executed" not in system.stats.snapshot()

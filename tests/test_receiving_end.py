@@ -201,5 +201,5 @@ def test_quiesced_waits_for_every_credit(builder, credits_in_flight):
     assert credits_in_flight(system)
     while credits_in_flight(system):
         assert not system.quiesced()
-        system.run(1)
+        system.engine.run(1)
     assert system.quiesced()

@@ -84,7 +84,7 @@ class TestL2ForceInvalidation:
         system = evict_system([Trace(ops)])
         system.run_until_done(150_000)
         assert system.all_cores_finished()
-        system.run(3000)   # drain the in-flight PUT + writeback data
+        system.engine.run(3000)   # drain the in-flight PUT + writeback data
         assert system.stats.counter("l2.region_flushes") >= 1
         # The dirty line of the evicted region went back to memory.
         assert system.stats.counter("mc.writebacks_received") >= 1

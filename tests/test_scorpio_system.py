@@ -170,7 +170,7 @@ class TestQuiescence:
             Trace([TraceOp("R", ADDR, 5)]),
         ])
         run_done(system)
-        system.run(500)   # drain
+        system.engine.run(500)   # drain
         assert system.quiesced()
         assert credits_in_flight(system) == 0
 

@@ -54,7 +54,7 @@ class TestScorpioSoak:
                                traces=build_traces(raw))
         system.run_until_done(120_000)
         assert system.all_cores_finished()
-        system.run(500)
+        system.engine.run(500)
         assert system.quiesced()
         assert credits_in_flight(system) == 0
 

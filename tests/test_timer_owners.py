@@ -12,8 +12,8 @@ import pytest
 from repro.coherence.l2_controller import CacheConfig, L2Controller
 from repro.cpu.core import CoreConfig, TraceCore
 from repro.cpu.trace import Trace
-from repro.memory.controller import (MemoryController, make_memory_map,
-                                     owns_every_addr)
+from repro.memory.controller import (AddressInterleavedMap,
+                                     MemoryController, OwnsMappedAddr)
 from repro.sim.engine import Engine
 
 
@@ -49,12 +49,13 @@ class Recorder:
 
 
 def make_l2():
-    return L2Controller(0, QuietNic(), make_memory_map([9], 32), 32,
+    return L2Controller(0, QuietNic(), AddressInterleavedMap([9], 32), 32,
                         CacheConfig(use_region_tracker=False))
 
 
 def make_mc():
-    return MemoryController(3, QuietNic(), owns_every_addr, 32)
+    return MemoryController(
+        3, QuietNic(), OwnsMappedAddr(AddressInterleavedMap([3], 32), 3), 32)
 
 
 def make_core():
