@@ -9,7 +9,7 @@ never ran, as ``module:qualname``.
 The doors: every quick figure; the example documents under
 ``examples/experiments``; ``run-file`` with checkpoint, resume, report
 and output; ``run``, ``sweep`` (serial, ``--jobs 2`` and
-``--list-builders``), ``trace``, ``litmus``, ``describe``, ``report`` and
+``--list-builders``), ``trace``, ``litmus``, ``describe`` and
 ``bench --smoke``; ``serve`` with ``submit --wait`` and ``jobs``.  The
 example scripts are not doors.  A forked worker (``SlotPool``) inherits
 the hook and writes what it reached to a file when it exits, so
@@ -186,9 +186,6 @@ def drive_doors(work: Path, log) -> list:
     trace.write_text(TRACE, encoding="ascii")
     door("trace", str(trace), "--mesh", "2x2")
     door("litmus")
-    door("report", str(work / "report"), "--cache-dir", cache)
-    door("report", str(work / "report-fig"), "--figures", "fig6a",
-         "--cache-dir", cache)
     door("bench", "--smoke", "--output", str(work / "bench.json"))
     serve_door(work, door, smoke)
     return failed

@@ -61,11 +61,28 @@ retired=(
                                                # a statistic is what the payload reads
     'DramConfig|DramModel|__serialize_nested__|LineInterleavedHomeMap|make_memory_map|owns_every_addr|get_meta|served_fraction|format_stack|lock_handoff_latency'
                                                # one memory model
+    'ExecutionContext|build_report|DEFAULT_FIGURES|on_own_request_ordered|cmd_report|cached_figures'
+                                               # how a batch runs is an argument
 )
 forbid "retired name" "\b($(IFS='|'; echo "${retired[*]}"))\b" \
     src tests benchmarks examples
 # (A call, so outside the word-bounded list: "outstanding" is prose.)
 forbid "retired name" '\boutstanding\(' src tests benchmarks examples
+
+# How a batch runs is an argument: run_sweep / run_plan / run_experiment
+# / render are serial and uncached unless their jobs / cache arguments
+# say otherwise.  The CLI is the one reader of the environment (it maps
+# REPRO_JOBS / REPRO_CACHE_DIR onto those arguments); the process-wide
+# context and its override are gone, and so is the matrix class (a
+# [matrix] table expands itself).  Bare "executing" / "Sweep" are prose
+# ("Sweep progress", SweepResult), so those two match as code only.
+only_in "environment read outside cli.py" 'os\.environ|getenv' \
+    "src/repro/cli.py"
+forbid "retired execution context" \
+    '(^|[^.[:alnum:]_])get_context\b|\bexecuting(\(|,|\)|$)|import +executing\b' \
+    src tests benchmarks examples
+forbid "retired matrix class" \
+    '\bSweep(\(|,|\)|\.|$)|import +Sweep\b' src tests benchmarks examples
 
 # PR 18 - one system assembly: BaseSystem is the only place a system is
 # put together (NICs come from make_nic overrides), and the snoopy L2

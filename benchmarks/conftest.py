@@ -15,7 +15,8 @@ which applies ``-m "not slow"`` from pytest.ini) skips them, and
 ``pytest -m slow benchmarks`` runs the full reproduction.
 
 Runs route through the experiment orchestrator
-(:mod:`repro.experiments`), a whole figure per ``run_sweep`` batch, so
+(:mod:`repro.experiments`), a whole figure per ``run_sweep`` batch, and
+every batch is handed the :func:`batch` fixture's ``jobs`` / ``cache``:
 ``REPRO_JOBS=N`` fans each figure out and ``REPRO_CACHE_DIR=...`` recalls
 previously simulated points (the figures share some: Fig. 6b/6c's are a
 subset of Fig. 6a's, the four Fig. 8 sweeps meet at the fabricated chip).
@@ -38,6 +39,14 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if _BENCH_DIR in Path(str(item.fspath)).parents:
             item.add_marker(pytest.mark.slow)
+
+
+@pytest.fixture(scope="session")
+def batch():
+    """``jobs`` / ``cache`` for every harness batch: REPRO_JOBS and
+    REPRO_CACHE_DIR, read once, as ``repro`` reads them."""
+    from repro.cli import batch_options
+    return batch_options()
 
 
 def run_once(benchmark_fixture, fn):

@@ -24,19 +24,19 @@ from conftest import run_once
 REGIME = FULL.knobs(ops_per_core=80)
 
 
-def scorpio_runs(benchmark_name, *configs):
+def scorpio_runs(batch, benchmark_name, *configs):
     """SCORPIO on *benchmark_name* under each config, as one batch."""
     return run_sweep([benchmark_spec(benchmark_name, "scorpio", config,
                                      **REGIME)
-                      for config in configs])
+                      for config in configs], **batch)
 
 
-def test_ablation_lookahead_bypass(benchmark):
+def test_ablation_lookahead_bypass(benchmark, batch):
     def run():
         base = ChipConfig.chip_36core()
         no_bypass = replace(base, noc=replace(base.noc,
                                               lookahead_bypass=False))
-        return scorpio_runs("lu", base, no_bypass)
+        return scorpio_runs(batch, "lu", base, no_bypass)
 
     with_la, without = run_once(benchmark, run)
     print(f"\nAblation: lookahead bypassing")
@@ -49,7 +49,7 @@ def test_ablation_lookahead_bypass(benchmark):
     assert without.stats.get("noc.router.bypassed", 0) == 0
 
 
-def test_ablation_reserved_vc_deadlock(benchmark, tmp_path):
+def test_ablation_reserved_vc_deadlock(benchmark, batch, tmp_path):
     """Without the rVC, conflict-heavy broadcasts wedge the GO-REQ vnet
     (the deadlock the Sec. 3.2 proof rules out)."""
 
@@ -63,7 +63,7 @@ def test_ablation_reserved_vc_deadlock(benchmark, tmp_path):
             SystemSpec("scorpio", replace(base, noc=replace(
                 base.noc, reserved_vc=reserved)), max_cycles=150_000,
                 workload={"kind": "trace", "path": str(path)})
-            for reserved in (True, False)])
+            for reserved in (True, False)], **batch)
 
     healthy, wedged = run_once(benchmark, run)
     print("\nAblation: reserved VC (deadlock avoidance)")
@@ -76,12 +76,12 @@ def test_ablation_reserved_vc_deadlock(benchmark, tmp_path):
         "removing the rVC should deadlock this conflict pattern"
 
 
-def test_ablation_region_tracker(benchmark):
+def test_ablation_region_tracker(benchmark, batch):
     def run():
         base = ChipConfig.chip_36core()
         off = replace(base, cache=replace(base.cache,
                                           use_region_tracker=False))
-        return scorpio_runs("blackscholes", base, off)
+        return scorpio_runs(batch, "blackscholes", base, off)
 
     with_rt, without = run_once(benchmark, run)
     filtered = with_rt.stats.get("l2.snoops.filtered", 0)
@@ -93,7 +93,7 @@ def test_ablation_region_tracker(benchmark):
     assert without.stats.get("l2.snoops.filtered", 0) == 0
 
 
-def test_extension_multiple_main_networks(benchmark, tmp_path):
+def test_extension_multiple_main_networks(benchmark, batch, tmp_path):
     """Sec. 5.3's scaling proposal: replicated main meshes lift broadcast
     throughput without touching the ordering machinery."""
 
@@ -107,7 +107,8 @@ def test_extension_multiple_main_networks(benchmark, tmp_path):
             SystemSpec("scorpio", ChipConfig.variant(4, 4),
                        workload=workload),
             SystemSpec("multimesh", ChipConfig.variant(4, 4),
-                       params={"n_meshes": 2}, workload=workload)])
+                       params={"n_meshes": 2}, workload=workload)],
+            **batch)
 
     single, double = run_once(benchmark, run)
     print("\nExtension: multiple main networks (saturating broadcasts)")
@@ -120,12 +121,13 @@ def test_extension_multiple_main_networks(benchmark, tmp_path):
         "replicating the main network must not slow the system"
 
 
-def test_ablation_notification_window(benchmark):
+def test_ablation_notification_window(benchmark, batch):
     def run():
         base = ChipConfig.chip_36core()
         windows = (13, 26, 52)
-        results = scorpio_runs("lu", *(replace(base, notification=replace(
-            base.notification, window=window)) for window in windows))
+        results = scorpio_runs(batch, "lu", *(replace(
+            base, notification=replace(base.notification, window=window))
+            for window in windows))
         return {window: result.stats.get("nic.order_latency.mean", 0.0)
                 for window, result in zip(windows, results)}
 

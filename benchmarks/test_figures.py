@@ -17,8 +17,8 @@ from conftest import run_once
 
 
 @pytest.mark.parametrize("fig_id", figure_ids())
-def test_figure(benchmark, fig_id):
-    rendered = run_once(benchmark, lambda: render(fig_id, FULL))
+def test_figure(benchmark, batch, fig_id):
+    rendered = run_once(benchmark, lambda: render(fig_id, FULL, **batch))
 
     print("\n" + rendered.text)
     print(rendered.scorecard(f"{fig_id}: paper vs measured ({FULL.name} "

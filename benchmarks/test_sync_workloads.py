@@ -21,12 +21,12 @@ SYSTEMS = {"scorpio": ("scorpio", {}),
            "ht": ("directory", {"scheme": "HT"})}
 
 
-def test_sync_barrier_phases(benchmark):
+def test_sync_barrier_phases(benchmark, batch):
     specs = system_specs(
         SYSTEMS, config=ChipConfig.chip_36core(), max_cycles=MAX_CYCLES,
         workload={"kind": "barrier", "phases": 3, "compute_ops": 4,
                   "think": 6, "seed": SEED})
-    results = run_once(benchmark, lambda: run_sweep(specs))
+    results = run_once(benchmark, lambda: run_sweep(specs, **batch))
     for result in results:
         assert result.progress == 1.0, f"{result.label} hung"
     data = {result.label: result.runtime for result in results}

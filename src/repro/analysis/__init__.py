@@ -8,7 +8,6 @@ from repro.analysis.comparison import (TABLE2, ProcessorSpec, as_rows,
                                        scorpio_row)
 from repro.analysis.energy import (NIC_ROUTER_POWER_MW, EnergyModel,
                                    EnergyParams, EnergyReport)
-from repro.analysis.report import build_report
 from repro.analysis.report_html import (ObservabilityDriftError,
                                         RunObservation,
                                         collect_observations,
@@ -24,7 +23,6 @@ __all__ = [
     "tile_budget",
     "TABLE2", "ProcessorSpec", "as_rows", "scorpio_row",
     "NIC_ROUTER_POWER_MW", "EnergyModel", "EnergyParams", "EnergyReport",
-    "build_report",
     "ObservabilityDriftError", "RunObservation", "collect_observations",
     "render_report_html", "result_digest", "write_html_report",
     "CACHE_SERVED_CATEGORIES", "MEMORY_SERVED_CATEGORIES", "breakdown_row",

@@ -4,8 +4,8 @@ A :class:`Figure` is the single definition of one artifact of the
 paper's evaluation:
 
 * ``points(regime, seed)`` — the labelled specs of its sweep (the one
-  place the sweep is spelled; they run as one ``run_sweep`` batch, so
-  they cache and fan out like any other points);
+  place the sweep is spelled; :func:`render` runs them as one
+  ``run_sweep`` batch with the ``jobs`` and ``cache`` it is handed);
 * ``reduce(results)`` — the printed table plus a dict of named measured
   values;
 * ``claims`` — the paper's statements about it: the paper's number from
@@ -27,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple,
-                    Tuple)
+                    Optional, Tuple)
 
 from repro.analysis import paper_data as paper
 from repro.analysis.comparison import TABLE2, scorpio_row, system_specs
@@ -188,17 +188,21 @@ def lookup(ids: Iterable[str]) -> List[Figure]:
     return [FIGURES[fig_id] for fig_id in ids]
 
 
-def render(fig_id: str, regime: Regime = QUICK, seed: int = 0) -> Rendered:
-    """Run one figure's points as one sweep batch and reduce them."""
+def render(fig_id: str, regime: Regime = QUICK, seed: int = 0, *,
+           jobs: Optional[int] = None, cache=None) -> Rendered:
+    """Run one figure's points as one sweep batch and reduce them;
+    *jobs* and *cache* are :func:`~repro.experiments.run_sweep`'s."""
     figure, = lookup([fig_id])
-    text, measured = figure.reduce(run_sweep(figure.points(regime, seed)))
+    text, measured = figure.reduce(run_sweep(figure.points(regime, seed),
+                                             jobs=jobs, cache=cache))
     judged = (claim.judge(measured) for claim in figure.claims)
     return Rendered(text, measured, [claim for claim in judged if claim])
 
 
-def generate(fig_id: str, regime: Regime = QUICK, seed: int = 0) -> str:
+def generate(fig_id: str, regime: Regime = QUICK, seed: int = 0, *,
+             jobs: Optional[int] = None, cache=None) -> str:
     """The table of one figure/table by id (see :func:`figure_ids`)."""
-    return render(fig_id, regime, seed).text
+    return render(fig_id, regime, seed, jobs=jobs, cache=cache).text
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ Everything re-exported here follows the v1 compatibility contract:
 * **Experiments are documents.**  :func:`load_experiment` reads a JSON/
   TOML :class:`ExperimentSpec` (schema ``DOCUMENT_SCHEMA``) describing
   runs, sweep matrices and litmus suites;
-  :func:`run_experiment` executes it through the parallel/cached sweep
-  runner and :func:`describe_experiment` prints the resolved form.
+  :func:`run_experiment` executes it through the sweep runner (serial
+  and uncached unless its ``jobs`` / ``cache`` arguments say otherwise)
+  and :func:`describe_experiment` prints the resolved form.
   The CLI front-ends are ``repro run-file`` and ``repro describe``.
 * **Results are rows.**  Every door returns the same row class:
   ``SweepResult`` is ``RunResult`` under its experiment-layer name.  A
@@ -35,7 +36,7 @@ from repro.core.api import PROTOCOLS, RunResult, normalized_runtimes
 from repro.core.config import ChipConfig
 from repro.core.serialize import (CONFIG_SCHEMA, ConfigFormatError,
                                   SerializableConfig)
-from repro.experiments import (ResultCache, Sweep, SweepResult, SystemSpec,
+from repro.experiments import (ResultCache, SweepResult, SystemSpec,
                                benchmark_spec, builder_names, list_builders,
                                run_sweep)
 
@@ -54,14 +55,19 @@ from repro.experiments import (ResultCache, Sweep, SweepResult, SystemSpec,
 # cache.retry_timeout are gone (a document naming one fails as an
 # unknown key; the tokenb and uncorq builders keep a retry_timeout
 # param).
-API_VERSION = 5
+# 6: the matrix class left the façade (a matrix is a list of
+# benchmark_spec points, or a document's [matrix] table), and
+# run_sweep / run_experiment no longer read REPRO_JOBS or
+# REPRO_CACHE_DIR: a call runs serially and uncached unless its jobs /
+# cache arguments say otherwise.
+API_VERSION = 6
 
 __all__ = [
     "API_VERSION", "CONFIG_SCHEMA", "DOCUMENT_SCHEMA", "RESULTS_SCHEMA",
     "ChipConfig", "ConfigFormatError", "DocumentError",
     "ExperimentResult", "ExperimentSpec", "PROTOCOLS", "ResultCache",
-    "RunResult", "SerializableConfig", "Sweep",
-    "SweepResult", "SystemSpec", "benchmark_spec", "builder_names",
+    "RunResult", "SerializableConfig", "SweepResult", "SystemSpec",
+    "benchmark_spec", "builder_names",
     "describe_experiment", "envelope_bytes", "experiment_from_dict",
     "list_builders", "load_experiment", "normalized_runtimes",
     "run_experiment", "run_sweep",

@@ -204,7 +204,7 @@ def _resolve_config(data: Mapping[str, Any], what: str) -> ChipConfig:
 
 # The benchmark knobs a run or matrix may give, with the types a
 # document may spell them in.  Their defaults are the benchmark
-# workload's / Sweep's / SystemSpec's: _knobs forwards only the keys a
+# workload's / benchmark_spec's: _knobs forwards only the keys a
 # document gives.
 _KNOB_TYPES = {"ops_per_core": int, "workload_scale": (int, float),
                "think_scale": (int, float), "seed": int, "max_cycles": int}
@@ -303,8 +303,9 @@ _MATRIX_KEYS = ("benchmarks", "protocols", "seeds", "config", "configs",
 
 def _resolve_matrix(data: Mapping[str, Any],
                     configs: Mapping[str, ChipConfig], what: str, memo):
-    """A ``[matrix]`` table -> expanded SystemSpec list (Sweep order)."""
-    from repro.experiments import Sweep
+    """A ``[matrix]`` table -> expanded SystemSpec list: configs, then
+    benchmarks, then protocols, then seeds."""
+    from repro.experiments import benchmark_spec
 
     _check_keys(data, _MATRIX_KEYS, what)
     benchmarks = _str_list(data, "benchmarks", what, required=True)
@@ -313,18 +314,21 @@ def _resolve_matrix(data: Mapping[str, Any],
     _require("config" not in data or "configs" not in data,
              f"{what}: give either 'config' or 'configs', not both")
     if "configs" in data:
-        names = _str_list(data, "configs", what)
-        matrix_configs: Union[None, ChipConfig, Dict[str, ChipConfig]] = {
-            name: _lookup_config(name, configs, what) for name in names}
+        labelled = list({name: _lookup_config(name, configs, what)
+                         for name in _str_list(data, "configs", what)
+                         }.items())
     else:
-        matrix_configs = _lookup_config(_get(data, "config", str, what),
-                                        configs, what)
-    sweep = Sweep(
-        benchmarks=benchmarks, protocols=tuple(protocols),
-        configs=matrix_configs,
-        seeds=tuple(_int_list(data, "seeds", what, default=(0,))),
-        **_knobs(data, _MATRIX_KNOBS, what))
-    return [_validated(spec, what, memo) for spec in sweep.expand()]
+        labelled = [("", _lookup_config(_get(data, "config", str, what),
+                                        configs, what))]
+    seeds = _int_list(data, "seeds", what, default=(0,))
+    knobs = _knobs(data, _MATRIX_KNOBS, what)
+    return [_validated(benchmark_spec(benchmark, protocol, config,
+                                      label=label, seed=seed, **knobs),
+                       what, memo)
+            for label, config in labelled
+            for benchmark in benchmarks
+            for protocol in protocols
+            for seed in seeds]
 
 
 _LITMUS_KEYS = ("programs", "protocol", "seeds", "width", "height",
@@ -689,8 +693,8 @@ def run_experiment(experiment: Union[ExperimentSpec, str, Path],
                    jobs: Optional[int] = None,
                    cache=None) -> ExperimentResult:
     """Execute an experiment document (or its path) through the sweep
-    runner; ``jobs``/``cache`` default to the process execution context
-    exactly like :func:`~repro.experiments.sweep.run_sweep`.  Cached
+    runner, serially and uncached unless *jobs* / *cache* say otherwise
+    (exactly like :func:`~repro.experiments.sweep.run_sweep`).  Cached
     executions record the plan's hit/miss counts in ``cache_stats`` (and
     hence the envelope), so cache effectiveness is observable per job
     even when the ``ResultCache`` object is shared across jobs."""

@@ -25,7 +25,6 @@ Commands:
 * ``figure`` — regenerate a paper table/figure (see ``--list``;
   ``table1`` is the chip feature summary, ``fig6a`` the protocol
   comparison normalised to LPD-D).
-* ``report`` — render a set of figures into a results directory.
 * ``bench`` — time the quiescence kernel on/off on fixed workloads and
   write ``BENCH_9.json`` (``--smoke`` for the tiny CI regime).
 * ``serve`` — run the sweep-service frontend (HTTP job queue + shared
@@ -41,12 +40,16 @@ into an experiment document and run it exactly as ``run-file`` runs a
 file: one validation (a bad name is an ``error:`` line and exit 2), one
 executor, one printer.  Every verb that simulates honours
 ``REPRO_JOBS`` and ``REPRO_CACHE_DIR``; ``--jobs``/``--cache-dir``,
-where a verb has them, override the two.
+where a verb has them, override the two.  This module is the only
+reader of those variables (:func:`batch_options`): a library call runs
+serially and uncached unless its own ``jobs`` / ``cache`` arguments say
+otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -54,11 +57,24 @@ from repro.analysis.figures import FIGURES, FULL, QUICK, generate, lookup
 from repro.core.api import PROTOCOLS
 
 
-def _cache(args):
-    """The ``--cache-dir`` cache, else the execution context's."""
-    from repro.experiments import as_cache, get_context
-    cache_dir = getattr(args, "cache_dir", None)
-    return as_cache(cache_dir) if cache_dir else get_context().cache
+def batch_options(args=None) -> dict:
+    """The ``jobs`` and ``cache`` a verb hands its batch: ``--jobs`` /
+    ``--cache-dir`` where the verb has them and they are given, else
+    ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` (unset: serial, uncached).  The
+    one reader of those two variables; the library reads none."""
+    option = vars(args).get if args is not None else {}.get
+    jobs = option("jobs")
+    if jobs is None:
+        raw = os.environ.get("REPRO_JOBS") or "1"
+        try:
+            jobs = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"REPRO_JOBS must be an integer, got {raw!r}") from None
+    from repro.experiments import as_cache
+    return {"jobs": max(1, jobs),
+            "cache": as_cache(option("cache_dir")
+                              or os.environ.get("REPRO_CACHE_DIR") or None)}
 
 
 def _mesh(text: str):
@@ -172,15 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--mesh", type=_mesh, default=(6, 6))
     trace_p.add_argument("--max-cycles", type=int, default=400_000)
 
-    report_p = sub.add_parser("report",
-                              help="render figures into a directory")
-    report_p.add_argument("directory")
-    report_p.add_argument("--figures", nargs="+", default=None,
-                          help="figure ids (default: the static set)")
-    report_p.add_argument("--full", action="store_true", help=full_help)
-    report_p.add_argument("--seed", type=int, default=0)
-    add_executor_options(report_p)
-
     bench_p = sub.add_parser(
         "bench", help="time the quiescence kernel on/off and write a "
                       "JSON report")
@@ -230,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="log every HTTP request to stderr")
 
     def add_url_option(p):
-        import os
         p.add_argument("--url",
                        default=os.environ.get("REPRO_SERVE_URL",
                                               "http://127.0.0.1:8765"),
@@ -383,9 +389,9 @@ def _simulate(load, args, out) -> int:
             print(f"checkpoints: every {args.checkpoint_every} cycles "
                   f"-> {args.checkpoint_dir}", file=out)
     else:
-        cache = _cache(args)
-        outcome = run_experiment(experiment, jobs=option("jobs"),
-                                 cache=cache)
+        batch = batch_options(args)
+        cache = batch["cache"]
+        outcome = run_experiment(experiment, **batch)
     print(f"experiment: {experiment.name} "
           f"({len(outcome.results)} runs)", file=out)
     failures = 0
@@ -440,43 +446,22 @@ def cmd_describe(args, out) -> int:
     return 0
 
 
-def _unknown_figures(ids, out) -> bool:
-    """Report ids the registry does not know.  Checked before any work,
-    so that a ``KeyError`` raised later, inside a simulation or a
-    reducer, stays a traceback and not a usage error."""
-    try:
-        lookup(ids)
-    except KeyError as exc:
-        print(f"error: {exc}", file=out)
-        return True
-    return False
-
-
 def cmd_figure(args, out) -> int:
-    from repro.experiments import executing
     if args.list or not args.id:
         print("available figures:", file=out)
         for fig_id, figure in sorted(FIGURES.items()):
             print(f"  {fig_id:<8} {figure.title}", file=out)
         return 0
-    if _unknown_figures([args.id], out):
+    # An unknown id is checked before any work, so that a KeyError
+    # raised later, inside a simulation or a reducer, stays a traceback
+    # and not a usage error.
+    try:
+        lookup([args.id])
+    except KeyError as exc:
+        print(f"error: {exc}", file=out)
         return 2
-    with executing(jobs=args.jobs, cache=args.cache_dir):
-        text = generate(args.id, FULL if args.full else QUICK, args.seed)
-    print(text, file=out)
-    return 0
-
-
-def cmd_report(args, out) -> int:
-    from repro.analysis.report import build_report
-    if _unknown_figures(args.figures or (), out):
-        return 2
-    artifacts = build_report(args.directory, figures=args.figures,
-                             regime=FULL if args.full else QUICK,
-                             seed=args.seed, jobs=args.jobs,
-                             cache_dir=args.cache_dir)
-    for fig_id, path in sorted(artifacts.items()):
-        print(f"  {fig_id:<10} -> {path}", file=out)
+    print(generate(args.id, FULL if args.full else QUICK, args.seed,
+                   **batch_options(args)), file=out)
     return 0
 
 
@@ -503,7 +488,7 @@ def cmd_bench(args, out) -> int:
 
 def cmd_serve(args, out) -> int:
     from repro.serve.server import serve
-    cache = _cache(args)
+    cache = batch_options(args)["cache"]
     if cache is None:
         print("error: serve needs a shared cache (--cache-dir or "
               "REPRO_CACHE_DIR)", file=out)
@@ -602,7 +587,6 @@ COMMANDS = {
     "run-file": cmd_run_file,
     "describe": cmd_describe,
     "figure": cmd_figure,
-    "report": cmd_report,
     "trace": _simulating(trace_document),
     "bench": cmd_bench,
     "litmus": _simulating(litmus_document),

@@ -10,8 +10,8 @@ from repro.coherence.messages import (CoherenceRequest, CoherenceResponse,
                                       DirForward, MemRead, ReqKind, RespKind,
                                       reset_request_ids)
 from repro.coherence.mosi import (Action, State, Transition,
-                                  needs_data_for_write, on_own_request_ordered,
-                                  on_remote_request, request_for)
+                                  needs_data_for_write, on_remote_request,
+                                  request_for)
 
 __all__ = [
     "DirectoryL2Controller",
@@ -20,5 +20,5 @@ __all__ = [
     "CoherenceRequest", "CoherenceResponse", "DirForward", "MemRead",
     "ReqKind", "RespKind", "reset_request_ids",
     "Action", "State", "Transition", "needs_data_for_write",
-    "on_own_request_ordered", "on_remote_request", "request_for",
+    "on_remote_request", "request_for",
 ]

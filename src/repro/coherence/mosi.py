@@ -10,8 +10,10 @@ written back to memory only on eviction.  This collapse is documented in
 DESIGN.md.
 
 The table below is pure protocol logic (no timing): callers feed it the
-current stable state and an observed event, and it returns the next state
-plus the actions the controller must perform.
+current stable state and an observed *remote* request, and it returns the
+next state plus the actions the controller must perform.  What a node's
+own ordered request does is the L2 controller's
+(``L2Controller._process_own`` / ``_own_put_ordered``).
 """
 
 from __future__ import annotations
@@ -73,23 +75,6 @@ def on_remote_request(state: State, kind: ReqKind) -> Transition:
         # Another node returned ownership to memory; shared copies remain
         # legal (memory now forwards).
         return Transition(state, [Action.NONE])
-    raise ValueError(f"unknown request kind {kind}")
-
-
-def on_own_request_ordered(state: State, kind: ReqKind) -> Transition:
-    """State change when a node observes *its own* request in the order.
-
-    For GETX the write is globally ordered at this instant; whether data
-    must still arrive depends on whether the node is already the owner.
-    """
-    if kind is ReqKind.GETS:
-        # Data still inbound; the stable next state is S (or O if it later
-        # upgrades).  Controllers hold the line transient until data.
-        return Transition(State.S, [Action.NONE])
-    if kind is ReqKind.GETX:
-        return Transition(State.M, [Action.NONE])
-    if kind is ReqKind.PUT:
-        return Transition(State.I, [Action.INVALIDATE_L1])
     raise ValueError(f"unknown request kind {kind}")
 
 

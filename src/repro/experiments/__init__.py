@@ -3,12 +3,18 @@
 The substrate the figure harnesses, the benchmark suite, and the
 ``repro sweep`` CLI all run on.  Typical use::
 
-    from repro.experiments import Sweep, run_sweep
+    from repro.experiments import benchmark_spec, run_sweep
 
-    sweep = Sweep(benchmarks=("barnes", "lu"),
-                  protocols=("lpd", "ht", "scorpio"),
-                  seeds=(0, 1, 2), ops_per_core=100)
-    results = run_sweep(sweep, jobs=8, cache="~/.cache/repro")
+    specs = [benchmark_spec(benchmark, protocol, seed=seed,
+                            ops_per_core=100)
+             for benchmark in ("barnes", "lu")
+             for protocol in ("lpd", "ht", "scorpio")
+             for seed in (0, 1, 2)]
+    results = run_sweep(specs, jobs=8, cache="~/.cache/repro")
+
+A batch runs serially and uncached unless its call says otherwise: the
+library reads no environment (``repro`` itself maps ``REPRO_JOBS`` /
+``REPRO_CACHE_DIR`` onto these two arguments).
 
 See EXPERIMENTS.md for how sweeps relate to the paper's evaluation
 regime, and ``repro sweep --help`` for the CLI front-end.
@@ -24,22 +30,18 @@ from repro.experiments.cache import (CacheBackend, LocalDirBackend,
                                      code_version)
 from repro.experiments.checkpoint_exec import (resume_spec,
                                                run_experiment_checkpointed)
-from repro.experiments.context import (ExecutionContext, configure,
-                                       executing, get_context)
 from repro.experiments.spec import (SystemRunOutcome, config_to_dict,
                                     profile_to_dict)
-from repro.experiments.sweep import (Plan, Sweep, SweepPointError,
-                                     SweepResult, execute_point, plan_points,
-                                     run_plan, run_sweep, snapshot_spec)
+from repro.experiments.sweep import (Plan, SweepPointError, SweepResult,
+                                     execute_point, plan_points, run_plan,
+                                     run_sweep, snapshot_spec)
 
 __all__ = [
-    "CacheBackend", "ExecutionContext", "LocalDirBackend", "Plan",
-    "ResultCache", "Sweep", "SweepPointError", "SweepResult",
-    "SystemBuilder", "SystemRunOutcome", "SystemSpec", "as_backend",
-    "as_cache", "benchmark_spec", "builder_names", "code_version",
-    "configure",
-    "config_to_dict", "executing", "execute_point", "execute_system_spec",
-    "get_builder", "get_context", "list_builders", "plan_points",
+    "CacheBackend", "LocalDirBackend", "Plan", "ResultCache",
+    "SweepPointError", "SweepResult", "SystemBuilder", "SystemRunOutcome",
+    "SystemSpec", "as_backend", "as_cache", "benchmark_spec",
+    "builder_names", "code_version", "config_to_dict", "execute_point",
+    "execute_system_spec", "get_builder", "list_builders", "plan_points",
     "profile_to_dict", "register_builder", "resolve_workload",
     "resume_spec", "run_experiment_checkpointed", "run_plan", "run_sweep",
     "snapshot_spec", "workload_kinds",

@@ -251,7 +251,7 @@ def as_cache(cache: Union[None, bool, str, Path, CacheBackend, ResultCache]
         return None
     if cache is True:
         raise ValueError("cache=True is ambiguous: pass a directory path "
-                         "or a ResultCache (or set REPRO_CACHE_DIR)")
+                         "or a ResultCache")
     if isinstance(cache, ResultCache):
         return cache
     return ResultCache(as_backend(cache))

@@ -13,7 +13,7 @@ instrumented re-runs, ``repro serve`` — runs the same two functions:
   cadence (see :mod:`repro.experiments.checkpoint_exec`).
 
 :func:`run_sweep` puts the local driver between them: the misses run
-serially for ``jobs=1``, otherwise on fork-once worker processes
+serially by default, or with ``jobs > 1`` on fork-once worker processes
 (:mod:`repro.experiments.procpool`; a dying worker retries its point, a
 point that keeps failing raises :class:`SweepPointError`), and each
 fresh result is written back to the cache as it completes.  Simulations
@@ -29,65 +29,18 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.api import RunResult
-from repro.core.config import ChipConfig
 from repro.sim.checkpoint import snapshot_system
 from repro.experiments.cache import ResultCache, as_cache, code_version
-from repro.experiments.context import get_context
 from repro.experiments.procpool import DEFAULT_RETRIES, run_points
-from repro.experiments.builders import SystemSpec, benchmark_spec
+from repro.experiments.builders import SystemSpec
 from repro.experiments.spec import KeyMemo
-from repro.workloads.synthetic import WorkloadProfile
 
 # One result-row class; the experiment layer, the tests and the docs
 # know it by this name.
 SweepResult = RunResult
-
-
-@dataclass
-class Sweep:
-    """A (config × benchmark × protocol × seed) experiment matrix.
-
-    ``configs`` may be one :class:`ChipConfig`, a sequence (labelled by
-    index), or a mapping of label -> config; ``None`` means the default
-    36-core chip.  Expansion order is configs, then benchmarks, then
-    protocols, then seeds — deterministic, so sweep output order is too.
-    """
-
-    benchmarks: Sequence[Union[str, WorkloadProfile]]
-    protocols: Sequence[str] = ("scorpio",)
-    configs: Union[None, ChipConfig, Sequence[ChipConfig],
-                   Mapping[str, ChipConfig]] = None
-    seeds: Sequence[int] = (0,)
-    ops_per_core: int = 150
-    workload_scale: float = 1.0
-    think_scale: float = 1.0
-    max_cycles: int = 400_000
-
-    def labelled_configs(self) -> List[Tuple[str, Optional[ChipConfig]]]:
-        if self.configs is None or isinstance(self.configs, ChipConfig):
-            return [("", self.configs)]
-        if isinstance(self.configs, Mapping):
-            return list(self.configs.items())
-        return [(str(i), config) for i, config in enumerate(self.configs)]
-
-    def expand(self) -> List[SystemSpec]:
-        return [benchmark_spec(benchmark, protocol, config, label=label,
-                               max_cycles=self.max_cycles,
-                               ops_per_core=self.ops_per_core,
-                               workload_scale=self.workload_scale,
-                               think_scale=self.think_scale, seed=seed)
-                for label, config in self.labelled_configs()
-                for benchmark in self.benchmarks
-                for protocol in self.protocols
-                for seed in self.seeds]
-
-    def __len__(self) -> int:
-        return (len(self.labelled_configs()) * len(self.benchmarks)
-                * len(self.protocols) * len(self.seeds))
 
 
 def snapshot_spec(spec: SystemSpec, system, path: str,
@@ -253,10 +206,8 @@ def run_plan(specs: Iterable[SystemSpec],
     (serially, or on up to *jobs* worker processes), write each back as
     it completes and return the resolved :class:`Plan` —
     :func:`run_sweep` for callers that also want the hit/miss counts."""
-    ctx = get_context()
-    if jobs is None:
-        jobs = ctx.jobs
-    resolved_cache = ctx.cache if cache is None else as_cache(cache)
+    jobs = jobs or 1
+    resolved_cache = as_cache(cache)
     plan = plan_points(
         specs, resolved_cache.get if resolved_cache is not None else None)
 
@@ -293,24 +244,21 @@ def run_plan(specs: Iterable[SystemSpec],
     return plan
 
 
-def run_sweep(sweep: Union[Sweep, Iterable[SystemSpec]],
+def run_sweep(specs: Iterable[SystemSpec],
               jobs: Optional[int] = None,
               cache: Union[None, bool, str, ResultCache] = None,
               retries: int = DEFAULT_RETRIES,
               point_timeout: Optional[float] = None,
               ) -> List[SweepResult]:
-    """Execute a sweep (or any iterable of specs), in spec order.
+    """Execute *specs*, returning their rows in spec order.
 
     A point is a :class:`~repro.experiments.builders.SystemSpec`
     (:func:`~repro.experiments.builders.benchmark_spec` for a benchmark
-    under one protocol).  ``jobs``/``cache``
-    default to the process execution context (see
-    :mod:`repro.experiments.context`); pass ``cache=False`` to bypass an
-    active cache for one call.  In the parallel path a dying or
-    ``point_timeout``-overrunning worker retries its point up to
-    *retries* times; points that still fail raise
-    :class:`SweepPointError` listing every failed fingerprint.
+    under one protocol).  The batch runs serially and uncached unless
+    *jobs* / *cache* say otherwise (``cache=False`` is also no cache).
+    In the parallel path a dying or ``point_timeout``-overrunning worker
+    retries its point up to *retries* times; points that still fail
+    raise :class:`SweepPointError` listing every failed fingerprint.
     """
-    specs = sweep.expand() if isinstance(sweep, Sweep) else sweep
     return run_plan(specs, jobs=jobs, cache=cache, retries=retries,
                     point_timeout=point_timeout).results

@@ -60,7 +60,8 @@ from repro.noc.packet import packet_id_state, set_packet_id_state
 # 8: a memory controller has no DRAM model, an L2 keeps its own retry
 # timeout (the cache config has none), and a directory system's home
 # map is an AddressInterleavedMap.
-CHECKPOINT_SCHEMA = 8
+# 9: a histogram keeps no minimum.
+CHECKPOINT_SCHEMA = 9
 
 MAGIC = b"REPRO-CKPT\x00"
 _HEADER_KEYS = {"schema", "meta", "body_len", "body_crc32"}

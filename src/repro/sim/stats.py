@@ -12,22 +12,19 @@ from typing import Dict, Optional
 
 
 class Histogram:
-    """A sample accumulator: exact ``count``, ``total``, ``minimum`` and
-    ``maximum`` of every sample added, and the ``mean`` they give.  The
-    samples themselves are not kept: a result row reads a histogram as
-    its mean and count."""
+    """A sample accumulator: exact ``count``, ``total`` and ``maximum``
+    of every sample added, and the ``mean`` they give.  The samples
+    themselves are not kept: a result row reads a histogram as its mean
+    and count."""
 
     def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
-        self.minimum: Optional[float] = None
         self.maximum: Optional[float] = None
 
     def add(self, value: float) -> None:
         self.count += 1
         self.total += value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
         if self.maximum is None or value > self.maximum:
             self.maximum = value
 

@@ -19,7 +19,7 @@ from hypothesis import settings
 
 import repro
 from repro.analysis.figures import QUICK
-from repro.experiments import as_cache, executing
+from repro.experiments import as_cache
 from repro.experiments.cache import code_version
 
 settings.register_profile("tier1", derandomize=True, database=None)
@@ -46,16 +46,10 @@ def source_snapshot(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def figure_cache(tmp_path_factory):
-    """One result cache for the whole session, so a quick-regime point
-    that several figure tests render simulates once."""
+    """One result cache for the whole session, passed to ``render`` /
+    ``generate`` as ``cache=``, so a quick-regime point that several
+    figure tests render simulates once."""
     return as_cache(tmp_path_factory.mktemp("figure-cache"))
-
-
-@pytest.fixture
-def cached_figures(figure_cache):
-    """Run the test with :func:`figure_cache` as the ambient cache."""
-    with executing(cache=figure_cache):
-        yield
 
 
 @pytest.fixture(scope="session")
@@ -74,6 +68,6 @@ def credits_in_flight():
 @pytest.fixture
 def tiny_regime():
     """QUICK's sweeps at a few operations per core: any figure in about
-    a second, passed to ``generate`` / ``build_report`` as an argument."""
+    a second, passed to ``render`` / ``generate`` as an argument."""
     return replace(QUICK, ops_per_core=10, workload_scale=0.02,
                    think_scale=10.0)

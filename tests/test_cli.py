@@ -14,14 +14,12 @@ def run_cli(*argv):
 
 
 @pytest.fixture(autouse=True)
-def isolated_execution_context(monkeypatch):
+def isolated_environment(monkeypatch):
     """Shield CLI tests from an exported REPRO_JOBS/REPRO_CACHE_DIR:
-    sweep/figure/report fall back to the process execution context, and
-    an ambient cache directory would change output (and be polluted)."""
-    import repro.experiments.context as context
+    every verb that simulates reads them, and an ambient cache directory
+    would change output (and be polluted)."""
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.setattr(context, "_context", context.ExecutionContext())
 
 
 class TestParser:
@@ -362,12 +360,11 @@ class TestFigureCommand:
         assert "unknown figure" in text
 
     def test_keyerror_inside_a_reducer_is_not_an_unknown_id(
-            self, monkeypatch, tmp_path):
-        """``figure`` / ``report`` exit 2 for a mistyped id only; a
-        KeyError raised by a registered figure's own reducer (a stat
-        some builder stopped exporting) propagates, traceback and all."""
-        from repro.analysis.figures import FIGURES, Figure
-        from repro.analysis.report import build_report
+            self, monkeypatch):
+        """``figure`` exits 2 for a mistyped id only; a KeyError raised
+        by a registered figure's own reducer (a stat some builder
+        stopped exporting) propagates, traceback and all."""
+        from repro.analysis.figures import FIGURES, Figure, generate
 
         def reduce(results):
             return {}["system.reorder_buffer_peak"]
@@ -375,9 +372,7 @@ class TestFigureCommand:
         monkeypatch.setitem(FIGURES, "broken",
                             Figure("broken", "a broken reducer", reduce))
         for call in (lambda: run_cli("figure", "broken"),
-                     lambda: run_cli("report", str(tmp_path), "--figures",
-                                     "broken"),
-                     lambda: build_report(tmp_path, figures=["broken"])):
+                     lambda: generate("broken")):
             with pytest.raises(KeyError, match="reorder_buffer_peak"):
                 call()
 
@@ -456,21 +451,6 @@ class TestTraceCommand:
                              "--mesh", "3x3")
         assert code == 2
         assert text.startswith("error:") and "cannot read trace file" in text
-
-
-class TestReportCommand:
-    def test_report_static_figures(self, tmp_path):
-        code, text = run_cli("report", str(tmp_path / "out"),
-                             "--figures", "table1", "fig9")
-        assert code == 0
-        assert (tmp_path / "out" / "table1.txt").exists()
-        assert (tmp_path / "out" / "index.md").exists()
-        assert "table1" in text
-
-    def test_report_unknown_figure(self, tmp_path):
-        code, text = run_cli("report", str(tmp_path), "--figures", "figX")
-        assert code == 2
-        assert "unknown" in text
 
 
 FAST = ("--ops", "10", "--scale", "0.02", "--think-scale", "10")

@@ -21,7 +21,7 @@ from repro.analysis.figures import FIGURES, QUICK
 from repro.api import (DOCUMENT_SCHEMA, RESULTS_SCHEMA, DocumentError,
                        describe_experiment, experiment_from_dict,
                        load_experiment, run_experiment)
-from repro.experiments import (Sweep, SystemSpec, as_cache, benchmark_spec,
+from repro.experiments import (SystemSpec, as_cache, benchmark_spec,
                                run_sweep)
 
 DOCS = Path(__file__).resolve().parent.parent / "examples" / "experiments"
@@ -143,10 +143,14 @@ def test_matrix_expands_like_sweep():
         "matrix": {"benchmarks": ["fft", "lu"],
                    "protocols": ["lpd", "scorpio"], "seeds": [0, 1],
                    "ops_per_core": 12}})
-    sweep = Sweep(benchmarks=["fft", "lu"], protocols=("lpd", "scorpio"),
-                  seeds=(0, 1), ops_per_core=12)
+    # Benchmarks, then protocols, then seeds; every other knob at the
+    # benchmark_spec / benchmark-workload default.
+    expected = [benchmark_spec(benchmark, protocol, seed=seed,
+                               ops_per_core=12)
+                for benchmark in ("fft", "lu")
+                for protocol in ("lpd", "scorpio") for seed in (0, 1)]
     assert [spec.key() for spec in document.specs] == \
-        [spec.key() for spec in sweep.expand()]
+        [spec.key() for spec in expected]
     assert all(isinstance(spec, SystemSpec) and spec.protocol
                for spec in document.specs)
 

@@ -6,24 +6,13 @@ import pytest
 
 from repro.core.api import RunResult
 from repro.core.config import ChipConfig
-from repro.experiments import (ResultCache, Sweep, as_cache, benchmark_spec,
-                               code_version, executing, execute_point,
-                               run_sweep)
+from repro.api import experiment_from_dict
+from repro.experiments import (ResultCache, as_cache, benchmark_spec,
+                               code_version, execute_point, run_sweep)
 
 # A deliberately tiny regime so every test runs in well under a second
 # per simulation.
 KNOBS = dict(ops_per_core=8, workload_scale=0.02, think_scale=10.0)
-
-
-@pytest.fixture(autouse=True)
-def isolated_execution_context(monkeypatch):
-    """Shield these tests from an exported REPRO_JOBS/REPRO_CACHE_DIR:
-    run_sweep falls back to the process context, and an ambient cache
-    directory would both change behaviour and be polluted."""
-    import repro.experiments.context as context
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.setattr(context, "_context", context.ExecutionContext())
 
 
 def tiny_spec(**overrides):
@@ -104,21 +93,36 @@ class TestResultCache:
         assert as_cache(str(tmp_path)).backend.directory == tmp_path
 
 
+def grid(benchmarks, protocols, seeds=(0,)):
+    """The (benchmark x protocol x seed) points on the tiny 3x3 chip."""
+    return [tiny_spec(benchmark=benchmark, protocol=protocol, seed=seed)
+            for benchmark in benchmarks for protocol in protocols
+            for seed in seeds]
+
+
 class TestSweepExpansion:
     def test_matrix_order_and_size(self):
-        sweep = Sweep(benchmarks=("fft", "lu"), protocols=("lpd", "scorpio"),
-                      seeds=(0, 1))
-        specs = sweep.expand()
-        assert len(specs) == len(sweep) == 8
+        specs = experiment_from_dict({
+            "schema": 1, "name": "matrix",
+            "matrix": {"benchmarks": ["fft", "lu"],
+                       "protocols": ["lpd", "scorpio"],
+                       "seeds": [0, 1]}}).specs
+        assert len(specs) == 8
         assert [(s.benchmark_name, s.protocol, s.seed_value())
                 for s in specs[:3]] == [
             ("fft", "lpd", 0), ("fft", "lpd", 1), ("fft", "scorpio", 0)]
 
     def test_labelled_configs(self):
-        configs = {"base": ChipConfig.variant(3, 3),
-                   "wide": ChipConfig.variant(3, 3, goreq_vcs=6)}
-        sweep = Sweep(benchmarks=("fft",), configs=configs)
-        assert [s.label for s in sweep.expand()] == ["base", "wide"]
+        configs = {"base": {"preset": "variant", "width": 3, "height": 3},
+                   "wide": {"preset": "variant", "width": 3, "height": 3,
+                            "goreq_vcs": 6}}
+        specs = experiment_from_dict({
+            "schema": 1, "name": "labelled", "configs": configs,
+            "matrix": {"benchmarks": ["fft"],
+                       "configs": ["base", "wide"]}}).specs
+        assert [s.label for s in specs] == ["base", "wide"]
+        assert [s.config.noc.goreq_vcs for s in specs] == [
+            ChipConfig.variant(3, 3).noc.goreq_vcs, 6]
 
 
 class TestRunSweep:
@@ -158,19 +162,15 @@ class TestRunSweep:
         assert canonical(recalled) == canonical(fresh)
 
     def test_parallel_agrees_with_serial(self, tmp_path):
-        sweep = Sweep(benchmarks=("fft", "lu"),
-                      protocols=("lpd", "scorpio"),
-                      configs=ChipConfig.variant(3, 3), seeds=(0, 1),
-                      **KNOBS)
-        serial = run_sweep(sweep, jobs=1, cache=False)
-        parallel = run_sweep(sweep, jobs=4, cache=False)
+        specs = grid(("fft", "lu"), ("lpd", "scorpio"), seeds=(0, 1))
+        serial = run_sweep(specs, jobs=1, cache=False)
+        parallel = run_sweep(specs, jobs=4, cache=False)
         assert canonical(parallel) == canonical(serial)
 
     def test_parallel_populates_the_same_cache(self, tmp_path):
-        sweep = Sweep(benchmarks=("fft",), protocols=("lpd", "scorpio"),
-                      configs=ChipConfig.variant(3, 3), **KNOBS)
-        run_sweep(sweep, jobs=2, cache=tmp_path)
-        recalled = run_sweep(sweep, jobs=1, cache=tmp_path)
+        specs = grid(("fft",), ("lpd", "scorpio"))
+        run_sweep(specs, jobs=2, cache=tmp_path)
+        recalled = run_sweep(specs, jobs=1, cache=tmp_path)
         assert all(r.cached for r in recalled)
 
     def test_duplicate_specs_simulate_once_within_a_batch(self, tmp_path,
@@ -246,28 +246,71 @@ class TestCompareIntegration:
         serial = run_sweep(specs)
         # jobs=2 + cold cache, then a pure-cache recall: all three paths
         # must agree exactly.
-        with executing(jobs=2, cache=tmp_path):
-            pooled = run_sweep(specs)
-            recalled = run_sweep(specs)
+        pooled = run_sweep(specs, jobs=2, cache=tmp_path)
+        recalled = run_sweep(specs, jobs=2, cache=tmp_path)
         assert pooled == serial and recalled == serial
         assert [row.protocol for row in serial] == ["lpd", "scorpio"]
 
 
 class TestContext:
     def test_environment_defaults(self, monkeypatch, tmp_path):
-        from repro.experiments.context import ExecutionContext
+        """``repro`` maps REPRO_JOBS / REPRO_CACHE_DIR onto a batch's
+        ``jobs`` / ``cache``; a flag the verb has wins, and a
+        non-integer REPRO_JOBS fails naming the variable."""
+        from argparse import Namespace
+
+        from repro.cli import batch_options
+        assert batch_options() == {"jobs": 1, "cache": None}
         monkeypatch.setenv("REPRO_JOBS", "5")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        ctx = ExecutionContext.from_environment()
-        assert ctx.jobs == 5
-        assert ctx.cache.backend.directory == tmp_path
+        batch = batch_options()
+        assert batch["jobs"] == 5
+        assert batch["cache"].backend.directory == tmp_path
+        flags = batch_options(Namespace(jobs=2, cache_dir=str(tmp_path / "f")))
+        assert flags["jobs"] == 2
+        assert flags["cache"].backend.directory == tmp_path / "f"
+        monkeypatch.setenv("REPRO_JOBS", "two")
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            batch_options()
 
-    def test_executing_restores_previous_context(self):
-        from repro.experiments import get_context
-        before = get_context()
-        with executing(jobs=7):
-            assert get_context().jobs == 7
-        assert get_context() is before
+    def test_library_ignores_the_environment(self, monkeypatch, tmp_path,
+                                             tiny_regime):
+        """With both variables set, a library batch still runs serially
+        and uncached: no cache entry, no worker process.  ``run-file``
+        reads them and caches."""
+        import io
+
+        from repro.analysis.figures import generate
+        from repro.cli import main
+        from repro.experiments import procpool
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        started = []
+        real_init = procpool.SlotPool.__init__
+        monkeypatch.setattr(
+            procpool.SlotPool, "__init__",
+            lambda pool, *args, **kwargs: started.append(pool)
+            or real_init(pool, *args, **kwargs))
+        specs = grid(("fft",), ("lpd", "scorpio"))
+        assert not any(row.cached for row in run_sweep(specs))
+        generate("fig8d", tiny_regime)
+        assert started == [] and not cache_dir.exists()
+
+        document = tmp_path / "doc.json"
+        document.write_text(json.dumps({
+            "schema": 1, "name": "env",
+            "configs": {"chip": {"preset": "variant", "width": 3,
+                                 "height": 3}},
+            "runs": [{"benchmark": "fft", "protocol": protocol,
+                      "config": "chip", **KNOBS}
+                     for protocol in ("lpd", "scorpio")]}))
+        out = io.StringIO()
+        assert main(["run-file", str(document)], out=out) == 0
+        text = out.getvalue()
+        assert f"cache: 0 hits, 2 misses ({cache_dir})" in text
+        assert ResultCache(cache_dir).entries() == 2
+        assert len(started) == 1
 
 
 class TestCodeVersion:

@@ -6,8 +6,6 @@ from repro.analysis.figures import (FIGURES, FULL, QUICK, figure_ids,
                                     generate, render)
 from repro.experiments import plan_points
 
-pytestmark = pytest.mark.usefixtures("cached_figures")
-
 
 def verdicts(rendered):
     return {claim.name: claim.verdict for claim in rendered.claims}
@@ -72,14 +70,14 @@ class TestStaticFigures:
 class TestSimulatedFigures:
     """Quick-regime smoke runs of the simulation-backed figures."""
 
-    def test_fig8d_notification_sweep(self):
-        rendered = render("fig8d")
+    def test_fig8d_notification_sweep(self, figure_cache):
+        rendered = render("fig8d", cache=figure_cache)
         assert "bits" in rendered.text
         assert rendered.measured["bits=1"] == 1.0    # the fabricated point
         assert verdicts(rendered) == {"bits=2": True, "bits=3": True}
 
-    def test_fig10_pipelining(self):
-        rendered = render("fig10")
+    def test_fig10_pipelining(self, figure_cache):
+        rendered = render("fig10", cache=figure_cache)
         # Pipelining must not raise service latency on any row (every
         # benchmark of both quick meshes) and must lower each mesh's
         # average; the 6x6 one is also the paper's 36-core claim.
@@ -88,17 +86,17 @@ class TestSimulatedFigures:
             assert rendered.measured[f"gain@{cores}"] > 0.0
         assert verdicts(rendered) == {"gain@36": True, "pl@36": True}
 
-    def test_fig6a_protocol_ordering(self):
-        rendered = render("fig6a")
+    def test_fig6a_protocol_ordering(self, figure_cache):
+        rendered = render("fig6a", cache=figure_cache)
         # The quick 4x4 leg is not one the paper makes claims about.
         assert rendered.claims == []
         assert rendered.measured["scorpio_vs_lpd@16"] < 1.0
 
     @pytest.mark.parametrize("fig_id", ["fig6b", "fig6c"])
-    def test_fig6_breakdowns(self, fig_id):
+    def test_fig6_breakdowns(self, fig_id, figure_cache):
         """Same points as quick fig6a (the session cache answers them);
         a single leg, so every claim is judged — and holds on 4x4 too."""
-        judged = verdicts(render(fig_id))
+        judged = verdicts(render(fig_id, cache=figure_cache))
         assert len(judged) == len(FIGURES[fig_id].claims)
         assert all(judged.values())
 
@@ -106,23 +104,24 @@ class TestSimulatedFigures:
         ("fig8a", "CW(B)=16"), ("fig8b", "VCs=4"),
         ("fig8c", "(CW,VC)=(16, 2)")])
     def test_fig8_claims_read_the_fabricated_point(self, fig_id, fabricated,
-                                                   tiny_regime):
-        rendered = render(fig_id, tiny_regime)
+                                                   tiny_regime,
+                                                   figure_cache):
+        rendered = render(fig_id, tiny_regime, cache=figure_cache)
         assert rendered.measured[fabricated] == 1.0
         assert len(rendered.claims) == len(FIGURES[fig_id].claims)
 
 
 class TestExtraFigures:
-    def test_locks_figure(self):
-        rendered = render("locks")
+    def test_locks_figure(self, figure_cache):
+        rendered = render("locks", cache=figure_cache)
         assert "SCORPIO" in rendered.text and "LPD-D" in rendered.text
         assert "Lock handoff" in rendered.text
         # The hand-off order holds on the quick 3x3 leg too.
         assert verdicts(rendered) == {"progress.min": True, "SCORPIO": True,
                                       "SCORPIO.vs_ht": True}
 
-    def test_fullbit_figure(self):
-        judged = verdicts(render("fullbit"))
+    def test_fullbit_figure(self, figure_cache):
+        judged = verdicts(render("fullbit", cache=figure_cache))
         # The "almost identical" claim, per benchmark and on average.
         assert judged["ratio"] and judged["ratio.min"] \
             and judged["ratio.max"]

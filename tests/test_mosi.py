@@ -4,8 +4,7 @@ import pytest
 
 from repro.coherence.messages import ReqKind
 from repro.coherence.mosi import (Action, State, needs_data_for_write,
-                                  on_own_request_ordered, on_remote_request,
-                                  request_for)
+                                  on_remote_request, request_for)
 
 
 class TestStates:
@@ -55,21 +54,6 @@ class TestRemoteRequests:
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):
             on_remote_request(State.S, "bogus")
-
-
-class TestOwnRequests:
-    def test_own_gets_lands_shared(self):
-        assert on_own_request_ordered(State.I, ReqKind.GETS).next_state \
-            is State.S
-
-    def test_own_getx_lands_modified(self):
-        assert on_own_request_ordered(State.S, ReqKind.GETX).next_state \
-            is State.M
-
-    def test_own_put_invalidates(self):
-        tr = on_own_request_ordered(State.M, ReqKind.PUT)
-        assert tr.next_state is State.I
-        assert Action.INVALIDATE_L1 in tr.actions
 
 
 class TestRequestSelection:

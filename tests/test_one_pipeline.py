@@ -56,11 +56,11 @@ POINTS = 4
 
 
 @pytest.fixture(autouse=True)
-def isolated_execution_context(monkeypatch):
-    import repro.experiments.context as context
+def isolated_environment(monkeypatch):
+    """Shield the ``repro`` doors these tests drive (in process and as
+    a child interpreter) from an exported REPRO_JOBS / REPRO_CACHE_DIR."""
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.setattr(context, "_context", context.ExecutionContext())
 
 
 def envelope(result) -> bytes:

@@ -23,11 +23,11 @@ KNOBS = dict(ops_per_core=8, workload_scale=0.02, think_scale=10.0)
 
 
 @pytest.fixture(autouse=True)
-def isolated_execution_context(monkeypatch):
-    import repro.experiments.context as context
+def isolated_environment(monkeypatch):
+    """Shield these tests, which drive ``repro``, from an exported
+    REPRO_JOBS / REPRO_CACHE_DIR."""
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.setattr(context, "_context", context.ExecutionContext())
 
 
 def tiny_document(name="serve-tiny", seeds=(0, 1), protocol="scorpio"):

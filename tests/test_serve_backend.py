@@ -23,14 +23,6 @@ from repro.serve import CacheUnavailableError, RemoteCacheBackend, serve
 KNOBS = dict(ops_per_core=8, workload_scale=0.02, think_scale=10.0)
 
 
-@pytest.fixture(autouse=True)
-def isolated_execution_context(monkeypatch):
-    import repro.experiments.context as context
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.setattr(context, "_context", context.ExecutionContext())
-
-
 def tiny_spec(**overrides):
     params = dict(benchmark="fft", protocol="scorpio",
                   config=ChipConfig.variant(3, 3), seed=0, **KNOBS)

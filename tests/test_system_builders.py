@@ -8,20 +8,11 @@ import pytest
 from repro.core.config import ChipConfig
 from repro.experiments import (ResultCache, SystemSpec, benchmark_spec,
                                builder_names, execute_system_spec,
-                               executing, get_builder, list_builders,
+                               get_builder, list_builders,
                                resolve_workload, run_sweep)
 
 TINY_BENCH = {"kind": "benchmark", "name": "fft", "ops_per_core": 8,
               "workload_scale": 0.02, "think_scale": 10.0, "seed": 0}
-
-
-@pytest.fixture(autouse=True)
-def isolated_execution_context(monkeypatch):
-    """Shield these tests from an exported REPRO_JOBS/REPRO_CACHE_DIR."""
-    import repro.experiments.context as context
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.setattr(context, "_context", context.ExecutionContext())
 
 
 def tiny_system(**overrides):
@@ -238,16 +229,13 @@ class TestFigureConsumers:
                                               tiny_regime):
         from repro.analysis.figures import generate
         serial = generate(fig_id, tiny_regime)
-        with executing(jobs=3):
-            parallel = generate(fig_id, tiny_regime)
-        assert parallel == serial
-        with executing(cache=str(tmp_path)) as ctx:
-            cold = generate(fig_id, tiny_regime)
-            hits_after_cold = ctx.cache.hits
-            warm = generate(fig_id, tiny_regime)
-            assert cold == warm == serial
-            # The warm pass answered every point from the cache: no new
-            # misses, one hit per point.
-            assert ctx.cache.misses == ctx.cache.entries()
-            assert ctx.cache.hits == hits_after_cold \
-                + ctx.cache.entries()
+        assert generate(fig_id, tiny_regime, jobs=3) == serial
+        cache = ResultCache(tmp_path)
+        cold = generate(fig_id, tiny_regime, cache=cache)
+        hits_after_cold = cache.hits
+        warm = generate(fig_id, tiny_regime, cache=cache)
+        assert cold == warm == serial
+        # The warm pass answered every point from the cache: no new
+        # misses, one hit per point.
+        assert cache.misses == cache.entries()
+        assert cache.hits == hits_after_cold + cache.entries()
