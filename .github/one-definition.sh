@@ -301,6 +301,15 @@ forbid "per-verb runner in the CLI" \
 [ "$(grep -c 'run_experiment(' src/repro/cli.py)" -eq 1 ] \
     || fail "more than one run_experiment call in cli.py"
 
+# A wait whose end is known is a sleep, not a component stepping to
+# watch it: a router's credits land at the clock edge (no wheel of its
+# own to wake it), and the AHB-cap stall is counted per stretch by the
+# core alone.
+forbid "router credit-return wheel" '_credit_returns' \
+    src/repro/noc/router.py src/repro/noc/mesh.py
+only_in "AHB-cap stall counted outside the core" 'core\.stalls\.outstanding' \
+    "src/repro/cpu/core.py"
+
 # Dead names: every def / class under src/repro is spelled at least
 # twice across the tree (its definition plus one caller, test or
 # document).  Allow-listed: http.server's do_* handlers (called by

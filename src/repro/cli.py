@@ -57,6 +57,11 @@ from repro.analysis.figures import FIGURES, FULL, QUICK, generate, lookup
 from repro.core.api import PROTOCOLS
 
 
+class BatchOptionError(ValueError):
+    """An environment variable :func:`batch_options` reads is malformed
+    (:func:`main` makes it an ``error:`` line and exit 2)."""
+
+
 def batch_options(args=None) -> dict:
     """The ``jobs`` and ``cache`` a verb hands its batch: ``--jobs`` /
     ``--cache-dir`` where the verb has them and they are given, else
@@ -69,7 +74,7 @@ def batch_options(args=None) -> dict:
         try:
             jobs = int(raw)
         except ValueError:
-            raise ValueError(
+            raise BatchOptionError(
                 f"REPRO_JOBS must be an integer, got {raw!r}") from None
     from repro.experiments import as_cache
     return {"jobs": max(1, jobs),
@@ -600,7 +605,11 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args, out)
+    try:
+        return COMMANDS[args.command](args, out)
+    except BatchOptionError as exc:
+        print(f"error: {exc}", file=out)
+        return 2
 
 
 if __name__ == "__main__":   # pragma: no cover

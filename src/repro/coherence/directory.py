@@ -35,7 +35,7 @@ from repro.core.serialize import SerializableConfig
 from repro.coherence.messages import (CoherenceRequest, DirForward, MemRead,
                                       ReqKind)
 from repro.nic.controller import NetworkInterface
-from repro.sim.engine import Clocked
+from repro.sim.engine import WAKE_NEVER, Clocked
 from repro.sim.stats import StatsRegistry
 
 
@@ -127,15 +127,27 @@ class DirectoryController(Clocked):
         # Outbound messages leave strictly in processing order (the
         # directory is the ordering point; per-destination delivery order
         # is then preserved by the network's per-SID path FIFO).
+        refused = False
         while self._outbox:
             release, msg, dst = self._outbox[0]
-            if release > cycle or not self.nic.can_send_request():
+            if release > cycle:
+                break
+            if not self.nic.can_send_request():
+                refused = True      # ask again next cycle
                 break
             self._outbox.popleft()
             self.nic.send_request(msg, dst=dst)
         while self._queue and cycle >= self._next_free:
             req, arrival_cycle = self._queue.popleft()
             self._access(req, cycle, arrival_cycle)
+        if refused:
+            return
+        # Nothing can happen before the outbox head's release or the
+        # next access slot (_on_request wakes us for a new request).
+        due = self._outbox[0][0] if self._outbox else WAKE_NEVER
+        if self._queue and self._next_free < due:
+            due = self._next_free
+        self.idle_until(due)
 
     # ------------------------------------------------------------------
 

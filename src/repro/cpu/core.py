@@ -55,6 +55,9 @@ class TraceCore(Clocked):
         self._token_seq = 0
         # due cycle -> (bound_method, args): L1 hits retiring then.
         self._timers = EventWheel()
+        # While at the AHB cap: the cycle up to which the stretch is in
+        # core.stalls.outstanding (None below the cap).
+        self._capped_to: Optional[int] = None
         self.completed_ops = 0
         self.finish_cycle: Optional[int] = None
         l2.set_completion_callback(self._on_l2_complete)
@@ -85,10 +88,19 @@ class TraceCore(Clocked):
                 self.idle_until(self._timers.min_due)
             return
         if len(self._outstanding) >= self.config.max_outstanding:
-            # The stall counter ticks per cycle spent at the AHB cap, so
-            # the core must stay awake here.
-            self.stats.incr("core.stalls.outstanding")
+            # At the AHB cap: the stall counter counts every cycle spent
+            # here, the first as the stretch opens and the rest when it
+            # closes, so the core sleeps through it.  Only an L1 hit
+            # retiring (the timer wheel) or an L2 completion (which
+            # wakes us) can change anything meanwhile.
+            if self._capped_to is None:
+                self.stats.incr("core.stalls.outstanding")
+                self._capped_to = cycle + 1
+            self.idle_until(self._timers.min_due)
             return
+        if self._capped_to is not None:
+            self.count_cap_stalls(cycle)
+            self._capped_to = None
         if cycle < self._next_issue_cycle:
             # Think-time gap with headroom below the cap: nothing to do
             # until the next issue (or an earlier L1 hit to retire).
@@ -103,6 +115,15 @@ class TraceCore(Clocked):
         next_think = (self.trace[self._pc].think
                       if self._pc < self._n_ops else 0)
         self._next_issue_cycle = cycle + max(1, next_think)
+
+    def count_cap_stalls(self, cycle: int) -> None:
+        """Count the cycles of an open AHB-cap stretch before *cycle*
+        (the run stops there, or the stretch closed), as a per-cycle
+        count would read them."""
+        if self._capped_to is not None:
+            self.stats.incr("core.stalls.outstanding",
+                            cycle - self._capped_to)
+            self._capped_to = cycle
 
     def _issue(self, op: TraceOp, cycle: int) -> bool:
         if self.l1 is not None:

@@ -71,13 +71,13 @@ class Mesh:
         return sum(router.occupancy() for router in self.routers)
 
     def quiescent(self) -> bool:
-        """True when no packets are buffered or in flight anywhere and
-        every credit is home."""
+        """True when no packets are buffered or in flight anywhere.  A
+        router's credits are home by then: each lands at the clock edge
+        of the cycle it is returned in."""
         for router in self.routers:
             if router.occupancy():
                 return False
-            if router._arrivals or router._lookaheads \
-                    or router._credit_returns:
+            if router._arrivals or router._lookaheads:
                 return False
         return True
 

@@ -48,9 +48,12 @@ simulating the copy; ``la_echoes`` (stats *meta* channel) counts them:
 
 Event scheduling
 ----------------
-Inbound channels (arrivals, lookaheads, credit returns) queue in
-:class:`~repro.sim.engine.EventWheel` buckets, so an awake router touches
-only the events due this cycle.  Buffered packets are arbitrated
+Arrivals and lookaheads queue in :class:`~repro.sim.engine.EventWheel`
+buckets, so an awake router touches only the events due this cycle.  A
+credit coming home is no event of the router's: a credit is visible the
+cycle after it is returned (``CREDIT_DELAY``), so the engine lands it at
+the clock edge (:meth:`Router.queue_credit_release`) and wakes the router
+only when the return released a waiter.  Buffered packets are arbitrated
 *wake-by-event*.  Every input VC is a *slot* — bit ``inport * stride +
 slot`` of the router-wide masks and index ``inport * stride + slot`` of
 the flat slot lists, ``stride`` VCs per port from the config — and SA-I
@@ -78,8 +81,8 @@ all-False request vector never rotates an arbiter, so request vectors,
 grants and therefore every cycle equal the scan-everything router; the
 differential suite enforces it.  Stale registrations are harmless — a
 scan is a pure function of committed state.  A router with nothing dirty
-sleeps until its next queued event.  Credits, SID table and the
-availability flags the scan reads live in ``out[port]`` (one
+sleeps until its next queued arrival, lookahead or retry.  Credits, SID
+table and the availability flags the scan reads live in ``out[port]`` (one
 :class:`~repro.noc.vc.OutPort` per link) and move only through its
 ``take`` / ``give_back``; every return goes through
 :meth:`Router._release_credit`, which owns the credit-side wake-ups.
@@ -193,7 +196,6 @@ class Router(Clocked):
 
         self._arrivals = EventWheel()
         self._lookaheads = EventWheel()
-        self._credit_returns = EventWheel()
         self._bypass_grants: Dict[int, _BypassGrant] = {}
         self._n_buffered = 0         # occupied slots (occupancy())
         # Wake-by-event state (module docstring): the slots SA-I must
@@ -269,8 +271,15 @@ class Router(Clocked):
 
     def queue_credit_release(self, outport: int, vnet: VNet, vc: int,
                              flits: int, cycle: int) -> None:
-        self._credit_returns.push(cycle, (cycle, outport, vnet, vc, flits))
-        self.wake(cycle)
+        """Downstream *vc* of *outport* drained this cycle; its credits
+        are visible the next (*cycle*).  Inside a tick the engine lands
+        them at the clock edge, waking us only if that releases a
+        waiter; outside one they land at once."""
+        engine = self._q_engine
+        if engine is not None and engine._ticking:
+            engine.landings.append((self, outport, vnet, vc, flits))
+        elif self._release_credit(outport, vnet, vc, flits):
+            self.wake()
 
     def note_order_progress(self, port: int) -> None:
         """The NIC downstream of *port* now expects a SID parked on its
@@ -283,10 +292,6 @@ class Router(Clocked):
     # ------------------------------------------------------------------
 
     def step(self, cycle: int) -> None:
-        if self._credit_returns.min_due <= cycle:
-            for _cycle, outport, vnet, vc, flits in \
-                    self._credit_returns.pop_due(cycle):
-                self._release_credit(outport, vnet, vc, flits)
         if self._arrivals.min_due <= cycle:
             self._process_arrivals(cycle)
         if self._retries.min_due <= cycle:
@@ -314,9 +319,10 @@ class Router(Clocked):
         # Every occupied slot is parked, so the next thing that can
         # happen here is a queued event (each push already woke us for
         # its due cycle; the retry wheel is ours alone, and both kernels
-        # must pop it on the same cycle).
+        # must pop it on the same cycle) or a credit landing that
+        # releases a waiter (the engine wakes us for it).
         due = min(self._arrivals.min_due, self._lookaheads.min_due,
-                  self._credit_returns.min_due, self._retries.min_due)
+                  self._retries.min_due)
         self.idle_until(None if due >= WAKE_NEVER else due)
 
     # -- wake-by-event ---------------------------------------------------
@@ -358,18 +364,22 @@ class Router(Clocked):
     # -- credits --------------------------------------------------------
 
     def _release_credit(self, port: int, vnet: VNet, vc: int,
-                        flits: int) -> None:
+                        flits: int) -> int:
         """Downstream *vc* of *port* drained (credit return) or a stale
         pre-allocation was rolled back: release every slot parked on
-        it."""
+        it.  Truthy iff it released any — a slot put back in front of
+        SA-I, or waiters for the next step to release after the
+        lookaheads — so a sleeping router must run next cycle."""
         out = self.out[port]
+        released = 0
         sid = out.give_back(vnet, vc, flits)
         if sid is not None:
-            self._wake_slots(self._sid_wait[port].pop(sid, 0), WAKE_SID)
+            released = self._sid_wait[port].pop(sid, 0)
+            self._wake_slots(released, WAKE_SID)
         if vnet == VNet.GO_REQ and vc == out.rvc:
             if out.rvc_free and out.far_nic.esid in out.rvc_wait:
-                self._admit_rvc_waiters(port, WAKE_RVC)
-            return
+                released |= self._admit_rvc_waiters(port, WAKE_RVC)
+            return released
         waiters = self._vc_wait[vnet]
         slots = waiters.get(port)
         if slots:
@@ -379,6 +389,8 @@ class Router(Clocked):
                 self._wake_slots(early, WAKE_CREDIT)
                 waiters[port] = slots ^ early
             self._freed.append((vnet, port))
+            return slots
+        return released
 
     # -- arrivals -------------------------------------------------------
 

@@ -27,7 +27,10 @@ from repro.noc.packet import Packet, VNet
 # Link latencies (cycles) from the sender's ST cycle.
 FLIT_DELAY = 2                # ST + one link stage -> processed at the far end
 LOOKAHEAD_DELAY = 1           # emission -> processed at the far end
-CREDIT_DELAY = 1              # departure -> credit processed by the sender
+# A credit is visible the cycle after it is returned: a router sender
+# gets it at the clock edge of the departure cycle (the engine lands it
+# after the commit phase), a NIC or tester sender pops it at this delay.
+CREDIT_DELAY = 1
 
 
 class Unbound:
@@ -175,7 +178,9 @@ class OutPort:
     def return_credits(self, cycle: int, vnet: VNet, vc: int,
                        flits: int) -> None:
         """A packet left input VC *vc* of this end at *cycle*: its
-        *flits* credits reach the far end's sender one cycle on."""
+        *flits* credits are visible to the far end's sender from the
+        next cycle on (``CREDIT_DELAY``; a router lands them at this
+        cycle's clock edge)."""
         self.endpoint.queue_credit_release(self.far_port, vnet, vc, flits,
                                            cycle + CREDIT_DELAY)
 

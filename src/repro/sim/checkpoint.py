@@ -61,7 +61,10 @@ from repro.noc.packet import packet_id_state, set_packet_id_state
 # timeout (the cache config has none), and a directory system's home
 # map is an AddressInterleavedMap.
 # 9: a histogram keeps no minimum.
-CHECKPOINT_SCHEMA = 9
+# 10: a router has no credit-return wheel (its credits land at the
+# clock edge), a trace core keeps the open AHB-cap stretch, and the
+# engine keeps a list of credit landings.
+CHECKPOINT_SCHEMA = 10
 
 MAGIC = b"REPRO-CKPT\x00"
 _HEADER_KEYS = {"schema", "meta", "body_len", "body_crc32"}

@@ -30,11 +30,22 @@ always-tick engine:
 
 * a component may only sleep across cycles in which its ``step`` and
   ``commit`` would have no observable effect (including stats counters —
-  a per-cycle stall counter means the component must stay awake);
+  a per-cycle stall counter must be counted per stretch instead, as
+  :class:`~repro.cpu.core.TraceCore` counts the cycles at its AHB cap);
 * every channel that can end such a stretch must ``wake`` the component
   with the cycle the new work becomes due;
 * ``wake`` always wins over a sleep declared earlier in the same tick
   (the declaration was made without knowledge of the new event).
+
+Credits land at the clock edge
+------------------------------
+A credit a router gets back during cycle *c* is visible the cycle after
+(``CREDIT_DELAY`` in :mod:`repro.noc.vc`).  Rather than wake the router
+for a step that only pops it, the router queues the return in
+:attr:`Engine.landings`; the engine applies every queued return after
+the commit phase of *c* (through ``Router._release_credit``) and wakes
+the router for *c + 1* only when the return released something.  A
+credit returned outside a tick applies at once.
 
 ``idle_until``/``wake`` are no-ops on unregistered components and on
 engines constructed with ``quiescence=False``, so components are
@@ -272,6 +283,10 @@ class Engine:
         # time of the request).  Applied after the commit phase, unless a
         # wake bumped the cell's serial since (wakes win).
         self._pending_sleeps: List[Tuple[list, int, int]] = []
+        # Credits returned to routers this tick (module docstring):
+        # (router, port, vnet, vc, flits), applied after the commit
+        # phase in return order.  Empty between ticks.
+        self.landings: List[tuple] = []
         # Kernel accounting (diagnostics only — deliberately *not* part
         # of any StatsRegistry snapshot, so quiescence never leaks into
         # cached sweep payloads; see StatsRegistry.set_meta).
@@ -384,6 +399,14 @@ class Engine:
                 commit(cycle)
                 ran = True
         self._ticking = False
+        if self.landings:
+            # The clock edge: a return that released a waiter wakes its
+            # router for the next cycle (before the pending sleeps, so
+            # the wake wins over one declared this tick).
+            for router, port, vnet, vc, flits in self.landings:
+                if router._release_credit(port, vnet, vc, flits):
+                    router.wake(cycle + 1)
+            self.landings.clear()
         if self._pending_sleeps:
             for cell, target, serial in self._pending_sleeps:
                 if cell[1] == serial:   # no wake arrived after the request

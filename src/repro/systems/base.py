@@ -205,11 +205,16 @@ class BaseSystem:
 
         Finished-ness gates *before* ``Engine.run``: a run always
         advances at least one cycle, which would shift the runtime of a
-        system restored exactly at its completion boundary."""
+        system restored exactly at its completion boundary.  A core
+        still at its AHB cap counts its stall cycles up to the stop, so
+        a capped or sliced run reads what a per-cycle count reads."""
         engine = self.engine
         if not self.all_cores_finished() and engine.cycle < max_cycles:
             engine.run(max_cycles - engine.cycle,
                        until=self.all_cores_finished)
+        for core in self.cores.values():
+            if isinstance(core, TraceCore):     # a litmus core has no cap
+                core.count_cap_stalls(engine.cycle)
         record_kernel_meta(self)
         return engine.cycle
 

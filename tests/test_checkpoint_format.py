@@ -165,10 +165,12 @@ def test_wrong_schema_version(tmp_path):
     watcher list and a stop flag), a schema-6 file (whose histograms
     hold a sample reservoir), a schema-7 file (whose memory
     controllers may hold a DRAM model and whose cache config holds the
-    retry timeout) and a schema-8 file (whose histograms hold a
-    minimum) are refused before the body is unpickled."""
+    retry timeout), a schema-8 file (whose histograms hold a minimum)
+    and a schema-9 file (whose routers hold a credit-return wheel and
+    whose cores count the AHB cap per cycle) are refused before the body
+    is unpickled."""
     path = _valid_file(tmp_path)
-    for schema in (CHECKPOINT_SCHEMA + 1, 1, 2, 3, 4, 5, 6, 7, 8):
+    for schema in (CHECKPOINT_SCHEMA + 1, 1, 2, 3, 4, 5, 6, 7, 8, 9):
         _rewrite_header(path, lambda h: h.update(schema=schema))
         with pytest.raises(CheckpointFormatError,
                            match=f"schema {schema}.*reads "

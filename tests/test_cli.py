@@ -72,6 +72,12 @@ class TestRunCommand:
         assert row[:4] == ["", "fft", "scorpio", "0"]
         assert row[5:] == ["100.0%", "run"]
 
+    def test_a_bad_repro_jobs_exits_2(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "x")
+        code, text = run_cli("run", "fft", "--mesh", "3x3", "--ops", "5")
+        assert code == 2
+        assert text == "error: REPRO_JOBS must be an integer, got 'x'\n"
+
     def test_run_directory_protocol(self):
         code, text = run_cli("run", "lu", "--mesh", "3x3", "--ops", "10",
                              "--scale", "0.02", "--think-scale", "10",

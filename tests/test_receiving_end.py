@@ -6,8 +6,8 @@ every input VC of that layout out as one slot — GO-REQ normal VCs, then
 UO-RESP VCs, then the reserved VC — and maps (inport, vnet, VC) to a slot
 for arrivals and back for the credit return.  Credits go home through
 :meth:`OutPort.return_credits <repro.noc.vc.OutPort.return_credits>`
-alone, one cycle after the packet leaves, and a system is quiesced only
-once every credit is home.
+alone, visible the cycle after the packet leaves, and a system is
+quiesced only once every credit is home.
 """
 
 import itertools
@@ -190,16 +190,21 @@ class TestReturnCredits:
 @pytest.mark.parametrize("builder", ["scorpio", "directory", "multimesh",
                                      "tokenb", "timestamp", "uncorq"])
 def test_quiesced_waits_for_every_credit(builder, credits_in_flight):
-    """A run finishes with a credit still on its way home; the system is
-    not quiesced until it lands."""
+    """Stopped while packets are in flight and then run on a cycle at a
+    time, a system is never quiesced while a flit is uncredited, and
+    every credit is home once it is."""
     workload = {"kind": "benchmark", "name": "fft", "ops_per_core": 8,
                 "workload_scale": 0.02, "think_scale": 10.0, "seed": 0}
     spec = SystemSpec(builder, ChipConfig.variant(3, 3), workload=workload)
     system = spec.build()
-    system.run_until_done(spec.max_cycles)
-    assert system.all_cores_finished()
-    assert credits_in_flight(system)
-    while credits_in_flight(system):
-        assert not system.quiesced()
+    while not credits_in_flight(system):
         system.engine.run(1)
-    assert system.quiesced()
+    uncredited = 0
+    while not (system.all_cores_finished() and system.quiesced()):
+        assert system.engine.cycle < spec.max_cycles
+        if credits_in_flight(system):
+            uncredited += 1
+            assert not system.quiesced()
+        system.engine.run(1)
+    assert uncredited > 1
+    assert credits_in_flight(system) == 0

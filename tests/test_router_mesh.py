@@ -29,6 +29,7 @@ class StubEndpoint:
         self.received: List[Tuple[int, Packet]] = []
         self._credit_returns = []
         self._pending = []
+        self._ejected = []
         self.sent = 0
 
     def attach(self, router) -> None:
@@ -43,6 +44,14 @@ class StubEndpoint:
 
     # clocked-ish helpers (driven manually by tests) ------------------------
     def tick(self, cycle: int) -> None:
+        """Act at *cycle*, from the end of the engine's cycle before it
+        (see AfterCommit)."""
+        # The previous call's ejections left their VCs in the engine's
+        # current cycle: their credits go home now, so the router lands
+        # them at this cycle's clock edge and sees them the next.
+        for args in self._ejected:
+            self.lane.return_credits(*args)
+        self._ejected.clear()
         for entry in [e for e in self._credit_returns if e[0] <= cycle]:
             self._credit_returns.remove(entry)
             _c, vnet, vc, flits = entry
@@ -51,8 +60,7 @@ class StubEndpoint:
             self._pending.remove(entry)
             _c, packet, vnet, vc_index = entry
             self.received.append((cycle, packet))
-            self.lane.return_credits(cycle, vnet, vc_index,
-                                     packet.size_flits)
+            self._ejected.append((cycle, vnet, vc_index, packet.size_flits))
 
     def inject(self, packet: Packet, cycle: int) -> bool:
         vc = self.lane.select(packet)

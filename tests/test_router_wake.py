@@ -355,8 +355,7 @@ def _router_state(router):
     outs = [(out.credits, out.free_mask, out.rvc_free, out.sid_of_vc,
              out.sid_count, out.rvc_wait) for out in router.out]
     wheels = [(wheel._buckets, wheel.min_due) for wheel in
-              (router._arrivals, router._lookaheads, router._credit_returns,
-               router._retries)]
+              (router._arrivals, router._lookaheads, router._retries)]
     return copy.deepcopy((outs, router._dirty, router._vc_wait,
                           router._sid_wait, router._freed,
                           wheels, router.wakeups, router.port_free_at,

@@ -9,8 +9,6 @@ when the frontend is unreachable."""
 
 import json
 import multiprocessing
-import os
-from pathlib import Path
 
 import pytest
 
