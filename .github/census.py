@@ -10,9 +10,10 @@ The doors: every quick figure; the example documents under
 ``examples/experiments``; ``run-file`` with checkpoint, resume, report
 and output; ``run``, ``sweep`` (serial, ``--jobs 2`` and
 ``--list-builders``), ``trace``, ``litmus``, ``describe`` and
-``bench --smoke``; ``serve`` with ``submit --wait`` and ``jobs``.  The
-example scripts are not doors.  A forked worker (``SlotPool``) inherits
-the hook and writes what it reached to a file when it exits, so
+``bench --smoke``; ``serve`` with ``submit --wait``, ``jobs`` and a
+cold then a warm ``sweep`` whose ``--cache-dir`` is the frontend's URL.
+The example scripts are not doors.  A forked worker (``SlotPool``)
+inherits the hook and writes what it reached to a file when it exits, so
 functions that run only in a worker count.
 
     PYTHONPATH=src python .github/census.py           # check
@@ -187,13 +188,14 @@ def drive_doors(work: Path, log) -> list:
     door("trace", str(trace), "--mesh", "2x2")
     door("litmus")
     door("bench", "--smoke", "--output", str(work / "bench.json"))
-    serve_door(work, door, smoke)
+    serve_door(work, door, smoke, regime)
     return failed
 
 
-def serve_door(work: Path, door, document: str) -> None:
-    """``serve`` in this thread until ``submit --wait`` and ``jobs``
-    have run from another; then the interrupt the CLI stops on."""
+def serve_door(work: Path, door, document: str, regime: list) -> None:
+    """``serve`` in this thread until ``submit --wait``, ``jobs`` and a
+    cold then a warm ``sweep`` against the frontend's cache URL have run
+    from another; then the interrupt the CLI stops on."""
     port = str(_free_port())
     url = f"http://127.0.0.1:{port}"
 
@@ -210,6 +212,8 @@ def serve_door(work: Path, door, document: str) -> None:
                  "--output", str(work / "served.json"))
             door("submit", document, "--url", url)
             door("jobs", "--url", url)
+            for _ in range(2):      # a cold, then a warm remote cache
+                door("sweep", "fft", *regime, "--cache-dir", url)
         finally:
             _thread.interrupt_main()
 

@@ -63,6 +63,8 @@ retired=(
                                                # one memory model
     'ExecutionContext|build_report|DEFAULT_FIGURES|on_own_request_ordered|cmd_report|cached_figures'
                                                # how a batch runs is an argument
+    '_watch_spool|_scan_spool|_run_spooled|spool_interval|do_HEAD|reset_request_ids'
+                                               # one way to hand a host a document
 )
 forbid "retired name" "\b($(IFS='|'; echo "${retired[*]}"))\b" \
     src tests benchmarks examples
@@ -83,6 +85,13 @@ forbid "retired execution context" \
     src tests benchmarks examples
 forbid "retired matrix class" \
     '\bSweep(\(|,|\)|\.|$)|import +Sweep\b' src tests benchmarks examples
+
+# One way to hand a host a document: POST /v1/jobs (repro submit).  The
+# spool directory is gone, and the cache protocol is get / put / entries
+# / location: no backend or cache class has a presence probe, and the
+# frontend serves no HEAD (retired names above).
+forbid "cache presence probe or spool option" 'def contains\(|[-]-spool' \
+    src/repro
 
 # PR 18 - one system assembly: BaseSystem is the only place a system is
 # put together (NICs come from make_nic overrides), and the snoopy L2

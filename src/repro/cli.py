@@ -28,8 +28,7 @@ Commands:
 * ``bench`` — time the quiescence kernel on/off on fixed workloads and
   write ``BENCH_9.json`` (``--smoke`` for the tiny CI regime).
 * ``serve`` — run the sweep-service frontend (HTTP job queue + shared
-  result cache + optional spool directory; see docs/architecture.md,
-  "The sweep service").
+  result cache; see docs/architecture.md, "The sweep service").
 * ``submit`` — submit an experiment document to a running frontend;
   ``--wait`` streams progress and downloads the results envelope
   (byte-identical to ``run-file --output`` on the same document).
@@ -51,6 +50,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.figures import FIGURES, FULL, QUICK, generate, lookup
@@ -58,15 +58,18 @@ from repro.core.api import PROTOCOLS
 
 
 class BatchOptionError(ValueError):
-    """An environment variable :func:`batch_options` reads is malformed
-    (:func:`main` makes it an ``error:`` line and exit 2)."""
+    """A batch option :func:`batch_options` reads is unusable: a
+    malformed ``REPRO_JOBS`` or a cache directory that cannot be made or
+    written (:func:`main` makes it an ``error:`` line and exit 2)."""
 
 
 def batch_options(args=None) -> dict:
     """The ``jobs`` and ``cache`` a verb hands its batch: ``--jobs`` /
     ``--cache-dir`` where the verb has them and they are given, else
     ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` (unset: serial, uncached).  The
-    one reader of those two variables; the library reads none."""
+    one reader of those two variables; the library reads none.  A cache
+    directory is made here, so one that cannot be is refused before any
+    point runs; a URL is left to the remote backend."""
     option = vars(args).get if args is not None else {}.get
     jobs = option("jobs")
     if jobs is None:
@@ -76,10 +79,21 @@ def batch_options(args=None) -> dict:
         except ValueError:
             raise BatchOptionError(
                 f"REPRO_JOBS must be an integer, got {raw!r}") from None
+    cache = option("cache_dir") or os.environ.get("REPRO_CACHE_DIR") or None
+    if cache is not None and not cache.startswith(("http://", "https://")):
+        directory = Path(cache).expanduser()
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            reason = "not a directory" \
+                if isinstance(exc, FileExistsError) else exc
+            raise BatchOptionError(
+                f"cannot use cache directory {cache!r}: {reason}") from None
+        if not os.access(directory, os.W_OK | os.X_OK):
+            raise BatchOptionError(
+                f"cannot use cache directory {cache!r}: not writable")
     from repro.experiments import as_cache
-    return {"jobs": max(1, jobs),
-            "cache": as_cache(option("cache_dir")
-                              or os.environ.get("REPRO_CACHE_DIR") or None)}
+    return {"jobs": max(1, jobs), "cache": as_cache(cache)}
 
 
 def _mesh(text: str):
@@ -234,10 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="per-point wall-clock budget (default: "
                               "unbounded)")
-    serve_p.add_argument("--spool", default=None, metavar="DIR",
-                         help="also claim documents dropped into DIR "
-                              "(shared across hosts: atomic-rename "
-                              "claims, one winner per document)")
     serve_p.add_argument("--verbose", action="store_true",
                          help="log every HTTP request to stderr")
 
@@ -500,12 +510,10 @@ def cmd_serve(args, out) -> int:
         return 2
     server = serve(cache.backend, host=args.host, port=args.port,
                    workers=args.workers, retries=args.retries,
-                   point_timeout=args.point_timeout, spool=args.spool,
+                   point_timeout=args.point_timeout,
                    quiet=not args.verbose)
     print(f"sweep service listening on {server.url}", file=out)
     print(f"cache: {server.service.backend.location}", file=out)
-    if args.spool:
-        print(f"spool: {args.spool}", file=out)
     if hasattr(out, "flush"):
         out.flush()
     try:

@@ -7,8 +7,7 @@ from repro.coherence.directory import (DirectoryConfig, DirectoryController,
 from repro.coherence.l2_controller import (CacheConfig, L2Controller, Mshr,
                                            WritebackEntry)
 from repro.coherence.messages import (CoherenceRequest, CoherenceResponse,
-                                      DirForward, MemRead, ReqKind, RespKind,
-                                      reset_request_ids)
+                                      DirForward, MemRead, ReqKind, RespKind)
 from repro.coherence.mosi import (Action, State, Transition,
                                   needs_data_for_write, on_remote_request,
                                   request_for)
@@ -18,7 +17,7 @@ __all__ = [
     "DirectoryConfig", "DirectoryController", "DirEntry",
     "CacheConfig", "L2Controller", "Mshr", "WritebackEntry",
     "CoherenceRequest", "CoherenceResponse", "DirForward", "MemRead",
-    "ReqKind", "RespKind", "reset_request_ids",
+    "ReqKind", "RespKind",
     "Action", "State", "Transition", "needs_data_for_write",
     "on_remote_request", "request_for",
 ]

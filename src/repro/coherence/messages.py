@@ -39,11 +39,6 @@ def _new_request_id() -> int:
     return rid
 
 
-def reset_request_ids() -> None:
-    global _next_request_id
-    _next_request_id = 0
-
-
 def request_id_state() -> int:
     """The next req_id to be allocated (captured by checkpoints)."""
     return _next_request_id

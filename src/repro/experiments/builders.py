@@ -206,7 +206,7 @@ def resolve_workload(workload: Mapping[str, Any],
                                 build_traces=lone)
 
     if kind == "trace":
-        from repro.cpu.tracefile import load_traces
+        from repro.cpu.tracefile import TraceFormatError, load_traces
         path = params["path"]
         if not isinstance(path, str):
             raise ValueError(f"trace path must be a string, got {path!r}")
@@ -214,13 +214,21 @@ def resolve_workload(workload: Mapping[str, Any],
             data = Path(path).read_bytes()
         except OSError as exc:
             raise ValueError(f"cannot read trace file: {exc}") from exc
+
+        def parse(n: int = 0):
+            return load_traces(
+                io.TextIOWrapper(io.BytesIO(data), encoding="ascii"),
+                expect_cores=n)
+
+        # A malformed file fails here, when the document loads; only the
+        # core count waits for the chip.
+        try:
+            parse()
+        except ValueError as exc:
+            raise TraceFormatError(f"{path}: {exc}") from exc
         key = {"kind": kind, "path": path,
                "sha256": hashlib.sha256(data).hexdigest()}
-        return ResolvedWorkload(
-            name=path, key=key,
-            build_traces=lambda n: load_traces(
-                io.TextIOWrapper(io.BytesIO(data), encoding="ascii"),
-                expect_cores=n))
+        return ResolvedWorkload(name=path, key=key, build_traces=parse)
 
     # idle
     from repro.cpu.trace import Trace

@@ -3,12 +3,12 @@
 Storage is split from bookkeeping:
 
 * :class:`CacheBackend` is the minimal content-addressed store protocol
-  (``get``/``put``/``contains`` by fingerprint).  Two implementations
-  exist: :class:`LocalDirBackend` (the original one-JSON-file-per-
-  fingerprint directory layout below) and the remote HTTP backend in
-  :mod:`repro.serve.backend`, which talks to the cache endpoints of a
-  running ``repro serve`` frontend so workers on other hosts share one
-  store.
+  (``get``/``put`` by fingerprint, plus ``entries`` and ``location``).
+  Two implementations exist: :class:`LocalDirBackend` (the original
+  one-JSON-file-per-fingerprint directory layout below) and the remote
+  HTTP backend in :mod:`repro.serve.backend`, which talks to the cache
+  endpoints of a running ``repro serve`` frontend so workers on other
+  hosts share one store.
 * :class:`ResultCache` wraps any backend with hit/miss accounting and
   is what the sweep runner and every CLI entry point handle.
 
@@ -76,7 +76,7 @@ class CacheBackend:
     Implementations map a fingerprint (hex digest string) to a JSON
     payload dict.  ``get`` returns None on a miss, ``put`` must be
     atomic (a concurrent reader sees the old entry, the new entry, or a
-    miss — never a torn file), ``contains`` must not mutate anything.
+    miss — never a torn file).  ``entries`` counts what is stored and
     ``location`` is a human-readable description for log lines.
     """
 
@@ -86,9 +86,6 @@ class CacheBackend:
         raise NotImplementedError
 
     def put(self, fingerprint: str, payload: Dict[str, Any]) -> None:
-        raise NotImplementedError
-
-    def contains(self, fingerprint: str) -> bool:
         raise NotImplementedError
 
     def entries(self) -> int:
@@ -145,9 +142,6 @@ class LocalDirBackend(CacheBackend):
             except OSError:
                 pass
             raise
-
-    def contains(self, fingerprint: str) -> bool:
-        return self._path(fingerprint).is_file()
 
     def entries(self) -> int:
         if not self.directory.is_dir():
@@ -206,11 +200,6 @@ class ResultCache:
 
     def put(self, fingerprint: str, payload: Dict[str, Any]) -> None:
         self.backend.put(fingerprint, payload)
-
-    def contains(self, fingerprint: str) -> bool:
-        """Presence probe; deliberately not counted as a hit or a miss
-        (the serve scheduler polls it, which must not skew job stats)."""
-        return self.backend.contains(fingerprint)
 
     def entries(self) -> int:
         """Number of results currently stored.

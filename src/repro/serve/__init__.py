@@ -4,8 +4,9 @@ A job-queue frontend over the existing document/sweep/cache machinery:
 
 * :mod:`repro.serve.server` — the stdlib ``ThreadingHTTPServer``
   frontend (``repro serve``): accepts experiment documents over HTTP
-  (and from a spool directory), exposes job status/result/progress
-  endpoints, and serves the shared result cache over HTTP.
+  (``POST /v1/jobs``, the one way a document reaches a host), exposes
+  job status/result/progress endpoints, and serves the shared result
+  cache over HTTP.
 * :mod:`repro.serve.jobs` — job bookkeeping: expansion into
   fingerprinted points, submit-time cache short-circuiting, per-job
   hit/miss accounting, envelope assembly (byte-identical to
@@ -17,10 +18,11 @@ A job-queue frontend over the existing document/sweep/cache machinery:
   lets workers on other hosts share one content-addressed store through
   the frontend's cache endpoints.
 
-This ``__init__`` stays import-light (PEP 562 lazy exports):
-``repro.experiments.cache`` imports :class:`RemoteCacheBackend` from
-here on demand, and nothing in the simulator core should pay for HTTP
-machinery at import time.
+This ``__init__`` stays import-light (PEP 562 lazy exports), so nothing
+in the simulator core pays for HTTP machinery at import time.
+``repro.experiments.cache.as_backend`` imports
+:mod:`repro.serve.backend` directly, and only for an ``http(s)://``
+cache.
 """
 
 from typing import TYPE_CHECKING

@@ -9,7 +9,7 @@ atomicity is inherited from the frontend, which writes through its
 local backend's temp-file + ``os.replace`` path.
 
 Errors are deliberately loud: a cache *miss* is a 404 and returns
-``None``/``False``, but an unreachable or misbehaving frontend raises
+``None``, but an unreachable or misbehaving frontend raises
 :class:`CacheUnavailableError` — silently treating an outage as a miss
 would quietly re-simulate the world (and silently drop ``put`` results).
 """
@@ -82,10 +82,6 @@ class RemoteCacheBackend(CacheBackend):
     def put(self, fingerprint: str, payload: Dict[str, Any]) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self._request(self._url(fingerprint), method="PUT", data=body)
-
-    def contains(self, fingerprint: str) -> bool:
-        return self._request(self._url(fingerprint),
-                             method="HEAD") is not None
 
     def entries(self) -> int:
         body = self._request(self._url())

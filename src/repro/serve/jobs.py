@@ -69,12 +69,6 @@ class Job:
         self.events.append(event)
         self.condition.notify_all()
 
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until the job reaches a terminal state."""
-        with self.condition:
-            return self.condition.wait_for(
-                lambda: self.state != "running", timeout=timeout)
-
 
 class JobManager:
     """Expands, short-circuits, schedules and assembles jobs."""

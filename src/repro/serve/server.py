@@ -18,7 +18,7 @@ GET         /v1/jobs/<id>/result           the results envelope (bytes are
                                            job is done, 410 if it failed
 GET         /v1/jobs/<id>/events           NDJSON progress stream; stays
                                            open until the job is terminal
-GET/HEAD    /v1/cache/<fingerprint>        shared cache read/probe (404=miss;
+GET         /v1/cache/<fingerprint>        shared cache read (404=miss;
                                            400 for a name outside
                                            ``[0-9A-Za-z_-]{1,128}``)
 PUT         /v1/cache/<fingerprint>        shared cache write (a result
@@ -26,26 +26,23 @@ PUT         /v1/cache/<fingerprint>        shared cache write (a result
 GET         /v1/cache                      cache summary (entry count)
 ==========  =============================  ==================================
 
-Multi-host deployments run one ``repro serve`` per host.  Hosts that
-share a filesystem point at the same ``--cache-dir`` and (optionally)
-the same ``--spool`` directory — spool claims go through an atomic
-rename, so every dropped document is executed by exactly one host.
-Hosts without the shared filesystem pass the frontend's URL as their
+A document reaches a host one way: ``POST /v1/jobs`` (``repro
+submit``).  Hosts that share a filesystem point their frontends at the
+same ``--cache-dir``.  Hosts without it pass a frontend's URL as their
 cache (``--cache-dir http://frontend:8765``), which resolves to
-:class:`~repro.serve.backend.RemoteCacheBackend`.
+:class:`~repro.serve.backend.RemoteCacheBackend` over the two cache
+entry routes above.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.api.document import (DocumentError, document_to_dict,
-                                experiment_from_dict)
+from repro.api.document import DocumentError, experiment_from_dict
 from repro.experiments.cache import (CacheBackend, CacheNameError,
                                      as_backend, is_result_payload)
 from repro.serve.jobs import JobManager
@@ -72,111 +69,20 @@ def _refuse_trace_workloads(data: Any, what: str) -> None:
 
 
 class SweepService:
-    """Everything behind the HTTP surface: scheduler, jobs, spool."""
+    """Everything behind the HTTP surface: the cache, scheduler and jobs."""
 
     def __init__(self, cache: Union[str, Path, CacheBackend],
                  workers: int = 2, retries: int = 1,
-                 point_timeout: Optional[float] = None,
-                 spool: Union[None, str, Path] = None,
-                 spool_interval: float = 1.0) -> None:
+                 point_timeout: Optional[float] = None) -> None:
         self.backend = as_backend(cache)
         self.scheduler = PointScheduler(self.backend, workers=workers,
                                         retries=retries,
                                         point_timeout=point_timeout)
         self.jobs = JobManager(self.backend, self.scheduler)
-        self.spool = None if spool is None else Path(spool).expanduser()
-        self._spool_interval = spool_interval
-        # name -> (size, mtime_ns) of each unclaimed drop the last scan saw.
-        self._spool_seen: Dict[str, Tuple[int, int]] = {}
-        self._stop = threading.Event()
-        self._spool_thread: Optional[threading.Thread] = None
-        if self.spool is not None:
-            self.spool.mkdir(parents=True, exist_ok=True)
-            self._spool_thread = threading.Thread(
-                target=self._watch_spool, name="repro-serve-spool",
-                daemon=True)
-            self._spool_thread.start()
 
-    def submit_document(self, data: Dict[str, Any],
-                        source: str = "<http>"):
-        _refuse_trace_workloads(data, source)
-        experiment = experiment_from_dict(data, source=source)
-        return self.jobs.submit(experiment)
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._spool_thread is not None:
-            self._spool_thread.join(timeout=5.0)
-        self.scheduler.stop()
-
-    # ------------------------------------------------------------------
-    # Spool directory
-    # ------------------------------------------------------------------
-
-    def _watch_spool(self) -> None:
-        """Scan the spool every ``spool_interval`` seconds until stopped."""
-        while not self._stop.is_set():
-            self._scan_spool()
-            self._stop.wait(self._spool_interval)
-
-    def _scan_spool(self) -> None:
-        """One pass over dropped ``.toml``/``.json`` documents: claim and
-        run each one that has settled.
-
-        A drop has settled when it is non-empty and its ``(size,
-        mtime_ns)`` equals what the previous pass saw, so a document
-        whose writer is still writing is left for a later pass.  The
-        claim is an atomic rename to ``<name>.claimed.<pid>`` — on a
-        shared spool, exactly one host wins each document.  The winner
-        writes ``<stem>.result.json`` (the canonical envelope) or
-        ``<stem>.error.txt`` next to it and removes the claim.
-        """
-        seen: Dict[str, Tuple[int, int]] = {}
-        for path in sorted(self.spool.glob("*")):
-            if path.suffix.lower() not in (".toml", ".json") \
-                    or path.name.endswith(".result.json"):
-                continue
-            try:
-                stat = path.stat()
-            except OSError:
-                continue            # claimed or removed meanwhile
-            if stat.st_size == 0:
-                continue
-            seen[path.name] = (stat.st_size, stat.st_mtime_ns)
-            if self._spool_seen.get(path.name) != seen[path.name]:
-                continue            # new or still changing
-            claimed = path.with_name(f"{path.name}.claimed.{os.getpid()}")
-            try:
-                os.rename(path, claimed)
-            except OSError:
-                continue            # another host won the claim
-            del seen[path.name]
-            self._run_spooled(path, claimed)
-        self._spool_seen = seen
-
-    def _run_spooled(self, original: Path, claimed: Path) -> None:
-        out = original.with_name(original.stem + ".result.json")
-        try:
-            job = self.submit_document(document_to_dict(claimed),
-                                       source=str(original))
-            job.wait()
-            if job.state != "done" or job.envelope is None:
-                raise RuntimeError(job.error or "job failed")
-            tmp = out.with_suffix(".json.tmp")
-            tmp.write_bytes(job.envelope)
-            os.replace(tmp, out)
-        except Exception as exc:
-            # Write-then-rename, like the result: a poller must never
-            # read the file empty.
-            error_path = original.with_name(original.stem + ".error.txt")
-            tmp = error_path.with_suffix(".txt.tmp")
-            tmp.write_text(f"{exc}\n", encoding="utf-8")
-            os.replace(tmp, error_path)
-        finally:
-            try:
-                claimed.unlink()
-            except OSError:
-                pass
+    def submit_document(self, data: Dict[str, Any]):
+        _refuse_trace_workloads(data, "<http>")
+        return self.jobs.submit(experiment_from_dict(data, source="<http>"))
 
 
 def _bad_name_is_400(method):
@@ -208,8 +114,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(body)
+        self.wfile.write(body)
 
     def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
         self._send(status, (json.dumps(payload, sort_keys=True) + "\n"
@@ -321,17 +226,6 @@ class _Handler(BaseHTTPRequestHandler):
             if terminal and cursor >= len(job.events):
                 return
 
-    @_bad_name_is_400
-    def do_HEAD(self) -> None:           # noqa: N802
-        route = self._route()
-        if len(route) == 3 and route[:2] == ("v1", "cache"):
-            if self.service.backend.contains(route[2]):
-                self._send(200, b"")
-            else:
-                self._error(404, f"no cache entry {route[2]}")
-        else:
-            self._error(404, f"unknown path {self.path}")
-
     def do_POST(self) -> None:           # noqa: N802
         route = self._route()
         if route != ("v1", "jobs"):
@@ -379,7 +273,7 @@ class _Handler(BaseHTTPRequestHandler):
 class SweepServer:
     """A bound frontend: the HTTP server plus its service, ready to run
     inline (:meth:`serve_forever`) or on a background thread
-    (:meth:`start` — what the tests and the CLI's spool mode use)."""
+    (:meth:`start` — what the tests and embedded callers use)."""
 
     def __init__(self, service: SweepService, host: str,
                  port: int, quiet: bool = True) -> None:
@@ -410,19 +304,16 @@ class SweepServer:
         self.httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
-        self.service.stop()
+        self.service.scheduler.stop()
 
 
 def serve(cache: Union[str, Path, CacheBackend], host: str = "127.0.0.1",
           port: int = 8765, workers: int = 2, retries: int = 1,
           point_timeout: Optional[float] = None,
-          spool: Union[None, str, Path] = None,
-          spool_interval: float = 1.0,
           quiet: bool = True) -> SweepServer:
     """Build a frontend bound to ``host:port`` (``port=0`` picks a free
     one).  The caller decides how to run it: ``serve_forever()`` (the
     CLI) or ``start()`` + ``stop()`` (tests, embedded use)."""
     service = SweepService(cache, workers=workers, retries=retries,
-                           point_timeout=point_timeout, spool=spool,
-                           spool_interval=spool_interval)
+                           point_timeout=point_timeout)
     return SweepServer(service, host, port, quiet=quiet)

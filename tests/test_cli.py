@@ -119,6 +119,41 @@ class TestSweepCommand:
         assert [row[6] for row in table_rows(cold)] == ["run"] * 4
         assert [row[6] for row in table_rows(warm)] == ["cache"] * 4
 
+    @pytest.mark.parametrize("verb, where", [
+        ("sweep", "flag"), ("sweep", "flag-below"), ("sweep", "env"),
+        ("sweep", "read-only"), ("serve", "flag"), ("serve", "env")])
+    def test_unusable_cache_dir_is_refused_before_any_point(
+            self, tmp_path, monkeypatch, verb, where):
+        """A cache directory that cannot be made is an ``error:`` line
+        and exit 2, whether ``--cache-dir`` or ``REPRO_CACHE_DIR`` names
+        it, or it is not writable: nothing is simulated or served
+        first."""
+        import repro.experiments.sweep as sweep_mod
+        import repro.serve.server as server_mod
+        monkeypatch.setattr(sweep_mod, "execute_point",
+                            lambda *a, **k: pytest.fail("a point ran"))
+        monkeypatch.setattr(server_mod, "serve",
+                            lambda *a, **k: pytest.fail("served"))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cache = blocker / "sub" if where == "flag-below" else blocker
+        if where == "read-only":
+            import os
+            cache = tmp_path / "ro"
+            monkeypatch.setattr(os, "access", lambda *a, **k: False)
+        argv = (self.ARGS[:4] if verb == "sweep"
+                else ("serve", "--port", "0"))
+        if where == "env":
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        else:
+            argv += ("--cache-dir", str(cache))
+        code, text = run_cli(*argv)
+        assert code == 2
+        assert text.startswith(f"error: cannot use cache directory "
+                               f"{str(cache)!r}: ")
+        assert len(text.splitlines()) == 1
+        assert blocker.read_text() == ""
+
 
 class TestListBuilders:
     def test_lists_registry(self):
@@ -446,11 +481,16 @@ class TestTraceCommand:
         assert row[5] == "100.0%"
 
     def test_trace_bad_file(self, tmp_path):
+        """A malformed trace file fails when the document loads, like an
+        unreadable one: an ``error:`` line naming the file and the line,
+        and exit 2."""
         path = tmp_path / "bad.trace"
-        path.write_text("not a trace\n")
-        from repro.cpu.tracefile import TraceFormatError
-        with pytest.raises(TraceFormatError):
-            run_cli("trace", str(path), "--mesh", "3x3")
+        path.write_text("garbage line\n")
+        code, text = run_cli("trace", str(path), "--mesh", "3x3")
+        assert code == 2
+        assert text == (f"error: experiment.runs[0]: {path}: line 1: "
+                        f"expected '# scorpio-trace v1', got "
+                        f"'garbage line'\n")
 
     def test_trace_missing_file_exits_2(self, tmp_path):
         code, text = run_cli("trace", str(tmp_path / "missing.trace"),

@@ -4,13 +4,12 @@ The load-bearing contract: an experiment document submitted over HTTP
 produces a results envelope **byte-identical** to ``repro run-file``
 on the same document against the same cache state.  Around it: warm
 re-submission does zero simulation work (proven at the scheduler),
-identical points coalesce, a SIGKILLed worker loses no points, spool
-drops execute exactly once, and the failure paths are loud."""
+identical points coalesce, a SIGKILLed worker loses no points, and the
+failure paths are loud."""
 
 import builtins
 import io
 import json
-import time
 
 import pytest
 
@@ -141,6 +140,23 @@ class TestFrontend:
         assert response.startswith(b"HTTP/1.0 413 "), response[:80]
         assert b"8388608-byte limit" in response
         assert server.service.backend.entries() == 0
+
+    def test_head_is_501_and_serve_takes_no_spool(self, server, tmp_path):
+        """A document reaches a host one way, ``POST /v1/jobs``, and the
+        cache has no presence probe: ``HEAD`` is not a method the
+        frontend serves, and ``repro serve`` has no spool option."""
+        import urllib.error
+        import urllib.request
+
+        request = urllib.request.Request(
+            f"{server.url}/v1/cache/{'ab' * 32}", method="HEAD")
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10.0)
+        assert excinfo.value.code == 501
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("serve", "--spool", str(tmp_path / "d"))
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "d").exists()
 
     def test_invalid_document_is_422_with_detail(self, client):
         bad = {"schema": 1, "name": "bad",
@@ -328,111 +344,6 @@ class TestWorkerDeath:
             assert outcome.summary["retries"] >= 1
             assert outcome.envelope \
                 == local_envelope(document, tmp_path / "undisturbed")
-        finally:
-            server.stop()
-
-
-class TestSpool:
-    def test_dropped_document_executes_once_and_writes_result(
-            self, tmp_path):
-        spool = tmp_path / "spool"
-        server = serve(tmp_path / "cache", port=0, workers=2,
-                       spool=spool, spool_interval=0.05).start()
-        try:
-            document = tiny_document(name="spooled")
-            (spool / "drop.json").write_text(json.dumps(document),
-                                             encoding="utf-8")
-            result = spool / "drop.result.json"
-            deadline = time.monotonic() + 120.0
-            while not result.exists():
-                assert time.monotonic() < deadline, "spool result never appeared"
-                time.sleep(0.05)
-            assert result.read_bytes() \
-                == local_envelope(document, tmp_path / "local-cache")
-            # The drop was claimed and consumed; no claim litter left.
-            leftovers = sorted(p.name for p in spool.iterdir())
-            assert leftovers == ["drop.result.json"]
-        finally:
-            server.stop()
-
-    def test_bad_document_leaves_error_file(self, tmp_path):
-        spool = tmp_path / "spool"
-        server = serve(tmp_path / "cache", port=0, workers=1,
-                       spool=spool, spool_interval=0.05).start()
-        try:
-            (spool / "broken.json").write_text('{"schema": 99}',
-                                               encoding="utf-8")
-            error = spool / "broken.error.txt"
-            deadline = time.monotonic() + 30.0
-            while not error.exists():
-                assert time.monotonic() < deadline, "spool error never appeared"
-                time.sleep(0.05)
-            assert "schema" in error.read_text(encoding="utf-8")
-        finally:
-            server.stop()
-
-    def test_only_a_settled_drop_is_claimed(self, tmp_path):
-        """Driven one scan at a time, no watcher thread: a drop is
-        claimed once it is non-empty and unchanged since the previous
-        scan; a settled drop that does not parse gets its error file."""
-        from repro.serve.server import SweepService
-        spool = tmp_path / "spool"
-        spool.mkdir()
-        service = SweepService(tmp_path / "cache", workers=1)
-        service.spool = spool
-        try:
-            drop = spool / "drop.json"
-            text = json.dumps(tiny_document(name="settled", seeds=(0,)))
-            drop.write_text("", encoding="utf-8")
-            service._scan_spool()
-            service._scan_spool()
-            assert drop.exists()            # empty: never claimed
-
-            third = len(text) // 3
-            for end in (third, 2 * third, len(text)):
-                drop.write_text(text[:end], encoding="utf-8")
-                service._scan_spool()       # changed since the last scan
-                assert drop.exists()
-            assert not (spool / "drop.error.txt").exists()
-
-            service._scan_spool()           # settled: claimed and run
-            assert sorted(p.name for p in spool.iterdir()) \
-                == ["drop.result.json"]
-            assert json.loads((spool / "drop.result.json").read_text(
-                encoding="utf-8"))["experiment"] == "settled"
-
-            broken = spool / "broken.json"
-            broken.write_text('{"schema":', encoding="utf-8")
-            service._scan_spool()
-            assert broken.exists()
-            service._scan_spool()
-            assert not broken.exists()
-            assert "invalid JSON" in (spool / "broken.error.txt").read_text(
-                encoding="utf-8")
-            assert service.jobs.jobs()[-1].experiment.name == "settled"
-        finally:
-            service.stop()
-
-    def test_trace_workload_leaves_error_file_unopened(self, tmp_path,
-                                                       monkeypatch):
-        spool = tmp_path / "spool"
-        path = tmp_path / "t.trace"
-        path.write_text("# scorpio-trace v1\ncore 0\nR 0x0 1\n")
-        opened = spy_on_open(monkeypatch)
-        server = serve(tmp_path / "cache", port=0, workers=1,
-                       spool=spool, spool_interval=0.05).start()
-        try:
-            (spool / "traced.json").write_text(
-                json.dumps(trace_document(path)), encoding="utf-8")
-            error = spool / "traced.error.txt"
-            deadline = time.monotonic() + 30.0
-            while not error.exists():
-                assert time.monotonic() < deadline, "spool error never appeared"
-                time.sleep(0.05)
-            assert "'trace' workload kind" in error.read_text(
-                encoding="utf-8")
-            assert server.service.jobs.jobs() == []
-            assert str(path) not in opened
         finally:
             server.stop()
 

@@ -46,13 +46,11 @@ class TestAsBackend:
 
 
 class TestResultCacheAccounting:
-    def test_contains_is_never_counted(self, tmp_path):
+    def test_get_counts_hits_and_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
         payload = RunResult("scorpio", "fft", 9, 100, 72, 1.0,
                             fingerprint="ab" * 32).payload()
         cache.put("ab" * 32, payload)
-        assert cache.contains("ab" * 32)
-        assert not cache.contains("cd" * 32)
         assert (cache.hits, cache.misses) == (0, 0)
         assert cache.get("ab" * 32) == payload
         assert cache.get("cd" * 32) is None
@@ -213,10 +211,8 @@ class TestRemoteCacheBackend:
         payload = RunResult("scorpio", "fft", 9, 100, 72, 1.0,
                             fingerprint=fp).payload()
         assert remote.get(fp) is None
-        assert not remote.contains(fp)
         assert remote.entries() == 0
         remote.put(fp, payload)
-        assert remote.contains(fp)
         assert remote.get(fp) == payload
         assert remote.entries() == 1
         # The entry landed in the frontend's local store, byte-for-byte
@@ -239,7 +235,7 @@ class TestRemoteCacheBackend:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=10.0)
             assert excinfo.value.code == 400
-            assert not local.contains(fp)
+            assert local.get(fp) is None
         payload = RunResult("scorpio", "fft", 9, 100, 72, 1.0,
                             fingerprint="ef" * 32).payload()
         request = urllib.request.Request(
@@ -253,7 +249,7 @@ class TestRemoteCacheBackend:
     def test_entry_names_cannot_escape_the_cache_dir(self, frontend,
                                                      tmp_path, name):
         """A cache entry name is a plain token: anything else is refused
-        by the local backend and is HTTP 400 on GET, HEAD and PUT, and
+        by the local backend and is HTTP 400 on GET and PUT, and
         nothing is written — inside the cache directory or next to it."""
         import urllib.error
         import urllib.request
@@ -261,14 +257,12 @@ class TestRemoteCacheBackend:
         from repro.experiments.cache import CacheNameError
 
         local = frontend.service.backend
-        for call in (local.get, local.contains,
-                     lambda fp: local.put(fp, {"x": 1})):
+        for call in (local.get, lambda fp: local.put(fp, {"x": 1})):
             with pytest.raises(CacheNameError):
                 call(name)
         payload = json.dumps(RunResult("scorpio", "fft", 9, 100, 72, 1.0,
                                        fingerprint=name).payload())
-        for method, data in (("GET", None), ("HEAD", None),
-                             ("PUT", payload.encode())):
+        for method, data in (("GET", None), ("PUT", payload.encode())):
             request = urllib.request.Request(
                 f"{frontend.url}/v1/cache/{name}", data=data, method=method)
             with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -284,7 +278,7 @@ class TestRemoteCacheBackend:
         with pytest.raises(CacheUnavailableError):
             remote.put("ab" * 32, {"x": 1})
         with pytest.raises(CacheUnavailableError):
-            remote.contains("ab" * 32)
+            remote.entries()
 
     def test_run_sweep_through_remote_cache(self, frontend):
         """A worker host using the frontend URL as its cache: the first

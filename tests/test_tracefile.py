@@ -180,7 +180,9 @@ class TestTraceWorkload:
         dump_traces(fft_traces(), path)
         before = trace_spec(path).fingerprint()
         text = path.read_text()
-        path.write_text(text.replace(" 1\n", " 2\n", 1))
+        # One think time (" 1\n" would first hit "core 1", which makes
+        # the file malformed: a duplicate core).
+        path.write_text(text.replace(" 5\n", " 6\n", 1))
         assert trace_spec(path).fingerprint() != before
 
     def test_cache_recall_equals_the_fresh_row(self, tmp_path):
