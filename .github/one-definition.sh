@@ -65,11 +65,15 @@ retired=(
                                                # how a batch runs is an argument
     '_watch_spool|_scan_spool|_run_spooled|spool_interval|do_HEAD|reset_request_ids'
                                                # one way to hand a host a document
+    'reset_packet_ids|control_packet_flits|total_occupancy|dumps_traces|as_rows|hotspot_fraction|hotspot_node|_uniform_destination'
+                                               # one point table
 )
 forbid "retired name" "\b($(IFS='|'; echo "${retired[*]}"))\b" \
     src tests benchmarks examples
 # (A call, so outside the word-bounded list: "outstanding" is prose.)
 forbid "retired name" '\boutstanding\(' src tests benchmarks examples
+# (A definition: "endpoint" is prose.)
+forbid "retired name" 'def endpoint\(' src/repro
 
 # How a batch runs is an argument: run_sweep / run_plan / run_experiment
 # / render are serial and uncached unless their jobs / cache arguments
@@ -92,6 +96,13 @@ forbid "retired matrix class" \
 # frontend serves no HEAD (retired names above).
 forbid "cache presence probe or spool option" 'def contains\(|[-]-spool' \
     src/repro
+
+# One point table: the identity gates (golden stats, quiescence,
+# checkpoint restore, journal) share tests/identity_points.py's points,
+# goldens and payload helper; no suite keeps a copy of its own.
+found=$(grep -rlE --include='*.py' '^GOLDEN = |def _specs\(|def _payload_bytes\(' \
+        tests | grep -v '^tests/identity_points\.py$')
+[ -z "$found" ] || fail "second point table / goldens / payload helper (in: $(echo $found))"
 
 # PR 18 - one system assembly: BaseSystem is the only place a system is
 # put together (NICs come from make_nic overrides), and the snoopy L2

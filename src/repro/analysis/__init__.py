@@ -4,8 +4,7 @@ from repro.analysis.area_power import (CHIP_POWER_W, PAPER_TILE_AREA_PCT,
                                        PAPER_TILE_POWER_PCT, TILE_POWER_MW,
                                        TileBudget, aggregate,
                                        paper_tile_budget, tile_budget)
-from repro.analysis.comparison import (TABLE2, ProcessorSpec, as_rows,
-                                       scorpio_row)
+from repro.analysis.comparison import TABLE2, ProcessorSpec, scorpio_row
 from repro.analysis.energy import (NIC_ROUTER_POWER_MW, EnergyModel,
                                    EnergyParams, EnergyReport)
 from repro.analysis.report_html import (ObservabilityDriftError,
@@ -21,7 +20,7 @@ __all__ = [
     "CHIP_POWER_W", "PAPER_TILE_AREA_PCT", "PAPER_TILE_POWER_PCT",
     "TILE_POWER_MW", "TileBudget", "aggregate", "paper_tile_budget",
     "tile_budget",
-    "TABLE2", "ProcessorSpec", "as_rows", "scorpio_row",
+    "TABLE2", "ProcessorSpec", "scorpio_row",
     "NIC_ROUTER_POWER_MW", "EnergyModel", "EnergyParams", "EnergyReport",
     "ObservabilityDriftError", "RunObservation", "collect_observations",
     "render_report_html", "result_digest", "write_html_report",

@@ -9,7 +9,7 @@ specs for ``run_sweep``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Tuple
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
     from repro.core.config import ChipConfig
@@ -76,14 +76,6 @@ TABLE2: List[ProcessorSpec] = [
 
 def scorpio_row() -> ProcessorSpec:
     return next(spec for spec in TABLE2 if spec.name == "SCORPIO")
-
-
-def as_rows(fields: List[str]) -> Dict[str, List[str]]:
-    """Render the table as {field: [values per processor]}."""
-    out: Dict[str, List[str]] = {}
-    for field_name in fields:
-        out[field_name] = [getattr(spec, field_name) for spec in TABLE2]
-    return out
 
 
 def system_specs(systems: Mapping[str, Tuple[str, Mapping[str, Any]]],

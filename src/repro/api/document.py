@@ -246,9 +246,14 @@ def _lookup_config(name: Optional[str],
 
 
 def _validated(spec, what: str, memo):
-    """*spec*, once its key resolves (params + workload: strict checks)."""
+    """*spec*, once its key resolves (params + workload: strict checks)
+    and a trace file's cores fit its chip."""
+    from repro.experiments import resolve_workload
     try:
         spec.key(memo)
+        if spec.workload.get("kind") == "trace":
+            resolve_workload(spec.workload).build_traces(
+                spec.resolved_config().n_cores)
     except (KeyError, ValueError) as exc:
         raise DocumentError(f"{what}: {exc.args[0]}") from exc
     return spec

@@ -28,7 +28,6 @@ injectors).
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 from typing import Dict, List, Sequence, TextIO, Union
 
@@ -54,13 +53,6 @@ def dump_traces(traces: Sequence[Trace], target: Union[str, Path, TextIO],
         target.write(f"core {core}\n")
         for op in trace:
             target.write(f"{op.op} {op.addr:#x} {op.think}\n")
-
-
-def dumps_traces(traces: Sequence[Trace]) -> str:
-    """Render *traces* to a string in the trace-file format."""
-    buf = io.StringIO()
-    dump_traces(traces, buf)
-    return buf.getvalue()
 
 
 def load_traces(source: Union[str, Path, TextIO],

@@ -216,16 +216,16 @@ def resolve_workload(workload: Mapping[str, Any],
             raise ValueError(f"cannot read trace file: {exc}") from exc
 
         def parse(n: int = 0):
-            return load_traces(
-                io.TextIOWrapper(io.BytesIO(data), encoding="ascii"),
-                expect_cores=n)
+            try:
+                return load_traces(
+                    io.TextIOWrapper(io.BytesIO(data), encoding="ascii"),
+                    expect_cores=n)
+            except ValueError as exc:
+                raise TraceFormatError(f"{path}: {exc}") from exc
 
-        # A malformed file fails here, when the document loads; only the
-        # core count waits for the chip.
-        try:
-            parse()
-        except ValueError as exc:
-            raise TraceFormatError(f"{path}: {exc}") from exc
+        # A malformed file fails here; the core count waits for the chip
+        # (a document checks it when it loads).
+        parse()
         key = {"kind": kind, "path": path,
                "sha256": hashlib.sha256(data).hexdigest()}
         return ResolvedWorkload(name=path, key=key, build_traces=parse)

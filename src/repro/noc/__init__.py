@@ -8,8 +8,7 @@ from repro.noc.filtering import (BroadcastFilter, FilterTable,
                                  broadcast_subtree, l2_interest_oracle,
                                  snoop_target)
 from repro.noc.mesh import Mesh, zero_load_latency
-from repro.noc.packet import (Packet, VNet, control_packet_flits,
-                              data_packet_flits, reset_packet_ids)
+from repro.noc.packet import Packet, VNet, data_packet_flits
 from repro.noc.router import Router
 from repro.noc.routing import (EAST, LOCAL, NORTH, SOUTH, WEST,
                                broadcast_outports, coords, hop_count,
@@ -24,8 +23,7 @@ __all__ = [
     "BroadcastFilter", "FilterTable", "broadcast_subtree",
     "l2_interest_oracle", "snoop_target",
     "Mesh", "zero_load_latency",
-    "Packet", "VNet", "control_packet_flits", "data_packet_flits",
-    "reset_packet_ids",
+    "Packet", "VNet", "data_packet_flits",
     "Router",
     "NORTH", "EAST", "SOUTH", "WEST", "LOCAL",
     "broadcast_outports", "coords", "hop_count", "neighbor", "node_at",

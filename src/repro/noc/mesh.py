@@ -64,12 +64,6 @@ class Mesh:
         self._endpoints[node] = endpoint
         return router
 
-    def endpoint(self, node: int) -> object:
-        return self._endpoints[node]
-
-    def total_occupancy(self) -> int:
-        return sum(router.occupancy() for router in self.routers)
-
     def quiescent(self) -> bool:
         """True when no packets are buffered or in flight anywhere.  A
         router's credits are home by then: each lands at the clock edge

@@ -38,12 +38,6 @@ def _new_packet_id() -> int:
     return pid
 
 
-def reset_packet_ids() -> None:
-    """Reset the global packet id counter (test isolation helper)."""
-    global _next_packet_id
-    _next_packet_id = 0
-
-
 def packet_id_state() -> int:
     """The next pid to be allocated (captured by checkpoints)."""
     return _next_packet_id
@@ -92,11 +86,6 @@ class Packet:
         kind = "bcast" if self.is_broadcast else f"->{self.dst}"
         return (f"Packet(pid={self.pid}, {self.vnet.name}, src={self.src} "
                 f"{kind}, sid={self.sid}, flits={self.size_flits})")
-
-
-def control_packet_flits() -> int:
-    """Coherence requests always fit in a single flit (paper, Sec. 3.1)."""
-    return 1
 
 
 def data_packet_flits(channel_width_bytes: int, line_size_bytes: int) -> int:

@@ -29,8 +29,7 @@ from repro.noc.vc import OutPort
 from repro.sim.engine import Clocked, Engine, EventWheel
 from repro.sim.stats import StatsRegistry
 
-PATTERNS = ("uniform", "broadcast", "transpose", "bit_complement",
-            "neighbor", "hotspot", "tornado")
+PATTERNS = ("uniform", "broadcast")
 
 
 @dataclass
@@ -41,10 +40,6 @@ class TrafficConfig:
     packet_flits: int = 1
     warmup: int = 200
     seed: int = 0
-    # hotspot pattern: fraction of packets aimed at the hot node (the
-    # rest go uniform-random); the hot node defaults to the mesh centre.
-    hotspot_fraction: float = 0.5
-    hotspot_node: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.pattern not in PATTERNS:
@@ -52,8 +47,6 @@ class TrafficConfig:
                              f"known: {PATTERNS}")
         if not 0.0 < self.injection_rate <= 1.0:
             raise ValueError("injection rate must be in (0, 1]")
-        if not 0.0 <= self.hotspot_fraction <= 1.0:
-            raise ValueError("hotspot fraction must be in [0, 1]")
 
 
 class NodeTester(Clocked):
@@ -78,42 +71,12 @@ class NodeTester(Clocked):
     def attach(self, router) -> None:
         self._lane = OutPort(self.noc, router, LOCAL, self.node)
 
-    # -- destination patterns -------------------------------------------
-
     def _destination(self) -> Optional[int]:
-        n = self.noc.n_nodes
-        width, height = self.noc.width, self.noc.height
-        pattern = self.traffic.pattern
-        if pattern == "broadcast":
+        """``None`` (every node) for a broadcast, else a uniform-random
+        node other than this one."""
+        if self.traffic.pattern == "broadcast":
             return None
-        if pattern == "uniform":
-            return self._uniform_destination(n)
-        x, y = self.node % width, self.node // width
-        if pattern == "transpose":
-            if width != height:
-                raise ValueError("transpose needs a square mesh")
-            return x * width + y
-        if pattern == "bit_complement":
-            return (n - 1) - self.node
-        if pattern == "neighbor":
-            return (y * width) + ((x + 1) % width)
-        if pattern == "hotspot":
-            hot = self.traffic.hotspot_node
-            if hot is None:
-                hot = (height // 2) * width + width // 2
-            if self.node != hot \
-                    and self.rng.random() < self.traffic.hotspot_fraction:
-                return hot
-            return self._uniform_destination(n)
-        if pattern == "tornado":
-            # Half-way around each dimension: the classic adversarial
-            # pattern for dimension-ordered routing.
-            return ((y + height // 2) % height) * width \
-                + (x + width // 2) % width
-        raise AssertionError(pattern)
-
-    def _uniform_destination(self, n: int) -> int:
-        dst = self.rng.randrange(n - 1)
+        dst = self.rng.randrange(self.noc.n_nodes - 1)
         return dst if dst < self.node else dst + 1
 
     # -- downstream interface -------------------------------------------

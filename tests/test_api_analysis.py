@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.area_power import (PAPER_TILE_POWER_PCT, aggregate,
                                        paper_tile_budget, tile_budget)
-from repro.analysis.comparison import TABLE2, as_rows, scorpio_row
+from repro.analysis.comparison import TABLE2, scorpio_row
 from repro.analysis.latency import (CACHE_SERVED_CATEGORIES, breakdown_row,
                                     total_latency)
 from repro.core import (ChipConfig, PROTOCOLS, RunResult, build_system,
@@ -118,10 +118,6 @@ class TestComparisonTable:
         row = scorpio_row()
         assert row.coherency == "Snoopy"
         assert row.consistency == "Sequential consistency"
-
-    def test_as_rows_shape(self):
-        rows = as_rows(["isa", "coherency"])
-        assert len(rows["isa"]) == 6
 
 
 class TestLatencyHelpers:

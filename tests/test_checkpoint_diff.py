@@ -4,16 +4,15 @@ A checkpoint (:mod:`repro.sim.checkpoint`) is a pure execution-layer
 feature: its contract is that *run N+M cycles straight* and *run N
 cycles, snapshot to disk, restore in a fresh process, run M cycles*
 produce **byte-identical** results.  This suite enforces the contract
-end to end, mirroring ``tests/test_quiescence_diff.py``:
+end to end, over the point table of ``tests/identity_points.py``:
 
-* every registered system builder runs once straight and once through a
-  mid-run snapshot restored in a *fresh subprocess*, and the two
-  ``SweepResult`` payloads must serialize byte-identically (runtime,
-  completed ops, every stats counter and histogram mean, litmus
-  observations — everything the cache would store);
-* the golden cycle/flit/request counts of ``tests/test_golden_stats.py``
-  are re-asserted on the snapshot/restore path, so checkpointing can
-  never silently drift the goldens;
+* every point (every registered builder) runs once straight and once
+  through a mid-run snapshot restored in a *fresh subprocess*, and the
+  two payloads must serialize byte-identically (runtime, completed ops,
+  every stats counter and histogram mean, litmus observations —
+  everything the cache would store);
+* the goldens of that table are re-asserted on the snapshot/restore
+  path, so checkpointing can never silently drift them;
 * Hypothesis properties snapshot at adversarial cycles (cycle 0, the
   completion boundary, past completion, chained double cuts) and
   require the straight payload back every time.
@@ -27,80 +26,15 @@ import sys
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from identity_points import FP, GOLDEN, POINTS, golden_row, payload_bytes
 
-from repro.core.config import ChipConfig
-from repro.experiments import (SystemSpec, builder_names,
-                               execute_system_spec)
-from repro.experiments.checkpoint_exec import resume_spec
-from repro.experiments.sweep import SweepResult, snapshot_spec
+from repro.experiments import SystemSpec
+from repro.experiments.checkpoint_exec import resume_payload_json
+from repro.experiments.sweep import snapshot_spec
 from repro.sim.checkpoint import restore_system
 
-BENCH = {"kind": "benchmark", "name": "fft", "ops_per_core": 8,
-         "workload_scale": 0.02, "think_scale": 10.0, "seed": 0}
-
-# Elides the source-hash half of the fingerprint so payloads compare
-# across processes and code checkouts.
-FP = "fingerprint-elided"
-
-
-def _cfg():
-    return ChipConfig.variant(3, 3)
-
-
-def _specs():
-    """One spec per registered builder (mirrors test_quiescence_diff)."""
-    cfg = _cfg()
-    return {
-        "scorpio": SystemSpec("scorpio", cfg, workload=BENCH),
-        "directory-lpd": SystemSpec("directory", cfg,
-                                    params={"scheme": "LPD"},
-                                    workload=BENCH),
-        "directory-ht-incf": SystemSpec("directory", cfg,
-                                        params={"scheme": "HT",
-                                                "incf": True},
-                                        workload=BENCH),
-        "multimesh": SystemSpec("multimesh", cfg,
-                                params={"n_meshes": 2}, workload=BENCH),
-        "tokenb": SystemSpec("tokenb", cfg, workload=BENCH),
-        "inso": SystemSpec("inso", cfg,
-                           params={"expiration_window": 40},
-                           workload=BENCH),
-        "timestamp": SystemSpec("timestamp", cfg, workload=BENCH),
-        "uncorq": SystemSpec("uncorq", cfg, workload=BENCH),
-        "scorpio-locks": SystemSpec("scorpio", cfg,
-                                    workload={"kind": "locks",
-                                              "acquisitions_per_core": 2,
-                                              "seed": 1}),
-        "uncorq-lone-write": SystemSpec("uncorq", cfg,
-                                        workload={"kind": "lone_write"}),
-        "litmus-mp": SystemSpec("litmus", cfg,
-                                params={"name": "message-passing",
-                                        "threads": [[["W", "x"],
-                                                     ["W", "y"]],
-                                                    [["R", "y"],
-                                                     ["R", "x"]]]}),
-    }
-
-
-# The same goldens test_golden_stats / test_quiescence_diff pin,
-# re-checked on the snapshot -> fresh-process restore path.
-GOLDEN = {
-    "scorpio": {"runtime": 708, "flits": 1783, "requests": 71},
-    "scorpio-locks": {"runtime": 820, "flits": 2193, "requests": 87},
-    "uncorq-lone-write": {"runtime": 106, "flits": 23, "requests": 1},
-}
-
-# Mid-run for every case above (shortest runtime is 106 cycles).
+# Mid-run for every point (the shortest runtime is 106 cycles).
 CUT_CYCLE = 50
-
-
-def _payload_bytes(spec: SystemSpec) -> bytes:
-    """The straight-run payload (identical helper to the quiescence
-    suite)."""
-    outcome = execute_system_spec(spec)
-    result = SweepResult.from_outcome(spec, FP, outcome)
-    return json.dumps(result.payload(), sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
 
 
 def _snapshot_at(spec: SystemSpec, cut: int, path) -> None:
@@ -134,20 +68,13 @@ def _resume_in_fresh_process(path, source_snapshot) -> bytes:
     return proc.stdout
 
 
-def test_every_registered_builder_is_covered():
-    covered = {spec.builder for spec in _specs().values()}
-    assert covered == set(builder_names()), (
-        "builders without checkpoint differential coverage: "
-        f"{sorted(set(builder_names()) - covered)}")
-
-
-@pytest.mark.parametrize("case", sorted(_specs()))
+@pytest.mark.parametrize("case", sorted(POINTS))
 def test_checkpoint_restore_payload_identity(case, tmp_path,
                                              source_snapshot):
     """Straight vs snapshot-at-50 -> restore-in-fresh-process -> finish:
     byte-identical payloads for every registered builder."""
-    spec = _specs()[case]
-    straight = _payload_bytes(spec)
+    spec = POINTS[case]
+    straight = payload_bytes(spec)
     path = tmp_path / f"{case}.ckpt"
     _snapshot_at(spec, CUT_CYCLE, path)
     resumed = _resume_in_fresh_process(path, source_snapshot)
@@ -157,26 +84,20 @@ def test_checkpoint_restore_payload_identity(case, tmp_path,
         "(or not restored) by its state_dict")
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
+@pytest.mark.parametrize("case", sorted(POINTS))
 def test_checkpoint_restore_matches_goldens(case, tmp_path, source_snapshot):
-    spec = _specs()[case]
     path = tmp_path / f"{case}.ckpt"
-    _snapshot_at(spec, CUT_CYCLE, path)
+    _snapshot_at(POINTS[case], CUT_CYCLE, path)
     payload = json.loads(_resume_in_fresh_process(path, source_snapshot))
-    observed = {
-        "runtime": payload["runtime"],
-        "flits": int(payload["stats"].get("noc.flits.transmitted", 0)),
-        "requests": int(payload["stats"].get("nic.requests_sent", 0)),
-    }
-    assert observed == GOLDEN[case]
+    assert golden_row(payload) == GOLDEN[case]
 
 
 def test_litmus_observations_survive_fresh_process(tmp_path, source_snapshot):
     """The litmus observations collected after a fresh-process restore
     are the straight run's, row for row (already implied by the payload
     bytes, asserted explicitly because SC verdicts hang off them)."""
-    spec = _specs()["litmus-mp"]
-    straight = json.loads(_payload_bytes(spec))
+    spec = POINTS["litmus-mp"]
+    straight = json.loads(payload_bytes(spec))
     path = tmp_path / "litmus.ckpt"
     _snapshot_at(spec, 100, path)
     resumed = json.loads(_resume_in_fresh_process(path, source_snapshot))
@@ -198,9 +119,7 @@ def _roundtrip_bytes(spec: SystemSpec, cuts, tmp_path) -> bytes:
         snapshot_spec(spec, system, str(path), fingerprint=FP)
         _meta, system = restore_system(str(path))
     snapshot_spec(spec, system, str(path), fingerprint=FP)
-    result = resume_spec(str(path))
-    return json.dumps(result.payload(), sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    return resume_payload_json(str(path)).encode("utf-8")
 
 
 @settings(max_examples=12, deadline=None)
@@ -214,8 +133,8 @@ def test_property_any_cut_cycle_is_safe(cut, tmp_path_factory):
     snapshot lands on, the restored run finishes with the straight
     payload."""
     tmp_path = tmp_path_factory.mktemp("cuts")
-    spec = _specs()["uncorq-lone-write"]
-    straight = _payload_bytes(spec)
+    spec = POINTS["uncorq-lone-write"]
+    straight = payload_bytes(spec)
     assert _roundtrip_bytes(spec, [cut], tmp_path) == straight
 
 
@@ -227,6 +146,6 @@ def test_property_chained_cuts_compose(cuts, tmp_path_factory):
     """litmus-mp (runtime 243): several snapshot/restore round trips in
     one run compose — state never decays across repeated restores."""
     tmp_path = tmp_path_factory.mktemp("chain")
-    spec = _specs()["litmus-mp"]
-    straight = _payload_bytes(spec)
+    spec = POINTS["litmus-mp"]
+    straight = payload_bytes(spec)
     assert _roundtrip_bytes(spec, cuts, tmp_path) == straight

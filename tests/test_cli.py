@@ -492,6 +492,32 @@ class TestTraceCommand:
                         f"expected '# scorpio-trace v1', got "
                         f"'garbage line'\n")
 
+    def test_trace_with_more_cores_than_the_chip_exits_2(self, tmp_path,
+                                                         monkeypatch):
+        """The core count is checked when the document loads, where the
+        chip is known: an ``error:`` line and exit 2 from ``trace`` and
+        from ``run-file``, before any point runs."""
+        from repro.cpu.trace import Trace, TraceOp
+        from repro.cpu.tracefile import dump_traces
+        path = tmp_path / "many.trace"
+        dump_traces([Trace([TraceOp("R", 0x4000_0000, 1)])] * 12, path)
+        document = tmp_path / "many.toml"
+        document.write_text(
+            'schema = 1\nname = "many"\n\n[configs.mesh3x3]\n'
+            'preset = "variant"\nwidth = 3\nheight = 3\n\n[[runs]]\n'
+            'builder = "scorpio"\nconfig = "mesh3x3"\n'
+            f'workload = {{ kind = "trace", path = "{path}" }}\n')
+        monkeypatch.setattr("repro.experiments.sweep.execute_point",
+                            lambda *a, **k: pytest.fail("a point ran"))
+        for argv, what in [(("trace", str(path), "--mesh", "3x3"),
+                            "experiment.runs[0]"),
+                           (("run-file", str(document)), "runs[0]")]:
+            code, text = run_cli(*argv)
+            assert code == 2
+            assert text.startswith("error: ") and f"{what}: " in text
+            assert text.endswith(f"{path}: file declares core 11 but "
+                                 f"only 9 cores expected\n")
+
     def test_trace_missing_file_exits_2(self, tmp_path):
         code, text = run_cli("trace", str(tmp_path / "missing.trace"),
                              "--mesh", "3x3")

@@ -1,123 +1,51 @@
 """Golden-trace regression suite for every registered system builder.
 
-Each case runs one tiny, fully deterministic spec through
-``execute_system_spec`` and compares cycle counts and message totals
-against checked-in goldens.  The point is to make *silent* cycle-level
-behaviour changes loud: a hot-path refactor that reorders arbitration,
-changes a latency, or perturbs trace generation will move at least one
-of these numbers.
+Each point of ``tests/identity_points.py`` runs once through
+``execute_point`` and its cycle count, completed ops and message totals
+are compared against the checked-in ``GOLDEN`` table there.  The point
+is to make *silent* cycle-level behaviour changes loud: a hot-path
+refactor that reorders arbitration, changes a latency, or perturbs trace
+generation will move at least one of these numbers.
 
 When a change is *intentional* (a model fix, a new timing parameter),
 regenerate the table:
 
     PYTHONPATH=src python -m pytest tests/test_golden_stats.py --tb=line
 
-then update GOLDEN with the values the failure output reports (or rerun
-the specs by hand via ``execute_system_spec``) and say why in the commit.
-
-The regime mirrors tests/test_experiments.py: a 3x3 mesh and single-digit
-ops per core, so the full suite stays well under a couple of seconds.
+then update GOLDEN with the values the failure output reports and say
+why in the commit.
 """
 
+import json
+
 import pytest
+from identity_points import (GOLDEN, POINTS, at_defaults,
+                             default_param_builders, golden_row,
+                             payload_bytes)
 
-from repro.core.config import ChipConfig
-from repro.experiments import SystemSpec, builder_names, execute_system_spec
-
-BENCH = {"kind": "benchmark", "name": "fft", "ops_per_core": 8,
-         "workload_scale": 0.02, "think_scale": 10.0, "seed": 0}
-
-
-def _cfg():
-    return ChipConfig.variant(3, 3)
-
-
-def _specs():
-    cfg = _cfg()
-    return {
-        "scorpio": SystemSpec("scorpio", cfg, workload=BENCH),
-        "directory-lpd": SystemSpec("directory", cfg,
-                                    params={"scheme": "LPD"},
-                                    workload=BENCH),
-        "directory-ht-incf": SystemSpec("directory", cfg,
-                                        params={"scheme": "HT",
-                                                "incf": True},
-                                        workload=BENCH),
-        "multimesh": SystemSpec("multimesh", cfg,
-                                params={"n_meshes": 2}, workload=BENCH),
-        "tokenb": SystemSpec("tokenb", cfg, workload=BENCH),
-        "inso": SystemSpec("inso", cfg,
-                           params={"expiration_window": 40},
-                           workload=BENCH),
-        "timestamp": SystemSpec("timestamp", cfg, workload=BENCH),
-        "uncorq": SystemSpec("uncorq", cfg, workload=BENCH),
-        "scorpio-locks": SystemSpec("scorpio", cfg,
-                                    workload={"kind": "locks",
-                                              "acquisitions_per_core": 2,
-                                              "seed": 1}),
-        "scorpio-barrier": SystemSpec("scorpio", cfg,
-                                      workload={"kind": "barrier",
-                                                "phases": 2, "seed": 2}),
-        "uncorq-lone-write": SystemSpec("uncorq", cfg,
-                                        workload={"kind": "lone_write"}),
-        "litmus-mp": SystemSpec("litmus", cfg,
-                                params={"name": "message-passing",
-                                        "threads": [[["W", "x"],
-                                                     ["W", "y"]],
-                                                    [["R", "y"],
-                                                     ["R", "x"]]]}),
-    }
-
-
-# case -> {runtime (cycles), completed_ops, flits transmitted on the main
-# mesh, coherence requests injected}.  Regenerate deliberately; never to
-# "make the test pass".
-GOLDEN = {
-    "scorpio": {"runtime": 708, "completed_ops": 72,
-                "flits": 1783, "requests": 71},
-    "directory-lpd": {"runtime": 947, "completed_ops": 72,
-                      "flits": 953, "requests": 142},
-    "directory-ht-incf": {"runtime": 963, "completed_ops": 72,
-                          "flits": 1170, "requests": 213},
-    "multimesh": {"runtime": 708, "completed_ops": 72,
-                  "flits": 1783, "requests": 71},
-    "tokenb": {"runtime": 658, "completed_ops": 72,
-               "flits": 1783, "requests": 71},
-    "inso": {"runtime": 742, "completed_ops": 72,
-             "flits": 1783, "requests": 71},
-    "timestamp": {"runtime": 811, "completed_ops": 72,
-                  "flits": 1783, "requests": 71},
-    "uncorq": {"runtime": 658, "completed_ops": 72,
-               "flits": 1783, "requests": 71},
-    "scorpio-locks": {"runtime": 820, "completed_ops": 90,
-                      "flits": 2193, "requests": 87},
-    "scorpio-barrier": {"runtime": 766, "completed_ops": 108,
-                        "flits": 2219, "requests": 88},
-    "uncorq-lone-write": {"runtime": 106, "completed_ops": 1,
-                          "flits": 23, "requests": 1},
-    "litmus-mp": {"runtime": 243, "completed_ops": 4,
-                  "flits": 0, "requests": 0},
-}
+from repro.experiments import builder_names
 
 
 def test_every_registered_builder_has_a_golden_case():
-    """Registering a new builder must come with a golden lock."""
-    covered = {spec.builder for spec in _specs().values()}
+    """Registering a new builder must come with a golden lock: every
+    builder has a point, every builder whose params all have defaults
+    has one at those defaults, and every point has a golden."""
+    covered = {spec.builder for spec in POINTS.values()}
     assert covered == set(builder_names()), (
-        "builders without golden coverage: "
+        "builders without a point: "
         f"{sorted(set(builder_names()) - covered)}")
+    at_default = {spec.builder for spec in POINTS.values()
+                  if at_defaults(spec)}
+    assert set(default_param_builders()) <= at_default, (
+        "builders without a point at their default params: "
+        f"{sorted(set(default_param_builders()) - at_default)}")
+    assert sorted(GOLDEN) == sorted(POINTS), (
+        f"points without a golden: {sorted(set(POINTS) - set(GOLDEN))}")
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
+@pytest.mark.parametrize("case", sorted(POINTS))
 def test_golden_stats(case):
-    spec = _specs()[case]
-    outcome = execute_system_spec(spec)
-    observed = {
-        "runtime": outcome.runtime,
-        "completed_ops": outcome.completed_ops,
-        "flits": int(outcome.stats.get("noc.flits.transmitted", 0)),
-        "requests": int(outcome.stats.get("nic.requests_sent", 0)),
-    }
+    observed = golden_row(json.loads(payload_bytes(POINTS[case])))
     assert observed == GOLDEN[case], (
         f"cycle-level behaviour changed for {case!r}: golden "
         f"{GOLDEN[case]}, observed {observed}.  If intentional, "
@@ -126,7 +54,7 @@ def test_golden_stats(case):
 
 def test_litmus_observations_are_stable():
     """The litmus builder's cached payload (observations) is golden too."""
-    outcome = execute_system_spec(_specs()["litmus-mp"])
-    assert outcome.extra["observations"] == [
+    payload = json.loads(payload_bytes(POINTS["litmus-mp"]))
+    assert payload["extra"]["observations"] == [
         [0, 0, "W", "x", 1], [0, 1, "W", "y", 1],
         [1, 0, "R", "y", 0], [1, 1, "R", "x", 1]]

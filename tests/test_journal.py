@@ -6,9 +6,9 @@ The hard contract (ISSUE 9 / docs/architecture.md "Observability"):
 * attaching an :class:`~repro.sim.journal.EventJournal` and/or
   :class:`~repro.sim.journal.MeshSampler` — at *any* capacity or
   interval — must leave the canonical ``SweepResult`` payload
-  byte-identical to an uninstrumented run, for **every** registered
-  system builder (the journal-flavoured sibling of
-  ``tests/test_quiescence_diff.py``);
+  byte-identical to an uninstrumented run, for **every** point of
+  ``tests/identity_points.py`` (every registered builder; the
+  journal-flavoured sibling of ``tests/test_quiescence_diff.py``);
 * the journal's event stream is itself kernel-invariant: quiescence on
   and off record the same events at the same simulated cycles;
 * journal state rides through ``snapshot_system``/``restore_system``
@@ -20,58 +20,17 @@ import dataclasses
 import json
 
 import pytest
+from identity_points import BENCH, CHIP, POINTS, payload_bytes
 
-from repro.core.config import ChipConfig
-from repro.experiments import (SystemSpec, builder_names, execute_point,
-                               execute_system_spec)
-from repro.experiments.sweep import SweepResult
-from repro.noc import reset_packet_ids
+from repro.experiments import SystemSpec, execute_point, execute_system_spec
+from repro.noc.packet import set_packet_id_state
 from repro.sim.engine import forced_quiescence
 from repro.sim.journal import (EventJournal, MeshSampler,
                                attach_observability, system_routers)
 
-BENCH = {"kind": "benchmark", "name": "fft", "ops_per_core": 8,
-         "workload_scale": 0.02, "think_scale": 10.0, "seed": 0}
 
-
-def _cfg():
-    return ChipConfig.variant(3, 3)
-
-
-def _specs():
-    """One spec per registered builder (mirrors test_quiescence_diff)."""
-    cfg = _cfg()
-    return {
-        "scorpio": SystemSpec("scorpio", cfg, workload=BENCH),
-        "directory-lpd": SystemSpec("directory", cfg,
-                                    params={"scheme": "LPD"},
-                                    workload=BENCH),
-        "multimesh": SystemSpec("multimesh", cfg,
-                                params={"n_meshes": 2}, workload=BENCH),
-        "tokenb": SystemSpec("tokenb", cfg, workload=BENCH),
-        "inso": SystemSpec("inso", cfg,
-                           params={"expiration_window": 40},
-                           workload=BENCH),
-        "timestamp": SystemSpec("timestamp", cfg, workload=BENCH),
-        "uncorq": SystemSpec("uncorq", cfg, workload=BENCH),
-        "litmus-mp": SystemSpec("litmus", cfg,
-                                params={"name": "message-passing",
-                                        "threads": [[["W", "x"],
-                                                     ["W", "y"]],
-                                                    [["R", "y"],
-                                                     ["R", "x"]]]}),
-    }
-
-
-def test_every_registered_builder_is_covered():
-    covered = {spec.builder for spec in _specs().values()}
-    assert covered == set(builder_names()), (
-        "builders without journal-identity coverage: "
-        f"{sorted(set(builder_names()) - covered)}")
-
-
-def _payload_bytes(spec, journal=None, sampler_interval=None,
-                   checkpoint_every=None) -> bytes:
+def _instrumented_payload(spec, journal=None, sampler_interval=None,
+                          checkpoint_every=None) -> bytes:
     """Payload bytes of one run (sliced with *checkpoint_every*), after
     checking that the journal's accounting reached the stats meta
     channel and nothing of it the payload."""
@@ -85,9 +44,8 @@ def _payload_bytes(spec, journal=None, sampler_interval=None,
         attach_observability(system, journal, sampler)
         systems.append(system)
 
-    result = execute_point(spec, "fingerprint-elided",
-                           instrument=instrument,
-                           checkpoint_every=checkpoint_every)
+    blob = payload_bytes(spec, instrument=instrument,
+                         checkpoint_every=checkpoint_every)
     expected = set()
     if journal is not None:
         expected |= {"journal.records", "journal.dropped"}
@@ -98,29 +56,29 @@ def _payload_bytes(spec, journal=None, sampler_interval=None,
         == expected
     if journal is not None:
         assert meta["journal.records"] == len(journal)
-    assert not any(name.startswith("journal.") for name in result.stats)
-    return json.dumps(result.payload(), sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    assert not any(name.startswith("journal.")
+                   for name in json.loads(blob)["stats"])
+    return blob
 
 
-@pytest.mark.parametrize("case", sorted(_specs()))
+@pytest.mark.parametrize("case", sorted(POINTS))
 def test_journal_payload_identity(case):
     """Journal off / on / tiny capacity with sampler / sliced — one
     payload, and ``journal.*`` meta on every run path (every builder,
     multimesh included; straight and sliced)."""
-    spec = _specs()[case]
-    plain = _payload_bytes(spec)
-    journaled = _payload_bytes(spec, journal=EventJournal())
-    tiny = _payload_bytes(spec, journal=EventJournal(capacity=4),
-                          sampler_interval=32)
-    sliced = _payload_bytes(spec, journal=EventJournal(),
-                            sampler_interval=32, checkpoint_every=64)
+    spec = POINTS[case]
+    plain = _instrumented_payload(spec)
+    journaled = _instrumented_payload(spec, journal=EventJournal())
+    tiny = _instrumented_payload(spec, journal=EventJournal(capacity=4),
+                                 sampler_interval=32)
+    sliced = _instrumented_payload(spec, journal=EventJournal(),
+                                   sampler_interval=32, checkpoint_every=64)
     assert plain == journaled == tiny == sliced, (
         f"{case!r}: attaching the journal/sampler changed the simulated "
         "outcome — observability must be side-channel only")
 
 
-TRACE_DRIVEN = sorted(set(_specs()) - {"litmus-mp"})
+TRACE_DRIVEN = sorted(set(POINTS) - {"litmus-mp"})
 
 
 @pytest.mark.parametrize("case", TRACE_DRIVEN)
@@ -130,7 +88,7 @@ def test_journal_records_every_injection_and_delivery(case):
     reach the journal whatever the ordering discipline."""
     journal = EventJournal(capacity=100_000)
     result = execute_point(
-        _specs()[case],
+        POINTS[case],
         instrument=lambda s: attach_observability(s, journal))
     nic_records = [record for record in journal.records()
                    if record[1].startswith("nic.")]
@@ -142,7 +100,7 @@ def test_journal_records_every_injection_and_delivery(case):
 
 
 def _journal_records(spec, quiescence: bool):
-    reset_packet_ids()
+    set_packet_id_state(0)
     journal = EventJournal(capacity=100_000)
     with forced_quiescence(quiescence):
         execute_system_spec(
@@ -154,9 +112,8 @@ def _stop_window_spec():
     """SCORPIO with a one-deep tracker queue: windows get stopped, and a
     stop is journaled from inside the notification network's step (the
     NIC reads the cycle from the engine, not from a step of its own)."""
-    cfg = _cfg()
-    cfg = dataclasses.replace(cfg, notification=dataclasses.replace(
-        cfg.notification, tracker_queue_depth=1))
+    cfg = dataclasses.replace(CHIP, notification=dataclasses.replace(
+        CHIP.notification, tracker_queue_depth=1))
     return SystemSpec("scorpio", cfg,
                       workload=dict(BENCH, think_scale=1.0))
 
@@ -164,7 +121,7 @@ def _stop_window_spec():
 def test_journal_stream_is_kernel_invariant():
     """Quiescence on/off record identical event streams (packet ids are
     process-global, hence the reset before each run)."""
-    for spec in (_specs()["scorpio"], _stop_window_spec()):
+    for spec in (POINTS["scorpio"], _stop_window_spec()):
         on = _journal_records(spec, True)
         off = _journal_records(spec, False)
         assert on == off
@@ -175,7 +132,7 @@ def test_journal_stream_is_kernel_invariant():
 def test_sampler_stream_is_kernel_invariant():
     """Fast-forwarded boundary samples read the frozen state the naive
     kernel would have observed — the streams must be equal."""
-    spec = _specs()["scorpio"]
+    spec = POINTS["scorpio"]
     streams = []
     for quiescence in (True, False):
         holder = {}
@@ -249,11 +206,11 @@ def test_journal_rides_through_checkpoints(tmp_path):
     from repro.experiments.builders import build_spec_system
     from repro.sim.checkpoint import restore_system, snapshot_system
 
-    spec = _specs()["scorpio"]
+    spec = POINTS["scorpio"]
 
     # Same Engine.run call sequence as the checkpointed path (each run
     # records one "run start" event), so the journals compare equal.
-    reset_packet_ids()
+    set_packet_id_state(0)
     straight_journal = EventJournal()
     straight_system = attach_observability(build_spec_system(spec),
                                            straight_journal)
@@ -261,7 +218,7 @@ def test_journal_rides_through_checkpoints(tmp_path):
     straight_system.run_until_done(spec.max_cycles)
     straight = spec.harvest(straight_system)
 
-    reset_packet_ids()
+    set_packet_id_state(0)
     system = attach_observability(build_spec_system(spec), EventJournal())
     system.run_until_done(300)
     assert len(system.engine.journal) > 0   # something already recorded
@@ -288,7 +245,7 @@ def test_journal_rides_through_checkpoints(tmp_path):
 
 
 def test_meta_accounting_present_only_when_attached():
-    spec = _specs()["scorpio"]
+    spec = POINTS["scorpio"]
     from repro.experiments.builders import build_spec_system
 
     system = build_spec_system(spec)
@@ -310,7 +267,7 @@ def test_meta_accounting_present_only_when_attached():
 
 
 def test_sampler_row_shape():
-    spec = _specs()["scorpio"]
+    spec = POINTS["scorpio"]
     from repro.experiments.builders import build_spec_system
 
     system = build_spec_system(spec)

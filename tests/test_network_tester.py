@@ -14,7 +14,7 @@ def small_tester(**overrides):
 class TestTrafficConfig:
     def test_unknown_pattern_rejected(self):
         with pytest.raises(ValueError):
-            TrafficConfig(pattern="tornado-from-hell")
+            TrafficConfig(pattern="tornado")
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -42,12 +42,6 @@ class TestPatterns:
                            cycles=1500)
         # Every broadcast is delivered ~16x.
         assert bcast.delivered_packets > 5 * unicast.delivered_packets
-
-    def test_transpose_requires_square(self):
-        tester = NetworkTester(NocConfig(width=4, height=2))
-        with pytest.raises(ValueError):
-            tester.run(TrafficConfig(pattern="transpose",
-                                     injection_rate=0.05), cycles=300)
 
 
 class TestLoadBehaviour:
@@ -91,55 +85,9 @@ class TestLoadBehaviour:
 class TestResultShape:
     def test_result_fields(self):
         tester = small_tester()
-        result = tester.run(TrafficConfig(pattern="neighbor",
+        result = tester.run(TrafficConfig(pattern="uniform",
                                           injection_rate=0.05), cycles=800)
         assert isinstance(result, TrafficResult)
         assert result.p95_latency >= result.avg_latency * 0.5
         assert result.offered_packets >= result.delivered_packets or True
 
-
-class TestNewPatterns:
-    def test_hotspot_concentrates_on_hot_node(self):
-        from repro.noc.config import NocConfig
-        from repro.noc.tester import NetworkTester, TrafficConfig
-        tester = NetworkTester(NocConfig(width=4, height=4))
-        result = tester.run(TrafficConfig(pattern="hotspot",
-                                          injection_rate=0.02,
-                                          hotspot_fraction=1.0,
-                                          hotspot_node=5, seed=3),
-                            cycles=1500)
-        assert result.delivered_packets > 0
-        assert result.avg_latency > 0
-
-    def test_hotspot_saturates_before_uniform(self):
-        from repro.noc.config import NocConfig
-        from repro.noc.tester import NetworkTester, TrafficConfig
-        tester = NetworkTester(NocConfig(width=4, height=4))
-        rate = 0.30
-        uniform = tester.run(TrafficConfig(pattern="uniform",
-                                           injection_rate=rate, seed=1),
-                             cycles=1500)
-        hotspot = tester.run(TrafficConfig(pattern="hotspot",
-                                           injection_rate=rate,
-                                           hotspot_fraction=0.9, seed=1),
-                             cycles=1500)
-        # The hot ejection port bounds hotspot throughput well below
-        # uniform's at the same offered load.
-        assert hotspot.throughput < uniform.throughput
-
-    def test_tornado_is_self_inverse_distance(self):
-        from repro.noc.config import NocConfig
-        from repro.noc.tester import NetworkTester, TrafficConfig
-        tester = NetworkTester(NocConfig(width=4, height=4))
-        result = tester.run(TrafficConfig(pattern="tornado",
-                                          injection_rate=0.05, seed=2),
-                            cycles=1500)
-        assert result.delivered_packets > 0
-        # Every tornado packet travels exactly w/2 + h/2 hops.
-        assert result.avg_latency >= 2 + 2 * 4
-
-    def test_bad_hotspot_fraction_rejected(self):
-        import pytest
-        from repro.noc.tester import TrafficConfig
-        with pytest.raises(ValueError):
-            TrafficConfig(pattern="hotspot", hotspot_fraction=1.5)

@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.noc.packet import (Packet, VNet, control_packet_flits,
-                              data_packet_flits)
+from repro.noc.packet import Packet, VNet, data_packet_flits
 
 
 class TestFlitCounts:
-    def test_control_is_single_flit(self):
-        assert control_packet_flits() == 1
-
     def test_16_byte_channel_matches_table1(self):
         # Table 1: 32 B lines, 16 B channels -> 3-flit data packets.
         assert data_packet_flits(16, 32) == 3

@@ -336,7 +336,7 @@ class TestMeshMisc:
     def test_occupancy_zero_at_rest(self):
         fabric = Fabric()
         fabric.run(10)
-        assert fabric.mesh.total_occupancy() == 0
+        assert fabric.mesh.quiescent()
 
 
 class TestStaleBypassGrant:
@@ -380,7 +380,7 @@ class TestStaleBypassGrant:
         fabric.run(60)
         received = fabric.endpoints[7].received
         assert [p.src for _c, p in received] == [5]
-        assert fabric.mesh.total_occupancy() == 0
+        assert fabric.mesh.quiescent()
 
     def test_goreq_rollback_clears_sid_tracker(self):
         from repro.noc.routing import xy_route
@@ -401,4 +401,4 @@ class TestStaleBypassGrant:
         sids_at_6 = list(router.out[outport].sid_of_vc.values())
         assert sids_at_6.count(5) <= 1    # only the re-forwarded copy
         fabric.run(60)
-        assert fabric.mesh.total_occupancy() == 0
+        assert fabric.mesh.quiescent()

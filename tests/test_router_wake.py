@@ -12,13 +12,14 @@ meta-channel export.
 """
 
 import copy
-import json
 from collections import defaultdict
 
+from identity_points import FP, payload_bytes
+
 from repro.core.config import ChipConfig
-from repro.experiments import SystemSpec, execute_system_spec
-from repro.experiments.checkpoint_exec import resume_spec
-from repro.experiments.sweep import SweepResult, snapshot_spec
+from repro.experiments import SystemSpec
+from repro.experiments.checkpoint_exec import resume_payload_json
+from repro.experiments.sweep import snapshot_spec
 from repro.noc.config import NocConfig
 from repro.noc.packet import Packet, VNet
 from repro.noc.router import (PORTS, WAKE_CREDIT, WAKE_ORDER, WAKE_RETRY,
@@ -497,11 +498,6 @@ def _spec():
                       workload=SATURATED)
 
 
-def _payload_bytes(result):
-    return json.dumps(result.payload(), sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-
-
 def _router_meta(system):
     """The ``router.*`` kernel counters of the stats meta channel."""
     return {name[len("router."):]: value
@@ -517,8 +513,7 @@ def _parked(router):
 
 def test_snapshot_with_parked_slots_restores_identically(tmp_path):
     spec = _spec()
-    straight = _payload_bytes(SweepResult.from_outcome(
-        spec, "fp", execute_system_spec(spec)))
+    straight = payload_bytes(spec)
 
     system = spec.build()
     system.engine.run(150)
@@ -526,8 +521,8 @@ def test_snapshot_with_parked_slots_restores_identically(tmp_path):
         assert not system.all_cores_finished(), "never saturated"
         system.engine.run(1)
     path = tmp_path / "parked.ckpt"
-    snapshot_spec(spec, system, str(path), fingerprint="fp")
-    assert _payload_bytes(resume_spec(str(path))) == straight
+    snapshot_spec(spec, system, str(path), fingerprint=FP)
+    assert resume_payload_json(str(path)).encode("utf-8") == straight
 
 
 def test_kernel_counters_are_mode_invariant_and_stay_out_of_payloads():

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 
 from repro.cpu.trace import Trace, TraceOp
 from repro.cpu.tracefile import (MAGIC, TraceFormatError, dump_traces,
-                                 dumps_traces, load_traces)
+                                 load_traces)
 
 ADDR = 0x4000_0000
 
 
 def roundtrip(traces, expect_cores=0):
-    return load_traces(io.StringIO(dumps_traces(traces)), expect_cores)
+    buf = io.StringIO()
+    dump_traces(traces, buf)
+    buf.seek(0)
+    return load_traces(buf, expect_cores)
 
 
 class TestRoundTrip:
