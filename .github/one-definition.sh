@@ -97,6 +97,13 @@ forbid "retired matrix class" \
 forbid "cache presence probe or spool option" 'def contains\(|[-]-spool' \
     src/repro
 
+# One connection per client: ServeClient and RemoteCacheBackend send
+# every request through repro/serve/connection.py (http.client, one
+# kept-alive connection per thread and process); urllib's opener, a new
+# connection per request, stays out of the package.
+forbid "urllib opener under src/repro (use repro.serve.connection)" \
+    'urllib\.request|urlopen' src/repro
+
 # One point table: the identity gates (golden stats, quiescence,
 # checkpoint restore, journal) share tests/identity_points.py's points,
 # goldens and payload helper; no suite keeps a copy of its own.

@@ -8,15 +8,25 @@ The result a client downloads is the canonical envelope — the exact
 bytes ``repro run-file --output`` would have written for the same
 document — so a client-side ``--output`` file is interchangeable with a
 locally produced one.
+
+Requests go through :class:`repro.serve.connection.Connections`: HTTP/1.1
+on one kept-alive connection per thread (and per process), so a warm
+:meth:`ServeClient.run` is three requests on one connection: the
+submit, the events stream (whose terminal event carries the job's final
+summary) and the result download.  A reused connection that the
+frontend closed while idle is retried once on a new one; a retried
+``POST /v1/jobs`` can at worst make a second job for the same document,
+whose points coalesce in the scheduler with the first's.  The
+``http_proxy`` variable is not read: the URL is dialled directly.
 """
 
 from __future__ import annotations
 
 import json
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
+
+from repro.serve.connection import TRANSPORT_ERRORS, Connections
 
 DEFAULT_TIMEOUT = 30.0
 
@@ -31,35 +41,35 @@ class ServeClient:
     def __init__(self, base_url: str,
                  timeout: float = DEFAULT_TIMEOUT) -> None:
         self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
+        self._http = Connections(self.base_url, timeout)
 
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
 
-    def _request(self, path: str, method: str = "GET",
-                 data: Optional[bytes] = None,
-                 timeout: Optional[float] = None) -> bytes:
-        url = f"{self.base_url}{path}"
-        request = urllib.request.Request(url, data=data, method=method)
-        if data is not None:
-            request.add_header("Content-Type", "application/json")
+    def _check(self, method: str, path: str, status: int,
+               body: bytes) -> None:
+        """Raise the frontend's refusal of a request as a ServeError."""
+        if status < 300:
+            return
+        detail = ""
         try:
-            with urllib.request.urlopen(
-                    request, timeout=timeout or self.timeout) as response:
-                return response.read()
-        except urllib.error.HTTPError as exc:
-            detail = ""
-            try:
-                detail = json.loads(exc.read()).get("error", "")
-            except Exception:
-                pass
-            raise ServeError(
-                f"{method} {url} failed: HTTP {exc.code}"
-                + (f" — {detail}" if detail else "")) from exc
-        except OSError as exc:
+            detail = json.loads(body).get("error", "")
+        except Exception:
+            pass
+        raise ServeError(
+            f"{method} {self.base_url}{path} failed: HTTP {status}"
+            + (f" — {detail}" if detail else ""))
+
+    def _request(self, path: str, method: str = "GET",
+                 data: Optional[bytes] = None) -> bytes:
+        try:
+            status, body = self._http.exchange(method, path, data)
+        except TRANSPORT_ERRORS as exc:
             raise ServeError(f"cannot reach sweep service at "
                              f"{self.base_url}: {exc}") from exc
+        self._check(method, path, status, body)
+        return body
 
     def _json(self, path: str, method: str = "GET",
               data: Optional[bytes] = None) -> Dict[str, Any]:
@@ -98,32 +108,47 @@ class ServeClient:
         return self._request(f"/v1/jobs/{job_id}/result")
 
     def events(self, job_id: str) -> Iterator[Dict[str, Any]]:
-        """Follow a job's NDJSON progress stream until it closes."""
-        url = f"{self.base_url}/v1/jobs/{job_id}/events"
+        """Follow a job's NDJSON progress stream until it ends.  The
+        terminal event (``done`` / ``failed``) carries the job's final
+        ``summary``."""
+        path = f"/v1/jobs/{job_id}/events"
         try:
-            response = urllib.request.urlopen(url, timeout=self.timeout)
-        except (urllib.error.HTTPError, OSError) as exc:
+            response = self._http.open("GET", path)
+        except TRANSPORT_ERRORS as exc:
             raise ServeError(f"cannot stream events for {job_id}: "
                              f"{exc}") from exc
-        with response:
+        try:
+            if response.status >= 300:
+                self._check("GET", path, response.status, response.read())
             for line in response:
                 line = line.strip()
                 if line:
-                    yield json.loads(line)
+                    event = json.loads(line)
+                    if "summary" in event:
+                        response.read()        # the stream's closing chunk
+                    yield event
+        finally:
+            if not response.isclosed():
+                # Left mid-stream (dropped, timed out, abandoned): the
+                # connection cannot carry another request.
+                self._http.discard()
 
     def wait(self, job_id: str, timeout: Optional[float] = None,
              on_event: Optional[Callable[[Dict[str, Any]], None]] = None,
              poll_interval: float = 0.5) -> Dict[str, Any]:
         """Block until *job_id* is terminal; returns its final summary.
 
-        Follows the event stream when possible and falls back to status
-        polling (e.g. after a dropped connection); *timeout* bounds the
+        Follows the event stream, whose terminal event carries the
+        summary; polls the job's status when the stream ends without one
+        (a dropped connection, an older frontend).  *timeout* bounds the
         total wait."""
         deadline = None if timeout is None else time.monotonic() + timeout
         try:
             for event in self.events(job_id):
                 if on_event is not None:
                     on_event(event)
+                if "summary" in event:
+                    return event["summary"]
                 if deadline is not None and time.monotonic() > deadline:
                     raise ServeError(f"timed out waiting for {job_id}")
         except ServeError:

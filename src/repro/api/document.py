@@ -247,11 +247,11 @@ def _lookup_config(name: Optional[str],
 
 def _validated(spec, what: str, memo):
     """*spec*, once its key resolves (params + workload: strict checks)
-    and a trace file's cores fit its chip."""
+    and a trace file's cores, or a lone write's node, fit its chip."""
     from repro.experiments import resolve_workload
     try:
         spec.key(memo)
-        if spec.workload.get("kind") == "trace":
+        if spec.workload.get("kind") in ("trace", "lone_write"):
             resolve_workload(spec.workload).build_traces(
                 spec.resolved_config().n_cores)
     except (KeyError, ValueError) as exc:

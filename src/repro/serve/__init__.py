@@ -17,6 +17,9 @@ A job-queue frontend over the existing document/sweep/cache machinery:
 * :mod:`repro.serve.backend` — the remote :class:`CacheBackend` that
   lets workers on other hosts share one content-addressed store through
   the frontend's cache endpoints.
+* :mod:`repro.serve.connection` — the one HTTP exchange both clients
+  (``repro.api.client.ServeClient`` and the remote backend) make: HTTP/1.1
+  on ``http.client``, one kept-alive connection per thread and process.
 
 This ``__init__`` stays import-light (PEP 562 lazy exports), so nothing
 in the simulator core pays for HTTP machinery at import time.

@@ -12,16 +12,23 @@ Errors are deliberately loud: a cache *miss* is a 404 and returns
 ``None``, but an unreachable or misbehaving frontend raises
 :class:`CacheUnavailableError` — silently treating an outage as a miss
 would quietly re-simulate the world (and silently drop ``put`` results).
+
+Requests go through :class:`repro.serve.connection.Connections`: one
+kept-alive HTTP/1.1 connection per thread and per process, so a sweep's
+cache reads and writes do not open a connection each, and a worker
+forked by ``SlotPool`` never shares its parent's socket.  A reused
+connection that the frontend closed while idle is retried once on a new
+one (``GET`` and ``PUT`` of an entry are idempotent); ``http_proxy`` is
+not read.
 """
 
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.request
 from typing import Any, Dict, Optional
 
 from repro.experiments.cache import CacheBackend
+from repro.serve.connection import TRANSPORT_ERRORS, Connections
 
 DEFAULT_TIMEOUT = 10.0
 
@@ -36,40 +43,31 @@ class RemoteCacheBackend(CacheBackend):
     def __init__(self, base_url: str,
                  timeout: float = DEFAULT_TIMEOUT) -> None:
         self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
+        self._http = Connections(self.base_url, timeout)
 
     @property
     def location(self) -> str:
         return self.base_url
 
-    def _url(self, fingerprint: str = "") -> str:
-        if fingerprint:
-            return f"{self.base_url}/v1/cache/{fingerprint}"
-        return f"{self.base_url}/v1/cache"
-
-    def _request(self, url: str, method: str = "GET",
+    def _request(self, path: str, method: str = "GET",
                  data: Optional[bytes] = None) -> Optional[bytes]:
         """One HTTP exchange; 404 -> None, transport trouble -> loud."""
-        request = urllib.request.Request(url, data=data, method=method)
-        if data is not None:
-            request.add_header("Content-Type", "application/json")
         try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                return response.read()
-        except urllib.error.HTTPError as exc:
-            if exc.code == 404:
-                return None
-            raise CacheUnavailableError(
-                f"cache frontend at {self.base_url} answered "
-                f"{exc.code} for {method} {url}") from exc
-        except OSError as exc:
+            status, body = self._http.exchange(method, path, data)
+        except TRANSPORT_ERRORS as exc:
             raise CacheUnavailableError(
                 f"cache frontend at {self.base_url} unreachable: "
                 f"{exc}") from exc
+        if status == 404:
+            return None
+        if status >= 300:
+            raise CacheUnavailableError(
+                f"cache frontend at {self.base_url} answered "
+                f"{status} for {method} {self.base_url}{path}")
+        return body
 
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
-        body = self._request(self._url(fingerprint))
+        body = self._request(f"/v1/cache/{fingerprint}")
         if body is None:
             return None
         try:
@@ -81,10 +79,10 @@ class RemoteCacheBackend(CacheBackend):
 
     def put(self, fingerprint: str, payload: Dict[str, Any]) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._request(self._url(fingerprint), method="PUT", data=body)
+        self._request(f"/v1/cache/{fingerprint}", method="PUT", data=body)
 
     def entries(self) -> int:
-        body = self._request(self._url())
+        body = self._request("/v1/cache")
         if body is None:
             return 0
         try:

@@ -15,7 +15,8 @@ Points that miss the cache go to the host's
 :class:`~repro.serve.scheduler.PointScheduler`; everything else is
 answered at submit time.  Each job records an append-only event log
 (``queued`` / ``point`` / ``retry`` / ``done`` / ``failed``) that the
-frontend streams as NDJSON.
+frontend streams as NDJSON; the terminal ``done`` / ``failed`` event
+carries the job's final summary.
 """
 
 from __future__ import annotations
@@ -151,27 +152,28 @@ class JobManager:
 
     def _finalize(self, job: Job) -> None:
         """Assemble the terminal state: the byte-canonical envelope on
-        success, a loud per-fingerprint failure list otherwise."""
+        success, a loud per-fingerprint failure list otherwise.  The
+        terminal event carries the job's final summary, so a client
+        following the stream needs no status request after it."""
+        envelope = None
         if job.failures:
-            with job.condition:
-                job.state = "failed"
-                job.error = str(SweepPointError(job.failures))
-                job._emit({"event": "failed", "error": job.error,
-                           "failures": dict(job.failures)})
-            return
-        try:
-            collected = collect_experiment_result(job.experiment,
-                                                  job.plan.results)
-            collected.cache_stats = job.plan.cache_stats
-            envelope = envelope_bytes(collected.payload())
-        except Exception as exc:  # litmus collection failure
-            with job.condition:
-                job.state = "failed"
-                job.error = f"result collection failed: {exc}"
-                job._emit({"event": "failed", "error": job.error})
-            return
+            error = str(SweepPointError(job.failures))
+            event = {"event": "failed", "error": error,
+                     "failures": dict(job.failures)}
+        else:
+            try:
+                collected = collect_experiment_result(job.experiment,
+                                                      job.plan.results)
+                collected.cache_stats = job.plan.cache_stats
+                envelope = envelope_bytes(collected.payload())
+                error = None
+                event = {"event": "done", "cache": job.plan.cache_stats,
+                         "bytes": len(envelope)}
+            except Exception as exc:  # litmus collection failure
+                error = f"result collection failed: {exc}"
+                event = {"event": "failed", "error": error}
         with job.condition:
-            job.envelope = envelope
-            job.state = "done"
-            job._emit({"event": "done", "cache": job.plan.cache_stats,
-                       "bytes": len(envelope)})
+            job.envelope, job.error = envelope, error
+            job.state = "failed" if error else "done"
+            event["summary"] = job.summary()
+            job._emit(event)

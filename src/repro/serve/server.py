@@ -16,8 +16,10 @@ GET         /v1/jobs/<id>/result           the results envelope (bytes are
                                            exactly what ``repro run-file
                                            --output`` writes); 409 until the
                                            job is done, 410 if it failed
-GET         /v1/jobs/<id>/events           NDJSON progress stream; stays
-                                           open until the job is terminal
+GET         /v1/jobs/<id>/events           NDJSON progress stream, chunked;
+                                           ends after the terminal ``done``
+                                           / ``failed`` event, which carries
+                                           the job's final ``summary``
 GET         /v1/cache/<fingerprint>        shared cache read (404=miss;
                                            400 for a name outside
                                            ``[0-9A-Za-z_-]{1,128}``)
@@ -25,6 +27,20 @@ PUT         /v1/cache/<fingerprint>        shared cache write (a result
                                            payload; 400 for anything else)
 GET         /v1/cache                      cache summary (entry count)
 ==========  =============================  ==================================
+
+Connections are persistent (HTTP/1.1, RFC 9112 section 9.3): a client
+sends request after request on one connection, and the events stream is
+sent chunked so that its connection carries the next request too (to an
+HTTP/1.0 request it is sent unframed and the connection closes).  A
+response goes out as two sends, the headers and then the body, so the
+handler sets TCP_NODELAY: with Nagle's algorithm on, the body of every
+response on a kept-alive connection waited for the client's delayed ACK
+of the headers (tens of milliseconds a request).  A connection that
+sends no request for :data:`IDLE_TIMEOUT` seconds is closed, so a client
+that went quiet does not hold a server thread.  A request refused
+before its body was read (411, 413, a ``POST`` / ``PUT`` to an unknown
+path) closes its connection, as the body would be read as the next
+request, and :meth:`SweepServer.stop` closes every open connection.
 
 A document reaches a host one way: ``POST /v1/jobs`` (``repro
 submit``).  Hosts that share a filesystem point their frontends at the
@@ -37,6 +53,7 @@ entry routes above.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -52,6 +69,9 @@ SERVER_NAME = "repro-serve/1"
 # The largest request body (a document or a cache payload) the frontend
 # reads; a longer declared Content-Length is refused unread.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+# Seconds a kept-alive connection may wait for its next request (or a
+# stalled request for its next byte) before the frontend closes it.
+IDLE_TIMEOUT = 30.0
 
 
 def _refuse_trace_workloads(data: Any, what: str) -> None:
@@ -97,6 +117,8 @@ def _bad_name_is_400(method):
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = SERVER_NAME
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
     service: SweepService        # injected by serve()
     quiet = True
 
@@ -113,6 +135,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -123,18 +147,27 @@ class _Handler(BaseHTTPRequestHandler):
     def _error(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
 
+    def _refuse_unread(self, status: int, message: str) -> None:
+        """Answer a request whose body stays unread, and close: on a
+        kept-alive connection that body would be read as the next
+        request."""
+        self.close_connection = True
+        self._error(status, message)
+
     def _read_body(self, empty: str) -> Optional[bytes]:
-        """The request body, or None once the request is answered: 413
-        for a declared length over :data:`MAX_BODY_BYTES` (nothing is
-        read, so the connection closes), 400 with *empty* for none."""
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = 0
+        """The request body, or None once the request is answered: 411
+        for a chunked body or a malformed length and 413 for a declared
+        length over :data:`MAX_BODY_BYTES` (nothing is read, so the
+        connection closes), 400 with *empty* for none."""
+        declared = self.headers.get("Content-Length", "0")
+        if "Transfer-Encoding" in self.headers or not declared.isdigit():
+            self._refuse_unread(411, "a request body needs a plain "
+                                     "Content-Length")
+            return None
+        length = int(declared)
         if length > MAX_BODY_BYTES:
-            self.close_connection = True
-            self._error(413, f"request body of {length} bytes is over the "
-                             f"{MAX_BODY_BYTES}-byte limit")
+            self._refuse_unread(413, f"request body of {length} bytes is "
+                                     f"over the {MAX_BODY_BYTES}-byte limit")
             return None
         body = self.rfile.read(length) if length > 0 else b""
         if not body:
@@ -201,10 +234,15 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, f"unknown path {self.path}")
 
     def _stream_events(self, job) -> None:
-        """NDJSON progress: replay the log, then follow until terminal."""
+        """NDJSON progress: replay the log, then follow until terminal.
+        Chunked, so the connection outlives the stream."""
+        chunked = self.request_version != "HTTP/1.0"
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Connection", "close")
+        if chunked:
+            self.send_header("Transfer-Encoding", "chunked")
+        else:
+            self.send_header("Connection", "close")
         self.end_headers()
         cursor = 0
         while True:
@@ -215,21 +253,24 @@ class _Handler(BaseHTTPRequestHandler):
                 batch = job.events[cursor:]
                 cursor = len(job.events)
                 terminal = job.state != "running"
-            for event in batch:
-                line = (json.dumps(event, sort_keys=True) + "\n"
-                        ).encode("utf-8")
-                try:
-                    self.wfile.write(line)
-                    self.wfile.flush()
-                except OSError:
-                    return           # client went away
-            if terminal and cursor >= len(job.events):
+            out = b"".join((json.dumps(event, sort_keys=True) + "\n"
+                            ).encode("utf-8") for event in batch)
+            if chunked and out:
+                out = b"%x\r\n%s\r\n" % (len(out), out)
+            if chunked and terminal:
+                out += b"0\r\n\r\n"
+            try:
+                self.wfile.write(out)
+            except OSError:
+                self.close_connection = True
+                return           # client went away
+            if terminal:
                 return
 
     def do_POST(self) -> None:           # noqa: N802
         route = self._route()
         if route != ("v1", "jobs"):
-            self._error(404, f"unknown path {self.path}")
+            self._refuse_unread(404, f"unknown path {self.path}")
             return
         body = self._read_body("empty request body (expected an "
                                "experiment document as JSON)")
@@ -251,7 +292,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_PUT(self) -> None:            # noqa: N802
         route = self._route()
         if len(route) != 3 or route[:2] != ("v1", "cache"):
-            self._error(404, f"unknown path {self.path}")
+            self._refuse_unread(404, f"unknown path {self.path}")
             return
         body = self._read_body("empty cache payload")
         if body is None:
@@ -270,6 +311,38 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, {"stored": route[2]})
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """A ThreadingHTTPServer that knows its open connections, so that
+    closing the server closes them too: a kept-alive connection would
+    otherwise go on being answered by a stopped frontend."""
+
+    daemon_threads = True
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._open: set = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._open_lock:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass                 # already gone
+
+
 class SweepServer:
     """A bound frontend: the HTTP server plus its service, ready to run
     inline (:meth:`serve_forever`) or on a background thread
@@ -279,9 +352,9 @@ class SweepServer:
                  port: int, quiet: bool = True) -> None:
         self.service = service
         handler = type("BoundHandler", (_Handler,),
-                       {"service": service, "quiet": quiet})
-        self.httpd = ThreadingHTTPServer((host, port), handler)
-        self.httpd.daemon_threads = True
+                       {"service": service, "quiet": quiet,
+                        "timeout": IDLE_TIMEOUT})
+        self.httpd = _HTTPServer((host, port), handler)
         self._thread: Optional[threading.Thread] = None
 
     @property

@@ -518,6 +518,25 @@ class TestTraceCommand:
             assert text.endswith(f"{path}: file declares core 11 but "
                                  f"only 9 cores expected\n")
 
+    def test_lone_write_node_outside_the_chip_exits_2(self, tmp_path,
+                                                      monkeypatch):
+        """A lone write's node is checked when the document loads, like
+        a trace file's cores: an ``error:`` line and exit 2 from
+        ``run-file``, before any point runs."""
+        document = tmp_path / "lone.toml"
+        document.write_text(
+            'schema = 1\nname = "lone"\n\n[configs.mesh3x3]\n'
+            'preset = "variant"\nwidth = 3\nheight = 3\n\n[[runs]]\n'
+            'builder = "scorpio"\nconfig = "mesh3x3"\n'
+            'workload = { kind = "lone_write", node = 20 }\n')
+        monkeypatch.setattr("repro.experiments.sweep.execute_point",
+                            lambda *a, **k: pytest.fail("a point ran"))
+        code, text = run_cli("run-file", str(document))
+        assert code == 2
+        assert text.startswith("error: ")
+        assert text.endswith("runs[0]: lone_write node 20 outside the "
+                             "9-core system\n")
+
     def test_trace_missing_file_exits_2(self, tmp_path):
         code, text = run_cli("trace", str(tmp_path / "missing.trace"),
                              "--mesh", "3x3")

@@ -89,5 +89,5 @@ class TestResultShape:
                                           injection_rate=0.05), cycles=800)
         assert isinstance(result, TrafficResult)
         assert result.p95_latency >= result.avg_latency * 0.5
-        assert result.offered_packets >= result.delivered_packets or True
+        assert 0 < result.delivered_packets <= result.offered_packets
 

@@ -118,7 +118,7 @@ class TestFrontend:
     def test_oversized_body_is_413_unread(self, server, method, path):
         """A declared length over the cap is answered with 413 before a
         byte of body is read (none is sent here: reading would hang),
-        and the connection closes."""
+        and the kept-alive connection closes."""
         import socket
         from urllib.parse import urlsplit
 
@@ -137,8 +137,14 @@ class TestFrontend:
                 if not chunk:
                     break
                 response += chunk
-        assert response.startswith(b"HTTP/1.0 413 "), response[:80]
-        assert b"8388608-byte limit" in response
+        head, _, body = response.partition(b"\r\n\r\n")
+        status_line, *headers = head.decode("latin-1").split("\r\n")
+        assert status_line.split()[1] == "413", status_line
+        # The body was never read, so the connection cannot carry another
+        # request: the frontend says so and closes it (the loop above
+        # ended on EOF).
+        assert "connection: close" in [h.lower() for h in headers]
+        assert b"8388608-byte limit" in body
         assert server.service.backend.entries() == 0
 
     def test_head_is_501_and_serve_takes_no_spool(self, server, tmp_path):
@@ -184,6 +190,18 @@ class TestFrontend:
                                       "ops_per_core": "8"}}]}
         with pytest.raises(ServeError,
                            match="HTTP 422.*'ops_per_core'.*must be int"):
+            client.submit_document(bad)
+        assert client.jobs() == []
+
+    def test_lone_write_node_outside_the_chip_is_422(self, client):
+        # Used to validate, then fail in a forked worker after the retries.
+        bad = {"schema": 1, "name": "bad",
+               "configs": {"mesh3x3": {"preset": "variant", "width": 3,
+                                       "height": 3}},
+               "runs": [{"builder": "scorpio", "config": "mesh3x3",
+                         "workload": {"kind": "lone_write", "node": 20}}]}
+        with pytest.raises(ServeError, match="HTTP 422.*lone_write node 20 "
+                                             "outside the 9-core system"):
             client.submit_document(bad)
         assert client.jobs() == []
 
@@ -313,6 +331,150 @@ class TestJobLifecycle:
                 client.result_bytes(job_id)
         finally:
             server.stop()
+
+
+class CountingServer:
+    """A frontend whose handler counts the connections it accepted, the
+    ones it closed and the responses it sent (one per request)."""
+
+    def __init__(self, monkeypatch, cache_dir):
+        import repro.serve.server as server_mod
+
+        counts = self.counts = {"connections": 0, "closed": 0,
+                                "requests": 0}
+
+        class Counting(server_mod._Handler):
+            def setup(self):
+                counts["connections"] += 1
+                super().setup()
+
+            def finish(self):
+                super().finish()
+                counts["closed"] += 1
+
+            def send_response(self, *args, **kwargs):
+                counts["requests"] += 1
+                super().send_response(*args, **kwargs)
+
+        monkeypatch.setattr(server_mod, "_Handler", Counting)
+        self.server = serve(cache_dir, port=0, workers=2).start()
+        self.url = self.server.url
+
+
+@pytest.fixture
+def counting(monkeypatch, tmp_path):
+    instance = CountingServer(monkeypatch, tmp_path / "cache")
+    yield instance
+    instance.server.stop()
+
+
+class TestConnections:
+    """One client thread, one kept-alive connection."""
+
+    def test_warm_jobs_from_one_thread_share_one_connection(self, counting):
+        client = ServeClient(counting.url)
+        document = tiny_document()
+        cold = client.run(document, timeout=120.0)
+        for _ in range(100):
+            warm = client.run(document, timeout=120.0)
+            assert warm.summary["cache"] == {"hits": 2, "misses": 0}
+        # Each job is submit, events stream, result: three requests.
+        assert counting.counts["requests"] == 3 * 101
+        assert counting.counts["connections"] == 1
+        assert without_cache_key(warm.envelope) \
+            == without_cache_key(cold.envelope)
+
+    def test_wait_on_a_finished_job_is_one_request(self, counting):
+        client = ServeClient(counting.url)
+        events = []
+        outcome = client.run(tiny_document(seeds=(0,)), timeout=120.0)
+        before = counting.counts["requests"]
+        summary = client.wait(outcome.summary["job"], on_event=events.append)
+        assert counting.counts["requests"] == before + 1
+        assert summary == client.job(outcome.summary["job"])
+        assert summary["state"] == "done"
+        assert events[-1]["event"] == "done"
+        assert events[-1]["summary"] == summary
+
+    def test_idle_connection_is_closed_and_the_client_reconnects(
+            self, monkeypatch, tmp_path):
+        import time
+
+        import repro.serve.server as server_mod
+
+        monkeypatch.setattr(server_mod, "IDLE_TIMEOUT", 0.2)
+        counting = CountingServer(monkeypatch, tmp_path / "cache")
+        try:
+            client = ServeClient(counting.url)
+            assert client.health()["status"] == "ok"
+            deadline = time.monotonic() + 10.0
+            while counting.counts["closed"] == 0:
+                assert time.monotonic() < deadline, "idle connection kept"
+                time.sleep(0.05)
+            assert client.health()["status"] == "ok"
+            assert client.health()["status"] == "ok"
+            assert counting.counts["connections"] == 2
+            assert counting.counts["requests"] == 3
+        finally:
+            counting.server.stop()
+
+    def test_a_stopped_frontend_closes_its_open_connections(self, tmp_path):
+        server = serve(tmp_path / "cache", port=0, workers=1).start()
+        client = ServeClient(server.url)
+        assert client.health()["status"] == "ok"
+        server.stop()
+        with pytest.raises(ServeError, match="cannot reach"):
+            client.health()
+
+    def test_a_refused_unread_body_closes_its_connection(self, counting):
+        """A body the frontend did not read cannot stay on the
+        connection, where it would be parsed as the next request."""
+        client = ServeClient(counting.url)
+        with pytest.raises(ServeError, match="HTTP 404"):
+            client._request("/v1/nope", method="POST", data=b'{"x": 1}')
+        assert client.health()["status"] == "ok"
+        assert counting.counts["connections"] == 2
+        assert counting.counts["requests"] == 2
+
+    def test_a_forked_child_opens_its_own_connection(self, counting):
+        """What a ``SlotPool`` worker inherits: a remote backend whose
+        thread already holds a connection.  The child opens its own, and
+        the parent's stays usable."""
+        import multiprocessing
+
+        from repro.core.api import RunResult
+        from repro.serve import RemoteCacheBackend
+
+        fp = "ab" * 32
+        payload = RunResult("scorpio", "fft", 9, 100, 72, 1.0,
+                            fingerprint=fp).payload()
+        remote = RemoteCacheBackend(counting.url)
+        remote.put(fp, payload)
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        child = context.Process(target=lambda: writer.send(remote.get(fp)))
+        child.start()
+        assert reader.poll(30.0)
+        from_child = reader.recv()
+        child.join(10.0)
+        assert child.exitcode == 0
+        assert remote.get(fp) == from_child == payload
+        assert counting.counts["connections"] == 2
+        assert counting.counts["requests"] == 3
+
+    def test_urlopen_reads_the_chunked_events_stream(self, client):
+        import urllib.request
+
+        outcome = client.run(tiny_document(seeds=(0,)), timeout=120.0)
+        job_id = outcome.summary["job"]
+        with urllib.request.urlopen(
+                f"{client.base_url}/v1/jobs/{job_id}/events",
+                timeout=10.0) as response:
+            assert response.headers["Transfer-Encoding"] == "chunked"
+            events = [json.loads(line) for line in response]
+        assert [event["event"] for event in events] \
+            == ["queued", "point", "done"]
+        assert events[-1]["summary"] == client.job(job_id)
 
 
 class TestWorkerDeath:
